@@ -9,9 +9,8 @@ from .dda_registry import (DDASpec, SampledField, TensorGrid,
                            discrete_cs_residual, lookup, quantum_cs_residual)
 from .continuous_flows import (FlowState, Trajectory, first_integrals, integrate,
                                spectral_invariants, state_from_entries, vector_field)
-from .reductions import (ChazyVariant, ScalarState, boussinesq_rhs_and_companions,
-                         chazy_rhs, chazy_second_integral, elliptic_system,
-                         reconstruct_from_G)
+from .reductions import (boussinesq_rhs_and_companions, chazy_rhs, chazy_second_integral,
+                         elliptic_system, reconstruct_from_G)
 from .closed_forms import SolutionFamily, eval_family, family_integrals, validate_family
 from .discrete_flows import (MapState, Orbit, discrete_oriented_assoc_residual,
                              init_map_state, map_invariants, orbit, step)
@@ -24,7 +23,7 @@ __all__ = [
     "cs_residual", "quantum_cs_residual", "coisotropic_cs_residual", "discrete_cs_residual",
     "FlowState", "Trajectory", "first_integrals", "integrate",
     "spectral_invariants", "state_from_entries", "vector_field",
-    "ChazyVariant", "ScalarState", "chazy_rhs", "chazy_second_integral",
+    "chazy_rhs", "chazy_second_integral",
     "reconstruct_from_G", "boussinesq_rhs_and_companions", "elliptic_system",
     "SolutionFamily", "eval_family", "family_integrals", "validate_family",
     "MapState", "Orbit", "init_map_state", "step", "orbit", "map_invariants",

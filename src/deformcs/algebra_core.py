@@ -33,6 +33,9 @@ from .errors import InvalidInputError
 # columns, shared-column consistency, tensor symmetry).
 LAYOUT_ATOL = 1e-9
 
+# A divisor (determinant, pole distance, denominator) below this is treated as zero.
+DEGENERACY_TOL = 1e-12
+
 _UNIT_COL = {1: np.array([0.0, 1.0, 0.0]), 2: np.array([0.0, 0.0, 1.0])}
 
 # Named-entry positions (matrix, row, col) per layout.
@@ -152,12 +155,23 @@ class ResidualReport:
             raise InvalidInputError("labels and norms must have equal length")
         if any(not np.isfinite(v) or v < 0.0 for v in self.norms):
             raise InvalidInputError("residual norms must be finite and nonnegative")
+        if len(set(self.labels)) != len(self.labels):
+            dup = next(lab for i, lab in enumerate(self.labels) if lab in self.labels[:i])
+            raise InvalidInputError(f"residual label {dup!r} occurs more than once")
 
     def max_norm(self) -> float:
         return max(self.norms) if self.norms else 0.0
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.labels, self.norms))
+
+
+def trace_integrals(mat: np.ndarray) -> dict[str, float]:
+    """Trace invariants I_k = tr(M^k)/k, k = 1..3, of a Lax or transition matrix."""
+    sq = mat @ mat
+    return {"I1": float(np.trace(mat)),
+            "I2": float(np.trace(sq)) / 2.0,
+            "I3": float(np.trace(sq @ mat)) / 3.0}
 
 
 def assoc_residual(pair) -> float:

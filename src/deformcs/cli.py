@@ -30,16 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra_core import ResidualReport
+from .algebra_core import ENTRY_POSITIONS_2
 from .closed_forms import FAMILY_IDS, SolutionFamily, validate_family
-from .continuous_flows import (SYSTEMS, Trajectory, integrate, position_x,
-                               state_from_entries)
+from .continuous_flows import SYSTEMS, integrate, position_x, state_from_entries
 from .dda_registry import SampledField, cs_residual, lookup
-from .discrete_flows import MAP_DDAS, Orbit, init_map_state, orbit
+from .discrete_flows import MAP_DDAS, init_map_state, orbit
 from .errors import DeformError, InvalidInputError
 from .integrators import STATUS_COMPLETED
-from .reductions import (CHAZY_VARIANTS, ReductionTrajectory, integrate_boussinesq,
-                         integrate_chazy, integrate_elliptic)
+from .reductions import (CHAZY_VARIANTS, integrate_boussinesq, integrate_chazy,
+                         integrate_elliptic)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -47,7 +46,9 @@ EXIT_SINGULAR = 3
 
 REDUCTION_KINDS = tuple(v for v in CHAZY_VARIANTS if v != "Generic") + ("Boussinesq", "Elliptic")
 
-_KINDS = ("flow", "map", "validate_family", "residual_scan", "reduction")
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
 
 
 class ScenarioConfig:
@@ -58,17 +59,16 @@ class ScenarioConfig:
             raise InvalidInputError("scenario must be a JSON object")
         self.doc = doc
         self.kind = self._require(str, "kind")
-        if self.kind not in _KINDS:
-            raise InvalidInputError(f"unknown kind {self.kind!r} (expected one of {_KINDS})")
-        getattr(self, f"_validate_{self.kind}")()
+        if self.kind not in KINDS:
+            raise InvalidInputError(f"unknown kind {self.kind!r} (expected one of {tuple(KINDS)})")
+        KINDS[self.kind][0](self)
 
     def _require(self, typ, key):
         if key not in self.doc:
             raise InvalidInputError(f"missing required field {key!r}")
         value = self.doc[key]
         if typ is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not np.isfinite(value):
+            if not _is_number(value):
                 raise InvalidInputError(f"field {key!r} must be a finite number")
             return float(value)
         if not isinstance(value, typ):
@@ -95,11 +95,15 @@ class ScenarioConfig:
             raise InvalidInputError("field 'stride' must be a positive integer")
         return stride
 
-    def _numbers(self, key):
+    def _numbers(self, key, allowed=None):
+        """A {name: finite number} field; names outside ``allowed`` are rejected."""
         values = self._require(dict, key)
+        unknown = sorted(set(values) - set(allowed)) if allowed is not None else []
+        if unknown:
+            raise InvalidInputError(f"field {key!r} has unknown entries {unknown}")
         out = {}
         for name, v in values.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
+            if not _is_number(v):
                 raise InvalidInputError(f"field {key!r}[{name!r}] must be a finite number")
             out[name] = float(v)
         return out
@@ -109,8 +113,9 @@ class ScenarioConfig:
         if system not in SYSTEMS:
             raise InvalidInputError(f"unknown system {system!r}")
         self.system = system
-        self.initial = self._numbers("initial")
-        self.free = self._numbers("free") if "free" in self.doc else {}
+        sy = SYSTEMS[system]
+        self.initial = self._numbers("initial", sy.all_entries())
+        self.free = self._numbers("free", sy.free) if "free" in self.doc else {}
         self.span = self._span()
         self.step = self._step()
         self.stride = self._stride()
@@ -123,8 +128,8 @@ class ScenarioConfig:
         if dda not in MAP_DDAS:
             raise InvalidInputError(f"dda {dda!r} is not a discrete map (use one of {MAP_DDAS})")
         self.dda = dda
-        self.initial = self._numbers("initial")
-        self.prev = self._numbers("prev") if "prev" in self.doc else None
+        self.initial = self._numbers("initial", ENTRY_POSITIONS_2)
+        self.prev = self._numbers("prev", ENTRY_POSITIONS_2) if "prev" in self.doc else None
         steps = self._require(int, "steps")
         if isinstance(steps, bool) or steps < 0:
             raise InvalidInputError("field 'steps' must be a nonnegative integer")
@@ -136,7 +141,15 @@ class ScenarioConfig:
         family = self._require(str, "family")
         if family not in FAMILY_IDS:
             raise InvalidInputError(f"unknown family {family!r}")
-        params = self._require(dict, "family_params" if "family_params" in self.doc else "params")
+        key = "family_params" if "family_params" in self.doc else "params"
+        params = self._require(dict, key)
+        for name, v in params.items():
+            if family == "GaugeL5":
+                if not (isinstance(v, list) and v and all(_is_number(c) for c in v)):
+                    raise InvalidInputError(
+                        f"field {key!r}[{name!r}] must be a nonempty list of finite numbers")
+            elif name != "printed_form" and not _is_number(v):
+                raise InvalidInputError(f"field {key!r}[{name!r}] must be a finite number")
         points = self._require(list, "points")
         if not points or not all(isinstance(v, (int, float)) for v in points):
             raise InvalidInputError("field 'points' must be a nonempty list of numbers")
@@ -229,7 +242,10 @@ def _eigen_drift(eigs: list[tuple[complex, ...]]) -> dict | None:
                             "max_rel": dev / max(1.0, float(np.max(np.abs(ref))))}}
 
 
-def _flow_artifacts(cfg: ScenarioConfig, out: Path) -> tuple[Trajectory, dict, dict | None]:
+# Each runner writes its CSV and returns (status, diagnostic, artifacts,
+# residuals, invariant drift) for the report.
+
+def _flow_artifacts(cfg: ScenarioConfig, out: Path):
     initial = state_from_entries(cfg.system, cfg.span[0], {**cfg.initial, **cfg.free})
     traj = integrate(cfg.system, initial, cfg.span, cfg.step, cfg.free or None)
     sy = SYSTEMS[cfg.system]
@@ -251,10 +267,10 @@ def _flow_artifacts(cfg: ScenarioConfig, out: Path) -> tuple[Trajectory, dict, d
     drift = _drift_stats(list(traj.integral_history)) or None
     if drift is not None:
         drift.update(_eigen_drift(list(traj.eigen_history)) or {})
-    return traj, {"trajectory_csv": "trajectory.csv"}, drift
+    return traj.status, traj.diagnostic, {"trajectory_csv": "trajectory.csv"}, {}, drift
 
 
-def _map_artifacts(cfg: ScenarioConfig, out: Path) -> tuple[Orbit, dict, dict | None]:
+def _map_artifacts(cfg: ScenarioConfig, out: Path):
     state0 = init_map_state(cfg.dda, cfg.initial, cfg.prev)
     run = orbit(cfg.dda, state0, cfg.steps)
     inv_names = sorted({k for inv in run.invariant_history for k in inv})
@@ -269,10 +285,10 @@ def _map_artifacts(cfg: ScenarioConfig, out: Path) -> tuple[Orbit, dict, dict | 
                     + [";".join(st.flags)])
     _write_csv(out / "orbit.csv", header, rows)
     complete = [inv for inv in run.invariant_history if inv]
-    return run, {"orbit_csv": "orbit.csv"}, _drift_stats(complete)
+    return run.status, run.diagnostic, {"orbit_csv": "orbit.csv"}, {}, _drift_stats(complete)
 
 
-def _reduction_artifacts(cfg: ScenarioConfig, out: Path) -> tuple[ReductionTrajectory, dict, dict | None]:
+def _reduction_artifacts(cfg: ScenarioConfig, out: Path):
     r = cfg.reduction
     if r == "Boussinesq":
         initial = (cfg.initial.get("E", 0.0), cfg.initial.get("E1", 0.0))
@@ -295,25 +311,38 @@ def _reduction_artifacts(cfg: ScenarioConfig, out: Path) -> tuple[ReductionTraje
     _write_csv(out / "trajectory.csv", header, rows)
     history = [{k: float(traj.invariants[k][i]) for k in inv_names}
                for i in range(len(traj.ts))]
-    return traj, {"trajectory_csv": "trajectory.csv"}, _drift_stats(history)
+    return (traj.status, traj.diagnostic, {"trajectory_csv": "trajectory.csv"}, {},
+            _drift_stats(history))
 
 
-def _scan_artifacts(cfg: ScenarioConfig, out: Path) -> tuple[ResidualReport, dict]:
+def _family_artifacts(cfg: ScenarioConfig, out: Path):
+    rep = validate_family(cfg.family, cfg.points, cfg.h)
+    return STATUS_COMPLETED, None, {}, rep.as_dict(), None
+
+
+def _scan_artifacts(cfg: ScenarioConfig, out: Path):
     fld = cfg.field
     spec = lookup(cfg.dda)
-    lo = 1 if spec.id in ("L2a", "L3", "L5") else 0
-    hi = len(fld.pairs) - 2
-    rows, labels, norms = [], [], []
-    for i in range(lo, hi + 1):
-        rep = cs_residual(spec, fld, i)
-        labels.append(f"i={i}")
-        norms.append(rep.norms[0])
-        rows.append([i, float(fld.grid[i]), rep.norms[0]])
+    behind, ahead = spec.stencil_reach
+    rows, residuals = [], {}
+    for i in range(behind, len(fld.pairs) - ahead):
+        norm = cs_residual(spec, fld, i).norms[0]
+        residuals[f"i={i}"] = norm
+        rows.append([i, float(fld.grid[i]), norm])
     if not rows:
         raise InvalidInputError("field has no interior points for this stencil")
     _write_csv(out / "residuals.csv", ["i", "x", "residual"], rows)
-    return (ResidualReport(labels=tuple(labels), norms=tuple(norms)),
-            {"residuals_csv": "residuals.csv"})
+    return STATUS_COMPLETED, None, {"residuals_csv": "residuals.csv"}, residuals, None
+
+
+# kind -> (validator, runner)
+KINDS = {
+    "flow": (ScenarioConfig._validate_flow, _flow_artifacts),
+    "map": (ScenarioConfig._validate_map, _map_artifacts),
+    "validate_family": (ScenarioConfig._validate_validate_family, _family_artifacts),
+    "residual_scan": (ScenarioConfig._validate_residual_scan, _scan_artifacts),
+    "reduction": (ScenarioConfig._validate_reduction, _reduction_artifacts),
+}
 
 
 def build_report(cfg: ScenarioConfig, status: str, diagnostic: str | None,
@@ -333,23 +362,7 @@ def build_report(cfg: ScenarioConfig, status: str, diagnostic: str | None,
 
 def run(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    status, diagnostic, drift, residuals, artifacts = STATUS_COMPLETED, None, None, {}, {}
-    if cfg.kind == "flow":
-        traj, artifacts, drift = _flow_artifacts(cfg, out_dir)
-        status, diagnostic = traj.status, traj.diagnostic
-    elif cfg.kind == "map":
-        run_, artifacts, drift = _map_artifacts(cfg, out_dir)
-        status, diagnostic = run_.status, run_.diagnostic
-    elif cfg.kind == "reduction":
-        traj, artifacts, drift = _reduction_artifacts(cfg, out_dir)
-        status, diagnostic = traj.status, traj.diagnostic
-    elif cfg.kind == "validate_family":
-        rep = validate_family(cfg.family, cfg.points, cfg.h)
-        residuals = rep.as_dict()
-    else:  # residual_scan
-        rep, artifacts = _scan_artifacts(cfg, out_dir)
-        residuals = rep.as_dict()
-
+    status, diagnostic, artifacts, residuals, drift = KINDS[cfg.kind][1](cfg, out_dir)
     report = build_report(cfg, status, diagnostic, artifacts, residuals, drift)
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     if not quiet:

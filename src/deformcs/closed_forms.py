@@ -26,17 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra_core import MatrixPair, ResidualReport
+from .algebra_core import DEGENERACY_TOL, MatrixPair, ResidualReport
 from .dda_registry import SampledField, cs_residual
+from .discrete_flows import GAUGE_SHIFTS, gauge_matrix
 from .errors import InvalidInputError, SingularGaugeError
 
 FAMILY_IDS = ("Nilpotent3x3", "Nilpotent2x2", "UpperTri2x2", "PolyL3", "GaugeL5")
 
 LOG_DOMAIN_TOL = 1e-9       # |ln x| must exceed this for the log families
 CONSTRAINT_TOL = 1e-12      # PolyL3 unimodularity at construction
-GAUGE_DET_TOL = 1e-12
-
-GAUGE_SHIFTS = (0, 1, -1)   # T_0 = 1, T_1 = T, T_2 = T^-1
 
 _FAMILY_PARAMS = {
     "Nilpotent3x3": ("alpha", "beta", "gamma", "delta", "mu"),
@@ -87,11 +85,10 @@ def _log_var(x: float) -> float:
     return t
 
 
-def _gauge_matrix(fam: SolutionFamily, x: float) -> np.ndarray:
-    """g at x: row m, column k holds Phi^m(x + s_k)."""
+def _polynomial_potentials(fam: SolutionFamily):
+    """The GaugeL5 potentials Phi^m as a map from points to their (3, points) values."""
     coeffs = [np.asarray(fam.params[k], dtype=float) for k in ("phi0", "phi1", "phi2")]
-    pts = np.array([x + s for s in GAUGE_SHIFTS], dtype=float)
-    return np.array([npoly.polyval(pts, c) for c in coeffs])
+    return lambda points: np.array([npoly.polyval(points, c) for c in coeffs])
 
 
 def eval_family(fam: SolutionFamily, point: float) -> MatrixPair:
@@ -116,7 +113,7 @@ def eval_family(fam: SolutionFamily, point: float) -> MatrixPair:
     if fam.id == "UpperTri2x2":
         a, b, g, d = (fam.p(k) for k in ("alpha", "beta", "gamma", "delta"))
         x = float(point)
-        if min(abs(x), abs(x + b)) < 1e-12:
+        if min(abs(x), abs(x + b)) < DEGENERACY_TOL:
             raise InvalidInputError(f"UpperTri2x2 is singular at x = {x}")
         return MatrixPair.from_entries_2x2(
             B=1.0, C=0.0,
@@ -128,11 +125,11 @@ def eval_family(fam: SolutionFamily, point: float) -> MatrixPair:
         entries, _ = _poly_l3_entries(fam, float(point))
         return MatrixPair.from_entries_2x2(**entries)
     if fam.id == "GaugeL5":
-        gmat = _gauge_matrix(fam, float(point))
-        if abs(np.linalg.det(gmat)) < GAUGE_DET_TOL:
+        potentials, x = _polynomial_potentials(fam), float(point)
+        gmat = gauge_matrix(potentials, x)
+        if abs(np.linalg.det(gmat)) < DEGENERACY_TOL:
             raise SingularGaugeError(f"gauge matrix is singular at x = {point}")
-        C1 = np.linalg.solve(gmat, _gauge_matrix(fam, float(point) + 1.0))
-        C2 = np.linalg.solve(gmat, _gauge_matrix(fam, float(point) - 1.0))
+        C1, C2 = (np.linalg.solve(gmat, gauge_matrix(potentials, x + s)) for s in GAUGE_SHIFTS[1:])
         return MatrixPair(3, C1, C2)
     raise InvalidInputError(f"unknown solution family {fam.id!r}")
 
@@ -149,15 +146,6 @@ def _poly_l3_entries(fam: SolutionFamily, y: float):
     }
     derivs = {"B": a, "E": 0.0, "G": -a, "C": 2.0 * q * y + (g - b)}
     return entries, derivs
-
-
-_GOVERNING = {
-    "Nilpotent3x3": "Eq. x dC2/dx = [C2,C1], 3x3, A=B=C=0",
-    "Nilpotent2x2": "Eq. x dC2/dx = [C2,C1], 2x2, B=C=0",
-    "UpperTri2x2": "Eq. x dC2/dx = [C2,C1], 2x2, B=1, C=0",
-    "PolyL3": "simple L3 flow, analytic derivatives",
-    "GaugeL5": "L5 shift system, exact",
-}
 
 
 def validate_family(fam: SolutionFamily, sample_points, h: float = 1e-4) -> ResidualReport:

@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra_core import MatrixPair
+from .algebra_core import DEGENERACY_TOL, MatrixPair, trace_integrals
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import STATUS_COMPLETED, integrate_fixed
-
-SINGULAR_DET_TOL = 1e-12
 
 
 def _rhs_l2a_3x3(v: dict[str, float]) -> dict[str, float]:
@@ -54,7 +52,7 @@ def _rhs_l2a_2x2(v: dict[str, float]) -> dict[str, float]:
 
 def _rhs_l3_detnorm(v: dict[str, float]) -> dict[str, float]:
     B, C, E, G, M, N = v["B"], v["C"], v["E"], v["G"], v["M"], v["N"]
-    if abs(B * G - C * E) < SINGULAR_DET_TOL:
+    if abs(B * G - C * E) < DEGENERACY_TOL:
         raise SingularFlowError(f"det C1 = {B * G - C * E:.3e} is below tolerance")
     return {
         "B": E * B * G + E * N * C - G * M * C - C * E * E,
@@ -172,10 +170,7 @@ def first_integrals(system_id: str, state: FlowState) -> dict[str, float]:
     sy = get_system(system_id)
     e = state.entries()
     if sy.id == "L2a_3x3":
-        C2 = state.pair.C2
-        return {"I1": float(np.trace(C2)),
-                "I2": float(np.trace(C2 @ C2)) / 2.0,
-                "I3": float(np.trace(C2 @ C2 @ C2)) / 3.0}
+        return trace_integrals(state.pair.C2)
     if sy.id == "L2a_2x2":
         E, G, M, N = e["E"], e["G"], e["M"], e["N"]
         return {"I1": E + N, "I2": 0.5 * (E * E + N * N + 2.0 * M * G)}

@@ -6,13 +6,14 @@ functions of the deformation parameter either trivially, as the scaling
 derivative x d/dx, as d/dx paired with p1, or as a unit shift T / T^-1.
 The induced central system on the multiplication matrices is
 
-    L2a:  x dC2/dx = C2 C1 - C1 C2        (Lax form)
-    L3 :  C1 dC1/dx = C1 C2 - C2 C1
-    L2b:  C1 TC2 = C2 C1
-    L4 :  C1 TC2 = C2 TC1
-    L5 :  C1 TC2 = C2 T^-1 C1
+    L2a  [p1,x] = x                  x dC2/dx = C2 C1 - C1 C2   (Lax form)
+    L3   [p2,x] = p1                 C1 dC1/dx = C1 C2 - C2 C1
+    L2b  [p1,x] = p1                 C1 TC2 = C2 C1
+    L4   [p1,x] = p1, [p2,x] = p2    C1 TC2 = C2 TC1
+    L5   [p1,x] = p1, [p2,x] = -p2   C1 TC2 = C2 T^-1 C1
 
-and L1 (the abelian algebra) drives no deformation at all.  This module
+(all other brackets vanish), and L1 (the abelian algebra) drives no
+deformation at all.  This module
 evaluates those residuals on sampled fields, plus the three multi-parameter
 residual operators for quantum, discrete and coisotropic deformations on
 full structure-constant grids.
@@ -21,15 +22,13 @@ full structure-constant grids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .algebra_core import MatrixPair, ResidualReport
+from .algebra_core import DEGENERACY_TOL, MatrixPair, ResidualReport, trace_integrals
 from .errors import InvalidInputError, StencilRangeError, UnsupportedDDAError
-
-DEGENERACY_TOL = 1e-12
 
 OP_NONE = "none"
 OP_SCALING_DERIVATIVE = "scaling_derivative"    # x d/dx
@@ -45,30 +44,27 @@ class DDASpec:
     id: str
     p1_action: str
     p2_action: str
-    relations: str
-
-    @property
-    def continuous(self) -> bool:
-        return self.id in ("L2a", "L3")
 
     @property
     def discrete(self) -> bool:
         return self.id in ("L2b", "L4", "L5")
 
+    @property
+    def stencil_reach(self) -> tuple[int, int]:
+        """Grid neighbours (behind, ahead) that the central-system stencil reads.
+
+        L2a/L3 need a central difference, L5 looks both ways, L2b/L4 only ahead.
+        """
+        return (1 if self.id in ("L2a", "L3", "L5") else 0), 1
+
 
 _REGISTRY = {
-    "L1": DDASpec("L1", OP_NONE, OP_NONE,
-                  "[p1,p2]=0, [p1,x]=0, [p2,x]=0"),
-    "L2a": DDASpec("L2a", OP_SCALING_DERIVATIVE, OP_NONE,
-                   "[p1,p2]=0, [p1,x]=x, [p2,x]=0"),
-    "L2b": DDASpec("L2b", OP_SHIFT, OP_NONE,
-                   "[p1,p2]=0, [p1,x]=p1, [p2,x]=0"),
-    "L3": DDASpec("L3", OP_NONE, OP_DERIVATIVE_TIMES_P1,
-                  "[p1,p2]=0, [p1,x]=0, [p2,x]=p1"),
-    "L4": DDASpec("L4", OP_SHIFT, OP_SHIFT,
-                  "[p1,p2]=0, [p1,x]=p1, [p2,x]=p2"),
-    "L5": DDASpec("L5", OP_SHIFT, OP_INVERSE_SHIFT,
-                  "[p1,p2]=0, [p1,x]=p1, [p2,x]=-p2"),
+    "L1": DDASpec("L1", OP_NONE, OP_NONE),
+    "L2a": DDASpec("L2a", OP_SCALING_DERIVATIVE, OP_NONE),
+    "L2b": DDASpec("L2b", OP_SHIFT, OP_NONE),
+    "L3": DDASpec("L3", OP_NONE, OP_DERIVATIVE_TIMES_P1),
+    "L4": DDASpec("L4", OP_SHIFT, OP_SHIFT),
+    "L5": DDASpec("L5", OP_SHIFT, OP_INVERSE_SHIFT),
 }
 
 
@@ -87,7 +83,6 @@ class SampledField:
     dda: str
     grid: np.ndarray
     pairs: tuple[MatrixPair, ...]
-    free_spec: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         spec = lookup(self.dda)
@@ -126,23 +121,18 @@ class SampledField:
             if key not in doc:
                 raise InvalidInputError(f"sampled field is missing the {key!r} field")
         pairs = []
-        for v in doc["values"]:
-            C1 = np.array(v["C1"], dtype=float)
-            pairs.append(MatrixPair(len(C1), C1, np.array(v["C2"], dtype=float)))
+        for i, v in enumerate(doc["values"]):
+            try:
+                C1, C2 = (np.array(v[key], dtype=float) for key in ("C1", "C2"))
+            except (KeyError, TypeError, ValueError):
+                raise InvalidInputError(
+                    f"sampled field value {i} needs numeric matrices 'C1' and 'C2'") from None
+            pairs.append(MatrixPair(len(C1) if C1.ndim else 0, C1, C2))
         return cls(dda=doc["dda"], grid=np.array(doc["grid"], dtype=float), pairs=tuple(pairs))
 
     @classmethod
     def load(cls, path: str | Path) -> "SampledField":
         return cls.from_json(json.loads(Path(path).read_text()))
-
-
-def _trace_integrals(mat: np.ndarray, prefix: str = "I") -> dict[str, float]:
-    out = {}
-    power = np.eye(mat.shape[0])
-    for k in (1, 2, 3):
-        power = power @ mat
-        out[f"{prefix}{k}"] = float(np.trace(power)) / k
-    return out
 
 
 def cs_residual(dda: DDASpec | str, fld: SampledField, i: int) -> ResidualReport:
@@ -154,11 +144,8 @@ def cs_residual(dda: DDASpec | str, fld: SampledField, i: int) -> ResidualReport
     spec = lookup(dda) if isinstance(dda, str) else dda
     if spec.id == "L1":
         raise UnsupportedDDAError("L1 is abelian and generates no deformation")
-    npts = len(fld.pairs)
-    # L2a/L3 need a central stencil, L5 looks both ways, L2b/L4 only forward.
-    lo = 1 if spec.id in ("L2a", "L3", "L5") else 0
-    hi = npts - 2
-    if not lo <= i <= hi:
+    behind, ahead = spec.stencil_reach
+    if not behind <= i < len(fld.pairs) - ahead:
         raise StencilRangeError(
             f"point {i} lacks the neighbours needed by the {spec.id} stencil"
         )
@@ -171,23 +158,23 @@ def cs_residual(dda: DDASpec | str, fld: SampledField, i: int) -> ResidualReport
         h = fld.spacing
         dC2 = (fld.pairs[i + 1].C2 - fld.pairs[i - 1].C2) / (2.0 * h)
         R = fld.grid[i] * dC2 - (C2 @ C1 - C1 @ C2)
-        integrals.update(_trace_integrals(C2))
+        integrals.update(trace_integrals(C2))
     elif spec.id == "L3":
         h = fld.spacing
         dC1 = (fld.pairs[i + 1].C1 - fld.pairs[i - 1].C1) / (2.0 * h)
         R = C1 @ dC1 - (C1 @ C2 - C2 @ C1)
-        integrals.update(_trace_integrals(C1))
+        integrals.update(trace_integrals(C1))
     elif spec.id == "L2b":
         R = C1 @ fld.pairs[i + 1].C2 - C2 @ C1
-        integrals.update(_trace_integrals(C2))
+        integrals.update(trace_integrals(C2))
         integrals["det_C2"] = float(np.linalg.det(C2))
     elif spec.id == "L4":
         R = C1 @ fld.pairs[i + 1].C2 - C2 @ fld.pairs[i + 1].C1
         if abs(integrals["det_C1"]) > DEGENERACY_TOL:
-            integrals.update(_trace_integrals(C2 @ np.linalg.inv(C1)))
+            integrals.update(trace_integrals(C2 @ np.linalg.inv(C1)))
     else:  # L5
         R = C1 @ fld.pairs[i + 1].C2 - C2 @ fld.pairs[i - 1].C1
-        integrals.update(_trace_integrals(C1 @ fld.pairs[i + 1].C2))
+        integrals.update(trace_integrals(C1 @ fld.pairs[i + 1].C2))
     return ResidualReport(
         labels=(f"{spec.id}_cs",),
         norms=(float(np.linalg.norm(R)),),
@@ -322,10 +309,24 @@ def coisotropic_cs_residual(tg: TensorGrid) -> ResidualReport:
     return ResidualReport(labels=("coisotropic_bracket_max", "assoc_defect_max"), norms=(b, a))
 
 
-def _matrices_at(tg: TensorGrid, point: tuple[int, ...]) -> list[np.ndarray]:
-    """Multiplication matrices C_j (row l, column k) at one lattice point."""
-    block = tg.c[point]
-    return [block[j].T for j in range(tg.n)]
+def _discrete_defects(tg: TensorGrid, lo: tuple[int, ...],
+                      hi: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
+    """C_l T_lC_j - C_j T_jC_l for j > l at every lattice point p with lo <= p < hi.
+
+    Each value is indexed [point..., row, column]; the matrix C_j has row l,
+    column k holding c[j][k][l], and an index without a grid axis is not shifted.
+    """
+    mats = np.swapaxes(tg.c, -1, -2)
+
+    def window(axis: int) -> np.ndarray:
+        return mats[tuple(slice(a + (ax == axis), b + (ax == axis))
+                          for ax, (a, b) in enumerate(zip(lo, hi)))]
+
+    here = window(-1)
+    shifted = [window(j - tg.index_offset) for j in range(tg.n)]
+    return {(j, l): here[..., l, :, :] @ shifted[l][..., j, :, :]
+            - here[..., j, :, :] @ shifted[j][..., l, :, :]
+            for l in range(tg.n) for j in range(l + 1, tg.n)}
 
 
 def discrete_cs_defect(tg: TensorGrid, point: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
@@ -336,21 +337,8 @@ def discrete_cs_defect(tg: TensorGrid, point: tuple[int, ...]) -> dict[tuple[int
     for ax, p in enumerate(point):
         if not 0 <= p < tg.c.shape[ax] - 1:
             raise StencilRangeError(f"point {point} lacks a +1 neighbour on axis {ax}")
-
-    def shifted(j: int) -> tuple[int, ...]:
-        axis = j - tg.index_offset
-        if axis < 0:
-            return point
-        return tuple(p + (1 if ax == axis else 0) for ax, p in enumerate(point))
-
-    here = _matrices_at(tg, point)
-    out = {}
-    for l in range(tg.n):
-        for j in range(l + 1, tg.n):
-            Cj_shift_l = _matrices_at(tg, shifted(l))[j]
-            Cl_shift_j = _matrices_at(tg, shifted(j))[l]
-            out[(j, l)] = here[l] @ Cj_shift_l - here[j] @ Cl_shift_j
-    return out
+    defects = _discrete_defects(tg, tuple(point), tuple(p + 1 for p in point))
+    return {pair: mat[(0,) * dims] for pair, mat in defects.items()}
 
 
 def discrete_cs_residual(tg: TensorGrid) -> ResidualReport:
@@ -359,13 +347,9 @@ def discrete_cs_residual(tg: TensorGrid) -> ResidualReport:
     interior_shape = tuple(s - 1 for s in tg.c.shape[:dims])
     if any(s < 1 for s in interior_shape):
         raise StencilRangeError("lattice too small for the forward-shift stencil")
-    worst: dict[tuple[int, int], float] = {}
-    for point in np.ndindex(*interior_shape):
-        for pair, mat in discrete_cs_defect(tg, point).items():
-            val = float(np.linalg.norm(mat))
-            worst[pair] = max(worst.get(pair, 0.0), val)
-    pairs = sorted(worst)
+    defects = _discrete_defects(tg, (0,) * dims, interior_shape)
+    pairs = sorted(defects)
     return ResidualReport(
         labels=tuple(f"discrete_cs[{j},{l}]" for j, l in pairs),
-        norms=tuple(worst[p] for p in pairs),
+        norms=tuple(float(np.max(np.linalg.norm(defects[p], axis=(-2, -1)))) for p in pairs),
     )

@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra_core import MatrixPair, ResidualReport
+from .algebra_core import DEGENERACY_TOL, MatrixPair, ResidualReport, trace_integrals
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
-
-DEGENERACY_TOL = 1e-12
 
 MAP_DDAS = ("L2b", "L4", "L5")
 
@@ -148,28 +146,17 @@ def map_invariants(dda: str, state: MapState) -> dict[str, float]:
     """Exact trace invariants of the map (L5 values attach to the transition)."""
     if dda == "L2b":
         C2 = state.pair.C2
-        return {
-            "I1": float(np.trace(C2)),
-            "I2": float(np.trace(C2 @ C2)) / 2.0,
-            "I3": float(np.trace(C2 @ C2 @ C2)) / 3.0,
-            "det_C2": float(np.linalg.det(C2)),
-        }
+        return {**trace_integrals(C2), "det_C2": float(np.linalg.det(C2))}
     if dda == "L4":
         det = float(np.linalg.det(state.pair.C1))
         if abs(det) < DEGENERACY_TOL:
             raise SingularOrbitError(f"det C1 = {det:.3e}: invariants need C1^-1",
                                      quantity="det C1", value=det)
-        U = state.pair.C2 @ np.linalg.inv(state.pair.C1)
-        return {"I1": float(np.trace(U)),
-                "I2": float(np.trace(U @ U)) / 2.0,
-                "I3": float(np.trace(U @ U @ U)) / 3.0}
+        return trace_integrals(state.pair.C2 @ np.linalg.inv(state.pair.C1))
     if dda == "L5":
         if state.V is None:
             raise InvalidInputError("L5 state carries no transition matrix V")
-        V = state.V
-        return {"I1": float(np.trace(V)),
-                "I2": float(np.trace(V @ V)) / 2.0,
-                "I3": float(np.trace(V @ V @ V)) / 3.0}
+        return trace_integrals(state.V)
     raise InvalidInputError(f"unknown or non-discrete dda {dda!r}")
 
 
@@ -216,19 +203,28 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
 # Discrete oriented associativity for gauge solutions.
 # ---------------------------------------------------------------------------
 
-GAUGE_SHIFTS = (0, 1, -1)
+GAUGE_SHIFTS = (0, 1, -1)   # T_0 = 1, T_1 = T, T_2 = T^-1
 
 
-def _gauge_from_samples(phi: np.ndarray, xs: np.ndarray, x: int) -> np.ndarray:
-    """g at x (row m, column k = Phi^m(x + s_k)) from sampled potentials."""
+def gauge_matrix(potentials, x) -> np.ndarray:
+    """g at x: row m, column k holds Phi^m(x + s_k) for the shifts s_k in GAUGE_SHIFTS.
+
+    ``potentials`` maps an array of points to the (3, points) array of Phi^m values.
+    """
+    return potentials(x + np.array(GAUGE_SHIFTS))
+
+
+def _sampled_potentials(phi: np.ndarray, xs: np.ndarray):
+    """Potentials read off samples phi[m, i] = Phi^m(xs[i]) on integer points."""
     idx = {int(v): i for i, v in enumerate(xs)}
-    cols = []
-    for s in GAUGE_SHIFTS:
-        key = x + s
-        if key not in idx:
-            raise InvalidInputError(f"potential samples do not cover x = {key}")
-        cols.append(phi[:, idx[key]])
-    return np.array(cols).T
+
+    def potentials(points: np.ndarray) -> np.ndarray:
+        try:
+            return phi[:, [idx[int(p)] for p in points]]
+        except KeyError as exc:
+            raise InvalidInputError(f"potential samples do not cover x = {exc.args[0]}") from None
+
+    return potentials
 
 
 def oriented_assoc_defect(phi: np.ndarray, xs: np.ndarray, x: int) -> np.ndarray:
@@ -239,12 +235,13 @@ def oriented_assoc_defect(phi: np.ndarray, xs: np.ndarray, x: int) -> np.ndarray
     g^-1 so that a nonzero residual is exactly the associativity defect of
     the gauge structure constants.
     """
-    g = _gauge_from_samples(phi, xs, x)
-    if abs(np.linalg.det(g)) < 1e-12:
+    potentials = _sampled_potentials(phi, xs)
+    g = gauge_matrix(potentials, x)
+    if abs(np.linalg.det(g)) < DEGENERACY_TOL:
         raise SingularGaugeError(f"gauge matrix is singular at x = {x}")
     n = len(GAUGE_SHIFTS)
     # (T_j g)[m][t] = Phi^m(x + s_j + s_t): shift the whole gauge matrix.
-    shifted = [_gauge_from_samples(phi, xs, x + s) for s in GAUGE_SHIFTS]
+    shifted = [gauge_matrix(potentials, x + s) for s in GAUGE_SHIFTS]
     ginv_tk = [np.linalg.solve(g, tg) for tg in shifted]   # g^-1 T_k g = C_k
     R = np.zeros((n, n, n, n))
     for j in range(n):

@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import SingularFlowError
+
 OVERFLOW_GUARD = 1e12
 
 STATUS_COMPLETED = "completed"
@@ -39,8 +41,10 @@ def integrate_fixed(f: Callable[[float, np.ndarray], np.ndarray],
     """Integrate y' = f(t, y) from t0 to t1.
 
     Returns (ts, ys, status, diagnostic).  The run is truncated (not raised)
-    when a right-hand-side evaluation fails or the state exceeds the guard;
-    ``ys`` then holds the states up to the last good point.
+    when a right-hand-side evaluation hits a singularity (SingularFlowError,
+    ZeroDivisionError, FloatingPointError) or the state exceeds the guard;
+    ``ys`` then holds the states up to the last good point.  Any other error
+    in the right-hand side is a bug and propagates.
     """
     y = np.asarray(y0, dtype=float)
     ts = [t0]
@@ -53,7 +57,7 @@ def integrate_fixed(f: Callable[[float, np.ndarray], np.ndarray],
     for k in range(n):
         try:
             y = rk4_step(f, t, y, h)
-        except Exception as exc:  # singular right-hand side
+        except (SingularFlowError, ZeroDivisionError, FloatingPointError) as exc:
             return np.array(ts), np.array(ys), STATUS_TRUNCATED, f"{type(exc).__name__}: {exc}"
         t = t0 + (k + 1) * h
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > guard:

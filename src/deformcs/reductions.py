@@ -33,37 +33,10 @@ from .integrators import STATUS_COMPLETED, integrate_fixed
 
 CHAZY_VARIANTS = ("ChazyV", "ChazyV_shifted", "Generic", "ChazyVII", "ChazyVIII", "ChazyIII")
 
-# How the auxiliary function Phi of the generic third-order equation is
-# determined for each variant.
-PHI_SPECS = {
-    "ChazyV": "zero (B = 0)",
-    "ChazyV_shifted": "constant 1/2 (B = 1)",
-    "Generic": "supplied by the caller together with Phi'",
-    "ChazyVII": "Phi = G'",
-    "ChazyVIII": "Phi = 2G' + 2G^2 (B = 2G)",
-    "ChazyIII": "quadrature: G Phi' + 2 G' Phi = 2 G^2 G' + (G')^2 + 4 G G''",
-}
 
-
-@dataclass(frozen=True)
-class ChazyVariant:
-    id: str
-    phi_spec: str
-
-    @classmethod
-    def of(cls, variant: str) -> "ChazyVariant":
-        if variant not in CHAZY_VARIANTS:
-            raise InvalidInputError(f"unknown Chazy variant {variant!r}")
-        return cls(variant, PHI_SPECS[variant])
-
-
-@dataclass(frozen=True)
-class ScalarState:
-    """State of a scalar reduction: independent variable, components, parameters."""
-
-    t: float
-    values: tuple[float, ...]
-    params: dict[str, float]
+def _check_variant(variant: str) -> None:
+    if variant not in CHAZY_VARIANTS:
+        raise InvalidInputError(f"unknown Chazy variant {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -76,16 +49,11 @@ class ReductionTrajectory:
     status: str = STATUS_COMPLETED
     diagnostic: str | None = None
 
-    def state_at(self, i: int, params: dict[str, float] | None = None) -> ScalarState:
-        return ScalarState(t=float(self.ts[i]),
-                           values=tuple(float(v) for v in self.states[i]),
-                           params=dict(params or {}))
-
 
 def chazy_rhs(variant: str, G: float, G1: float, G2: float,
               phi: float = 0.0, dphi: float = 0.0) -> float:
     """Third derivative G''' for the requested variant (Generic needs phi, dphi)."""
-    ChazyVariant.of(variant)
+    _check_variant(variant)
     if variant == "ChazyV":
         return -2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2
     if variant == "ChazyV_shifted":
@@ -108,7 +76,7 @@ def chazy_second_integral(G: float, G1: float, G2: float,
     closing term is B G^2 / 2; for the Phi-based variants it is Phi itself
     and the closing term is Phi G^2.
     """
-    ChazyVariant.of(variant)
+    _check_variant(variant)
     base = -0.5 * G ** 4 + 0.5 * G1 * G1 - 2.0 * G * G * G1 - G * G2
     if variant in ("ChazyV", "ChazyV_shifted"):
         return base + 0.5 * B_or_phi * G * G
@@ -180,7 +148,7 @@ def _chazy_system(variant: str):
 
 
 def chazy_state_phi_B(variant: str, row: np.ndarray) -> tuple[float, float, float]:
-    """(Phi, B, B') at one trajectory row, per the variant's phi_spec."""
+    """(Phi, B, B') at one trajectory row, as the variant determines Phi."""
     G, G1 = row[0], row[1]
     if variant == "ChazyV":
         return 0.0, 0.0, 0.0

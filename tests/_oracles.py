@@ -142,18 +142,17 @@ def coisotropic_bracket_loops(c: np.ndarray, h: float, pt: tuple[int, int]) -> n
     return out
 
 
-def discrete_defect_loops(c: np.ndarray, pt: tuple[int, int]) -> dict:
+def discrete_defect_loops(c: np.ndarray, pt: tuple[int, ...]) -> dict:
     """Matrices C_l T_lC_j - C_j T_jC_l at a lattice point, by explicit loops."""
     n = c.shape[-1]
-    off = n - 2
-    ii, jj = pt
+    off = n - len(pt)
 
     def mat(j, shift_by=None):
-        point = (ii, jj)
+        point = tuple(pt)
         if shift_by is not None:
             ax = shift_by - off
             if ax >= 0:
-                point = (ii + (ax == 0), jj + (ax == 1))
+                point = tuple(p + (a == ax) for a, p in enumerate(pt))
         out = np.zeros((n, n))
         for k in range(n):
             for l in range(n):

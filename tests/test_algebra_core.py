@@ -141,3 +141,5 @@ def test_residual_report_invariants():
         ResidualReport(labels=("a",), norms=(1.0, 2.0))
     with pytest.raises(InvalidInputError):
         ResidualReport(labels=("a",), norms=(-1.0,))
+    with pytest.raises(InvalidInputError, match="'b' occurs more than once"):
+        ResidualReport(labels=("a", "b", "b"), norms=(1.0, 2.0, 3.0))

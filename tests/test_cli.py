@@ -193,3 +193,31 @@ def test_nonpositive_step_rejected(tmp_path, capsys):
 def test_scenario_file_missing(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == EXIT_INVALID
     assert "not found" in capsys.readouterr().err
+
+
+_MAP = {"kind": "map", "dda": "L5", "steps": 3,
+        "initial": {"B": 1, "C": 0.5, "E": 0.3, "G": 0.8, "M": 0.2, "N": 0.6}}
+_FIELD = {"dda": "L2a", "grid": [1.0, 1.001, 1.002],
+          "values": [{"C1": [[0.5, 0.2], [0.1, 0.4]], "C2": [[0.2, 0.3], [0.4, 0.1]]}] * 3}
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({**_MAP, "initial": {**_MAP["initial"], "Q": 1.0}}, "'initial' has unknown entries ['Q']"),
+    ({**_MAP, "prev": {"B": 1, "Z": 2}}, "'prev' has unknown entries ['Z']"),
+    ({**FLOW_SCENARIO, "initial": {**FLOW_SCENARIO["initial"], "A": 1.0}},
+     "'initial' has unknown entries ['A']"),
+    ({**FLOW_SCENARIO, "free": {"B": 0.0, "C": 0.0, "M": 1.0}}, "'free' has unknown entries ['M']"),
+    ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [2.0],
+      "params": {"alpha": "x", "beta": 1.0, "gamma": 0.0}}, "'params'['alpha']"),
+    ({"kind": "validate_family", "family": "GaugeL5", "points": [0.5],
+      "params": {"phi0": "abc", "phi1": [0.0, 1.0], "phi2": [0.0, 0.0, 1.0]}}, "'params'['phi0']"),
+    ({"kind": "residual_scan", "dda": "L2a",
+      "field": {**_FIELD, "values": _FIELD["values"][:2] + [{"C1": [[0.5, 0.2], [0.1, 0.4]]}]}},
+     "value 2 needs numeric matrices 'C1' and 'C2'"),
+    ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [2.0, 2.0000001],
+      "params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0}}, "'x=2' occurs more than once"),
+])
+def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, named):
+    scenario = _write(tmp_path, "bad.json", doc)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_INVALID
+    assert named in capsys.readouterr().err

@@ -8,6 +8,7 @@ from deformcs.continuous_flows import (first_integrals, integrate, position_x,
                                        vector_field)
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.errors import InvalidInputError
+from deformcs.integrators import integrate_fixed
 
 from _oracles import commuting_2x2_pair
 
@@ -228,7 +229,16 @@ def test_singular_l3_flow_truncates():
     e = dict(B=1.0, C=1.0, E=1.0, G=1.0, M=0.5, N=0.5)  # det C1 = 0
     traj = integrate("L3_detnorm", state_from_entries("L3_detnorm", 0.0, e), (0.0, 1.0), 1e-2)
     assert traj.status == "truncated"
-    assert "det" in traj.diagnostic or "Singular" in traj.diagnostic
+    assert traj.diagnostic == "SingularFlowError: det C1 = 0.000e+00 is below tolerance"
+    assert len(traj.states) == 1
+
+
+def test_rhs_bug_propagates_instead_of_truncating():
+    def rhs(_t, y):
+        raise KeyError("missing")
+
+    with pytest.raises(KeyError, match="missing"):
+        integrate_fixed(rhs, 0.0, [1.0], 1.0, 0.1)
 
 
 def test_blowup_truncates_with_diagnostic():

@@ -108,6 +108,17 @@ def test_stencil_out_of_range():
     fld5 = _constant_commuting_field("L5")
     with pytest.raises(StencilRangeError):
         cs_residual("L5", fld5, 0)
+    expected = {"L2a": (1, 1), "L3": (1, 1), "L5": (1, 1), "L2b": (0, 1), "L4": (0, 1)}
+    for dda, reach in expected.items():
+        assert lookup(dda).stencil_reach == reach
+        fld = _constant_commuting_field(dda)
+        behind, ahead = reach
+        first, last = behind, len(fld.pairs) - 1 - ahead
+        cs_residual(dda, fld, first)
+        cs_residual(dda, fld, last)
+        for i in (first - 1, last + 1):
+            with pytest.raises(StencilRangeError):
+                cs_residual(dda, fld, i)
 
 
 def test_l2b_residual_zero_iff_conjugation_holds():
@@ -239,6 +250,24 @@ def test_discrete_matches_loop_oracle():
         assert set(got) == set(oracle)
         for key in got:
             assert np.max(np.abs(got[key] - oracle[key])) < 1e-12
+
+
+@pytest.mark.parametrize("shape, n, unital", [((4, 3, 5), 4, True), ((5, 4), 2, False)])
+def test_discrete_residual_is_max_of_pointwise_oracle(shape, n, unital):
+    rng = np.random.default_rng(19)
+    c = rng.uniform(-1.0, 1.0, size=shape + (n, n, n))
+    c = 0.5 * (c + np.swapaxes(c, -3, -2))
+    if unital:
+        c[..., 0, :, :] = np.eye(n)
+        c[..., :, 0, :] = np.eye(n)
+    rep = discrete_cs_residual(TensorGrid(c=c, spacing=1.0))
+    worst = {}
+    for pt in np.ndindex(*(s - 1 for s in shape)):
+        for key, mat in discrete_defect_loops(c, pt).items():
+            worst[key] = max(worst.get(key, 0.0), float(np.linalg.norm(mat)))
+    assert rep.labels == tuple(f"discrete_cs[{j},{l}]" for j, l in sorted(worst))
+    for got, key in zip(rep.norms, sorted(worst)):
+        assert got == pytest.approx(worst[key], rel=0.0, abs=1e-12)
 
 
 def test_discrete_missing_neighbour():

@@ -264,8 +264,3 @@ def test_boussinesq_i1_i2_bit_stable_along_trajectory():
         assert matrix_ints["I1"] == pytest.approx(ref[0], abs=1e-14)
         assert matrix_ints["I2"] == pytest.approx(ref[1], abs=1e-14)
 
-
-def test_reduction_trajectory_exposes_scalar_states():
-    traj = integrate_boussinesq((1.0, 0.0), 0.0, 0.0, 0.0, (0.0, 0.1), 1e-2)
-    st = traj.state_at(0, {"alpha": 0.0})
-    assert st.t == 0.0 and st.values == (1.0, 0.0) and st.params == {"alpha": 0.0}
