@@ -7,7 +7,8 @@ from .algebra_core import (MatrixPair, ResidualReport, StructTensor,
 from .dda_registry import (DDASpec, SampledField, TensorGrid,
                            coisotropic_cs_residual, cs_residual,
                            discrete_cs_residual, lookup, quantum_cs_residual)
-from .continuous_flows import (FlowState, Trajectory, first_integrals, integrate,
+from .integrators import MAX_STEPS, Trajectory
+from .continuous_flows import (FlowState, first_integrals, integrate,
                                spectral_invariants, state_from_entries, vector_field)
 from .reductions import (boussinesq_rhs_and_companions, chazy_rhs, chazy_second_integral,
                          elliptic_system, reconstruct_from_G)
@@ -21,7 +22,7 @@ __all__ = [
     "assoc_residual", "pair_from_tensor", "tensor_from_pair",
     "DDASpec", "SampledField", "TensorGrid", "lookup",
     "cs_residual", "quantum_cs_residual", "coisotropic_cs_residual", "discrete_cs_residual",
-    "FlowState", "Trajectory", "first_integrals", "integrate",
+    "MAX_STEPS", "Trajectory", "FlowState", "first_integrals", "integrate",
     "spectral_invariants", "state_from_entries", "vector_field",
     "chazy_rhs", "chazy_second_integral",
     "reconstruct_from_G", "boussinesq_rhs_and_companions", "elliptic_system",

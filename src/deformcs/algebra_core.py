@@ -166,12 +166,16 @@ class ResidualReport:
         return dict(zip(self.labels, self.norms))
 
 
-def trace_integrals(mat: np.ndarray) -> dict[str, float]:
-    """Trace invariants I_k = tr(M^k)/k, k = 1..3, of a Lax or transition matrix."""
+def trace_integrals(mat: np.ndarray) -> dict:
+    """Trace invariants I_k = tr(M^k)/k, k = 1..3, of a Lax or transition matrix.
+
+    One matrix gives floats; a stack of shape (..., k, k) gives arrays.
+    """
     sq = mat @ mat
-    return {"I1": float(np.trace(mat)),
-            "I2": float(np.trace(sq)) / 2.0,
-            "I3": float(np.trace(sq @ mat)) / 3.0}
+    t1, t2, t3 = (np.trace(m, axis1=-2, axis2=-1) for m in (mat, sq, sq @ mat))
+    if mat.ndim == 2:
+        t1, t2, t3 = float(t1), float(t2), float(t3)
+    return {"I1": t1, "I2": t2 / 2.0, "I3": t3 / 3.0}
 
 
 def assoc_residual(pair) -> float:

@@ -25,6 +25,7 @@ import csv
 import json
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,11 @@ import numpy as np
 from . import __version__
 from .algebra_core import ENTRY_POSITIONS_2
 from .closed_forms import FAMILY_IDS, SolutionFamily, validate_family
-from .continuous_flows import SYSTEMS, integrate, position_x, state_from_entries
+from .continuous_flows import SYSTEMS, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual, lookup
 from .discrete_flows import MAP_DDAS, init_map_state, orbit
 from .errors import DeformError, InvalidInputError
-from .integrators import STATUS_COMPLETED
+from .integrators import MAX_STEPS, STATUS_COMPLETED, Trajectory, step_count
 from .reductions import (CHAZY_VARIANTS, integrate_boussinesq, integrate_chazy,
                          integrate_elliptic)
 
@@ -44,11 +45,18 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SINGULAR = 3
 
-REDUCTION_KINDS = tuple(v for v in CHAZY_VARIANTS if v != "Generic") + ("Boussinesq", "Elliptic")
+# reduction -> (initial entries, params) it reads; each one left out is 0
+_CHAZY_KEYS = (("G", "G1", "G2"), ("phi0", "b0"))
+REDUCTION_KEYS = {**{v: _CHAZY_KEYS for v in CHAZY_VARIANTS if v != "Generic"},
+                  "Boussinesq": (("E", "E1"), ("alpha", "beta", "gamma")),
+                  "Elliptic": (("B", "E", "C"), ("alpha",))}
+REDUCTION_KINDS = tuple(REDUCTION_KEYS)
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+    """A JSON number that is finite as a float: no bool, NaN, infinity or huge integer."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 class ScenarioConfig:
@@ -79,14 +87,22 @@ class ScenarioConfig:
         span = self._require(list, "span")
         if len(span) != 2 or not all(isinstance(v, (int, float)) for v in span):
             raise InvalidInputError("field 'span' must be a [start, end] pair")
-        if not all(np.isfinite(v) for v in span) or span[1] < span[0]:
+        if not all(_is_number(v) for v in span) or span[1] < span[0]:
             raise InvalidInputError("field 'span' must be finite with end >= start")
         return float(span[0]), float(span[1])
 
-    def _step(self):
-        step = self._require(float, "step")
+    def _step(self, step=None):
+        """The scenario's step, or ``step`` from --step; the span needs at most MAX_STEPS."""
+        if step is None:
+            step = self._require(float, "step")
+        elif not _is_number(step):
+            raise InvalidInputError("field 'step' must be a finite number")
         if step <= 0.0:
             raise InvalidInputError("field 'step' must be positive")
+        try:
+            step_count(*self.span, step)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"field 'step': {exc}") from None
         return step
 
     def _stride(self):
@@ -131,8 +147,9 @@ class ScenarioConfig:
         self.initial = self._numbers("initial", ENTRY_POSITIONS_2)
         self.prev = self._numbers("prev", ENTRY_POSITIONS_2) if "prev" in self.doc else None
         steps = self._require(int, "steps")
-        if isinstance(steps, bool) or steps < 0:
-            raise InvalidInputError("field 'steps' must be a nonnegative integer")
+        if isinstance(steps, bool) or not 0 <= steps <= MAX_STEPS:
+            raise InvalidInputError(
+                f"field 'steps' must be a nonnegative integer at most MAX_STEPS = {MAX_STEPS}")
         self.steps = steps
         self.stride = self._stride()
         init_map_state(dda, self.initial, self.prev)
@@ -151,10 +168,10 @@ class ScenarioConfig:
             elif name != "printed_form" and not _is_number(v):
                 raise InvalidInputError(f"field {key!r}[{name!r}] must be a finite number")
         points = self._require(list, "points")
-        if not points or not all(isinstance(v, (int, float)) for v in points):
+        if not points or not all(_is_number(v) for v in points):
             raise InvalidInputError("field 'points' must be a nonempty list of numbers")
         h = self.doc.get("h", 1e-4)
-        if not isinstance(h, (int, float)) or h <= 0:
+        if not _is_number(h) or h <= 0:
             raise InvalidInputError("field 'h' must be a positive number")
         self.family = SolutionFamily(family, params)
         self.points = [float(v) for v in points]
@@ -170,8 +187,8 @@ class ScenarioConfig:
             self.field = SampledField.from_json(self._require(dict, "field"))
         elif "field_path" in self.doc:
             path = Path(self._require(str, "field_path"))
-            if not path.exists():
-                raise InvalidInputError(f"field 'field_path' points to a missing file: {path}")
+            if not path.is_file():
+                raise InvalidInputError(f"field 'field_path' does not name a file: {path}")
             self.field = SampledField.load(path)
         else:
             raise InvalidInputError("missing required field 'field' (or 'field_path')")
@@ -184,8 +201,9 @@ class ScenarioConfig:
         if reduction not in REDUCTION_KINDS:
             raise InvalidInputError(f"unknown reduction {reduction!r} (expected one of {REDUCTION_KINDS})")
         self.reduction = reduction
-        self.initial = self._numbers("initial")
-        self.params = self._numbers("params") if "params" in self.doc else {}
+        initial, params = REDUCTION_KEYS[reduction]
+        self.initial = self._numbers("initial", initial)
+        self.params = self._numbers("params", params) if "params" in self.doc else {}
         self.span = self._span()
         self.step = self._step()
         self.stride = self._stride()
@@ -193,11 +211,11 @@ class ScenarioConfig:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise InvalidInputError(f"scenario file not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise InvalidInputError(f"scenario is not valid JSON: {exc}") from exc
     return ScenarioConfig(doc)
 
@@ -206,68 +224,48 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 # Artifact writers.
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """csv writes each float as its repr, so every value round-trips."""
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
 
 
-def _drift_stats(history: list[dict[str, float]]) -> dict | None:
-    if len(history) < 2:
-        return None
-    names = list(history[0])
+def _drift_stats(history: dict[str, np.ndarray]) -> dict | None:
+    """Worst deviation of each invariant from its first value (row), absolute and
+    relative to max(1, largest |first value|); None with fewer than two values."""
     out = {}
-    for name in names:
-        ref = history[0][name]
-        vals = np.array([h[name] for h in history if name in h])
-        dev = float(np.max(np.abs(vals - ref)))
-        out[name] = {"max_abs": dev, "max_rel": dev / max(1.0, abs(ref))}
-    return out
-
-
-def _eigen_drift(eigs: list[tuple[complex, ...]]) -> dict | None:
-    if len(eigs) < 2:
-        return None
-    ref = np.array(eigs[0])
-    dev = float(max(np.max(np.abs(np.array(e) - ref)) for e in eigs))
-    return {"eigenvalues": {"max_abs": dev,
-                            "max_rel": dev / max(1.0, float(np.max(np.abs(ref))))}}
+    for name, vals in history.items():
+        if len(vals) < 2:
+            return None
+        dev = float(np.max(np.abs(vals - vals[0])))
+        out[name] = {"max_abs": dev, "max_rel": dev / max(1.0, float(np.max(np.abs(vals[0]))))}
+    return out or None
 
 
 # Each runner writes its CSV and returns (status, diagnostic, artifacts,
 # residuals, invariant drift) for the report.
 
+def _trajectory_artifacts(traj: Trajectory, time_name: str, stride: int, out: Path):
+    """trajectory.csv: time, state columns, scalar invariants, then the real and
+    imaginary parts of the eigenvalues, if any; drift covers every invariant."""
+    scalars = {k: v for k, v in traj.invariants.items() if k != "eigenvalues"}
+    header = [time_name, *traj.columns, *scalars]
+    table = [traj.ts[:, None], traj.states, *(v[:, None] for v in scalars.values())]
+    if "eigenvalues" in traj.invariants:
+        eig = traj.invariants["eigenvalues"]
+        header += [f"{part}_lambda_{i + 1}" for part in ("Re", "Im") for i in range(eig.shape[1])]
+        table += [eig.real, eig.imag]
+    _write_csv(out / "trajectory.csv", header, np.hstack(table)[::stride].tolist())
+    return (traj.status, traj.diagnostic, {"trajectory_csv": "trajectory.csv"}, {},
+            _drift_stats(traj.invariants))
+
+
 def _flow_artifacts(cfg: ScenarioConfig, out: Path):
     initial = state_from_entries(cfg.system, cfg.span[0], {**cfg.initial, **cfg.free})
-    traj = integrate(cfg.system, initial, cfg.span, cfg.step, cfg.free or None)
-    sy = SYSTEMS[cfg.system]
-    int_names = list(traj.integral_history[0])
-    n_eig = len(traj.eigen_history[0])
-    header = (["s", "x"] + list(sy.evolved) + list(sy.free) + int_names
-              + [f"Re_lambda_{i+1}" for i in range(n_eig)]
-              + [f"Im_lambda_{i+1}" for i in range(n_eig)])
-    rows = []
-    for idx in range(0, len(traj.states), cfg.stride):
-        st = traj.states[idx]
-        e = st.entries()
-        eig = traj.eigen_history[idx]
-        rows.append([st.s, position_x(cfg.system, st)]
-                    + [e[k] for k in sy.evolved] + [e[k] for k in sy.free]
-                    + [traj.integral_history[idx][k] for k in int_names]
-                    + [z.real for z in eig] + [z.imag for z in eig])
-    _write_csv(out / "trajectory.csv", header, rows)
-    drift = _drift_stats(list(traj.integral_history)) or None
-    if drift is not None:
-        drift.update(_eigen_drift(list(traj.eigen_history)) or {})
-    return traj.status, traj.diagnostic, {"trajectory_csv": "trajectory.csv"}, {}, drift
+    return _trajectory_artifacts(integrate(cfg.system, initial, cfg.span, cfg.step),
+                                 "s", cfg.stride, out)
 
 
 def _map_artifacts(cfg: ScenarioConfig, out: Path):
@@ -285,34 +283,19 @@ def _map_artifacts(cfg: ScenarioConfig, out: Path):
                     + [";".join(st.flags)])
     _write_csv(out / "orbit.csv", header, rows)
     complete = [inv for inv in run.invariant_history if inv]
-    return run.status, run.diagnostic, {"orbit_csv": "orbit.csv"}, {}, _drift_stats(complete)
+    drift = _drift_stats({k: np.array([inv[k] for inv in complete]) for k in inv_names})
+    return run.status, run.diagnostic, {"orbit_csv": "orbit.csv"}, {}, drift
 
 
 def _reduction_artifacts(cfg: ScenarioConfig, out: Path):
     r = cfg.reduction
-    if r == "Boussinesq":
-        initial = (cfg.initial.get("E", 0.0), cfg.initial.get("E1", 0.0))
-        traj = integrate_boussinesq(initial, cfg.params.get("alpha", 0.0),
-                                    cfg.params.get("beta", 0.0), cfg.params.get("gamma", 0.0),
-                                    cfg.span, cfg.step)
-    elif r == "Elliptic":
-        initial = (cfg.initial.get("B", 0.0), cfg.initial.get("E", 0.0), cfg.initial.get("C", 0.0))
-        traj = integrate_elliptic(initial, cfg.params.get("alpha", 0.0), cfg.span, cfg.step)
-    else:
-        initial = (cfg.initial.get("G", 0.0), cfg.initial.get("G1", 0.0), cfg.initial.get("G2", 0.0))
-        traj = integrate_chazy(r, initial, cfg.span, cfg.step,
-                               phi0=cfg.params.get("phi0", 0.0), b0=cfg.params.get("b0", 0.0))
-    inv_names = list(traj.invariants)
-    header = ["t"] + list(traj.columns) + inv_names
-    rows = []
-    for idx in range(0, len(traj.ts), cfg.stride):
-        rows.append([float(traj.ts[idx])] + [float(v) for v in traj.states[idx]]
-                    + [float(traj.invariants[k][idx]) for k in inv_names])
-    _write_csv(out / "trajectory.csv", header, rows)
-    history = [{k: float(traj.invariants[k][i]) for k in inv_names}
-               for i in range(len(traj.ts))]
-    return (traj.status, traj.diagnostic, {"trajectory_csv": "trajectory.csv"}, {},
-            _drift_stats(history))
+    initial_keys, param_keys = REDUCTION_KEYS[r]
+    initial = tuple(cfg.initial.get(k, 0.0) for k in initial_keys)
+    params = {k: cfg.params.get(k, 0.0) for k in param_keys}
+    integrator = {"Boussinesq": integrate_boussinesq,
+                  "Elliptic": integrate_elliptic}.get(r, partial(integrate_chazy, r))
+    traj = integrator(initial, span=cfg.span, step=cfg.step, **params)
+    return _trajectory_artifacts(traj, "t", cfg.stride, out)
 
 
 def _family_artifacts(cfg: ScenarioConfig, out: Path):
@@ -393,11 +376,9 @@ def main(argv=None) -> int:
             print(f"[deform-cs] scenario ok: kind={cfg.kind}")
             return EXIT_OK
         if args.step is not None:
-            if args.step <= 0:
-                raise InvalidInputError("field 'step' must be positive")
             if not hasattr(cfg, "step"):
                 raise InvalidInputError(f"--step does not apply to kind {cfg.kind!r}")
-            cfg.step = args.step
+            cfg.step = cfg._step(args.step)
         return run(cfg, Path(args.out), quiet=args.quiet)
     except DeformError as exc:
         print(f"deform-cs: error: {exc}", file=sys.stderr)

@@ -12,69 +12,78 @@ affine variable y with x = y det C1.  Five concrete systems are exposed:
 
 Free entries are held constant along a trajectory; trace first integrals
 and eigenvalues of the designated Lax matrix (C2 for L2a, C1 for L3) are
-recorded at every step.
+computed for every step, once over the whole run.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra_core import DEGENERACY_TOL, MatrixPair, trace_integrals
+from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, ENTRY_POSITIONS_3, MatrixPair,
+                           trace_integrals)
 from .errors import InvalidInputError, SingularFlowError
-from .integrators import STATUS_COMPLETED, integrate_fixed
+from .integrators import Trajectory, integrate_fixed
+
+# Each right-hand side maps the evolved entries y and the free entries p,
+# both in the system's declared order, to dy/ds in evolved order.
 
 
-def _rhs_l2a_3x3(v: dict[str, float]) -> dict[str, float]:
-    A, B, C = v["A"], v["B"], v["C"]
-    D, E, G, L, M, N = v["D"], v["E"], v["G"], v["L"], v["M"], v["N"]
-    return {
-        "D": D * B + L * C - A * E - D * G,
-        "L": D * E + L * G - A * M - D * N,
-        "E": M * C - E * G - D,
-        "M": E * E + M * G - B * M - E * N - L,
-        "G": G * B + N * C - C * E - G * G + A,
-        "N": G * E - C * M + D,
-    }
+def _rhs_l2a_3x3(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    D, E, G, L, M, N = y
+    A, B, C = p
+    return np.array([
+        D * B + L * C - A * E - D * G,
+        M * C - E * G - D,
+        G * B + N * C - C * E - G * G + A,
+        D * E + L * G - A * M - D * N,
+        E * E + M * G - B * M - E * N - L,
+        G * E - C * M + D,
+    ])
 
 
-def _rhs_l2a_2x2(v: dict[str, float]) -> dict[str, float]:
-    B, C, E, G, M, N = v["B"], v["C"], v["E"], v["G"], v["M"], v["N"]
-    return {
-        "E": M * C - E * G,
-        "M": E * E + M * G - B * M - E * N,
-        "G": G * B + N * C - C * E - G * G,
-        "N": G * E - C * M,
-    }
+def _rhs_l2a_2x2(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    E, G, M, N = y
+    B, C = p
+    return np.array([
+        M * C - E * G,
+        G * B + N * C - C * E - G * G,
+        E * E + M * G - B * M - E * N,
+        G * E - C * M,
+    ])
 
 
-def _rhs_l3_detnorm(v: dict[str, float]) -> dict[str, float]:
-    B, C, E, G, M, N = v["B"], v["C"], v["E"], v["G"], v["M"], v["N"]
+def _rhs_l3_detnorm(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    B, E, C, G = y
+    M, N = p
     if abs(B * G - C * E) < DEGENERACY_TOL:
         raise SingularFlowError(f"det C1 = {B * G - C * E:.3e} is below tolerance")
-    return {
-        "B": E * B * G + E * N * C - G * M * C - C * E * E,
-        "E": G * B * M + G * E * N - E * C * M - M * G * G,
-        "C": B * C * E + B * G * G + M * C * C - C * E * G - B * N * C - G * B * B,
-        "G": C * M * G + C * E * E - C * E * N - B * G * E,
-    }
+    return np.array([
+        E * B * G + E * N * C - G * M * C - C * E * E,
+        G * B * M + G * E * N - E * C * M - M * G * G,
+        B * C * E + B * G * G + M * C * C - C * E * G - B * N * C - G * B * B,
+        C * M * G + C * E * E - C * E * N - B * G * E,
+    ])
 
 
-def _rhs_l3_unimodular(v: dict[str, float]) -> dict[str, float]:
-    B, C, E, G, M, N = v["B"], v["C"], v["E"], v["G"], v["M"], v["N"]
+def _rhs_l3_unimodular(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    B, E, C, G = y
+    M, N = p
     w = E * N - G * M
-    return {
-        "B": E + C * w,
-        "E": M + G * w,
-        "C": G - B + C * (M * C - B * N),
-        "G": -E - C * w,
-    }
+    return np.array([
+        E + C * w,
+        M + G * w,
+        G - B + C * (M * C - B * N),
+        -E - C * w,
+    ])
 
 
-def _rhs_l3_simple(v: dict[str, float]) -> dict[str, float]:
-    return {"B": v["E"], "E": 0.0, "C": v["G"] - v["B"], "G": -v["E"]}
+def _rhs_l3_simple(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    B, E, C, G = y
+    return np.array([E, 0.0, G - B, -E])
 
 
 @dataclass(frozen=True)
@@ -83,24 +92,29 @@ class FlowSystem:
     n: int
     evolved: tuple[str, ...]
     free: tuple[str, ...]
-    lax_matrix: str  # "C1" or "C2"
-    rhs: callable
+    # the Lax matrix (C2 for L2a, C1 for L3) row by row: entry names or constants
+    lax: tuple[str | float, ...]
+    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def all_entries(self) -> tuple[str, ...]:
         return self.evolved + self.free
 
 
+_LAX_C2_3 = (0.0, "D", "L", 0.0, "E", "M", 1.0, "G", "N")
+_LAX_C2_2 = ("E", "M", "G", "N")
+_LAX_C1_2 = ("B", "E", "C", "G")
+
 SYSTEMS = {
     "L2a_3x3": FlowSystem("L2a_3x3", 3, ("D", "E", "G", "L", "M", "N"),
-                          ("A", "B", "C"), "C2", _rhs_l2a_3x3),
+                          ("A", "B", "C"), _LAX_C2_3, _rhs_l2a_3x3),
     "L2a_2x2": FlowSystem("L2a_2x2", 2, ("E", "G", "M", "N"),
-                          ("B", "C"), "C2", _rhs_l2a_2x2),
+                          ("B", "C"), _LAX_C2_2, _rhs_l2a_2x2),
     "L3_detnorm": FlowSystem("L3_detnorm", 2, ("B", "E", "C", "G"),
-                             ("M", "N"), "C1", _rhs_l3_detnorm),
+                             ("M", "N"), _LAX_C1_2, _rhs_l3_detnorm),
     "L3_unimodular": FlowSystem("L3_unimodular", 2, ("B", "E", "C", "G"),
-                                ("M", "N"), "C1", _rhs_l3_unimodular),
+                                ("M", "N"), _LAX_C1_2, _rhs_l3_unimodular),
     "L3_simple": FlowSystem("L3_simple", 2, ("B", "E", "C", "G"),
-                            (), "C1", _rhs_l3_simple),
+                            (), _LAX_C1_2, _rhs_l3_simple),
 }
 
 
@@ -113,11 +127,10 @@ def get_system(system_id: str) -> FlowSystem:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One point on a trajectory: independent variable, pair, and free entries."""
+    """One point of a flow: the independent variable and the pair, free entries included."""
 
     s: float
     pair: MatrixPair
-    free_values: dict[str, float] = field(default_factory=dict)
 
     def entries(self) -> dict[str, float]:
         return self.pair.entries()
@@ -131,117 +144,85 @@ def state_from_entries(system_id: str, s: float, entries: dict[str, float]) -> F
     full = dict(entries)
     if sy.id == "L3_simple":
         full["M"] = full["N"] = 0.0  # the system is the M = N = 0 reduction
-    names = ("B", "C", "E", "G", "M", "N") if sy.n == 2 else \
-            ("A", "B", "C", "D", "E", "G", "L", "M", "N")
+    names = ENTRY_POSITIONS_2 if sy.n == 2 else ENTRY_POSITIONS_3
     pair = MatrixPair.from_entries(sy.n, {k: float(full.get(k, 0.0)) for k in names})
-    return FlowState(s=s, pair=pair, free_values={k: float(entries[k]) for k in sy.free})
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    system_id: str
-    states: tuple[FlowState, ...]
-    integral_history: tuple[dict[str, float], ...]
-    eigen_history: tuple[tuple[complex, ...], ...]
-    status: str = STATUS_COMPLETED
-    diagnostic: str | None = None
-
-    def __post_init__(self):
-        if not (len(self.states) == len(self.integral_history) == len(self.eigen_history)):
-            raise InvalidInputError("history lengths must equal the number of states")
-        svals = [st.s for st in self.states]
-        if any(b <= a for a, b in zip(svals, svals[1:])):
-            raise InvalidInputError("trajectory states must have strictly increasing s")
+    return FlowState(s=s, pair=pair)
 
 
 def vector_field(system_id: str, state: FlowState) -> dict[str, float]:
     """d(entry)/ds for every evolved entry, at the given state."""
     sy = get_system(system_id)
-    values = state.entries()
-    values.update(state.free_values)
-    if sy.id == "L3_simple":
-        values["M"] = values["N"] = 0.0
-    rhs = sy.rhs(values)
-    return {k: float(rhs[k]) for k in sy.evolved}
+    e = state.entries()
+    rhs = sy.rhs(np.array([e[k] for k in sy.evolved]), np.array([e[k] for k in sy.free]))
+    return dict(zip(sy.evolved, rhs.tolist()))
 
 
-def first_integrals(system_id: str, state: FlowState) -> dict[str, float]:
+# The invariants below take a mapping from entry names to values: floats for
+# one state, or equally long arrays for every state of a run.
+
+def _lax_matrices(sy: FlowSystem, values: Mapping) -> np.ndarray:
+    """The Lax matrix at each state, shape (..., n, n)."""
+    shape = np.shape(values[sy.evolved[0]])
+    cells = [np.full(shape, c) if isinstance(c, float) else np.asarray(values[c], dtype=float)
+             for c in sy.lax]
+    return np.stack(cells, axis=-1).reshape(shape + (sy.n, sy.n))
+
+
+def first_integrals(system_id: str, values: Mapping) -> dict:
     """Trace first integrals of the system's Lax matrix, evaluated algebraically."""
     sy = get_system(system_id)
-    e = state.entries()
-    if sy.id == "L2a_3x3":
-        return trace_integrals(state.pair.C2)
-    if sy.id == "L2a_2x2":
-        E, G, M, N = e["E"], e["G"], e["M"], e["N"]
-        return {"I1": E + N, "I2": 0.5 * (E * E + N * N + 2.0 * M * G)}
-    B, C, E, G = e["B"], e["C"], e["E"], e["G"]
-    return {"I1": B + G, "I2": 0.5 * (B * B + G * G + 2.0 * C * E)}
+    if sy.n == 3:
+        return trace_integrals(_lax_matrices(sy, values))
+    a, b, c, d = (values[k] for k in sy.lax)
+    return {"I1": a + d, "I2": 0.5 * (a * a + d * d + 2.0 * b * c)}
 
 
-def _sorted_eigs(vals) -> tuple[complex, ...]:
-    return tuple(sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag)))
+def spectral_invariants(system_id: str, values: Mapping) -> np.ndarray:
+    """Eigenvalues of the Lax matrix (C2 for L2a, C1 for L3), sorted by (Re, Im).
 
-
-def spectral_invariants(system_id: str, state: FlowState) -> tuple[complex, ...]:
-    """Eigenvalues of the Lax matrix (C2 for L2a, C1 for L3), sorted by (Re, Im)."""
+    The result has shape (..., n): one sorted row of n eigenvalues per state.
+    """
     sy = get_system(system_id)
-    mat = state.pair.C2 if sy.lax_matrix == "C2" else state.pair.C1
-    if sy.n == 2:
-        t = mat[0, 0] + mat[1, 1]
-        root = cmath.sqrt((mat[0, 0] - mat[1, 1]) ** 2 + 4.0 * mat[0, 1] * mat[1, 0])
-        return _sorted_eigs((0.5 * (t - root), 0.5 * (t + root)))
-    return _sorted_eigs(np.linalg.eigvals(mat))
+    if sy.n == 3:
+        lam = np.linalg.eigvals(_lax_matrices(sy, values))
+    else:
+        a, b, c, d = (np.asarray(values[k], dtype=float) for k in sy.lax)
+        # math.pow per state: an array ** 2 rounds differently from the scalar pow
+        sq = np.reshape([math.pow(v, 2) for v in np.ravel(a - d).tolist()], np.shape(a))
+        disc = sq + 4.0 * b * c
+        root = np.where(disc >= 0.0, 1.0 + 0j, 1j) * np.sqrt(np.abs(disc))
+        t = a + d
+        lam = np.stack([0.5 * (t - root), 0.5 * (t + root)], axis=-1)
+    order = np.lexsort((lam.imag, lam.real), axis=-1)
+    return np.take_along_axis(lam, order, axis=-1)
 
 
 def integrate(system_id: str, initial: FlowState, span: tuple[float, float],
-              step: float, free_functions: dict[str, float] | None = None) -> Trajectory:
+              step: float) -> Trajectory:
     """Run the flow over ``span`` with fixed-step RK4, recording invariants.
 
-    ``free_functions`` overrides the free entries carried by ``initial``
-    (constants only).  Singular configurations and the 1e12 overflow guard
-    truncate the trajectory and set a diagnostic instead of raising.
+    The free entries of ``initial`` stay constant.  Singular
+    configurations and the 1e12 overflow guard truncate the trajectory and
+    set a diagnostic instead of raising.  The trajectory's columns are the
+    deformation parameter x (e^s for L2a, s det C1 for L3), then the evolved
+    and the free entries; its invariants are the first integrals and the
+    sorted Lax eigenvalues ("eigenvalues", one row per state).
     """
     sy = get_system(system_id)
     if span[1] < span[0]:
         raise InvalidInputError("span must be nonempty with s1 >= s0")
-    free = dict(initial.free_values)
-    if free_functions:
-        unknown = set(free_functions) - set(sy.free)
-        if unknown:
-            raise InvalidInputError(f"{system_id} has no free entries {sorted(unknown)}")
-        free.update({k: float(v) for k, v in free_functions.items()})
-    entries0 = initial.entries()
-    entries0.update(free)
-    y0 = np.array([entries0[k] for k in sy.evolved])
-
-    def f(_t: float, y: np.ndarray) -> np.ndarray:
-        values = dict(zip(sy.evolved, y))
-        values.update(free)
-        if sy.id == "L3_simple":
-            values["M"] = values["N"] = 0.0
-        rhs = sy.rhs(values)
-        return np.array([rhs[k] for k in sy.evolved])
-
     if initial.s != span[0]:
         raise InvalidInputError("initial state must sit at the start of the span")
-    ts, ys, status, diagnostic = integrate_fixed(f, span[0], y0, span[1], step)
+    e = initial.entries()
+    p = np.array([e[k] for k in sy.free])
+    ts, ys, status, diagnostic = integrate_fixed(
+        lambda _t, y: sy.rhs(y, p), span[0], [e[k] for k in sy.evolved], span[1], step)
 
-    states, ints, eigs = [], [], []
-    for t, y in zip(ts, ys):
-        values = dict(zip(sy.evolved, y))
-        values.update(free)
-        st = state_from_entries(sy.id, float(t), values)
-        states.append(st)
-        ints.append(first_integrals(sy.id, st))
-        eigs.append(spectral_invariants(sy.id, st))
-    return Trajectory(system_id=sy.id, states=tuple(states),
-                      integral_history=tuple(ints), eigen_history=tuple(eigs),
-                      status=status, diagnostic=diagnostic)
-
-
-def position_x(system_id: str, state: FlowState) -> float:
-    """The deformation parameter x behind the flow variable (e^s resp. y det C1)."""
-    sy = get_system(system_id)
-    if sy.id.startswith("L2a"):
-        return float(np.exp(state.s))
-    return float(state.s * np.linalg.det(state.pair.C1))
+    values = dict(zip(sy.evolved, ys.T))
+    values.update((k, np.full(len(ts), v)) for k, v in zip(sy.free, p))
+    x = np.exp(ts) if sy.id.startswith("L2a") else ts * np.linalg.det(_lax_matrices(sy, values))
+    invariants = first_integrals(sy.id, values)
+    invariants["eigenvalues"] = spectral_invariants(sy.id, values)
+    states = np.column_stack([x] + [values[k] for k in sy.all_entries()])
+    return Trajectory(kind=sy.id, ts=ts, states=states, columns=("x",) + sy.all_entries(),
+                      invariants=invariants, status=status, diagnostic=diagnostic)

@@ -117,22 +117,36 @@ class SampledField:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SampledField":
+        if not isinstance(doc, dict):
+            raise InvalidInputError("sampled field must be a JSON object")
         for key in ("dda", "grid", "values"):
             if key not in doc:
                 raise InvalidInputError(f"sampled field is missing the {key!r} field")
+        if not isinstance(doc["dda"], str):
+            raise InvalidInputError("sampled field 'dda' must be a string")
+        if not isinstance(doc["values"], list):
+            raise InvalidInputError("sampled field 'values' must be a list")
+        try:
+            grid = np.array(doc["grid"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError("sampled field 'grid' must be a list of numbers") from None
         pairs = []
         for i, v in enumerate(doc["values"]):
             try:
                 C1, C2 = (np.array(v[key], dtype=float) for key in ("C1", "C2"))
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise InvalidInputError(
                     f"sampled field value {i} needs numeric matrices 'C1' and 'C2'") from None
             pairs.append(MatrixPair(len(C1) if C1.ndim else 0, C1, C2))
-        return cls(dda=doc["dda"], grid=np.array(doc["grid"], dtype=float), pairs=tuple(pairs))
+        return cls(dda=doc["dda"], grid=grid, pairs=tuple(pairs))
 
     @classmethod
     def load(cls, path: str | Path) -> "SampledField":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise InvalidInputError(f"sampled field file is not valid JSON: {exc}") from None
+        return cls.from_json(doc)
 
 
 def cs_residual(dda: DDASpec | str, fld: SampledField, i: int) -> ResidualReport:

@@ -3,21 +3,42 @@
 All flows in this package are short desk-scale runs whose tests rely on the
 deterministic fourth-order error law of RK4, so no adaptive stepping is used.
 The requested span is divided into round(span/step) equal steps, which lands
-on the endpoint exactly and keeps step-halving comparisons clean.
+on the endpoint exactly and keeps step-halving comparisons clean.  No run
+takes more than MAX_STEPS steps; a longer one is rejected before it starts.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SingularFlowError
+from .errors import InvalidInputError, SingularFlowError
 
 OVERFLOW_GUARD = 1e12
+MAX_STEPS = 10 ** 6
 
 STATUS_COMPLETED = "completed"
 STATUS_TRUNCATED = "truncated"
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """The result of one fixed-step run, held as arrays.
+
+    Row i of ``states`` is the recorded state at ``ts[i]``, one column per
+    name in ``columns``; every array in ``invariants`` has one entry (or row)
+    per time.  ``kind`` names the flow system or reduction that was run.
+    """
+
+    kind: str
+    ts: np.ndarray
+    states: np.ndarray
+    columns: tuple[str, ...]
+    invariants: dict[str, np.ndarray]
+    status: str = STATUS_COMPLETED
+    diagnostic: str | None = None
 
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray],
@@ -30,9 +51,13 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray],
 
 
 def step_count(t0: float, t1: float, step: float) -> int:
+    """Number of equal steps of about ``step`` from t0 to t1, at most MAX_STEPS."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    return max(1, round(abs(t1 - t0) / step)) if t1 != t0 else 0
+    n = abs(t1 - t0) / step
+    if not n <= MAX_STEPS:
+        raise InvalidInputError(f"span / step = {n:.3g} exceeds MAX_STEPS = {MAX_STEPS}")
+    return max(1, round(n)) if t1 != t0 else 0
 
 
 def integrate_fixed(f: Callable[[float, np.ndarray], np.ndarray],

@@ -23,13 +23,12 @@ against the matrix central systems they came from.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra_core import MatrixPair
 from .errors import InvalidInputError, SingularFlowError
-from .integrators import STATUS_COMPLETED, integrate_fixed
+from .integrators import Trajectory, integrate_fixed
 
 CHAZY_VARIANTS = ("ChazyV", "ChazyV_shifted", "Generic", "ChazyVII", "ChazyVIII", "ChazyIII")
 
@@ -37,17 +36,6 @@ CHAZY_VARIANTS = ("ChazyV", "ChazyV_shifted", "Generic", "ChazyVII", "ChazyVIII"
 def _check_variant(variant: str) -> None:
     if variant not in CHAZY_VARIANTS:
         raise InvalidInputError(f"unknown Chazy variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class ReductionTrajectory:
-    kind: str
-    ts: np.ndarray
-    states: np.ndarray          # one row per step
-    columns: tuple[str, ...]
-    invariants: dict[str, np.ndarray]
-    status: str = STATUS_COMPLETED
-    diagnostic: str | None = None
 
 
 def chazy_rhs(variant: str, G: float, G1: float, G2: float,
@@ -167,7 +155,7 @@ def chazy_state_phi_B(variant: str, row: np.ndarray) -> tuple[float, float, floa
 
 def integrate_chazy(variant: str, initial: tuple[float, float, float],
                     span: tuple[float, float], step: float,
-                    phi0: float = 0.0, b0: float = 0.0) -> ReductionTrajectory:
+                    phi0: float = 0.0, b0: float = 0.0) -> Trajectory:
     """Integrate one Chazy variant, recording the second integral per step."""
     cols, f = _chazy_system(variant)
     y0 = list(initial)
@@ -181,9 +169,9 @@ def integrate_chazy(variant: str, initial: tuple[float, float, float],
         phi, B, _ = chazy_state_phi_B(variant, row)
         arg = B if variant in ("ChazyV", "ChazyV_shifted") else phi
         i2.append(chazy_second_integral(row[0], row[1], row[2], arg, variant))
-    return ReductionTrajectory(kind=variant, ts=ts, states=ys, columns=cols,
-                               invariants={"I2_chazy": np.array(i2)},
-                               status=status, diagnostic=diagnostic)
+    return Trajectory(kind=variant, ts=ts, states=ys, columns=cols,
+                      invariants={"I2_chazy": np.array(i2)},
+                      status=status, diagnostic=diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +207,7 @@ def boussinesq_pair(E: float, E1: float, alpha: float, beta: float, gamma: float
 
 
 def integrate_boussinesq(initial: tuple[float, float], alpha: float, beta: float,
-                         gamma: float, span: tuple[float, float], step: float) -> ReductionTrajectory:
+                         gamma: float, span: tuple[float, float], step: float) -> Trajectory:
     def f(_t, y):
         return np.array([y[1], 6.0 * y[0] * y[0] - 4.0 * alpha * y[0] - beta])
 
@@ -228,10 +216,8 @@ def integrate_boussinesq(initial: tuple[float, float], alpha: float, beta: float
         boussinesq_rhs_and_companions(E, E1, alpha, beta, gamma)[2]["I3"]
         for E, E1 in ys
     ])
-    return ReductionTrajectory(kind="Boussinesq", ts=ts, states=ys,
-                               columns=("E", "E1"),
-                               invariants={"I3": i3},
-                               status=status, diagnostic=diagnostic)
+    return Trajectory(kind="Boussinesq", ts=ts, states=ys, columns=("E", "E1"),
+                      invariants={"I3": i3}, status=status, diagnostic=diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +247,7 @@ def elliptic_point(E: float, alpha: float, branch: float = 1.0) -> tuple[float, 
 
 
 def integrate_elliptic(initial: tuple[float, float, float], alpha: float,
-                       span: tuple[float, float], step: float) -> ReductionTrajectory:
+                       span: tuple[float, float], step: float) -> Trajectory:
     def f(_t, y):
         (dB, dE, dC), _ = elliptic_system(y[0], y[1], y[2], alpha)
         return np.array([dB, dE, dC])
@@ -272,7 +258,5 @@ def integrate_elliptic(initial: tuple[float, float, float], alpha: float,
     for i, (B, E, C) in enumerate(ys):
         _, (a, b) = elliptic_system(B, E, C, alpha)
         r1[i], r2[i] = a, b
-    return ReductionTrajectory(kind="Elliptic", ts=ts, states=ys,
-                               columns=("B", "E", "C"),
-                               invariants={"r1": r1, "r2": r2},
-                               status=status, diagnostic=diagnostic)
+    return Trajectory(kind="Elliptic", ts=ts, states=ys, columns=("B", "E", "C"),
+                      invariants={"r1": r1, "r2": r2}, status=status, diagnostic=diagnostic)

@@ -59,7 +59,7 @@ def test_criterion_02_first_integral_values():
         assert want["I1"] == a and want["I2"] == g + 0.5 * a * a
         for x in (2.0, math.e):
             st = state_from_entries("L2a_2x2", math.log(x), eval_family(fam, x).entries())
-            got = first_integrals("L2a_2x2", st)
+            got = first_integrals("L2a_2x2", st.entries())
             for k in want:
                 assert abs(got[k] - want[k]) <= 1e-12
         a, b, g, dd, mu = rng.uniform(-1.5, 1.5, size=5)
@@ -70,22 +70,18 @@ def test_criterion_02_first_integral_values():
             ((a + b) ** 3 - b ** 3) / 3 + (a + b) * (mu + b * (a + 2 * b)) - g * dd, abs=1e-14)
         for x in (2.0, math.e):
             st = state_from_entries("L2a_3x3", math.log(x), eval_family(fam3, x).entries())
-            got3 = first_integrals("L2a_3x3", st)
+            got3 = first_integrals("L2a_3x3", st.entries())
             for k in want3:
                 assert abs(got3[k] - want3[k]) <= 1e-12
     _report(2, "family integral formulas hold to 1e-12 over 100 random draws")
 
 
 def _drifts(traj):
-    ref = traj.integral_history[0]
+    """Worst drift of any first integral or of the spectrum, relative to max(1, |start|)."""
     worst = 0.0
-    for ints in traj.integral_history:
-        for k in ref:
-            worst = max(worst, abs(ints[k] - ref[k]) / max(1.0, abs(ref[k])))
-    eig0 = np.array(traj.eigen_history[0])
-    scale = max(1.0, float(np.max(np.abs(eig0))))
-    for eig in traj.eigen_history:
-        worst = max(worst, float(np.max(np.abs(np.array(eig) - eig0))) / scale)
+    for vals in traj.invariants.values():  # I1.., then the eigenvalue rows
+        scale = max(1.0, float(np.max(np.abs(vals[0]))))
+        worst = max(worst, float(np.max(np.abs(vals - vals[0]))) / scale)
     return worst
 
 

@@ -1,8 +1,12 @@
+import copy
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deformcs.cli import EXIT_INVALID, EXIT_OK, EXIT_SINGULAR, main
 
@@ -190,15 +194,44 @@ def test_nonpositive_step_rejected(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step, named", [
+    ("1e-300", "exceeds MAX_STEPS"), ("nan", "finite"), ("inf", "finite"), ("0", "positive")])
+def test_step_override_is_checked_like_the_scenario_step(tmp_path, capsys, step, named):
+    scenario = _write(tmp_path, "flow.json", FLOW_SCENARIO)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out), "--step", step]) == EXIT_INVALID
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scenario_file_missing(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == EXIT_INVALID
     assert "not found" in capsys.readouterr().err
+
+
+def test_unreadable_scenario_or_field_file_exits_two(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    scan = _write(tmp_path, "scan.json", {"kind": "residual_scan", "dda": "L2a",
+                                          "field_path": str(binary)})
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    scan_list = _write(tmp_path, "scan_list.json", {"kind": "residual_scan", "dda": "L2a",
+                                                    "field_path": str(listed)})
+    for path, named in ((tmp_path, "not found"), (binary, "not valid JSON"),
+                        (scan, "sampled field file is not valid JSON"),
+                        (scan_list, "sampled field must be a JSON object")):
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert named in capsys.readouterr().err
 
 
 _MAP = {"kind": "map", "dda": "L5", "steps": 3,
         "initial": {"B": 1, "C": 0.5, "E": 0.3, "G": 0.8, "M": 0.2, "N": 0.6}}
 _FIELD = {"dda": "L2a", "grid": [1.0, 1.001, 1.002],
           "values": [{"C1": [[0.5, 0.2], [0.1, 0.4]], "C2": [[0.2, 0.3], [0.4, 0.1]]}] * 3}
+_CHAZY = {"kind": "reduction", "reduction": "ChazyV", "span": [0.0, 0.5], "step": 1e-3,
+          "initial": {"G": 1.0, "G1": 0.5, "G2": -0.3}}
+_SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
 
 
 @pytest.mark.parametrize("doc, named", [
@@ -216,8 +249,87 @@ _FIELD = {"dda": "L2a", "grid": [1.0, 1.001, 1.002],
      "value 2 needs numeric matrices 'C1' and 'C2'"),
     ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [2.0, 2.0000001],
       "params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0}}, "'x=2' occurs more than once"),
+    ({**_CHAZY, "initial": {"G": 1.0, "g1": 0.5, "G2": -0.3}},
+     "'initial' has unknown entries ['g1']"),
+    ({**_CHAZY, "params": {"b0": 0.1, "alpha": 1.0}}, "'params' has unknown entries ['alpha']"),
+    ({**_CHAZY, "reduction": "Boussinesq", "initial": {"E": 0.3, "E1": 0.1},
+      "params": {"alpha": 0.5, "phi0": 0.1}}, "'params' has unknown entries ['phi0']"),
+    ({**_CHAZY, "reduction": "Elliptic", "initial": {"B": 0.5, "E": 0.5, "G": -2.5}},
+     "'initial' has unknown entries ['G']"),
+    ({**FLOW_SCENARIO, "span": [0.0, 1e300], "step": 1e-300}, "field 'step': span / step"),
+    ({**_CHAZY, "span": [0.0, 1e7], "step": 1e-3}, "exceeds MAX_STEPS = 1000000"),
+    ({**_MAP, "steps": 10 ** 6 + 1}, "field 'steps' must be a nonnegative integer at most"),
+    ({**_SCAN, "field": {**_FIELD, "grid": ["a", 1.0, 2.0]}}, "'grid' must be a list of numbers"),
+    ({**_SCAN, "field": {**_FIELD, "grid": {}}}, "'grid' must be a list of numbers"),
+    ({**_SCAN, "field": {**_FIELD, "grid": [[1.0], [2.0, 3.0], [4.0]]}},
+     "'grid' must be a list of numbers"),
+    ({**_SCAN, "field": {**_FIELD, "dda": {}}}, "sampled field 'dda' must be a string"),
+    ({**_SCAN, "field": {**_FIELD, "dda": 3}}, "sampled field 'dda' must be a string"),
+    ({**_SCAN, "field": {**_FIELD, "values": 5}}, "sampled field 'values' must be a list"),
+    ({"kind": "residual_scan", "dda": "L2a", "field_path": ""},
+     "field 'field_path' does not name a file"),
+    ({**FLOW_SCENARIO, "span": [0.0, 10 ** 400]}, "field 'span' must be finite"),
+    ({**FLOW_SCENARIO, "initial": {**FLOW_SCENARIO["initial"], "E": 10 ** 400}},
+     "field 'initial'['E'] must be a finite number"),
+    ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [10 ** 400],
+      "params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0}}, "field 'points'"),
+    ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [2.0], "h": 10 ** 400,
+      "params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0}}, "field 'h'"),
+    ({**_SCAN, "field": {**_FIELD, "grid": [10 ** 400, 1.0, 2.0]}},
+     "'grid' must be a list of numbers"),
+    ({**_SCAN, "field": {**_FIELD, "values": [{"C1": [[10 ** 400]], "C2": [[0.0]]}] * 3}},
+     "value 0 needs numeric matrices 'C1' and 'C2'"),
 ])
 def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, named):
     scenario = _write(tmp_path, "bad.json", doc)
     assert main(["run", str(scenario), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_INVALID
     assert named in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: one node of a golden scenario replaced by an arbitrary JSON value.
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """The path of every node of a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = copy.copy(doc)
+    doc[path[0]] = _replace(doc[path[0]], path[1:], value)
+    return doc
+
+
+_GOLDEN_NODES = [(doc, path)
+                 for doc in (json.loads(p.read_text())
+                             for p in sorted(Path(__file__).parent.glob("golden/*/scenario.json")))
+                 for path in _paths(doc)]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(node=st.sampled_from(_GOLDEN_NODES), value=_JSON)
+def test_validate_exits_zero_or_two_on_any_replaced_node(node, value):
+    doc, path = node
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(_replace(doc, path, value)))
+        assert main(["validate", str(scenario)]) in (EXIT_OK, EXIT_INVALID)

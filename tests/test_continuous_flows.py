@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from deformcs.continuous_flows import (first_integrals, integrate, position_x,
-                                       spectral_invariants, state_from_entries,
-                                       vector_field)
+from deformcs.continuous_flows import (first_integrals, integrate, spectral_invariants,
+                                       state_from_entries, vector_field)
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.errors import InvalidInputError
 from deformcs.integrators import integrate_fixed
@@ -15,6 +14,11 @@ from _oracles import commuting_2x2_pair
 
 def _state(system, s, **entries):
     return state_from_entries(system, s, entries)
+
+
+def _row(traj, i):
+    """Row i of a trajectory as {column: value}."""
+    return dict(zip(traj.columns, traj.states[i].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +57,9 @@ def test_stationary_commuting_point_is_fixed(system):
     assert max(abs(v) for v in rhs.values()) < 1e-13
     traj = integrate(system, st, (0.0, 0.5), 1e-2)
     assert traj.status == "completed"
-    for k, v in traj.states[-1].entries().items():
-        assert v == pytest.approx(entries[k], abs=1e-12)
+    end = _row(traj, -1)
+    for k, v in entries.items():
+        assert end[k] == pytest.approx(v, abs=1e-12)
 
 
 def test_l2a_3x3_rhs_matches_lax_bracket():
@@ -80,7 +85,7 @@ def test_unknown_system_rejected():
 
 def test_first_integrals_2x2_example():
     st = _state("L2a_2x2", 0.0, B=0, C=0, E=1, G=2, M=3, N=4)
-    ints = first_integrals("L2a_2x2", st)
+    ints = first_integrals("L2a_2x2", st.entries())
     assert ints["I1"] == 5.0
     assert ints["I2"] == 14.5
 
@@ -90,7 +95,7 @@ def test_first_integrals_nilpotent_family():
     for x in (2.0, 5.0):
         pair = eval_family(fam, x)
         st = state_from_entries("L2a_2x2", math.log(x), pair.entries())
-        ints = first_integrals("L2a_2x2", st)
+        ints = first_integrals("L2a_2x2", st.entries())
         assert ints["I1"] == pytest.approx(0.7, abs=1e-12)
         assert ints["I2"] == pytest.approx(0.9 + 0.5 * 0.7 ** 2, abs=1e-12)
 
@@ -102,14 +107,14 @@ def test_first_integrals_poly_l3_family():
     for y in (-1.0, 0.0, 2.0):
         pair = eval_family(fam, y)
         st = state_from_entries("L3_simple", y, pair.entries())
-        ints = first_integrals("L3_simple", st)
+        ints = first_integrals("L3_simple", st.entries())
         assert ints["I1"] == pytest.approx(b + g, abs=1e-12)
         assert ints["I2"] == pytest.approx(0.5 * (b * b + g * g + 2 * a * d), abs=1e-12)
 
 
 def test_spectral_invariants_quadratic_formula():
     st = _state("L2a_2x2", 0.0, B=0, C=0, E=1, G=2, M=3, N=4)
-    lam = spectral_invariants("L2a_2x2", st)
+    lam = spectral_invariants("L2a_2x2", st.entries())
     expect = sorted([(5 - math.sqrt(33)) / 2, (5 + math.sqrt(33)) / 2])
     assert lam[0].real == pytest.approx(expect[0], abs=1e-14)
     assert lam[1].real == pytest.approx(expect[1], abs=1e-14)
@@ -121,7 +126,7 @@ def test_spectral_invariants_nilpotent_family():
     fam = SolutionFamily("Nilpotent2x2", {"alpha": a, "beta": 1.0, "gamma": g})
     pair = eval_family(fam, 3.0)
     st = state_from_entries("L2a_2x2", math.log(3.0), pair.entries())
-    lam = spectral_invariants("L2a_2x2", st)
+    lam = spectral_invariants("L2a_2x2", st.entries())
     root = math.sqrt(a * a + 4 * g)
     assert lam[0].real == pytest.approx(0.5 * (a - root), abs=1e-12)
     assert lam[1].real == pytest.approx(0.5 * (a + root), abs=1e-12)
@@ -129,8 +134,8 @@ def test_spectral_invariants_nilpotent_family():
 
 def test_spectral_double_eigenvalue():
     st = _state("L2a_2x2", 0.0, B=0, C=0, E=2, G=0, M=3, N=2)  # E = N, GM = 0
-    lam = spectral_invariants("L2a_2x2", st)
-    assert lam == ((2 + 0j), (2 + 0j))
+    lam = spectral_invariants("L2a_2x2", st.entries())
+    assert lam.tolist() == [(2 + 0j), (2 + 0j)]
 
 
 def test_det_trace_identity_2x2():
@@ -138,7 +143,7 @@ def test_det_trace_identity_2x2():
     for _ in range(20):
         e = {k: rng.uniform(-2, 2) for k in ("B", "C", "E", "G", "M", "N")}
         st = state_from_entries("L2a_2x2", 0.0, e)
-        ints = first_integrals("L2a_2x2", st)
+        ints = first_integrals("L2a_2x2", st.entries())
         det = float(np.linalg.det(st.pair.C2))
         assert det == pytest.approx(0.5 * ints["I1"] ** 2 - ints["I2"], abs=1e-12)
 
@@ -150,12 +155,12 @@ def test_det_trace_identity_2x2():
 def test_integrate_matches_nilpotent_closed_form():
     st = _state("L2a_2x2", 1.0, B=0, C=0, E=1, G=1, M=-1, N=-1)  # Eq. 51 at x = e
     traj = integrate("L2a_2x2", st, (1.0, 2.0), 1e-3)
-    end = traj.states[-1].entries()
+    end = _row(traj, -1)
     assert end["E"] == pytest.approx(0.5, abs=1e-8)
     assert end["G"] == pytest.approx(0.5, abs=1e-8)
     assert end["M"] == pytest.approx(-0.5, abs=1e-8)
     assert end["N"] == pytest.approx(-0.5, abs=1e-8)
-    assert position_x("L2a_2x2", traj.states[-1]) == pytest.approx(math.e ** 2)
+    assert end["x"] == pytest.approx(math.e ** 2)
 
 
 def test_integrate_l3_simple_matches_polynomial_solution():
@@ -165,7 +170,7 @@ def test_integrate_l3_simple_matches_polynomial_solution():
     traj = integrate("L3_simple", st, (0.0, 0.7), 1e-3)
     fam = SolutionFamily("PolyL3", {"alpha": a, "beta": b, "gamma": g, "delta": d})
     want = eval_family(fam, 0.7).entries()
-    got = traj.states[-1].entries()
+    got = _row(traj, -1)
     for k in ("B", "E", "C", "G"):
         assert got[k] == pytest.approx(want[k], abs=1e-10)
 
@@ -177,7 +182,7 @@ def test_order_four_convergence():
     errs = []
     for step in (0.1, 0.05):
         traj = integrate("L2a_2x2", st, (1.0, 2.0), step)
-        end = traj.states[-1].entries()
+        end = _row(traj, -1)
         errs.append(max(abs(end[k] - exact[k]) for k in exact))
     ratio = errs[0] / errs[1]
     assert 4.0 <= ratio <= 64.0  # 16x within a factor of 4
@@ -189,13 +194,11 @@ def test_conservation_along_random_trajectory():
     e.update({k: rng.uniform(-0.8, 0.8) for k in ("B", "C")})
     traj = integrate("L2a_2x2", state_from_entries("L2a_2x2", 0.0, e), (0.0, 1.0), 1e-3)
     assert traj.status == "completed"
-    ref = traj.integral_history[0]
-    for ints in traj.integral_history:
-        for k in ref:
-            assert abs(ints[k] - ref[k]) <= 1e-8 * max(1.0, abs(ref[k]))
-    eig0 = np.array(traj.eigen_history[0])
-    for eig in traj.eigen_history:
-        assert np.max(np.abs(np.array(eig) - eig0)) < 1e-8
+    for k in ("I1", "I2"):
+        ref = traj.invariants[k][0]
+        assert np.all(np.abs(traj.invariants[k] - ref) <= 1e-8 * max(1.0, abs(ref)))
+    eig = traj.invariants["eigenvalues"]
+    assert np.max(np.abs(eig - eig[0])) < 1e-8
 
 
 def test_l3_unimodular_keeps_det_one():
@@ -211,18 +214,18 @@ def test_l3_unimodular_keeps_det_one():
     e.update({"M": 0.3, "N": -0.4})
     traj = integrate("L3_unimodular", state_from_entries("L3_unimodular", 0.0, e),
                      (0.0, 1.0), 1e-3)
-    for st in traj.states:
-        v = st.entries()
-        assert abs(v["B"] * v["G"] - v["C"] * v["E"] - 1.0) < 1e-8
+    v = dict(zip(traj.columns, traj.states.T))
+    assert np.all(np.abs(v["B"] * v["G"] - v["C"] * v["E"] - 1.0) < 1e-8)
 
 
 def test_shift_invariance_of_autonomous_flow():
     e = dict(B=0.2, C=-0.3, E=0.4, G=0.5, M=-0.1, N=0.3)
     t1 = integrate("L2a_2x2", state_from_entries("L2a_2x2", 0.0, e), (0.0, 1.0), 1e-2)
     t2 = integrate("L2a_2x2", state_from_entries("L2a_2x2", 5.0, e), (5.0, 6.0), 1e-2)
-    for a, b in zip(t1.states, t2.states):
-        assert b.s == pytest.approx(a.s + 5.0, abs=1e-12)
-        assert a.entries() == b.entries()
+    assert t1.columns[0] == "x"
+    assert len(t1.ts) == len(t2.ts)
+    assert np.all(np.abs(t2.ts - (t1.ts + 5.0)) <= 1e-12)
+    assert np.array_equal(t1.states[:, 1:], t2.states[:, 1:])  # every entry, x aside
 
 
 def test_singular_l3_flow_truncates():
@@ -247,7 +250,7 @@ def test_blowup_truncates_with_diagnostic():
     traj = integrate("L2a_2x2", state_from_entries("L2a_2x2", 0.0, e), (0.0, 1.0), 1e-3)
     assert traj.status == "truncated"
     assert "overflow" in traj.diagnostic
-    assert traj.states[-1].s < 1.0
+    assert traj.ts[-1] < 1.0
 
 
 def test_empty_span_gives_single_state():
@@ -256,9 +259,8 @@ def test_empty_span_gives_single_state():
     assert len(traj.states) == 1
 
 
-def test_free_function_override():
-    st = _state("L2a_2x2", 0.0, B=0.0, C=0.0, E=0.3, G=0.2, M=0.1, N=-0.2)
-    traj = integrate("L2a_2x2", st, (0.0, 0.5), 1e-2, free_functions={"B": 1.0, "C": 1.0})
-    assert traj.states[-1].free_values == {"B": 1.0, "C": 1.0}
-    with pytest.raises(InvalidInputError):
-        integrate("L2a_2x2", st, (0.0, 0.5), 1e-2, free_functions={"Q": 1.0})
+def test_free_entries_stay_constant():
+    st = _state("L2a_2x2", 0.0, B=1.0, C=1.0, E=0.3, G=0.2, M=0.1, N=-0.2)
+    traj = integrate("L2a_2x2", st, (0.0, 0.5), 1e-2)
+    assert traj.columns == ("x", "E", "G", "M", "N", "B", "C")
+    assert np.all(traj.states[:, 5:] == 1.0)

@@ -309,8 +309,10 @@ def test_l3_trajectory_satisfies_its_central_system():
                      (0.0, 0.2), 1e-3)
     assert traj.status == "completed"
     # x = y det C1 turns the uniform y-grid into a uniform x-grid
-    xs = np.array([st.s * det for st in traj.states])
-    fld = SampledField(dda="L3", grid=xs, pairs=tuple(st.pair for st in traj.states))
+    xs = traj.ts * det
+    rows = [dict(zip(traj.columns, row)) for row in traj.states.tolist()]
+    pairs = tuple(MatrixPair.from_entries_2x2(**{k: r[k] for k in "BCEGMN"}) for r in rows)
+    fld = SampledField(dda="L3", grid=xs, pairs=pairs)
     mid = len(xs) // 2
     res = cs_residual("L3", fld, mid).norms[0]
     assert res < 1e-5  # O(h^2) differencing of an RK4-accurate trajectory
