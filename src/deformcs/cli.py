@@ -35,7 +35,7 @@ from .algebra_core import ENTRY_POSITIONS_2
 from .closed_forms import FAMILY_IDS, SolutionFamily, validate_family
 from .continuous_flows import SYSTEMS, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual, lookup
-from .discrete_flows import MAP_DDAS, init_map_state, orbit
+from .discrete_flows import ENTRY_NAMES, MAP_DDAS, flag_labels, init_map_state, orbit
 from .errors import DeformError, InvalidInputError
 from .integrators import MAX_STEPS, STATUS_COMPLETED, Trajectory, step_count
 from .reductions import (CHAZY_VARIANTS, integrate_boussinesq, integrate_chazy,
@@ -269,21 +269,20 @@ def _flow_artifacts(cfg: ScenarioConfig, out: Path):
 
 
 def _map_artifacts(cfg: ScenarioConfig, out: Path):
-    state0 = init_map_state(cfg.dda, cfg.initial, cfg.prev)
-    run = orbit(cfg.dda, state0, cfg.steps)
-    inv_names = sorted({k for inv in run.invariant_history for k in inv})
-    header = ["n", "B", "C", "E", "G", "M", "N"] + inv_names + ["flags"]
-    rows = []
-    for idx in range(0, len(run.states), cfg.stride):
-        st = run.states[idx]
-        e = st.entries()
-        inv = run.invariant_history[idx]
-        rows.append([st.n] + [e[k] for k in ("B", "C", "E", "G", "M", "N")]
-                    + [inv.get(k, "") for k in inv_names]
-                    + [";".join(st.flags)])
-    _write_csv(out / "orbit.csv", header, rows)
-    complete = [inv for inv in run.invariant_history if inv]
-    drift = _drift_stats({k: np.array([inv[k] for inv in complete]) for k in inv_names})
+    """orbit.csv: n, the entries, the invariants ("" in rows without them), the flags."""
+    run = orbit(cfg.dda, init_map_state(cfg.dda, cfg.initial, cfg.prev), cfg.steps)
+    rows = len(run.entries)
+    names = sorted(run.invariants)
+    columns = [range(run.n0, run.n0 + rows), *run.entries.T.tolist()]
+    for name in names:
+        column = [""] * rows
+        for i, v in zip(run.invariant_rows.tolist(), run.invariants[name].tolist()):
+            column[i] = v
+        columns.append(column)
+    columns.append([";".join(flag_labels(row)) for row in run.flags.tolist()])
+    _write_csv(out / "orbit.csv", ["n", *ENTRY_NAMES, *names, "flags"],
+               zip(*(column[::cfg.stride] for column in columns)))
+    drift = _drift_stats({name: run.invariants[name] for name in names})
     return run.status, run.diagnostic, {"orbit_csv": "orbit.csv"}, {}, drift
 
 

@@ -7,53 +7,86 @@ structure constants (B, C held fixed along an orbit):
 * L4:  C1 TC2 = C2 TC1, the four-dimensional mapping at B = C = 1, or the
   general linear solve for other constant B, C;
 * L5:  C1 TC2 = C2 T^-1 C1, a second-order recursion: the state carries the
-  previous C1 and the transition matrix V = T^-1C1 . C2, which the map
-  conjugates by C2.
+  previous C1, and the transition matrix V = T^-1C1 . C2 is conjugated by
+  C2 at each step.
 
-Each map's trace invariants (of C2, of C2 C1^-1, of C1 TC2 respectively)
-are evaluated exactly; L5 invariants attach to transitions via V.  The
-module also evaluates the discrete oriented associativity residual of
-gauge fields built from three sampled potentials.
+One scalar kernel advances the entries (B, C, E, G, M, N); ``orbit`` iterates
+it and keeps the orbit as arrays, with the degeneracy flags and the exact
+trace invariants (of C2, of C2 C1^-1, of V respectively) computed once over
+the whole orbit.  The module also evaluates the discrete oriented
+associativity residual of gauge fields built from three sampled potentials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra_core import DEGENERACY_TOL, MatrixPair, ResidualReport, trace_integrals
+from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
+                           trace_integrals)
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
 
 MAP_DDAS = ("L2b", "L4", "L5")
+ENTRY_NAMES = tuple(ENTRY_POSITIONS_2)   # B, C, E, G, M, N: one orbit row
+FLAG_NAMES = ("det_C1_degenerate", "E_minus_G_degenerate", "det_C2_degenerate")
+
+
+def _matrices(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, 2, 2) stacks C1 = [[B, E], [C, G]] and C2 = [[E, M], [G, N]]."""
+    return entries[:, [[0, 2], [1, 3]]], entries[:, [[2, 4], [3, 5]]]
+
+
+def degeneracy_flags(entries: np.ndarray) -> np.ndarray:
+    """One row of FLAG_NAMES booleans per row of entries: |BG - CE|, |E - G|
+    and |det C2| below tolerance."""
+    B, C, E, G = entries[:, :4].T
+    return np.column_stack([np.abs(B * G - C * E) < DEGENERACY_TOL,
+                            np.abs(E - G) < DEGENERACY_TOL,
+                            np.abs(np.linalg.det(_matrices(entries)[1])) < DEGENERACY_TOL])
+
+
+def flag_labels(row) -> tuple[str, ...]:
+    """The names of the flags set in one row of ``degeneracy_flags``."""
+    return tuple(name for name, on in zip(FLAG_NAMES, row) if on)
 
 
 @dataclass(frozen=True)
 class MapState:
-    """One point of a discrete orbit."""
+    """One point of a discrete orbit: the entries (B, C, E, G, M, N) at site n."""
 
     n: int
-    pair: MatrixPair
-    free: dict[str, float]
+    values: tuple[float, ...]
     prev_C1: np.ndarray | None = None   # L5 only: C1 one site back
-    V: np.ndarray | None = None         # L5 only: T^-1C1 . C2
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
+
+    @cached_property
+    def pair(self) -> MatrixPair:
+        """The multiplication matrices, built and validated on first use."""
+        return MatrixPair.from_entries_2x2(**self.entries())
 
     def entries(self) -> dict[str, float]:
-        return self.pair.entries()
+        return dict(zip(ENTRY_NAMES, self.values))
 
 
-def _degeneracy_flags(pair: MatrixPair) -> tuple[str, ...]:
-    e = pair.entries()
-    flags = []
-    if abs(e["B"] * e["G"] - e["C"] * e["E"]) < DEGENERACY_TOL:
-        flags.append("det_C1_degenerate")
-    if abs(e["E"] - e["G"]) < DEGENERACY_TOL:
-        flags.append("E_minus_G_degenerate")
-    if abs(np.linalg.det(pair.C2)) < DEGENERACY_TOL:
-        flags.append("det_C2_degenerate")
-    return tuple(flags)
+def _values(entries: dict[str, float]) -> tuple[float, ...]:
+    unknown = sorted(set(entries) - set(ENTRY_NAMES))
+    if unknown:
+        raise InvalidInputError(f"unknown 2x2 entries {unknown}")
+    return tuple(float(entries.get(k, 0.0)) for k in ENTRY_NAMES)
+
+
+def _state(n: int, values: tuple[float, ...], prev_C1: np.ndarray | None) -> MapState:
+    return MapState(n, values, prev_C1, flag_labels(degeneracy_flags(np.array([values]))[0]))
+
+
+def _check(dda: str, state: MapState | None = None) -> None:
+    if dda not in MAP_DDAS:
+        raise InvalidInputError(f"unknown or non-discrete dda {dda!r}")
+    if dda == "L5" and state is not None and state.prev_C1 is None:
+        raise InvalidInputError("L5 state lacks the previous C1 (use init_map_state)")
 
 
 def init_map_state(dda: str, entries: dict[str, float],
@@ -63,140 +96,144 @@ def init_map_state(dda: str, entries: dict[str, float],
     For L5 the map is second order in the lattice variable; ``prev_entries``
     supplies C1 one site back and defaults to the initial C1.
     """
-    if dda not in MAP_DDAS:
-        raise InvalidInputError(f"unknown or non-discrete dda {dda!r}")
-    pair = MatrixPair.from_entries_2x2(**entries)
-    free = {"B": float(entries.get("B", 0.0)), "C": float(entries.get("C", 0.0))}
+    _check(dda)
+    values = _values(entries)
     prev_C1 = None
-    V = None
     if dda == "L5":
-        if prev_entries is None:
-            prev_C1 = pair.C1.copy()
-        else:
-            prev_C1 = MatrixPair.from_entries_2x2(**prev_entries).C1
-        V = prev_C1 @ pair.C2
-    return MapState(n=0, pair=pair, free=free, prev_C1=prev_C1, V=V,
-                    flags=_degeneracy_flags(pair))
+        B, C, E, G, _, _ = values if prev_entries is None else _values(prev_entries)
+        prev_C1 = np.array([[B, E], [C, G]])
+    return _state(0, values, prev_C1)
 
 
-def _step_l2b(state: MapState) -> dict[str, float]:
-    e = state.entries()
-    B, C, E, G, M, N = (e[k] for k in ("B", "C", "E", "G", "M", "N"))
-    den = B * G - C * E
-    if abs(den) < DEGENERACY_TOL:
-        raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance",
-                                 quantity="BG-CE", value=den)
-    p = (G * M - E * N) / den
-    q = (B * N - C * M) / den
-    return {"B": B, "C": C, "E": C * p, "G": B + C * q, "M": G * p, "N": E + G * q}
+def _advance(dda: str, values: tuple[float, ...], prev_C1: np.ndarray | None):
+    """The step kernel: the entries one site on and, for L5, the C1 they leave behind.
 
-
-def _step_l4(state: MapState) -> dict[str, float]:
-    e = state.entries()
-    B, C, E, G, M, N = (e[k] for k in ("B", "C", "E", "G", "M", "N"))
-    if B == 1.0 and C == 1.0:
+    Raises SingularOrbitError when the step's denominator is below tolerance.
+    """
+    B, C, E, G, M, N = values
+    if dda == "L4" and B == 1.0 and C == 1.0:
         den = E - G
         if abs(den) < DEGENERACY_TOL:
             raise SingularOrbitError(f"E - G = {den:.3e} below tolerance",
                                      quantity="E-G", value=den)
         r = (M - N) / den
-        return {"B": B, "C": C,
-                "E": M - E * r, "G": 1.0 + r,
-                "M": N + (N - G) * r - G * r * r,
-                "N": M + (1.0 - E) * r + r * r}
+        return (B, C, M - E * r, 1.0 + r,
+                N + (N - G) * r - G * r * r, M + (1.0 - E) * r + r * r), None
     den = B * G - C * E
     if abs(den) < DEGENERACY_TOL:
+        if dda == "L5":
+            raise SingularOrbitError(f"det C1 = {den:.3e} below tolerance",
+                                     quantity="det C1", value=den)
         raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance",
                                  quantity="BG-CE", value=den)
-    C1, C2 = state.pair.C1, state.pair.C2
-    te, tg = np.linalg.solve(C1, C2 @ np.array([B, C]))
-    tm, tn = np.linalg.solve(C1, C2 @ np.array([te, tg]))
-    return {"B": B, "C": C, "E": float(te), "G": float(tg), "M": float(tm), "N": float(tn)}
+    if dda == "L2b":
+        p = (G * M - E * N) / den
+        q = (B * N - C * M) / den
+        return (B, C, C * p, B + C * q, G * p, E + G * q), None
+    C1 = np.array([[B, E], [C, G]])
+    C2 = np.array([[E, M], [G, N]])
+    if dda == "L4":
+        te, tg = np.linalg.solve(C1, C2 @ np.array([B, C]))
+        tm, tn = np.linalg.solve(C1, C2 @ np.array([te, tg]))
+        return (B, C, float(te), float(tg), float(tm), float(tn)), None
+    # L5: TC2 = C1^-1 C2 (T^-1 C1); the new V = C1 . TC2 equals C2 V C2^-1.
+    TC2 = np.linalg.solve(C1, C2 @ prev_C1)
+    return (B, C, float(TC2[0, 0]), float(TC2[1, 0]), float(TC2[0, 1]), float(TC2[1, 1])), C1
 
 
 def step(dda: str, state: MapState) -> MapState:
     """Advance the orbit one lattice site."""
-    if dda not in MAP_DDAS:
-        raise InvalidInputError(f"unknown or non-discrete dda {dda!r}")
-    if state.pair.n != 2:
-        raise InvalidInputError("discrete map stepping is implemented for 2x2 states")
-    if dda in ("L2b", "L4"):
-        new_entries = _step_l2b(state) if dda == "L2b" else _step_l4(state)
-        pair = MatrixPair.from_entries_2x2(**new_entries)
-        return MapState(n=state.n + 1, pair=pair, free=state.free,
-                        flags=_degeneracy_flags(pair))
-    # L5: TC2 = C1^-1 C2 (T^-1 C1); the new V = C1 . TC2 equals C2 V C2^-1.
-    e = state.entries()
-    den = e["B"] * e["G"] - e["C"] * e["E"]
-    if abs(den) < DEGENERACY_TOL:
-        raise SingularOrbitError(f"det C1 = {den:.3e} below tolerance",
-                                 quantity="det C1", value=den)
-    if state.prev_C1 is None:
-        raise InvalidInputError("L5 state lacks the previous C1 (use init_map_state)")
-    C1, C2 = state.pair.C1, state.pair.C2
-    TC2 = np.linalg.solve(C1, C2 @ state.prev_C1)
-    B, C = state.free["B"], state.free["C"]
-    pair = MatrixPair(2, np.array([[B, TC2[0, 0]], [C, TC2[1, 0]]]), TC2)
-    return MapState(n=state.n + 1, pair=pair, free=state.free,
-                    prev_C1=C1.copy(), V=C1 @ TC2,
-                    flags=_degeneracy_flags(pair))
+    _check(dda, state)
+    values, prev_C1 = _advance(dda, state.values, state.prev_C1)
+    return _state(state.n + 1, values, prev_C1)
+
+
+def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None):
+    """The exact trace invariants of every row that has them, and those rows.
+
+    L4 leaves out the rows where |det C1| is below tolerance; L5 values are
+    those of V = C1[n-1] . C2[n], with ``prev_C1`` before row 0.
+    """
+    C1, C2 = _matrices(entries)
+    rows = np.arange(len(entries))
+    if dda == "L2b":
+        return {**trace_integrals(C2), "det_C2": np.linalg.det(C2)}, rows
+    if dda == "L4":
+        keep = np.abs(np.linalg.det(C1)) >= DEGENERACY_TOL
+        if not keep.any():
+            return {}, rows[keep]
+        return trace_integrals(C2[keep] @ np.linalg.inv(C1[keep])), rows[keep]
+    return trace_integrals(np.concatenate([prev_C1[None], C1[:-1]]) @ C2), rows
 
 
 def map_invariants(dda: str, state: MapState) -> dict[str, float]:
-    """Exact trace invariants of the map (L5 values attach to the transition)."""
-    if dda == "L2b":
-        C2 = state.pair.C2
-        return {**trace_integrals(C2), "det_C2": float(np.linalg.det(C2))}
-    if dda == "L4":
+    """Exact trace invariants at one state (L5 values attach to the transition)."""
+    _check(dda, state)
+    invariants, rows = _invariants(dda, np.array([state.values]), state.prev_C1)
+    if not rows.size:
         det = float(np.linalg.det(state.pair.C1))
-        if abs(det) < DEGENERACY_TOL:
-            raise SingularOrbitError(f"det C1 = {det:.3e}: invariants need C1^-1",
-                                     quantity="det C1", value=det)
-        return trace_integrals(state.pair.C2 @ np.linalg.inv(state.pair.C1))
-    if dda == "L5":
-        if state.V is None:
-            raise InvalidInputError("L5 state carries no transition matrix V")
-        return trace_integrals(state.V)
-    raise InvalidInputError(f"unknown or non-discrete dda {dda!r}")
+        raise SingularOrbitError(f"det C1 = {det:.3e}: invariants need C1^-1",
+                                 quantity="det C1", value=det)
+    return {name: float(v[0]) for name, v in invariants.items()}
 
 
 @dataclass(frozen=True)
 class Orbit:
+    """A discrete orbit held as arrays; row i is lattice site n0 + i.
+
+    ``entries`` holds (B, C, E, G, M, N) per row and ``flags`` the FLAG_NAMES
+    booleans per row.  ``invariants`` maps each trace invariant to its values
+    at the rows ``invariant_rows`` (every row, except that L4 leaves out rows
+    with |det C1| below tolerance).  For L5, ``prev_C1`` is C1 one site before
+    row 0.  ``states`` views the rows as MapStates.
+    """
+
     dda: str
-    states: tuple[MapState, ...]
-    invariant_history: tuple[dict[str, float], ...]
+    n0: int
+    entries: np.ndarray
+    flags: np.ndarray
+    invariants: dict[str, np.ndarray]
+    invariant_rows: np.ndarray
+    prev_C1: np.ndarray | None = None
     status: str = STATUS_COMPLETED
     diagnostic: str | None = None
 
+    @cached_property
+    def states(self) -> tuple[MapState, ...]:
+        """The rows as MapStates, built on first use; a state builds its
+        MatrixPair only when its ``pair`` is read."""
+        prev = [None] * len(self.entries)
+        if self.dda == "L5":
+            prev = [self.prev_C1, *_matrices(self.entries)[0][:-1]]
+        return tuple(MapState(self.n0 + i, tuple(row), p, flag_labels(f)) for i, (row, p, f)
+                     in enumerate(zip(self.entries.tolist(), prev, self.flags.tolist())))
+
 
 def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
-    """Iterate the map; a singular denominator or overflow truncates the orbit."""
-
-    def safe_invariants(st: MapState) -> dict[str, float]:
-        try:
-            return map_invariants(dda, st)
-        except SingularOrbitError:
-            return {}
-
-    states = [state0]
-    invs = [safe_invariants(state0)]
+    """Iterate the map; a singular denominator, a non-finite entry or overflow
+    truncates the orbit."""
+    _check(dda, state0)
+    values, prev_C1 = state0.values, state0.prev_C1
+    rows = [values]
     status, diagnostic = STATUS_COMPLETED, None
-    current = state0
-    for _ in range(steps):
+    for n in range(state0.n, state0.n + steps):
         try:
-            current = step(dda, current)
+            values, prev_C1 = _advance(dda, values, prev_C1)
         except SingularOrbitError as exc:
-            status = STATUS_TRUNCATED
-            diagnostic = f"singular step at n={current.n}: {exc}"
+            status, diagnostic = STATUS_TRUNCATED, f"singular step at n={n}: {exc}"
             break
-        if np.max(np.abs(current.pair.C2)) > OVERFLOW_GUARD:
+        if not all(abs(v) <= OVERFLOW_GUARD for v in values[2:]):
             status = STATUS_TRUNCATED
-            diagnostic = f"state exceeded overflow guard at n={current.n}"
+            diagnostic = f"state exceeded overflow guard at n={n + 1}"
             break
-        states.append(current)
-        invs.append(safe_invariants(current))
-    return Orbit(dda=dda, states=tuple(states), invariant_history=tuple(invs),
-                 status=status, diagnostic=diagnostic)
+        rows.append(values)
+    entries = np.array(rows)
+    flags = degeneracy_flags(entries)
+    invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1)
+    entries.setflags(write=False)
+    flags.setflags(write=False)
+    return Orbit(dda, state0.n, entries, flags, invariants, invariant_rows,
+                 state0.prev_C1, status, diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +324,11 @@ def lattice_field_from_l5_orbit(run: Orbit, shape: tuple[int, int]):
 
     n1, n2 = shape
     need = n1 + n2 - 1
-    if len(run.states) < need:
+    if len(run.entries) < need:
         raise InvalidInputError(f"orbit too short: need {need} states for shape {shape}")
     # x = x1 - x2 ranges over [-(n2-1), n1-1]; shift so the earliest state is index 0.
+    site = np.arange(n1)[:, None] + np.arange(n2 - 1, -1, -1)
     c = np.zeros((n1, n2, 2, 2, 2))
-    for i1 in range(n1):
-        for i2 in range(n2):
-            st = run.states[i1 + (n2 - 1 - i2)]
-            c[i1, i2, 0] = st.pair.C1.T
-            c[i1, i2, 1] = st.pair.C2.T
+    for k, mats in enumerate(_matrices(run.entries)):
+        c[:, :, k] = mats[site].swapaxes(-1, -2)
     return TensorGrid(c=c, spacing=1.0)

@@ -166,6 +166,57 @@ def discrete_defect_loops(c: np.ndarray, pt: tuple[int, ...]) -> dict:
     return res
 
 
+def _power_sums_2x2(m: np.ndarray) -> dict[str, float]:
+    """I_k = tr(M^k)/k of a 2x2 matrix from its trace t and determinant d
+    (Newton's identities: p2 = t^2 - 2d, p3 = t^3 - 3td)."""
+    t = m[0][0] + m[1][1]
+    d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return {"I1": t, "I2": (t * t - 2.0 * d) / 2.0, "I3": (t * t * t - 3.0 * t * d) / 3.0}
+
+
+def map_orbit_loops(dda: str, entries: dict, steps: int, prev: dict | None = None,
+                    tol: float = 1e-12):
+    """Rows (B, C, E, G, M, N) of a discrete orbit and the invariants of each row.
+
+    Every map solves C1 . TC2 = C2 . X for TC2 with np.linalg.solve: X = C1
+    (L2b), X = TC1 column by column (L4: its first column is (B, C), its
+    second the first column of TC2) or X = T^-1 C1 (L5, ``prev`` one site
+    back, by default the initial C1).  The orbit stops at a row whose
+    |det C1| is below ``tol``.  The invariants of a row are the power sums
+    of C2 and det C2 (L2b), of C2 C1^-1 (L4; None where |det C1| < tol) or of
+    V = T^-1 C1 . C2 (L5).
+    """
+    v = [float(entries.get(k, 0.0)) for k in ("B", "C", "E", "G", "M", "N")]
+    p = v if prev is None else [float(prev.get(k, 0.0)) for k in ("B", "C", "E", "G")]
+    back = np.array([[p[0], p[2]], [p[1], p[3]]])
+    rows, invariants = [], []
+    for n in range(steps + 1):
+        B, C, E, G, M, N = v
+        C1 = np.array([[B, E], [C, G]])
+        C2 = np.array([[E, M], [G, N]])
+        det1 = B * G - C * E
+        rows.append(list(v))
+        if dda == "L2b":
+            invariants.append({**_power_sums_2x2(C2), "det_C2": E * N - M * G})
+        elif dda == "L4":
+            invariants.append(None if abs(det1) < tol
+                              else _power_sums_2x2(C2 @ np.linalg.inv(C1)))
+        else:
+            invariants.append(_power_sums_2x2(back @ C2))
+        if n == steps or abs(det1) < tol:
+            break
+        if dda == "L2b":
+            T = np.linalg.solve(C1, C2 @ C1)
+        elif dda == "L4":
+            first = np.linalg.solve(C1, C2 @ np.array([B, C]))
+            T = np.column_stack([first, np.linalg.solve(C1, C2 @ first)])
+        else:
+            T = np.linalg.solve(C1, C2 @ back)
+            back = C1
+        v = [B, C, T[0][0], T[1][0], T[0][1], T[1][1]]
+    return np.array(rows), invariants
+
+
 # ---------------------------------------------------------------------------
 # Random-instance builders.
 # ---------------------------------------------------------------------------

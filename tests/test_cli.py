@@ -6,9 +6,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from deformcs.cli import EXIT_INVALID, EXIT_OK, EXIT_SINGULAR, main
+from deformcs.cli import EXIT_INVALID, EXIT_OK, EXIT_SINGULAR, load_scenario, main
+from deformcs.errors import DeformError
+from deformcs.integrators import step_count
 
 
 def _write(tmp_path, name, doc):
@@ -115,6 +117,25 @@ def test_singular_run_exits_three_with_artifacts(tmp_path):
     assert report["status"] == "truncated"
     assert "overflow" in report["diagnostic"]
     assert (out / "trajectory.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_map_step_to_non_finite_entries_exits_three_with_artifacts(tmp_path):
+    # the first L2b step computes G M - E N = inf - inf: a numerical failure,
+    # so the run is truncated (exit 3), not reported as bad input (exit 2)
+    scenario = _write(tmp_path, "nan.json", {
+        "kind": "map", "dda": "L2b",
+        "initial": {"B": 1.0, "C": 0.5, "E": 1e200, "G": 1e200, "M": 1e200, "N": 1e200},
+        "steps": 5,
+    })
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out), "--quiet"]) == EXIT_SINGULAR
+    report = _read_report(out)
+    assert report["status"] == "truncated"
+    assert report["diagnostic"] == "state exceeded overflow guard at n=1"
+    rows = list(csv.DictReader((out / "orbit.csv").open()))
+    assert [r["n"] for r in rows] == ["0"]
 
 
 def test_reduction_scenario(tmp_path):
@@ -333,3 +354,28 @@ def test_validate_exits_zero_or_two_on_any_replaced_node(node, value):
         scenario = Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(_replace(doc, path, value)))
         assert main(["validate", str(scenario)]) in (EXIT_OK, EXIT_INVALID)
+
+
+def _validated_steps(cfg) -> int:
+    """Map iterations or RK4 steps the scenario asks for; 0 for the other kinds."""
+    if cfg.kind == "map":
+        return cfg.steps
+    if cfg.kind in ("flow", "reduction"):
+        return step_count(*cfg.span, cfg.step)
+    return 0
+
+
+@settings(max_examples=800, derandomize=True, deadline=None, database=None)
+@given(node=st.sampled_from(_GOLDEN_NODES), value=_JSON)
+def test_run_exits_zero_two_or_three_on_any_replaced_node(node, value):
+    doc, path = node
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(_replace(doc, path, value)))
+        try:
+            assume(_validated_steps(load_scenario(scenario)) <= 2000)
+        except DeformError:
+            pass   # an invalid scenario runs too, and must exit 2
+        out = str(Path(tmp) / "out")
+        assert main(["run", scenario.as_posix(), "--out", out, "--quiet"]) in (
+            EXIT_OK, EXIT_INVALID, EXIT_SINGULAR)

@@ -9,6 +9,8 @@ from deformcs.discrete_flows import (discrete_oriented_assoc_residual, init_map_
                                      oriented_assoc_defect, orbit, step)
 from deformcs.errors import (InvalidInputError, SingularGaugeError, SingularOrbitError)
 
+from _oracles import map_orbit_loops
+
 GAUGE_CUBIC = ([1.0, 0.3], [0.0, 1.0, 0.1], [0.2, 0.0, 1.0, 0.05])
 
 
@@ -98,9 +100,10 @@ def test_l5_step_satisfies_central_system_and_conjugation():
         lhs = st.pair.C1 @ nxt.pair.C2
         rhs = st.pair.C2 @ st.prev_C1
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-        # TV = C2 V C2^-1
-        want = st.pair.C2 @ st.V @ np.linalg.inv(st.pair.C2)
-        assert np.max(np.abs(nxt.V - want)) < 1e-12
+        # TV = C2 V C2^-1 for the transition matrix V = T^-1C1 . C2
+        V, TV = st.prev_C1 @ st.pair.C2, nxt.prev_C1 @ nxt.pair.C2
+        want = st.pair.C2 @ V @ np.linalg.inv(st.pair.C2)
+        assert np.max(np.abs(TV - want)) < 1e-12
         st = nxt
 
 
@@ -112,10 +115,10 @@ def test_l5_step_satisfies_central_system_and_conjugation():
 def test_invariants_conserved_over_fifty_steps(dda, entries):
     run = orbit(dda, init_map_state(dda, entries), 50)
     assert run.status == "completed"
-    history = [iv for iv in run.invariant_history if iv]
-    assert len(history) == 51
-    for name, ref in history[0].items():
-        drift = max(abs(iv[name] - ref) for iv in history)
+    assert run.invariant_rows.tolist() == list(range(51))
+    for name, values in run.invariants.items():
+        ref = values[0]
+        drift = np.max(np.abs(values - ref))
         assert drift <= 1e-10 * max(1.0, abs(ref)), (dda, name)
 
 
@@ -128,6 +131,93 @@ def test_l4_eigenvalues_of_u_are_step_invariant():
     for _ in range(10):
         st = step("L4", st)
         assert np.max(np.abs(eigs(st) - ref)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Orbits against the independent solve oracle.
+# ---------------------------------------------------------------------------
+
+def _close(got, want, what):
+    scale = np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * scale), what
+
+
+@pytest.mark.parametrize("dda,entries,prev,steps", [
+    ("L2b", dict(B=1.2, C=0.3, E=0.8, G=1.5, M=0.4, N=0.9), None, 25),
+    ("L4", dict(B=1.0, C=1.0, E=0.4, G=1.3, M=0.8, N=-0.2), None, 30),
+    ("L4", dict(B=0.7, C=-0.4, E=0.4, G=1.3, M=0.8, N=-0.2), None, 20),
+    ("L5", dict(B=1.0, C=0.2, E=0.7, G=1.3, M=0.5, N=1.1), None, 15),
+    ("L5", dict(B=1.0, C=0.5, E=0.3, G=0.8, M=0.2, N=0.6),
+     dict(B=1.0, C=0.5, E=0.2, G=0.9, M=0.1, N=0.5), 12),
+], ids=["L2b", "L4_closed", "L4_general", "L5", "L5_prev"])
+def test_orbit_matches_solve_oracle(dda, entries, prev, steps):
+    run = orbit(dda, init_map_state(dda, entries, prev), steps)
+    rows, invariants = map_orbit_loops(dda, entries, steps, prev)
+    assert run.status == "completed"
+    assert run.entries.shape == rows.shape == (steps + 1, 6)
+    _close(run.entries, rows, "entries")
+    assert run.invariant_rows.tolist() == list(range(steps + 1))
+    assert sorted(run.invariants) == sorted(invariants[0])
+    for name, values in run.invariants.items():
+        _close(values, np.array([inv[name] for inv in invariants]), name)
+    # the lazy view agrees with the arrays
+    assert [s.n for s in run.states] == list(range(steps + 1))
+    assert run.states[-1].entries() == dict(zip("BCEGMN", run.entries[-1].tolist()))
+
+
+def test_orbit_truncates_at_singular_step_like_oracle():
+    # (E, G, M, N) = (0, 2, 1, 1) steps to E = G = 1, where det C1 = G - E = 0
+    entries = dict(B=1.0, C=1.0, E=0.0, G=2.0, M=1.0, N=1.0)
+    run = orbit("L4", init_map_state("L4", entries), 10)
+    rows, invariants = map_orbit_loops("L4", entries, 10)
+    assert run.status == "truncated"
+    assert run.diagnostic == "singular step at n=1: E - G = 0.000e+00 below tolerance"
+    _close(run.entries, rows, "entries")
+    assert len(rows) == 2
+    # the row with det C1 = 0 has no invariants, in the orbit and in the oracle
+    assert invariants[1] is None
+    assert run.invariant_rows.tolist() == [0]
+    for name, values in run.invariants.items():
+        _close(values, [invariants[0][name]], name)
+    assert run.flags.tolist() == [[False, False, False], [True, True, True]]
+    assert run.states[1].flags == ("det_C1_degenerate", "E_minus_G_degenerate",
+                                   "det_C2_degenerate")
+
+
+def test_orbit_of_degenerate_start_has_no_invariants():
+    run = orbit("L4", init_map_state("L4", dict(B=1, C=1, E=0.5, G=0.5, M=0.8, N=-0.2)), 5)
+    assert run.status == "truncated"
+    assert run.invariants == {} and run.invariant_rows.size == 0
+    with pytest.raises(SingularOrbitError):
+        map_invariants("L4", run.states[0])
+
+
+def test_orbit_truncates_on_non_finite_entries():
+    # G M - E N = inf - inf makes the new E and M nan while the new G and N
+    # stay small, so only the finiteness test can stop the orbit
+    e = dict(B=1.0, C=1.0, E=2.0, G=3.0, M=1e308, N=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = step("L2b", init_map_state("L2b", e))
+        run = orbit("L2b", init_map_state("L2b", e), 5)
+    E, G, M, N = nxt.values[2:]
+    assert np.isnan(E) and np.isnan(M) and (G, N) == (1.0, 2.0)
+    assert run.status == "truncated"
+    assert run.diagnostic == "state exceeded overflow guard at n=1"
+    assert len(run.entries) == 1
+
+
+def test_orbit_states_build_pairs_only_when_read():
+    run = orbit("L5", init_map_state("L5", dict(B=1.0, C=0.2, E=0.7, G=1.3, M=0.5, N=1.1)), 4)
+    st = run.states[2]
+    assert "pair" not in vars(st)
+    assert st.flags == ()
+    assert np.array_equal(st.prev_C1, run.states[1].pair.C1)
+    assert np.array_equal(st.pair.C2, [[st.values[2], st.values[4]], [st.values[3], st.values[5]]])
+    assert len(run.states[1:3]) == 2 and run.states[-1].n == 4
+    with pytest.raises(IndexError):
+        run.states[5]
+    with pytest.raises(ValueError):
+        run.entries[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
