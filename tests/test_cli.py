@@ -134,7 +134,7 @@ def test_map_step_to_non_finite_entries_exits_three_with_artifacts(tmp_path):
     report = _read_report(out)
     assert report["status"] == "truncated"
     assert report["diagnostic"] == "state exceeded overflow guard at n=1"
-    rows = list(csv.DictReader((out / "orbit.csv").open()))
+    rows = list(csv.DictReader((out / "orbit.csv").read_text().splitlines()))
     assert [r["n"] for r in rows] == ["0"]
 
 

@@ -184,14 +184,6 @@ def test_orbit_truncates_at_singular_step_like_oracle():
                                    "det_C2_degenerate")
 
 
-def test_orbit_of_degenerate_start_has_no_invariants():
-    run = orbit("L4", init_map_state("L4", dict(B=1, C=1, E=0.5, G=0.5, M=0.8, N=-0.2)), 5)
-    assert run.status == "truncated"
-    assert run.invariants == {} and run.invariant_rows.size == 0
-    with pytest.raises(SingularOrbitError):
-        map_invariants("L4", run.states[0])
-
-
 def test_orbit_truncates_on_non_finite_entries():
     # G M - E N = inf - inf makes the new E and M nan while the new G and N
     # stay small, so only the finiteness test can stop the orbit
@@ -239,6 +231,10 @@ def test_orbit_truncates_at_degeneracy_without_crashing():
     assert "singular" in run.diagnostic
     assert len(run.states) == 1
     assert "E_minus_G_degenerate" in run.states[0].flags
+    # det C1 = G - E = 0 as well, so no row has invariants
+    assert run.invariants == {} and run.invariant_rows.size == 0
+    with pytest.raises(SingularOrbitError):
+        map_invariants("L4", run.states[0])
 
 
 def test_l2b_degenerate_det_raises():
