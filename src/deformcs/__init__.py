@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .algebra_core import (MatrixPair, ResidualReport, StructTensor,
                            assoc_residual, pair_from_tensor, tensor_from_pair)
 from .dda_registry import (DDASpec, SampledField, TensorGrid,
-                           coisotropic_cs_residual, cs_residual,
+                           coisotropic_cs_residual, cs_residual, cs_residual_scan,
                            discrete_cs_residual, lookup, quantum_cs_residual)
 from .integrators import MAX_STEPS, Trajectory
 from .continuous_flows import (FlowState, first_integrals, integrate,
@@ -21,7 +21,8 @@ __all__ = [
     "MatrixPair", "ResidualReport", "StructTensor",
     "assoc_residual", "pair_from_tensor", "tensor_from_pair",
     "DDASpec", "SampledField", "TensorGrid", "lookup",
-    "cs_residual", "quantum_cs_residual", "coisotropic_cs_residual", "discrete_cs_residual",
+    "cs_residual", "cs_residual_scan", "quantum_cs_residual", "coisotropic_cs_residual",
+    "discrete_cs_residual",
     "MAX_STEPS", "Trajectory", "FlowState", "first_integrals", "integrate",
     "spectral_invariants", "state_from_entries", "vector_field",
     "chazy_rhs", "chazy_second_integral",

@@ -22,7 +22,7 @@ E, G); constructors reject pairs where the shared entries disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -142,19 +142,19 @@ class StructTensor:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Named residual norms plus optional first-integral snapshots."""
+    """Named residual norms."""
 
     labels: tuple[str, ...]
     norms: tuple[float, ...]
-    integrals: dict[str, float] | None = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "norms", tuple(float(v) for v in self.norms))
         if len(self.labels) != len(self.norms):
             raise InvalidInputError("labels and norms must have equal length")
-        if any(not np.isfinite(v) or v < 0.0 for v in self.norms):
-            raise InvalidInputError("residual norms must be finite and nonnegative")
+        for label, v in zip(self.labels, self.norms):
+            if not np.isfinite(v) or v < 0.0:
+                raise InvalidInputError(f"residual {label!r} is not a finite nonnegative norm")
         if len(set(self.labels)) != len(self.labels):
             dup = next(lab for i, lab in enumerate(self.labels) if lab in self.labels[:i])
             raise InvalidInputError(f"residual label {dup!r} occurs more than once")

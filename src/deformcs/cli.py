@@ -34,7 +34,7 @@ from . import __version__
 from .algebra_core import ENTRY_POSITIONS_2
 from .closed_forms import FAMILY_IDS, SolutionFamily, validate_family
 from .continuous_flows import SYSTEMS, integrate, state_from_entries
-from .dda_registry import SampledField, cs_residual, lookup
+from .dda_registry import SampledField, cs_residual_scan, lookup
 from .discrete_flows import ENTRY_NAMES, MAP_DDAS, flag_labels, init_map_state, orbit
 from .errors import DeformError, InvalidInputError
 from .integrators import MAX_STEPS, STATUS_COMPLETED, Trajectory, step_count
@@ -303,18 +303,11 @@ def _family_artifacts(cfg: ScenarioConfig, out: Path):
 
 
 def _scan_artifacts(cfg: ScenarioConfig, out: Path):
-    fld = cfg.field
-    spec = lookup(cfg.dda)
-    behind, ahead = spec.stencil_reach
-    rows, residuals = [], {}
-    for i in range(behind, len(fld.pairs) - ahead):
-        norm = cs_residual(spec, fld, i).norms[0]
-        residuals[f"i={i}"] = norm
-        rows.append([i, float(fld.grid[i]), norm])
-    if not rows:
-        raise InvalidInputError("field has no interior points for this stencil")
+    rep = cs_residual_scan(cfg.dda, cfg.field)
+    first = lookup(cfg.dda).stencil_reach[0]
+    rows = [[i, float(cfg.field.grid[i]), norm] for i, norm in enumerate(rep.norms, first)]
     _write_csv(out / "residuals.csv", ["i", "x", "residual"], rows)
-    return STATUS_COMPLETED, None, {"residuals_csv": "residuals.csv"}, residuals, None
+    return STATUS_COMPLETED, None, {"residuals_csv": "residuals.csv"}, rep.as_dict(), None
 
 
 # kind -> (validator, runner)

@@ -151,30 +151,26 @@ def _poly_l3_entries(fam: SolutionFamily, y: float):
 def validate_family(fam: SolutionFamily, sample_points, h: float = 1e-4) -> ResidualReport:
     """Residual of the family's governing central system at each sample point.
 
-    The log/rational families are checked with a three-point central stencil
-    of width h in x; PolyL3 with its analytic derivatives; GaugeL5 with exact
-    unit shifts (h is ignored for the latter two).
+    The log/rational families are checked through the L2a stencil on the
+    points (p - h, p, p + h), GaugeL5 through the L5 stencil on the exact unit
+    shifts (p - 1, p, p + 1), and PolyL3 with its analytic derivatives (h is
+    ignored for the latter two).
     """
     norms = []
     labels = []
     for p in sample_points:
         labels.append(f"x={p:g}")
-        if fam.id in ("Nilpotent3x3", "Nilpotent2x2", "UpperTri2x2"):
-            xs = (p - h, p, p + h)
-            fld = SampledField(dda="L2a", grid=np.array(xs),
-                               pairs=tuple(eval_family(fam, x) for x in xs))
-            norms.append(cs_residual("L2a", fld, 1).norms[0])
-        elif fam.id == "PolyL3":
+        if fam.id == "PolyL3":
             e, de = _poly_l3_entries(fam, float(p))
             r = (de["B"] - e["E"], de["E"], de["C"] - (e["G"] - e["B"]), de["G"] + e["E"])
             norms.append(max(abs(v) for v in r))
-        else:  # GaugeL5: C1(x) C2(x+1) - C2(x) C1(x-1) = 0 exactly
-            here = eval_family(fam, p)
-            plus = eval_family(fam, p + 1.0)
-            minus = eval_family(fam, p - 1.0)
-            norms.append(float(np.linalg.norm(here.C1 @ plus.C2 - here.C2 @ minus.C1)))
-    return ResidualReport(labels=tuple(labels), norms=tuple(norms),
-                          integrals=family_integrals(fam))
+        else:
+            dda, step = ("L5", 1.0) if fam.id == "GaugeL5" else ("L2a", h)
+            xs = (p - step, p, p + step)
+            fld = SampledField(dda=dda, grid=np.array(xs),
+                               pairs=tuple(eval_family(fam, x) for x in xs))
+            norms.append(cs_residual(dda, fld, 1).norms[0])
+    return ResidualReport(labels=tuple(labels), norms=tuple(norms))
 
 
 def family_integrals(fam: SolutionFamily) -> dict[str, float]:

@@ -228,8 +228,9 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
             break
         rows.append(values)
     entries = np.array(rows)
-    flags = degeneracy_flags(entries)
-    invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow shows as inf in the arrays
+        flags = degeneracy_flags(entries)
+        invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1)
     entries.setflags(write=False)
     flags.setflags(write=False)
     return Orbit(dda, state0.n, entries, flags, invariants, invariant_rows,
@@ -265,28 +266,21 @@ def _sampled_potentials(phi: np.ndarray, xs: np.ndarray):
 
 
 def oriented_assoc_defect(phi: np.ndarray, xs: np.ndarray, x: int) -> np.ndarray:
-    """Commutator tensor R[j,k] = C_j C_k - C_k C_j at x, via the gauge sums.
+    """The commutator C1 C2 - C2 C1 at x, via the gauge sums.
 
     Each side of the oriented associativity identity is the matrix
-    S_jk = (T_j g) g^-1 (T_k g) = g (C_j C_k); the defect is normalised by
-    g^-1 so that a nonzero residual is exactly the associativity defect of
-    the gauge structure constants.
+    S_jk = (T_j g) g^-1 (T_k g) = g (C_j C_k); the defect S_12 - S_21 is
+    normalised by g^-1 so that a nonzero residual is exactly the
+    associativity defect of the gauge structure constants.
     """
     potentials = _sampled_potentials(phi, xs)
     g = gauge_matrix(potentials, x)
     if abs(np.linalg.det(g)) < DEGENERACY_TOL:
         raise SingularGaugeError(f"gauge matrix is singular at x = {x}")
-    n = len(GAUGE_SHIFTS)
     # (T_j g)[m][t] = Phi^m(x + s_j + s_t): shift the whole gauge matrix.
-    shifted = [gauge_matrix(potentials, x + s) for s in GAUGE_SHIFTS]
-    ginv_tk = [np.linalg.solve(g, tg) for tg in shifted]   # g^-1 T_k g = C_k
-    R = np.zeros((n, n, n, n))
-    for j in range(n):
-        for k in range(n):
-            S_jk = np.linalg.solve(g, shifted[j] @ ginv_tk[k])
-            S_kj = np.linalg.solve(g, shifted[k] @ ginv_tk[j])
-            R[j, k] = S_jk - S_kj
-    return R
+    t1, t2 = (gauge_matrix(potentials, x + s) for s in GAUGE_SHIFTS[1:])
+    C1, C2 = np.linalg.solve(g, t1), np.linalg.solve(g, t2)   # C_k = g^-1 T_k g
+    return np.linalg.solve(g, t1 @ C2) - np.linalg.solve(g, t2 @ C1)
 
 
 def discrete_oriented_assoc_residual(phi, xs) -> ResidualReport:
@@ -305,9 +299,8 @@ def discrete_oriented_assoc_residual(phi, xs) -> ResidualReport:
     for x in xs:
         if x - 2 < xs[0] or x + 2 > xs[-1]:
             continue
-        R = oriented_assoc_defect(phi, xs, int(x))
         labels.append(f"x={int(x)}")
-        norms.append(float(np.linalg.norm(R[1, 2])))
+        norms.append(float(np.linalg.norm(oriented_assoc_defect(phi, xs, int(x)))))
     if not labels:
         raise InvalidInputError("interval too short: no point has both double shifts")
     return ResidualReport(labels=tuple(labels), norms=tuple(norms))

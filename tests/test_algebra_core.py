@@ -134,12 +134,14 @@ def test_assoc_residual_matches_quadruple_oracle():
 
 
 def test_residual_report_invariants():
-    rep = ResidualReport(labels=("a", "b"), norms=(1.0, 0.0), integrals={"I1": 2.0})
+    rep = ResidualReport(labels=("a", "b"), norms=(1.0, 0.0))
     assert rep.max_norm() == 1.0
     assert rep.as_dict() == {"a": 1.0, "b": 0.0}
     with pytest.raises(InvalidInputError):
         ResidualReport(labels=("a",), norms=(1.0, 2.0))
     with pytest.raises(InvalidInputError):
         ResidualReport(labels=("a",), norms=(-1.0,))
+    with pytest.raises(InvalidInputError, match="residual 'b' is not a finite"):
+        ResidualReport(labels=("a", "b", "c"), norms=(1.0, np.nan, np.inf))
     with pytest.raises(InvalidInputError, match="'b' occurs more than once"):
         ResidualReport(labels=("a", "b", "b"), norms=(1.0, 2.0, 3.0))

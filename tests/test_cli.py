@@ -2,12 +2,16 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import deformcs
 from deformcs.cli import EXIT_INVALID, EXIT_OK, EXIT_SINGULAR, load_scenario, main
 from deformcs.errors import DeformError
 from deformcs.integrators import step_count
@@ -35,7 +39,8 @@ def test_flow_scenario_end_to_end(tmp_path, capsys):
     scenario = _write(tmp_path, "flow.json", FLOW_SCENARIO)
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out)]) == EXIT_OK
-    rows = list(csv.DictReader((out / "trajectory.csv").open()))
+    with (out / "trajectory.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["s"] == "1.0"
     assert float(rows[-1]["E"]) == pytest.approx(0.5, abs=1e-8)
     assert float(rows[-1]["x"]) == pytest.approx(math.e ** 2, rel=1e-9)
@@ -58,7 +63,8 @@ def test_map_scenario_reaches_fixed_point(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out), "--quiet"]) == EXIT_OK
-    rows = list(csv.DictReader((out / "orbit.csv").open()))
+    with (out / "orbit.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 11
     assert [rows[1][k] for k in ("E", "G", "M", "N")] == ["1.0", "0.0", "0.0", "1.0"]
     assert [rows[10][k] for k in ("E", "G", "M", "N")] == ["1.0", "0.0", "0.0", "1.0"]
@@ -119,16 +125,14 @@ def test_singular_run_exits_three_with_artifacts(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+_OVERFLOW_MAP = {"kind": "map", "dda": "L2b", "steps": 5,
+                 "initial": {"B": 1.0, "C": 0.5, "E": 1e200, "G": 1e200, "M": 1e200, "N": 1e200}}
+
+
 def test_map_step_to_non_finite_entries_exits_three_with_artifacts(tmp_path):
     # the first L2b step computes G M - E N = inf - inf: a numerical failure,
     # so the run is truncated (exit 3), not reported as bad input (exit 2)
-    scenario = _write(tmp_path, "nan.json", {
-        "kind": "map", "dda": "L2b",
-        "initial": {"B": 1.0, "C": 0.5, "E": 1e200, "G": 1e200, "M": 1e200, "N": 1e200},
-        "steps": 5,
-    })
+    scenario = _write(tmp_path, "nan.json", _OVERFLOW_MAP)
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out), "--quiet"]) == EXIT_SINGULAR
     report = _read_report(out)
@@ -136,6 +140,32 @@ def test_map_step_to_non_finite_entries_exits_three_with_artifacts(tmp_path):
     assert report["diagnostic"] == "state exceeded overflow guard at n=1"
     rows = list(csv.DictReader((out / "orbit.csv").read_text().splitlines()))
     assert [r["n"] for r in rows] == ["0"]
+
+
+def test_quiet_run_prints_nothing_when_invariants_overflow(tmp_path):
+    # the invariants of the 1e200 start overflow to inf in orbit.csv; numpy
+    # must not warn about that on stderr
+    scenario = _write(tmp_path, "nan.json", _OVERFLOW_MAP)
+    src = str(Path(deformcs.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "deformcs.cli", "run", str(scenario),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_SINGULAR, "", "")
+    assert "inf" in (tmp_path / "out" / "orbit.csv").read_text()
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_with_non_finite_residual_exits_two_naming_the_point(tmp_path, capsys):
+    small = {"C1": [[0.5, 0.2], [0.1, 0.4]], "C2": [[0.2, 0.3], [0.4, 0.1]]}
+    big = {"C1": [[1e200] * 2] * 2, "C2": [[1e200] * 2] * 2}
+    scenario = _write(tmp_path, "scan.json", {
+        "kind": "residual_scan", "dda": "L2b",
+        "field": {"dda": "L2b", "grid": [0.0, 1.0, 2.0, 3.0, 4.0],
+                  "values": [small, small, small, big, small]}})
+    assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "deform-cs: error: residual 'i=2' is not a finite nonnegative norm\n")
 
 
 def test_reduction_scenario(tmp_path):
@@ -148,7 +178,8 @@ def test_reduction_scenario(tmp_path):
     assert main(["run", str(scenario), "--out", str(out), "--quiet"]) == EXIT_OK
     report = _read_report(out)
     assert report["invariant_drift"]["I2_chazy"]["max_abs"] < 1e-8
-    rows = list(csv.DictReader((out / "trajectory.csv").open()))
+    with (out / "trajectory.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"t", "G", "G1", "G2", "I2_chazy"}
 
 
@@ -169,7 +200,8 @@ def test_residual_scan_scenario(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out), "--quiet"]) == EXIT_OK
-    rows = list(csv.DictReader((out / "residuals.csv").open()))
+    with (out / "residuals.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 3  # interior points only
     report = _read_report(out)
     assert len(report["residuals"]) == 3
@@ -203,7 +235,8 @@ def test_step_override(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out), "--step", "0.01",
                  "--quiet"]) == EXIT_OK
-    rows = list(csv.reader((out / "trajectory.csv").open()))
+    with (out / "trajectory.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) == 3  # header + states 0 and 100 of a 100-step run
 
 
@@ -300,6 +333,9 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
      "'grid' must be a list of numbers"),
     ({**_SCAN, "field": {**_FIELD, "values": [{"C1": [[10 ** 400]], "C2": [[0.0]]}] * 3}},
      "value 0 needs numeric matrices 'C1' and 'C2'"),
+    ({**_SCAN, "field": {**_FIELD, "values": _FIELD["values"][:1] + [
+        {"C1": [[0.5, 0.2], [0.1, 0.4]], "C2": [[0.2, None], [0.4, 0.1]]}] * 2}},
+     "values[1].C2 has a non-finite entry"),
 ])
 def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, named):
     scenario = _write(tmp_path, "bad.json", doc)

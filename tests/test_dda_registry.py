@@ -5,7 +5,8 @@ from deformcs.algebra_core import MatrixPair, tensor_from_pair
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import (TensorGrid, SampledField, assoc_defect_grid,
                                    coisotropic_bracket_defect, coisotropic_cs_residual,
-                                   cs_residual, discrete_cs_defect, discrete_cs_residual,
+                                   cs_residual, cs_residual_scan, discrete_cs_defect,
+                                   discrete_cs_residual,
                                    lookup, quantum_cs_parts, quantum_cs_residual)
 from deformcs.errors import (InvalidInputError, StencilRangeError, UnsupportedDDAError)
 
@@ -121,6 +122,48 @@ def test_stencil_out_of_range():
                 cs_residual(dda, fld, i)
 
 
+def _random_field(dda, n, npts=6):
+    rng = np.random.default_rng(21 + n)
+    names = "ABCDEGLMN" if n == 3 else "BCEGMN"
+    pairs = tuple(MatrixPair.from_entries(n, dict(zip(names, rng.uniform(-1, 1, len(names)))))
+                  for _ in range(npts))
+    grid = 0.7 + 0.05 * np.arange(npts) if dda in ("L2a", "L3") else np.arange(float(npts))
+    return SampledField(dda=dda, grid=grid, pairs=pairs)
+
+
+# The central systems of the module docstring, written out per point.
+_DEFECT_AT = {
+    "L2a": lambda P, x, h, i: (x[i] * (P[i + 1].C2 - P[i - 1].C2) / (2.0 * h)
+                               - (P[i].C2 @ P[i].C1 - P[i].C1 @ P[i].C2)),
+    "L3": lambda P, x, h, i: (P[i].C1 @ (P[i + 1].C1 - P[i - 1].C1) / (2.0 * h)
+                              - (P[i].C1 @ P[i].C2 - P[i].C2 @ P[i].C1)),
+    "L2b": lambda P, x, h, i: P[i].C1 @ P[i + 1].C2 - P[i].C2 @ P[i].C1,
+    "L4": lambda P, x, h, i: P[i].C1 @ P[i + 1].C2 - P[i].C2 @ P[i + 1].C1,
+    "L5": lambda P, x, h, i: P[i].C1 @ P[i + 1].C2 - P[i].C2 @ P[i - 1].C1,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dda", ["L2a", "L3", "L2b", "L4", "L5"])
+def test_whole_field_scan_matches_pointwise_residual(dda, n):
+    fld = _random_field(dda, n)
+    behind, ahead = lookup(dda).stencil_reach
+    interior = range(behind, len(fld.pairs) - ahead)
+    scan = cs_residual_scan(dda, fld)
+    assert scan.labels == tuple(f"i={i}" for i in interior)
+    assert scan.norms == tuple(cs_residual(dda, fld, i).norms[0] for i in interior)
+    for i, norm in zip(interior, scan.norms):
+        R = _DEFECT_AT[dda](fld.pairs, fld.grid, fld.spacing, i)
+        assert norm == pytest.approx(float(np.linalg.norm(R)), rel=1e-12)
+        assert norm > 1e-3   # a random field is far from any solution
+    short = SampledField(dda=dda, grid=fld.grid[:behind + ahead],
+                         pairs=fld.pairs[:behind + ahead])
+    with pytest.raises(StencilRangeError, match="no interior points"):
+        cs_residual_scan(dda, short)
+    with pytest.raises(UnsupportedDDAError):
+        cs_residual_scan("L1", SampledField(dda="L1", grid=fld.grid, pairs=fld.pairs))
+
+
 def test_l2b_residual_zero_iff_conjugation_holds():
     rng = np.random.default_rng(8)
     B, C = 1.1, 0.4
@@ -153,6 +196,8 @@ def test_sampled_field_json_roundtrip():
 
 def test_sampled_field_grid_validation():
     p = MatrixPair.from_entries_2x2()
+    with pytest.raises(InvalidInputError, match="all 2x2 or all 3x3"):
+        SampledField(dda="L2b", grid=np.arange(2.0), pairs=(p, MatrixPair.from_entries_3x3()))
     with pytest.raises(InvalidInputError):
         SampledField(dda="L2a", grid=np.array([1.0, 0.5]), pairs=(p, p))
     with pytest.raises(InvalidInputError):

@@ -282,20 +282,11 @@ def test_oriented_assoc_equals_commutator_checked_independently():
     assert len(rep.labels) > 0
     for label, norm in zip(rep.labels, rep.norms):
         x = float(label.split("=")[1])
-        assert norm == pytest.approx(assoc_residual(eval_family(fam, x)), abs=1e-12)
+        pair = eval_family(fam, x)
+        assert norm == pytest.approx(assoc_residual(pair), abs=1e-12)
+        assert np.allclose(oriented_assoc_defect(phi, xs, int(x)),
+                           pair.C1 @ pair.C2 - pair.C2 @ pair.C1, rtol=0.0, atol=1e-12)
         assert norm > 1e-3  # the cubic gauge field is genuinely non-iso-associative
-
-
-def test_oriented_assoc_diagonal_slots_vanish():
-    xs = np.arange(-4, 6)
-    phi = _phi_samples(GAUGE_CUBIC, xs)
-    R = oriented_assoc_defect(phi, xs, 0)
-    for j in range(3):
-        assert np.max(np.abs(R[j, j])) == 0.0
-    # pairs involving the unit direction commute as well
-    assert np.max(np.abs(R[0, 1])) < 1e-12
-    assert np.max(np.abs(R[0, 2])) < 1e-12
-    assert np.allclose(R[1, 2], -R[2, 1])
 
 
 def test_oriented_assoc_singular_gauge():
