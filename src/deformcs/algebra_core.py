@@ -51,6 +51,12 @@ ENTRY_POSITIONS_2 = {
 }
 
 
+def layout_close(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b agree entrywise to LAYOUT_ATOL; equal infinities agree, a NaN never does."""
+    with np.errstate(invalid="ignore"):   # inf - inf gives NaN; a == b decides that entry
+        return bool(np.all((a == b) | (np.abs(a - b) <= LAYOUT_ATOL)))
+
+
 def _as_matrix(m, n: int) -> np.ndarray:
     a = np.array(m, dtype=float)
     if a.shape != (n, n):
@@ -74,14 +80,14 @@ class MatrixPair:
         object.__setattr__(self, "C2", _as_matrix(self.C2, self.n))
         if self.n == 3:
             for mat, j in ((self.C1, 1), (self.C2, 2)):
-                if not np.allclose(mat[:, 0], _UNIT_COL[j], atol=LAYOUT_ATOL, rtol=0.0):
+                if not layout_close(mat[:, 0], _UNIT_COL[j]):
                     raise InvalidInputError(
                         f"column 0 of C{j} must be the unital column {_UNIT_COL[j]}"
                     )
             shared1, shared2 = self.C1[:, 2], self.C2[:, 1]
         else:
             shared1, shared2 = self.C1[:, 1], self.C2[:, 0]
-        if not np.allclose(shared1, shared2, atol=LAYOUT_ATOL, rtol=0.0):
+        if not layout_close(shared1, shared2):
             raise InvalidInputError(
                 f"shared P1P2 column disagrees between C1 and C2: {shared1} vs {shared2}"
             )
@@ -130,11 +136,10 @@ class StructTensor:
         a = np.array(self.c, dtype=float)
         if a.shape != (self.dim,) * 3:
             raise InvalidInputError(f"tensor shape must be {(self.dim,) * 3}, got {a.shape}")
-        if not np.allclose(a, np.swapaxes(a, 0, 1), atol=LAYOUT_ATOL, rtol=0.0):
+        if not layout_close(a, np.swapaxes(a, 0, 1)):
             raise InvalidInputError("structure constants must satisfy c[j][k][l] = c[k][j][l]")
         if self.unital:
-            eye = np.eye(self.dim)
-            if not np.allclose(a[:, 0, :], eye, atol=LAYOUT_ATOL, rtol=0.0):
+            if not layout_close(a[:, 0, :], np.eye(self.dim)):
                 raise InvalidInputError("unital tensor must satisfy c[j][0][l] = delta_j^l")
         a.setflags(write=False)
         object.__setattr__(self, "c", a)

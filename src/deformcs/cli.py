@@ -136,7 +136,7 @@ class ScenarioConfig:
         self.step = self._step()
         self.stride = self._stride()
         # surfaces missing-entry errors at validation time
-        state_from_entries(system, self.span[0], {**self.initial, **self.free})
+        state_from_entries(system, {**self.initial, **self.free})
 
     def _validate_map(self):
         dda = self._require(str, "dda")
@@ -263,9 +263,8 @@ def _trajectory_artifacts(traj: Trajectory, time_name: str, stride: int, out: Pa
 
 
 def _flow_artifacts(cfg: ScenarioConfig, out: Path):
-    initial = state_from_entries(cfg.system, cfg.span[0], {**cfg.initial, **cfg.free})
-    return _trajectory_artifacts(integrate(cfg.system, initial, cfg.span, cfg.step),
-                                 "s", cfg.stride, out)
+    traj = integrate(cfg.system, {**cfg.initial, **cfg.free}, cfg.span, cfg.step)
+    return _trajectory_artifacts(traj, "s", cfg.stride, out)
 
 
 def _map_artifacts(cfg: ScenarioConfig, out: Path):

@@ -167,8 +167,12 @@ def validate_family(fam: SolutionFamily, sample_points, h: float = 1e-4) -> Resi
         else:
             dda, step = ("L5", 1.0) if fam.id == "GaugeL5" else ("L2a", h)
             xs = (p - step, p, p + step)
-            fld = SampledField(dda=dda, grid=np.array(xs),
-                               pairs=tuple(eval_family(fam, x) for x in xs))
+            try:
+                fld = SampledField(dda=dda, grid=np.array(xs),
+                                   pairs=tuple(eval_family(fam, x) for x in xs))
+            except InvalidInputError as exc:   # p +- h collapsed onto p, or an inexact gauge solve
+                with_h = "" if dda == "L5" else f" with h={h}"
+                raise InvalidInputError(f"points: x={p}{with_h}: {exc}") from None
             norms.append(cs_residual(dda, fld, 1).norms[0])
     return ResidualReport(labels=tuple(labels), norms=tuple(norms))
 

@@ -23,67 +23,69 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, ENTRY_POSITIONS_3, MatrixPair,
-                           trace_integrals)
+from .algebra_core import DEGENERACY_TOL, trace_integrals
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
-# Each right-hand side maps the evolved entries y and the free entries p,
-# both in the system's declared order, to dy/ds in evolved order.
+Floats = tuple[float, ...]
+
+# Each right-hand side maps the evolved and the free entries, tuples of floats in the
+# declared order, to dy/ds; it uses no ** and no division, so an overflow gives inf.
 
 
-def _rhs_l2a_3x3(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _rhs_l2a_3x3(y: Floats, p: Floats) -> Floats:
     D, E, G, L, M, N = y
     A, B, C = p
-    return np.array([
+    return (
         D * B + L * C - A * E - D * G,
         M * C - E * G - D,
         G * B + N * C - C * E - G * G + A,
         D * E + L * G - A * M - D * N,
         E * E + M * G - B * M - E * N - L,
         G * E - C * M + D,
-    ])
+    )
 
 
-def _rhs_l2a_2x2(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _rhs_l2a_2x2(y: Floats, p: Floats) -> Floats:
     E, G, M, N = y
     B, C = p
-    return np.array([
+    return (
         M * C - E * G,
         G * B + N * C - C * E - G * G,
         E * E + M * G - B * M - E * N,
         G * E - C * M,
-    ])
+    )
 
 
-def _rhs_l3_detnorm(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _rhs_l3_detnorm(y: Floats, p: Floats) -> Floats:
     B, E, C, G = y
     M, N = p
-    if abs(B * G - C * E) < DEGENERACY_TOL:
-        raise SingularFlowError(f"det C1 = {B * G - C * E:.3e} is below tolerance")
-    return np.array([
+    det = B * G - C * E
+    if abs(det) < DEGENERACY_TOL:
+        raise SingularFlowError(f"det C1 = {det:.3e} is below tolerance")
+    return (
         E * B * G + E * N * C - G * M * C - C * E * E,
         G * B * M + G * E * N - E * C * M - M * G * G,
         B * C * E + B * G * G + M * C * C - C * E * G - B * N * C - G * B * B,
         C * M * G + C * E * E - C * E * N - B * G * E,
-    ])
+    )
 
 
-def _rhs_l3_unimodular(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _rhs_l3_unimodular(y: Floats, p: Floats) -> Floats:
     B, E, C, G = y
     M, N = p
     w = E * N - G * M
-    return np.array([
+    return (
         E + C * w,
         M + G * w,
         G - B + C * (M * C - B * N),
         -E - C * w,
-    ])
+    )
 
 
-def _rhs_l3_simple(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _rhs_l3_simple(y: Floats, p: Floats) -> Floats:
     B, E, C, G = y
-    return np.array([E, 0.0, G - B, -E])
+    return (E, 0.0, G - B, -E)
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,13 @@ class FlowSystem:
     free: tuple[str, ...]
     # the Lax matrix (C2 for L2a, C1 for L3) row by row: entry names or constants
     lax: tuple[str | float, ...]
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rhs: Callable[[Floats, Floats], Floats]
 
     def all_entries(self) -> tuple[str, ...]:
         return self.evolved + self.free
+
+    def split(self, state: Mapping[str, float]) -> tuple[Floats, Floats]:
+        return tuple(state[k] for k in self.evolved), tuple(state[k] for k in self.free)
 
 
 _LAX_C2_3 = (0.0, "D", "L", 0.0, "E", "M", 1.0, "G", "N")
@@ -125,36 +130,28 @@ def get_system(system_id: str) -> FlowSystem:
         raise InvalidInputError(f"unknown flow system {system_id!r}") from None
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """One point of a flow: the independent variable and the pair, free entries included."""
+def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str, float]:
+    """A flow state: the system's entries as floats, none missing, all finite.
 
-    s: float
-    pair: MatrixPair
-
-    def entries(self) -> dict[str, float]:
-        return self.pair.entries()
-
-
-def state_from_entries(system_id: str, s: float, entries: dict[str, float]) -> FlowState:
+    L3_simple is the M = N = 0 reduction, so its state carries M = N = 0.
+    """
     sy = get_system(system_id)
     missing = [k for k in sy.all_entries() if k not in entries]
     if missing:
         raise InvalidInputError(f"{system_id} state is missing entries {missing}")
-    full = dict(entries)
+    state = {k: float(entries[k]) for k in sy.all_entries()}
+    for k, v in state.items():
+        if not math.isfinite(v):
+            raise InvalidInputError(f"{system_id} entry {k!r} must be finite, got {v}")
     if sy.id == "L3_simple":
-        full["M"] = full["N"] = 0.0  # the system is the M = N = 0 reduction
-    names = ENTRY_POSITIONS_2 if sy.n == 2 else ENTRY_POSITIONS_3
-    pair = MatrixPair.from_entries(sy.n, {k: float(full.get(k, 0.0)) for k in names})
-    return FlowState(s=s, pair=pair)
+        state["M"] = state["N"] = 0.0
+    return state
 
 
-def vector_field(system_id: str, state: FlowState) -> dict[str, float]:
-    """d(entry)/ds for every evolved entry, at the given state."""
+def vector_field(system_id: str, entries: Mapping[str, float]) -> dict[str, float]:
+    """d(entry)/ds for every evolved entry, at the state given by ``entries``."""
     sy = get_system(system_id)
-    e = state.entries()
-    rhs = sy.rhs(np.array([e[k] for k in sy.evolved]), np.array([e[k] for k in sy.free]))
-    return dict(zip(sy.evolved, rhs.tolist()))
+    return dict(zip(sy.evolved, sy.rhs(*sy.split(state_from_entries(system_id, entries)))))
 
 
 # The invariants below take a mapping from entry names to values: floats for
@@ -197,9 +194,9 @@ def spectral_invariants(system_id: str, values: Mapping) -> np.ndarray:
     return np.take_along_axis(lam, order, axis=-1)
 
 
-def integrate(system_id: str, initial: FlowState, span: tuple[float, float],
+def integrate(system_id: str, initial: Mapping[str, float], span: tuple[float, float],
               step: float) -> Trajectory:
-    """Run the flow over ``span`` with fixed-step RK4, recording invariants.
+    """Run the flow from the entries ``initial`` over ``span`` with fixed-step RK4.
 
     The free entries of ``initial`` stay constant.  Singular
     configurations and the 1e12 overflow guard truncate the trajectory and
@@ -211,12 +208,9 @@ def integrate(system_id: str, initial: FlowState, span: tuple[float, float],
     sy = get_system(system_id)
     if span[1] < span[0]:
         raise InvalidInputError("span must be nonempty with s1 >= s0")
-    if initial.s != span[0]:
-        raise InvalidInputError("initial state must sit at the start of the span")
-    e = initial.entries()
-    p = np.array([e[k] for k in sy.free])
+    y0, p = sy.split(state_from_entries(system_id, initial))
     ts, ys, status, diagnostic = integrate_fixed(
-        lambda _t, y: sy.rhs(y, p), span[0], [e[k] for k in sy.evolved], span[1], step)
+        lambda _t, y: sy.rhs(y, p), span[0], y0, span[1], step)
 
     values = dict(zip(sy.evolved, ys.T))
     values.update((k, np.full(len(ts), v)) for k, v in zip(sy.free, p))

@@ -5,6 +5,9 @@ deterministic fourth-order error law of RK4, so no adaptive stepping is used.
 The requested span is divided into round(span/step) equal steps, which lands
 on the endpoint exactly and keeps step-halving comparisons clean.  No run
 takes more than MAX_STEPS steps; a longer one is rejected before it starts.
+
+A state is a tuple of floats, on which RK4 does the IEEE operations of its float64
+array form in the same order; the (steps + 1, k) array of states is made up front.
 """
 
 from __future__ import annotations
@@ -41,15 +44,6 @@ class Trajectory:
     diagnostic: str | None = None
 
 
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray],
-             t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def step_count(t0: float, t1: float, step: float) -> int:
     """Number of equal steps of about ``step`` from t0 to t1, at most MAX_STEPS."""
     if step <= 0.0:
@@ -60,34 +54,40 @@ def step_count(t0: float, t1: float, step: float) -> int:
     return max(1, round(n)) if t1 != t0 else 0
 
 
-def integrate_fixed(f: Callable[[float, np.ndarray], np.ndarray],
+def integrate_fixed(f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
                     t0: float, y0: Sequence[float], t1: float, step: float,
                     guard: float = OVERFLOW_GUARD):
-    """Integrate y' = f(t, y) from t0 to t1.
+    """Integrate y' = f(t, y) from t0 to t1; f takes and returns tuples of floats.
 
     Returns (ts, ys, status, diagnostic).  The run is truncated (not raised)
     when a right-hand-side evaluation hits a singularity (SingularFlowError,
-    ZeroDivisionError, FloatingPointError) or the state exceeds the guard;
-    ``ys`` then holds the states up to the last good point.  Any other error
-    in the right-hand side is a bug and propagates.
+    ZeroDivisionError, FloatingPointError) or an entry is NaN or above the
+    guard in size; ``ys`` then holds the states up to the last good point.
+    Any other error in the right-hand side is a bug and propagates.
     """
-    y = np.asarray(y0, dtype=float)
-    ts = [t0]
-    ys = [y.copy()]
     n = step_count(t0, t1, step)
-    if n == 0:
-        return np.array(ts), np.array(ys), STATUS_COMPLETED, None
-    h = (t1 - t0) / n
-    t = t0
-    for k in range(n):
+    y = tuple(float(v) for v in y0)
+    ys = np.empty((n + 1, len(y)))
+    ys[0] = y
+    h = (t1 - t0) / n if n else 0.0
+    half, sixth = 0.5 * h, h / 6.0
+    t, rows, diagnostic = t0, n + 1, None
+    for i in range(n):
         try:
-            y = rk4_step(f, t, y, h)
+            k1 = f(t, y)
+            k2 = f(t + half, tuple(a + half * b for a, b in zip(y, k1)))
+            k3 = f(t + half, tuple(a + half * b for a, b in zip(y, k2)))
+            k4 = f(t + h, tuple(a + h * b for a, b in zip(y, k3)))
         except (SingularFlowError, ZeroDivisionError, FloatingPointError) as exc:
-            return np.array(ts), np.array(ys), STATUS_TRUNCATED, f"{type(exc).__name__}: {exc}"
-        t = t0 + (k + 1) * h
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > guard:
-            return (np.array(ts), np.array(ys), STATUS_TRUNCATED,
-                    f"state exceeded overflow guard {guard:g} at t={t:.6g}")
-        ts.append(t)
-        ys.append(y.copy())
-    return np.array(ts), np.array(ys), STATUS_COMPLETED, None
+            rows, diagnostic = i + 1, f"{type(exc).__name__}: {exc}"
+            break
+        y = tuple(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+        t = t0 + (i + 1) * h
+        if not all(abs(v) <= guard for v in y):   # a NaN fails the test too
+            rows, diagnostic = i + 1, f"state exceeded overflow guard {guard:g} at t={t:.6g}"
+            break
+        ys[i + 1] = y
+    ts = np.concatenate(([t0], t0 + np.arange(1, rows) * h))   # keeps a t0 of -0.0
+    status = STATUS_COMPLETED if diagnostic is None else STATUS_TRUNCATED
+    return ts, ys[:rows], status, diagnostic

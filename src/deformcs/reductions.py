@@ -17,12 +17,14 @@ Three named reductions of the 2x2 and 3x3 Lax flows are implemented:
 
 Each reduction carries its conserved quantity and a reconstruction map
 back to full structure constants, so trajectories can be cross-checked
-against the matrix central systems they came from.
+against the matrix central systems they came from.  Each right-hand side maps
+a tuple of floats to a tuple, with no ** and no unguarded division.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import partial
 
 import numpy as np
 
@@ -109,7 +111,7 @@ def _chazy_system(variant: str):
 
         def f(_t, y):
             G, G1, G2 = y
-            return np.array([G1, G2, chazy_rhs(variant, G, G1, G2)])
+            return (G1, G2, chazy_rhs(variant, G, G1, G2))
 
         return cols, f
     if variant == "ChazyVII":
@@ -117,7 +119,7 @@ def _chazy_system(variant: str):
 
         def f(_t, y):
             G, G1, G2, B = y
-            return np.array([G1, G2, chazy_rhs(variant, G, G1, G2), G1 - 0.5 * B * B])
+            return (G1, G2, chazy_rhs(variant, G, G1, G2), G1 - 0.5 * B * B)
 
         return cols, f
     if variant == "ChazyIII":
@@ -128,8 +130,7 @@ def _chazy_system(variant: str):
             if abs(G) < 1e-9:
                 raise SingularFlowError("ChazyIII quadrature needs G bounded away from 0")
             dphi = (2.0 * G * G * G1 + G1 * G1 + 4.0 * G * G2 - 2.0 * G1 * phi) / G
-            return np.array([G1, G2, chazy_rhs(variant, G, G1, G2), dphi,
-                             phi - 0.5 * B * B])
+            return (G1, G2, chazy_rhs(variant, G, G1, G2), dphi, phi - 0.5 * B * B)
 
         return cols, f
     raise InvalidInputError(f"variant {variant!r} cannot be integrated directly")
@@ -158,11 +159,7 @@ def integrate_chazy(variant: str, initial: tuple[float, float, float],
                     phi0: float = 0.0, b0: float = 0.0) -> Trajectory:
     """Integrate one Chazy variant, recording the second integral per step."""
     cols, f = _chazy_system(variant)
-    y0 = list(initial)
-    if variant == "ChazyVII":
-        y0.append(b0)
-    elif variant == "ChazyIII":
-        y0.extend([phi0, b0])
+    y0 = tuple(initial) + {"ChazyVII": (b0,), "ChazyIII": (phi0, b0)}.get(variant, ())
     ts, ys, status, diagnostic = integrate_fixed(f, span[0], y0, span[1], step)
     i2 = []
     for row in ys:
@@ -178,6 +175,11 @@ def integrate_chazy(variant: str, initial: tuple[float, float, float],
 # Boussinesq-type reduction of the 3x3 flow (B = 0, C = 1, G = 0).
 # ---------------------------------------------------------------------------
 
+def _boussinesq_rhs(alpha: float, beta: float, _t, y):
+    E, E1 = y
+    return (E1, 6.0 * E * E - 4.0 * alpha * E - beta)
+
+
 def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float,
                                   gamma: float):
     """E'' plus the companion 3x3 entries and the three first integrals.
@@ -185,7 +187,7 @@ def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float
     The companion N entry is alpha - E (the value that keeps I1 = tr C2 equal
     to alpha and closes the six-equation system).
     """
-    e2 = 6.0 * E * E - 4.0 * alpha * E - beta
+    e2 = _boussinesq_rhs(alpha, beta, 0.0, (E, E1))[1]
     entries = {
         "A": 2.0 * E - alpha, "B": 0.0, "C": 1.0,
         "D": gamma - 0.5 * E1, "E": E, "G": 0.0,
@@ -208,10 +210,8 @@ def boussinesq_pair(E: float, E1: float, alpha: float, beta: float, gamma: float
 
 def integrate_boussinesq(initial: tuple[float, float], alpha: float, beta: float,
                          gamma: float, span: tuple[float, float], step: float) -> Trajectory:
-    def f(_t, y):
-        return np.array([y[1], 6.0 * y[0] * y[0] - 4.0 * alpha * y[0] - beta])
-
-    ts, ys, status, diagnostic = integrate_fixed(f, span[0], initial, span[1], step)
+    ts, ys, status, diagnostic = integrate_fixed(partial(_boussinesq_rhs, alpha, beta),
+                                                 span[0], initial, span[1], step)
     i3 = np.array([
         boussinesq_rhs_and_companions(E, E1, alpha, beta, gamma)[2]["I3"]
         for E, E1 in ys
@@ -224,6 +224,11 @@ def integrate_boussinesq(initial: tuple[float, float], alpha: float, beta: float
 # Elliptic reduction of the unimodular L3 flow (M = 0, N = 1, B + G = 0).
 # ---------------------------------------------------------------------------
 
+def _elliptic_rhs(_t, y):   # (B', E', C') does not depend on alpha
+    B, E, C = y
+    return ((1.0 + C) * E, -B * E, -(2.0 + C) * B)
+
+
 def elliptic_system(B: float, E: float, C: float, alpha: float):
     """Derivatives (B', E', C') and the two invariant residuals of the reduction.
 
@@ -231,7 +236,7 @@ def elliptic_system(B: float, E: float, C: float, alpha: float):
     with E' = -B E; r2 is B^2 + C E + 1, the det C1 = 1 constraint (the
     second integral of the flow equals -1 on this reduction).
     """
-    derivs = ((1.0 + C) * E, -B * E, -(2.0 + C) * B)
+    derivs = _elliptic_rhs(0.0, (B, E, C))
     e1 = -B * E
     r1 = e1 * e1 + alpha * E ** 4 - 2.0 * E ** 3 + E * E
     r2 = B * B + C * E + 1.0
@@ -248,15 +253,7 @@ def elliptic_point(E: float, alpha: float, branch: float = 1.0) -> tuple[float, 
 
 def integrate_elliptic(initial: tuple[float, float, float], alpha: float,
                        span: tuple[float, float], step: float) -> Trajectory:
-    def f(_t, y):
-        (dB, dE, dC), _ = elliptic_system(y[0], y[1], y[2], alpha)
-        return np.array([dB, dE, dC])
-
-    ts, ys, status, diagnostic = integrate_fixed(f, span[0], initial, span[1], step)
-    r1 = np.empty(len(ys))
-    r2 = np.empty(len(ys))
-    for i, (B, E, C) in enumerate(ys):
-        _, (a, b) = elliptic_system(B, E, C, alpha)
-        r1[i], r2[i] = a, b
+    ts, ys, status, diagnostic = integrate_fixed(_elliptic_rhs, span[0], initial, span[1], step)
+    r1, r2 = np.array([elliptic_system(B, E, C, alpha)[1] for B, E, C in ys]).T
     return Trajectory(kind="Elliptic", ts=ts, states=ys, columns=("B", "E", "C"),
                       invariants={"r1": r1, "r2": r2}, status=status, diagnostic=diagnostic)

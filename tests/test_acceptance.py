@@ -58,8 +58,8 @@ def test_criterion_02_first_integral_values():
         want = family_integrals(fam)
         assert want["I1"] == a and want["I2"] == g + 0.5 * a * a
         for x in (2.0, math.e):
-            st = state_from_entries("L2a_2x2", math.log(x), eval_family(fam, x).entries())
-            got = first_integrals("L2a_2x2", st.entries())
+            st = state_from_entries("L2a_2x2", eval_family(fam, x).entries())
+            got = first_integrals("L2a_2x2", st)
             for k in want:
                 assert abs(got[k] - want[k]) <= 1e-12
         a, b, g, dd, mu = rng.uniform(-1.5, 1.5, size=5)
@@ -69,8 +69,8 @@ def test_criterion_02_first_integral_values():
         assert want3["I3"] == pytest.approx(
             ((a + b) ** 3 - b ** 3) / 3 + (a + b) * (mu + b * (a + 2 * b)) - g * dd, abs=1e-14)
         for x in (2.0, math.e):
-            st = state_from_entries("L2a_3x3", math.log(x), eval_family(fam3, x).entries())
-            got3 = first_integrals("L2a_3x3", st.entries())
+            st = state_from_entries("L2a_3x3", eval_family(fam3, x).entries())
+            got3 = first_integrals("L2a_3x3", st)
             for k in want3:
                 assert abs(got3[k] - want3[k]) <= 1e-12
     _report(2, "family integral formulas hold to 1e-12 over 100 random draws")
@@ -90,12 +90,12 @@ def test_criterion_03_conservation_under_flow():
     for _ in range(6):
         e = {k: rng.uniform(-0.6, 0.6) for k in ("E", "G", "M", "N")}
         e.update({k: rng.uniform(-0.8, 0.8) for k in ("B", "C")})
-        traj = integrate("L2a_2x2", state_from_entries("L2a_2x2", 0.0, e), (0.0, 1.0), 1e-3)
+        traj = integrate("L2a_2x2", state_from_entries("L2a_2x2", e), (0.0, 1.0), 1e-3)
         assert traj.status == "completed" and _drifts(traj) <= 1e-8
     for _ in range(6):
         e = {k: rng.uniform(-0.5, 0.5) for k in ("D", "E", "G", "L", "M", "N")}
         e.update({k: rng.uniform(-0.6, 0.6) for k in ("A", "B", "C")})
-        traj = integrate("L2a_3x3", state_from_entries("L2a_3x3", 0.0, e), (0.0, 1.0), 1e-3)
+        traj = integrate("L2a_3x3", state_from_entries("L2a_3x3", e), (0.0, 1.0), 1e-3)
         assert traj.status == "completed" and _drifts(traj) <= 1e-8
     for _ in range(6):
         while True:
@@ -103,7 +103,7 @@ def test_criterion_03_conservation_under_flow():
             if abs(e["B"] * e["G"] - e["C"] * e["E"]) > 0.2:
                 break
         e.update({k: rng.uniform(-0.5, 0.5) for k in ("M", "N")})
-        traj = integrate("L3_detnorm", state_from_entries("L3_detnorm", 0.0, e),
+        traj = integrate("L3_detnorm", state_from_entries("L3_detnorm", e),
                          (0.0, 1.0), 1e-3)
         assert traj.status == "completed" and _drifts(traj) <= 1e-8
     _report(3, "trace integrals and spectra conserved to 1e-8 on random flows")

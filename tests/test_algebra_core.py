@@ -42,6 +42,29 @@ def test_pair_layout_validation():
         MatrixPair(4, np.eye(4), np.eye(4))
 
 
+@pytest.mark.filterwarnings("error")
+def test_layout_check_accepts_equal_infinities():
+    inf = math.inf
+    p = MatrixPair(2, [[1.0, inf], [0.5, -inf]], [[inf, 0.2], [-inf, 0.3]])
+    assert p.C1[:, 1].tolist() == p.C2[:, 0].tolist() == [inf, -inf]
+    t = StructTensor(2, False, [[[inf, 0.0], [1.0, 2.0]], [[1.0, 2.0], [0.0, 1.0]]])
+    assert t.c[0, 0, 0] == inf
+    with pytest.raises(InvalidInputError, match="shared P1P2 column"):
+        MatrixPair(2, [[1.0, inf], [0.5, 0.0]], [[-inf, 0.2], [0.0, 0.3]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_layout_check_rejects_nan():
+    nan = math.nan
+    with pytest.raises(InvalidInputError, match="shared P1P2 column"):
+        MatrixPair(2, [[1.0, nan], [0.5, 0.0]], [[nan, 0.2], [0.0, 0.3]])
+    with pytest.raises(InvalidInputError, match="unital column"):
+        MatrixPair(3, [[nan, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                   [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="must satisfy c"):
+        StructTensor(2, False, [[[1.0, 0.0], [nan, 2.0]], [[nan, 2.0], [0.0, 1.0]]])
+
+
 def test_tensor_from_pair_unital_trivial():
     t = tensor_from_pair(MatrixPair.from_entries_3x3(), unital=True)
     expected = np.zeros((3, 3, 3))

@@ -142,17 +142,29 @@ def test_map_step_to_non_finite_entries_exits_three_with_artifacts(tmp_path):
     assert [r["n"] for r in rows] == ["0"]
 
 
+def _run_quiet(out, scenario):
+    """(exit code, stdout, stderr) of ``deform-cs run --quiet`` in a fresh interpreter."""
+    src = str(Path(deformcs.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "deformcs.cli", "run", str(scenario), "--out", str(out), "--quiet"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_quiet_run_prints_nothing_when_invariants_overflow(tmp_path):
     # the invariants of the 1e200 start overflow to inf in orbit.csv; numpy
     # must not warn about that on stderr
     scenario = _write(tmp_path, "nan.json", _OVERFLOW_MAP)
-    src = str(Path(deformcs.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "deformcs.cli", "run", str(scenario),
-         "--out", str(tmp_path / "out"), "--quiet"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_SINGULAR, "", "")
+    assert _run_quiet(tmp_path / "out", scenario) == (EXIT_SINGULAR, "", "")
     assert "inf" in (tmp_path / "out" / "orbit.csv").read_text()
+    # a huge step overflows the first RK4 stages to inf and NaN: the run stops
+    # at the guard, with no OverflowError from the right-hand side and no warning
+    scenario = _write(tmp_path, "huge_step.json", {
+        "kind": "reduction", "reduction": "Elliptic", "initial": {"B": 1, "E": 1, "C": -2},
+        "params": {"alpha": 0}, "span": [0, 1e300], "step": 1e299})
+    assert _run_quiet(tmp_path / "elliptic", scenario) == (EXIT_SINGULAR, "", "")
+    assert _read_report(tmp_path / "elliptic")["diagnostic"] == (
+        "state exceeded overflow guard 1e+12 at t=1e+299")
 
 
 @pytest.mark.filterwarnings("error")
@@ -336,6 +348,12 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({**_SCAN, "field": {**_FIELD, "values": _FIELD["values"][:1] + [
         {"C1": [[0.5, 0.2], [0.1, 0.4]], "C2": [[0.2, None], [0.4, 0.1]]}] * 2}},
      "values[1].C2 has a non-finite entry"),
+    ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [1e13], "h": 1e-4,
+      "params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0}},
+     "points: x=10000000000000.0 with h=0.0001: "),
+    ({"kind": "validate_family", "family": "GaugeL5", "points": [1234567.3],
+      "params": {"phi0": [1.0, 0.2], "phi1": [0.0, 1.0, 0.1], "phi2": [0.5, 0.0, 1.0]}},
+     "points: x=1234567.3: "),
 ])
 def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, named):
     scenario = _write(tmp_path, "bad.json", doc)

@@ -180,9 +180,8 @@ def test_family_integrals_values():
 def test_family_integrals_match_flow_integrals_pointwise(family, system, points):
     want = family_integrals(family)
     for x in points:
-        st = state_from_entries(system, 1.0 if system != "L3_simple" else x,
-                                eval_family(family, x).entries())
-        got = first_integrals(system, st.entries())
+        st = state_from_entries(system, eval_family(family, x).entries())
+        got = first_integrals(system, st)
         for k, v in want.items():
             if k in got:
                 assert got[k] == pytest.approx(v, abs=1e-12), (k, x)

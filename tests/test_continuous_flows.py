@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from deformcs.algebra_core import MatrixPair
 from deformcs.continuous_flows import (first_integrals, integrate, spectral_invariants,
                                        state_from_entries, vector_field)
 from deformcs.closed_forms import SolutionFamily, eval_family
@@ -12,8 +14,8 @@ from deformcs.integrators import integrate_fixed
 from _oracles import commuting_2x2_pair
 
 
-def _state(system, s, **entries):
-    return state_from_entries(system, s, entries)
+def _state(system, **entries):
+    return state_from_entries(system, entries)
 
 
 def _row(traj, i):
@@ -26,13 +28,13 @@ def _row(traj, i):
 # ---------------------------------------------------------------------------
 
 def test_vector_field_l2a_2x2_example():
-    st = _state("L2a_2x2", 0.0, B=0, C=0, E=1, G=1, M=-1, N=-1)
+    st = _state("L2a_2x2", B=0, C=0, E=1, G=1, M=-1, N=-1)
     assert vector_field("L2a_2x2", st) == {"E": -1.0, "G": -1.0, "M": 1.0, "N": 1.0}
 
 
 def test_vector_field_l3_simple_example():
     beta, alpha, delta, gamma = 0.4, 1.0, -0.2, 0.9
-    st = _state("L3_simple", 0.0, B=beta, E=alpha, C=delta, G=gamma)
+    st = _state("L3_simple", B=beta, E=alpha, C=delta, G=gamma)
     assert vector_field("L3_simple", st) == {
         "B": alpha, "E": 0.0, "C": gamma - beta, "G": -alpha}
 
@@ -52,7 +54,7 @@ def test_stationary_commuting_point_is_fixed(system):
             if abs(e["B"] * e["G"] - e["C"] * e["E"]) > 0.05:
                 break
         entries = pair.entries()
-    st = state_from_entries(system, 0.0, entries)
+    st = state_from_entries(system, entries)
     rhs = vector_field(system, st)
     assert max(abs(v) for v in rhs.values()) < 1e-13
     traj = integrate(system, st, (0.0, 0.5), 1e-2)
@@ -65,18 +67,34 @@ def test_stationary_commuting_point_is_fixed(system):
 def test_l2a_3x3_rhs_matches_lax_bracket():
     rng = np.random.default_rng(22)
     e = {k: rng.uniform(-1, 1) for k in ("A", "B", "C", "D", "E", "G", "L", "M", "N")}
-    st = state_from_entries("L2a_3x3", 0.0, e)
+    st = state_from_entries("L2a_3x3", e)
     rhs = vector_field("L2a_3x3", st)
-    bracket = st.pair.C2 @ st.pair.C1 - st.pair.C1 @ st.pair.C2
+    pair = MatrixPair.from_entries(3, st)
+    bracket = pair.C2 @ pair.C1 - pair.C1 @ pair.C2
     # C2 entry positions: D (0,1), L (0,2), E (1,1), M (1,2), G (2,1), N (2,2)
     pos = {"D": (0, 1), "L": (0, 2), "E": (1, 1), "M": (1, 2), "G": (2, 1), "N": (2, 2)}
     for name, (r, c) in pos.items():
         assert rhs[name] == pytest.approx(bracket[r, c], abs=1e-14)
 
 
+@pytest.mark.parametrize("entries, named", [
+    (dict(B=0, C=0, E=1, G=1, M=-1), "missing entries ['N']"),
+    (dict(B=0, C=0, E=math.inf, G=1, M=-1, N=-1), "entry 'E' must be finite"),
+    (dict(B=0, C=math.nan, E=1, G=1, M=-1, N=-1), "entry 'C' must be finite"),
+])
+def test_state_rejects_missing_or_non_finite_entries_by_name(entries, named):
+    with pytest.raises(InvalidInputError, match=re.escape(named)):
+        state_from_entries("L2a_2x2", entries)
+
+
+def test_l3_simple_state_is_the_m_n_zero_case():
+    st = state_from_entries("L3_simple", dict(B=1, E=2, C=3, G=4, M=5))
+    assert st == {"B": 1.0, "E": 2.0, "C": 3.0, "G": 4.0, "M": 0.0, "N": 0.0}
+
+
 def test_unknown_system_rejected():
     with pytest.raises(InvalidInputError):
-        vector_field("L9_2x2", _state("L2a_2x2", 0.0, B=0, C=0, E=0, G=0, M=0, N=0))
+        vector_field("L9_2x2", _state("L2a_2x2", B=0, C=0, E=0, G=0, M=0, N=0))
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +102,8 @@ def test_unknown_system_rejected():
 # ---------------------------------------------------------------------------
 
 def test_first_integrals_2x2_example():
-    st = _state("L2a_2x2", 0.0, B=0, C=0, E=1, G=2, M=3, N=4)
-    ints = first_integrals("L2a_2x2", st.entries())
+    st = _state("L2a_2x2", B=0, C=0, E=1, G=2, M=3, N=4)
+    ints = first_integrals("L2a_2x2", st)
     assert ints["I1"] == 5.0
     assert ints["I2"] == 14.5
 
@@ -94,8 +112,8 @@ def test_first_integrals_nilpotent_family():
     fam = SolutionFamily("Nilpotent2x2", {"alpha": 0.7, "beta": -0.4, "gamma": 0.9})
     for x in (2.0, 5.0):
         pair = eval_family(fam, x)
-        st = state_from_entries("L2a_2x2", math.log(x), pair.entries())
-        ints = first_integrals("L2a_2x2", st.entries())
+        st = state_from_entries("L2a_2x2", pair.entries())
+        ints = first_integrals("L2a_2x2", st)
         assert ints["I1"] == pytest.approx(0.7, abs=1e-12)
         assert ints["I2"] == pytest.approx(0.9 + 0.5 * 0.7 ** 2, abs=1e-12)
 
@@ -106,15 +124,15 @@ def test_first_integrals_poly_l3_family():
     fam = SolutionFamily("PolyL3", {"alpha": a, "beta": b, "gamma": g, "delta": d})
     for y in (-1.0, 0.0, 2.0):
         pair = eval_family(fam, y)
-        st = state_from_entries("L3_simple", y, pair.entries())
-        ints = first_integrals("L3_simple", st.entries())
+        st = state_from_entries("L3_simple", pair.entries())
+        ints = first_integrals("L3_simple", st)
         assert ints["I1"] == pytest.approx(b + g, abs=1e-12)
         assert ints["I2"] == pytest.approx(0.5 * (b * b + g * g + 2 * a * d), abs=1e-12)
 
 
 def test_spectral_invariants_quadratic_formula():
-    st = _state("L2a_2x2", 0.0, B=0, C=0, E=1, G=2, M=3, N=4)
-    lam = spectral_invariants("L2a_2x2", st.entries())
+    st = _state("L2a_2x2", B=0, C=0, E=1, G=2, M=3, N=4)
+    lam = spectral_invariants("L2a_2x2", st)
     expect = sorted([(5 - math.sqrt(33)) / 2, (5 + math.sqrt(33)) / 2])
     assert lam[0].real == pytest.approx(expect[0], abs=1e-14)
     assert lam[1].real == pytest.approx(expect[1], abs=1e-14)
@@ -125,16 +143,16 @@ def test_spectral_invariants_nilpotent_family():
     a, g = 0.6, 0.3
     fam = SolutionFamily("Nilpotent2x2", {"alpha": a, "beta": 1.0, "gamma": g})
     pair = eval_family(fam, 3.0)
-    st = state_from_entries("L2a_2x2", math.log(3.0), pair.entries())
-    lam = spectral_invariants("L2a_2x2", st.entries())
+    st = state_from_entries("L2a_2x2", pair.entries())
+    lam = spectral_invariants("L2a_2x2", st)
     root = math.sqrt(a * a + 4 * g)
     assert lam[0].real == pytest.approx(0.5 * (a - root), abs=1e-12)
     assert lam[1].real == pytest.approx(0.5 * (a + root), abs=1e-12)
 
 
 def test_spectral_double_eigenvalue():
-    st = _state("L2a_2x2", 0.0, B=0, C=0, E=2, G=0, M=3, N=2)  # E = N, GM = 0
-    lam = spectral_invariants("L2a_2x2", st.entries())
+    st = _state("L2a_2x2", B=0, C=0, E=2, G=0, M=3, N=2)  # E = N, GM = 0
+    lam = spectral_invariants("L2a_2x2", st)
     assert lam.tolist() == [(2 + 0j), (2 + 0j)]
 
 
@@ -142,9 +160,9 @@ def test_det_trace_identity_2x2():
     rng = np.random.default_rng(23)
     for _ in range(20):
         e = {k: rng.uniform(-2, 2) for k in ("B", "C", "E", "G", "M", "N")}
-        st = state_from_entries("L2a_2x2", 0.0, e)
-        ints = first_integrals("L2a_2x2", st.entries())
-        det = float(np.linalg.det(st.pair.C2))
+        st = state_from_entries("L2a_2x2", e)
+        ints = first_integrals("L2a_2x2", st)
+        det = float(np.linalg.det(MatrixPair.from_entries(2, st).C2))
         assert det == pytest.approx(0.5 * ints["I1"] ** 2 - ints["I2"], abs=1e-12)
 
 
@@ -153,7 +171,7 @@ def test_det_trace_identity_2x2():
 # ---------------------------------------------------------------------------
 
 def test_integrate_matches_nilpotent_closed_form():
-    st = _state("L2a_2x2", 1.0, B=0, C=0, E=1, G=1, M=-1, N=-1)  # Eq. 51 at x = e
+    st = _state("L2a_2x2", B=0, C=0, E=1, G=1, M=-1, N=-1)  # Eq. 51 at x = e
     traj = integrate("L2a_2x2", st, (1.0, 2.0), 1e-3)
     end = _row(traj, -1)
     assert end["E"] == pytest.approx(0.5, abs=1e-8)
@@ -166,7 +184,7 @@ def test_integrate_matches_nilpotent_closed_form():
 def test_integrate_l3_simple_matches_polynomial_solution():
     a, b, g = 0.8, 1.3, 1.0
     d = (b * g - 1.0) / a
-    st = _state("L3_simple", 0.0, B=b, E=a, C=d, G=g)
+    st = _state("L3_simple", B=b, E=a, C=d, G=g)
     traj = integrate("L3_simple", st, (0.0, 0.7), 1e-3)
     fam = SolutionFamily("PolyL3", {"alpha": a, "beta": b, "gamma": g, "delta": d})
     want = eval_family(fam, 0.7).entries()
@@ -177,7 +195,7 @@ def test_integrate_l3_simple_matches_polynomial_solution():
 
 def test_order_four_convergence():
     # global error against the Eq. 51 closed form scales as step^4
-    st = _state("L2a_2x2", 1.0, B=0, C=0, E=1, G=1, M=-1, N=-1)
+    st = _state("L2a_2x2", B=0, C=0, E=1, G=1, M=-1, N=-1)
     exact = {"E": 0.5, "G": 0.5, "M": -0.5, "N": -0.5}
     errs = []
     for step in (0.1, 0.05):
@@ -192,7 +210,7 @@ def test_conservation_along_random_trajectory():
     rng = np.random.default_rng(24)
     e = {k: rng.uniform(-0.6, 0.6) for k in ("E", "G", "M", "N")}
     e.update({k: rng.uniform(-0.8, 0.8) for k in ("B", "C")})
-    traj = integrate("L2a_2x2", state_from_entries("L2a_2x2", 0.0, e), (0.0, 1.0), 1e-3)
+    traj = integrate("L2a_2x2", state_from_entries("L2a_2x2", e), (0.0, 1.0), 1e-3)
     assert traj.status == "completed"
     for k in ("I1", "I2"):
         ref = traj.invariants[k][0]
@@ -212,7 +230,7 @@ def test_l3_unimodular_keeps_det_one():
     for k in ("B", "C", "E", "G"):
         e[k] *= s
     e.update({"M": 0.3, "N": -0.4})
-    traj = integrate("L3_unimodular", state_from_entries("L3_unimodular", 0.0, e),
+    traj = integrate("L3_unimodular", state_from_entries("L3_unimodular", e),
                      (0.0, 1.0), 1e-3)
     v = dict(zip(traj.columns, traj.states.T))
     assert np.all(np.abs(v["B"] * v["G"] - v["C"] * v["E"] - 1.0) < 1e-8)
@@ -220,8 +238,8 @@ def test_l3_unimodular_keeps_det_one():
 
 def test_shift_invariance_of_autonomous_flow():
     e = dict(B=0.2, C=-0.3, E=0.4, G=0.5, M=-0.1, N=0.3)
-    t1 = integrate("L2a_2x2", state_from_entries("L2a_2x2", 0.0, e), (0.0, 1.0), 1e-2)
-    t2 = integrate("L2a_2x2", state_from_entries("L2a_2x2", 5.0, e), (5.0, 6.0), 1e-2)
+    t1 = integrate("L2a_2x2", state_from_entries("L2a_2x2", e), (0.0, 1.0), 1e-2)
+    t2 = integrate("L2a_2x2", state_from_entries("L2a_2x2", e), (5.0, 6.0), 1e-2)
     assert t1.columns[0] == "x"
     assert len(t1.ts) == len(t2.ts)
     assert np.all(np.abs(t2.ts - (t1.ts + 5.0)) <= 1e-12)
@@ -230,7 +248,7 @@ def test_shift_invariance_of_autonomous_flow():
 
 def test_singular_l3_flow_truncates():
     e = dict(B=1.0, C=1.0, E=1.0, G=1.0, M=0.5, N=0.5)  # det C1 = 0
-    traj = integrate("L3_detnorm", state_from_entries("L3_detnorm", 0.0, e), (0.0, 1.0), 1e-2)
+    traj = integrate("L3_detnorm", state_from_entries("L3_detnorm", e), (0.0, 1.0), 1e-2)
     assert traj.status == "truncated"
     assert traj.diagnostic == "SingularFlowError: det C1 = 0.000e+00 is below tolerance"
     assert len(traj.states) == 1
@@ -247,20 +265,20 @@ def test_rhs_bug_propagates_instead_of_truncating():
 def test_blowup_truncates_with_diagnostic():
     # G' = -G^2 from G(0) = -3 has a pole at s = 1/3
     e = dict(B=0.0, C=0.0, E=0.0, G=-3.0, M=0.0, N=0.0)
-    traj = integrate("L2a_2x2", state_from_entries("L2a_2x2", 0.0, e), (0.0, 1.0), 1e-3)
+    traj = integrate("L2a_2x2", state_from_entries("L2a_2x2", e), (0.0, 1.0), 1e-3)
     assert traj.status == "truncated"
     assert "overflow" in traj.diagnostic
     assert traj.ts[-1] < 1.0
 
 
 def test_empty_span_gives_single_state():
-    st = _state("L2a_2x2", 0.0, B=0, C=0, E=1, G=1, M=-1, N=-1)
+    st = _state("L2a_2x2", B=0, C=0, E=1, G=1, M=-1, N=-1)
     traj = integrate("L2a_2x2", st, (0.0, 0.0), 1e-3)
     assert len(traj.states) == 1
 
 
 def test_free_entries_stay_constant():
-    st = _state("L2a_2x2", 0.0, B=1.0, C=1.0, E=0.3, G=0.2, M=0.1, N=-0.2)
+    st = _state("L2a_2x2", B=1.0, C=1.0, E=0.3, G=0.2, M=0.1, N=-0.2)
     traj = integrate("L2a_2x2", st, (0.0, 0.5), 1e-2)
     assert traj.columns == ("x", "E", "G", "M", "N", "B", "C")
     assert np.all(traj.states[:, 5:] == 1.0)

@@ -350,7 +350,7 @@ def test_l3_trajectory_satisfies_its_central_system():
 
     e = dict(B=1.1, C=0.4, E=0.3, G=1.2, M=0.2, N=-0.3)
     det = e["B"] * e["G"] - e["C"] * e["E"]
-    traj = integrate("L3_detnorm", state_from_entries("L3_detnorm", 0.0, e),
+    traj = integrate("L3_detnorm", state_from_entries("L3_detnorm", e),
                      (0.0, 0.2), 1e-3)
     assert traj.status == "completed"
     # x = y det C1 turns the uniform y-grid into a uniform x-grid

@@ -122,8 +122,8 @@ def test_second_integral_equals_twice_matrix_integral():
         i2 = chazy_second_integral(G, G1, G2, phi, "Generic")
         matrix_i2 = e["E"] ** 2 + e["M"] * e["G"]
         assert i2 == pytest.approx(2.0 * matrix_i2, rel=1e-10, abs=1e-12)
-        st = state_from_entries("L2a_2x2", 0.0, e)
-        lam = sorted(z.real for z in spectral_invariants("L2a_2x2", st.entries()))
+        st = state_from_entries("L2a_2x2", e)
+        lam = sorted(z.real for z in spectral_invariants("L2a_2x2", st))
         want = sorted(z.real for z in chazy_eigenvalues(i2))
         if i2 >= 0:
             assert lam[0] == pytest.approx(want[0], abs=1e-10)
@@ -197,8 +197,8 @@ def test_boussinesq_companions_satisfy_3x3_flow():
 def test_boussinesq_i1_i2_exact_constants():
     alpha, beta = 0.4, 0.8
     st = state_from_entries("L2a_3x3",
-                            0.0, boussinesq_rhs_and_companions(0.7, 0.2, alpha, beta, 0.1)[1])
-    ints = first_integrals("L2a_3x3", st.entries())
+                            boussinesq_rhs_and_companions(0.7, 0.2, alpha, beta, 0.1)[1])
+    ints = first_integrals("L2a_3x3", st)
     assert ints["I1"] == pytest.approx(alpha, abs=1e-14)
     assert ints["I2"] == pytest.approx(0.5 * (beta + alpha * alpha), abs=1e-14)
 
@@ -241,8 +241,8 @@ def test_elliptic_preserves_b_plus_g_constraint():
     for B, E, C in traj.states[:: 50]:
         pair = MatrixPair.from_entries_2x2(B=B, C=C, E=E, G=-B, M=0.0, N=1.0)
         assert abs(B * (-B) - C * E - 1.0) < 1e-8
-        st = state_from_entries("L3_unimodular", 0.0, pair.entries())
-        ints = first_integrals("L3_unimodular", st.entries())
+        st = state_from_entries("L3_unimodular", pair.entries())
+        ints = first_integrals("L3_unimodular", st)
         assert ints["I1"] == pytest.approx(0.0, abs=1e-12)
         assert ints["I2"] == pytest.approx(-1.0, abs=1e-8)
 
@@ -259,8 +259,8 @@ def test_boussinesq_i1_i2_bit_stable_along_trajectory():
         assert (ints["I1"], ints["I2"]) == ref
         # the matrix-trace route reconstructs them up to float cancellation
         st = state_from_entries(
-            "L2a_3x3", 0.0, boussinesq_rhs_and_companions(E, E1, alpha, beta, gamma)[1])
-        matrix_ints = first_integrals("L2a_3x3", st.entries())
+            "L2a_3x3", boussinesq_rhs_and_companions(E, E1, alpha, beta, gamma)[1])
+        matrix_ints = first_integrals("L2a_3x3", st)
         assert matrix_ints["I1"] == pytest.approx(ref[0], abs=1e-14)
         assert matrix_ints["I2"] == pytest.approx(ref[1], abs=1e-14)
 
