@@ -53,8 +53,46 @@ ENTRY_POSITIONS_2 = {
 
 def layout_close(a: np.ndarray, b: np.ndarray) -> bool:
     """a and b agree entrywise to LAYOUT_ATOL; equal infinities agree, a NaN never does."""
+    equal = a == b
+    if equal.all():   # the usual case, at a third of the cost of the tolerance test
+        return True
     with np.errstate(invalid="ignore"):   # inf - inf gives NaN; a == b decides that entry
-        return bool(np.all((a == b) | (np.abs(a - b) <= LAYOUT_ATOL)))
+        return bool(np.all(equal | (np.abs(a - b) <= LAYOUT_ATOL)))
+
+
+def layout_defect(n: int, C1: np.ndarray, C2: np.ndarray) -> str | None:
+    """The first layout rule that C1, C2 (two matrices, or two (..., n, n) stacks) break.
+
+    The 3x3 layout fixes the unital columns; both layouts share the P1P2 column.
+    """
+    if n == 3:
+        for mat, j in ((C1, 1), (C2, 2)):
+            if not layout_close(mat[..., :, 0], _UNIT_COL[j]):
+                return f"column 0 of C{j} must be the unital column {_UNIT_COL[j]}"
+        shared1, shared2 = C1[..., :, 2], C2[..., :, 1]
+    else:
+        shared1, shared2 = C1[..., :, 1], C2[..., :, 0]
+    if not layout_close(shared1, shared2):
+        return f"shared P1P2 column disagrees between C1 and C2: {shared1} vs {shared2}"
+    return None
+
+
+def entry_stacks(n: int, entries: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(..., n, n) stacks of C1 and C2 from arrays (or floats) of named entries.
+
+    The stacked form of ``MatrixPair.from_entries``: missing entries are 0.
+    """
+    positions = ENTRY_POSITIONS_3 if n == 3 else ENTRY_POSITIONS_2
+    shape = np.broadcast_shapes(*(np.shape(v) for v in entries.values()))
+    C = np.zeros((2,) + shape + (n, n))
+    if n == 3:
+        C[0, ..., :, 0], C[1, ..., :, 0] = _UNIT_COL[1], _UNIT_COL[2]
+    for name, value in entries.items():
+        m, r, c = positions[name]
+        C[m, ..., r, c] = value
+    shared1, shared2 = (2, 1) if n == 3 else (1, 0)
+    C[1, ..., :, shared2] = C[0, ..., :, shared1]
+    return C[0], C[1]
 
 
 def _as_matrix(m, n: int) -> np.ndarray:
@@ -78,19 +116,9 @@ class MatrixPair:
             raise InvalidInputError(f"matrix size must be 2 or 3, got {self.n}")
         object.__setattr__(self, "C1", _as_matrix(self.C1, self.n))
         object.__setattr__(self, "C2", _as_matrix(self.C2, self.n))
-        if self.n == 3:
-            for mat, j in ((self.C1, 1), (self.C2, 2)):
-                if not layout_close(mat[:, 0], _UNIT_COL[j]):
-                    raise InvalidInputError(
-                        f"column 0 of C{j} must be the unital column {_UNIT_COL[j]}"
-                    )
-            shared1, shared2 = self.C1[:, 2], self.C2[:, 1]
-        else:
-            shared1, shared2 = self.C1[:, 1], self.C2[:, 0]
-        if not layout_close(shared1, shared2):
-            raise InvalidInputError(
-                f"shared P1P2 column disagrees between C1 and C2: {shared1} vs {shared2}"
-            )
+        defect = layout_defect(self.n, self.C1, self.C2)
+        if defect:
+            raise InvalidInputError(defect)
 
     @property
     def unital(self) -> bool:

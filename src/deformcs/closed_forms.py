@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra_core import DEGENERACY_TOL, MatrixPair, ResidualReport
-from .dda_registry import SampledField, cs_residual
+from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, entry_stacks,
+                           layout_defect)
+from .dda_registry import SampledField, _cs_norms, cs_residual, grid_defect, lookup
 from .discrete_flows import GAUGE_SHIFTS, gauge_matrix
-from .errors import InvalidInputError, SingularGaugeError
+from .errors import DeformError, InvalidInputError, SingularGaugeError
 
 FAMILY_IDS = ("Nilpotent3x3", "Nilpotent2x2", "UpperTri2x2", "PolyL3", "GaugeL5")
 
@@ -42,6 +43,7 @@ _FAMILY_PARAMS = {
     "UpperTri2x2": ("alpha", "beta", "gamma", "delta"),
     "PolyL3": ("alpha", "beta", "gamma", "delta"),
 }
+_FAMILY_N = {"Nilpotent3x3": 3, "Nilpotent2x2": 2, "UpperTri2x2": 2, "PolyL3": 2}
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,11 @@ class SolutionFamily:
         return float(self.params.get(name, default))
 
 
-def _log_var(x: float) -> float:
+def _log_var(x):
+    """ln x at one point, or at each point of an array (math.log per point: np.log may
+    differ in the last bit); raises at the first point off the log domain."""
+    if isinstance(x, np.ndarray):
+        return np.array([_log_var(v) for v in x])
     if x <= 0.0:
         raise InvalidInputError(f"log families need x > 0, got {x}")
     t = math.log(x)
@@ -85,18 +91,37 @@ def _log_var(x: float) -> float:
     return t
 
 
+def _first(bad, x):
+    """The first point of x (one point, or an array of points) where bad holds, or None."""
+    if not isinstance(x, np.ndarray):
+        return x if bad else None
+    hits = np.flatnonzero(bad)
+    return x[hits[0]] if hits.size else None
+
+
 def _polynomial_potentials(fam: SolutionFamily):
-    """The GaugeL5 potentials Phi^m as a map from points to their (3, points) values."""
+    """The GaugeL5 potentials Phi^m as a map from points to their (3, points...) values."""
     coeffs = [np.asarray(fam.params[k], dtype=float) for k in ("phi0", "phi1", "phi2")]
     return lambda points: np.array([npoly.polyval(points, c) for c in coeffs])
 
 
-def eval_family(fam: SolutionFamily, point: float) -> MatrixPair:
-    """Evaluate the family's structure constants at one value of x (or y)."""
+def _gauge_pairs(fam: SolutionFamily, points) -> tuple[np.ndarray, np.ndarray]:
+    """GaugeL5's C_k = g^-1 T_k g at one point (3x3), or at an array of points (P, 3, 3)."""
+    potentials, x = _polynomial_potentials(fam), np.asarray(points, dtype=float)
+    gmat = gauge_matrix(potentials, x)
+    bad = _first(np.abs(np.linalg.det(gmat)) < DEGENERACY_TOL, points)
+    if bad is not None:
+        raise SingularGaugeError(f"gauge matrix is singular at x = {bad}")
+    C1, C2 = (np.linalg.solve(gmat, gauge_matrix(potentials, x + s)) for s in GAUGE_SHIFTS[1:])
+    return C1, C2
+
+
+def _family_entries(fam: SolutionFamily, x) -> dict:
+    """Named entries of a non-gauge family at one point x, or at each point of an array x."""
     if fam.id == "Nilpotent3x3":
-        t = _log_var(point)
+        t = _log_var(x)
         a, b, g, d, mu = (fam.p(k) for k in ("alpha", "beta", "gamma", "delta", "mu"))
-        return MatrixPair.from_entries_3x3(
+        return dict(
             A=0.0, B=0.0, C=0.0,
             D=b / t, E=-b + g / t, G=1.0 / t,
             L=a * b + 2.0 * b * b + d * t - b * g / t,
@@ -104,38 +129,42 @@ def eval_family(fam: SolutionFamily, point: float) -> MatrixPair:
             N=a + b - g / t,
         )
     if fam.id == "Nilpotent2x2":
-        t = _log_var(point)
+        t = _log_var(x)
         a, b, g = fam.p("alpha"), fam.p("beta"), fam.p("gamma")
-        return MatrixPair.from_entries_2x2(
-            B=0.0, C=0.0, E=b / t, G=1.0 / t,
-            M=g * t - b * b / t + a * b, N=-b / t + a,
-        )
+        return dict(B=0.0, C=0.0, E=b / t, G=1.0 / t, M=g * t - b * b / t + a * b, N=-b / t + a)
     if fam.id == "UpperTri2x2":
         a, b, g, d = (fam.p(k) for k in ("alpha", "beta", "gamma", "delta"))
-        x = float(point)
-        if min(abs(x), abs(x + b)) < DEGENERACY_TOL:
-            raise InvalidInputError(f"UpperTri2x2 is singular at x = {x}")
-        return MatrixPair.from_entries_2x2(
+        # min(|x|, |x + b|) < tol, NaN included, as one test per point
+        bad = _first((abs(x) < DEGENERACY_TOL) | (abs(x + b) < DEGENERACY_TOL), x)
+        if bad is not None:
+            raise InvalidInputError(f"UpperTri2x2 is singular at x = {bad}")
+        return dict(
             B=1.0, C=0.0,
             E=g / (x + b), G=x / (x + b),
             M=d + (a * g + b * d - g * g / b) / x + g * g / (b * (x + b)),
             N=-g / (x + b) + a,
         )
-    if fam.id == "PolyL3":
-        entries, _ = _poly_l3_entries(fam, float(point))
-        return MatrixPair.from_entries_2x2(**entries)
+    return _poly_l3_entries(fam, x)[0]
+
+
+def _family_stack(fam: SolutionFamily, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, n, n) stacks of C1 and C2 at the P points of x; raises at the first bad point."""
     if fam.id == "GaugeL5":
-        potentials, x = _polynomial_potentials(fam), float(point)
-        gmat = gauge_matrix(potentials, x)
-        if abs(np.linalg.det(gmat)) < DEGENERACY_TOL:
-            raise SingularGaugeError(f"gauge matrix is singular at x = {point}")
-        C1, C2 = (np.linalg.solve(gmat, gauge_matrix(potentials, x + s)) for s in GAUGE_SHIFTS[1:])
-        return MatrixPair(3, C1, C2)
-    raise InvalidInputError(f"unknown solution family {fam.id!r}")
+        return _gauge_pairs(fam, x)
+    return entry_stacks(_FAMILY_N[fam.id], _family_entries(fam, x))
 
 
-def _poly_l3_entries(fam: SolutionFamily, y: float):
-    """PolyL3 entries and their analytic y-derivatives."""
+def eval_family(fam: SolutionFamily, point: float) -> MatrixPair:
+    """Evaluate the family's structure constants at one value of x (or y)."""
+    if fam.id == "GaugeL5":
+        return MatrixPair(3, *_gauge_pairs(fam, point))
+    # the log families' errors name the point as given, UpperTri2x2's names its float
+    x = point if fam.id in ("Nilpotent3x3", "Nilpotent2x2") else float(point)
+    return MatrixPair.from_entries(_FAMILY_N[fam.id], _family_entries(fam, x))
+
+
+def _poly_l3_entries(fam: SolutionFamily, y):
+    """PolyL3 entries and their analytic y-derivatives, at one point or an array of them."""
     a, b, g, d = (fam.p(k) for k in ("alpha", "beta", "gamma", "delta"))
     # quadratic coefficient of C: -alpha in the corrected family, -1 as printed
     q = -1.0 if fam.params.get("printed_form") else -a
@@ -148,33 +177,58 @@ def _poly_l3_entries(fam: SolutionFamily, y: float):
     return entries, derivs
 
 
+def _point_norm(fam: SolutionFamily, dda: str, p, step: float, h: float) -> float:
+    """The residual at one point through a 3-point SampledField: slow, but it raises the
+    error each check of a bad point gives, in the order the checks run."""
+    xs = (p - step, p, p + step)
+    try:
+        fld = SampledField(dda=dda, grid=np.array(xs), pairs=tuple(eval_family(fam, x) for x in xs))
+    except InvalidInputError as exc:   # p +- h collapsed onto p, or an inexact gauge solve
+        with_h = "" if dda == "L5" else f" with h={h}"
+        raise InvalidInputError(f"points: x={p}{with_h}: {exc}") from None
+    return cs_residual(dda, fld, 1).norms[0]
+
+
+def _stacked_norms(fam: SolutionFamily, dda: str, points: np.ndarray, step: float):
+    """The residuals at all points from one stacked stencil, or None if any point fails a
+    check (domain, layout, stencil grid, finite norm) that _point_norm would report."""
+    spec = lookup(dda)
+    xs = np.stack([points, points + step, points - step])   # here, ahead, behind
+    try:
+        C1, C2 = (c.reshape(xs.shape + c.shape[1:]) for c in _family_stack(fam, xs.ravel()))
+    except (DeformError, np.linalg.LinAlgError):
+        return None
+    stencils = xs[[2, 0, 1]].T   # each point's (p - step, p, p + step)
+    if layout_defect(C1.shape[-1], C1, C2) or grid_defect(spec, stencils):
+        return None
+    norms = _cs_norms(spec, C1, C2, xs[0], (xs[0] - xs[-1])[:, None, None])
+    return norms if all(math.isfinite(v) for v in norms) else None
+
+
 def validate_family(fam: SolutionFamily, sample_points, h: float = 1e-4) -> ResidualReport:
     """Residual of the family's governing central system at each sample point.
 
     The log/rational families are checked through the L2a stencil on the
     points (p - h, p, p + h), GaugeL5 through the L5 stencil on the exact unit
     shifts (p - 1, p, p + 1), and PolyL3 with its analytic derivatives (h is
-    ignored for the latter two).
+    ignored for the latter two).  The stencils of all points are evaluated as
+    one stack; a point that fails a check is reported by name.
     """
-    norms = []
-    labels = []
-    for p in sample_points:
-        labels.append(f"x={p:g}")
-        if fam.id == "PolyL3":
+    sample_points = list(sample_points)
+    labels = tuple(f"x={p:g}" for p in sample_points)
+    if fam.id == "PolyL3":
+        norms = []
+        for p in sample_points:
             e, de = _poly_l3_entries(fam, float(p))
             r = (de["B"] - e["E"], de["E"], de["C"] - (e["G"] - e["B"]), de["G"] + e["E"])
             norms.append(max(abs(v) for v in r))
-        else:
-            dda, step = ("L5", 1.0) if fam.id == "GaugeL5" else ("L2a", h)
-            xs = (p - step, p, p + step)
-            try:
-                fld = SampledField(dda=dda, grid=np.array(xs),
-                                   pairs=tuple(eval_family(fam, x) for x in xs))
-            except InvalidInputError as exc:   # p +- h collapsed onto p, or an inexact gauge solve
-                with_h = "" if dda == "L5" else f" with h={h}"
-                raise InvalidInputError(f"points: x={p}{with_h}: {exc}") from None
-            norms.append(cs_residual(dda, fld, 1).norms[0])
-    return ResidualReport(labels=tuple(labels), norms=tuple(norms))
+        return ResidualReport(labels=labels, norms=norms)
+    dda, step = ("L5", 1.0) if fam.id == "GaugeL5" else ("L2a", h)
+    with np.errstate(all="ignore"):   # a bad point is redone, and reported, one at a time
+        norms = _stacked_norms(fam, dda, np.array(sample_points, dtype=float), step)
+    if norms is None:
+        norms = [_point_norm(fam, dda, p, step, h) for p in sample_points]
+    return ResidualReport(labels=labels, norms=norms)
 
 
 def family_integrals(fam: SolutionFamily) -> dict[str, float]:

@@ -76,6 +76,20 @@ def lookup(dda_id: str) -> DDASpec:
         raise InvalidInputError(f"unknown dda {dda_id!r}") from None
 
 
+def grid_defect(spec: DDASpec, grid: np.ndarray) -> str | None:
+    """The first rule that a grid of two or more points (or each row of a stack of
+    them) breaks: strictly increasing, uniform, and unit-spaced for a discrete DDA."""
+    steps = np.diff(grid, axis=-1)
+    if np.any(steps <= 0.0):
+        return "grid must be strictly increasing"
+    h = steps[..., :1]
+    if not np.all(np.abs(steps - h) <= 1e-9 * h):   # np.allclose, at a fifth of the cost
+        return "grid must be uniformly spaced"
+    if spec.discrete and np.any(np.abs(h - 1.0) > 1e-9):
+        return f"{spec.id} fields live on a unit-spaced grid"
+    return None
+
+
 @dataclass(frozen=True)
 class SampledField:
     """Matrix pairs sampled on a uniform 1-D grid of the deformation parameter."""
@@ -91,15 +105,9 @@ class SampledField:
             raise InvalidInputError("grid and values must have equal length")
         if len({p.n for p in self.pairs}) > 1:
             raise InvalidInputError("values must be all 2x2 or all 3x3 pairs")
-        if g.size >= 2:
-            steps = np.diff(g)
-            if np.any(steps <= 0.0):
-                raise InvalidInputError("grid must be strictly increasing")
-            h = steps[0]
-            if not np.all(np.abs(steps - h) <= 1e-9 * h):   # np.allclose, at a fifth of the cost
-                raise InvalidInputError("grid must be uniformly spaced")
-            if spec.discrete and abs(h - 1.0) > 1e-9:
-                raise InvalidInputError(f"{self.dda} fields live on a unit-spaced grid")
+        defect = grid_defect(spec, g) if g.size >= 2 else None
+        if defect:
+            raise InvalidInputError(defect)
         g.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "pairs", tuple(self.pairs))
@@ -159,31 +167,38 @@ class SampledField:
 _P2_SHIFT = {OP_NONE: 0, OP_SHIFT: 1, OP_INVERSE_SHIFT: -1}
 
 
-def _cs_norms(spec: DDASpec, fld: SampledField, lo: int, hi: int) -> list[float]:
-    """Frobenius norm of the central-system defect R at each grid point lo <= i < hi:
-    second-order central differences for L2a/L3, exact shifted samples otherwise."""
+def _cs_norms(spec: DDASpec, C1, C2, x: np.ndarray, spacing) -> list[float]:
+    """Frobenius norm of the central-system defect R at P grid points x: second-order
+    central differences for L2a/L3, exact shifted samples otherwise.
+
+    C1[s] and C2[s] are the (P, n, n) stacks at the neighbours s = 0 (here), 1 (ahead)
+    and -1 (behind; unused by L2b/L4); ``spacing`` is a float or (P, 1, 1) per point.
+    """
     if spec.id == "L1":
         raise UnsupportedDDAError("L1 is abelian and generates no deformation")
+    here1, here2 = C1[0], C2[0]
+    # an overflow shows as a non-finite norm, which ResidualReport rejects by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.discrete:
+            R = here1 @ C2[1] - here2 @ C1[_P2_SHIFT[spec.p2_action]]
+        elif spec.id == "L2a":
+            dC2 = (C2[1] - C2[-1]) / (2.0 * spacing)
+            R = x[:, None, None] * dC2 - (here2 @ here1 - here1 @ here2)
+        else:  # L3
+            dC1 = (C1[1] - C1[-1]) / (2.0 * spacing)
+            R = here1 @ dC1 - (here1 @ here2 - here2 @ here1)
+        return [float(np.linalg.norm(r)) for r in R]
+
+
+def _field_norms(spec: DDASpec, fld: SampledField, lo: int, hi: int) -> list[float]:
+    """_cs_norms at the field's grid points lo <= i < hi."""
     behind, ahead = spec.stencil_reach
     pairs = fld.pairs[lo - behind:hi + ahead]
     C1 = np.array([p.C1 for p in pairs])
     C2 = np.array([p.C2 for p in pairs])
-
-    def at(shift: int) -> slice:
-        return slice(behind + shift, behind + shift + hi - lo)
-
-    here1, here2 = C1[at(0)], C2[at(0)]
-    # an overflow shows as a non-finite norm, which ResidualReport rejects by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.discrete:
-            R = here1 @ C2[at(1)] - here2 @ C1[at(_P2_SHIFT[spec.p2_action])]
-        elif spec.id == "L2a":
-            dC2 = (C2[at(1)] - C2[at(-1)]) / (2.0 * fld.spacing)
-            R = fld.grid[lo:hi, None, None] * dC2 - (here2 @ here1 - here1 @ here2)
-        else:  # L3
-            dC1 = (C1[at(1)] - C1[at(-1)]) / (2.0 * fld.spacing)
-            R = here1 @ dC1 - (here1 @ here2 - here2 @ here1)
-        return [float(np.linalg.norm(r)) for r in R]
+    near = [slice(behind + s, behind + s + hi - lo) for s in (0, 1, -1)[:2 + behind]]
+    return _cs_norms(spec, [C1[s] for s in near], [C2[s] for s in near],
+                     fld.grid[lo:hi], fld.spacing)
 
 
 def cs_residual(dda: DDASpec | str, fld: SampledField, i: int) -> ResidualReport:
@@ -194,7 +209,7 @@ def cs_residual(dda: DDASpec | str, fld: SampledField, i: int) -> ResidualReport
         raise StencilRangeError(
             f"point {i} lacks the neighbours needed by the {spec.id} stencil"
         )
-    return ResidualReport(labels=(f"{spec.id}_cs",), norms=_cs_norms(spec, fld, i, i + 1))
+    return ResidualReport(labels=(f"{spec.id}_cs",), norms=_field_norms(spec, fld, i, i + 1))
 
 
 def cs_residual_scan(dda: DDASpec | str, fld: SampledField) -> ResidualReport:
@@ -205,7 +220,7 @@ def cs_residual_scan(dda: DDASpec | str, fld: SampledField) -> ResidualReport:
     if hi <= lo:
         raise StencilRangeError(f"field has no interior points for the {spec.id} stencil")
     return ResidualReport(labels=tuple(f"i={i}" for i in range(lo, hi)),
-                          norms=_cs_norms(spec, fld, lo, hi))
+                          norms=_field_norms(spec, fld, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +271,46 @@ class TensorGrid:
         return self.n - self.grid_dims
 
 
-def _interior(a: np.ndarray, dims: int) -> np.ndarray:
-    """Trim one cell off every grid axis."""
-    sl = tuple(slice(1, -1) for _ in range(dims)) + (Ellipsis,)
-    return a[sl]
+def _grid_last(a: np.ndarray, dims: int) -> np.ndarray:
+    """A contiguous copy of a[grid..., idx...] indexed [idx..., grid...]; flattened to
+    [idx..., z], it lets every contraction below run point-innermost."""
+    return np.ascontiguousarray(np.moveaxis(a, tuple(range(dims)), tuple(range(-dims, 0))))
 
 
-def _central_diffs(tg: TensorGrid) -> list[np.ndarray]:
-    """d c / d x^j on the interior, for every algebra index j (0 where static)."""
-    dims = tg.grid_dims
-    shape = _interior(tg.c, dims).shape
-    diffs = []
-    for j in range(tg.n):
-        axis = j - tg.index_offset
-        if axis < 0:
-            diffs.append(np.zeros(shape))
-            continue
+def _points_first(a: np.ndarray, grid_shape: tuple[int, ...]) -> np.ndarray:
+    """The view of a[idx..., z] indexed [grid..., idx...]."""
+    return np.moveaxis(a, -1, 0).reshape(grid_shape + a.shape[:-1])
+
+
+def _interior_points(tg: TensorGrid) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """c[j, k, n, z] and d[a, j, k, n, z] = dC_jk^n/dx^a (central differences; 0 where
+    index a has no grid axis) at the interior points z, and the interior grid shape."""
+    dims, n = tg.grid_dims, tg.n
+    c = _grid_last(tg.c, dims)
+    inner = tuple(s - 2 for s in tg.c.shape[:dims])
+    d = np.zeros((n, n, n, n) + inner)
+    for j in range(tg.index_offset, n):
         plus = [slice(1, -1)] * dims
         minus = [slice(1, -1)] * dims
-        plus[axis] = slice(2, None)
-        minus[axis] = slice(0, -2)
-        d = (tg.c[tuple(plus)] - tg.c[tuple(minus)]) / (2.0 * tg.spacing)
-        diffs.append(d)
-    return diffs
+        plus[j - tg.index_offset] = slice(2, None)
+        minus[j - tg.index_offset] = slice(0, -2)
+        d[j] = (c[(...,) + tuple(plus)] - c[(...,) + tuple(minus)]) / (2.0 * tg.spacing)
+    here = np.ascontiguousarray(c[(...,) + (slice(1, -1),) * dims])
+    return here.reshape(n, n, n, -1), d.reshape(n, n, n, n, -1), inner
+
+
+def _assoc_defect(c: np.ndarray) -> np.ndarray:
+    """sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n), indexed [j, k, l, n, z], of c[j, k, m, z]."""
+    out = np.einsum("jkmz,mlnz->jklnz", c, c)
+    out -= np.einsum("klmz,jmnz->jklnz", c, c)
+    return out
 
 
 def assoc_defect_grid(tg: TensorGrid) -> np.ndarray:
     """Pointwise associativity defect sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n)."""
-    c = tg.c
-    return np.einsum("...jkm,...mln->...jkln", c, c) - np.einsum(
-        "...klm,...jmn->...jkln", c, c
-    )
+    dims, n = tg.grid_dims, tg.n
+    c = _grid_last(tg.c, dims).reshape(n, n, n, -1)
+    return _points_first(_assoc_defect(c), tg.c.shape[:dims])
 
 
 def quantum_cs_parts(tg: TensorGrid, hbar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -296,13 +320,10 @@ def quantum_cs_parts(tg: TensorGrid, hbar: float) -> tuple[np.ndarray, np.ndarra
     defect hbar dC_jk^n/dx^l - hbar dC_kl^n/dx^j
     + sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n).
     """
-    dims = tg.grid_dims
-    diffs = np.stack(_central_diffs(tg), axis=dims)  # [..., l, j, k, n]
-    deriv = hbar * (
-        np.einsum("...ljkn->...kljn", diffs) - np.einsum("...jkln->...kljn", diffs)
-    )
-    quad = np.einsum("...jkln->...kljn", _interior(assoc_defect_grid(tg), dims))
-    return deriv, quad
+    c, diffs, inner = _interior_points(tg)   # diffs [l, j, k, n, z]
+    deriv = hbar * (np.einsum("ljknz->kljnz", diffs) - np.einsum("jklnz->kljnz", diffs))
+    quad = np.einsum("jklnz->kljnz", _assoc_defect(c))
+    return _points_first(deriv, inner), _points_first(quad, inner)
 
 
 def quantum_cs_residual(tg: TensorGrid, hbar: float) -> ResidualReport:
@@ -312,24 +333,33 @@ def quantum_cs_residual(tg: TensorGrid, hbar: float) -> ResidualReport:
     return ResidualReport(labels=("quantum_cs_max",), norms=(value,))
 
 
+def _bracket(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The six-term bracket [C,C]_jklr^m, indexed [j, k, l, r, m, z], summed in place."""
+    out = np.einsum("sjmz,klrsz->jklrmz", c, d)  # C_sj^m dC_lr^s/dx^k
+    term = np.empty_like(out)
+    for sign, spec in ((1, "skmz,jlrsz->jklrmz"),
+                       (-1, "srmz,ljksz->jklrmz"),   # C_sr^m dC_jk^s/dx^l
+                       (-1, "slmz,rjksz->jklrmz"),
+                       (1, "lrsz,sjkmz->jklrmz"),    # C_lr^s dC_jk^m/dx^s
+                       (-1, "jksz,slrmz->jklrmz")):
+        np.einsum(spec, c, d, out=term)
+        if sign > 0:
+            out += term
+        else:
+            out -= term
+    return out
+
+
 def coisotropic_bracket_defect(tg: TensorGrid) -> np.ndarray:
     """The six-term bracket [C,C]_jklr^m on the interior, indexed [..., j, k, l, r, m]."""
-    dims = tg.grid_dims
-    c = _interior(tg.c, dims)
-    d = np.stack(_central_diffs(tg), axis=dims)  # [..., axis, j, k, n] = dC_jk^n/dx^axis
-    t1 = np.einsum("...sjm,...klrs->...jklrm", c, d)  # C_sj^m dC_lr^s/dx^k
-    t2 = np.einsum("...skm,...jlrs->...jklrm", c, d)
-    t3 = np.einsum("...srm,...ljks->...jklrm", c, d)  # C_sr^m dC_jk^s/dx^l
-    t4 = np.einsum("...slm,...rjks->...jklrm", c, d)
-    t5 = np.einsum("...lrs,...sjkm->...jklrm", c, d)  # C_lr^s dC_jk^m/dx^s
-    t6 = np.einsum("...jks,...slrm->...jklrm", c, d)
-    return t1 + t2 - t3 - t4 + t5 - t6
+    c, d, inner = _interior_points(tg)
+    return _points_first(_bracket(c, d), inner)
 
 
 def coisotropic_cs_residual(tg: TensorGrid) -> ResidualReport:
     """Max-norm residuals of the coisotropic central system (bracket + algebraic part)."""
-    bracket = coisotropic_bracket_defect(tg)
-    assoc = _interior(assoc_defect_grid(tg), tg.grid_dims)
+    c, d, _ = _interior_points(tg)
+    bracket, assoc = _bracket(c, d), _assoc_defect(c)
     b = float(np.max(np.abs(bracket))) if bracket.size else 0.0
     a = float(np.max(np.abs(assoc))) if assoc.size else 0.0
     return ResidualReport(labels=("coisotropic_bracket_max", "assoc_defect_max"), norms=(b, a))

@@ -247,9 +247,12 @@ GAUGE_SHIFTS = (0, 1, -1)   # T_0 = 1, T_1 = T, T_2 = T^-1
 def gauge_matrix(potentials, x) -> np.ndarray:
     """g at x: row m, column k holds Phi^m(x + s_k) for the shifts s_k in GAUGE_SHIFTS.
 
-    ``potentials`` maps an array of points to the (3, points) array of Phi^m values.
+    ``potentials`` maps an array of points to the (3, points...) array of Phi^m
+    values.  An array of points x gives the stack of g, indexed [point..., m, k].
     """
-    return potentials(x + np.array(GAUGE_SHIFTS))
+    x = np.asarray(x)
+    g = potentials(x[..., None] + np.array(GAUGE_SHIFTS))   # [m, point..., k]
+    return g if x.ndim == 0 else np.moveaxis(g, 0, -2)
 
 
 def _sampled_potentials(phi: np.ndarray, xs: np.ndarray):

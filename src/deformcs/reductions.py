@@ -24,6 +24,7 @@ a tuple of floats to a tuple, with no ** and no unguarded division.
 from __future__ import annotations
 
 import cmath
+import math
 from functools import partial
 
 import numpy as np
@@ -33,6 +34,14 @@ from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
 CHAZY_VARIANTS = ("ChazyV", "ChazyV_shifted", "Generic", "ChazyVII", "ChazyVIII", "ChazyIII")
+
+
+def _pow(x, k: int):
+    """x ** k, or the infinity numpy's float64 power gives where Python's raises OverflowError."""
+    try:
+        return x ** k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
 def _check_variant(variant: str) -> None:
@@ -67,7 +76,7 @@ def chazy_second_integral(G: float, G1: float, G2: float,
     and the closing term is Phi G^2.
     """
     _check_variant(variant)
-    base = -0.5 * G ** 4 + 0.5 * G1 * G1 - 2.0 * G * G * G1 - G * G2
+    base = -0.5 * _pow(G, 4) + 0.5 * G1 * G1 - 2.0 * G * G * G1 - G * G2
     if variant in ("ChazyV", "ChazyV_shifted"):
         return base + 0.5 * B_or_phi * G * G
     return base + B_or_phi * G * G
@@ -162,7 +171,7 @@ def integrate_chazy(variant: str, initial: tuple[float, float, float],
     y0 = tuple(initial) + {"ChazyVII": (b0,), "ChazyIII": (phi0, b0)}.get(variant, ())
     ts, ys, status, diagnostic = integrate_fixed(f, span[0], y0, span[1], step)
     i2 = []
-    for row in ys:
+    for row in ys.tolist():   # float arithmetic per row, not numpy scalars
         phi, B, _ = chazy_state_phi_B(variant, row)
         arg = B if variant in ("ChazyV", "ChazyV_shifted") else phi
         i2.append(chazy_second_integral(row[0], row[1], row[2], arg, variant))
@@ -197,10 +206,14 @@ def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float
     integrals = {
         "I1": alpha,
         "I2": 0.5 * (beta + alpha * alpha),
-        "I3": (alpha ** 3 / 3.0 + gamma * gamma + 0.5 * alpha * beta
-               - 0.25 * E1 * E1 + E ** 3 - alpha * E * E - 0.5 * beta * E),
+        "I3": _boussinesq_i3(E, E1, alpha, beta, gamma),
     }
     return e2, entries, integrals
+
+
+def _boussinesq_i3(E: float, E1: float, alpha: float, beta: float, gamma: float) -> float:
+    return (_pow(alpha, 3) / 3.0 + gamma * gamma + 0.5 * alpha * beta
+            - 0.25 * E1 * E1 + _pow(E, 3) - alpha * E * E - 0.5 * beta * E)
 
 
 def boussinesq_pair(E: float, E1: float, alpha: float, beta: float, gamma: float) -> MatrixPair:
@@ -212,10 +225,7 @@ def integrate_boussinesq(initial: tuple[float, float], alpha: float, beta: float
                          gamma: float, span: tuple[float, float], step: float) -> Trajectory:
     ts, ys, status, diagnostic = integrate_fixed(partial(_boussinesq_rhs, alpha, beta),
                                                  span[0], initial, span[1], step)
-    i3 = np.array([
-        boussinesq_rhs_and_companions(E, E1, alpha, beta, gamma)[2]["I3"]
-        for E, E1 in ys
-    ])
+    i3 = np.array([_boussinesq_i3(E, E1, alpha, beta, gamma) for E, E1 in ys.tolist()])
     return Trajectory(kind="Boussinesq", ts=ts, states=ys, columns=("E", "E1"),
                       invariants={"I3": i3}, status=status, diagnostic=diagnostic)
 
@@ -236,11 +246,14 @@ def elliptic_system(B: float, E: float, C: float, alpha: float):
     with E' = -B E; r2 is B^2 + C E + 1, the det C1 = 1 constraint (the
     second integral of the flow equals -1 on this reduction).
     """
-    derivs = _elliptic_rhs(0.0, (B, E, C))
+    return _elliptic_rhs(0.0, (B, E, C)), _elliptic_residuals(B, E, C, alpha)
+
+
+def _elliptic_residuals(B: float, E: float, C: float, alpha: float) -> tuple[float, float]:
     e1 = -B * E
-    r1 = e1 * e1 + alpha * E ** 4 - 2.0 * E ** 3 + E * E
+    r1 = e1 * e1 + alpha * _pow(E, 4) - 2.0 * _pow(E, 3) + E * E
     r2 = B * B + C * E + 1.0
-    return derivs, (r1, r2)
+    return r1, r2
 
 
 def elliptic_point(E: float, alpha: float, branch: float = 1.0) -> tuple[float, float, float]:
@@ -254,6 +267,6 @@ def elliptic_point(E: float, alpha: float, branch: float = 1.0) -> tuple[float, 
 def integrate_elliptic(initial: tuple[float, float, float], alpha: float,
                        span: tuple[float, float], step: float) -> Trajectory:
     ts, ys, status, diagnostic = integrate_fixed(_elliptic_rhs, span[0], initial, span[1], step)
-    r1, r2 = np.array([elliptic_system(B, E, C, alpha)[1] for B, E, C in ys]).T
+    r1, r2 = np.array([_elliptic_residuals(B, E, C, alpha) for B, E, C in ys.tolist()]).T
     return Trajectory(kind="Elliptic", ts=ts, states=ys, columns=("B", "E", "C"),
                       invariants={"r1": r1, "r2": r2}, status=status, diagnostic=diagnostic)

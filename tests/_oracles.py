@@ -1,14 +1,23 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is written as plain index loops, deliberately sharing no
-code with the package implementations it checks.
+Most of this is written as plain index loops, deliberately sharing no code
+with the package implementations it checks.  The last section keeps the
+one-point-at-a-time and grid-first forms of the stacked code paths, which the
+package must match bit for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from deformcs.algebra_core import MatrixPair, tensor_from_pair
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from deformcs.algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport,
+                                   tensor_from_pair)
+from deformcs.closed_forms import LOG_DOMAIN_TOL
+from deformcs.dda_registry import SampledField, cs_residual
+from deformcs.errors import InvalidInputError, SingularGaugeError
 
 
 def assoc_defect_loops(c: np.ndarray) -> float:
@@ -277,3 +286,134 @@ def random_smooth_tensor_grid(rng: np.random.Generator, npts: int, h: float,
         c[:, :, 0, :, :] = np.eye(n)
         c[:, :, :, 0, :] = np.eye(n)
     return c
+
+
+# ---------------------------------------------------------------------------
+# Reference forms of the stacked code paths: one point at a time, and the
+# grid contractions with the grid axes in front.  The package must agree
+# with them bit for bit, errors included.
+# ---------------------------------------------------------------------------
+
+def _log_var_per_point(x):
+    if x <= 0.0:
+        raise InvalidInputError(f"log families need x > 0, got {x}")
+    t = math.log(x)
+    if abs(t) < LOG_DOMAIN_TOL:
+        raise InvalidInputError(f"x = {x} is too close to the ln x = 0 pole")
+    return t
+
+
+def eval_family_per_point(fam, point) -> MatrixPair:
+    """The family's MatrixPair at one point, from scalar formulas and one solve per shift."""
+    if fam.id == "Nilpotent3x3":
+        t = _log_var_per_point(point)
+        a, b, g, d, mu = (fam.p(k) for k in ("alpha", "beta", "gamma", "delta", "mu"))
+        return MatrixPair.from_entries_3x3(
+            A=0.0, B=0.0, C=0.0,
+            D=b / t, E=-b + g / t, G=1.0 / t,
+            L=a * b + 2.0 * b * b + d * t - b * g / t,
+            M=a * g + 3.0 * b * g + mu * t - d * t * t - g * g / t,
+            N=a + b - g / t,
+        )
+    if fam.id == "Nilpotent2x2":
+        t = _log_var_per_point(point)
+        a, b, g = fam.p("alpha"), fam.p("beta"), fam.p("gamma")
+        return MatrixPair.from_entries_2x2(
+            B=0.0, C=0.0, E=b / t, G=1.0 / t,
+            M=g * t - b * b / t + a * b, N=-b / t + a,
+        )
+    if fam.id == "UpperTri2x2":
+        a, b, g, d = (fam.p(k) for k in ("alpha", "beta", "gamma", "delta"))
+        x = float(point)
+        if min(abs(x), abs(x + b)) < DEGENERACY_TOL:
+            raise InvalidInputError(f"UpperTri2x2 is singular at x = {x}")
+        return MatrixPair.from_entries_2x2(
+            B=1.0, C=0.0,
+            E=g / (x + b), G=x / (x + b),
+            M=d + (a * g + b * d - g * g / b) / x + g * g / (b * (x + b)),
+            N=-g / (x + b) + a,
+        )
+    if fam.id == "PolyL3":
+        return MatrixPair.from_entries_2x2(**_poly_l3_per_point(fam, float(point))[0])
+    coeffs = [np.asarray(fam.params[k], dtype=float) for k in ("phi0", "phi1", "phi2")]
+
+    def gauge(x):   # row m, column k: Phi^m(x + s_k) for the shifts 0, 1, -1
+        return np.array([npoly.polyval(x + np.array((0, 1, -1)), c) for c in coeffs])
+
+    x = float(point)
+    gmat = gauge(x)
+    if abs(np.linalg.det(gmat)) < DEGENERACY_TOL:
+        raise SingularGaugeError(f"gauge matrix is singular at x = {point}")
+    return MatrixPair(3, np.linalg.solve(gmat, gauge(x + 1)), np.linalg.solve(gmat, gauge(x - 1)))
+
+
+def _poly_l3_per_point(fam, y: float):
+    a, b, g, d = (fam.p(k) for k in ("alpha", "beta", "gamma", "delta"))
+    q = -1.0 if fam.params.get("printed_form") else -a
+    entries = {"B": a * y + b, "E": a, "G": -a * y + g,
+               "C": q * y * y + (g - b) * y + d, "M": 0.0, "N": 0.0}
+    derivs = {"B": a, "E": 0.0, "G": -a, "C": 2.0 * q * y + (g - b)}
+    return entries, derivs
+
+
+def validate_family_per_point(fam, sample_points, h: float = 1e-4) -> ResidualReport:
+    """validate_family one point at a time: a 3-point SampledField and cs_residual per point."""
+    norms, labels = [], []
+    for p in sample_points:
+        labels.append(f"x={p:g}")
+        if fam.id == "PolyL3":
+            e, de = _poly_l3_per_point(fam, float(p))
+            r = (de["B"] - e["E"], de["E"], de["C"] - (e["G"] - e["B"]), de["G"] + e["E"])
+            norms.append(max(abs(v) for v in r))
+            continue
+        dda, step = ("L5", 1.0) if fam.id == "GaugeL5" else ("L2a", h)
+        xs = (p - step, p, p + step)
+        try:
+            fld = SampledField(dda=dda, grid=np.array(xs),
+                               pairs=tuple(eval_family_per_point(fam, x) for x in xs))
+        except InvalidInputError as exc:
+            with_h = "" if dda == "L5" else f" with h={h}"
+            raise InvalidInputError(f"points: x={p}{with_h}: {exc}") from None
+        norms.append(cs_residual(dda, fld, 1).norms[0])
+    return ResidualReport(labels=tuple(labels), norms=tuple(norms))
+
+
+def _central_diffs_grid_first(tg) -> list[np.ndarray]:
+    dims = tg.grid_dims
+    inner = (slice(1, -1),) * dims
+    diffs = []
+    for j in range(tg.n):
+        axis = j - tg.index_offset
+        if axis < 0:
+            diffs.append(np.zeros(tg.c[inner].shape))
+            continue
+        plus, minus = list(inner), list(inner)
+        plus[axis], minus[axis] = slice(2, None), slice(0, -2)
+        diffs.append((tg.c[tuple(plus)] - tg.c[tuple(minus)]) / (2.0 * tg.spacing))
+    return diffs
+
+
+def assoc_defect_grid_first(c: np.ndarray) -> np.ndarray:
+    return np.einsum("...jkm,...mln->...jkln", c, c) - np.einsum("...klm,...jmn->...jkln", c, c)
+
+
+def quantum_cs_parts_grid_first(tg, hbar: float):
+    dims = tg.grid_dims
+    diffs = np.stack(_central_diffs_grid_first(tg), axis=dims)  # [..., l, j, k, n]
+    deriv = hbar * (np.einsum("...ljkn->...kljn", diffs) - np.einsum("...jkln->...kljn", diffs))
+    quad = np.einsum("...jkln->...kljn",
+                     assoc_defect_grid_first(tg.c)[(slice(1, -1),) * dims])
+    return deriv, quad
+
+
+def coisotropic_bracket_grid_first(tg) -> np.ndarray:
+    dims = tg.grid_dims
+    c = tg.c[(slice(1, -1),) * dims]
+    d = np.stack(_central_diffs_grid_first(tg), axis=dims)
+    t1 = np.einsum("...sjm,...klrs->...jklrm", c, d)
+    t2 = np.einsum("...skm,...jlrs->...jklrm", c, d)
+    t3 = np.einsum("...srm,...ljks->...jklrm", c, d)
+    t4 = np.einsum("...slm,...rjks->...jklrm", c, d)
+    t5 = np.einsum("...lrs,...sjkm->...jklrm", c, d)
+    t6 = np.einsum("...jks,...slrm->...jklrm", c, d)
+    return t1 + t2 - t3 - t4 + t5 - t6

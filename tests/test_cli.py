@@ -168,6 +168,26 @@ def test_quiet_run_prints_nothing_when_invariants_overflow(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reduction, initial, params, first_row", [
+    ("Boussinesq", {"E": 1e200, "E1": 0.1}, {"alpha": 0.5, "beta": -0.2, "gamma": 0.1},
+     "0.0,1e+200,0.1,nan"),
+    ("Elliptic", {"B": 0.5, "E": 1e200, "C": -2.5}, {"alpha": -1.0},
+     "0.0,0.5,1e+200,-2.5,nan,-2.4999999999999998e+200"),
+    ("ChazyV", {"G": 1e200, "G1": 0.5, "G2": -0.3}, {}, "0.0,1e+200,0.5,-0.3,-inf"),
+])
+def test_quiet_reduction_from_a_huge_start_prints_nothing(tmp_path, capsys, reduction, initial,
+                                                          params, first_row):
+    # the integral of the start row overflows (E^3, E^4, G^4): the CSV gets inf or
+    # NaN, with no OverflowError and no numpy warning
+    doc = {"kind": "reduction", "reduction": reduction, "initial": initial,
+           "span": [0.0, 0.05], "step": 0.001}
+    scenario = _write(tmp_path, "huge.json", {**doc, "params": params} if params else doc)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_SINGULAR
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[1] == first_row
+
+
+@pytest.mark.filterwarnings("error")
 def test_scan_with_non_finite_residual_exits_two_naming_the_point(tmp_path, capsys):
     small = {"C1": [[0.5, 0.2], [0.1, 0.4]], "C2": [[0.2, 0.3], [0.4, 0.1]]}
     big = {"C1": [[1e200] * 2] * 2, "C2": [[1e200] * 2] * 2}

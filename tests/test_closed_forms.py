@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from deformcs.algebra_core import assoc_residual, tensor_from_pair
-from deformcs.closed_forms import (SolutionFamily, eval_family, family_integrals,
-                                   validate_family)
+from deformcs.closed_forms import (_FAMILY_PARAMS, SolutionFamily, eval_family,
+                                   family_integrals, validate_family)
 from deformcs.continuous_flows import first_integrals, state_from_entries
 from deformcs.errors import InvalidInputError, SingularGaugeError
+
+from _oracles import eval_family_per_point, validate_family_per_point
 
 GAUGE_QUADRATIC = {"phi0": [1.0], "phi1": [0.0, 1.0], "phi2": [0.0, 0.0, 1.0]}
 GAUGE_CUBIC = {"phi0": [1.0, 0.3], "phi1": [0.0, 1.0, 0.1], "phi2": [0.2, 0.0, 1.0, 0.05]}
@@ -203,3 +205,94 @@ def test_quadratic_gauge_is_iso_associative():
     fam = SolutionFamily("GaugeL5", GAUGE_QUADRATIC)
     for x in (-1.0, 0.0, 2.0):
         assert assoc_residual(eval_family(fam, x)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The stacked validation equals the one-point-at-a-time path bit for bit.
+# ---------------------------------------------------------------------------
+
+def _random_family(rng, family):
+    if family == "GaugeL5":   # perturbations of the cubic potentials
+        return SolutionFamily("GaugeL5", {k: [c + rng.uniform(-0.05, 0.05) for c in v]
+                                          for k, v in GAUGE_CUBIC.items()})
+    if family == "PolyL3":
+        return _poly_l3(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0),
+                        rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                        printed_form=bool(rng.integers(2)))
+    params = {k: rng.uniform(-1.0, 1.0) for k in _FAMILY_PARAMS[family]}
+    if family == "UpperTri2x2":
+        params["beta"] = rng.uniform(0.5, 1.5)
+    return SolutionFamily(family, params)
+
+
+@pytest.mark.parametrize("family, draws, lo, hi", [
+    ("GaugeL5", 60, -3.0, 3.0),
+    ("Nilpotent3x3", 20, 1.2, 12.0),
+    ("Nilpotent2x2", 20, 0.2, 12.0),
+    ("UpperTri2x2", 20, 0.2, 12.0),
+    ("PolyL3", 20, -3.0, 3.0),
+])
+def test_validate_family_equals_the_per_point_path(family, draws, lo, hi):
+    rng = np.random.default_rng(7)
+    for _ in range(draws):
+        fam = _random_family(rng, family)
+        points = [float(p) for p in rng.uniform(lo, hi, size=5)]
+        got, want = validate_family(fam, points), validate_family_per_point(fam, points)
+        assert got.labels == want.labels
+        assert got.norms == want.norms   # exact: the same floats, not approximately
+        for x in points[:2]:
+            pair, ref = eval_family(fam, x), eval_family_per_point(fam, x)
+            assert np.array_equal(pair.C1, ref.C1) and np.array_equal(pair.C2, ref.C2)
+
+
+_NIL2 = SolutionFamily("Nilpotent2x2", {"alpha": 0.0, "beta": 1.0, "gamma": 0.0})
+_TRI = SolutionFamily("UpperTri2x2", {"alpha": 0.0, "beta": 1.0, "gamma": 1.0, "delta": 0.0})
+_GAUGE = SolutionFamily("GaugeL5", GAUGE_CUBIC)
+_SINGULAR_GAUGE = SolutionFamily("GaugeL5", {"phi0": [1.0, 1.0], "phi1": [2.0, 2.0],
+                                             "phi2": [3.0, 3.0]})
+
+
+@pytest.mark.parametrize("fam, points, h, named", [
+    (_NIL2, [2.0, -1.0], 1e-4, "log families need x > 0"),
+    (_NIL2, [2.0, 1.0], 1e-4, "too close to the ln x = 0 pole"),
+    (_TRI, [2.0, 0.0], 1e-4, "UpperTri2x2 is singular at x = 0.0"),
+    (_TRI, [2.0, -1.0], 1e-4, "UpperTri2x2 is singular at x = -1.0"),
+    (_SINGULAR_GAUGE, [0.0], 1e-4, "gauge matrix is singular at x = -1.0"),
+    (_GAUGE, [0.5, 1234567.3], 1e-4, "points: x=1234567.3: column 0 of C1"),
+    (_NIL2, [2.0, 1e13], 1e-4, "with h=0.0001: grid must be strictly increasing"),
+    # below 2^30 the spacing of floats is half that above, so p - h and p + h round unevenly
+    (_NIL2, [2.0, 2.0 ** 30], 1e-4, "with h=0.0001: grid must be uniformly spaced"),
+    (SolutionFamily("Nilpotent2x2", {"alpha": 0.0, "beta": 1e308, "gamma": 0.0}), [2.0], 1e-4,
+     "residual 'L2a_cs' is not a finite nonnegative norm"),
+    (_NIL2, [2.0, 2.0000001], 1e-4, "residual label 'x=2' occurs more than once"),
+    # the first bad point decides: 1e13 collapses its stencil before -1 leaves the log domain
+    (_NIL2, [2.0, 1e13, -1.0], 1e-4, "x=10000000000000.0 with h=0.0001: grid must be strictly"),
+    (_NIL2, [2.0, -1.0, 1e13], 1e-4, "x=-1.0 with h=0.0001: log families need x > 0"),
+    (_TRI, [0, 2.0], 1e-4, "points: x=0 with h=0.0001: UpperTri2x2 is singular at x = 0.0"),
+    (_GAUGE, [0.5, 1e17, 1234567.3], 1e-4, "gauge matrix is singular at x = 1e+17"),
+])
+def test_validate_family_errors_match_the_per_point_path(fam, points, h, named):
+    with pytest.raises(Exception) as want:
+        validate_family_per_point(fam, points, h)
+    with pytest.raises(type(want.value)) as got:
+        validate_family(fam, points, h)
+    assert str(got.value) == str(want.value)
+    assert named in str(got.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_family_is_silent_past_the_first_bad_point():
+    # the stack meets inf - inf at every point after the collapsed first one
+    fam = SolutionFamily("Nilpotent3x3", {"alpha": 1e300, "beta": 1e300, "gamma": 1e300,
+                                          "delta": 1e300, "mu": 1e300})
+    with pytest.raises(InvalidInputError, match="x=10000000000000.0 with h=0.0001: grid"):
+        validate_family(fam, [1e13, 2.0, 3.0], h=1e-4)
+
+
+def test_eval_family_errors_name_the_point_as_given():
+    for fam, point in ((_NIL2, 1), (_NIL2, -3), (_TRI, 0), (_SINGULAR_GAUGE, 0)):
+        with pytest.raises(Exception) as want:
+            eval_family_per_point(fam, point)
+        with pytest.raises(type(want.value)) as got:
+            eval_family(fam, point)
+        assert str(got.value) == str(want.value)

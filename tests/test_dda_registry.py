@@ -10,10 +10,11 @@ from deformcs.dda_registry import (TensorGrid, SampledField, assoc_defect_grid,
                                    lookup, quantum_cs_parts, quantum_cs_residual)
 from deformcs.errors import (InvalidInputError, StencilRangeError, UnsupportedDDAError)
 
-from _oracles import (coisotropic_bracket_loops, commuting_2x2_pair, discrete_defect_loops,
+from _oracles import (assoc_defect_grid_first, coisotropic_bracket_grid_first,
+                      coisotropic_bracket_loops, commuting_2x2_pair, discrete_defect_loops,
                       omega_l2a_loops, omega_l3_loops, polynomial_algebra_pair,
-                      quantum_defect_loops, random_polynomial_field_2x2,
-                      random_smooth_tensor_grid)
+                      quantum_cs_parts_grid_first, quantum_defect_loops,
+                      random_polynomial_field_2x2, random_smooth_tensor_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +362,30 @@ def test_l3_trajectory_satisfies_its_central_system():
     mid = len(xs) // 2
     res = cs_residual("L3", fld, mid).norms[0]
     assert res < 1e-5  # O(h^2) differencing of an RK4-accurate trajectory
+
+
+# ---------------------------------------------------------------------------
+# The point-innermost contractions equal the grid-first einsum forms exactly.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape, n", [
+    ((7,), 1), ((7,), 2),            # one grid axis, index offset 0 and 1
+    ((6, 5), 2), ((6, 5), 3),        # two axes
+    ((40, 36), 3),                   # long enough for the vectorised einsum loops
+    ((4, 5, 3), 3), ((4, 3, 5), 4),  # three axes
+    ((2, 6), 3), ((2, 2, 2), 4),     # no interior points
+])
+def test_grid_contractions_equal_the_grid_first_forms(shape, n):
+    rng = np.random.default_rng(sum(shape) * n)
+    c = rng.normal(size=shape + (n, n, n))
+    tg = TensorGrid(c=0.5 * (c + np.swapaxes(c, -3, -2)), spacing=0.3)
+    assert np.array_equal(assoc_defect_grid(tg), assoc_defect_grid_first(tg.c))
+    for got, want in zip(quantum_cs_parts(tg, hbar=0.7), quantum_cs_parts_grid_first(tg, 0.7)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    got, want = coisotropic_bracket_defect(tg), coisotropic_bracket_grid_first(tg)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    rep = coisotropic_cs_residual(tg)
+    interior = (slice(1, -1),) * len(shape)
+    want_norms = [float(np.max(np.abs(a))) if a.size else 0.0
+                  for a in (want, assoc_defect_grid_first(tg.c)[interior])]
+    assert rep.norms == tuple(want_norms)

@@ -4,7 +4,7 @@ import pytest
 from deformcs.algebra_core import assoc_residual
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
-from deformcs.discrete_flows import (discrete_oriented_assoc_residual, init_map_state,
+from deformcs.discrete_flows import (MapState, discrete_oriented_assoc_residual, init_map_state,
                                      lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
 from deformcs.errors import (InvalidInputError, SingularGaugeError, SingularOrbitError)
@@ -90,6 +90,33 @@ def test_l4_general_free_constants_match_matrix_form():
     lhs = st.pair.C1 @ nxt.pair.C2
     rhs = st.pair.C2 @ nxt.pair.C1
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+class _UnrecognisedOne(float):
+    """The float 1.0 that the exact test B == 1.0 does not recognise."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = float.__hash__
+
+
+@pytest.mark.parametrize("entries", [dict(E=0.3, G=0.8, M=0.2, N=0.6),
+                                     dict(E=0.5, G=-0.4, M=0.1, N=0.9),
+                                     dict(E=2.0, G=0.5, M=-0.3, N=0.2)])
+def test_l4_closed_form_and_general_solve_agree_at_b_c_one(entries):
+    # B = C = 1 picks the closed form for the whole orbit; the general solve
+    # branch is valid there too and must give the same orbit
+    start = init_map_state("L4", dict(B=1.0, C=1.0, **entries))
+    one = _UnrecognisedOne(1.0)
+    closed = orbit("L4", start, 50)
+    general = orbit("L4", MapState(0, (one, one) + start.values[2:]), 50)
+    assert closed.status == general.status == "completed"
+    assert not np.array_equal(general.entries, closed.entries)   # two branches did run
+    np.testing.assert_allclose(general.entries, closed.entries, rtol=1e-12, atol=0.0)
+    assert general.invariant_rows.tolist() == closed.invariant_rows.tolist() == list(range(51))
+    for name, values in closed.invariants.items():
+        np.testing.assert_allclose(general.invariants[name], values, rtol=1e-12, atol=0.0)
 
 
 def test_l5_step_satisfies_central_system_and_conjugation():

@@ -103,6 +103,21 @@ def test_l3_simple_is_unimodular_at_m_n_zero():
     assert [_exact(s - u) for s, u in zip(simple, unimodular)] == [0] * 4
 
 
+def test_reconstruct_from_g_solves_the_l2a_2x2_flow():
+    # C = 1 and N = -E with B(t) free: E, G and N follow the flow identically,
+    # and M does wherever G solves the Chazy equation with Phi = B' + B^2/2
+    t = sp.Symbol("t", real=True)
+    g, b = sp.Function("g")(t), sp.Function("b")(t)
+    entries = reductions.reconstruct_from_G(g, g.diff(t), g.diff(t, 2), b, b.diff(t))
+    assert (entries["B"], entries["C"], entries["N"]) == (b, 1.0, -entries["E"])
+    phi = b.diff(t) + b * b / 2
+    chazy = reductions.chazy_rhs("Generic", g, g.diff(t), g.diff(t, 2), phi, phi.diff(t))
+    sy = SYSTEMS["L2a_2x2"]
+    for name, rhs in zip(sy.evolved, _rhs("L2a_2x2", entries)):
+        defect = (sp.diff(entries[name], t) - rhs).subs(g.diff(t, 3), chazy)
+        assert _exact(defect) == 0, name
+
+
 # ---------------------------------------------------------------------------
 # Reductions: each conserved quantity has zero derivative along the RHS.
 # ---------------------------------------------------------------------------
