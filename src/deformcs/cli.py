@@ -25,7 +25,7 @@ import csv
 import json
 import sys
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -348,7 +348,9 @@ def run(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> int:
     return EXIT_OK if status == STATUS_COMPLETED else EXIT_SINGULAR
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every later ``main``."""
     parser = argparse.ArgumentParser(prog="deform-cs",
                                      description="central-system deformation runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,8 +361,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--quiet", action="store_true", help="suppress progress output")
     p_val = sub.add_parser("validate", help="parse and validate a scenario only")
     p_val.add_argument("scenario", help="path to scenario JSON")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_scenario(args.scenario)
         if args.command == "validate":

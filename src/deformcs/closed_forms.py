@@ -181,9 +181,10 @@ def _point_norm(fam: SolutionFamily, dda: str, p, step: float, h: float) -> floa
     """The residual at one point through a 3-point SampledField: slow, but it raises the
     error each check of a bad point gives, in the order the checks run."""
     xs = (p - step, p, p + step)
+    # fails where p +- h collapsed onto p, or the gauge matrix is singular or inexactly solved
     try:
         fld = SampledField(dda=dda, grid=np.array(xs), pairs=tuple(eval_family(fam, x) for x in xs))
-    except InvalidInputError as exc:   # p +- h collapsed onto p, or an inexact gauge solve
+    except (InvalidInputError, SingularGaugeError) as exc:
         with_h = "" if dda == "L5" else f" with h={h}"
         raise InvalidInputError(f"points: x={p}{with_h}: {exc}") from None
     return cs_residual(dda, fld, 1).norms[0]

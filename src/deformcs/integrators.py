@@ -6,13 +6,21 @@ The requested span is divided into round(span/step) equal steps, which lands
 on the endpoint exactly and keeps step-halving comparisons clean.  No run
 takes more than MAX_STEPS steps; a longer one is rejected before it starts.
 
-A state is a tuple of floats, on which RK4 does the IEEE operations of its float64
-array form in the same order; the (steps + 1, k) array of states is made up front.
+A state is a tuple of k floats, on which RK4 does the IEEE operations of its
+float64 array form in the same order; the (steps + 1, k) array of states is made
+up front.  The step itself is straight-line code, one function per state size k,
+generated from ``_STEP_TEMPLATE`` on the first run with that k and cached: it
+unpacks the state and each stage into k locals, so a right-hand side that
+returns a tuple of the wrong length raises ValueError instead of being cut to
+size.  Each stage is ``y + half*k1`` (``h*k3`` for the last) per entry and the
+update ``y + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4)``, so a run is bit for bit what
+the same loop over ``zip``s of tuples gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,31 +71,64 @@ def integrate_fixed(f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
     when a right-hand-side evaluation hits a singularity (SingularFlowError,
     ZeroDivisionError, FloatingPointError) or an entry is NaN or above the
     guard in size; ``ys`` then holds the states up to the last good point.
-    Any other error in the right-hand side is a bug and propagates.
+    Any other error in the right-hand side is a bug and propagates, and so
+    does the ValueError of a result with other than len(y0) entries.
     """
     n = step_count(t0, t1, step)
     y = tuple(float(v) for v in y0)
     ys = np.empty((n + 1, len(y)))
     ys[0] = y
     h = (t1 - t0) / n if n else 0.0
-    half, sixth = 0.5 * h, h / 6.0
+    rk4_step = _step_factory(len(y))(f, h, guard)
     t, rows, diagnostic = t0, n + 1, None
     for i in range(n):
         try:
-            k1 = f(t, y)
-            k2 = f(t + half, tuple(a + half * b for a, b in zip(y, k1)))
-            k3 = f(t + half, tuple(a + half * b for a, b in zip(y, k2)))
-            k4 = f(t + h, tuple(a + h * b for a, b in zip(y, k3)))
+            y_next = rk4_step(t, y)
         except (SingularFlowError, ZeroDivisionError, FloatingPointError) as exc:
             rows, diagnostic = i + 1, f"{type(exc).__name__}: {exc}"
             break
-        y = tuple(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
         t = t0 + (i + 1) * h
-        if not all(abs(v) <= guard for v in y):   # a NaN fails the test too
+        if y_next is None:   # an entry was NaN or above the guard in size
             rows, diagnostic = i + 1, f"state exceeded overflow guard {guard:g} at t={t:.6g}"
             break
-        ys[i + 1] = y
+        ys[i + 1] = y = y_next
     ts = np.concatenate(([t0], t0 + np.arange(1, rows) * h))   # keeps a t0 of -0.0
     status = STATUS_COMPLETED if diagnostic is None else STATUS_TRUNCATED
     return ts, ys[:rows], status, diagnostic
+
+
+# {y} is "y0, y1, ..., " with one local per entry, and so are {a}, ..., {z}; {stage_a}
+# is "y0 + half * a0, ...", {new} the RK4 update and {bounded} the guard test per entry.
+_STEP_TEMPLATE = """
+def make_step(f, h, guard):
+    half, sixth = 0.5 * h, h / 6.0
+
+    def rk4_step(t, y):
+        ({y}) = y
+        ({a}) = f(t, y)
+        ({b}) = f(t + half, ({stage_a}))
+        ({c}) = f(t + half, ({stage_b}))
+        ({d}) = f(t + h, ({stage_c}))
+        z = ({z}) = ({new})
+        return z if {bounded} else None
+
+    return rk4_step
+"""
+
+
+@cache
+def _step_factory(k: int):
+    """``make_step(f, h, guard)`` for states of k entries: it returns ``rk4_step(t, y)``,
+    one RK4 step from (t, y), or None when an entry of the result is NaN or above guard."""
+    def each(form):   # "form(0), form(1), ..., " with form(j) = form.format(j=j)
+        return "".join(form.format(j=j) + ", " for j in range(k))
+
+    source = _STEP_TEMPLATE.format(
+        **{v: each(v + "{j}") for v in "yabcdz"},
+        stage_a=each("y{j} + half * a{j}"), stage_b=each("y{j} + half * b{j}"),
+        stage_c=each("y{j} + h * c{j}"),
+        new=each("y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})"),
+        bounded=" and ".join(f"abs(z{j}) <= guard" for j in range(k)) or "True")
+    namespace = {}
+    exec(compile(source, f"<rk4 step, k={k}>", "exec"), namespace)
+    return namespace["make_step"]

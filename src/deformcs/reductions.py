@@ -49,22 +49,28 @@ def _check_variant(variant: str) -> None:
         raise InvalidInputError(f"unknown Chazy variant {variant!r}")
 
 
+# G''' of each variant from (G, G1, G2, Phi, Phi'); only Generic reads Phi.
+_CHAZY_G3 = {
+    "ChazyV": lambda G, G1, G2, *_: -2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2,
+    "ChazyV_shifted": lambda G, G1, G2, *_: (-2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2
+                                            + G1),
+    "Generic": lambda G, G1, G2, phi, dphi: (-2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2
+                                             + 2.0 * G1 * phi + G * dphi),
+    "ChazyVII": lambda G, G1, G2, *_: -2.0 * G * G * G1 - 2.0 * G1 * G1 - G * G2,
+    "ChazyVIII": lambda G, G1, G2, *_: 6.0 * G * G * G1,
+    "ChazyIII": lambda G, G1, G2, *_: 2.0 * G * G2 - 3.0 * G1 * G1,
+}
+
+
 def chazy_rhs(variant: str, G: float, G1: float, G2: float,
               phi: float = 0.0, dphi: float = 0.0) -> float:
     """Third derivative G''' for the requested variant (Generic needs phi, dphi)."""
     _check_variant(variant)
-    if variant == "ChazyV":
-        return -2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2
-    if variant == "ChazyV_shifted":
-        return -2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2 + G1
-    if variant == "ChazyVII":
-        return -2.0 * G * G * G1 - 2.0 * G1 * G1 - G * G2
-    if variant == "ChazyVIII":
-        return 6.0 * G * G * G1
-    if variant == "ChazyIII":
-        return 2.0 * G * G2 - 3.0 * G1 * G1
-    return (-2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2
-            + 2.0 * G1 * phi + G * dphi)
+    return _CHAZY_G3[variant](G, G1, G2, phi, dphi)
+
+
+def _second_integral(G: float, G1: float, G2: float, closing: float) -> float:
+    return -0.5 * _pow(G, 4) + 0.5 * G1 * G1 - 2.0 * G * G * G1 - G * G2 + closing * G * G
 
 
 def chazy_second_integral(G: float, G1: float, G2: float,
@@ -76,10 +82,9 @@ def chazy_second_integral(G: float, G1: float, G2: float,
     and the closing term is Phi G^2.
     """
     _check_variant(variant)
-    base = -0.5 * _pow(G, 4) + 0.5 * G1 * G1 - 2.0 * G * G * G1 - G * G2
     if variant in ("ChazyV", "ChazyV_shifted"):
-        return base + 0.5 * B_or_phi * G * G
-    return base + B_or_phi * G * G
+        B_or_phi = 0.5 * B_or_phi
+    return _second_integral(G, G1, G2, B_or_phi)
 
 
 def chazy_eigenvalues(second_integral: float) -> tuple[complex, complex]:
@@ -114,13 +119,15 @@ def _chazy_system(variant: str):
     ChazyVII and ChazyIII carry B along via the Riccati equation
     B' = Phi - B^2/2 so the reconstruction map stays available; ChazyIII
     additionally carries Phi itself, integrated from the quadrature relation.
+    The variant is looked up here, once, not on every call of the right-hand side.
     """
+    g3 = _CHAZY_G3.get(variant)
     if variant in ("ChazyV", "ChazyV_shifted", "ChazyVIII"):
         cols = ("G", "G1", "G2")
 
         def f(_t, y):
             G, G1, G2 = y
-            return (G1, G2, chazy_rhs(variant, G, G1, G2))
+            return (G1, G2, g3(G, G1, G2))
 
         return cols, f
     if variant == "ChazyVII":
@@ -128,7 +135,7 @@ def _chazy_system(variant: str):
 
         def f(_t, y):
             G, G1, G2, B = y
-            return (G1, G2, chazy_rhs(variant, G, G1, G2), G1 - 0.5 * B * B)
+            return (G1, G2, g3(G, G1, G2), G1 - 0.5 * B * B)
 
         return cols, f
     if variant == "ChazyIII":
@@ -139,28 +146,27 @@ def _chazy_system(variant: str):
             if abs(G) < 1e-9:
                 raise SingularFlowError("ChazyIII quadrature needs G bounded away from 0")
             dphi = (2.0 * G * G * G1 + G1 * G1 + 4.0 * G * G2 - 2.0 * G1 * phi) / G
-            return (G1, G2, chazy_rhs(variant, G, G1, G2), dphi, phi - 0.5 * B * B)
+            return (G1, G2, g3(G, G1, G2), dphi, phi - 0.5 * B * B)
 
         return cols, f
     raise InvalidInputError(f"variant {variant!r} cannot be integrated directly")
 
 
+# (Phi, B, B') from one trajectory row (the columns of _chazy_system) of each variant
+_CHAZY_PHI_B = {
+    "ChazyV": lambda *_: (0.0, 0.0, 0.0),
+    "ChazyV_shifted": lambda *_: (0.5, 1.0, 0.0),
+    "ChazyVIII": lambda G, G1, G2: (2.0 * G1 + 2.0 * G * G, 2.0 * G, 2.0 * G1),
+    "ChazyVII": lambda G, G1, G2, B: (G1, B, G1 - 0.5 * B * B),
+    "ChazyIII": lambda G, G1, G2, phi, B: (phi, B, phi - 0.5 * B * B),
+}
+
+
 def chazy_state_phi_B(variant: str, row: np.ndarray) -> tuple[float, float, float]:
     """(Phi, B, B') at one trajectory row, as the variant determines Phi."""
-    G, G1 = row[0], row[1]
-    if variant == "ChazyV":
-        return 0.0, 0.0, 0.0
-    if variant == "ChazyV_shifted":
-        return 0.5, 1.0, 0.0
-    if variant == "ChazyVIII":
-        return 2.0 * G1 + 2.0 * G * G, 2.0 * G, 2.0 * G1
-    if variant == "ChazyVII":
-        B = row[3]
-        return G1, B, G1 - 0.5 * B * B
-    if variant == "ChazyIII":
-        phi, B = row[3], row[4]
-        return phi, B, phi - 0.5 * B * B
-    raise InvalidInputError(f"variant {variant!r} carries no reconstruction data")
+    if variant not in _CHAZY_PHI_B:
+        raise InvalidInputError(f"variant {variant!r} carries no reconstruction data")
+    return _CHAZY_PHI_B[variant](*row)
 
 
 def integrate_chazy(variant: str, initial: tuple[float, float, float],
@@ -170,11 +176,11 @@ def integrate_chazy(variant: str, initial: tuple[float, float, float],
     cols, f = _chazy_system(variant)
     y0 = tuple(initial) + {"ChazyVII": (b0,), "ChazyIII": (phi0, b0)}.get(variant, ())
     ts, ys, status, diagnostic = integrate_fixed(f, span[0], y0, span[1], step)
-    i2 = []
-    for row in ys.tolist():   # float arithmetic per row, not numpy scalars
-        phi, B, _ = chazy_state_phi_B(variant, row)
-        arg = B if variant in ("ChazyV", "ChazyV_shifted") else phi
-        i2.append(chazy_second_integral(row[0], row[1], row[2], arg, variant))
+    # Phi = B^2 / 2 is exactly B / 2 for the constant B (0 or 1) of ChazyV and
+    # ChazyV_shifted, so Phi is the closing coefficient of I2 for every variant.
+    phi_B = _CHAZY_PHI_B[variant]
+    i2 = [_second_integral(row[0], row[1], row[2], phi_B(*row)[0])
+          for row in ys.tolist()]   # float arithmetic per row, not numpy scalars
     return Trajectory(kind=variant, ts=ts, states=ys, columns=cols,
                       invariants={"I2_chazy": np.array(i2)},
                       status=status, diagnostic=diagnostic)

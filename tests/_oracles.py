@@ -1,9 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Most of this is written as plain index loops, deliberately sharing no code
-with the package implementations it checks.  The last section keeps the
-one-point-at-a-time and grid-first forms of the stacked code paths, which the
-package must match bit for bit.
+with the package implementations it checks.  The last sections keep the
+one-point-at-a-time and grid-first forms of the stacked code paths, and RK4 as a
+loop over tuples, which the package must match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from deformcs.algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport,
                                    tensor_from_pair)
 from deformcs.closed_forms import LOG_DOMAIN_TOL
 from deformcs.dda_registry import SampledField, cs_residual
-from deformcs.errors import InvalidInputError, SingularGaugeError
+from deformcs.errors import InvalidInputError, SingularFlowError, SingularGaugeError
+from deformcs.integrators import (OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED,
+                                  step_count)
 
 
 def assoc_defect_loops(c: np.ndarray) -> float:
@@ -371,7 +373,7 @@ def validate_family_per_point(fam, sample_points, h: float = 1e-4) -> ResidualRe
         try:
             fld = SampledField(dda=dda, grid=np.array(xs),
                                pairs=tuple(eval_family_per_point(fam, x) for x in xs))
-        except InvalidInputError as exc:
+        except (InvalidInputError, SingularGaugeError) as exc:
             with_h = "" if dda == "L5" else f" with h={h}"
             raise InvalidInputError(f"points: x={p}{with_h}: {exc}") from None
         norms.append(cs_residual(dda, fld, 1).norms[0])
@@ -417,3 +419,38 @@ def coisotropic_bracket_grid_first(tg) -> np.ndarray:
     t5 = np.einsum("...lrs,...sjkm->...jklrm", c, d)
     t6 = np.einsum("...jks,...slrm->...jklrm", c, d)
     return t1 + t2 - t3 - t4 + t5 - t6
+
+
+# ---------------------------------------------------------------------------
+# RK4 as one generator expression per stage over zips of tuples, the form the
+# unrolled steps of ``integrators`` must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+def rk4_loop(f, t0, y0, t1, step, guard=OVERFLOW_GUARD):
+    """``integrators.integrate_fixed`` with every stage a ``tuple`` over ``zip``s."""
+    n = step_count(t0, t1, step)
+    y = tuple(float(v) for v in y0)
+    ys = np.empty((n + 1, len(y)))
+    ys[0] = y
+    h = (t1 - t0) / n if n else 0.0
+    half, sixth = 0.5 * h, h / 6.0
+    t, rows, diagnostic = t0, n + 1, None
+    for i in range(n):
+        try:
+            k1 = f(t, y)
+            k2 = f(t + half, tuple(a + half * b for a, b in zip(y, k1)))
+            k3 = f(t + half, tuple(a + half * b for a, b in zip(y, k2)))
+            k4 = f(t + h, tuple(a + h * b for a, b in zip(y, k3)))
+        except (SingularFlowError, ZeroDivisionError, FloatingPointError) as exc:
+            rows, diagnostic = i + 1, f"{type(exc).__name__}: {exc}"
+            break
+        y = tuple(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+        t = t0 + (i + 1) * h
+        if not all(abs(v) <= guard for v in y):   # a NaN fails the test too
+            rows, diagnostic = i + 1, f"state exceeded overflow guard {guard:g} at t={t:.6g}"
+            break
+        ys[i + 1] = y
+    ts = np.concatenate(([t0], t0 + np.arange(1, rows) * h))   # keeps a t0 of -0.0
+    status = STATUS_COMPLETED if diagnostic is None else STATUS_TRUNCATED
+    return ts, ys[:rows], status, diagnostic

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import deformcs
+from deformcs import cli
 from deformcs.cli import EXIT_INVALID, EXIT_OK, EXIT_SINGULAR, load_scenario, main
 from deformcs.errors import DeformError
 from deformcs.integrators import step_count
@@ -295,6 +296,20 @@ def test_scenario_file_missing(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["validate", "--help"], [],
+                                  ["run"], ["frob"], ["run", "s.json", "--step", "x"],
+                                  ["run", "s.json", "--frob"]])
+def test_reused_parser_prints_what_a_fresh_one_does(argv, capsys):
+    outputs = []
+    for parse in (cli._parser.__wrapped__().parse_args, main, main):
+        with pytest.raises(SystemExit) as done:
+            parse(argv)
+        out = capsys.readouterr()
+        outputs.append((done.value.code, out.out, out.err))
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert cli._parser() is cli._parser()
+
+
 def test_unreadable_scenario_or_field_file_exits_two(tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{")
@@ -374,6 +389,9 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({"kind": "validate_family", "family": "GaugeL5", "points": [1234567.3],
       "params": {"phi0": [1.0, 0.2], "phi1": [0.0, 1.0, 0.1], "phi2": [0.5, 0.0, 1.0]}},
      "points: x=1234567.3: "),
+    ({"kind": "validate_family", "family": "GaugeL5", "points": [0.5, 1e17],
+      "params": {"phi0": [1.0, 0.2], "phi1": [0.0, 1.0, 0.1], "phi2": [0.5, 0.0, 1.0]}},
+     "points: x=1e+17: gauge matrix is singular at x = 1e+17"),
 ])
 def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, named):
     scenario = _write(tmp_path, "bad.json", doc)

@@ -1,0 +1,163 @@
+"""integrate_fixed against the tuple-and-zip RK4 loop of ``_oracles.rk4_loop``.
+
+Every run must agree bit for bit: times, states, status, diagnostic, and the
+(t, y) of every right-hand-side call.  The right-hand sides are those every
+flow and reduction hands to the integrator in the recorded CLI scenarios, and
+small synthetic ones that stop the run at each place it can stop.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from deformcs import continuous_flows, reductions
+from deformcs.cli import REDUCTION_KINDS, main
+from deformcs.continuous_flows import SYSTEMS
+from deformcs.errors import SingularFlowError
+from deformcs.integrators import integrate_fixed
+
+from _oracles import rk4_loop
+
+GOLDEN = Path(__file__).parent / "golden"
+SCENARIOS = {case.name: json.loads((case / "scenario.json").read_text())
+             for case in sorted(GOLDEN.iterdir()) if case.name.startswith(("flow_", "reduction_"))}
+SCENARIOS.update({f"reduction_{v}": {**SCENARIOS["reduction_chazy_v"], "reduction": v}
+                  for v in ("ChazyV_shifted", "ChazyVIII")})
+
+
+def _runs_agree(make_f, *args, **kwargs):
+    """Run integrate_fixed and rk4_loop, each on a fresh ``make_f()``; return the result
+    and the number of right-hand-side calls: four per step taken."""
+    runs = []
+    for integrate in (integrate_fixed, rk4_loop):
+        f, calls = make_f(), []
+
+        def counted(t, y):
+            calls.append((t, y))
+            return f(t, y)
+
+        runs.append((integrate(counted, *args, **kwargs), repr(calls), len(calls)))
+    ((ts, ys, status, diagnostic), calls, count), ((rts, rys, *rest), rcalls, _) = runs
+    assert ts.shape == rts.shape and ts.tobytes() == rts.tobytes()   # -0.0 and NaN too
+    assert ys.shape == rys.shape and ys.tobytes() == rys.tobytes()
+    assert np.array_equal(ts, rts) and np.array_equal(ys, rys)
+    assert [status, diagnostic] == rest
+    assert calls == rcalls
+    if status == "completed":
+        assert count == 4 * (len(ts) - 1)
+    elif diagnostic.startswith("state exceeded"):   # the last step was taken, then dropped
+        assert count == 4 * len(ts)
+    return ts, ys, status, diagnostic, count
+
+
+def test_scenarios_cover_every_flow_and_reduction():
+    assert {d["system"] for d in SCENARIOS.values() if "system" in d} == set(SYSTEMS)
+    assert {d["reduction"] for d in SCENARIOS.values() if "reduction" in d} == set(REDUCTION_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_flow_and_reduction_matches_the_loop(name, tmp_path, monkeypatch):
+    seen = []
+
+    def record(f, *args, **kwargs):
+        seen.append((f, args, kwargs))
+        return integrate_fixed(f, *args, **kwargs)
+
+    for module in (continuous_flows, reductions):
+        monkeypatch.setattr(module, "integrate_fixed", record)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIOS[name]))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out"), "--quiet"]) in (0, 3)
+    (f, args, kwargs), = seen
+    _runs_agree(lambda: f, *args, **kwargs)
+
+
+def _grow(_t, y):   # y' = y
+    return tuple(y)
+
+
+def _unit(_t, y):   # y' = 1 in every entry
+    return (1.0,) * len(y)
+
+
+def _odd_at(call, value):
+    """A maker of right-hand sides y' = y that raise ``value`` (an exception) at their
+    ``call``-th call, or return ``value`` (a tuple) there."""
+    def make():
+        count = [0]
+
+        def f(_t, y):
+            count[0] += 1
+            if count[0] != call:
+                return tuple(y)
+            if isinstance(value, Exception):
+                raise value
+            return value
+        return f
+    return make
+
+
+def test_one_entry_state_matches_the_loop():
+    ts, ys, status, _, _ = _runs_agree(lambda: _grow, 0.0, [1.0], 1.0, 0.1)
+    assert status == "completed" and len(ts) == 11
+    assert ys[-1, 0] == pytest.approx(math.e, rel=1e-6)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_singular_stage_truncates_like_the_loop(stage):
+    # the third step's stage ``stage`` raises: two steps are kept
+    make = _odd_at(8 + stage, SingularFlowError("pole"))
+    ts, ys, status, diagnostic, calls = _runs_agree(make, 0.0, [1.0, -2.0], 1.0, 0.1)
+    assert (status, diagnostic, len(ts), len(ys)) == ("truncated", "SingularFlowError: pole", 3, 3)
+    assert calls == 8 + stage
+
+
+def test_zero_division_truncates_like_the_loop():
+    make = _odd_at(6, ZeroDivisionError("x"))
+    _, _, status, diagnostic, _ = _runs_agree(make, 0.0, [1.0, 2.0, 3.0], 1.0, 0.1)
+    assert (status, diagnostic) == ("truncated", "ZeroDivisionError: x")
+
+
+def test_nan_state_truncates_like_the_loop():
+    # the second step's third stage is NaN, and so is the state it leads to
+    make = _odd_at(7, (math.nan, 1.0))
+    ts, _, status, diagnostic, _ = _runs_agree(make, 0.0, [1.0, 2.0], 1.0, 0.1)
+    assert status == "truncated" and len(ts) == 2
+    assert diagnostic == "state exceeded overflow guard 1e+12 at t=0.2"
+
+
+def test_state_just_past_the_guard_truncates_like_the_loop():
+    # 1e12 itself passes the guard, 1e12 + 1 does not
+    ts, ys, status, diagnostic, _ = _runs_agree(lambda: _unit, 0.0, [1e12 - 1.0, 0.0], 4.0, 1.0)
+    assert status == "truncated" and ys[-1, 0] == 1e12 and len(ts) == 2
+    assert diagnostic == "state exceeded overflow guard 1e+12 at t=2"
+
+
+def test_empty_span_matches_the_loop():
+    ts, ys, status, _, _ = _runs_agree(lambda: _grow, 0.5, [1.0, 2.0], 0.5, 0.1)
+    assert status == "completed" and ts.tolist() == [0.5] and ys.tolist() == [[1.0, 2.0]]
+
+
+def test_negative_zero_start_matches_the_loop():
+    ts, *_ = _runs_agree(lambda: _grow, -0.0, [1.0], 0.3, 0.1)
+    assert math.copysign(1.0, ts[0]) == -1.0 and len(ts) == 4
+
+
+def test_short_rhs_raises_where_the_loop_broadcasts():
+    def short(_t, y):
+        return (1.0,)
+
+    _, ys, status, _ = rk4_loop(short, 0.0, [1.0, 2.0], 0.3, 0.1)
+    assert status == "completed" and ys[1, 1] == ys[1, 0]   # the second entry is lost
+    with pytest.raises(ValueError, match="to unpack"):
+        integrate_fixed(short, 0.0, [1.0, 2.0], 0.3, 0.1)
+
+
+@pytest.mark.parametrize("call, value", [(1, (1.0, 2.0, 3.0)), (2, (1.0,)), (7, ()),
+                                         (8, (1.0, 2.0, 3.0))])
+def test_rhs_of_the_wrong_length_at_any_stage_raises(call, value):
+    with pytest.raises(ValueError, match="to unpack"):
+        integrate_fixed(_odd_at(call, value)(), 0.0, [1.0, 2.0], 0.3, 0.1)
