@@ -9,7 +9,7 @@ from .dda_registry import (DDASpec, SampledField, TensorGrid,
                            discrete_cs_residual, lookup, quantum_cs_residual)
 from .integrators import MAX_STEPS, Trajectory
 from .continuous_flows import (first_integrals, integrate, spectral_invariants,
-                               state_from_entries, vector_field)
+                               state_from_entries)
 from .reductions import (boussinesq_rhs_and_companions, chazy_rhs, chazy_second_integral,
                          elliptic_system, reconstruct_from_G)
 from .closed_forms import SolutionFamily, eval_family, family_integrals, validate_family
@@ -24,7 +24,7 @@ __all__ = [
     "cs_residual", "cs_residual_scan", "quantum_cs_residual", "coisotropic_cs_residual",
     "discrete_cs_residual",
     "MAX_STEPS", "Trajectory", "first_integrals", "integrate",
-    "spectral_invariants", "state_from_entries", "vector_field",
+    "spectral_invariants", "state_from_entries",
     "chazy_rhs", "chazy_second_integral",
     "reconstruct_from_G", "boussinesq_rhs_and_companions", "elliptic_system",
     "SolutionFamily", "eval_family", "family_integrals", "validate_family",

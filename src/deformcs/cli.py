@@ -158,15 +158,14 @@ class ScenarioConfig:
         family = self._require(str, "family")
         if family not in FAMILY_IDS:
             raise InvalidInputError(f"unknown family {family!r}")
-        key = "family_params" if "family_params" in self.doc else "params"
-        params = self._require(dict, key)
+        params = self._require(dict, "params")
         for name, v in params.items():
             if family == "GaugeL5":
                 if not (isinstance(v, list) and v and all(_is_number(c) for c in v)):
                     raise InvalidInputError(
-                        f"field {key!r}[{name!r}] must be a nonempty list of finite numbers")
+                        f"field 'params'[{name!r}] must be a nonempty list of finite numbers")
             elif name != "printed_form" and not _is_number(v):
-                raise InvalidInputError(f"field {key!r}[{name!r}] must be a finite number")
+                raise InvalidInputError(f"field 'params'[{name!r}] must be a finite number")
         points = self._require(list, "points")
         if not points or not all(_is_number(v) for v in points):
             raise InvalidInputError("field 'points' must be a nonempty list of numbers")

@@ -29,10 +29,8 @@ from numpy.polynomial import polynomial as npoly
 from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, entry_stacks,
                            layout_defect)
 from .dda_registry import SampledField, _cs_norms, cs_residual, grid_defect, lookup
-from .discrete_flows import GAUGE_SHIFTS, gauge_matrix
+from .discrete_flows import _first, gauge_pairs
 from .errors import DeformError, InvalidInputError, SingularGaugeError
-
-FAMILY_IDS = ("Nilpotent3x3", "Nilpotent2x2", "UpperTri2x2", "PolyL3", "GaugeL5")
 
 LOG_DOMAIN_TOL = 1e-9       # |ln x| must exceed this for the log families
 CONSTRAINT_TOL = 1e-12      # PolyL3 unimodularity at construction
@@ -41,8 +39,10 @@ _FAMILY_PARAMS = {
     "Nilpotent3x3": ("alpha", "beta", "gamma", "delta", "mu"),
     "Nilpotent2x2": ("alpha", "beta", "gamma"),
     "UpperTri2x2": ("alpha", "beta", "gamma", "delta"),
-    "PolyL3": ("alpha", "beta", "gamma", "delta"),
+    "PolyL3": ("alpha", "beta", "gamma", "delta", "printed_form"),   # the last a bool
+    "GaugeL5": ("phi0", "phi1", "phi2"),   # each a list of polynomial coefficients
 }
+FAMILY_IDS = tuple(_FAMILY_PARAMS)
 _FAMILY_N = {"Nilpotent3x3": 3, "Nilpotent2x2": 2, "UpperTri2x2": 2, "PolyL3": 2}
 
 
@@ -56,15 +56,15 @@ class SolutionFamily:
     def __post_init__(self):
         if self.id not in FAMILY_IDS:
             raise InvalidInputError(f"unknown solution family {self.id!r}")
-        if self.id == "GaugeL5":
-            for key in ("phi0", "phi1", "phi2"):
-                if key not in self.params:
-                    raise InvalidInputError(f"GaugeL5 needs polynomial coefficients {key!r}")
-            return
-        known = set(_FAMILY_PARAMS[self.id]) | {"printed_form"}
-        unknown = set(self.params) - known
+        unknown = set(self.params) - set(_FAMILY_PARAMS[self.id])
         if unknown:
             raise InvalidInputError(f"{self.id} has no parameters {sorted(unknown)}")
+        missing = [key for key in _FAMILY_PARAMS[self.id] if key not in self.params]
+        if self.id == "GaugeL5" and missing:   # the other families read a missing one as 0
+            raise InvalidInputError(f"GaugeL5 needs polynomial coefficients {missing[0]!r}")
+        if not isinstance(self.params.get("printed_form", False), bool):   # PolyL3 only
+            raise InvalidInputError("PolyL3 parameter 'printed_form' must be true or false, "
+                                    f"got {self.params['printed_form']!r}")
         if self.id == "UpperTri2x2" and self.p("beta") == 0.0:
             raise InvalidInputError("UpperTri2x2 requires beta != 0")
         if self.id == "PolyL3":
@@ -89,31 +89,6 @@ def _log_var(x):
     if abs(t) < LOG_DOMAIN_TOL:
         raise InvalidInputError(f"x = {x} is too close to the ln x = 0 pole")
     return t
-
-
-def _first(bad, x):
-    """The first point of x (one point, or an array of points) where bad holds, or None."""
-    if not isinstance(x, np.ndarray):
-        return x if bad else None
-    hits = np.flatnonzero(bad)
-    return x[hits[0]] if hits.size else None
-
-
-def _polynomial_potentials(fam: SolutionFamily):
-    """The GaugeL5 potentials Phi^m as a map from points to their (3, points...) values."""
-    coeffs = [np.asarray(fam.params[k], dtype=float) for k in ("phi0", "phi1", "phi2")]
-    return lambda points: np.array([npoly.polyval(points, c) for c in coeffs])
-
-
-def _gauge_pairs(fam: SolutionFamily, points) -> tuple[np.ndarray, np.ndarray]:
-    """GaugeL5's C_k = g^-1 T_k g at one point (3x3), or at an array of points (P, 3, 3)."""
-    potentials, x = _polynomial_potentials(fam), np.asarray(points, dtype=float)
-    gmat = gauge_matrix(potentials, x)
-    bad = _first(np.abs(np.linalg.det(gmat)) < DEGENERACY_TOL, points)
-    if bad is not None:
-        raise SingularGaugeError(f"gauge matrix is singular at x = {bad}")
-    C1, C2 = (np.linalg.solve(gmat, gauge_matrix(potentials, x + s)) for s in GAUGE_SHIFTS[1:])
-    return C1, C2
 
 
 def _family_entries(fam: SolutionFamily, x) -> dict:
@@ -148,16 +123,18 @@ def _family_entries(fam: SolutionFamily, x) -> dict:
 
 
 def _family_stack(fam: SolutionFamily, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P, n, n) stacks of C1 and C2 at the P points of x; raises at the first bad point."""
-    if fam.id == "GaugeL5":
-        return _gauge_pairs(fam, x)
+    """(P, n, n) stacks of C1 and C2 at the P points of x; raises at the first bad point.
+    GaugeL5 also takes one point x, giving C1 and C2 there."""
+    if fam.id == "GaugeL5":   # the potentials Phi^m are polynomials
+        coeffs = [np.asarray(fam.params[k], dtype=float) for k in _FAMILY_PARAMS["GaugeL5"]]
+        return gauge_pairs(lambda p: np.array([npoly.polyval(p, c) for c in coeffs]), x)[3:]
     return entry_stacks(_FAMILY_N[fam.id], _family_entries(fam, x))
 
 
 def eval_family(fam: SolutionFamily, point: float) -> MatrixPair:
     """Evaluate the family's structure constants at one value of x (or y)."""
     if fam.id == "GaugeL5":
-        return MatrixPair(3, *_gauge_pairs(fam, point))
+        return MatrixPair(3, *_family_stack(fam, point))
     # the log families' errors name the point as given, UpperTri2x2's names its float
     x = point if fam.id in ("Nilpotent3x3", "Nilpotent2x2") else float(point)
     return MatrixPair.from_entries(_FAMILY_N[fam.id], _family_entries(fam, x))

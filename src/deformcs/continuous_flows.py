@@ -148,12 +148,6 @@ def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str
     return state
 
 
-def vector_field(system_id: str, entries: Mapping[str, float]) -> dict[str, float]:
-    """d(entry)/ds for every evolved entry, at the state given by ``entries``."""
-    sy = get_system(system_id)
-    return dict(zip(sy.evolved, sy.rhs(*sy.split(state_from_entries(system_id, entries)))))
-
-
 # The invariants below take a mapping from entry names to values: floats for
 # one state, or equally long arrays for every state of a run.
 

@@ -35,6 +35,7 @@ OP_SCALING_DERIVATIVE = "scaling_derivative"    # x d/dx
 OP_DERIVATIVE_TIMES_P1 = "derivative_times_p1"  # d/dx . p1
 OP_SHIFT = "shift"                              # T
 OP_INVERSE_SHIFT = "inverse_shift"              # T^-1
+_READS_BEHIND = {OP_SCALING_DERIVATIVE, OP_DERIVATIVE_TIMES_P1, OP_INVERSE_SHIFT}
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,17 @@ class DDASpec:
 
     @property
     def discrete(self) -> bool:
-        return self.id in ("L2b", "L4", "L5")
+        """p1 acts as the shift T, so the central system is a lattice map."""
+        return self.p1_action == OP_SHIFT
 
     @property
     def stencil_reach(self) -> tuple[int, int]:
         """Grid neighbours (behind, ahead) that the central-system stencil reads.
 
-        L2a/L3 need a central difference, L5 looks both ways, L2b/L4 only ahead.
+        A derivative needs a central difference and T^-1 looks one site back, so
+        L2a, L3 and L5 read one neighbour behind; every stencil reads one ahead.
         """
-        return (1 if self.id in ("L2a", "L3", "L5") else 0), 1
+        return int(not _READS_BEHIND.isdisjoint((self.p1_action, self.p2_action))), 1
 
 
 _REGISTRY = {

@@ -26,10 +26,11 @@ import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
                            trace_integrals)
+from .dda_registry import _REGISTRY, TensorGrid
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
 
-MAP_DDAS = ("L2b", "L4", "L5")
+MAP_DDAS = tuple(dda for dda, spec in _REGISTRY.items() if spec.discrete)
 ENTRY_NAMES = tuple(ENTRY_POSITIONS_2)   # B, C, E, G, M, N: one orbit row
 FLAG_NAMES = ("det_C1_degenerate", "E_minus_G_degenerate", "det_C2_degenerate")
 
@@ -94,9 +95,12 @@ def init_map_state(dda: str, entries: dict[str, float],
     """Build the step-0 state of an orbit from named 2x2 entries.
 
     For L5 the map is second order in the lattice variable; ``prev_entries``
-    supplies C1 one site back and defaults to the initial C1.
+    supplies C1 one site back and defaults to the initial C1.  The first-order
+    L2b and L4 maps take no ``prev_entries``.
     """
     _check(dda)
+    if dda != "L5" and prev_entries is not None:
+        raise InvalidInputError(f"{dda} is a first-order map: prev entries apply to L5 only")
     values = _values(entries)
     prev_C1 = None
     if dda == "L5":
@@ -244,69 +248,92 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
 GAUGE_SHIFTS = (0, 1, -1)   # T_0 = 1, T_1 = T, T_2 = T^-1
 
 
-def gauge_matrix(potentials, x) -> np.ndarray:
-    """g at x: row m, column k holds Phi^m(x + s_k) for the shifts s_k in GAUGE_SHIFTS.
+def _first(bad, x):
+    """The first point of x (one point, or an array of points) where bad holds, or None."""
+    if not isinstance(x, np.ndarray):
+        return x if bad else None
+    hits = np.flatnonzero(bad)
+    return x.flat[hits[0]] if hits.size else None
+
+
+def gauge_pairs(potentials, x):
+    """g, T_1 g, T_2 g and C_k = g^-1 T_k g at a point x, or stacked over an array of points.
 
     ``potentials`` maps an array of points to the (3, points...) array of Phi^m
-    values.  An array of points x gives the stack of g, indexed [point..., m, k].
+    values.  Row m, column k of g holds Phi^m(x + s_k) for the shifts s_k in
+    GAUGE_SHIFTS, and T_j g is g at x + s_j; stacks are indexed [point..., m, k].
+    Raises SingularGaugeError at the first point where |det g| is below tolerance,
+    naming that point as x gives it; the shifted potentials are read after that check.
     """
-    x = np.asarray(x)
-    g = potentials(x[..., None] + np.array(GAUGE_SHIFTS))   # [m, point..., k]
-    return g if x.ndim == 0 else np.moveaxis(g, 0, -2)
+    xf = np.asarray(x, dtype=float)
+
+    def at(s):   # g at x + s: potentials give [m, point..., k]
+        return np.moveaxis(potentials((xf + s)[..., None] + np.array(GAUGE_SHIFTS)), 0, -2)
+
+    g = at(0)
+    first = _first(np.abs(np.linalg.det(g)) < DEGENERACY_TOL, x)
+    if first is not None:
+        raise SingularGaugeError(f"gauge matrix is singular at x = {first}")
+    t1, t2 = at(GAUGE_SHIFTS[1]), at(GAUGE_SHIFTS[2])
+    return g, t1, t2, np.linalg.solve(g, t1), np.linalg.solve(g, t2)
 
 
-def _sampled_potentials(phi: np.ndarray, xs: np.ndarray):
-    """Potentials read off samples phi[m, i] = Phi^m(xs[i]) on integer points."""
-    idx = {int(v): i for i, v in enumerate(xs)}
-
-    def potentials(points: np.ndarray) -> np.ndarray:
-        try:
-            return phi[:, [idx[int(p)] for p in points]]
-        except KeyError as exc:
-            raise InvalidInputError(f"potential samples do not cover x = {exc.args[0]}") from None
-
-    return potentials
+def _gauge_samples(phi, xs) -> tuple[np.ndarray, np.ndarray]:
+    """phi as floats and xs as integers, once phi[m, i] = Phi^m(xs[i]) is checked to
+    sample three potentials on consecutive integers."""
+    phi, xs = np.asarray(phi, dtype=float), np.asarray(xs, dtype=float)
+    if not np.array_equal(xs, np.round(xs.ravel()[:1]) + np.arange(xs.size)):
+        raise InvalidInputError("xs must be consecutive integers, as np.arange(a, b) gives")
+    if phi.shape != (3, xs.size):
+        raise InvalidInputError("need three potentials sampled on the whole interval")
+    return phi, xs.astype(int)
 
 
-def oriented_assoc_defect(phi: np.ndarray, xs: np.ndarray, x: int) -> np.ndarray:
-    """The commutator C1 C2 - C2 C1 at x, via the gauge sums.
+def _gauge_defects(phi: np.ndarray, xs: np.ndarray, x) -> np.ndarray:
+    """C1 C2 - C2 C1 at x (a point or an array of points), with Phi^m(p) = phi[m, p - xs[0]].
 
     Each side of the oriented associativity identity is the matrix
     S_jk = (T_j g) g^-1 (T_k g) = g (C_j C_k); the defect S_12 - S_21 is
     normalised by g^-1 so that a nonzero residual is exactly the
     associativity defect of the gauge structure constants.
     """
-    potentials = _sampled_potentials(phi, xs)
-    g = gauge_matrix(potentials, x)
-    if abs(np.linalg.det(g)) < DEGENERACY_TOL:
-        raise SingularGaugeError(f"gauge matrix is singular at x = {x}")
-    # (T_j g)[m][t] = Phi^m(x + s_j + s_t): shift the whole gauge matrix.
-    t1, t2 = (gauge_matrix(potentials, x + s) for s in GAUGE_SHIFTS[1:])
-    C1, C2 = np.linalg.solve(g, t1), np.linalg.solve(g, t2)   # C_k = g^-1 T_k g
+    start = xs[0] if xs.size else 0
+
+    def potentials(points: np.ndarray) -> np.ndarray:
+        i = points.astype(int) - start
+        outside = (i < 0) | (i >= xs.size)
+        if outside.any():
+            missing = i.flat[np.argmax(outside)] + start
+            raise InvalidInputError(f"potential samples do not cover x = {missing}")
+        return phi[:, i]
+
+    g, t1, t2, C1, C2 = gauge_pairs(potentials, x)
     return np.linalg.solve(g, t1 @ C2) - np.linalg.solve(g, t2 @ C1)
+
+
+def oriented_assoc_defect(phi, xs, x: int) -> np.ndarray:
+    """The commutator C1 C2 - C2 C1 at the integer x, via the gauge sums: one point
+    of the stack that ``discrete_oriented_assoc_residual`` evaluates."""
+    if not float(x).is_integer():
+        raise InvalidInputError(f"x must be an integer, got {x}")
+    return _gauge_defects(*_gauge_samples(phi, xs), x)
 
 
 def discrete_oriented_assoc_residual(phi, xs) -> ResidualReport:
     """Oriented-associativity residual of a gauge field, per interior point.
 
-    ``phi`` holds the three potentials sampled on the integer interval ``xs``
-    (shape (3, len(xs))); points with x-2 .. x+2 available are evaluated.
-    The reported norm per point is the Frobenius norm of C1 C2 - C2 C1
+    ``phi`` holds the three potentials sampled on ``xs``, consecutive integers
+    (shape (3, len(xs))); the points with x-2 .. x+2 available are evaluated as
+    one stack.  The reported norm per point is the Frobenius norm of C1 C2 - C2 C1
     reconstructed through the gauge sums (zero iff iso-associative there).
     """
-    phi = np.asarray(phi, dtype=float)
-    xs = np.asarray(xs, dtype=int)
-    if phi.shape != (3, xs.size):
-        raise InvalidInputError("need three potentials sampled on the whole interval")
-    labels, norms = [], []
-    for x in xs:
-        if x - 2 < xs[0] or x + 2 > xs[-1]:
-            continue
-        labels.append(f"x={int(x)}")
-        norms.append(float(np.linalg.norm(oriented_assoc_defect(phi, xs, int(x)))))
-    if not labels:
+    phi, xs = _gauge_samples(phi, xs)
+    interior = xs[2:-2]
+    if not interior.size:
         raise InvalidInputError("interval too short: no point has both double shifts")
-    return ResidualReport(labels=tuple(labels), norms=tuple(norms))
+    defects = _gauge_defects(phi, xs, interior)
+    return ResidualReport(labels=tuple(f"x={x}" for x in interior.tolist()),
+                          norms=tuple(float(np.linalg.norm(d)) for d in defects))
 
 
 def lattice_field_from_l5_orbit(run: Orbit, shape: tuple[int, int]):
@@ -316,8 +343,6 @@ def lattice_field_from_l5_orbit(run: Orbit, shape: tuple[int, int]):
     realising the constraint T1 T2 C = C.  Returns a TensorGrid whose
     discrete central-system residual vanishes on exact orbits.
     """
-    from .dda_registry import TensorGrid
-
     n1, n2 = shape
     need = n1 + n2 - 1
     if len(run.entries) < need:

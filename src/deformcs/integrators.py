@@ -63,14 +63,13 @@ def step_count(t0: float, t1: float, step: float) -> int:
 
 
 def integrate_fixed(f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
-                    t0: float, y0: Sequence[float], t1: float, step: float,
-                    guard: float = OVERFLOW_GUARD):
+                    t0: float, y0: Sequence[float], t1: float, step: float):
     """Integrate y' = f(t, y) from t0 to t1; f takes and returns tuples of floats.
 
     Returns (ts, ys, status, diagnostic).  The run is truncated (not raised)
     when a right-hand-side evaluation hits a singularity (SingularFlowError,
-    ZeroDivisionError, FloatingPointError) or an entry is NaN or above the
-    guard in size; ``ys`` then holds the states up to the last good point.
+    ZeroDivisionError, FloatingPointError) or an entry is NaN or above
+    OVERFLOW_GUARD in size; ``ys`` then holds the states up to the last good point.
     Any other error in the right-hand side is a bug and propagates, and so
     does the ValueError of a result with other than len(y0) entries.
     """
@@ -79,7 +78,7 @@ def integrate_fixed(f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
     ys = np.empty((n + 1, len(y)))
     ys[0] = y
     h = (t1 - t0) / n if n else 0.0
-    rk4_step = _step_factory(len(y))(f, h, guard)
+    rk4_step = _step_factory(len(y))(f, h, OVERFLOW_GUARD)
     t, rows, diagnostic = t0, n + 1, None
     for i in range(n):
         try:
@@ -89,7 +88,8 @@ def integrate_fixed(f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
             break
         t = t0 + (i + 1) * h
         if y_next is None:   # an entry was NaN or above the guard in size
-            rows, diagnostic = i + 1, f"state exceeded overflow guard {guard:g} at t={t:.6g}"
+            rows = i + 1
+            diagnostic = f"state exceeded overflow guard {OVERFLOW_GUARD:g} at t={t:.6g}"
             break
         ys[i + 1] = y = y_next
     ts = np.concatenate(([t0], t0 + np.arange(1, rows) * h))   # keeps a t0 of -0.0

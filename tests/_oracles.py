@@ -422,11 +422,68 @@ def coisotropic_bracket_grid_first(tg) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The discrete oriented-associativity residual one point at a time, reading the
+# samples through a dict; the stacked gauge kernel must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+_GAUGE_SHIFTS = (0, 1, -1)   # T_0 = 1, T_1 = T, T_2 = T^-1
+
+
+def _gauge_matrix(potentials, x) -> np.ndarray:
+    """g at x: row m, column k holds Phi^m(x + s_k) for the shifts s_k in _GAUGE_SHIFTS."""
+    x = np.asarray(x)
+    g = potentials(x[..., None] + np.array(_GAUGE_SHIFTS))   # [m, point..., k]
+    return g if x.ndim == 0 else np.moveaxis(g, 0, -2)
+
+
+def _sampled_potentials(phi: np.ndarray, xs: np.ndarray):
+    """Potentials read off samples phi[m, i] = Phi^m(xs[i]) on integer points."""
+    idx = {int(v): i for i, v in enumerate(xs)}
+
+    def potentials(points: np.ndarray) -> np.ndarray:
+        try:
+            return phi[:, [idx[int(p)] for p in points]]
+        except KeyError as exc:
+            raise InvalidInputError(f"potential samples do not cover x = {exc.args[0]}") from None
+
+    return potentials
+
+
+def oriented_assoc_defect_per_point(phi: np.ndarray, xs: np.ndarray, x: int) -> np.ndarray:
+    """C1 C2 - C2 C1 at x via the gauge sums S_jk = (T_j g) g^-1 (T_k g), normalised by g^-1."""
+    potentials = _sampled_potentials(phi, xs)
+    g = _gauge_matrix(potentials, x)
+    if abs(np.linalg.det(g)) < DEGENERACY_TOL:
+        raise SingularGaugeError(f"gauge matrix is singular at x = {x}")
+    # (T_j g)[m][t] = Phi^m(x + s_j + s_t): shift the whole gauge matrix.
+    t1, t2 = (_gauge_matrix(potentials, x + s) for s in _GAUGE_SHIFTS[1:])
+    C1, C2 = np.linalg.solve(g, t1), np.linalg.solve(g, t2)   # C_k = g^-1 T_k g
+    return np.linalg.solve(g, t1 @ C2) - np.linalg.solve(g, t2 @ C1)
+
+
+def oriented_assoc_residual_loop(phi, xs) -> ResidualReport:
+    """``discrete_oriented_assoc_residual`` as a loop over the interior points."""
+    phi = np.asarray(phi, dtype=float)
+    xs = np.asarray(xs, dtype=int)
+    if phi.shape != (3, xs.size):
+        raise InvalidInputError("need three potentials sampled on the whole interval")
+    labels, norms = [], []
+    for x in xs:
+        if x - 2 < xs[0] or x + 2 > xs[-1]:
+            continue
+        labels.append(f"x={int(x)}")
+        norms.append(float(np.linalg.norm(oriented_assoc_defect_per_point(phi, xs, int(x)))))
+    if not labels:
+        raise InvalidInputError("interval too short: no point has both double shifts")
+    return ResidualReport(labels=tuple(labels), norms=tuple(norms))
+
+
+# ---------------------------------------------------------------------------
 # RK4 as one generator expression per stage over zips of tuples, the form the
 # unrolled steps of ``integrators`` must reproduce bit for bit.
 # ---------------------------------------------------------------------------
 
-def rk4_loop(f, t0, y0, t1, step, guard=OVERFLOW_GUARD):
+def rk4_loop(f, t0, y0, t1, step):
     """``integrators.integrate_fixed`` with every stage a ``tuple`` over ``zip``s."""
     n = step_count(t0, t1, step)
     y = tuple(float(v) for v in y0)
@@ -447,8 +504,9 @@ def rk4_loop(f, t0, y0, t1, step, guard=OVERFLOW_GUARD):
         y = tuple(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
         t = t0 + (i + 1) * h
-        if not all(abs(v) <= guard for v in y):   # a NaN fails the test too
-            rows, diagnostic = i + 1, f"state exceeded overflow guard {guard:g} at t={t:.6g}"
+        if not all(abs(v) <= OVERFLOW_GUARD for v in y):   # a NaN fails the test too
+            rows = i + 1
+            diagnostic = f"state exceeded overflow guard {OVERFLOW_GUARD:g} at t={t:.6g}"
             break
         ys[i + 1] = y
     ts = np.concatenate(([t0], t0 + np.arange(1, rows) * h))   # keeps a t0 of -0.0

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from deformcs.algebra_core import MatrixPair
-from deformcs.continuous_flows import (first_integrals, integrate, spectral_invariants,
-                                       state_from_entries, vector_field)
+from deformcs.continuous_flows import (first_integrals, get_system, integrate,
+                                       spectral_invariants, state_from_entries)
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.errors import InvalidInputError
 from deformcs.integrators import integrate_fixed
@@ -16,6 +16,12 @@ from _oracles import commuting_2x2_pair
 
 def _state(system, **entries):
     return state_from_entries(system, entries)
+
+
+def _rhs(system, entries):
+    """d(entry)/ds for every evolved entry: the system's RHS at a checked state."""
+    sy = get_system(system)
+    return dict(zip(sy.evolved, sy.rhs(*sy.split(state_from_entries(system, entries)))))
 
 
 def _row(traj, i):
@@ -29,13 +35,13 @@ def _row(traj, i):
 
 def test_vector_field_l2a_2x2_example():
     st = _state("L2a_2x2", B=0, C=0, E=1, G=1, M=-1, N=-1)
-    assert vector_field("L2a_2x2", st) == {"E": -1.0, "G": -1.0, "M": 1.0, "N": 1.0}
+    assert _rhs("L2a_2x2", st) == {"E": -1.0, "G": -1.0, "M": 1.0, "N": 1.0}
 
 
 def test_vector_field_l3_simple_example():
     beta, alpha, delta, gamma = 0.4, 1.0, -0.2, 0.9
     st = _state("L3_simple", B=beta, E=alpha, C=delta, G=gamma)
-    assert vector_field("L3_simple", st) == {
+    assert _rhs("L3_simple", st) == {
         "B": alpha, "E": 0.0, "C": gamma - beta, "G": -alpha}
 
 
@@ -55,7 +61,7 @@ def test_stationary_commuting_point_is_fixed(system):
                 break
         entries = pair.entries()
     st = state_from_entries(system, entries)
-    rhs = vector_field(system, st)
+    rhs = _rhs(system, st)
     assert max(abs(v) for v in rhs.values()) < 1e-13
     traj = integrate(system, st, (0.0, 0.5), 1e-2)
     assert traj.status == "completed"
@@ -68,7 +74,7 @@ def test_l2a_3x3_rhs_matches_lax_bracket():
     rng = np.random.default_rng(22)
     e = {k: rng.uniform(-1, 1) for k in ("A", "B", "C", "D", "E", "G", "L", "M", "N")}
     st = state_from_entries("L2a_3x3", e)
-    rhs = vector_field("L2a_3x3", st)
+    rhs = _rhs("L2a_3x3", st)
     pair = MatrixPair.from_entries(3, st)
     bracket = pair.C2 @ pair.C1 - pair.C1 @ pair.C2
     # C2 entry positions: D (0,1), L (0,2), E (1,1), M (1,2), G (2,1), N (2,2)
@@ -93,8 +99,8 @@ def test_l3_simple_state_is_the_m_n_zero_case():
 
 
 def test_unknown_system_rejected():
-    with pytest.raises(InvalidInputError):
-        vector_field("L9_2x2", _state("L2a_2x2", B=0, C=0, E=0, G=0, M=0, N=0))
+    with pytest.raises(InvalidInputError, match="unknown flow system 'L9_2x2'"):
+        get_system("L9_2x2")
 
 
 # ---------------------------------------------------------------------------

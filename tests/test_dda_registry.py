@@ -111,6 +111,9 @@ def test_stencil_out_of_range():
     with pytest.raises(StencilRangeError):
         cs_residual("L5", fld5, 0)
     expected = {"L2a": (1, 1), "L3": (1, 1), "L5": (1, 1), "L2b": (0, 1), "L4": (0, 1)}
+    assert lookup("L1").stencil_reach == (0, 1)
+    assert [d for d in ("L1", "L2a", "L2b", "L3", "L4", "L5") if lookup(d).discrete] == [
+        "L2b", "L4", "L5"]
     for dda, reach in expected.items():
         assert lookup(dda).stencil_reach == reach
         fld = _constant_commuting_field(dda)

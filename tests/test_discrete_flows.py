@@ -7,9 +7,11 @@ from deformcs.dda_registry import discrete_cs_residual
 from deformcs.discrete_flows import (MapState, discrete_oriented_assoc_residual, init_map_state,
                                      lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
-from deformcs.errors import (InvalidInputError, SingularGaugeError, SingularOrbitError)
+from deformcs.errors import (DeformError, InvalidInputError, SingularGaugeError,
+                             SingularOrbitError)
 
-from _oracles import map_orbit_loops
+from _oracles import (map_orbit_loops, oriented_assoc_defect_per_point,
+                      oriented_assoc_residual_loop)
 
 GAUGE_CUBIC = ([1.0, 0.3], [0.0, 1.0, 0.1], [0.2, 0.0, 1.0, 0.05])
 
@@ -288,6 +290,13 @@ def test_l5_orbit_solves_discrete_central_system_on_lattice():
     assert max(rep.norms) < 1e-12
 
 
+@pytest.mark.parametrize("dda", ["L2b", "L4"])
+def test_first_order_maps_take_no_previous_entries(dda):
+    entries = dict(B=1.0, C=1.0, E=0.4, G=1.3, M=0.8, N=-0.2)
+    with pytest.raises(InvalidInputError, match=f"{dda} is a first-order map: prev entries"):
+        init_map_state(dda, entries, {"B": 7.0})
+
+
 def test_lattice_needs_enough_states():
     st = init_map_state("L5", dict(B=1.0, C=0.2, E=0.7, G=1.3, M=0.5, N=1.1))
     run = orbit("L5", st, 3)
@@ -329,3 +338,86 @@ def test_oriented_assoc_interval_too_short():
     phi = _phi_samples(GAUGE_CUBIC, xs)
     with pytest.raises(InvalidInputError):
         discrete_oriented_assoc_residual(phi, xs)
+
+
+@pytest.mark.parametrize("xs", [
+    np.arange(8) + 0.5,                    # cast to int, these would read as 0 .. 7
+    np.array([0, 1, 2, 4, 5, 6, 7]),       # a gap
+    np.arange(8)[::-1],
+    np.arange(8).reshape(2, 4),
+    np.array(3),
+], ids=["half_integers", "gap", "descending", "2d", "0d"])
+def test_oriented_assoc_rejects_xs_other_than_consecutive_integers(xs):
+    phi = _phi_samples(GAUGE_CUBIC, np.ravel(xs))
+    for call in (lambda: discrete_oriented_assoc_residual(phi, xs),
+                 lambda: oriented_assoc_defect(phi, xs, 3)):
+        with pytest.raises(InvalidInputError, match="^xs must be consecutive integers"):
+            call()
+
+
+def test_oriented_assoc_defect_rejects_a_non_integer_point():
+    xs = np.arange(-4, 6)
+    with pytest.raises(InvalidInputError, match="x must be an integer, got 0.5"):
+        oriented_assoc_defect(_phi_samples(GAUGE_CUBIC, xs), xs, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The stacked gauge residual equals the per-point loop bit for bit.
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of the package error it raises."""
+    try:
+        return fn(*args)
+    except DeformError as exc:
+        return type(exc), str(exc)
+
+
+def _random_gauge_samples(rng, size):
+    xs = np.arange(size) + int(rng.integers(-20, 20))
+    coeffs = [rng.uniform(-1.0, 1.0, int(rng.integers(1, 5))) for _ in range(3)]
+    return _phi_samples(coeffs, xs), xs
+
+
+def test_stacked_oriented_assoc_equals_the_per_point_loop():
+    rng = np.random.default_rng(97)
+    for draw in range(120):
+        phi, xs = _random_gauge_samples(rng, 4 + draw % 9)   # 4 points: too short; 5: one
+        got = _outcome(discrete_oriented_assoc_residual, phi, xs)
+        want = _outcome(oriented_assoc_residual_loop, phi, xs)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert got.labels == want.labels and got.norms == want.norms
+        for x in xs[2:-2]:
+            assert np.array_equal(oriented_assoc_defect(phi, xs, int(x)),
+                                  oriented_assoc_defect_per_point(phi, xs, int(x)))
+    assert _outcome(discrete_oriented_assoc_residual, *_random_gauge_samples(rng, 4)) == (
+        InvalidInputError, "interval too short: no point has both double shifts")
+
+
+@pytest.mark.parametrize("singular_at", [(0,), (3,), (3, 6)])
+def test_singular_gauge_error_equals_the_per_point_loop(singular_at):
+    rng = np.random.default_rng(98)
+    phi, xs = _random_gauge_samples(rng, 11)
+    interior = xs[2:-2]
+    for k in singular_at:   # row 2 of g = 2 * row 0 at interior point k
+        i = k + 2
+        phi[2, i - 1:i + 2] = 2.0 * phi[0, i - 1:i + 2]
+    got = _outcome(discrete_oriented_assoc_residual, phi, xs)
+    assert got == _outcome(oriented_assoc_residual_loop, phi, xs)
+    assert got == (SingularGaugeError,
+                   f"gauge matrix is singular at x = {interior[singular_at[0]]}")
+
+
+@pytest.mark.parametrize("offset", [-9, -1, 0, 1, 2, 7, 8, 9, 30])
+def test_oriented_assoc_defect_off_the_interior_fails_as_the_per_point_path(offset):
+    xs = np.arange(-4, 6)   # interior -2 .. 3
+    phi = _phi_samples(GAUGE_CUBIC, xs)
+    x = int(xs[0]) + offset
+    got = _outcome(oriented_assoc_defect, phi, xs, x)
+    want = _outcome(oriented_assoc_defect_per_point, phi, xs, x)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
