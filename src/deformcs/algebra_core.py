@@ -18,6 +18,10 @@ at row l, column k.  Two layouts occur:
 
 In both layouts the two matrices share the P1P2 column (D, E, G resp.
 E, G); constructors reject pairs where the shared entries disagree.
+
+``ENTRY_POSITIONS_3``/``ENTRY_POSITIONS_2`` and ``entry_stacks`` are the one
+place that turns named entries into C1 and C2, at one point or stacked;
+``MatrixPair.from_entries(n, entries)`` is the one constructor from names.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ ENTRY_POSITIONS_2 = {
     "E": (0, 0, 1), "G": (0, 1, 1),
     "M": (1, 0, 1), "N": (1, 1, 1),
 }
+# The shared P1P2 column per layout: its index in C1, then in C2.
+_SHARED_COLUMNS = {3: (2, 1), 2: (1, 0)}
 
 
 def layout_close(a: np.ndarray, b: np.ndarray) -> bool:
@@ -69,9 +75,8 @@ def layout_defect(n: int, C1: np.ndarray, C2: np.ndarray) -> str | None:
         for mat, j in ((C1, 1), (C2, 2)):
             if not layout_close(mat[..., :, 0], _UNIT_COL[j]):
                 return f"column 0 of C{j} must be the unital column {_UNIT_COL[j]}"
-        shared1, shared2 = C1[..., :, 2], C2[..., :, 1]
-    else:
-        shared1, shared2 = C1[..., :, 1], C2[..., :, 0]
+    col1, col2 = _SHARED_COLUMNS[n]
+    shared1, shared2 = C1[..., :, col1], C2[..., :, col2]
     if not layout_close(shared1, shared2):
         return f"shared P1P2 column disagrees between C1 and C2: {shared1} vs {shared2}"
     return None
@@ -80,18 +85,22 @@ def layout_defect(n: int, C1: np.ndarray, C2: np.ndarray) -> str | None:
 def entry_stacks(n: int, entries: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(..., n, n) stacks of C1 and C2 from arrays (or floats) of named entries.
 
-    The stacked form of ``MatrixPair.from_entries``: missing entries are 0.
+    Missing entries are 0, the shared column is copied from C1, and a name
+    outside the layout raises InvalidInputError.
     """
     positions = ENTRY_POSITIONS_3 if n == 3 else ENTRY_POSITIONS_2
-    shape = np.broadcast_shapes(*(np.shape(v) for v in entries.values()))
+    unknown = [name for name in entries if name not in positions]
+    if unknown:
+        raise InvalidInputError(f"unknown {n}x{n} entries {unknown}")
+    shape = np.broadcast(*entries.values()).shape
     C = np.zeros((2,) + shape + (n, n))
     if n == 3:
         C[0, ..., :, 0], C[1, ..., :, 0] = _UNIT_COL[1], _UNIT_COL[2]
     for name, value in entries.items():
         m, r, c = positions[name]
         C[m, ..., r, c] = value
-    shared1, shared2 = (2, 1) if n == 3 else (1, 0)
-    C[1, ..., :, shared2] = C[0, ..., :, shared1]
+    col1, col2 = _SHARED_COLUMNS[n]
+    C[1, ..., :, col2] = C[0, ..., :, col1]
     return C[0], C[1]
 
 
@@ -125,21 +134,9 @@ class MatrixPair:
         return self.n == 3
 
     @classmethod
-    def from_entries_3x3(cls, A=0.0, B=0.0, C=0.0, D=0.0, E=0.0, G=0.0,
-                         L=0.0, M=0.0, N=0.0) -> "MatrixPair":
-        C1 = [[0.0, A, D], [1.0, B, E], [0.0, C, G]]
-        C2 = [[0.0, D, L], [0.0, E, M], [1.0, G, N]]
-        return cls(3, C1, C2)
-
-    @classmethod
-    def from_entries_2x2(cls, B=0.0, C=0.0, E=0.0, G=0.0, M=0.0, N=0.0) -> "MatrixPair":
-        return cls(2, [[B, E], [C, G]], [[E, M], [G, N]])
-
-    @classmethod
     def from_entries(cls, n: int, entries: Mapping[str, float]) -> "MatrixPair":
-        if n == 3:
-            return cls.from_entries_3x3(**entries)
-        return cls.from_entries_2x2(**entries)
+        """The pair with the named entries of ``entry_stacks``; missing ones are 0."""
+        return cls(n, *entry_stacks(n, entries))
 
     def entries(self) -> dict[str, float]:
         """Named structure constants (A..N for 3x3, B..N for 2x2)."""

@@ -31,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra_core import ENTRY_POSITIONS_2
-from .closed_forms import FAMILY_IDS, SolutionFamily, validate_family
+from .closed_forms import FAMILY_IDS, SolutionFamily, is_finite_number, validate_family
 from .continuous_flows import SYSTEMS, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual_scan, lookup
 from .discrete_flows import ENTRY_NAMES, MAP_DDAS, flag_labels, init_map_state, orbit
@@ -53,12 +52,6 @@ REDUCTION_KEYS = {**{v: _CHAZY_KEYS for v in CHAZY_VARIANTS if v != "Generic"},
 REDUCTION_KINDS = tuple(REDUCTION_KEYS)
 
 
-def _is_number(v) -> bool:
-    """A JSON number that is finite as a float: no bool, NaN, infinity or huge integer."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
 class ScenarioConfig:
     """Validated scenario; construction raises InvalidInputError naming the field."""
 
@@ -76,7 +69,7 @@ class ScenarioConfig:
             raise InvalidInputError(f"missing required field {key!r}")
         value = self.doc[key]
         if typ is float:
-            if not _is_number(value):
+            if not is_finite_number(value):
                 raise InvalidInputError(f"field {key!r} must be a finite number")
             return float(value)
         if not isinstance(value, typ):
@@ -87,7 +80,7 @@ class ScenarioConfig:
         span = self._require(list, "span")
         if len(span) != 2 or not all(isinstance(v, (int, float)) for v in span):
             raise InvalidInputError("field 'span' must be a [start, end] pair")
-        if not all(_is_number(v) for v in span) or span[1] < span[0]:
+        if not all(is_finite_number(v) for v in span) or span[1] < span[0]:
             raise InvalidInputError("field 'span' must be finite with end >= start")
         return float(span[0]), float(span[1])
 
@@ -95,7 +88,7 @@ class ScenarioConfig:
         """The scenario's step, or ``step`` from --step; the span needs at most MAX_STEPS."""
         if step is None:
             step = self._require(float, "step")
-        elif not _is_number(step):
+        elif not is_finite_number(step):
             raise InvalidInputError("field 'step' must be a finite number")
         if step <= 0.0:
             raise InvalidInputError("field 'step' must be positive")
@@ -119,7 +112,7 @@ class ScenarioConfig:
             raise InvalidInputError(f"field {key!r} has unknown entries {unknown}")
         out = {}
         for name, v in values.items():
-            if not _is_number(v):
+            if not is_finite_number(v):
                 raise InvalidInputError(f"field {key!r}[{name!r}] must be a finite number")
             out[name] = float(v)
         return out
@@ -144,8 +137,8 @@ class ScenarioConfig:
         if dda not in MAP_DDAS:
             raise InvalidInputError(f"dda {dda!r} is not a discrete map (use one of {MAP_DDAS})")
         self.dda = dda
-        self.initial = self._numbers("initial", ENTRY_POSITIONS_2)
-        self.prev = self._numbers("prev", ENTRY_POSITIONS_2) if "prev" in self.doc else None
+        self.initial = self._numbers("initial", ENTRY_NAMES)
+        self.prev = self._numbers("prev", ENTRY_NAMES) if "prev" in self.doc else None
         steps = self._require(int, "steps")
         if isinstance(steps, bool) or not 0 <= steps <= MAX_STEPS:
             raise InvalidInputError(
@@ -161,16 +154,16 @@ class ScenarioConfig:
         params = self._require(dict, "params")
         for name, v in params.items():
             if family == "GaugeL5":
-                if not (isinstance(v, list) and v and all(_is_number(c) for c in v)):
+                if not (isinstance(v, list) and v and all(is_finite_number(c) for c in v)):
                     raise InvalidInputError(
                         f"field 'params'[{name!r}] must be a nonempty list of finite numbers")
-            elif name != "printed_form" and not _is_number(v):
+            elif name != "printed_form" and not is_finite_number(v):
                 raise InvalidInputError(f"field 'params'[{name!r}] must be a finite number")
         points = self._require(list, "points")
-        if not points or not all(_is_number(v) for v in points):
+        if not points or not all(is_finite_number(v) for v in points):
             raise InvalidInputError("field 'points' must be a nonempty list of numbers")
         h = self.doc.get("h", 1e-4)
-        if not _is_number(h) or h <= 0:
+        if not is_finite_number(h) or h <= 0:
             raise InvalidInputError("field 'h' must be a positive number")
         self.family = SolutionFamily(family, params)
         self.points = [float(v) for v in points]

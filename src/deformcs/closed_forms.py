@@ -21,6 +21,7 @@ for PolyL3, and exact shifts for GaugeL5.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,13 @@ _FAMILY_PARAMS = {
     "GaugeL5": ("phi0", "phi1", "phi2"),   # each a list of polynomial coefficients
 }
 FAMILY_IDS = tuple(_FAMILY_PARAMS)
-_FAMILY_N = {"Nilpotent3x3": 3, "Nilpotent2x2": 2, "UpperTri2x2": 2, "PolyL3": 2}
+_FAMILY_N = {"Nilpotent3x3": 3, "Nilpotent2x2": 2, "UpperTri2x2": 2, "PolyL3": 2, "GaugeL5": 3}
+
+
+def is_finite_number(v) -> bool:
+    """An int or float that is finite as a float: no bool, NaN, infinity or huge integer."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,17 @@ class SolutionFamily:
         missing = [key for key in _FAMILY_PARAMS[self.id] if key not in self.params]
         if self.id == "GaugeL5" and missing:   # the other families read a missing one as 0
             raise InvalidInputError(f"GaugeL5 needs polynomial coefficients {missing[0]!r}")
-        if not isinstance(self.params.get("printed_form", False), bool):   # PolyL3 only
-            raise InvalidInputError("PolyL3 parameter 'printed_form' must be true or false, "
-                                    f"got {self.params['printed_form']!r}")
+        for name, v in self.params.items():
+            if name == "printed_form":   # PolyL3 only
+                kind, ok = "true or false", isinstance(v, bool)
+            elif self.id == "GaugeL5":
+                c = v.tolist() if isinstance(v, np.ndarray) else v
+                kind = "a nonempty list of finite numbers"
+                ok = isinstance(c, (list, tuple)) and c and all(map(is_finite_number, c))
+            else:
+                kind, ok = "a finite number", is_finite_number(v)
+            if not ok:
+                raise InvalidInputError(f"{self.id} parameter {name!r} must be {kind}, got {v!r}")
         if self.id == "UpperTri2x2" and self.p("beta") == 0.0:
             raise InvalidInputError("UpperTri2x2 requires beta != 0")
         if self.id == "PolyL3":
@@ -123,8 +138,8 @@ def _family_entries(fam: SolutionFamily, x) -> dict:
 
 
 def _family_stack(fam: SolutionFamily, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P, n, n) stacks of C1 and C2 at the P points of x; raises at the first bad point.
-    GaugeL5 also takes one point x, giving C1 and C2 there."""
+    """(P, n, n) stacks of C1 and C2 at the P points of an array x, or C1 and C2 at one
+    point x; raises at the first bad point."""
     if fam.id == "GaugeL5":   # the potentials Phi^m are polynomials
         coeffs = [np.asarray(fam.params[k], dtype=float) for k in _FAMILY_PARAMS["GaugeL5"]]
         return gauge_pairs(lambda p: np.array([npoly.polyval(p, c) for c in coeffs]), x)[3:]
@@ -132,12 +147,11 @@ def _family_stack(fam: SolutionFamily, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def eval_family(fam: SolutionFamily, point: float) -> MatrixPair:
-    """Evaluate the family's structure constants at one value of x (or y)."""
-    if fam.id == "GaugeL5":
-        return MatrixPair(3, *_family_stack(fam, point))
-    # the log families' errors name the point as given, UpperTri2x2's names its float
-    x = point if fam.id in ("Nilpotent3x3", "Nilpotent2x2") else float(point)
-    return MatrixPair.from_entries(_FAMILY_N[fam.id], _family_entries(fam, x))
+    """Evaluate the family's structure constants at one value of x (or y): the one-point
+    ``_family_stack``."""
+    # the log and gauge families' errors name the point as given, the others its float
+    x = point if fam.id in ("Nilpotent3x3", "Nilpotent2x2", "GaugeL5") else float(point)
+    return MatrixPair(_FAMILY_N[fam.id], *_family_stack(fam, x))
 
 
 def _poly_l3_entries(fam: SolutionFamily, y):

@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra_core import DEGENERACY_TOL, trace_integrals
+from .algebra_core import DEGENERACY_TOL, entry_stacks, trace_integrals
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
@@ -94,8 +94,7 @@ class FlowSystem:
     n: int
     evolved: tuple[str, ...]
     free: tuple[str, ...]
-    # the Lax matrix (C2 for L2a, C1 for L3) row by row: entry names or constants
-    lax: tuple[str | float, ...]
+    lax: int   # the Lax matrix: 1 for C2 (L2a), 0 for C1 (L3)
     rhs: Callable[[Floats, Floats], Floats]
 
     def all_entries(self) -> tuple[str, ...]:
@@ -105,21 +104,17 @@ class FlowSystem:
         return tuple(state[k] for k in self.evolved), tuple(state[k] for k in self.free)
 
 
-_LAX_C2_3 = (0.0, "D", "L", 0.0, "E", "M", 1.0, "G", "N")
-_LAX_C2_2 = ("E", "M", "G", "N")
-_LAX_C1_2 = ("B", "E", "C", "G")
-
 SYSTEMS = {
     "L2a_3x3": FlowSystem("L2a_3x3", 3, ("D", "E", "G", "L", "M", "N"),
-                          ("A", "B", "C"), _LAX_C2_3, _rhs_l2a_3x3),
+                          ("A", "B", "C"), 1, _rhs_l2a_3x3),
     "L2a_2x2": FlowSystem("L2a_2x2", 2, ("E", "G", "M", "N"),
-                          ("B", "C"), _LAX_C2_2, _rhs_l2a_2x2),
+                          ("B", "C"), 1, _rhs_l2a_2x2),
     "L3_detnorm": FlowSystem("L3_detnorm", 2, ("B", "E", "C", "G"),
-                             ("M", "N"), _LAX_C1_2, _rhs_l3_detnorm),
+                             ("M", "N"), 0, _rhs_l3_detnorm),
     "L3_unimodular": FlowSystem("L3_unimodular", 2, ("B", "E", "C", "G"),
-                                ("M", "N"), _LAX_C1_2, _rhs_l3_unimodular),
+                                ("M", "N"), 0, _rhs_l3_unimodular),
     "L3_simple": FlowSystem("L3_simple", 2, ("B", "E", "C", "G"),
-                            (), _LAX_C1_2, _rhs_l3_simple),
+                            (), 0, _rhs_l3_simple),
 }
 
 
@@ -152,19 +147,17 @@ def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str
 # one state, or equally long arrays for every state of a run.
 
 def _lax_matrices(sy: FlowSystem, values: Mapping) -> np.ndarray:
-    """The Lax matrix at each state, shape (..., n, n)."""
-    shape = np.shape(values[sy.evolved[0]])
-    cells = [np.full(shape, c) if isinstance(c, float) else np.asarray(values[c], dtype=float)
-             for c in sy.lax]
-    return np.stack(cells, axis=-1).reshape(shape + (sy.n, sy.n))
+    """The Lax matrix at each state, shape (..., n, n), from the system's entries only."""
+    return entry_stacks(sy.n, {k: values[k] for k in sy.all_entries()})[sy.lax]
 
 
 def first_integrals(system_id: str, values: Mapping) -> dict:
     """Trace first integrals of the system's Lax matrix, evaluated algebraically."""
     sy = get_system(system_id)
+    lax = _lax_matrices(sy, values)
     if sy.n == 3:
-        return trace_integrals(_lax_matrices(sy, values))
-    a, b, c, d = (values[k] for k in sy.lax)
+        return trace_integrals(lax)
+    a, b, c, d = (lax[..., i, j] for i in (0, 1) for j in (0, 1))
     return {"I1": a + d, "I2": 0.5 * (a * a + d * d + 2.0 * b * c)}
 
 
@@ -174,10 +167,11 @@ def spectral_invariants(system_id: str, values: Mapping) -> np.ndarray:
     The result has shape (..., n): one sorted row of n eigenvalues per state.
     """
     sy = get_system(system_id)
+    lax = _lax_matrices(sy, values)
     if sy.n == 3:
-        lam = np.linalg.eigvals(_lax_matrices(sy, values))
+        lam = np.linalg.eigvals(lax)
     else:
-        a, b, c, d = (np.asarray(values[k], dtype=float) for k in sy.lax)
+        a, b, c, d = (lax[..., i, j] for i in (0, 1) for j in (0, 1))
         # math.pow per state: an array ** 2 rounds differently from the scalar pow
         sq = np.reshape([math.pow(v, 2) for v in np.ravel(a - d).tolist()], np.shape(a))
         disc = sq + 4.0 * b * c

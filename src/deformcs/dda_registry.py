@@ -255,8 +255,8 @@ class TensorGrid:
             raise InvalidInputError(
                 f"{m} grid axes cannot drive an algebra with {n} indices"
             )
-        if self.spacing <= 0.0:
-            raise InvalidInputError("grid spacing must be positive")
+        if not 0.0 < self.spacing < np.inf:
+            raise InvalidInputError(f"spacing must be positive and finite, got {self.spacing}")
         a.setflags(write=False)
         object.__setattr__(self, "c", a)
 

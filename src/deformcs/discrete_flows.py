@@ -25,10 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
-                           trace_integrals)
+                           entry_stacks, trace_integrals)
 from .dda_registry import _REGISTRY, TensorGrid
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
-from .integrators import OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
+from .integrators import MAX_STEPS, OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
 
 MAP_DDAS = tuple(dda for dda, spec in _REGISTRY.items() if spec.discrete)
 ENTRY_NAMES = tuple(ENTRY_POSITIONS_2)   # B, C, E, G, M, N: one orbit row
@@ -36,17 +36,18 @@ FLAG_NAMES = ("det_C1_degenerate", "E_minus_G_degenerate", "det_C2_degenerate")
 
 
 def _matrices(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, 2, 2) stacks C1 = [[B, E], [C, G]] and C2 = [[E, M], [G, N]]."""
-    return entries[:, [[0, 2], [1, 3]]], entries[:, [[2, 4], [3, 5]]]
+    """The (rows, 2, 2) stacks of C1 and C2, one pair per row of entries."""
+    return entry_stacks(2, dict(zip(ENTRY_NAMES, entries.T)))
 
 
 def degeneracy_flags(entries: np.ndarray) -> np.ndarray:
     """One row of FLAG_NAMES booleans per row of entries: |BG - CE|, |E - G|
     and |det C2| below tolerance."""
     B, C, E, G = entries[:, :4].T
-    return np.column_stack([np.abs(B * G - C * E) < DEGENERACY_TOL,
-                            np.abs(E - G) < DEGENERACY_TOL,
-                            np.abs(np.linalg.det(_matrices(entries)[1])) < DEGENERACY_TOL])
+    with np.errstate(invalid="ignore", over="ignore"):   # a NaN from inf entries sets no flag
+        return np.column_stack([np.abs(B * G - C * E) < DEGENERACY_TOL,
+                                np.abs(E - G) < DEGENERACY_TOL,
+                                np.abs(np.linalg.det(_matrices(entries)[1])) < DEGENERACY_TOL])
 
 
 def flag_labels(row) -> tuple[str, ...]:
@@ -66,7 +67,7 @@ class MapState:
     @cached_property
     def pair(self) -> MatrixPair:
         """The multiplication matrices, built and validated on first use."""
-        return MatrixPair.from_entries_2x2(**self.entries())
+        return MatrixPair.from_entries(2, self.entries())
 
     def entries(self) -> dict[str, float]:
         return dict(zip(ENTRY_NAMES, self.values))
@@ -104,8 +105,8 @@ def init_map_state(dda: str, entries: dict[str, float],
     values = _values(entries)
     prev_C1 = None
     if dda == "L5":
-        B, C, E, G, _, _ = values if prev_entries is None else _values(prev_entries)
-        prev_C1 = np.array([[B, E], [C, G]])
+        prev = values if prev_entries is None else _values(prev_entries)
+        prev_C1 = entry_stacks(2, dict(zip(ENTRY_NAMES, prev)))[0]
     return _state(0, values, prev_C1)
 
 
@@ -214,9 +215,11 @@ class Orbit:
 
 
 def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
-    """Iterate the map; a singular denominator, a non-finite entry or overflow
-    truncates the orbit."""
+    """Iterate the map for at most MAX_STEPS steps; a singular denominator, a
+    non-finite entry or overflow truncates the orbit."""
     _check(dda, state0)
+    if not isinstance(steps, int) or isinstance(steps, bool) or not 0 <= steps <= MAX_STEPS:
+        raise InvalidInputError(f"steps must be an integer from 0 to {MAX_STEPS}, got {steps!r}")
     values, prev_C1 = state0.values, state0.prev_C1
     rows = [values]
     status, diagnostic = STATUS_COMPLETED, None
@@ -349,7 +352,5 @@ def lattice_field_from_l5_orbit(run: Orbit, shape: tuple[int, int]):
         raise InvalidInputError(f"orbit too short: need {need} states for shape {shape}")
     # x = x1 - x2 ranges over [-(n2-1), n1-1]; shift so the earliest state is index 0.
     site = np.arange(n1)[:, None] + np.arange(n2 - 1, -1, -1)
-    c = np.zeros((n1, n2, 2, 2, 2))
-    for k, mats in enumerate(_matrices(run.entries)):
-        c[:, :, k] = mats[site].swapaxes(-1, -2)
+    c = np.stack([mats[site].swapaxes(-1, -2) for mats in _matrices(run.entries)], axis=2)
     return TensorGrid(c=c, spacing=1.0)

@@ -110,7 +110,7 @@ def reconstruct_from_G(G: float, G1: float, G2: float,
 
 
 def chazy_pair(G: float, G1: float, G2: float, B: float = 0.0, B1: float = 0.0) -> MatrixPair:
-    return MatrixPair.from_entries_2x2(**reconstruct_from_G(G, G1, G2, B, B1))
+    return MatrixPair.from_entries(2, reconstruct_from_G(G, G1, G2, B, B1))
 
 
 def _chazy_system(variant: str):
@@ -224,7 +224,7 @@ def _boussinesq_i3(E: float, E1: float, alpha: float, beta: float, gamma: float)
 
 def boussinesq_pair(E: float, E1: float, alpha: float, beta: float, gamma: float) -> MatrixPair:
     _, entries, _ = boussinesq_rhs_and_companions(E, E1, alpha, beta, gamma)
-    return MatrixPair.from_entries_3x3(**entries)
+    return MatrixPair.from_entries(3, entries)
 
 
 def integrate_boussinesq(initial: tuple[float, float], alpha: float, beta: float,

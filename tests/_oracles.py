@@ -229,6 +229,47 @@ def map_orbit_loops(dda: str, entries: dict, steps: int, prev: dict | None = Non
 
 
 # ---------------------------------------------------------------------------
+# The C1/C2 layouts written out literally.  ``algebra_core.entry_stacks`` is the
+# package's one home for them; every layer that builds matrices from named
+# entries must match these exactly.
+# ---------------------------------------------------------------------------
+
+def pair_3x3(A=0.0, B=0.0, C=0.0, D=0.0, E=0.0, G=0.0, L=0.0, M=0.0, N=0.0) -> MatrixPair:
+    """The unital 3x3 pair (basis 1, P1, P2) from named entries."""
+    C1 = [[0.0, A, D], [1.0, B, E], [0.0, C, G]]
+    C2 = [[0.0, D, L], [0.0, E, M], [1.0, G, N]]
+    return MatrixPair(3, C1, C2)
+
+
+def pair_2x2(B=0.0, C=0.0, E=0.0, G=0.0, M=0.0, N=0.0) -> MatrixPair:
+    """The 2x2 pair (basis P1, P2) from named entries."""
+    return MatrixPair(2, [[B, E], [C, G]], [[E, M], [G, N]])
+
+
+# Each flow's Lax matrix row by row: entry names or constants.
+LAX_C2_3 = (0.0, "D", "L", 0.0, "E", "M", 1.0, "G", "N")
+LAX_C2_2 = ("E", "M", "G", "N")
+LAX_C1_2 = ("B", "E", "C", "G")
+LAX_CELLS = {"L2a_3x3": LAX_C2_3, "L2a_2x2": LAX_C2_2, "L3_detnorm": LAX_C1_2,
+             "L3_unimodular": LAX_C1_2, "L3_simple": LAX_C1_2}
+
+
+def lax_matrices(system_id: str, values) -> np.ndarray:
+    """The Lax matrix at each state, shape (..., n, n), cell by cell from LAX_CELLS."""
+    cells = LAX_CELLS[system_id]
+    n = math.isqrt(len(cells))
+    shape = np.shape(next(values[c] for c in cells if isinstance(c, str)))
+    stacked = [np.full(shape, c) if isinstance(c, float) else np.asarray(values[c], dtype=float)
+               for c in cells]
+    return np.stack(stacked, axis=-1).reshape(shape + (n, n))
+
+
+def orbit_matrices(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, 2, 2) stacks C1 = [[B, E], [C, G]] and C2 = [[E, M], [G, N]] of orbit rows."""
+    return entries[:, [[0, 2], [1, 3]]], entries[:, [[2, 4], [3, 5]]]
+
+
+# ---------------------------------------------------------------------------
 # Random-instance builders.
 # ---------------------------------------------------------------------------
 
@@ -244,7 +285,7 @@ def random_symmetric_tensor(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def polynomial_algebra_pair(p0: float, p1: float, p2: float) -> MatrixPair:
     """The unital algebra R[t]/(t^3 - p2 t^2 - p1 t - p0) in the basis (1, t, t^2)."""
-    return MatrixPair.from_entries_3x3(
+    return pair_3x3(
         A=0.0, B=0.0, C=1.0,
         D=p0, E=p1, G=p2,
         L=p2 * p0, M=p0 + p2 * p1, N=p1 + p2 * p2,
@@ -256,8 +297,7 @@ def commuting_2x2_pair(rng: np.random.Generator) -> MatrixPair:
     B, C, alpha, beta = rng.uniform(-1.0, 1.0, size=4)
     E = alpha + beta * B
     G = beta * C
-    return MatrixPair.from_entries_2x2(B=B, C=C, E=E, G=G,
-                                       M=beta * E, N=alpha + beta * G)
+    return pair_2x2(B=B, C=C, E=E, G=G, M=beta * E, N=alpha + beta * G)
 
 
 def random_polynomial_field_2x2(rng: np.random.Generator, xs: np.ndarray,
@@ -267,7 +307,7 @@ def random_polynomial_field_2x2(rng: np.random.Generator, xs: np.ndarray,
     pairs = []
     for x in xs:
         e = {k: float(a[0] + a[1] * x + a[2] * x * x) for k, a in coef.items()}
-        pairs.append(MatrixPair.from_entries_2x2(**e))
+        pairs.append(pair_2x2(**e))
     return tuple(pairs)
 
 
@@ -310,7 +350,7 @@ def eval_family_per_point(fam, point) -> MatrixPair:
     if fam.id == "Nilpotent3x3":
         t = _log_var_per_point(point)
         a, b, g, d, mu = (fam.p(k) for k in ("alpha", "beta", "gamma", "delta", "mu"))
-        return MatrixPair.from_entries_3x3(
+        return pair_3x3(
             A=0.0, B=0.0, C=0.0,
             D=b / t, E=-b + g / t, G=1.0 / t,
             L=a * b + 2.0 * b * b + d * t - b * g / t,
@@ -320,7 +360,7 @@ def eval_family_per_point(fam, point) -> MatrixPair:
     if fam.id == "Nilpotent2x2":
         t = _log_var_per_point(point)
         a, b, g = fam.p("alpha"), fam.p("beta"), fam.p("gamma")
-        return MatrixPair.from_entries_2x2(
+        return pair_2x2(
             B=0.0, C=0.0, E=b / t, G=1.0 / t,
             M=g * t - b * b / t + a * b, N=-b / t + a,
         )
@@ -329,14 +369,14 @@ def eval_family_per_point(fam, point) -> MatrixPair:
         x = float(point)
         if min(abs(x), abs(x + b)) < DEGENERACY_TOL:
             raise InvalidInputError(f"UpperTri2x2 is singular at x = {x}")
-        return MatrixPair.from_entries_2x2(
+        return pair_2x2(
             B=1.0, C=0.0,
             E=g / (x + b), G=x / (x + b),
             M=d + (a * g + b * d - g * g / b) / x + g * g / (b * (x + b)),
             N=-g / (x + b) + a,
         )
     if fam.id == "PolyL3":
-        return MatrixPair.from_entries_2x2(**_poly_l3_per_point(fam, float(point))[0])
+        return pair_2x2(**_poly_l3_per_point(fam, float(point))[0])
     coeffs = [np.asarray(fam.params[k], dtype=float) for k in ("phi0", "phi1", "phi2")]
 
     def gauge(x):   # row m, column k: Phi^m(x + s_k) for the shifts 0, 1, -1

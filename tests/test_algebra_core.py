@@ -21,7 +21,7 @@ def test_assoc_residual_identity_commutes():
 
 
 def test_assoc_residual_2x2_identity_case():
-    p = MatrixPair.from_entries_2x2(B=1, C=1, E=1, G=0, M=0, N=1)
+    p = MatrixPair.from_entries(2, dict(B=1, C=1, E=1, G=0, M=0, N=1))
     assert p.C2.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert assoc_residual(p) == 0.0
 
@@ -66,7 +66,7 @@ def test_layout_check_rejects_nan():
 
 
 def test_tensor_from_pair_unital_trivial():
-    t = tensor_from_pair(MatrixPair.from_entries_3x3(), unital=True)
+    t = tensor_from_pair(MatrixPair.from_entries(3, {}), unital=True)
     expected = np.zeros((3, 3, 3))
     expected[0] = np.eye(3)
     expected[:, 0, :] = np.eye(3)
@@ -74,7 +74,7 @@ def test_tensor_from_pair_unital_trivial():
 
 
 def test_tensor_from_pair_2x2_layout():
-    t = tensor_from_pair(MatrixPair.from_entries_2x2(B=1, G=1), unital=False)
+    t = tensor_from_pair(MatrixPair.from_entries(2, dict(B=1, G=1)), unital=False)
     # B sits at c[P1][P1][P1], G at c[P1][P2][P2] (code indices 0/1)
     assert t.c[0, 0, 0] == 1.0
     assert t.c[0, 1, 1] == 1.0
@@ -82,7 +82,7 @@ def test_tensor_from_pair_2x2_layout():
 
 
 def test_pair_from_tensor_single_entry():
-    pair = MatrixPair.from_entries_3x3(A=1.0)
+    pair = MatrixPair.from_entries(3, dict(A=1.0))
     t = tensor_from_pair(pair, unital=True)
     back = pair_from_tensor(t)
     assert back.C1[0, 1] == 1.0
@@ -94,7 +94,7 @@ def test_pair_from_tensor_single_entry():
 
 def test_unital_flag_must_match_layout():
     with pytest.raises(InvalidInputError):
-        tensor_from_pair(MatrixPair.from_entries_2x2(), unital=True)
+        tensor_from_pair(MatrixPair.from_entries(2, {}), unital=True)
 
 
 def test_tensor_symmetry_enforced():
@@ -108,7 +108,7 @@ def test_tensor_symmetry_enforced():
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_pair_tensor_pair_3x3(vals):
     names = ("A", "B", "C", "D", "E", "G", "L", "M", "N")
-    pair = MatrixPair.from_entries_3x3(**dict(zip(names, vals)))
+    pair = MatrixPair.from_entries(3, dict(zip(names, vals)))
     back = pair_from_tensor(tensor_from_pair(pair, unital=True))
     assert np.array_equal(back.C1, pair.C1)
     assert np.array_equal(back.C2, pair.C2)
@@ -118,7 +118,7 @@ def test_roundtrip_pair_tensor_pair_3x3(vals):
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_tensor_pair_tensor_2x2(vals):
     names = ("B", "C", "E", "G", "M", "N")
-    pair = MatrixPair.from_entries_2x2(**dict(zip(names, vals)))
+    pair = MatrixPair.from_entries(2, dict(zip(names, vals)))
     t = tensor_from_pair(pair, unital=False)
     again = tensor_from_pair(pair_from_tensor(t), unital=False)
     assert np.array_equal(t.c, again.c)
@@ -131,8 +131,8 @@ def test_similarity_preserves_zero_classification(seed):
     if rng.uniform() < 0.5:
         pair = commuting_2x2_pair(rng)
     else:
-        pair = MatrixPair.from_entries_2x2(
-            **{k: rng.uniform(-1, 1) for k in ("B", "C", "E", "G", "M", "N")})
+        pair = MatrixPair.from_entries(
+            2, {k: rng.uniform(-1, 1) for k in ("B", "C", "E", "G", "M", "N")})
     while True:
         g = rng.uniform(-1, 1, size=(2, 2))
         if abs(np.linalg.det(g)) > 0.3:
@@ -149,8 +149,8 @@ def test_assoc_residual_matches_quadruple_oracle():
             pair = polynomial_algebra_pair(*rng.uniform(-1, 1, size=3))
             unital = True
         else:
-            pair = MatrixPair.from_entries_2x2(
-                **{k: rng.uniform(-1, 1) for k in ("B", "C", "E", "G", "M", "N")})
+            pair = MatrixPair.from_entries(
+                2, {k: rng.uniform(-1, 1) for k in ("B", "C", "E", "G", "M", "N")})
             unital = False
         brute = assoc_defect_loops(tensor_from_pair(pair, unital).c)
         assert (assoc_residual(pair) < 1e-12) == (brute < 1e-12)

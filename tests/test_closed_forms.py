@@ -103,10 +103,37 @@ def test_unknown_family():
      "UpperTri2x2 has no parameters ['printed_form']"),
     ("GaugeL5", {**GAUGE_CUBIC, "phi3": [5.0]}, "GaugeL5 has no parameters ['phi3']"),
     ("GaugeL5", {"phi0": [1.0], "phi1": [0.0, 1.0]}, "GaugeL5 needs polynomial coefficients 'phi2'"),
+    ("Nilpotent2x2", {"alpha": "x"}, "Nilpotent2x2 parameter 'alpha' must be a finite number"),
+    ("Nilpotent2x2", {"alpha": None}, "Nilpotent2x2 parameter 'alpha' must be a finite number"),
+    ("Nilpotent3x3", {"mu": math.inf}, "Nilpotent3x3 parameter 'mu' must be a finite number"),
+    ("Nilpotent3x3", {"beta": True}, "Nilpotent3x3 parameter 'beta' must be a finite number"),
+    ("UpperTri2x2", {"beta": math.nan}, "UpperTri2x2 parameter 'beta' must be a finite number"),
+    ("UpperTri2x2", {"beta": 1.0, "gamma": 10 ** 400},
+     "UpperTri2x2 parameter 'gamma' must be a finite number"),
+    ("PolyL3", {"alpha": 1.0, "beta": 2.0, "gamma": [1.0], "delta": 1.0},
+     "PolyL3 parameter 'gamma' must be a finite number"),
+    ("GaugeL5", {**GAUGE_CUBIC, "phi0": "abc"},
+     "GaugeL5 parameter 'phi0' must be a nonempty list of finite numbers"),
+    ("GaugeL5", {**GAUGE_CUBIC, "phi1": [0.0, math.nan]},
+     "GaugeL5 parameter 'phi1' must be a nonempty list of finite numbers"),
+    ("GaugeL5", {**GAUGE_CUBIC, "phi2": []},
+     "GaugeL5 parameter 'phi2' must be a nonempty list of finite numbers"),
+    ("GaugeL5", {**GAUGE_CUBIC, "phi2": [1.0, None]},
+     "GaugeL5 parameter 'phi2' must be a nonempty list of finite numbers"),
+    ("GaugeL5", {**GAUGE_CUBIC, "phi0": 1.0},
+     "GaugeL5 parameter 'phi0' must be a nonempty list of finite numbers"),
 ])
 def test_family_rejects_parameters_it_would_ignore_or_misread(family, params, named):
     with pytest.raises(InvalidInputError, match=re.escape(named)):
         SolutionFamily(family, params)
+
+
+def test_family_takes_numpy_floats_and_coefficient_arrays():
+    fam = SolutionFamily("Nilpotent2x2", {"alpha": np.float64(0.5), "beta": 1})
+    assert eval_family(fam, 2.0).entries() == eval_family_per_point(fam, 2.0).entries()
+    gauge = SolutionFamily("GaugeL5", {k: np.array(v) for k, v in GAUGE_CUBIC.items()})
+    assert np.array_equal(eval_family(gauge, 0.5).C1,
+                          eval_family(SolutionFamily("GaugeL5", GAUGE_CUBIC), 0.5).C1)
 
 
 # ---------------------------------------------------------------------------

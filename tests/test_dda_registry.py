@@ -37,7 +37,7 @@ def test_lookup_unknown():
 
 def test_l1_has_no_central_system():
     fld = SampledField(dda="L1", grid=np.arange(3.0) + 1.0,
-                       pairs=tuple(MatrixPair.from_entries_2x2() for _ in range(3)))
+                       pairs=tuple(MatrixPair.from_entries(2, {}) for _ in range(3)))
     with pytest.raises(UnsupportedDDAError):
         cs_residual("L1", fld, 1)
 
@@ -199,9 +199,9 @@ def test_sampled_field_json_roundtrip():
 
 
 def test_sampled_field_grid_validation():
-    p = MatrixPair.from_entries_2x2()
+    p = MatrixPair.from_entries(2, {})
     with pytest.raises(InvalidInputError, match="all 2x2 or all 3x3"):
-        SampledField(dda="L2b", grid=np.arange(2.0), pairs=(p, MatrixPair.from_entries_3x3()))
+        SampledField(dda="L2b", grid=np.arange(2.0), pairs=(p, MatrixPair.from_entries(3, {})))
     with pytest.raises(InvalidInputError):
         SampledField(dda="L2a", grid=np.array([1.0, 0.5]), pairs=(p, p))
     with pytest.raises(InvalidInputError):
@@ -213,6 +213,13 @@ def test_sampled_field_grid_validation():
 # ---------------------------------------------------------------------------
 # Quantum / coisotropic / discrete evaluators.
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_tensor_grid_rejects_a_spacing_that_is_not_positive_and_finite(spacing):
+    c = np.zeros((4, 4, 3, 3, 3))
+    with pytest.raises(InvalidInputError, match="spacing must be positive and finite"):
+        TensorGrid(c=c, spacing=spacing)
+
 
 def _constant_grid(pair, npts=4, h=0.1):
     t = tensor_from_pair(pair, unital=pair.unital)
@@ -360,7 +367,7 @@ def test_l3_trajectory_satisfies_its_central_system():
     # x = y det C1 turns the uniform y-grid into a uniform x-grid
     xs = traj.ts * det
     rows = [dict(zip(traj.columns, row)) for row in traj.states.tolist()]
-    pairs = tuple(MatrixPair.from_entries_2x2(**{k: r[k] for k in "BCEGMN"}) for r in rows)
+    pairs = tuple(MatrixPair.from_entries(2, {k: r[k] for k in "BCEGMN"}) for r in rows)
     fld = SampledField(dda="L3", grid=xs, pairs=pairs)
     mid = len(xs) // 2
     res = cs_residual("L3", fld, mid).norms[0]

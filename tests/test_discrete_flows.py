@@ -7,6 +7,7 @@ from deformcs.dda_registry import discrete_cs_residual
 from deformcs.discrete_flows import (MapState, discrete_oriented_assoc_residual, init_map_state,
                                      lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
+from deformcs.integrators import MAX_STEPS
 from deformcs.errors import (DeformError, InvalidInputError, SingularGaugeError,
                              SingularOrbitError)
 
@@ -271,6 +272,14 @@ def test_l2b_degenerate_det_raises():
     with pytest.raises(SingularOrbitError) as err:
         step("L2b", st)
     assert err.value.quantity == "BG-CE"
+
+
+@pytest.mark.parametrize("steps", [MAX_STEPS + 1, -1, True, 2.0, "3", None])
+def test_orbit_bounds_steps_before_it_starts(steps):
+    st = init_map_state("L2b", dict(B=1.0, C=0.5, E=0.3, G=1.2, M=0.2, N=0.4))
+    with pytest.raises(InvalidInputError, match=f"steps must be an integer from 0 to {MAX_STEPS}"):
+        orbit("L2b", st, steps)
+    assert len(orbit("L2b", st, 0).entries) == 1
 
 
 def test_step_rejects_unknown_or_3x3():

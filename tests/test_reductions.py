@@ -239,7 +239,7 @@ def test_elliptic_preserves_b_plus_g_constraint():
     start = elliptic_point(0.8, 0.3)
     traj = integrate_elliptic(start, 0.3, (0.0, 0.4), 1e-3)
     for B, E, C in traj.states[:: 50]:
-        pair = MatrixPair.from_entries_2x2(B=B, C=C, E=E, G=-B, M=0.0, N=1.0)
+        pair = MatrixPair.from_entries(2, dict(B=B, C=C, E=E, G=-B, M=0.0, N=1.0))
         assert abs(B * (-B) - C * E - 1.0) < 1e-8
         st = state_from_entries("L3_unimodular", pair.entries())
         ints = first_integrals("L3_unimodular", st)
