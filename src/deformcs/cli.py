@@ -14,6 +14,15 @@ Scenario kinds and their required fields:
     residual_scan   dda, field | field_path
     reduction       reduction, initial, span, step         [params, stride]
 
+A reduction's initial entries and params (each one left out is 0) are those of
+its row in ``reductions.REDUCTIONS``:
+
+    ChazyV, ChazyV_shifted, ChazyVIII   initial G, G1, G2
+    ChazyVII                            initial G, G1, G2; params b0
+    ChazyIII                            initial G, G1, G2; params phi0, b0
+    Boussinesq                          initial E, E1; params alpha, beta, gamma
+    Elliptic                            initial B, E, C; params alpha
+
 Matrices inside scenario and field documents are JSON arrays of rows
 (row-major), e.g. "C1": [[B, E], [C, G]].
 """
@@ -32,24 +41,26 @@ import numpy as np
 
 from . import __version__
 from .closed_forms import FAMILY_IDS, SolutionFamily, is_finite_number, validate_family
-from .continuous_flows import SYSTEMS, integrate, state_from_entries
+from .continuous_flows import get_system, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual_scan, lookup
-from .discrete_flows import ENTRY_NAMES, MAP_DDAS, flag_labels, init_map_state, orbit
+from .discrete_flows import (ENTRY_NAMES, check_map, check_steps, flag_labels, init_map_state,
+                             orbit)
 from .errors import DeformError, InvalidInputError
-from .integrators import MAX_STEPS, STATUS_COMPLETED, Trajectory, step_count
-from .reductions import (CHAZY_VARIANTS, integrate_boussinesq, integrate_chazy,
-                         integrate_elliptic)
+from .integrators import STATUS_COMPLETED, Trajectory, step_count
+from .reductions import (integrate_boussinesq, integrate_chazy, integrate_elliptic,
+                         reduction_row)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SINGULAR = 3
 
-# reduction -> (initial entries, params) it reads; each one left out is 0
-_CHAZY_KEYS = (("G", "G1", "G2"), ("phi0", "b0"))
-REDUCTION_KEYS = {**{v: _CHAZY_KEYS for v in CHAZY_VARIANTS if v != "Generic"},
-                  "Boussinesq": (("E", "E1"), ("alpha", "beta", "gamma")),
-                  "Elliptic": (("B", "E", "C"), ("alpha",))}
-REDUCTION_KINDS = tuple(REDUCTION_KEYS)
+
+def _judged(key: str, check, *args):
+    """``check(*args)``, with the InvalidInputError it raises prefixed by the field it judged."""
+    try:
+        return check(*args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"field {key!r}: {exc}") from None
 
 
 class ScenarioConfig:
@@ -85,17 +96,10 @@ class ScenarioConfig:
         return float(span[0]), float(span[1])
 
     def _step(self, step=None):
-        """The scenario's step, or ``step`` from --step; the span needs at most MAX_STEPS."""
+        """The scenario's step, or ``step`` from --step, checked by ``step_count`` on the span."""
         if step is None:
             step = self._require(float, "step")
-        elif not is_finite_number(step):
-            raise InvalidInputError("field 'step' must be a finite number")
-        if step <= 0.0:
-            raise InvalidInputError("field 'step' must be positive")
-        try:
-            step_count(*self.span, step)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"field 'step': {exc}") from None
+        _judged("step", step_count, *self.span, step)
         return step
 
     def _stride(self):
@@ -104,10 +108,10 @@ class ScenarioConfig:
             raise InvalidInputError("field 'stride' must be a positive integer")
         return stride
 
-    def _numbers(self, key, allowed=None):
+    def _numbers(self, key, allowed):
         """A {name: finite number} field; names outside ``allowed`` are rejected."""
         values = self._require(dict, key)
-        unknown = sorted(set(values) - set(allowed)) if allowed is not None else []
+        unknown = sorted(set(values) - set(allowed))
         if unknown:
             raise InvalidInputError(f"field {key!r} has unknown entries {unknown}")
         out = {}
@@ -118,54 +122,36 @@ class ScenarioConfig:
         return out
 
     def _validate_flow(self):
-        system = self._require(str, "system")
-        if system not in SYSTEMS:
-            raise InvalidInputError(f"unknown system {system!r}")
-        self.system = system
-        sy = SYSTEMS[system]
+        sy = get_system(self._require(str, "system"))
+        self.system = sy.id
         self.initial = self._numbers("initial", sy.all_entries())
         self.free = self._numbers("free", sy.free) if "free" in self.doc else {}
         self.span = self._span()
         self.step = self._step()
         self.stride = self._stride()
         # surfaces missing-entry errors at validation time
-        state_from_entries(system, {**self.initial, **self.free})
+        state_from_entries(sy.id, {**self.initial, **self.free})
 
     def _validate_map(self):
-        dda = self._require(str, "dda")
-        lookup(dda)
-        if dda not in MAP_DDAS:
-            raise InvalidInputError(f"dda {dda!r} is not a discrete map (use one of {MAP_DDAS})")
-        self.dda = dda
-        self.initial = self._numbers("initial", ENTRY_NAMES)
-        self.prev = self._numbers("prev", ENTRY_NAMES) if "prev" in self.doc else None
-        steps = self._require(int, "steps")
-        if isinstance(steps, bool) or not 0 <= steps <= MAX_STEPS:
-            raise InvalidInputError(
-                f"field 'steps' must be a nonnegative integer at most MAX_STEPS = {MAX_STEPS}")
-        self.steps = steps
+        self.dda = self._require(str, "dda")
+        check_map(self.dda)
+        initial = self._numbers("initial", ENTRY_NAMES)
+        prev = self._numbers("prev", ENTRY_NAMES) if "prev" in self.doc else None
+        self.steps = _judged("steps", check_steps, self._require(int, "steps"))
         self.stride = self._stride()
-        init_map_state(dda, self.initial, self.prev)
+        self.state = init_map_state(self.dda, initial, prev)
 
     def _validate_validate_family(self):
         family = self._require(str, "family")
         if family not in FAMILY_IDS:
             raise InvalidInputError(f"unknown family {family!r}")
-        params = self._require(dict, "params")
-        for name, v in params.items():
-            if family == "GaugeL5":
-                if not (isinstance(v, list) and v and all(is_finite_number(c) for c in v)):
-                    raise InvalidInputError(
-                        f"field 'params'[{name!r}] must be a nonempty list of finite numbers")
-            elif name != "printed_form" and not is_finite_number(v):
-                raise InvalidInputError(f"field 'params'[{name!r}] must be a finite number")
+        self.family = _judged("params", SolutionFamily, family, self._require(dict, "params"))
         points = self._require(list, "points")
         if not points or not all(is_finite_number(v) for v in points):
             raise InvalidInputError("field 'points' must be a nonempty list of numbers")
         h = self.doc.get("h", 1e-4)
         if not is_finite_number(h) or h <= 0:
             raise InvalidInputError("field 'h' must be a positive number")
-        self.family = SolutionFamily(family, params)
         self.points = [float(v) for v in points]
         self.h = float(h)
 
@@ -189,11 +175,8 @@ class ScenarioConfig:
                 f"field 'dda' mismatch: scenario says {dda!r}, field says {self.field.dda!r}")
 
     def _validate_reduction(self):
-        reduction = self._require(str, "reduction")
-        if reduction not in REDUCTION_KINDS:
-            raise InvalidInputError(f"unknown reduction {reduction!r} (expected one of {REDUCTION_KINDS})")
-        self.reduction = reduction
-        initial, params = REDUCTION_KEYS[reduction]
+        self.reduction = self._require(str, "reduction")
+        initial, params = reduction_row(self.reduction)[:2]
         self.initial = self._numbers("initial", initial)
         self.params = self._numbers("params", params) if "params" in self.doc else {}
         self.span = self._span()
@@ -261,7 +244,7 @@ def _flow_artifacts(cfg: ScenarioConfig, out: Path):
 
 def _map_artifacts(cfg: ScenarioConfig, out: Path):
     """orbit.csv: n, the entries, the invariants ("" in rows without them), the flags."""
-    run = orbit(cfg.dda, init_map_state(cfg.dda, cfg.initial, cfg.prev), cfg.steps)
+    run = orbit(cfg.dda, cfg.state, cfg.steps)
     rows = len(run.entries)
     names = sorted(run.invariants)
     columns = [range(run.n0, run.n0 + rows), *run.entries.T.tolist()]
@@ -279,9 +262,10 @@ def _map_artifacts(cfg: ScenarioConfig, out: Path):
 
 def _reduction_artifacts(cfg: ScenarioConfig, out: Path):
     r = cfg.reduction
-    initial_keys, param_keys = REDUCTION_KEYS[r]
+    initial_keys, param_keys = reduction_row(r)[:2]
     initial = tuple(cfg.initial.get(k, 0.0) for k in initial_keys)
     params = {k: cfg.params.get(k, 0.0) for k in param_keys}
+    # the views, looked up at each call, are what perfbench traces as the reductions layer
     integrator = {"Boussinesq": integrate_boussinesq,
                   "Elliptic": integrate_elliptic}.get(r, partial(integrate_chazy, r))
     traj = integrator(initial, span=cfg.span, step=cfg.step, **params)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
                            entry_stacks, trace_integrals)
-from .dda_registry import _REGISTRY, TensorGrid
+from .dda_registry import _REGISTRY, TensorGrid, lookup
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import MAX_STEPS, OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
 
@@ -84,9 +84,10 @@ def _state(n: int, values: tuple[float, ...], prev_C1: np.ndarray | None) -> Map
     return MapState(n, values, prev_C1, flag_labels(degeneracy_flags(np.array([values]))[0]))
 
 
-def _check(dda: str, state: MapState | None = None) -> None:
-    if dda not in MAP_DDAS:
-        raise InvalidInputError(f"unknown or non-discrete dda {dda!r}")
+def check_map(dda: str, state: MapState | None = None) -> None:
+    """Raise InvalidInputError unless dda has a discrete map (and an L5 state its previous C1)."""
+    if not lookup(dda).discrete:
+        raise InvalidInputError(f"dda {dda!r} is not a discrete map (use one of {MAP_DDAS})")
     if dda == "L5" and state is not None and state.prev_C1 is None:
         raise InvalidInputError("L5 state lacks the previous C1 (use init_map_state)")
 
@@ -99,7 +100,7 @@ def init_map_state(dda: str, entries: dict[str, float],
     supplies C1 one site back and defaults to the initial C1.  The first-order
     L2b and L4 maps take no ``prev_entries``.
     """
-    _check(dda)
+    check_map(dda)
     if dda != "L5" and prev_entries is not None:
         raise InvalidInputError(f"{dda} is a first-order map: prev entries apply to L5 only")
     values = _values(entries)
@@ -148,7 +149,7 @@ def _advance(dda: str, values: tuple[float, ...], prev_C1: np.ndarray | None):
 
 def step(dda: str, state: MapState) -> MapState:
     """Advance the orbit one lattice site."""
-    _check(dda, state)
+    check_map(dda, state)
     values, prev_C1 = _advance(dda, state.values, state.prev_C1)
     return _state(state.n + 1, values, prev_C1)
 
@@ -173,7 +174,7 @@ def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None):
 
 def map_invariants(dda: str, state: MapState) -> dict[str, float]:
     """Exact trace invariants at one state (L5 values attach to the transition)."""
-    _check(dda, state)
+    check_map(dda, state)
     invariants, rows = _invariants(dda, np.array([state.values]), state.prev_C1)
     if not rows.size:
         det = float(np.linalg.det(state.pair.C1))
@@ -214,12 +215,18 @@ class Orbit:
                      in enumerate(zip(self.entries.tolist(), prev, self.flags.tolist())))
 
 
+def check_steps(steps) -> int:
+    """``steps`` if it is an integer from 0 to MAX_STEPS; InvalidInputError otherwise."""
+    if not isinstance(steps, int) or isinstance(steps, bool) or not 0 <= steps <= MAX_STEPS:
+        raise InvalidInputError(f"steps must be an integer from 0 to {MAX_STEPS}, got {steps!r}")
+    return steps
+
+
 def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     """Iterate the map for at most MAX_STEPS steps; a singular denominator, a
     non-finite entry or overflow truncates the orbit."""
-    _check(dda, state0)
-    if not isinstance(steps, int) or isinstance(steps, bool) or not 0 <= steps <= MAX_STEPS:
-        raise InvalidInputError(f"steps must be an integer from 0 to {MAX_STEPS}, got {steps!r}")
+    check_map(dda, state0)
+    check_steps(steps)
     values, prev_C1 = state0.values, state0.prev_C1
     rows = [values]
     status, diagnostic = STATUS_COMPLETED, None

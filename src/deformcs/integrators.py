@@ -4,7 +4,8 @@ All flows in this package are short desk-scale runs whose tests rely on the
 deterministic fourth-order error law of RK4, so no adaptive stepping is used.
 The requested span is divided into round(span/step) equal steps, which lands
 on the endpoint exactly and keeps step-halving comparisons clean.  No run
-takes more than MAX_STEPS steps; a longer one is rejected before it starts.
+takes more than MAX_STEPS steps; a longer one is rejected before it starts, and
+so is a reversed or non-finite span or a step that is not a positive finite number.
 
 A state is a tuple of k floats, on which RK4 does the IEEE operations of its
 float64 array form in the same order; the (steps + 1, k) array of states is made
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,10 +55,15 @@ class Trajectory:
 
 
 def step_count(t0: float, t1: float, step: float) -> int:
-    """Number of equal steps of about ``step`` from t0 to t1, at most MAX_STEPS."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    n = abs(t1 - t0) / step
+    """Number of equal steps of about ``step`` from t0 to t1, at most MAX_STEPS.
+
+    Raises InvalidInputError unless the span is finite with t1 >= t0 and the step
+    is a positive finite number."""
+    if not -float_info.max <= t0 <= t1 <= float_info.max:   # False for NaN
+        raise InvalidInputError(f"span ({t0}, {t1}) must be finite with end >= start")
+    if not 0.0 < step <= float_info.max:
+        raise InvalidInputError(f"step must be a positive finite number, got {step}")
+    n = (t1 - t0) / step
     if not n <= MAX_STEPS:
         raise InvalidInputError(f"span / step = {n:.3g} exceeds MAX_STEPS = {MAX_STEPS}")
     return max(1, round(n)) if t1 != t0 else 0

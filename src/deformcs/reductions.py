@@ -19,12 +19,18 @@ Each reduction carries its conserved quantity and a reconstruction map
 back to full structure constants, so trajectories can be cross-checked
 against the matrix central systems they came from.  Each right-hand side maps
 a tuple of floats to a tuple, with no ** and no unguarded division.
+
+Each reduction is one row of ``REDUCTIONS``: its initial entries, params, state
+columns and the builder of its right-hand side and invariants.
+``integrate_reduction`` is the one run that reads a row; ``integrate_chazy``,
+``integrate_boussinesq`` and ``integrate_elliptic`` are one-line views of it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping, Sequence
 from functools import partial
 
 import numpy as np
@@ -113,52 +119,18 @@ def chazy_pair(G: float, G1: float, G2: float, B: float = 0.0, B1: float = 0.0) 
     return MatrixPair.from_entries(2, reconstruct_from_G(G, G1, G2, B, B1))
 
 
-def _chazy_system(variant: str):
-    """State layout and right-hand side for integrating one Chazy variant.
-
-    ChazyVII and ChazyIII carry B along via the Riccati equation
-    B' = Phi - B^2/2 so the reconstruction map stays available; ChazyIII
-    additionally carries Phi itself, integrated from the quadrature relation.
-    The variant is looked up here, once, not on every call of the right-hand side.
-    """
-    g3 = _CHAZY_G3.get(variant)
-    if variant in ("ChazyV", "ChazyV_shifted", "ChazyVIII"):
-        cols = ("G", "G1", "G2")
-
-        def f(_t, y):
-            G, G1, G2 = y
-            return (G1, G2, g3(G, G1, G2))
-
-        return cols, f
-    if variant == "ChazyVII":
-        cols = ("G", "G1", "G2", "B")
-
-        def f(_t, y):
-            G, G1, G2, B = y
-            return (G1, G2, g3(G, G1, G2), G1 - 0.5 * B * B)
-
-        return cols, f
-    if variant == "ChazyIII":
-        cols = ("G", "G1", "G2", "phi", "B")
-
-        def f(_t, y):
-            G, G1, G2, phi, B = y
-            if abs(G) < 1e-9:
-                raise SingularFlowError("ChazyIII quadrature needs G bounded away from 0")
-            dphi = (2.0 * G * G * G1 + G1 * G1 + 4.0 * G * G2 - 2.0 * G1 * phi) / G
-            return (G1, G2, g3(G, G1, G2), dphi, phi - 0.5 * B * B)
-
-        return cols, f
-    raise InvalidInputError(f"variant {variant!r} cannot be integrated directly")
+def _riccati(phi: float, B: float) -> float:
+    """B' = Phi - B^2/2, the Riccati equation by which ChazyVII and ChazyIII carry B."""
+    return phi - 0.5 * B * B
 
 
-# (Phi, B, B') from one trajectory row (the columns of _chazy_system) of each variant
+# (Phi, B, B') from one trajectory row (the state columns) of each variant
 _CHAZY_PHI_B = {
     "ChazyV": lambda *_: (0.0, 0.0, 0.0),
     "ChazyV_shifted": lambda *_: (0.5, 1.0, 0.0),
     "ChazyVIII": lambda G, G1, G2: (2.0 * G1 + 2.0 * G * G, 2.0 * G, 2.0 * G1),
-    "ChazyVII": lambda G, G1, G2, B: (G1, B, G1 - 0.5 * B * B),
-    "ChazyIII": lambda G, G1, G2, phi, B: (phi, B, phi - 0.5 * B * B),
+    "ChazyVII": lambda G, G1, G2, B: (G1, B, _riccati(G1, B)),
+    "ChazyIII": lambda G, G1, G2, phi, B: (phi, B, _riccati(phi, B)),
 }
 
 
@@ -169,30 +141,54 @@ def chazy_state_phi_B(variant: str, row: np.ndarray) -> tuple[float, float, floa
     return _CHAZY_PHI_B[variant](*row)
 
 
-def integrate_chazy(variant: str, initial: tuple[float, float, float],
-                    span: tuple[float, float], step: float,
-                    phi0: float = 0.0, b0: float = 0.0) -> Trajectory:
-    """Integrate one Chazy variant, recording the second integral per step."""
-    cols, f = _chazy_system(variant)
-    y0 = tuple(initial) + {"ChazyVII": (b0,), "ChazyIII": (phi0, b0)}.get(variant, ())
-    ts, ys, status, diagnostic = integrate_fixed(f, span[0], y0, span[1], step)
+def _chazy(variant: str):
+    """The right-hand side and invariants of one Chazy variant; neither reads a param.
+
+    ChazyVII and ChazyIII carry B so the reconstruction map stays available;
+    ChazyIII also carries Phi, integrated from the quadrature relation.
+    """
+    g3, phi_B = _CHAZY_G3[variant], _CHAZY_PHI_B[variant]
+    if variant == "ChazyVII":
+        def f(_t, y):
+            G, G1, G2, B = y
+            return (G1, G2, g3(G, G1, G2), _riccati(G1, B))
+    elif variant == "ChazyIII":
+        def f(_t, y):
+            G, G1, G2, phi, B = y
+            if abs(G) < 1e-9:
+                raise SingularFlowError("ChazyIII quadrature needs G bounded away from 0")
+            dphi = (2.0 * G * G * G1 + G1 * G1 + 4.0 * G * G2 - 2.0 * G1 * phi) / G
+            return (G1, G2, g3(G, G1, G2), dphi, _riccati(phi, B))
+    else:   # B is 0, 1 or 2G: no column carries it
+        def f(_t, y):
+            G, G1, G2 = y
+            return (G1, G2, g3(G, G1, G2))
+
     # Phi = B^2 / 2 is exactly B / 2 for the constant B (0 or 1) of ChazyV and
     # ChazyV_shifted, so Phi is the closing coefficient of I2 for every variant.
-    phi_B = _CHAZY_PHI_B[variant]
-    i2 = [_second_integral(row[0], row[1], row[2], phi_B(*row)[0])
-          for row in ys.tolist()]   # float arithmetic per row, not numpy scalars
-    return Trajectory(kind=variant, ts=ts, states=ys, columns=cols,
-                      invariants={"I2_chazy": np.array(i2)},
-                      status=status, diagnostic=diagnostic)
+    def invariants(rows):
+        return {"I2_chazy": [_second_integral(row[0], row[1], row[2], phi_B(*row)[0])
+                             for row in rows]}
+
+    return f, invariants
 
 
 # ---------------------------------------------------------------------------
 # Boussinesq-type reduction of the 3x3 flow (B = 0, C = 1, G = 0).
 # ---------------------------------------------------------------------------
 
-def _boussinesq_rhs(alpha: float, beta: float, _t, y):
-    E, E1 = y
-    return (E1, 6.0 * E * E - 4.0 * alpha * E - beta)
+def _boussinesq(alpha: float, beta: float, gamma: float):
+    """The right-hand side E'' = 6 E^2 - 4 alpha E - beta and the invariant I3."""
+    def f(_t, y):
+        E, E1 = y
+        return (E1, 6.0 * E * E - 4.0 * alpha * E - beta)
+
+    def invariants(rows):
+        return {"I3": [_pow(alpha, 3) / 3.0 + gamma * gamma + 0.5 * alpha * beta
+                       - 0.25 * E1 * E1 + _pow(E, 3) - alpha * E * E - 0.5 * beta * E
+                       for E, E1 in rows]}
+
+    return f, invariants
 
 
 def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float,
@@ -202,7 +198,7 @@ def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float
     The companion N entry is alpha - E (the value that keeps I1 = tr C2 equal
     to alpha and closes the six-equation system).
     """
-    e2 = _boussinesq_rhs(alpha, beta, 0.0, (E, E1))[1]
+    f, invariants = _boussinesq(alpha, beta, gamma)
     entries = {
         "A": 2.0 * E - alpha, "B": 0.0, "C": 1.0,
         "D": gamma - 0.5 * E1, "E": E, "G": 0.0,
@@ -212,14 +208,9 @@ def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float
     integrals = {
         "I1": alpha,
         "I2": 0.5 * (beta + alpha * alpha),
-        "I3": _boussinesq_i3(E, E1, alpha, beta, gamma),
+        "I3": invariants([(E, E1)])["I3"][0],
     }
-    return e2, entries, integrals
-
-
-def _boussinesq_i3(E: float, E1: float, alpha: float, beta: float, gamma: float) -> float:
-    return (_pow(alpha, 3) / 3.0 + gamma * gamma + 0.5 * alpha * beta
-            - 0.25 * E1 * E1 + _pow(E, 3) - alpha * E * E - 0.5 * beta * E)
+    return f(0.0, (E, E1))[1], entries, integrals
 
 
 def boussinesq_pair(E: float, E1: float, alpha: float, beta: float, gamma: float) -> MatrixPair:
@@ -227,22 +218,22 @@ def boussinesq_pair(E: float, E1: float, alpha: float, beta: float, gamma: float
     return MatrixPair.from_entries(3, entries)
 
 
-def integrate_boussinesq(initial: tuple[float, float], alpha: float, beta: float,
-                         gamma: float, span: tuple[float, float], step: float) -> Trajectory:
-    ts, ys, status, diagnostic = integrate_fixed(partial(_boussinesq_rhs, alpha, beta),
-                                                 span[0], initial, span[1], step)
-    i3 = np.array([_boussinesq_i3(E, E1, alpha, beta, gamma) for E, E1 in ys.tolist()])
-    return Trajectory(kind="Boussinesq", ts=ts, states=ys, columns=("E", "E1"),
-                      invariants={"I3": i3}, status=status, diagnostic=diagnostic)
-
-
 # ---------------------------------------------------------------------------
 # Elliptic reduction of the unimodular L3 flow (M = 0, N = 1, B + G = 0).
 # ---------------------------------------------------------------------------
 
-def _elliptic_rhs(_t, y):   # (B', E', C') does not depend on alpha
-    B, E, C = y
-    return ((1.0 + C) * E, -B * E, -(2.0 + C) * B)
+def _elliptic(alpha: float):
+    """The right-hand side (B', E', C'), which does not read alpha, and the residuals r1, r2."""
+    def f(_t, y):
+        B, E, C = y
+        return ((1.0 + C) * E, -B * E, -(2.0 + C) * B)
+
+    def invariants(rows):   # r1 with (E')^2 = (-B E)^2
+        return {"r1": [(-B * E) * (-B * E) + alpha * _pow(E, 4) - 2.0 * _pow(E, 3) + E * E
+                       for B, E, _ in rows],
+                "r2": [B * B + C * E + 1.0 for B, E, C in rows]}
+
+    return f, invariants
 
 
 def elliptic_system(B: float, E: float, C: float, alpha: float):
@@ -252,14 +243,8 @@ def elliptic_system(B: float, E: float, C: float, alpha: float):
     with E' = -B E; r2 is B^2 + C E + 1, the det C1 = 1 constraint (the
     second integral of the flow equals -1 on this reduction).
     """
-    return _elliptic_rhs(0.0, (B, E, C)), _elliptic_residuals(B, E, C, alpha)
-
-
-def _elliptic_residuals(B: float, E: float, C: float, alpha: float) -> tuple[float, float]:
-    e1 = -B * E
-    r1 = e1 * e1 + alpha * _pow(E, 4) - 2.0 * _pow(E, 3) + E * E
-    r2 = B * B + C * E + 1.0
-    return r1, r2
+    f, invariants = _elliptic(alpha)
+    return f(0.0, (B, E, C)), tuple(v[0] for v in invariants([(B, E, C)]).values())
 
 
 def elliptic_point(E: float, alpha: float, branch: float = 1.0) -> tuple[float, float, float]:
@@ -270,9 +255,68 @@ def elliptic_point(E: float, alpha: float, branch: float = 1.0) -> tuple[float, 
     return (branch * float(np.sqrt(b2)), E, alpha * E - 2.0)
 
 
-def integrate_elliptic(initial: tuple[float, float, float], alpha: float,
-                       span: tuple[float, float], step: float) -> Trajectory:
-    ts, ys, status, diagnostic = integrate_fixed(_elliptic_rhs, span[0], initial, span[1], step)
-    r1, r2 = np.array([_elliptic_residuals(B, E, C, alpha) for B, E, C in ys.tolist()]).T
-    return Trajectory(kind="Elliptic", ts=ts, states=ys, columns=("B", "E", "C"),
-                      invariants={"r1": r1, "r2": r2}, status=status, diagnostic=diagnostic)
+# ---------------------------------------------------------------------------
+# One table row per reduction, and the one run that reads it.
+# ---------------------------------------------------------------------------
+
+_G = ("G", "G1", "G2")
+
+# name -> (initial entries, params, state columns, build).  A state column beyond
+# the initial entries starts at the param in the same place (b0 starts B, phi0 phi).
+# build takes the other params and returns the right-hand side f(t, y) and
+# invariants(rows), which maps each invariant's name to its value at every row.
+REDUCTIONS = {
+    "ChazyV": (_G, (), _G, partial(_chazy, "ChazyV")),
+    "ChazyV_shifted": (_G, (), _G, partial(_chazy, "ChazyV_shifted")),
+    "ChazyVII": (_G, ("b0",), _G + ("B",), partial(_chazy, "ChazyVII")),
+    "ChazyVIII": (_G, (), _G, partial(_chazy, "ChazyVIII")),
+    "ChazyIII": (_G, ("phi0", "b0"), _G + ("phi", "B"), partial(_chazy, "ChazyIII")),
+    "Boussinesq": (("E", "E1"), ("alpha", "beta", "gamma"), ("E", "E1"), _boussinesq),
+    "Elliptic": (("B", "E", "C"), ("alpha",), ("B", "E", "C"), _elliptic),
+}
+
+
+def reduction_row(name: str) -> tuple:
+    """The row of REDUCTIONS named ``name``."""
+    if name not in REDUCTIONS:
+        raise InvalidInputError(f"unknown reduction {name!r} (expected one of {tuple(REDUCTIONS)})")
+    return REDUCTIONS[name]
+
+
+def integrate_reduction(name: str, initial: Sequence[float], params: Mapping[str, float],
+                        span: tuple[float, float], step: float) -> Trajectory:
+    """Integrate one reduction of REDUCTIONS, recording its invariants at every step.
+
+    ``initial`` holds its initial entries in order, and ``params`` maps its param
+    names to values; a param left out is 0.
+    """
+    entries, names, columns, build = reduction_row(name)
+    if len(initial) != len(entries) or not set(params) <= set(names):
+        raise InvalidInputError(f"{name} takes the initial entries {entries} and the params "
+                                f"{names}, got {len(initial)} entries and {sorted(params)}")
+    values = tuple(params.get(k, 0.0) for k in names)
+    carried = len(columns) - len(entries)
+    f, invariants = build(*values[carried:])
+    ts, ys, status, diagnostic = integrate_fixed(f, span[0], tuple(initial) + values[:carried],
+                                                 span[1], step)
+    histories = invariants(ys.tolist())   # float arithmetic per row, not numpy scalars
+    return Trajectory(kind=name, ts=ts, states=ys, columns=columns,
+                      invariants={k: np.array(v) for k, v in histories.items()},
+                      status=status, diagnostic=diagnostic)
+
+
+# The views below are the names perfbench traces, so callers that want a
+# reduction's own layer in the trace call them rather than integrate_reduction.
+
+def integrate_chazy(variant: str, initial, span, step, **params: float) -> Trajectory:
+    return integrate_reduction(variant, initial, params, span, step)
+
+
+def integrate_boussinesq(initial, alpha: float, beta: float, gamma: float,
+                         span, step) -> Trajectory:
+    return integrate_reduction("Boussinesq", initial,
+                               {"alpha": alpha, "beta": beta, "gamma": gamma}, span, step)
+
+
+def integrate_elliptic(initial, alpha: float, span, step) -> Trajectory:
+    return integrate_reduction("Elliptic", initial, {"alpha": alpha}, span, step)

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,8 +15,10 @@ from hypothesis import assume, given, settings, strategies as st
 import deformcs
 from deformcs import cli
 from deformcs.cli import EXIT_INVALID, EXIT_OK, EXIT_SINGULAR, load_scenario, main
+from deformcs.discrete_flows import init_map_state
 from deformcs.errors import DeformError
 from deformcs.integrators import step_count
+from deformcs.reductions import REDUCTIONS
 
 
 def _write(tmp_path, name, doc):
@@ -342,9 +345,12 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
      "'initial' has unknown entries ['A']"),
     ({**FLOW_SCENARIO, "free": {"B": 0.0, "C": 0.0, "M": 1.0}}, "'free' has unknown entries ['M']"),
     ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [2.0],
-      "params": {"alpha": "x", "beta": 1.0, "gamma": 0.0}}, "'params'['alpha']"),
+      "params": {"alpha": "x", "beta": 1.0, "gamma": 0.0}},
+     "field 'params': Nilpotent2x2 parameter 'alpha' must be a finite number, got 'x'"),
     ({"kind": "validate_family", "family": "GaugeL5", "points": [0.5],
-      "params": {"phi0": "abc", "phi1": [0.0, 1.0], "phi2": [0.0, 0.0, 1.0]}}, "'params'['phi0']"),
+      "params": {"phi0": "abc", "phi1": [0.0, 1.0], "phi2": [0.0, 0.0, 1.0]}},
+     "field 'params': GaugeL5 parameter 'phi0' must be a nonempty list of finite numbers, "
+     "got 'abc'"),
     ({"kind": "residual_scan", "dda": "L2a",
       "field": {**_FIELD, "values": _FIELD["values"][:2] + [{"C1": [[0.5, 0.2], [0.1, 0.4]]}]}},
      "value 2 needs numeric matrices 'C1' and 'C2'"),
@@ -352,14 +358,16 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
       "params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0}}, "'x=2' occurs more than once"),
     ({**_CHAZY, "initial": {"G": 1.0, "g1": 0.5, "G2": -0.3}},
      "'initial' has unknown entries ['g1']"),
-    ({**_CHAZY, "params": {"b0": 0.1, "alpha": 1.0}}, "'params' has unknown entries ['alpha']"),
+    ({**_CHAZY, "params": {"b0": 0.1, "alpha": 1.0}},
+     "'params' has unknown entries ['alpha', 'b0']"),
     ({**_CHAZY, "reduction": "Boussinesq", "initial": {"E": 0.3, "E1": 0.1},
       "params": {"alpha": 0.5, "phi0": 0.1}}, "'params' has unknown entries ['phi0']"),
     ({**_CHAZY, "reduction": "Elliptic", "initial": {"B": 0.5, "E": 0.5, "G": -2.5}},
      "'initial' has unknown entries ['G']"),
     ({**FLOW_SCENARIO, "span": [0.0, 1e300], "step": 1e-300}, "field 'step': span / step"),
     ({**_CHAZY, "span": [0.0, 1e7], "step": 1e-3}, "exceeds MAX_STEPS = 1000000"),
-    ({**_MAP, "steps": 10 ** 6 + 1}, "field 'steps' must be a nonnegative integer at most"),
+    ({**_MAP, "steps": 10 ** 6 + 1},
+     "field 'steps': steps must be an integer from 0 to 1000000, got 1000001"),
     ({**_SCAN, "field": {**_FIELD, "grid": ["a", 1.0, 2.0]}}, "'grid' must be a list of numbers"),
     ({**_SCAN, "field": {**_FIELD, "grid": {}}}, "'grid' must be a list of numbers"),
     ({**_SCAN, "field": {**_FIELD, "grid": [[1.0], [2.0, 3.0], [4.0]]}},
@@ -414,11 +422,44 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({**_MAP, "dda": "L2b", "prev": {"B": 7}}, "L2b is a first-order map: prev entries"),
     ({**_MAP, "dda": "L4", "prev": {"B": 7}}, "L4 is a first-order map: prev entries"),
     ({**_MAP, "dda": "L3"}, "dda 'L3' is not a discrete map (use one of ('L2b', 'L4', 'L5'))"),
+    ({**_CHAZY, "params": {"b0": 0.1}}, "field 'params' has unknown entries ['b0']"),
+    ({**_CHAZY, "reduction": "ChazyVIII", "params": {"phi0": 0.5}},
+     "field 'params' has unknown entries ['phi0']"),
+    ({**_CHAZY, "reduction": "ChazyVII", "params": {"phi0": 0.5, "b0": 0.1}},
+     "field 'params' has unknown entries ['phi0']"),
+    ({**_CHAZY, "span": [0.5, 0.0]}, "field 'span' must be finite with end >= start"),
+    ({**_MAP, "steps": True},
+     "field 'steps': steps must be an integer from 0 to 1000000, got True"),
+    ({**FLOW_SCENARIO, "system": "L9_2x2"}, "unknown flow system 'L9_2x2'"),
 ])
 def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, named):
     scenario = _write(tmp_path, "bad.json", doc)
     assert main(["run", str(scenario), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_INVALID
     assert named in capsys.readouterr().err
+
+
+def test_docstring_lists_each_reductions_initial_entries_and_params():
+    listed = {}
+    table = cli.__doc__.split("params (each one left out is 0)")[1].split("\n\n")[1]
+    for line in table.splitlines():
+        names, text = re.split(r"\s{2,}", line.strip())
+        listed.update(dict.fromkeys(names.split(", "), text))
+    assert listed == {name: f"initial {', '.join(entries)}"
+                      + (f"; params {', '.join(params)}" if params else "")
+                      for name, (entries, params, *_) in REDUCTIONS.items()}
+
+
+def test_map_run_builds_its_state_once(tmp_path, monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return init_map_state(*args)
+
+    monkeypatch.setattr(cli, "init_map_state", counted)
+    scenario = _write(tmp_path, "map.json", _MAP)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

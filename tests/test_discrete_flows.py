@@ -4,8 +4,8 @@ import pytest
 from deformcs.algebra_core import assoc_residual
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
-from deformcs.discrete_flows import (MapState, discrete_oriented_assoc_residual, init_map_state,
-                                     lattice_field_from_l5_orbit, map_invariants,
+from deformcs.discrete_flows import (MapState, check_map, discrete_oriented_assoc_residual,
+                                     init_map_state, lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
 from deformcs.integrators import MAX_STEPS
 from deformcs.errors import (DeformError, InvalidInputError, SingularGaugeError,
@@ -285,6 +285,18 @@ def test_orbit_bounds_steps_before_it_starts(steps):
 def test_step_rejects_unknown_or_3x3():
     with pytest.raises(InvalidInputError):
         init_map_state("L2a", dict(B=1, C=1, E=0, G=1, M=1, N=0))
+
+
+@pytest.mark.parametrize("dda, named", [
+    ("L3", "dda 'L3' is not a discrete map (use one of ('L2b', 'L4', 'L5'))"),
+    ("L1", "dda 'L1' is not a discrete map"), ("L9", "unknown dda 'L9'")])
+def test_map_ddas_are_judged_by_check_map(dda, named):
+    st = init_map_state("L2b", dict(B=1.0, C=0.5, E=0.3, G=1.2, M=0.2, N=0.4))
+    for call in (check_map, lambda d: init_map_state(d, {}), lambda d: orbit(d, st, 1),
+                 lambda d: step(d, st)):
+        with pytest.raises(InvalidInputError) as raised:
+            call(dda)
+        assert named in str(raised.value)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from deformcs import continuous_flows, reductions
-from deformcs.cli import REDUCTION_KINDS, main
+from deformcs.cli import main
 from deformcs.continuous_flows import SYSTEMS
-from deformcs.errors import SingularFlowError
-from deformcs.integrators import integrate_fixed
+from deformcs.errors import InvalidInputError, SingularFlowError
+from deformcs.integrators import integrate_fixed, step_count
+from deformcs.reductions import REDUCTIONS
 
 from _oracles import rk4_loop
 
@@ -55,7 +56,7 @@ def _runs_agree(make_f, *args, **kwargs):
 
 def test_scenarios_cover_every_flow_and_reduction():
     assert {d["system"] for d in SCENARIOS.values() if "system" in d} == set(SYSTEMS)
-    assert {d["reduction"] for d in SCENARIOS.values() if "reduction" in d} == set(REDUCTION_KINDS)
+    assert {d["reduction"] for d in SCENARIOS.values() if "reduction" in d} == set(REDUCTIONS)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -161,3 +162,30 @@ def test_short_rhs_raises_where_the_loop_broadcasts():
 def test_rhs_of_the_wrong_length_at_any_stage_raises(call, value):
     with pytest.raises(ValueError, match="to unpack"):
         integrate_fixed(_odd_at(call, value)(), 0.0, [1.0, 2.0], 0.3, 0.1)
+
+
+@pytest.mark.parametrize("t0, t1, step, named", [
+    (1.0, 0.5, 0.1, r"span \(1.0, 0.5\) must be finite with end >= start"),
+    (0.0, math.inf, 0.1, "span .* must be finite"), (math.nan, 1.0, 0.1, "span .* must be finite"),
+    (0.0, 1.0, 0.0, "step must be a positive finite number, got 0.0"),
+    (0.0, 1.0, -0.1, "step must be a positive finite number"),
+    (0.0, 1.0, math.nan, "step must be a positive finite number, got nan"),
+    (0.0, 1.0, math.inf, "step must be a positive finite number, got inf"),
+    pytest.param(0, 10 ** 400, 1.0, "span .* must be finite", id="int-end-beyond-float"),
+    pytest.param(0.0, 1.0, 10 ** 400, "step must be a positive", id="int-step-beyond-float")])
+def test_step_count_is_the_one_span_and_step_rule(t0, t1, step, named):
+    for call in (step_count, lambda *a: integrate_fixed(_grow, a[0], [1.0], *a[1:])):
+        with pytest.raises(InvalidInputError, match=named):
+            call(t0, t1, step)
+
+
+def test_every_run_takes_the_span_and_step_rule_from_step_count():
+    entries = {"E": 1, "G": 1, "M": -1, "N": -1, "B": 0, "C": 0}
+    with pytest.raises(InvalidInputError, match="step must be a positive finite number"):
+        continuous_flows.integrate("L2a_2x2", entries, (1.0, 2.0), 0.0)
+    with pytest.raises(InvalidInputError, match="must be finite with end >= start"):
+        continuous_flows.integrate("L2a_2x2", entries, (2.0, 1.0), 1e-3)
+    with pytest.raises(InvalidInputError, match="must be finite with end >= start"):
+        reductions.integrate_elliptic((0.5, 0.5, -2.5), -1.0, (0.5, 0.0), 1e-3)
+    with pytest.raises(InvalidInputError, match="step must be a positive finite number"):
+        reductions.integrate_chazy("ChazyV", (1.0, 0.5, -0.3), (0.0, 0.5), math.nan)

@@ -7,11 +7,12 @@ from deformcs.algebra_core import MatrixPair
 from deformcs.continuous_flows import first_integrals, spectral_invariants, state_from_entries
 from deformcs.dda_registry import SampledField, cs_residual
 from deformcs.errors import InvalidInputError
-from deformcs.reductions import (boussinesq_pair, boussinesq_rhs_and_companions,
-                                 chazy_eigenvalues, chazy_pair, chazy_rhs,
-                                 chazy_second_integral, chazy_state_phi_B,
+from deformcs.reductions import (CHAZY_VARIANTS, REDUCTIONS, boussinesq_pair,
+                                 boussinesq_rhs_and_companions, chazy_eigenvalues, chazy_pair,
+                                 chazy_rhs, chazy_second_integral, chazy_state_phi_B,
                                  elliptic_point, elliptic_system, integrate_boussinesq,
-                                 integrate_chazy, integrate_elliptic, reconstruct_from_G)
+                                 integrate_chazy, integrate_elliptic, integrate_reduction,
+                                 reconstruct_from_G)
 
 CHAZY_RUNS = [
     ("ChazyV", (1.0, 0.5, -0.3), {}),
@@ -264,3 +265,46 @@ def test_boussinesq_i1_i2_bit_stable_along_trajectory():
         assert matrix_ints["I1"] == pytest.approx(ref[0], abs=1e-14)
         assert matrix_ints["I2"] == pytest.approx(ref[1], abs=1e-14)
 
+
+# ---------------------------------------------------------------------------
+# The table of reductions and the one run that reads it.
+# ---------------------------------------------------------------------------
+
+def test_table_rows_every_integrable_variant_and_its_own_params():
+    assert [v for v in REDUCTIONS if v.startswith("Chazy")] == [
+        v for v in CHAZY_VARIANTS if v != "Generic"]
+    invariants = {"Boussinesq": ["I3"], "Elliptic": ["r1", "r2"]}
+    for name, (entries, params, columns, _) in REDUCTIONS.items():
+        assert columns[:len(entries)] == entries and len(params) >= len(columns) - len(entries)
+        traj = integrate_reduction(name, (0.9, 0.1, 0.2)[:len(entries)], {}, (0.0, 0.01), 1e-3)
+        assert (traj.kind, traj.columns) == (name, columns)
+        assert list(traj.invariants) == invariants.get(name, ["I2_chazy"])
+        assert traj.states.shape == (11, len(columns))
+        assert all(v.shape == (11,) for v in traj.invariants.values())
+
+
+@pytest.mark.parametrize("variant, params", [("ChazyV", {"b0": 0.1}),
+                                             ("ChazyV_shifted", {"phi0": 0.0}),
+                                             ("ChazyVIII", {"b0": 0.0, "phi0": 0.0}),
+                                             ("ChazyVII", {"phi0": 0.5})])
+def test_chazy_variants_reject_params_they_do_not_read(variant, params):
+    with pytest.raises(InvalidInputError, match=f"{variant} takes the initial entries"):
+        integrate_chazy(variant, (1.0, 0.5, -0.3), (0.0, 0.5), 1e-3, **params)
+
+
+def test_carried_columns_start_at_their_params_and_a_left_out_param_is_zero():
+    traj = integrate_chazy("ChazyIII", (1.0, 0.5, -0.3), (0.0, 0.0), 1e-3, phi0=0.5, b0=0.2)
+    assert traj.states.tolist() == [[1.0, 0.5, -0.3, 0.5, 0.2]]
+    same = integrate_reduction("ChazyVII", (0.9, 0.3, -0.2), {"b0": 0.0}, (0.0, 0.1), 1e-3)
+    left_out = integrate_reduction("ChazyVII", (0.9, 0.3, -0.2), {}, (0.0, 0.1), 1e-3)
+    assert same.states.tobytes() == left_out.states.tobytes()
+
+
+@pytest.mark.parametrize("name, initial, named", [
+    ("Generic", (1.0, 0.5, -0.3), "unknown reduction 'Generic'"),
+    ("ChazyV", (1.0, 0.5), r"ChazyV takes the initial entries \('G', 'G1', 'G2'\) and the "
+                           r"params \(\), got 2 entries and \[\]"),
+    ("Elliptic", (0.5, 0.5, -2.5, 1.0), "Elliptic takes the initial entries")])
+def test_integrate_reduction_rejects_unknown_names_and_short_starts(name, initial, named):
+    with pytest.raises(InvalidInputError, match=named):
+        integrate_reduction(name, initial, {}, (0.0, 0.5), 1e-3)

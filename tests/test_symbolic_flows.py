@@ -3,7 +3,10 @@
 L2a: dC2/ds = [C2, C1] in the 3x3 and 2x2 layouts of ``algebra_core``.
 L3: dC1/dy = adj(C1) [C1, C2] for the det-rescaled flow; the unimodular flow
 agrees with it on det C1 = 1, and the simple flow is its M = N = 0 case.
-Each reduction conserves its integral identically along its right-hand side.
+Each reduction's conserved quantity, as its row of ``reductions.REDUCTIONS``
+builds it, has zero derivative identically along the right-hand side the same
+row builds; the elliptic r1 is conserved only on the set where elliptic_point
+starts, and the test says why.
 Every check is exact: the float coefficients of the code are converted to
 rationals and each difference must expand to 0.
 """
@@ -12,12 +15,12 @@ import pytest
 
 from deformcs import continuous_flows, reductions
 from deformcs.continuous_flows import SYSTEMS
-from deformcs.reductions import chazy_second_integral, chazy_state_phi_B
+from deformcs.reductions import REDUCTIONS, chazy_second_integral, chazy_state_phi_B
 
 sp = pytest.importorskip("sympy")
 
 A, B, C, D, E, G, L, M, N = sp.symbols("A B C D E G L M N", real=True)
-G1, G2, PHI = sp.symbols("G1 G2 phi", real=True)
+G1, G2 = sp.symbols("G1 G2", real=True)
 ALPHA, BETA, GAMMA = sp.symbols("alpha beta gamma", real=True)
 
 
@@ -34,24 +37,6 @@ def _rhs(system_id, values):
 def _ddt(integral, state, rhs):
     """The derivative of ``integral`` along the vector field ``rhs`` on ``state``."""
     return _exact(sum(sp.diff(integral, v) * f for v, f in zip(state, rhs)))
-
-
-class _Captured(Exception):
-    pass
-
-
-def _rhs_handed_to_integrator(monkeypatch, run):
-    """The right-hand side that ``run`` passes to ``integrate_fixed``."""
-    seen = []
-
-    def capture(f, *args, **kwargs):
-        seen.append(f)
-        raise _Captured
-
-    monkeypatch.setattr(reductions, "integrate_fixed", capture)
-    with pytest.raises(_Captured):
-        run()
-    return seen[0]
 
 
 # ---------------------------------------------------------------------------
@@ -122,33 +107,53 @@ def test_reconstruct_from_g_solves_the_l2a_2x2_flow():
 # Reductions: each conserved quantity has zero derivative along the RHS.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("variant", ["ChazyV", "ChazyV_shifted", "ChazyVII", "ChazyVIII",
-                                     "ChazyIII"])
+def _system(name, *params):
+    """The state symbols, the right-hand side and the invariants at one state of one
+    row of REDUCTIONS."""
+    _, _, columns, build = REDUCTIONS[name]
+    f, invariants = build(*params)
+    return sp.symbols(columns, real=True), f, lambda *state: [
+        v for v, in invariants([state]).values()]
+
+
+@pytest.mark.parametrize("variant", [v for v in REDUCTIONS if v.startswith("Chazy")])
 def test_chazy_second_integral_is_conserved(variant):
     # ChazyIII divides by G behind a |G| < 1e-9 guard; G = 1 + g^2 with g real
     # keeps the guard decidable (always false) and the identity general in g.
     g = sp.Symbol("g", real=True)
+    state, f, invariants = _system(variant)
     at = {G: 1 + g ** 2} if variant == "ChazyIII" else {}
-    state = {"ChazyVII": (G, G1, G2, B), "ChazyIII": (G, G1, G2, PHI, B)}.get(variant, (G, G1, G2))
-    _, f = reductions._chazy_system(variant)
     rhs = list(f(0.0, tuple(sp.sympify(v).subs(at) for v in state)))
+    integral, = invariants(*state)
+    # the table's row is the public second integral, closed by B or Phi
     phi, b, _ = chazy_state_phi_B(variant, state)
     closing = b if variant in ("ChazyV", "ChazyV_shifted") else phi
-    integral = chazy_second_integral(G, G1, G2, closing, variant)
+    assert _exact(integral - chazy_second_integral(G, G1, G2, closing, variant)) == 0
     total = sum(sp.diff(integral, v).subs(at) * r for v, r in zip(state, rhs))
     assert sp.simplify(_exact(total)) == 0
 
 
-def test_boussinesq_third_integral_is_conserved(monkeypatch):
-    f = _rhs_handed_to_integrator(monkeypatch, lambda: reductions.integrate_boussinesq(
-        (0.0, 0.0), ALPHA, BETA, GAMMA, (0.0, 1.0), 0.1))
-    E1 = sp.Symbol("E1", real=True)
-    integral = reductions.boussinesq_rhs_and_companions(E, E1, ALPHA, BETA, GAMMA)[2]["I3"]
-    assert _ddt(integral, (E, E1), list(f(0.0, (E, E1)))) == 0
+def test_boussinesq_third_integral_is_conserved():
+    state, f, invariants = _system("Boussinesq", ALPHA, BETA, GAMMA)
+    integral, = invariants(*state)
+    assert _ddt(integral, state, list(f(0.0, state))) == 0
 
 
-def test_elliptic_constraint_is_conserved(monkeypatch):
-    f = _rhs_handed_to_integrator(monkeypatch, lambda: reductions.integrate_elliptic(
-        (0.0, 0.0, 0.0), ALPHA, (0.0, 1.0), 0.1))
-    state = (B, E, C)
-    assert _ddt(B * B + C * E + 1, state, list(f(0.0, state))) == 0
+def test_elliptic_constraint_is_conserved():
+    state, f, invariants = _system("Elliptic", ALPHA)
+    assert state == (B, E, C)
+    assert _ddt(invariants(*state)[1], state, list(f(0.0, state))) == 0
+
+
+def test_elliptic_r1_is_conserved_only_where_elliptic_point_starts():
+    # r1 drifts in general: d r1/dt = -2 B E^2 (B^2 - C E + 2 alpha E^2 - 4 E + 1).  On
+    # r2 = 0 that is 4 B E^3 u with u = C - alpha E + 2, and u' = -B u, so the set
+    # r2 = u = 0 where elliptic_point starts is kept by the flow and r1' vanishes on it.
+    state, f, invariants = _system("Elliptic", ALPHA)
+    rhs = list(f(0.0, state))
+    r1, r2 = invariants(*state)
+    u = C - ALPHA * E + 2
+    assert _ddt(r1, state, rhs) == _exact(
+        -2 * B * E ** 2 * (B ** 2 - C * E + 2 * ALPHA * E ** 2 - 4 * E + 1))
+    assert _exact(_ddt(r1, state, rhs) - (-2 * B * E ** 2 * r2 + 4 * B * E ** 3 * u)) == 0
+    assert _exact(_ddt(u, state, rhs) + B * u) == 0
