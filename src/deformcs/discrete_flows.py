@@ -10,19 +10,22 @@ structure constants (B, C held fixed along an orbit):
   previous C1, and the transition matrix V = T^-1C1 . C2 is conjugated by
   C2 at each step.
 
-One scalar kernel advances the entries (B, C, E, G, M, N); ``orbit`` iterates
-it and keeps the orbit as arrays, with the degeneracy flags and the exact
-trace invariants (of C2, of C2 C1^-1, of V respectively) computed once over
-the whole orbit.  The module also evaluates the discrete oriented
+One scalar kernel advances the entries (B, C, E, G, M, N); off the closed
+forms it solves with C1 through numpy's LAPACK gufuncs directly.  ``orbit``
+iterates it under one numpy error scope and keeps the orbit as arrays, with
+the degeneracy flags and the exact trace invariants (of C2, of C2 C1^-1, of V
+respectively) computed once over the whole orbit.  The module also evaluates the discrete oriented
 associativity residual of gauge fields built from three sampled potentials.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
                            entry_stacks, trace_integrals)
@@ -111,10 +114,44 @@ def init_map_state(dda: str, entries: dict[str, float],
     return _state(0, values, prev_C1)
 
 
-def _advance(dda: str, values: tuple[float, ...], prev_C1: np.ndarray | None):
+# The LAPACK gufuncs that np.linalg.solve wraps (private numpy API), called with no
+# per-call wrapper: solve1 takes a vector right-hand side (L4), solve a matrix one (L5).
+_SOLVE_VECTOR, _SOLVE_MATRIX = _umath_linalg.solve1, _umath_linalg.solve
+
+
+@contextmanager
+def _solve_scope():
+    """One numpy error scope for a run of steps; yields the list of LAPACK failures.
+
+    A gufunc reports a zero pivot by raising the invalid flag, which lands in the
+    list; overflow is left to the overflow guard.  A matmul can raise the flag too,
+    so ``_solve`` clears the list before each solve.
+    """
+    failures = []
+    with np.errstate(call=lambda err, flag: failures.append(flag), invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        yield failures
+
+
+def _solve(gufunc, C1: np.ndarray, rhs: np.ndarray, failures: list) -> np.ndarray:
+    """C1^-1 rhs inside ``_solve_scope``; SingularOrbitError if LAPACK finds C1 singular."""
+    failures.clear()
+    x = gufunc(C1, rhs)
+    if failures:
+        (B, E), (C, G) = C1.tolist()
+        den = B * G - C * E
+        raise SingularOrbitError(f"C1 is singular to working precision (BG - CE = {den:.3e})",
+                                 quantity="BG-CE", value=den)
+    return x
+
+
+def _advance(dda: str, values: tuple[float, ...], prev_C1: np.ndarray | None,
+             bc: np.ndarray, failures: list):
     """The step kernel: the entries one site on and, for L5, the C1 they leave behind.
 
-    Raises SingularOrbitError when the step's denominator is below tolerance.
+    ``bc`` is the orbit's fixed [B, C] vector and ``failures`` the list of a
+    ``_solve_scope``.  Raises SingularOrbitError when the step's denominator is
+    below tolerance or LAPACK finds C1 singular.
     """
     B, C, E, G, M, N = values
     if dda == "L4" and B == 1.0 and C == 1.0:
@@ -139,18 +176,20 @@ def _advance(dda: str, values: tuple[float, ...], prev_C1: np.ndarray | None):
     C1 = np.array([[B, E], [C, G]])
     C2 = np.array([[E, M], [G, N]])
     if dda == "L4":
-        te, tg = np.linalg.solve(C1, C2 @ np.array([B, C]))
-        tm, tn = np.linalg.solve(C1, C2 @ np.array([te, tg]))
-        return (B, C, float(te), float(tg), float(tm), float(tn)), None
+        t = _solve(_SOLVE_VECTOR, C1, C2 @ bc, failures)       # (TE, TG)
+        tt = _solve(_SOLVE_VECTOR, C1, C2 @ t, failures)       # (TM, TN)
+        return (B, C, *t.tolist(), *tt.tolist()), None
     # L5: TC2 = C1^-1 C2 (T^-1 C1); the new V = C1 . TC2 equals C2 V C2^-1.
-    TC2 = np.linalg.solve(C1, C2 @ prev_C1)
-    return (B, C, float(TC2[0, 0]), float(TC2[1, 0]), float(TC2[0, 1]), float(TC2[1, 1])), C1
+    (e, m), (g, n) = _solve(_SOLVE_MATRIX, C1, C2 @ prev_C1, failures).tolist()
+    return (B, C, e, g, m, n), C1
 
 
 def step(dda: str, state: MapState) -> MapState:
     """Advance the orbit one lattice site."""
     check_map(dda, state)
-    values, prev_C1 = _advance(dda, state.values, state.prev_C1)
+    with _solve_scope() as failures:
+        values, prev_C1 = _advance(dda, state.values, state.prev_C1,
+                                   np.array(state.values[:2]), failures)
     return _state(state.n + 1, values, prev_C1)
 
 
@@ -230,17 +269,20 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     values, prev_C1 = state0.values, state0.prev_C1
     rows = [values]
     status, diagnostic = STATUS_COMPLETED, None
-    for n in range(state0.n, state0.n + steps):
-        try:
-            values, prev_C1 = _advance(dda, values, prev_C1)
-        except SingularOrbitError as exc:
-            status, diagnostic = STATUS_TRUNCATED, f"singular step at n={n}: {exc}"
-            break
-        if not all(abs(v) <= OVERFLOW_GUARD for v in values[2:]):
-            status = STATUS_TRUNCATED
-            diagnostic = f"state exceeded overflow guard at n={n + 1}"
-            break
-        rows.append(values)
+    bc, guard = np.array(values[:2]), OVERFLOW_GUARD
+    with _solve_scope() as failures:
+        for n in range(state0.n, state0.n + steps):
+            try:
+                values, prev_C1 = _advance(dda, values, prev_C1, bc, failures)
+            except SingularOrbitError as exc:
+                status, diagnostic = STATUS_TRUNCATED, f"singular step at n={n}: {exc}"
+                break
+            _, _, E, G, M, N = values
+            if not (abs(E) <= guard and abs(G) <= guard and abs(M) <= guard and abs(N) <= guard):
+                status = STATUS_TRUNCATED
+                diagnostic = f"state exceeded overflow guard at n={n + 1}"
+                break
+            rows.append(values)
     entries = np.array(rows)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow shows as inf in the arrays
         flags = degeneracy_flags(entries)

@@ -171,6 +171,35 @@ def test_quiet_run_prints_nothing_when_invariants_overflow(tmp_path):
         "state exceeded overflow guard 1e+12 at t=1e+299")
 
 
+@pytest.mark.parametrize("dda", ["L4", "L5"])
+def test_quiet_map_whose_solve_overflows_prints_nothing(tmp_path, dda):
+    # C2 [B, C] overflows in the first step; C1 is regular, so the run stops at
+    # the overflow guard, silently, and is not reported as singular
+    scenario = _write(tmp_path, "huge.json", {
+        "kind": "map", "dda": dda, "steps": 3,
+        "initial": {"B": 1e300, "C": 0.5, "E": 1e10, "G": 2.0, "M": 0.3, "N": 0.1}})
+    assert _run_quiet(tmp_path / "out", scenario) == (EXIT_SINGULAR, "", "")
+    assert _read_report(tmp_path / "out")["diagnostic"] == "state exceeded overflow guard at n=1"
+
+
+@pytest.mark.parametrize("dda", ["L4", "L5"])
+def test_map_whose_c1_lapack_finds_singular_exits_three_with_artifacts(tmp_path, capsys, dda):
+    # |BG - CE| = 2.9e-11 passes the tolerance check, but LAPACK finds a zero pivot
+    scenario = _write(tmp_path, "lu.json", {
+        "kind": "map", "dda": dda, "steps": 5,
+        "initial": {"B": 8.768610301148978, "C": 0.4804184990778926, "E": 369740.7014836463,
+                    "G": 20257.51706989476, "M": 0.5, "N": 0.25}})
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out), "--quiet"]) == EXIT_SINGULAR
+    assert capsys.readouterr() == ("", "")
+    report = _read_report(out)
+    assert report["status"] == "truncated"
+    assert report["diagnostic"] == ("singular step at n=0: C1 is singular to working precision"
+                                    " (BG - CE = -2.910e-11)")
+    rows = list(csv.DictReader((out / "orbit.csv").read_text().splitlines()))
+    assert [r["n"] for r in rows] == ["0"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("reduction, initial, params, first_row", [
     ("Boussinesq", {"E": 1e200, "E1": 0.1}, {"alpha": 0.5, "beta": -0.2, "gamma": 0.1},

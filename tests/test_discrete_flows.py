@@ -4,7 +4,8 @@ import pytest
 from deformcs.algebra_core import assoc_residual
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
-from deformcs.discrete_flows import (MapState, check_map, discrete_oriented_assoc_residual,
+from deformcs.discrete_flows import (_SOLVE_MATRIX, _SOLVE_VECTOR, MapState, _solve,
+                                     _solve_scope, check_map, discrete_oriented_assoc_residual,
                                      init_map_state, lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
 from deformcs.integrators import MAX_STEPS
@@ -272,6 +273,90 @@ def test_l2b_degenerate_det_raises():
     with pytest.raises(SingularOrbitError) as err:
         step("L2b", st)
     assert err.value.quantity == "BG-CE"
+
+
+# |BG - CE| = 2.9e-11 is above DEGENERACY_TOL, yet LAPACK finds a zero pivot in C1
+LU_SINGULAR = dict(B=8.768610301148978, C=0.4804184990778926, E=369740.7014836463,
+                   G=20257.51706989476, M=0.5, N=0.25)
+LU_SINGULAR_DIAGNOSTIC = "C1 is singular to working precision (BG - CE = -2.910e-11)"
+
+
+@pytest.mark.parametrize("dda", ["L4", "L5"])
+def test_c1_that_lapack_finds_singular_truncates_the_orbit(dda):
+    st = init_map_state(dda, LU_SINGULAR)
+    B, C, E, G = st.values[:4]
+    with pytest.raises(SingularOrbitError) as err:
+        step(dda, st)
+    assert str(err.value) == LU_SINGULAR_DIAGNOSTIC
+    assert (err.value.quantity, err.value.value) == ("BG-CE", B * G - C * E)
+    run = orbit(dda, st, 5)
+    assert run.status == "truncated"
+    assert run.diagnostic == f"singular step at n=0: {LU_SINGULAR_DIAGNOSTIC}"
+    assert len(run.entries) == 1
+
+
+@pytest.mark.parametrize("dda", ["L4", "L5"])
+def test_overflowing_solve_step_stops_at_the_guard_without_warning(dda):
+    # C2 [B, C] overflows to inf and the next product meets inf - inf; C1 itself is
+    # regular, so the run stops at the overflow guard and is not called singular
+    st = init_map_state(dda, dict(B=1e300, C=0.5, E=1e10, G=2.0, M=0.3, N=0.1))
+    run = orbit(dda, st, 3)   # RuntimeWarnings are errors in this suite
+    assert (run.status, run.diagnostic) == ("truncated", "state exceeded overflow guard at n=1")
+    E, G, M, N = step(dda, st).values[2:]
+    assert not all(np.isfinite([E, G, M, N]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_kernel_solve_is_bit_equal_to_numpy_solve_on_random_systems():
+    rng = np.random.default_rng(20081)
+    count = 100_000
+    a = rng.standard_normal((count, 2, 2)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+    vec, mat = rng.standard_normal((count, 2)), rng.standard_normal((count, 2, 2))
+    with _solve_scope() as failures:
+        got_vec = _solve(_SOLVE_VECTOR, a, vec, failures)
+        got_mat = _solve(_SOLVE_MATRIX, a, mat, failures)
+    # the L4 step solves with a vector right-hand side, which np.linalg.solve takes one at a time
+    assert np.array_equal(_bits(got_vec), _bits([np.linalg.solve(x, y) for x, y in zip(a, vec)]))
+    assert np.array_equal(_bits(got_mat), _bits(np.linalg.solve(a, mat)))
+
+
+def test_kernel_solve_is_bit_equal_to_numpy_solve_near_singular():
+    # rank one plus a perturbation from 1e-17 to 1e-8: some pivots vanish in
+    # working precision, and those systems must fail in both solves
+    rng = np.random.default_rng(20082)
+    count = 10_000
+    u, v = rng.standard_normal((2, count, 2))
+    a = u[:, :, None] * v[:, None, :] + (10.0 ** rng.uniform(-17, -8, (count, 1, 1))
+                                         * rng.standard_normal((count, 2, 2)))
+    vec, mat = rng.standard_normal((count, 2)), rng.standard_normal((count, 2, 2))
+    outcomes = {"equal": 0, "singular": 0}
+    with _solve_scope() as failures:
+        for x, y, z in zip(a, vec, mat):
+            for gufunc, rhs in ((_SOLVE_VECTOR, y), (_SOLVE_MATRIX, z)):
+                try:
+                    want = np.linalg.solve(x, rhs)
+                except np.linalg.LinAlgError:
+                    with pytest.raises(SingularOrbitError, match="singular to working precision"):
+                        _solve(gufunc, x, rhs, failures)
+                    outcomes["singular"] += 1
+                    continue
+                assert np.array_equal(_bits(_solve(gufunc, x, rhs, failures)), _bits(want))
+                outcomes["equal"] += 1
+    assert outcomes["singular"] > 0 and outcomes["equal"] > 0.9 * 2 * count
+
+
+def test_kernel_solve_rejects_an_exactly_singular_matrix():
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with _solve_scope() as failures:
+        for gufunc, rhs in ((_SOLVE_VECTOR, np.ones(2)), (_SOLVE_MATRIX, np.eye(2))):
+            with pytest.raises(SingularOrbitError) as err:
+                _solve(gufunc, singular, rhs, failures)
+            assert (err.value.quantity, err.value.value) == ("BG-CE", 0.0)
+            # a NaN right-hand side is no failed factorisation
+            assert np.isnan(_solve(gufunc, np.eye(2), rhs * np.nan, failures)).all()
 
 
 @pytest.mark.parametrize("steps", [MAX_STEPS + 1, -1, True, 2.0, "3", None])

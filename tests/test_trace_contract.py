@@ -3,8 +3,9 @@
 perfbench credits each right-hand-side call to the layer whose span is open when
 ``integrate_fixed`` is called.  A reduction run through the CLI must therefore
 reach ``integrate_fixed`` from inside one of the traced ``reductions.integrate_*``
-views; if a change bypasses or renames them, the per-layer metrics read 0 (or
-land on the CLI) without any benchmark failing, so this test fails instead.
+views, and a map run must iterate inside one traced ``discrete_flows.orbit``;
+if a change bypasses or renames them, the per-layer metrics read 0 (or land on
+the CLI) without any benchmark failing, so these tests fail instead.
 """
 
 import json
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 from deformcs.cli import EXIT_OK, main
+from deformcs.discrete_flows import init_map_state, orbit
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +46,19 @@ def test_reduction_rhs_calls_are_traced_to_the_reductions_layer(tmp_path):
     # the originals are back once the tracer is uninstalled
     assert main(["run", str(scenario), "--out", str(tmp_path / "again"), "--quiet"]) == EXIT_OK
     assert len(tracer.spans) == len(names)
+
+
+def test_map_orbit_is_one_traced_span_with_its_flag_count(tmp_path):
+    # general B, C: the solve branch; det C2 = 0 is conserved, so every row is flagged
+    initial = {"B": 2.0, "C": 0.5, "E": 1.0, "G": 1.0, "M": 1.0, "N": 1.0}
+    doc = {"kind": "map", "dda": "L4", "initial": initial, "steps": 20}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    flags = int(orbit("L4", init_map_state("L4", initial), 20).flags.sum())
+    tracer = _tracer()
+    with tracer.installed():
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == EXIT_OK
+    spans = [span for span in tracer.spans if span[0] == "discrete_flows.orbit"]
+    assert len(spans) == 1
+    assert spans[0][5] == {"flags": flags} and flags > 0
