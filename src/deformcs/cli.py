@@ -30,7 +30,6 @@ Matrices inside scenario and field documents are JSON arrays of rows
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -53,6 +52,8 @@ from .reductions import (integrate_boussinesq, integrate_chazy, integrate_ellipt
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SINGULAR = 3
+# the orbit.csv flags cell (";"-joined names) of a degeneracy_flags row, at flags @ [4, 2, 1]
+_FLAG_CELLS = np.array([";".join(flag_labels((i & 4, i & 2, i & 1))) for i in range(8)])
 
 
 def _judged(key: str, check, *args):
@@ -199,12 +200,24 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 # Artifact writers.
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """csv writes each float as its repr, so every value round-trips."""
+def _float_cells(table: np.ndarray) -> np.ndarray:
+    """The repr of each float64, made once per bit pattern (0.0 and -0.0 print apart)."""
+    bits, where = np.unique(table.view(np.int64), return_inverse=True)
+    reprs = np.array([*map(repr, bits.view(float).tolist())], dtype=object)
+    return reprs[where.reshape(table.shape)]
+
+
+def _write_csv(path: Path, header: list[str], *columns) -> None:
+    """Write the header and the rows of the string columns, side by side, in one write.
+
+    Floats are their repr (``_float_cells``), the shortest form that reads back bit
+    for bit; lines end in \\r\\n, and no cell is quoted, since none holds a comma,
+    quote or line break.  Orbit rows without invariants have empty invariant cells,
+    and a flags cell is the set flags' names joined by ";".
+    """
+    lines = [header, *np.column_stack(columns).tolist()]
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
 
 def _drift_stats(history: dict[str, np.ndarray]) -> dict | None:
@@ -232,7 +245,7 @@ def _trajectory_artifacts(traj: Trajectory, time_name: str, stride: int, out: Pa
         eig = traj.invariants["eigenvalues"]
         header += [f"{part}_lambda_{i + 1}" for part in ("Re", "Im") for i in range(eig.shape[1])]
         table += [eig.real, eig.imag]
-    _write_csv(out / "trajectory.csv", header, np.hstack(table)[::stride].tolist())
+    _write_csv(out / "trajectory.csv", header, _float_cells(np.hstack(table)[::stride]))
     return (traj.status, traj.diagnostic, {"trajectory_csv": "trajectory.csv"}, {},
             _drift_stats(traj.invariants))
 
@@ -245,17 +258,14 @@ def _flow_artifacts(cfg: ScenarioConfig, out: Path):
 def _map_artifacts(cfg: ScenarioConfig, out: Path):
     """orbit.csv: n, the entries, the invariants ("" in rows without them), the flags."""
     run = orbit(cfg.dda, cfg.state, cfg.steps)
-    rows = len(run.entries)
-    names = sorted(run.invariants)
-    columns = [range(run.n0, run.n0 + rows), *run.entries.T.tolist()]
-    for name in names:
-        column = [""] * rows
-        for i, v in zip(run.invariant_rows.tolist(), run.invariants[name].tolist()):
-            column[i] = v
-        columns.append(column)
-    columns.append([";".join(flag_labels(row)) for row in run.flags.tolist()])
-    _write_csv(out / "orbit.csv", ["n", *ENTRY_NAMES, *names, "flags"],
-               zip(*(column[::cfg.stride] for column in columns)))
+    names, rows = sorted(run.invariants), np.arange(0, len(run.entries), cfg.stride)
+    table = np.zeros((len(run.entries), 6 + len(names)))
+    table[:, :6] = run.entries
+    table[run.invariant_rows, 6:] = np.transpose([run.invariants[name] for name in names])
+    cells = _float_cells(table[rows])
+    cells[np.isin(rows, run.invariant_rows, invert=True), 6:] = ""
+    _write_csv(out / "orbit.csv", ["n", *ENTRY_NAMES, *names, "flags"], (rows + run.n0).astype(str),
+               cells, _FLAG_CELLS[run.flags[rows] @ [4, 2, 1]])
     drift = _drift_stats({name: run.invariants[name] for name in names})
     return run.status, run.diagnostic, {"orbit_csv": "orbit.csv"}, {}, drift
 
@@ -279,9 +289,9 @@ def _family_artifacts(cfg: ScenarioConfig, out: Path):
 
 def _scan_artifacts(cfg: ScenarioConfig, out: Path):
     rep = cs_residual_scan(cfg.dda, cfg.field)
-    first = lookup(cfg.dda).stencil_reach[0]
-    rows = [[i, float(cfg.field.grid[i]), norm] for i, norm in enumerate(rep.norms, first)]
-    _write_csv(out / "residuals.csv", ["i", "x", "residual"], rows)
+    i = np.arange(len(rep.norms)) + lookup(cfg.dda).stencil_reach[0]
+    _write_csv(out / "residuals.csv", ["i", "x", "residual"], i.astype(str),
+               _float_cells(np.column_stack([cfg.field.grid[i], rep.norms])))
     return STATUS_COMPLETED, None, {"residuals_csv": "residuals.csv"}, rep.as_dict(), None
 
 
@@ -295,25 +305,13 @@ KINDS = {
 }
 
 
-def build_report(cfg: ScenarioConfig, status: str, diagnostic: str | None,
-                 artifacts: dict, residuals: dict, drift: dict | None) -> dict:
-    return {
-        "tool": "deform-cs",
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": cfg.doc,
-        "status": status,
-        "diagnostic": diagnostic,
-        "artifacts": artifacts,
-        "residuals": residuals,
-        "invariant_drift": drift,
-    }
-
-
 def run(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     status, diagnostic, artifacts, residuals, drift = KINDS[cfg.kind][1](cfg, out_dir)
-    report = build_report(cfg, status, diagnostic, artifacts, residuals, drift)
+    report = {"tool": "deform-cs", "version": __version__,
+              "timestamp": datetime.now(timezone.utc).isoformat(), "config": cfg.doc,
+              "status": status, "diagnostic": diagnostic, "artifacts": artifacts,
+              "residuals": residuals, "invariant_drift": drift}
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     if not quiet:
         print(f"[deform-cs] {cfg.kind}: {status}" +

@@ -2,12 +2,14 @@
 
 Most of this is written as plain index loops, deliberately sharing no code
 with the package implementations it checks.  The last sections keep the
-one-point-at-a-time and grid-first forms of the stacked code paths, and RK4 as a
-loop over tuples, which the package must match bit for bit.
+one-point-at-a-time and grid-first forms of the stacked code paths, RK4 as a
+loop over tuples, which the package must match bit for bit, and the CLI's CSV
+writer as ``csv.writer`` over row lists, which it must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from deformcs.algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport,
                                    tensor_from_pair)
 from deformcs.closed_forms import LOG_DOMAIN_TOL
 from deformcs.dda_registry import SampledField, cs_residual
+from deformcs.discrete_flows import FLAG_NAMES
 from deformcs.errors import InvalidInputError, SingularFlowError, SingularGaugeError
 from deformcs.integrators import (OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED,
                                   step_count)
@@ -552,3 +555,29 @@ def rk4_loop(f, t0, y0, t1, step):
     ts = np.concatenate(([t0], t0 + np.arange(1, rows) * h))   # keeps a t0 of -0.0
     status = STATUS_COMPLETED if diagnostic is None else STATUS_TRUNCATED
     return ts, ys[:rows], status, diagnostic
+
+
+# ---------------------------------------------------------------------------
+# The CLI's CSV files as ``csv.writer`` (excel dialect) wrote them, from Python
+# rows, and those rows for an orbit; the CLI must write the same bytes.
+# ---------------------------------------------------------------------------
+
+def write_csv_writer(path, header, rows) -> None:
+    """One header row, then the rows; csv.writer prints each float as its repr."""
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def orbit_rows(run, stride: int) -> list[list]:
+    """orbit.csv rows of an ``Orbit``: n, entries, invariants ("" in rows
+    without them), ";"-joined flag names."""
+    at = dict(zip(run.invariant_rows.tolist(), range(len(run.invariant_rows))))
+    names = sorted(run.invariants)
+    rows = []
+    for i, (entries, flags) in enumerate(zip(run.entries.tolist(), run.flags.tolist())):
+        invariants = [run.invariants[k][at[i]].item() if i in at else "" for k in names]
+        labels = [name for name, on in zip(FLAG_NAMES, flags) if on]
+        rows.append([run.n0 + i, *entries, *invariants, ";".join(labels)])
+    return rows[::stride]
