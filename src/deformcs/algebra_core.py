@@ -22,10 +22,12 @@ E, G); constructors reject pairs where the shared entries disagree.
 ``ENTRY_POSITIONS_3``/``ENTRY_POSITIONS_2`` and ``entry_stacks`` are the one
 place that turns named entries into C1 and C2, at one point or stacked;
 ``MatrixPair.from_entries(n, entries)`` is the one constructor from names.
+``finite_numbers`` is the one rule for every {name: number} input, entries or parameters.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -55,6 +57,24 @@ ENTRY_POSITIONS_2 = {
 }
 # The shared P1P2 column per layout: its index in C1, then in C2.
 _SHARED_COLUMNS = {3: (2, 1), 2: (1, 0)}
+
+
+def is_finite_number(v) -> bool:
+    """An int or float that is finite as a float: no bool, NaN, infinity or huge integer."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def finite_numbers(what: str, values: Mapping, allowed) -> dict[str, float]:
+    """``values`` as floats if every name is in ``allowed`` and every value passes
+    ``is_finite_number``; otherwise InvalidInputError naming ``what`` and the entry."""
+    unknown = sorted(set(values) - set(allowed))
+    if unknown:
+        raise InvalidInputError(f"{what} has unknown entries {unknown}")
+    for name, v in values.items():
+        if not is_finite_number(v):
+            raise InvalidInputError(f"{what}[{name!r}] must be a finite number, got {v!r}")
+    return {name: float(v) for name, v in values.items()}
 
 
 def layout_close(a: np.ndarray, b: np.ndarray) -> bool:
@@ -149,23 +169,19 @@ class MatrixPair:
 class StructTensor:
     """Structure constants c[j][k][l], symmetric in (j, k)."""
 
-    dim: int
-    unital: bool
+    dim: int   # 3: unital, basis (P0 = unit, P1, P2); 2: no unit, basis (P1, P2)
     c: np.ndarray
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise InvalidInputError(f"dim must be 2 or 3, got {self.dim}")
-        if self.unital != (self.dim == 3):
-            raise InvalidInputError("only the unital 3-dim and non-unital 2-dim layouts are supported")
         a = np.array(self.c, dtype=float)
         if a.shape != (self.dim,) * 3:
             raise InvalidInputError(f"tensor shape must be {(self.dim,) * 3}, got {a.shape}")
         if not layout_close(a, np.swapaxes(a, 0, 1)):
             raise InvalidInputError("structure constants must satisfy c[j][k][l] = c[k][j][l]")
-        if self.unital:
-            if not layout_close(a[:, 0, :], np.eye(self.dim)):
-                raise InvalidInputError("unital tensor must satisfy c[j][0][l] = delta_j^l")
+        if self.dim == 3 and not layout_close(a[:, 0, :], np.eye(3)):
+            raise InvalidInputError("unital tensor must satisfy c[j][0][l] = delta_j^l")
         a.setflags(write=False)
         object.__setattr__(self, "c", a)
 
@@ -224,26 +240,22 @@ def assoc_residual(pair) -> float:
     return float(np.linalg.norm(C1 @ C2 - C2 @ C1))
 
 
-def tensor_from_pair(pair: MatrixPair, unital: bool) -> StructTensor:
+def tensor_from_pair(pair: MatrixPair) -> StructTensor:
     """Expand a matrix pair into the full structure-constant tensor."""
-    if unital != pair.unital:
-        raise InvalidInputError(
-            f"unital={unital} inconsistent with a {pair.n}x{pair.n} pair"
-        )
     n = pair.n
     c = np.zeros((n, n, n))
-    if unital:
+    if pair.unital:
         c[0] = np.eye(n)
         c[1] = pair.C1.T
         c[2] = pair.C2.T
     else:
         c[0] = pair.C1.T
         c[1] = pair.C2.T
-    return StructTensor(dim=n, unital=unital, c=c)
+    return StructTensor(dim=n, c=c)
 
 
 def pair_from_tensor(t: StructTensor) -> MatrixPair:
     """Read the multiplication matrices back off a structure-constant tensor."""
-    if t.unital:
+    if t.dim == 3:
         return MatrixPair(3, t.c[1].T, t.c[2].T)
     return MatrixPair(2, t.c[0].T, t.c[1].T)

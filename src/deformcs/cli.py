@@ -39,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .closed_forms import FAMILY_IDS, SolutionFamily, is_finite_number, validate_family
+from .algebra_core import finite_numbers, is_finite_number
+from .closed_forms import FAMILY_IDS, FD_STEP, SolutionFamily, validate_family
 from .continuous_flows import get_system, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual_scan, lookup
 from .discrete_flows import (ENTRY_NAMES, check_map, check_steps, flag_labels, init_map_state,
@@ -110,17 +111,8 @@ class ScenarioConfig:
         return stride
 
     def _numbers(self, key, allowed):
-        """A {name: finite number} field; names outside ``allowed`` are rejected."""
-        values = self._require(dict, key)
-        unknown = sorted(set(values) - set(allowed))
-        if unknown:
-            raise InvalidInputError(f"field {key!r} has unknown entries {unknown}")
-        out = {}
-        for name, v in values.items():
-            if not is_finite_number(v):
-                raise InvalidInputError(f"field {key!r}[{name!r}] must be a finite number")
-            out[name] = float(v)
-        return out
+        """A {name: finite number} field with names in ``allowed``, by the package's rule."""
+        return finite_numbers(f"field {key!r}", self._require(dict, key), allowed)
 
     def _validate_flow(self):
         sy = get_system(self._require(str, "system"))
@@ -150,7 +142,7 @@ class ScenarioConfig:
         points = self._require(list, "points")
         if not points or not all(is_finite_number(v) for v in points):
             raise InvalidInputError("field 'points' must be a nonempty list of numbers")
-        h = self.doc.get("h", 1e-4)
+        h = self.doc.get("h", FD_STEP)
         if not is_finite_number(h) or h <= 0:
             raise InvalidInputError("field 'h' must be a positive number")
         self.points = [float(v) for v in points]
@@ -165,10 +157,7 @@ class ScenarioConfig:
         if "field" in self.doc:
             self.field = SampledField.from_json(self._require(dict, "field"))
         elif "field_path" in self.doc:
-            path = Path(self._require(str, "field_path"))
-            if not path.is_file():
-                raise InvalidInputError(f"field 'field_path' does not name a file: {path}")
-            self.field = SampledField.load(path)
+            self.field = _judged("field_path", SampledField.load, self._require(str, "field_path"))
         else:
             raise InvalidInputError("missing required field 'field' (or 'field_path')")
         if self.field.dda != dda:

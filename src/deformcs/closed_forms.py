@@ -21,20 +21,20 @@ for PolyL3, and exact shifts for GaugeL5.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, entry_stacks,
-                           layout_defect)
+                           finite_numbers, is_finite_number, layout_defect)
 from .dda_registry import SampledField, _cs_norms, cs_residual, grid_defect, lookup
 from .discrete_flows import _first, gauge_pairs
 from .errors import DeformError, InvalidInputError, SingularGaugeError
 
 LOG_DOMAIN_TOL = 1e-9       # |ln x| must exceed this for the log families
 CONSTRAINT_TOL = 1e-12      # PolyL3 unimodularity at construction
+FD_STEP = 1e-4              # validate_family's default finite-difference step h
 
 _FAMILY_PARAMS = {
     "Nilpotent3x3": ("alpha", "beta", "gamma", "delta", "mu"),
@@ -45,12 +45,6 @@ _FAMILY_PARAMS = {
 }
 FAMILY_IDS = tuple(_FAMILY_PARAMS)
 _FAMILY_N = {"Nilpotent3x3": 3, "Nilpotent2x2": 2, "UpperTri2x2": 2, "PolyL3": 2, "GaugeL5": 3}
-
-
-def is_finite_number(v) -> bool:
-    """An int or float that is finite as a float: no bool, NaN, infinity or huge integer."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,8 @@ class SolutionFamily:
         missing = [key for key in _FAMILY_PARAMS[self.id] if key not in self.params]
         if self.id == "GaugeL5" and missing:   # the other families read a missing one as 0
             raise InvalidInputError(f"GaugeL5 needs polynomial coefficients {missing[0]!r}")
-        for name, v in self.params.items():
+        numbers = dict(self.params)
+        for name, v in self.params.items():   # the params of other kinds
             if name == "printed_form":   # PolyL3 only
                 kind, ok = "true or false", isinstance(v, bool)
             elif self.id == "GaugeL5":
@@ -77,9 +72,11 @@ class SolutionFamily:
                 kind = "a nonempty list of finite numbers"
                 ok = isinstance(c, (list, tuple)) and c and all(map(is_finite_number, c))
             else:
-                kind, ok = "a finite number", is_finite_number(v)
+                continue
             if not ok:
                 raise InvalidInputError(f"{self.id} parameter {name!r} must be {kind}, got {v!r}")
+            del numbers[name]
+        finite_numbers(f"{self.id} params", numbers, _FAMILY_PARAMS[self.id])
         if self.id == "UpperTri2x2" and self.p("beta") == 0.0:
             raise InvalidInputError("UpperTri2x2 requires beta != 0")
         if self.id == "PolyL3":
@@ -197,7 +194,7 @@ def _stacked_norms(fam: SolutionFamily, dda: str, points: np.ndarray, step: floa
     return norms if all(math.isfinite(v) for v in norms) else None
 
 
-def validate_family(fam: SolutionFamily, sample_points, h: float = 1e-4) -> ResidualReport:
+def validate_family(fam: SolutionFamily, sample_points, h: float = FD_STEP) -> ResidualReport:
     """Residual of the family's governing central system at each sample point.
 
     The log/rational families are checked through the L2a stencil on the

@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra_core import DEGENERACY_TOL, entry_stacks, trace_integrals
+from .algebra_core import DEGENERACY_TOL, entry_stacks, finite_numbers, trace_integrals
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
@@ -126,7 +126,8 @@ def get_system(system_id: str) -> FlowSystem:
 
 
 def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str, float]:
-    """A flow state: the system's entries as floats, none missing, all finite.
+    """A flow state: the system's entries as floats, none missing, all finite; other
+    keys (an ``.entries()`` dict carries them) are ignored.
 
     L3_simple is the M = N = 0 reduction, so its state carries M = N = 0.
     """
@@ -134,10 +135,8 @@ def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str
     missing = [k for k in sy.all_entries() if k not in entries]
     if missing:
         raise InvalidInputError(f"{system_id} state is missing entries {missing}")
-    state = {k: float(entries[k]) for k in sy.all_entries()}
-    for k, v in state.items():
-        if not math.isfinite(v):
-            raise InvalidInputError(f"{system_id} entry {k!r} must be finite, got {v}")
+    state = finite_numbers(f"{system_id} entry", {k: entries[k] for k in sy.all_entries()},
+                           sy.all_entries())
     if sy.id == "L3_simple":
         state["M"] = state["N"] = 0.0
     return state

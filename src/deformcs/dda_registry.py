@@ -159,8 +159,12 @@ class SampledField:
 
     @classmethod
     def load(cls, path: str | Path) -> "SampledField":
+        """The field in a JSON file; InvalidInputError if it cannot be read or parsed."""
         try:
             doc = json.loads(Path(path).read_text())
+        except OSError as exc:  # missing, a directory, unreadable
+            raise InvalidInputError(
+                f"sampled field file {str(path)!r} cannot be read: {exc.strerror}") from None
         except ValueError as exc:  # not UTF-8 or not JSON
             raise InvalidInputError(f"sampled field file is not valid JSON: {exc}") from None
         return cls.from_json(doc)
@@ -204,9 +208,9 @@ def _field_norms(spec: DDASpec, fld: SampledField, lo: int, hi: int) -> list[flo
                      fld.grid[lo:hi], fld.spacing)
 
 
-def cs_residual(dda: DDASpec | str, fld: SampledField, i: int) -> ResidualReport:
+def cs_residual(dda: str, fld: SampledField, i: int) -> ResidualReport:
     """Residual norm of the DDA's central system at interior grid point i."""
-    spec = lookup(dda) if isinstance(dda, str) else dda
+    spec = lookup(dda)
     behind, ahead = spec.stencil_reach
     if not behind <= i < len(fld.pairs) - ahead:
         raise StencilRangeError(
@@ -215,9 +219,9 @@ def cs_residual(dda: DDASpec | str, fld: SampledField, i: int) -> ResidualReport
     return ResidualReport(labels=(f"{spec.id}_cs",), norms=_field_norms(spec, fld, i, i + 1))
 
 
-def cs_residual_scan(dda: DDASpec | str, fld: SampledField) -> ResidualReport:
+def cs_residual_scan(dda: str, fld: SampledField) -> ResidualReport:
     """Residual norms of the DDA's central system at every interior point, labelled i=<k>."""
-    spec = lookup(dda) if isinstance(dda, str) else dda
+    spec = lookup(dda)
     behind, ahead = spec.stencil_reach
     lo, hi = behind, len(fld.pairs) - ahead
     if hi <= lo:

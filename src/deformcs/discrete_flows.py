@@ -28,7 +28,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
-                           entry_stacks, trace_integrals)
+                           entry_stacks, finite_numbers, trace_integrals)
 from .dda_registry import _REGISTRY, TensorGrid, lookup
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import MAX_STEPS, OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
@@ -76,11 +76,10 @@ class MapState:
         return dict(zip(ENTRY_NAMES, self.values))
 
 
-def _values(entries: dict[str, float]) -> tuple[float, ...]:
-    unknown = sorted(set(entries) - set(ENTRY_NAMES))
-    if unknown:
-        raise InvalidInputError(f"unknown 2x2 entries {unknown}")
-    return tuple(float(entries.get(k, 0.0)) for k in ENTRY_NAMES)
+def _values(what: str, entries: dict[str, float]) -> tuple[float, ...]:
+    """One orbit row from named entries (missing ones are 0), judged by ``finite_numbers``."""
+    entries = finite_numbers(what, entries, ENTRY_NAMES)
+    return tuple(entries.get(k, 0.0) for k in ENTRY_NAMES)
 
 
 def _state(n: int, values: tuple[float, ...], prev_C1: np.ndarray | None) -> MapState:
@@ -106,10 +105,10 @@ def init_map_state(dda: str, entries: dict[str, float],
     check_map(dda)
     if dda != "L5" and prev_entries is not None:
         raise InvalidInputError(f"{dda} is a first-order map: prev entries apply to L5 only")
-    values = _values(entries)
+    values = _values(f"{dda} initial", entries)
     prev_C1 = None
     if dda == "L5":
-        prev = values if prev_entries is None else _values(prev_entries)
+        prev = values if prev_entries is None else _values(f"{dda} prev", prev_entries)
         prev_C1 = entry_stacks(2, dict(zip(ENTRY_NAMES, prev)))[0]
     return _state(0, values, prev_C1)
 
@@ -164,9 +163,6 @@ def _advance(dda: str, values: tuple[float, ...], prev_C1: np.ndarray | None,
                 N + (N - G) * r - G * r * r, M + (1.0 - E) * r + r * r), None
     den = B * G - C * E
     if abs(den) < DEGENERACY_TOL:
-        if dda == "L5":
-            raise SingularOrbitError(f"det C1 = {den:.3e} below tolerance",
-                                     quantity="det C1", value=den)
         raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance",
                                  quantity="BG-CE", value=den)
     if dda == "L2b":

@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra_core import MatrixPair
+from .algebra_core import MatrixPair, finite_numbers
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
@@ -288,16 +288,17 @@ def integrate_reduction(name: str, initial: Sequence[float], params: Mapping[str
     """Integrate one reduction of REDUCTIONS, recording its invariants at every step.
 
     ``initial`` holds its initial entries in order, and ``params`` maps its param
-    names to values; a param left out is 0.
+    names to values; a param left out is 0.  Both are judged by ``finite_numbers``.
     """
     entries, names, columns, build = reduction_row(name)
-    if len(initial) != len(entries) or not set(params) <= set(names):
-        raise InvalidInputError(f"{name} takes the initial entries {entries} and the params "
-                                f"{names}, got {len(initial)} entries and {sorted(params)}")
+    if len(initial) != len(entries):
+        raise InvalidInputError(f"{name} takes the initial entries {entries}, got {len(initial)}")
+    y0 = finite_numbers(f"{name} initial", dict(zip(entries, initial)), entries)
+    params = finite_numbers(f"{name} params", params, names)
     values = tuple(params.get(k, 0.0) for k in names)
     carried = len(columns) - len(entries)
     f, invariants = build(*values[carried:])
-    ts, ys, status, diagnostic = integrate_fixed(f, span[0], tuple(initial) + values[:carried],
+    ts, ys, status, diagnostic = integrate_fixed(f, span[0], (*y0.values(), *values[:carried]),
                                                  span[1], step)
     histories = invariants(ys.tolist())   # float arithmetic per row, not numpy scalars
     return Trajectory(kind=name, ts=ts, states=ys, columns=columns,

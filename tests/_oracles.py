@@ -47,7 +47,7 @@ def omega_l2a_loops(pairs, xs, i: int) -> np.ndarray:
     a central difference; indices are the code indices of the pair layout.
     """
     h = xs[1] - xs[0]
-    cten = [tensor_from_pair(p, unital=p.unital).c for p in pairs]
+    cten = [tensor_from_pair(p).c for p in pairs]
     n = cten[0].shape[0]
     scaling_index = 1 if pairs[0].unital else 0  # which code index is p1
 
@@ -71,7 +71,7 @@ def omega_l2a_loops(pairs, xs, i: int) -> np.ndarray:
 def omega_l3_loops(pairs, xs, i: int) -> np.ndarray:
     """Component form of the L3 central system (a_21 = 1) at grid point i."""
     h = xs[1] - xs[0]
-    cten = [tensor_from_pair(p, unital=p.unital).c for p in pairs]
+    cten = [tensor_from_pair(p).c for p in pairs]
     n = cten[0].shape[0]
     p1, p2 = (1, 2) if pairs[0].unital else (0, 1)
     a = {(p2, p1): 1.0}

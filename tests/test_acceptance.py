@@ -238,7 +238,7 @@ def test_criterion_08_gauge_solutions():
 def test_criterion_09_section3_residual_evaluators():
     # constant associative constants: all three evaluators vanish
     pair = polynomial_algebra_pair(0.4, -0.3, 0.7)
-    t = tensor_from_pair(pair, unital=True)
+    t = tensor_from_pair(pair)
     tg = TensorGrid(c=np.broadcast_to(t.c, (4, 4, 3, 3, 3)).copy(), spacing=0.1)
     assert quantum_cs_residual(tg, hbar=0.7).norms[0] < 1e-12
     assert max(coisotropic_cs_residual(tg).norms) < 1e-12
@@ -279,11 +279,11 @@ def test_criterion_10_oracle_equivalence():
             else:
                 from _oracles import commuting_2x2_pair
                 pair = commuting_2x2_pair(rng)
-            tensor = tensor_from_pair(pair, unital=dim3)
+            tensor = tensor_from_pair(pair)
         else:
             c = random_symmetric_tensor(rng, 3 if dim3 else 2)
             from deformcs.algebra_core import StructTensor
-            tensor = StructTensor(dim=3 if dim3 else 2, unital=dim3, c=c)
+            tensor = StructTensor(dim=3 if dim3 else 2, c=c)
         brute = assoc_defect_loops(tensor.c)
         res = assoc_residual(pair_from_tensor(tensor))
         assert (res < 1e-12) == (brute < 1e-12), (trial, res, brute)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_layout_check_accepts_equal_infinities():
     inf = math.inf
     p = MatrixPair(2, [[1.0, inf], [0.5, -inf]], [[inf, 0.2], [-inf, 0.3]])
     assert p.C1[:, 1].tolist() == p.C2[:, 0].tolist() == [inf, -inf]
-    t = StructTensor(2, False, [[[inf, 0.0], [1.0, 2.0]], [[1.0, 2.0], [0.0, 1.0]]])
+    t = StructTensor(2, [[[inf, 0.0], [1.0, 2.0]], [[1.0, 2.0], [0.0, 1.0]]])
     assert t.c[0, 0, 0] == inf
     with pytest.raises(InvalidInputError, match="shared P1P2 column"):
         MatrixPair(2, [[1.0, inf], [0.5, 0.0]], [[-inf, 0.2], [0.0, 0.3]])
@@ -62,11 +63,11 @@ def test_layout_check_rejects_nan():
         MatrixPair(3, [[nan, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(InvalidInputError, match="must satisfy c"):
-        StructTensor(2, False, [[[1.0, 0.0], [nan, 2.0]], [[nan, 2.0], [0.0, 1.0]]])
+        StructTensor(2, [[[1.0, 0.0], [nan, 2.0]], [[nan, 2.0], [0.0, 1.0]]])
 
 
 def test_tensor_from_pair_unital_trivial():
-    t = tensor_from_pair(MatrixPair.from_entries(3, {}), unital=True)
+    t = tensor_from_pair(MatrixPair.from_entries(3, {}))
     expected = np.zeros((3, 3, 3))
     expected[0] = np.eye(3)
     expected[:, 0, :] = np.eye(3)
@@ -74,7 +75,7 @@ def test_tensor_from_pair_unital_trivial():
 
 
 def test_tensor_from_pair_2x2_layout():
-    t = tensor_from_pair(MatrixPair.from_entries(2, dict(B=1, G=1)), unital=False)
+    t = tensor_from_pair(MatrixPair.from_entries(2, dict(B=1, G=1)))
     # B sits at c[P1][P1][P1], G at c[P1][P2][P2] (code indices 0/1)
     assert t.c[0, 0, 0] == 1.0
     assert t.c[0, 1, 1] == 1.0
@@ -83,7 +84,7 @@ def test_tensor_from_pair_2x2_layout():
 
 def test_pair_from_tensor_single_entry():
     pair = MatrixPair.from_entries(3, dict(A=1.0))
-    t = tensor_from_pair(pair, unital=True)
+    t = tensor_from_pair(pair)
     back = pair_from_tensor(t)
     assert back.C1[0, 1] == 1.0
     nontrivial = back.C1[:, 1:].copy()
@@ -92,16 +93,21 @@ def test_pair_from_tensor_single_entry():
     assert np.count_nonzero(back.C2[:, 1:]) == 0
 
 
-def test_unital_flag_must_match_layout():
-    with pytest.raises(InvalidInputError):
-        tensor_from_pair(MatrixPair.from_entries(2, {}), unital=True)
+@pytest.mark.parametrize("dim, c, named", [
+    (4, np.zeros((4, 4, 4)), "dim must be 2 or 3, got 4"),
+    (2, np.zeros((3, 3, 3)), "tensor shape must be (2, 2, 2), got (3, 3, 3)"),
+    (3, np.zeros((3, 3, 3)), "unital tensor must satisfy c[j][0][l] = delta_j^l"),
+])
+def test_struct_tensor_rejects_a_bad_dim_shape_or_unit_column(dim, c, named):
+    with pytest.raises(InvalidInputError, match=re.escape(named)):
+        StructTensor(dim, c)
 
 
 def test_tensor_symmetry_enforced():
     c = np.zeros((2, 2, 2))
     c[0, 1, 0] = 1.0  # no symmetric partner
     with pytest.raises(InvalidInputError):
-        StructTensor(dim=2, unital=False, c=c)
+        StructTensor(dim=2, c=c)
 
 
 @given(st.lists(finite, min_size=9, max_size=9))
@@ -109,7 +115,7 @@ def test_tensor_symmetry_enforced():
 def test_roundtrip_pair_tensor_pair_3x3(vals):
     names = ("A", "B", "C", "D", "E", "G", "L", "M", "N")
     pair = MatrixPair.from_entries(3, dict(zip(names, vals)))
-    back = pair_from_tensor(tensor_from_pair(pair, unital=True))
+    back = pair_from_tensor(tensor_from_pair(pair))
     assert np.array_equal(back.C1, pair.C1)
     assert np.array_equal(back.C2, pair.C2)
 
@@ -119,8 +125,8 @@ def test_roundtrip_pair_tensor_pair_3x3(vals):
 def test_roundtrip_tensor_pair_tensor_2x2(vals):
     names = ("B", "C", "E", "G", "M", "N")
     pair = MatrixPair.from_entries(2, dict(zip(names, vals)))
-    t = tensor_from_pair(pair, unital=False)
-    again = tensor_from_pair(pair_from_tensor(t), unital=False)
+    t = tensor_from_pair(pair)
+    again = tensor_from_pair(pair_from_tensor(t))
     assert np.array_equal(t.c, again.c)
 
 
@@ -147,12 +153,10 @@ def test_assoc_residual_matches_quadruple_oracle():
     for _ in range(25):
         if rng.uniform() < 0.5:
             pair = polynomial_algebra_pair(*rng.uniform(-1, 1, size=3))
-            unital = True
         else:
             pair = MatrixPair.from_entries(
                 2, {k: rng.uniform(-1, 1) for k in ("B", "C", "E", "G", "M", "N")})
-            unital = False
-        brute = assoc_defect_loops(tensor_from_pair(pair, unital).c)
+        brute = assoc_defect_loops(tensor_from_pair(pair).c)
         assert (assoc_residual(pair) < 1e-12) == (brute < 1e-12)
 
 

@@ -375,7 +375,7 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({**FLOW_SCENARIO, "free": {"B": 0.0, "C": 0.0, "M": 1.0}}, "'free' has unknown entries ['M']"),
     ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [2.0],
       "params": {"alpha": "x", "beta": 1.0, "gamma": 0.0}},
-     "field 'params': Nilpotent2x2 parameter 'alpha' must be a finite number, got 'x'"),
+     "field 'params': Nilpotent2x2 params['alpha'] must be a finite number, got 'x'"),
     ({"kind": "validate_family", "family": "GaugeL5", "points": [0.5],
       "params": {"phi0": "abc", "phi1": [0.0, 1.0], "phi2": [0.0, 0.0, 1.0]}},
      "field 'params': GaugeL5 parameter 'phi0' must be a nonempty list of finite numbers, "
@@ -405,7 +405,7 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({**_SCAN, "field": {**_FIELD, "dda": 3}}, "sampled field 'dda' must be a string"),
     ({**_SCAN, "field": {**_FIELD, "values": 5}}, "sampled field 'values' must be a list"),
     ({"kind": "residual_scan", "dda": "L2a", "field_path": ""},
-     "field 'field_path' does not name a file"),
+     "field 'field_path': sampled field file '' cannot be read: Is a directory"),
     ({**FLOW_SCENARIO, "span": [0.0, 10 ** 400]}, "field 'span' must be finite"),
     ({**FLOW_SCENARIO, "initial": {**FLOW_SCENARIO["initial"], "E": 10 ** 400}},
      "field 'initial'['E'] must be a finite number"),
@@ -460,11 +460,38 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({**_MAP, "steps": True},
      "field 'steps': steps must be an integer from 0 to 1000000, got True"),
     ({**FLOW_SCENARIO, "system": "L9_2x2"}, "unknown flow system 'L9_2x2'"),
+    ({"kind": "frob"}, "unknown kind 'frob' (expected one of ('flow', 'map', 'validate_family', "
+                       "'residual_scan', 'reduction'))"),
+    ({**_SCAN, "dda": "L1"}, "dda 'L1' drives no deformation; nothing to scan"),
+    ({"kind": "residual_scan", "dda": "L2a"}, "missing required field 'field' (or 'field_path')"),
+    ({**_SCAN, "dda": "L3"}, "field 'dda' mismatch: scenario says 'L3', field says 'L2a'"),
+    ({"kind": "residual_scan", "dda": "L2a", "field_path": "no/such/field.json"},
+     "field 'field_path': sampled field file 'no/such/field.json' cannot be read: "
+     "No such file or directory"),
 ])
 def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, named):
     scenario = _write(tmp_path, "bad.json", doc)
     assert main(["run", str(scenario), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_INVALID
     assert named in capsys.readouterr().err
+
+
+def test_step_override_on_a_kind_without_a_step_exits_two(tmp_path, capsys):
+    scenario = _write(tmp_path, "map.json", _MAP)
+    out = tmp_path / "o"
+    assert main(["run", str(scenario), "--out", str(out), "--step", "0.1"]) == EXIT_INVALID
+    assert "deform-cs: error: --step does not apply to kind 'map'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_prints_each_residual_it_reports(tmp_path, capsys):
+    scenario = _write(tmp_path, "scan.json", _SCAN)
+    out = tmp_path / "o"
+    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    residuals = _read_report(out)["residuals"]
+    assert list(residuals) == ["i=1"]
+    for label, value in residuals.items():
+        assert f"[deform-cs]   {label}: {value:.3e}\n" in printed
 
 
 def test_docstring_lists_each_reductions_initial_entries_and_params():

@@ -54,7 +54,7 @@ def test_gauge_vandermonde_at_zero():
 def test_gauge_symmetry_of_structure_constants():
     fam = SolutionFamily("GaugeL5", GAUGE_CUBIC)
     for x in (-1.0, 0.0, 2.0):
-        t = tensor_from_pair(eval_family(fam, x), unital=True)
+        t = tensor_from_pair(eval_family(fam, x))
         assert np.max(np.abs(t.c - np.swapaxes(t.c, 0, 1))) < 1e-12
 
 
@@ -103,15 +103,15 @@ def test_unknown_family():
      "UpperTri2x2 has no parameters ['printed_form']"),
     ("GaugeL5", {**GAUGE_CUBIC, "phi3": [5.0]}, "GaugeL5 has no parameters ['phi3']"),
     ("GaugeL5", {"phi0": [1.0], "phi1": [0.0, 1.0]}, "GaugeL5 needs polynomial coefficients 'phi2'"),
-    ("Nilpotent2x2", {"alpha": "x"}, "Nilpotent2x2 parameter 'alpha' must be a finite number"),
-    ("Nilpotent2x2", {"alpha": None}, "Nilpotent2x2 parameter 'alpha' must be a finite number"),
-    ("Nilpotent3x3", {"mu": math.inf}, "Nilpotent3x3 parameter 'mu' must be a finite number"),
-    ("Nilpotent3x3", {"beta": True}, "Nilpotent3x3 parameter 'beta' must be a finite number"),
-    ("UpperTri2x2", {"beta": math.nan}, "UpperTri2x2 parameter 'beta' must be a finite number"),
+    ("Nilpotent2x2", {"alpha": "x"}, "Nilpotent2x2 params['alpha'] must be a finite number"),
+    ("Nilpotent2x2", {"alpha": None}, "Nilpotent2x2 params['alpha'] must be a finite number"),
+    ("Nilpotent3x3", {"mu": math.inf}, "Nilpotent3x3 params['mu'] must be a finite number"),
+    ("Nilpotent3x3", {"beta": True}, "Nilpotent3x3 params['beta'] must be a finite number"),
+    ("UpperTri2x2", {"beta": math.nan}, "UpperTri2x2 params['beta'] must be a finite number"),
     ("UpperTri2x2", {"beta": 1.0, "gamma": 10 ** 400},
-     "UpperTri2x2 parameter 'gamma' must be a finite number"),
+     "UpperTri2x2 params['gamma'] must be a finite number"),
     ("PolyL3", {"alpha": 1.0, "beta": 2.0, "gamma": [1.0], "delta": 1.0},
-     "PolyL3 parameter 'gamma' must be a finite number"),
+     "PolyL3 params['gamma'] must be a finite number"),
     ("GaugeL5", {**GAUGE_CUBIC, "phi0": "abc"},
      "GaugeL5 parameter 'phi0' must be a nonempty list of finite numbers"),
     ("GaugeL5", {**GAUGE_CUBIC, "phi1": [0.0, math.nan]},

@@ -85,8 +85,8 @@ def test_l2a_3x3_rhs_matches_lax_bracket():
 
 @pytest.mark.parametrize("entries, named", [
     (dict(B=0, C=0, E=1, G=1, M=-1), "missing entries ['N']"),
-    (dict(B=0, C=0, E=math.inf, G=1, M=-1, N=-1), "entry 'E' must be finite"),
-    (dict(B=0, C=math.nan, E=1, G=1, M=-1, N=-1), "entry 'C' must be finite"),
+    (dict(B=0, C=0, E=math.inf, G=1, M=-1, N=-1), "entry['E'] must be a finite number, got inf"),
+    (dict(B=0, C=math.nan, E=1, G=1, M=-1, N=-1), "entry['C'] must be a finite number, got nan"),
 ])
 def test_state_rejects_missing_or_non_finite_entries_by_name(entries, named):
     with pytest.raises(InvalidInputError, match=re.escape(named)):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -210,6 +213,19 @@ def test_sampled_field_grid_validation():
         SampledField(dda="L2b", grid=np.array([0.0, 0.5, 1.0]), pairs=(p, p, p))
 
 
+def test_load_names_a_path_it_cannot_read(tmp_path):
+    # a missing file or a directory is refused as input, not raised as a bare OSError
+    for path, reason in ((tmp_path / "missing.json", "No such file or directory"),
+                         (tmp_path, "Is a directory"), (str(tmp_path / "no" / "f.json"),
+                                                        "No such file or directory")):
+        named = f"sampled field file {str(path)!r} cannot be read: {reason}"
+        with pytest.raises(InvalidInputError, match=re.escape(named)):
+            SampledField.load(path)
+    fld = _constant_commuting_field("L2a")
+    (tmp_path / "field.json").write_text(json.dumps(fld.to_json()))
+    assert np.array_equal(SampledField.load(tmp_path / "field.json").grid, fld.grid)
+
+
 # ---------------------------------------------------------------------------
 # Quantum / coisotropic / discrete evaluators.
 # ---------------------------------------------------------------------------
@@ -222,7 +238,7 @@ def test_tensor_grid_rejects_a_spacing_that_is_not_positive_and_finite(spacing):
 
 
 def _constant_grid(pair, npts=4, h=0.1):
-    t = tensor_from_pair(pair, unital=pair.unital)
+    t = tensor_from_pair(pair)
     c = np.broadcast_to(t.c, (npts, npts) + t.c.shape).copy()
     return TensorGrid(c=c, spacing=h)
 
@@ -331,6 +347,11 @@ def test_discrete_missing_neighbour():
     tg = _constant_grid(commuting_2x2_pair(rng), npts=3)
     with pytest.raises(StencilRangeError):
         discrete_cs_defect(tg, (2, 0))
+    with pytest.raises(InvalidInputError, match="^lattice point must have 2 coordinates$"):
+        discrete_cs_defect(tg, (0,))
+    with pytest.raises(StencilRangeError,
+                       match="^lattice too small for the forward-shift stencil$"):
+        discrete_cs_residual(TensorGrid(c=np.zeros((1, 2, 2, 2))))
 
 
 def test_tensor_grid_shape_validation():
@@ -340,6 +361,8 @@ def test_tensor_grid_shape_validation():
         TensorGrid(c=np.zeros((4, 3, 3, 3)))  # one grid axis cannot drive 3 indices
     with pytest.raises(InvalidInputError):
         TensorGrid(c=np.zeros((4, 4, 3, 3, 3)), spacing=0.0)
+    with pytest.raises(InvalidInputError, match="^tensor grid needs at least one grid axis$"):
+        TensorGrid(c=np.zeros((3, 3, 3)))
 
 
 # ---------------------------------------------------------------------------

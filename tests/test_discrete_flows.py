@@ -275,6 +275,24 @@ def test_l2b_degenerate_det_raises():
     assert err.value.quantity == "BG-CE"
 
 
+@pytest.mark.parametrize("dda", ["L4", "L5"])
+def test_below_tolerance_c1_is_named_bg_minus_ce_on_the_solve_branch(dda):
+    # B, C != 1 keeps L4 off its closed form; BG - CE = 2 * 0.5 - 1 * 1 = 0
+    st = init_map_state(dda, dict(B=2.0, C=1.0, E=1.0, G=0.5, M=0.3, N=0.4))
+    with pytest.raises(SingularOrbitError) as err:
+        step(dda, st)
+    assert str(err.value) == "BG - CE = 0.000e+00 below tolerance"
+    assert (err.value.quantity, err.value.value) == ("BG-CE", 0.0)
+    diagnostic = orbit(dda, st, 3).diagnostic
+    assert diagnostic == "singular step at n=0: BG - CE = 0.000e+00 below tolerance"
+
+
+def test_l5_orbit_from_a_state_without_the_previous_c1_is_refused():
+    with pytest.raises(InvalidInputError,
+                       match=r"^L5 state lacks the previous C1 \(use init_map_state\)$"):
+        orbit("L5", MapState(0, (1.0, 0.5, 0.3, 0.8, 0.2, 0.6)), 3)
+
+
 # |BG - CE| = 2.9e-11 is above DEGENERACY_TOL, yet LAPACK finds a zero pivot in C1
 LU_SINGULAR = dict(B=8.768610301148978, C=0.4804184990778926, E=369740.7014836463,
                    G=20257.51706989476, M=0.5, N=0.25)
@@ -465,6 +483,12 @@ def test_oriented_assoc_defect_rejects_a_non_integer_point():
     xs = np.arange(-4, 6)
     with pytest.raises(InvalidInputError, match="x must be an integer, got 0.5"):
         oriented_assoc_defect(_phi_samples(GAUGE_CUBIC, xs), xs, 0.5)
+
+
+def test_gauge_residual_needs_three_potentials_on_the_whole_interval():
+    with pytest.raises(InvalidInputError,
+                       match="^need three potentials sampled on the whole interval$"):
+        discrete_oriented_assoc_residual(np.ones((2, 6)), np.arange(6))
 
 
 # ---------------------------------------------------------------------------

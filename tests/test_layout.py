@@ -1,8 +1,10 @@
 """Every layer that builds C1/C2 from named entries agrees exactly with the literal
 layouts kept in ``_oracles``: ``MatrixPair.from_entries`` and ``entry_stacks``, the
-orbit stacks, the degeneracy flags, the L5 start state and each flow's Lax matrix.
+orbit stacks, the degeneracy flags, the L5 start state (which refuses an infinite
+entry by name) and each flow's Lax matrix.
 Seeded entries include +-inf, so a cell read from the wrong place cannot hide."""
 
+import math
 import re
 
 import numpy as np
@@ -84,12 +86,22 @@ def test_l5_orbit_states_match_the_literal_layout():
 
 def test_init_map_state_prev_c1_matches_the_literal_layout():
     rng = np.random.default_rng(11)
+    rejected = 0
     for row, prev_row in zip(_seeded(rng, 60, 6), _seeded(rng, 60, 6)):
         entries = dict(zip("BCEGMN", row.tolist()))
         prev = dict(zip("BCEG", prev_row.tolist())) if prev_row[5] > 0 else None
+        # an infinite entry is refused by name, initial entries first
+        bad = [f"L5 {what}[{k!r}]" for what, named in (("initial", entries), ("prev", prev or {}))
+               for k, v in named.items() if not math.isfinite(v)]
+        if bad:
+            with pytest.raises(InvalidInputError, match=re.escape(bad[0])):
+                init_map_state("L5", entries, prev)
+            rejected += 1
+            continue
         state = init_map_state("L5", entries, prev)
         want = pair_2x2(**(entries if prev is None else prev)).C1
         assert np.array_equal(state.prev_C1, want)
+    assert 0 < rejected < 60
 
 
 @pytest.mark.parametrize("system_id", sorted(SYSTEMS))

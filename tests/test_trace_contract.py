@@ -1,9 +1,11 @@
 """The entry points that ``perfbench/tracing.py`` wraps by name still carry the run.
 
 perfbench credits each right-hand-side call to the layer whose span is open when
-``integrate_fixed`` is called.  A reduction run through the CLI must therefore
-reach ``integrate_fixed`` from inside one of the traced ``reductions.integrate_*``
-views, and a map run must iterate inside one traced ``discrete_flows.orbit``;
+``integrate_fixed`` is called.  A flow run through the CLI must therefore reach
+``integrate_fixed`` from inside the traced ``continuous_flows.integrate``, with one
+first-integral and one eigenvalue span, a reduction run from inside one of the
+traced ``reductions.integrate_*`` views, and a map run must iterate inside one
+traced ``discrete_flows.orbit``;
 if a change bypasses or renames them, the per-layer metrics read 0 (or land on
 the CLI) without any benchmark failing, so these tests fail instead.
 """
@@ -25,6 +27,25 @@ def _tracer():
     finally:
         sys.path.remove(str(PERFBENCH))
     return tracing.Tracer()
+
+
+def test_flow_rhs_calls_are_traced_to_the_continuous_flows_layer(tmp_path):
+    steps = 10
+    doc = {"kind": "flow", "system": "L2a_2x2", "initial": {"E": 1.0, "G": 1.0, "M": -1.0,
+                                                           "N": -1.0},
+           "free": {"B": 0.5, "C": 0.25}, "span": [0.0, steps * 1e-2], "step": 1e-2}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    tracer = _tracer()
+    with tracer.installed():
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == EXIT_OK
+    names = [span[0] for span in tracer.spans]
+    for name in ("continuous_flows.integrate", "continuous_flows.integrals",
+                 "continuous_flows.eig", "integrators.integrate_fixed"):
+        assert names.count(name) == 1, name
+    assert names.count("continuous_flows.rhs") == 4 * steps
+    assert "cli.rhs" not in names
 
 
 def test_reduction_rhs_calls_are_traced_to_the_reductions_layer(tmp_path):
