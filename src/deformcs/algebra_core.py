@@ -22,11 +22,13 @@ E, G); constructors reject pairs where the shared entries disagree.
 ``ENTRY_POSITIONS_3``/``ENTRY_POSITIONS_2`` and ``entry_stacks`` are the one
 place that turns named entries into C1 and C2, at one point or stacked;
 ``MatrixPair.from_entries(n, entries)`` is the one constructor from names.
-``finite_numbers`` is the one rule for every {name: number} input, entries or parameters.
+``finite_numbers`` is the one rule for every {name: number} input, entries or parameters,
+and its ``check_names`` the one rule for their names.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Mapping
@@ -65,12 +67,18 @@ def is_finite_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
-def finite_numbers(what: str, values: Mapping, allowed) -> dict[str, float]:
-    """``values`` as floats if every name is in ``allowed`` and every value passes
-    ``is_finite_number``; otherwise InvalidInputError naming ``what`` and the entry."""
+def check_names(what: str, values: Mapping, allowed) -> None:
+    """Raise InvalidInputError naming ``what`` and the names in ``values`` not in ``allowed``."""
     unknown = sorted(set(values) - set(allowed))
     if unknown:
         raise InvalidInputError(f"{what} has unknown entries {unknown}")
+
+
+def finite_numbers(what: str, values: Mapping, allowed) -> dict[str, float]:
+    """``values`` as floats if every name is in ``allowed`` (``check_names``) and every
+    value passes ``is_finite_number``; otherwise InvalidInputError naming ``what`` and
+    the entry."""
+    check_names(what, values, allowed)
     for name, v in values.items():
         if not is_finite_number(v):
             raise InvalidInputError(f"{what}[{name!r}] must be a finite number, got {v!r}")
@@ -199,7 +207,7 @@ class ResidualReport:
         if len(self.labels) != len(self.norms):
             raise InvalidInputError("labels and norms must have equal length")
         for label, v in zip(self.labels, self.norms):
-            if not np.isfinite(v) or v < 0.0:
+            if not math.isfinite(v) or v < 0.0:
                 raise InvalidInputError(f"residual {label!r} is not a finite nonnegative norm")
         if len(set(self.labels)) != len(self.labels):
             dup = next(lab for i, lab in enumerate(self.labels) if lab in self.labels[:i])

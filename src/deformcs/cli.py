@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .algebra_core import finite_numbers, is_finite_number
-from .closed_forms import FAMILY_IDS, FD_STEP, SolutionFamily, validate_family
+from .closed_forms import FD_STEP, SolutionFamily, check_family, validate_family
 from .continuous_flows import get_system, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual_scan, lookup
 from .discrete_flows import (ENTRY_NAMES, check_map, check_steps, flag_labels, init_map_state,
@@ -135,9 +135,7 @@ class ScenarioConfig:
         self.state = init_map_state(self.dda, initial, prev)
 
     def _validate_validate_family(self):
-        family = self._require(str, "family")
-        if family not in FAMILY_IDS:
-            raise InvalidInputError(f"unknown family {family!r}")
+        family = _judged("family", check_family, self._require(str, "family"))
         self.family = _judged("params", SolutionFamily, family, self._require(dict, "params"))
         points = self._require(list, "points")
         if not points or not all(is_finite_number(v) for v in points):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, entry_stacks,
-                           finite_numbers, is_finite_number, layout_defect)
+from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, check_names,
+                           entry_stacks, finite_numbers, is_finite_number, layout_defect)
 from .dda_registry import SampledField, _cs_norms, cs_residual, grid_defect, lookup
 from .discrete_flows import _first, gauge_pairs
 from .errors import DeformError, InvalidInputError, SingularGaugeError
@@ -47,6 +47,13 @@ FAMILY_IDS = tuple(_FAMILY_PARAMS)
 _FAMILY_N = {"Nilpotent3x3": 3, "Nilpotent2x2": 2, "UpperTri2x2": 2, "PolyL3": 2, "GaugeL5": 3}
 
 
+def check_family(family_id: str) -> str:
+    """``family_id`` if it names a catalogued family; InvalidInputError otherwise."""
+    if family_id not in FAMILY_IDS:
+        raise InvalidInputError(f"unknown solution family {family_id!r}")
+    return family_id
+
+
 @dataclass(frozen=True)
 class SolutionFamily:
     """One catalogued closed-form solution with its parameter values."""
@@ -55,11 +62,7 @@ class SolutionFamily:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.id not in FAMILY_IDS:
-            raise InvalidInputError(f"unknown solution family {self.id!r}")
-        unknown = set(self.params) - set(_FAMILY_PARAMS[self.id])
-        if unknown:
-            raise InvalidInputError(f"{self.id} has no parameters {sorted(unknown)}")
+        check_names(f"{check_family(self.id)} params", self.params, _FAMILY_PARAMS[self.id])
         missing = [key for key in _FAMILY_PARAMS[self.id] if key not in self.params]
         if self.id == "GaugeL5" and missing:   # the other families read a missing one as 0
             raise InvalidInputError(f"GaugeL5 needs polynomial coefficients {missing[0]!r}")

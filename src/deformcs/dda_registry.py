@@ -17,17 +17,25 @@ deformation at all.  This module
 evaluates those residuals on sampled fields, plus the three multi-parameter
 residual operators for quantum, discrete and coisotropic deformations on
 full structure-constant grids.
+
+A ``SampledField`` holds its values as two read-only ``(N, n, n)`` stacks, C1
+and C2.  ``from_json`` builds one array per matrix kind and checks it whole;
+the values are walked one by one only to name the first bad one.  The pairs
+constructor stacks its MatrixPairs once, and ``pairs`` is a view built on
+first read.  The residual stencils slice the stacks, and every point's norm
+comes from one batched dot.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .algebra_core import MatrixPair, ResidualReport
+from .algebra_core import MatrixPair, ResidualReport, layout_defect
 from .errors import InvalidInputError, StencilRangeError, UnsupportedDDAError
 
 OP_NONE = "none"
@@ -93,27 +101,72 @@ def grid_defect(spec: DDASpec, grid: np.ndarray) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+# The stacks of a field without values.
+_NO_VALUES = np.zeros((0, 2, 2))
+_NO_VALUES.setflags(write=False)
+
+
+def _raise_first_bad_value(values: list) -> None:
+    """Raise InvalidInputError for the first value of a field document that is not a
+    finite, well-laid-out pair of 2x2 or 3x3 matrices, checked in this order."""
+    for i, v in enumerate(values):
+        try:
+            C1, C2 = (np.array(v[key], dtype=float) for key in ("C1", "C2"))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise InvalidInputError(
+                f"sampled field value {i} needs numeric matrices 'C1' and 'C2'") from None
+        for key, mat in (("C1", C1), ("C2", C2)):
+            if not np.all(np.isfinite(mat)):
+                raise InvalidInputError(f"sampled field values[{i}].{key} has a non-finite entry")
+        MatrixPair(len(C1) if C1.ndim else 0, C1, C2)   # the size, shape and layout rules
+
+
+@dataclass(frozen=True, init=False)
 class SampledField:
-    """Matrix pairs sampled on a uniform 1-D grid of the deformation parameter."""
+    """Matrix pairs sampled on a uniform 1-D grid of the deformation parameter, held as
+    the read-only ``(N, n, n)`` stacks ``C1`` and ``C2`` of the N grid points."""
 
     dda: str
     grid: np.ndarray
-    pairs: tuple[MatrixPair, ...]
+    C1: np.ndarray
+    C2: np.ndarray
 
-    def __post_init__(self):
-        spec = lookup(self.dda)
-        g = np.array(self.grid, dtype=float)
-        if g.ndim != 1 or g.size != len(self.pairs):
+    def __init__(self, dda: str, grid, pairs):
+        """The field of the MatrixPairs ``pairs`` at the points of ``grid``, stacked once."""
+        pairs = tuple(pairs)
+        sizes = {p.n for p in pairs}
+        C1 = C2 = None if sizes else _NO_VALUES   # None: values of mixed sizes
+        if len(sizes) == 1:
+            C1, C2 = np.array([p.C1 for p in pairs]), np.array([p.C2 for p in pairs])
+        self._check(dda, grid, len(pairs), C1, C2)
+
+    def _check(self, dda: str, grid, count: int, C1, C2) -> None:
+        """The one check of both constructors, in the order a per-value load runs it:
+        the layout of the stacks (None for ``count`` values of mixed sizes), then the
+        DDA, the grid length, the size rule and the grid rules.  Sets the fields."""
+        n = None if C1 is None else C1.shape[-1]
+        if n and layout_defect(n, C1, C2):   # name the first bad value as its MatrixPair would
+            raise InvalidInputError(next(filter(None, (layout_defect(n, a, b)
+                                                       for a, b in zip(C1, C2)))))
+        spec = lookup(dda)
+        g = np.array(grid, dtype=float)
+        if g.ndim != 1 or g.size != count:
             raise InvalidInputError("grid and values must have equal length")
-        if len({p.n for p in self.pairs}) > 1:
+        if C1 is None:
             raise InvalidInputError("values must be all 2x2 or all 3x3 pairs")
         defect = grid_defect(spec, g) if g.size >= 2 else None
         if defect:
             raise InvalidInputError(defect)
-        g.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+        for a in (g, C1, C2):
+            a.setflags(write=False)
+        for name, value in zip(("dda", "grid", "C1", "C2"), (dda, g, C1, C2)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def pairs(self) -> tuple[MatrixPair, ...]:
+        """The values as MatrixPairs: a view of the stacks, built on first read."""
+        n = self.C1.shape[-1]
+        return tuple(MatrixPair(n, a, b) for a, b in zip(self.C1, self.C2))
 
     @property
     def spacing(self) -> float:
@@ -122,14 +175,17 @@ class SampledField:
     def to_json(self) -> dict:
         return {
             "dda": self.dda,
-            "grid": [float(x) for x in self.grid],
-            "values": [
-                {"C1": p.C1.tolist(), "C2": p.C2.tolist()} for p in self.pairs
-            ],
+            "grid": self.grid.tolist(),
+            "values": [{"C1": a, "C2": b} for a, b in zip(self.C1.tolist(), self.C2.tolist())],
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "SampledField":
+        """The field of a JSON document; one array per matrix kind, checked as a stack.
+
+        Only when a stacked check fails are the values walked one by one, to name
+        the first bad value with the message a per-value load would give.
+        """
         if not isinstance(doc, dict):
             raise InvalidInputError("sampled field must be a JSON object")
         for key in ("dda", "grid", "values"):
@@ -137,25 +193,25 @@ class SampledField:
                 raise InvalidInputError(f"sampled field is missing the {key!r} field")
         if not isinstance(doc["dda"], str):
             raise InvalidInputError("sampled field 'dda' must be a string")
-        if not isinstance(doc["values"], list):
+        values = doc["values"]
+        if not isinstance(values, list):
             raise InvalidInputError("sampled field 'values' must be a list")
         try:
             grid = np.array(doc["grid"], dtype=float)
         except (TypeError, ValueError, OverflowError):
             raise InvalidInputError("sampled field 'grid' must be a list of numbers") from None
-        pairs = []
-        for i, v in enumerate(doc["values"]):
-            try:
-                C1, C2 = (np.array(v[key], dtype=float) for key in ("C1", "C2"))
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise InvalidInputError(
-                    f"sampled field value {i} needs numeric matrices 'C1' and 'C2'") from None
-            for key, mat in (("C1", C1), ("C2", C2)):
-                if not np.all(np.isfinite(mat)):
-                    raise InvalidInputError(
-                        f"sampled field values[{i}].{key} has a non-finite entry")
-            pairs.append(MatrixPair(len(C1) if C1.ndim else 0, C1, C2))
-        return cls(dda=doc["dda"], grid=grid, pairs=tuple(pairs))
+        try:
+            C1, C2 = (np.array([v[key] for v in values], dtype=float) for key in ("C1", "C2"))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            C1 = C2 = None
+        if not (C1 is not None and C1.ndim == 3 and C1.shape[1:] in ((2, 2), (3, 3))
+                and C2.shape == C1.shape and np.isfinite(C1).all() and np.isfinite(C2).all()):
+            _raise_first_bad_value(values)
+            # every value is sound on its own, so the stack failed on their sizes
+            C1 = C2 = None if values else _NO_VALUES
+        fld = cls.__new__(cls)
+        fld._check(doc["dda"], grid, len(values), C1, C2)
+        return fld
 
     @classmethod
     def load(cls, path: str | Path) -> "SampledField":
@@ -194,17 +250,20 @@ def _cs_norms(spec: DDASpec, C1, C2, x: np.ndarray, spacing) -> list[float]:
         else:  # L3
             dC1 = (C1[1] - C1[-1]) / (2.0 * spacing)
             R = here1 @ dC1 - (here1 @ here2 - here2 @ here1)
-        return [float(np.linalg.norm(r)) for r in R]
+        return _frobenius(R)
+
+
+def _frobenius(R: np.ndarray) -> list[float]:
+    """np.linalg.norm of each matrix of the (P, n, n) stack R, bit for bit: sqrt(r . r)
+    as one batched dot, the dot np.linalg.norm takes on each flattened matrix."""
+    flat = R.reshape(len(R), 1, R.shape[-2] * R.shape[-1])
+    return np.sqrt(flat @ flat.swapaxes(1, 2)).ravel().tolist()
 
 
 def _field_norms(spec: DDASpec, fld: SampledField, lo: int, hi: int) -> list[float]:
     """_cs_norms at the field's grid points lo <= i < hi."""
-    behind, ahead = spec.stencil_reach
-    pairs = fld.pairs[lo - behind:hi + ahead]
-    C1 = np.array([p.C1 for p in pairs])
-    C2 = np.array([p.C2 for p in pairs])
-    near = [slice(behind + s, behind + s + hi - lo) for s in (0, 1, -1)[:2 + behind]]
-    return _cs_norms(spec, [C1[s] for s in near], [C2[s] for s in near],
+    near = [slice(lo + s, hi + s) for s in (0, 1, -1)[:2 + spec.stencil_reach[0]]]
+    return _cs_norms(spec, [fld.C1[s] for s in near], [fld.C2[s] for s in near],
                      fld.grid[lo:hi], fld.spacing)
 
 
@@ -212,7 +271,7 @@ def cs_residual(dda: str, fld: SampledField, i: int) -> ResidualReport:
     """Residual norm of the DDA's central system at interior grid point i."""
     spec = lookup(dda)
     behind, ahead = spec.stencil_reach
-    if not behind <= i < len(fld.pairs) - ahead:
+    if not behind <= i < len(fld.grid) - ahead:
         raise StencilRangeError(
             f"point {i} lacks the neighbours needed by the {spec.id} stencil"
         )
@@ -223,7 +282,7 @@ def cs_residual_scan(dda: str, fld: SampledField) -> ResidualReport:
     """Residual norms of the DDA's central system at every interior point, labelled i=<k>."""
     spec = lookup(dda)
     behind, ahead = spec.stencil_reach
-    lo, hi = behind, len(fld.pairs) - ahead
+    lo, hi = behind, len(fld.grid) - ahead
     if hi <= lo:
         raise StencilRangeError(f"field has no interior points for the {spec.id} stencil")
     return ResidualReport(labels=tuple(f"i={i}" for i in range(lo, hi)),

@@ -192,19 +192,34 @@ def step(dda: str, state: MapState) -> MapState:
 def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None):
     """The exact trace invariants of every row that has them, and those rows.
 
-    L4 leaves out the rows where |det C1| is below tolerance; L5 values are
-    those of V = C1[n-1] . C2[n], with ``prev_C1`` before row 0.
+    L4 leaves out the rows whose C1 has no inverse: |BG - CE| below tolerance,
+    as the det_C1_degenerate flag and the step read it, or a C1 that LAPACK
+    finds singular.  L5 values are those of V = C1[n-1] . C2[n], with
+    ``prev_C1`` before row 0.
     """
     C1, C2 = _matrices(entries)
     rows = np.arange(len(entries))
     if dda == "L2b":
         return {**trace_integrals(C2), "det_C2": np.linalg.det(C2)}, rows
     if dda == "L4":
-        keep = np.abs(np.linalg.det(C1)) >= DEGENERACY_TOL
-        if not keep.any():
-            return {}, rows[keep]
-        return trace_integrals(C2[keep] @ np.linalg.inv(C1[keep])), rows[keep]
+        B, C, E, G = entries[:, :4].T
+        rows = rows[np.abs(B * G - C * E) >= DEGENERACY_TOL]
+        try:
+            inverse = np.linalg.inv(C1[rows])
+        except np.linalg.LinAlgError:   # some C1 is singular to LAPACK: find them one by one
+            rows = rows[[_inverts(C1[i]) for i in rows]]
+            inverse = np.linalg.inv(C1[rows])
+        return (trace_integrals(C2[rows] @ inverse) if rows.size else {}), rows
     return trace_integrals(np.concatenate([prev_C1[None], C1[:-1]]) @ C2), rows
+
+
+def _inverts(C1: np.ndarray) -> bool:
+    """Whether LAPACK inverts C1."""
+    try:
+        np.linalg.inv(C1)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def map_invariants(dda: str, state: MapState) -> dict[str, float]:
@@ -212,9 +227,10 @@ def map_invariants(dda: str, state: MapState) -> dict[str, float]:
     check_map(dda, state)
     invariants, rows = _invariants(dda, np.array([state.values]), state.prev_C1)
     if not rows.size:
-        det = float(np.linalg.det(state.pair.C1))
-        raise SingularOrbitError(f"det C1 = {det:.3e}: invariants need C1^-1",
-                                 quantity="det C1", value=det)
+        B, C, E, G = state.values[:4]
+        den = B * G - C * E
+        raise SingularOrbitError(f"C1 has no inverse (BG - CE = {den:.3e}): invariants need C1^-1",
+                                 quantity="BG-CE", value=den)
     return {name: float(v[0]) for name, v in invariants.items()}
 
 
@@ -225,7 +241,7 @@ class Orbit:
     ``entries`` holds (B, C, E, G, M, N) per row and ``flags`` the FLAG_NAMES
     booleans per row.  ``invariants`` maps each trace invariant to its values
     at the rows ``invariant_rows`` (every row, except that L4 leaves out rows
-    with |det C1| below tolerance).  For L5, ``prev_C1`` is C1 one site before
+    whose C1 has no inverse).  For L5, ``prev_C1`` is C1 one site before
     row 0.  ``states`` views the rows as MapStates.
     """
 

@@ -423,6 +423,69 @@ def validate_family_per_point(fam, sample_points, h: float = 1e-4) -> ResidualRe
     return ResidualReport(labels=tuple(labels), norms=tuple(norms))
 
 
+def sampled_field_per_value(doc: dict) -> SampledField:
+    """SampledField.from_json one value at a time: each value's numeric, finiteness,
+    size, shape and layout checks (through a MatrixPair) before the next value's,
+    then the field's own checks through the pairs constructor."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError("sampled field must be a JSON object")
+    for key in ("dda", "grid", "values"):
+        if key not in doc:
+            raise InvalidInputError(f"sampled field is missing the {key!r} field")
+    if not isinstance(doc["dda"], str):
+        raise InvalidInputError("sampled field 'dda' must be a string")
+    if not isinstance(doc["values"], list):
+        raise InvalidInputError("sampled field 'values' must be a list")
+    try:
+        grid = np.array(doc["grid"], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError("sampled field 'grid' must be a list of numbers") from None
+    pairs = []
+    for i, v in enumerate(doc["values"]):
+        try:
+            C1, C2 = (np.array(v[key], dtype=float) for key in ("C1", "C2"))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise InvalidInputError(
+                f"sampled field value {i} needs numeric matrices 'C1' and 'C2'") from None
+        for key, mat in (("C1", C1), ("C2", C2)):
+            if not np.all(np.isfinite(mat)):
+                raise InvalidInputError(
+                    f"sampled field values[{i}].{key} has a non-finite entry")
+        pairs.append(MatrixPair(len(C1) if C1.ndim else 0, C1, C2))
+    return SampledField(dda=doc["dda"], grid=grid, pairs=tuple(pairs))
+
+
+def sampled_field_json_per_value(dda: str, grid, pairs) -> dict:
+    """SampledField.to_json written from the pairs themselves, one value at a time."""
+    return {"dda": dda, "grid": [float(x) for x in np.array(grid, dtype=float)],
+            "values": [{"C1": p.C1.tolist(), "C2": p.C2.tolist()} for p in pairs]}
+
+
+_P2_SHIFT_PER_POINT = {"L2b": 0, "L4": 1, "L5": -1}
+
+
+def cs_scan_norms_per_point(dda: str, grid: np.ndarray, C1s, C2s) -> list[float]:
+    """cs_residual_scan's norms from the per-value matrices C1s[i], C2s[i]: the stencil
+    on stacks restacked from them, then np.linalg.norm one point at a time."""
+    behind = int(dda in ("L2a", "L3", "L5"))
+    lo, hi = behind, len(grid) - 1
+    C1, C2 = np.array(list(C1s)), np.array(list(C2s))
+    near = [slice(lo + s, hi + s) for s in (0, 1, -1)[:2 + behind]]
+    C1, C2 = [C1[s] for s in near], [C2[s] for s in near]
+    x, spacing = grid[lo:hi], float(grid[1] - grid[0])
+    here1, here2 = C1[0], C2[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dda in _P2_SHIFT_PER_POINT:
+            R = here1 @ C2[1] - here2 @ C1[_P2_SHIFT_PER_POINT[dda]]
+        elif dda == "L2a":
+            dC2 = (C2[1] - C2[-1]) / (2.0 * spacing)
+            R = x[:, None, None] * dC2 - (here2 @ here1 - here1 @ here2)
+        else:  # L3
+            dC1 = (C1[1] - C1[-1]) / (2.0 * spacing)
+            R = here1 @ dC1 - (here1 @ here2 - here2 @ here1)
+        return [float(np.linalg.norm(r)) for r in R]
+
+
 def _central_diffs_grid_first(tg) -> list[np.ndarray]:
     dims = tg.grid_dims
     inner = (slice(1, -1),) * dims

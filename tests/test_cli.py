@@ -438,16 +438,20 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
      "PolyL3 parameter 'printed_form' must be true or false, got 1"),
     ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [2.0],
       "params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0, "printed_form": True}},
-     "Nilpotent2x2 has no parameters ['printed_form']"),
+     "field 'params': Nilpotent2x2 params has unknown entries ['printed_form']"),
     ({"kind": "validate_family", "family": "Nilpotent3x3", "points": [2.0],
       "params": {"alpha": 0.0, "printed_form": False}},
-     "Nilpotent3x3 has no parameters ['printed_form']"),
+     "field 'params': Nilpotent3x3 params has unknown entries ['printed_form']"),
     ({"kind": "validate_family", "family": "UpperTri2x2", "points": [2.0],
       "params": {"beta": 1.0, "printed_form": True}},
-     "UpperTri2x2 has no parameters ['printed_form']"),
+     "field 'params': UpperTri2x2 params has unknown entries ['printed_form']"),
     ({"kind": "validate_family", "family": "GaugeL5", "points": [0.5],
       "params": {"phi0": [1.0, 0.2], "phi1": [0.0, 1.0], "phi2": [0.5, 0.0, 1.0], "phi3": [5]}},
-     "GaugeL5 has no parameters ['phi3']"),
+     "field 'params': GaugeL5 params has unknown entries ['phi3']"),
+    ({"kind": "validate_family", "family": "Quartic", "points": [2.0], "params": {}},
+     "deform-cs: error: field 'family': unknown solution family 'Quartic'\n"),
+    ({"kind": "validate_family", "family": "Quartic", "points": [2.0], "params": {"a": 1}},
+     "deform-cs: error: field 'family': unknown solution family 'Quartic'\n"),
     ({**_MAP, "dda": "L2b", "prev": {"B": 7}}, "L2b is a first-order map: prev entries"),
     ({**_MAP, "dda": "L4", "prev": {"B": 7}}, "L4 is a first-order map: prev entries"),
     ({**_MAP, "dda": "L3"}, "dda 'L3' is not a discrete map (use one of ('L2b', 'L4', 'L5'))"),

@@ -90,18 +90,19 @@ def test_poly_l3_constraint_enforced():
 
 
 def test_unknown_family():
-    with pytest.raises(InvalidInputError):
-        SolutionFamily("Quartic", {})
+    for params in ({}, {"alpha": 1.0}):
+        with pytest.raises(InvalidInputError, match=r"^unknown solution family 'Quartic'$"):
+            SolutionFamily("Quartic", params)
 
 
 @pytest.mark.parametrize("family, params, named", [
     ("PolyL3", {"alpha": 1.0, "beta": 2.0, "gamma": 1.0, "delta": 1.0, "printed_form": "false"},
      "PolyL3 parameter 'printed_form' must be true or false, got 'false'"),
     ("Nilpotent2x2", {"alpha": 0.0, "printed_form": True},
-     "Nilpotent2x2 has no parameters ['printed_form']"),
+     "Nilpotent2x2 params has unknown entries ['printed_form']"),
     ("UpperTri2x2", {"beta": 1.0, "printed_form": False},
-     "UpperTri2x2 has no parameters ['printed_form']"),
-    ("GaugeL5", {**GAUGE_CUBIC, "phi3": [5.0]}, "GaugeL5 has no parameters ['phi3']"),
+     "UpperTri2x2 params has unknown entries ['printed_form']"),
+    ("GaugeL5", {**GAUGE_CUBIC, "phi3": [5.0]}, "GaugeL5 params has unknown entries ['phi3']"),
     ("GaugeL5", {"phi0": [1.0], "phi1": [0.0, 1.0]}, "GaugeL5 needs polynomial coefficients 'phi2'"),
     ("Nilpotent2x2", {"alpha": "x"}, "Nilpotent2x2 params['alpha'] must be a finite number"),
     ("Nilpotent2x2", {"alpha": None}, "Nilpotent2x2 params['alpha'] must be a finite number"),

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from deformcs.algebra_core import assoc_residual
+from deformcs.algebra_core import assoc_residual, trace_integrals
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
-from deformcs.discrete_flows import (_SOLVE_MATRIX, _SOLVE_VECTOR, MapState, _solve,
-                                     _solve_scope, check_map, discrete_oriented_assoc_residual,
+from deformcs.discrete_flows import (_SOLVE_MATRIX, _SOLVE_VECTOR, MapState, _invariants,
+                                     _matrices, _solve, _solve_scope, check_map,
+                                     degeneracy_flags, discrete_oriented_assoc_residual,
                                      init_map_state, lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
 from deformcs.integrators import MAX_STEPS
@@ -311,6 +312,65 @@ def test_c1_that_lapack_finds_singular_truncates_the_orbit(dda):
     assert run.status == "truncated"
     assert run.diagnostic == f"singular step at n=0: {LU_SINGULAR_DIAGNOSTIC}"
     assert len(run.entries) == 1
+
+
+# |BG - CE| = 1.0002e-12 is above DEGENERACY_TOL, |det C1| by LU 9.99997e-13 below it
+DET_C1_EDGE = dict(B=7.708318289072918, C=0.2314628579958361, E=4.146032151403236,
+                   G=0.12449569609337394)
+
+
+def test_l4_row_reads_c1_as_its_flag_does():
+    B, C, E, G = DET_C1_EDGE.values()
+    assert abs(B * G - C * E) >= 1e-12 > abs(np.linalg.det([[B, E], [C, G]]))
+    run = orbit("L4", init_map_state("L4", DET_C1_EDGE), 0)
+    assert not run.flags[0, 0]
+    assert run.invariant_rows.tolist() == [0]
+    C1, C2 = run.states[0].pair.C1, run.states[0].pair.C2
+    assert run.invariants == {k: [v] for k, v in trace_integrals(C2 @ np.linalg.inv(C1)).items()}
+    assert map_invariants("L4", run.states[0]) == {k: v[0] for k, v in run.invariants.items()}
+
+
+def test_l4_row_whose_c1_lapack_cannot_invert_has_no_invariants():
+    run = orbit("L4", init_map_state("L4", LU_SINGULAR), 0)
+    assert not run.flags[0, 0]
+    assert run.invariants == {} and run.invariant_rows.size == 0
+    with pytest.raises(SingularOrbitError) as err:
+        map_invariants("L4", run.states[0])
+    B, C, E, G = run.entries[0, :4]
+    assert (err.value.quantity, err.value.value) == ("BG-CE", B * G - C * E)
+    assert str(err.value) == "C1 has no inverse (BG - CE = -2.910e-11): invariants need C1^-1"
+
+
+def _lapack_inverts(C1: np.ndarray) -> bool:
+    try:
+        np.linalg.inv(C1)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def test_l4_rows_have_invariants_exactly_when_unflagged_and_invertible():
+    # near-singular rows: B, C, E uniform, G placed so that |BG - CE| < 3e-12
+    rng = np.random.default_rng(0)
+    rows = 20000
+    B, C, E = rng.uniform(-10.0, 10.0, (3, rows))
+    G = (C * E + rng.uniform(-3e-12, 3e-12, rows)) / B
+    entries = np.vstack([np.column_stack([B, C, E, G, rng.uniform(-1.0, 1.0, (rows, 2))]),
+                         list(LU_SINGULAR.values()), [*DET_C1_EDGE.values(), 0.5, 0.25]])
+    C1 = _matrices(entries)[0]
+    unflagged = ~degeneracy_flags(entries)[:, 0]
+    want = [i for i in range(len(entries)) if unflagged[i] and _lapack_inverts(C1[i])]
+    invariants, got = _invariants("L4", entries, None)
+    assert got.tolist() == want
+    assert len(want) < unflagged.sum()   # the LU_SINGULAR row
+    for name, values in invariants.items():
+        assert values.shape == (len(want),), name
+    # the rule an LU determinant gives leaves out other rows than the flag
+    by_lu = np.abs(np.linalg.det(C1)) >= 1e-12
+    assert np.count_nonzero(by_lu != unflagged) >= 10
+    for i in np.flatnonzero(by_lu != unflagged)[:5]:
+        run = orbit("L4", init_map_state("L4", dict(zip("BCEGMN", entries[i]))), 0)
+        assert run.invariant_rows.tolist() == ([0] if unflagged[i] else [])
 
 
 @pytest.mark.parametrize("dda", ["L4", "L5"])

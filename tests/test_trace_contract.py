@@ -4,18 +4,26 @@ perfbench credits each right-hand-side call to the layer whose span is open when
 ``integrate_fixed`` is called.  A flow run through the CLI must therefore reach
 ``integrate_fixed`` from inside the traced ``continuous_flows.integrate``, with one
 first-integral and one eigenvalue span, a reduction run from inside one of the
-traced ``reductions.integrate_*`` views, and a map run must iterate inside one
-traced ``discrete_flows.orbit``;
+traced ``reductions.integrate_*`` views, a map run must iterate inside one
+traced ``discrete_flows.orbit``, and a residual scan must load its field through
+one traced ``SampledField.load``;
 if a change bypasses or renames them, the per-layer metrics read 0 (or land on
 the CLI) without any benchmark failing, so these tests fail instead.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from deformcs.algebra_core import MatrixPair
 from deformcs.cli import EXIT_OK, main
+from deformcs.dda_registry import SampledField
 from deformcs.discrete_flows import init_map_state, orbit
+
+from _oracles import sampled_field_json_per_value
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,3 +91,45 @@ def test_map_orbit_is_one_traced_span_with_its_flag_count(tmp_path):
     spans = [span for span in tracer.spans if span[0] == "discrete_flows.orbit"]
     assert len(spans) == 1
     assert spans[0][5] == {"flags": flags} and flags > 0
+
+
+
+L4_START = {"B": 1.0, "C": 1.0, "E": 0.4, "G": 1.3, "M": 0.8, "N": -0.2}
+
+
+def _scan_fields():
+    """A 2x2 field of L4 orbit states and a 3x3 one with a -0.0 and subnormal entries,
+    built from pairs as perfbench builds its scan inputs."""
+    run = orbit("L4", init_map_state("L4", L4_START), 7)
+    yield SampledField(dda="L4", grid=np.arange(8.0), pairs=tuple(s.pair for s in run.states))
+    pairs = tuple(MatrixPair.from_entries(3, {**{k: (7 * i - 3 * j) / 3 for j, k in
+                                                 enumerate("ABCDEGLMN")},
+                                              "A": -0.0, "N": 5e-324 * i}) for i in range(5))
+    yield SampledField(dda="L2a", grid=1.5 + 0.25 * np.arange(5), pairs=pairs)
+
+
+# sha256 of json.dumps(field.to_json()) for the two fields, as the per-value fields wrote them
+SCAN_FIELD_SHA256 = ("f1c7898b3328a596fdf6d11cbb5a5b12dcf6e50a171324bcd7bfa93fb0a4506e",
+                     "847bafb7171f82b0c0787bbd7d46e29c7ab0adc3027f0c0045418a54df93f3d1")
+
+
+def test_fields_built_from_pairs_serialise_to_the_per_value_bytes():
+    for fld, digest in zip(_scan_fields(), SCAN_FIELD_SHA256, strict=True):
+        text = json.dumps(fld.to_json())
+        assert text == json.dumps(sampled_field_json_per_value(fld.dda, fld.grid, fld.pairs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_scan_loads_its_field_in_one_traced_span_without_matrix_pairs(tmp_path):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(next(_scan_fields()).to_json()))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"kind": "residual_scan", "dda": "L4",
+                                    "field_path": str(field)}))
+    tracer = _tracer()
+    with tracer.installed():
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == EXIT_OK
+    names = [span[0] for span in tracer.spans]
+    assert names.count("dda_registry.field_load") == 1
+    assert "algebra_core.pair" not in names
