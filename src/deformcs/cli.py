@@ -42,7 +42,7 @@ from . import __version__
 from .algebra_core import finite_numbers, is_finite_number
 from .closed_forms import FD_STEP, SolutionFamily, check_family, validate_family
 from .continuous_flows import get_system, integrate, state_from_entries
-from .dda_registry import SampledField, cs_residual_scan, lookup
+from .dda_registry import SampledField, cs_residual_scan, lookup, read_json
 from .discrete_flows import (ENTRY_NAMES, check_map, check_steps, flag_labels, init_map_state,
                              orbit)
 from .errors import DeformError, InvalidInputError
@@ -173,14 +173,7 @@ class ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise InvalidInputError(f"scenario file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise InvalidInputError(f"scenario is not valid JSON: {exc}") from exc
-    return ScenarioConfig(doc)
+    return ScenarioConfig(read_json(path, "scenario"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ Five families are catalogued:
 
 ``validate_family`` feeds every family back into its governing system:
 finite differences for the log/rational families, analytic derivatives
-for PolyL3, and exact shifts for GaugeL5.
+for PolyL3, and exact shifts for GaugeL5, through one stencil kernel for good
+and bad points alike.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, check_names,
                            entry_stacks, finite_numbers, is_finite_number, layout_defect)
-from .dda_registry import SampledField, _cs_norms, cs_residual, grid_defect, lookup
+from .dda_registry import DDASpec, _cs_norms, grid_defect, lookup
 from .discrete_flows import _first, gauge_pairs
 from .errors import DeformError, InvalidInputError, SingularGaugeError
 
@@ -168,33 +169,34 @@ def _poly_l3_entries(fam: SolutionFamily, y):
     return entries, derivs
 
 
-def _point_norm(fam: SolutionFamily, dda: str, p, step: float, h: float) -> float:
-    """The residual at one point through a 3-point SampledField: slow, but it raises the
-    error each check of a bad point gives, in the order the checks run."""
-    xs = (p - step, p, p + step)
-    # fails where p +- h collapsed onto p, or the gauge matrix is singular or inexactly solved
+def _stencil_norms(fam: SolutionFamily, spec: DDASpec, points: np.ndarray,
+                   step: float) -> list[float]:
+    """The residuals at an array of points from one stack of their stencils (p - step, p,
+    p + step); raises at the first failing check: the evaluation, the layout naming the
+    first bad value, then each stencil's grid.  On one point the values are evaluated in
+    the stencil's order, so an evaluation error names the first bad value."""
+    xs = np.stack([points - step, points, points + step])   # behind, here, ahead
+    C1, C2 = (c.reshape(xs.shape + c.shape[1:]) for c in _family_stack(fam, xs.ravel()))
+    n = C1.shape[-1]
+    if layout_defect(n, C1, C2):
+        raise InvalidInputError(next(filter(None, (
+            layout_defect(n, a, b) for a, b in zip(C1.reshape(-1, n, n), C2.reshape(-1, n, n))))))
+    defect = grid_defect(spec, xs.T)
+    if defect:
+        raise InvalidInputError(defect)
+    near = [(C[1], C[2], C[0]) for C in (C1, C2)]   # here, ahead, behind
+    return _cs_norms(spec, *near, xs[1], (xs[1] - xs[0])[:, None, None])
+
+
+def _point_norm(fam: SolutionFamily, spec: DDASpec, p, step: float, h: float) -> float:
+    """_stencil_norms at the one point p, its errors prefixed by the point, and its norm
+    checked by a one-point ResidualReport labelled '<dda>_cs'."""
     try:
-        fld = SampledField(dda=dda, grid=np.array(xs), pairs=tuple(eval_family(fam, x) for x in xs))
+        norms = _stencil_norms(fam, spec, np.array([p], dtype=float), step)
     except (InvalidInputError, SingularGaugeError) as exc:
-        with_h = "" if dda == "L5" else f" with h={h}"
+        with_h = "" if spec.discrete else f" with h={h}"
         raise InvalidInputError(f"points: x={p}{with_h}: {exc}") from None
-    return cs_residual(dda, fld, 1).norms[0]
-
-
-def _stacked_norms(fam: SolutionFamily, dda: str, points: np.ndarray, step: float):
-    """The residuals at all points from one stacked stencil, or None if any point fails a
-    check (domain, layout, stencil grid, finite norm) that _point_norm would report."""
-    spec = lookup(dda)
-    xs = np.stack([points, points + step, points - step])   # here, ahead, behind
-    try:
-        C1, C2 = (c.reshape(xs.shape + c.shape[1:]) for c in _family_stack(fam, xs.ravel()))
-    except (DeformError, np.linalg.LinAlgError):
-        return None
-    stencils = xs[[2, 0, 1]].T   # each point's (p - step, p, p + step)
-    if layout_defect(C1.shape[-1], C1, C2) or grid_defect(spec, stencils):
-        return None
-    norms = _cs_norms(spec, C1, C2, xs[0], (xs[0] - xs[-1])[:, None, None])
-    return norms if all(math.isfinite(v) for v in norms) else None
+    return ResidualReport(labels=(f"{spec.id}_cs",), norms=norms).norms[0]
 
 
 def validate_family(fam: SolutionFamily, sample_points, h: float = FD_STEP) -> ResidualReport:
@@ -204,7 +206,8 @@ def validate_family(fam: SolutionFamily, sample_points, h: float = FD_STEP) -> R
     points (p - h, p, p + h), GaugeL5 through the L5 stencil on the exact unit
     shifts (p - 1, p, p + 1), and PolyL3 with its analytic derivatives (h is
     ignored for the latter two).  The stencils of all points are evaluated as
-    one stack; a point that fails a check is reported by name.
+    one stack; if any point fails a check, the same stencil runs on each point
+    alone, so the first bad point is reported by name.
     """
     sample_points = list(sample_points)
     labels = tuple(f"x={p:g}" for p in sample_points)
@@ -215,11 +218,14 @@ def validate_family(fam: SolutionFamily, sample_points, h: float = FD_STEP) -> R
             r = (de["B"] - e["E"], de["E"], de["C"] - (e["G"] - e["B"]), de["G"] + e["E"])
             norms.append(max(abs(v) for v in r))
         return ResidualReport(labels=labels, norms=norms)
-    dda, step = ("L5", 1.0) if fam.id == "GaugeL5" else ("L2a", h)
+    spec, step = (lookup("L5"), 1.0) if fam.id == "GaugeL5" else (lookup("L2a"), h)
     with np.errstate(all="ignore"):   # a bad point is redone, and reported, one at a time
-        norms = _stacked_norms(fam, dda, np.array(sample_points, dtype=float), step)
-    if norms is None:
-        norms = [_point_norm(fam, dda, p, step, h) for p in sample_points]
+        try:
+            norms = _stencil_norms(fam, spec, np.array(sample_points, dtype=float), step)
+        except (DeformError, np.linalg.LinAlgError):
+            norms = None
+        if norms is None or not all(map(math.isfinite, norms)):
+            norms = [_point_norm(fam, spec, p, step, h) for p in sample_points]
     return ResidualReport(labels=labels, norms=norms)
 
 

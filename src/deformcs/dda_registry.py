@@ -19,16 +19,17 @@ residual operators for quantum, discrete and coisotropic deformations on
 full structure-constant grids.
 
 A ``SampledField`` holds its values as two read-only ``(N, n, n)`` stacks, C1
-and C2.  ``from_json`` builds one array per matrix kind and checks it whole;
-the values are walked one by one only to name the first bad one.  The pairs
-constructor stacks its MatrixPairs once, and ``pairs`` is a view built on
-first read.  The residual stencils slice the stacks, and every point's norm
-comes from one batched dot.
+and C2.  Both constructors go through one load, which checks the stacks whole
+and walks the values only to name the first bad one, so a field's values are
+finite and well laid out whichever constructor built it.  ``pairs`` is a view
+built on first read.  The residual stencils slice the stacks, and every
+point's norm comes from one batched dot.
 """
 
 from __future__ import annotations
 
 import json
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -101,14 +102,29 @@ def grid_defect(spec: DDASpec, grid: np.ndarray) -> str | None:
     return None
 
 
+def read_json(path: str | Path, what: str):
+    """The JSON document in the regular file at ``path``, the one reader of scenario and
+    field files; InvalidInputError naming the ``what`` file if it cannot be read or parsed."""
+    p = Path(path)
+    try:
+        if not stat.S_ISREG(p.stat().st_mode):   # opening a FIFO or a device may block
+            raise OSError(0, "not a regular file")
+        return json.loads(p.read_text())
+    except OSError as exc:   # missing, unreadable, an I/O error
+        raise InvalidInputError(
+            f"{what} file {str(path)!r} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:   # not UTF-8 or not JSON
+        raise InvalidInputError(f"{what} file is not valid JSON: {exc}") from None
+
+
 # The stacks of a field without values.
 _NO_VALUES = np.zeros((0, 2, 2))
 _NO_VALUES.setflags(write=False)
 
 
 def _raise_first_bad_value(values: list) -> None:
-    """Raise InvalidInputError for the first value of a field document that is not a
-    finite, well-laid-out pair of 2x2 or 3x3 matrices, checked in this order."""
+    """Raise InvalidInputError for the first value of a field that is not a finite,
+    well-laid-out pair of 2x2 or 3x3 matrices, checked in this order."""
     for i, v in enumerate(values):
         try:
             C1, C2 = (np.array(v[key], dtype=float) for key in ("C1", "C2"))
@@ -118,7 +134,10 @@ def _raise_first_bad_value(values: list) -> None:
         for key, mat in (("C1", C1), ("C2", C2)):
             if not np.all(np.isfinite(mat)):
                 raise InvalidInputError(f"sampled field values[{i}].{key} has a non-finite entry")
-        MatrixPair(len(C1) if C1.ndim else 0, C1, C2)   # the size, shape and layout rules
+        try:   # the size, shape and layout rules
+            MatrixPair(len(C1) if C1.ndim else 0, C1, C2)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"sampled field values[{i}]: {exc}") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -132,25 +151,33 @@ class SampledField:
     C2: np.ndarray
 
     def __init__(self, dda: str, grid, pairs):
-        """The field of the MatrixPairs ``pairs`` at the points of ``grid``, stacked once."""
-        pairs = tuple(pairs)
-        sizes = {p.n for p in pairs}
-        C1 = C2 = None if sizes else _NO_VALUES   # None: values of mixed sizes
-        if len(sizes) == 1:
-            C1, C2 = np.array([p.C1 for p in pairs]), np.array([p.C2 for p in pairs])
-        self._check(dda, grid, len(pairs), C1, C2)
+        """The field of the MatrixPairs ``pairs`` at the points of ``grid``."""
+        self._load(dda, grid, [{"C1": p.C1, "C2": p.C2} for p in pairs])
 
-    def _check(self, dda: str, grid, count: int, C1, C2) -> None:
-        """The one check of both constructors, in the order a per-value load runs it:
-        the layout of the stacks (None for ``count`` values of mixed sizes), then the
-        DDA, the grid length, the size rule and the grid rules.  Sets the fields."""
-        n = None if C1 is None else C1.shape[-1]
-        if n and layout_defect(n, C1, C2):   # name the first bad value as its MatrixPair would
-            raise InvalidInputError(next(filter(None, (layout_defect(n, a, b)
-                                                       for a, b in zip(C1, C2)))))
+    def _load(self, dda: str, grid, values: list) -> None:
+        """The one load of both constructors: the types, the grid, the stacked values'
+        shape, finiteness and layout (walking the values only to name the first bad one),
+        then the DDA, the grid length, the size rule and the grid rules.  Sets the fields."""
+        if not isinstance(dda, str):
+            raise InvalidInputError("sampled field 'dda' must be a string")
+        if not isinstance(values, list):
+            raise InvalidInputError("sampled field 'values' must be a list")
+        try:
+            g = np.array(grid, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError("sampled field 'grid' must be a list of numbers") from None
+        try:
+            C1, C2 = (np.array([v[key] for v in values], dtype=float) for key in ("C1", "C2"))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            C1 = C2 = None
+        if not (C1 is not None and C1.ndim == 3 and C1.shape[1:] in ((2, 2), (3, 3))
+                and C2.shape == C1.shape and np.isfinite(C1).all() and np.isfinite(C2).all()
+                and not layout_defect(C1.shape[-1], C1, C2)):
+            _raise_first_bad_value(values)
+            # every value is sound on its own, so the stack failed on their sizes
+            C1 = C2 = None if values else _NO_VALUES
         spec = lookup(dda)
-        g = np.array(grid, dtype=float)
-        if g.ndim != 1 or g.size != count:
+        if g.ndim != 1 or g.size != len(values):
             raise InvalidInputError("grid and values must have equal length")
         if C1 is None:
             raise InvalidInputError("values must be all 2x2 or all 3x3 pairs")
@@ -181,49 +208,20 @@ class SampledField:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SampledField":
-        """The field of a JSON document; one array per matrix kind, checked as a stack.
-
-        Only when a stacked check fails are the values walked one by one, to name
-        the first bad value with the message a per-value load would give.
-        """
+        """The field of a JSON document, through the load of the pairs constructor."""
         if not isinstance(doc, dict):
             raise InvalidInputError("sampled field must be a JSON object")
         for key in ("dda", "grid", "values"):
             if key not in doc:
                 raise InvalidInputError(f"sampled field is missing the {key!r} field")
-        if not isinstance(doc["dda"], str):
-            raise InvalidInputError("sampled field 'dda' must be a string")
-        values = doc["values"]
-        if not isinstance(values, list):
-            raise InvalidInputError("sampled field 'values' must be a list")
-        try:
-            grid = np.array(doc["grid"], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInputError("sampled field 'grid' must be a list of numbers") from None
-        try:
-            C1, C2 = (np.array([v[key] for v in values], dtype=float) for key in ("C1", "C2"))
-        except (KeyError, TypeError, ValueError, OverflowError):
-            C1 = C2 = None
-        if not (C1 is not None and C1.ndim == 3 and C1.shape[1:] in ((2, 2), (3, 3))
-                and C2.shape == C1.shape and np.isfinite(C1).all() and np.isfinite(C2).all()):
-            _raise_first_bad_value(values)
-            # every value is sound on its own, so the stack failed on their sizes
-            C1 = C2 = None if values else _NO_VALUES
         fld = cls.__new__(cls)
-        fld._check(doc["dda"], grid, len(values), C1, C2)
+        fld._load(doc["dda"], doc["grid"], doc["values"])
         return fld
 
     @classmethod
     def load(cls, path: str | Path) -> "SampledField":
         """The field in a JSON file; InvalidInputError if it cannot be read or parsed."""
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as exc:  # missing, a directory, unreadable
-            raise InvalidInputError(
-                f"sampled field file {str(path)!r} cannot be read: {exc.strerror}") from None
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise InvalidInputError(f"sampled field file is not valid JSON: {exc}") from None
-        return cls.from_json(doc)
+        return cls.from_json(read_json(path, "sampled field"))
 
 
 # How far p2's action moves C1 in the discrete system C1 TC2 = C2 T_p2 C1.

@@ -29,7 +29,7 @@ from numpy.linalg import _umath_linalg
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
                            entry_stacks, finite_numbers, trace_integrals)
-from .dda_registry import _REGISTRY, TensorGrid, lookup
+from .dda_registry import _REGISTRY, TensorGrid, _frobenius, lookup
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import MAX_STEPS, OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
 
@@ -397,7 +397,7 @@ def discrete_oriented_assoc_residual(phi, xs) -> ResidualReport:
         raise InvalidInputError("interval too short: no point has both double shifts")
     defects = _gauge_defects(phi, xs, interior)
     return ResidualReport(labels=tuple(f"x={x}" for x in interior.tolist()),
-                          norms=tuple(float(np.linalg.norm(d)) for d in defects))
+                          norms=_frobenius(defects))
 
 
 def lattice_field_from_l5_orbit(run: Orbit, shape: tuple[int, int]):

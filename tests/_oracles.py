@@ -18,7 +18,7 @@ from numpy.polynomial import polynomial as npoly
 from deformcs.algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport,
                                    tensor_from_pair)
 from deformcs.closed_forms import LOG_DOMAIN_TOL
-from deformcs.dda_registry import SampledField, cs_residual
+from deformcs.dda_registry import SampledField
 from deformcs.discrete_flows import FLAG_NAMES
 from deformcs.errors import InvalidInputError, SingularFlowError, SingularGaugeError
 from deformcs.integrators import (OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED,
@@ -401,8 +401,22 @@ def _poly_l3_per_point(fam, y: float):
     return entries, derivs
 
 
+def _stencil_grid_defect(dda: str, xs) -> str | None:
+    """The first rule the 3-point grid xs of one point's stencil breaks, judged on its own."""
+    d0, d1 = xs[1] - xs[0], xs[2] - xs[1]
+    if d0 <= 0.0 or d1 <= 0.0:
+        return "grid must be strictly increasing"
+    if not abs(d1 - d0) <= 1e-9 * d0:
+        return "grid must be uniformly spaced"
+    if dda == "L5" and abs(d0 - 1.0) > 1e-9:
+        return "L5 fields live on a unit-spaced grid"
+    return None
+
+
 def validate_family_per_point(fam, sample_points, h: float = 1e-4) -> ResidualReport:
-    """validate_family one point at a time: a 3-point SampledField and cs_residual per point."""
+    """validate_family one point at a time: a MatrixPair per stencil value, its own 3-point
+    grid check, and the stencil norm of ``cs_scan_norms_per_point`` checked by a one-point
+    ResidualReport labelled '<dda>_cs'."""
     norms, labels = [], []
     for p in sample_points:
         labels.append(f"x={p:g}")
@@ -414,12 +428,16 @@ def validate_family_per_point(fam, sample_points, h: float = 1e-4) -> ResidualRe
         dda, step = ("L5", 1.0) if fam.id == "GaugeL5" else ("L2a", h)
         xs = (p - step, p, p + step)
         try:
-            fld = SampledField(dda=dda, grid=np.array(xs),
-                               pairs=tuple(eval_family_per_point(fam, x) for x in xs))
+            pairs = [eval_family_per_point(fam, x) for x in xs]
+            defect = _stencil_grid_defect(dda, np.array(xs, dtype=float))
+            if defect:
+                raise InvalidInputError(defect)
         except (InvalidInputError, SingularGaugeError) as exc:
             with_h = "" if dda == "L5" else f" with h={h}"
             raise InvalidInputError(f"points: x={p}{with_h}: {exc}") from None
-        norms.append(cs_residual(dda, fld, 1).norms[0])
+        norm, = cs_scan_norms_per_point(dda, np.array(xs, dtype=float),
+                                        [q.C1 for q in pairs], [q.C2 for q in pairs])
+        norms.append(ResidualReport(labels=(f"{dda}_cs",), norms=(norm,)).norms[0])
     return ResidualReport(labels=tuple(labels), norms=tuple(norms))
 
 
@@ -451,7 +469,10 @@ def sampled_field_per_value(doc: dict) -> SampledField:
             if not np.all(np.isfinite(mat)):
                 raise InvalidInputError(
                     f"sampled field values[{i}].{key} has a non-finite entry")
-        pairs.append(MatrixPair(len(C1) if C1.ndim else 0, C1, C2))
+        try:
+            pairs.append(MatrixPair(len(C1) if C1.ndim else 0, C1, C2))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"sampled field values[{i}]: {exc}") from None
     return SampledField(dda=doc["dda"], grid=grid, pairs=tuple(pairs))
 
 

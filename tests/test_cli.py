@@ -1,5 +1,6 @@
 import copy
 import csv
+import errno
 import json
 import math
 import os
@@ -325,7 +326,9 @@ def test_step_override_is_checked_like_the_scenario_step(tmp_path, capsys, step,
 
 def test_scenario_file_missing(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == EXIT_INVALID
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"deform-cs: error: scenario file "
+                                       f"{str(tmp_path / 'nope.json')!r} cannot be read: "
+                                       f"No such file or directory\n")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["validate", "--help"], [],
@@ -351,11 +354,54 @@ def test_unreadable_scenario_or_field_file_exits_two(tmp_path, capsys):
     listed.write_text("[1, 2]")
     scan_list = _write(tmp_path, "scan_list.json", {"kind": "residual_scan", "dda": "L2a",
                                                     "field_path": str(listed)})
-    for path, named in ((tmp_path, "not found"), (binary, "not valid JSON"),
+    for path, named in ((tmp_path, f"scenario file {str(tmp_path)!r} cannot be read: not a "
+                                   "regular file"), (binary, "scenario file is not valid JSON"),
                         (scan, "sampled field file is not valid JSON"),
                         (scan_list, "sampled field must be a JSON object")):
         assert main(["validate", str(path)]) == EXIT_INVALID
         assert named in capsys.readouterr().err
+
+
+def test_a_fifo_as_scenario_or_field_is_refused_without_blocking(tmp_path):
+    # opening a FIFO for reading blocks until a writer comes, so it must be refused
+    # before it is opened; the fresh interpreter and its timeout keep a regression
+    # from hanging the suite
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    scan = _write(tmp_path, "scan.json", {"kind": "residual_scan", "dda": "L2a",
+                                          "field_path": str(fifo)})
+    src = str(Path(deformcs.__file__).parents[1])
+    for scenario, message in (
+            (scan, f"field 'field_path': sampled field file {str(fifo)!r} cannot be read: "
+                   "not a regular file"),
+            (fifo, f"scenario file {str(fifo)!r} cannot be read: not a regular file")):
+        proc = subprocess.run([sys.executable, "-m", "deformcs.cli", "validate", str(scenario)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+        assert proc.stderr == f"deform-cs: error: {message}\n"
+
+
+def test_an_io_error_while_reading_exits_two_naming_the_file(tmp_path, capsys, monkeypatch):
+    field = _write(tmp_path, "field.json", _FIELD)
+    scan = _write(tmp_path, "scan.json", {"kind": "residual_scan", "dda": "L2a",
+                                          "field_path": str(field)})
+    real = Path.read_text
+
+    def read_text(path, *args, **kwargs):
+        if path.name in failing:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    for failing, message in (
+            ({"field.json"}, f"field 'field_path': sampled field file {str(field)!r} cannot be "
+                             "read: Input/output error"),
+            ({"scan.json"}, f"scenario file {str(scan)!r} cannot be read: Input/output error")):
+        assert main(["validate", str(scan)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"deform-cs: error: {message}\n"
+    failing = ()
+    assert main(["validate", str(scan)]) == EXIT_OK
 
 
 _MAP = {"kind": "map", "dda": "L5", "steps": 3,
@@ -405,7 +451,7 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({**_SCAN, "field": {**_FIELD, "dda": 3}}, "sampled field 'dda' must be a string"),
     ({**_SCAN, "field": {**_FIELD, "values": 5}}, "sampled field 'values' must be a list"),
     ({"kind": "residual_scan", "dda": "L2a", "field_path": ""},
-     "field 'field_path': sampled field file '' cannot be read: Is a directory"),
+     "field 'field_path': sampled field file '' cannot be read: not a regular file"),
     ({**FLOW_SCENARIO, "span": [0.0, 10 ** 400]}, "field 'span' must be finite"),
     ({**FLOW_SCENARIO, "initial": {**FLOW_SCENARIO["initial"], "E": 10 ** 400}},
      "field 'initial'['E'] must be a finite number"),

@@ -314,6 +314,10 @@ _SINGULAR_GAUGE = SolutionFamily("GaugeL5", {"phi0": [1.0, 1.0], "phi1": [2.0, 2
     (_NIL2, [2.0, -1.0, 1e13], 1e-4, "x=-1.0 with h=0.0001: log families need x > 0"),
     (_TRI, [0, 2.0], 1e-4, "points: x=0 with h=0.0001: UpperTri2x2 is singular at x = 0.0"),
     (_GAUGE, [0.5, 1e17, 1234567.3], 1e-4, "points: x=1e+17: gauge matrix is singular"),
+    # int sample points: the prefix names the point as given
+    (_NIL2, [2, -1], 1e-4, "points: x=-1 with h=0.0001: log families need x > 0, got -1.0001"),
+    (_TRI, [2, 0], 1e-4, "points: x=0 with h=0.0001: UpperTri2x2 is singular at x = 0.0"),
+    (_SINGULAR_GAUGE, [0], 1e-4, "points: x=0: gauge matrix is singular at x = -1.0"),
 ])
 def test_validate_family_errors_match_the_per_point_path(fam, points, h, named):
     with pytest.raises(Exception) as want:
@@ -322,6 +326,22 @@ def test_validate_family_errors_match_the_per_point_path(fam, points, h, named):
         validate_family(fam, points, h)
     assert str(got.value) == str(want.value)
     assert named in str(got.value)
+
+
+# Where the per-point path evaluated each stencil value on its own, the stencil kernel
+# evaluates a point's three values as one float stack and checks their layout after it:
+# an int point's middle value is named as a float (the per-point path named the int 1),
+# and a value that overflows to -inf (a NaN in its shared column) is reported after the
+# domain error of the stencil's last value (the per-point path named its layout first).
+@pytest.mark.parametrize("fam, points, h, text", [
+    (_NIL2, [2, 1], 1e-4, "points: x=1 with h=0.0001: x = 1.0 is too close to the ln x = 0 pole"),
+    (_TRI, [-1e308], 1e308, "points: x=-1e+308 with h=1e+308: UpperTri2x2 is singular at x = 0.0"),
+])
+def test_validate_family_errors_where_the_stencil_kernel_differs_from_the_per_point_path(
+        fam, points, h, text):
+    with pytest.raises(InvalidInputError) as got:
+        validate_family(fam, points, h)
+    assert str(got.value) == text
 
 
 @pytest.mark.filterwarnings("error")

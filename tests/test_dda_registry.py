@@ -216,7 +216,7 @@ def test_sampled_field_grid_validation():
 def test_load_names_a_path_it_cannot_read(tmp_path):
     # a missing file or a directory is refused as input, not raised as a bare OSError
     for path, reason in ((tmp_path / "missing.json", "No such file or directory"),
-                         (tmp_path, "Is a directory"), (str(tmp_path / "no" / "f.json"),
+                         (tmp_path, "not a regular file"), (str(tmp_path / "no" / "f.json"),
                                                         "No such file or directory")):
         named = f"sampled field file {str(path)!r} cannot be read: {reason}"
         with pytest.raises(InvalidInputError, match=re.escape(named)):

@@ -4,8 +4,8 @@ import pytest
 from deformcs.algebra_core import assoc_residual, trace_integrals
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
-from deformcs.discrete_flows import (_SOLVE_MATRIX, _SOLVE_VECTOR, MapState, _invariants,
-                                     _matrices, _solve, _solve_scope, check_map,
+from deformcs.discrete_flows import (_SOLVE_MATRIX, _SOLVE_VECTOR, MapState, _gauge_defects,
+                                     _invariants, _matrices, _solve, _solve_scope, check_map,
                                      degeneracy_flags, discrete_oriented_assoc_residual,
                                      init_map_state, lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
@@ -584,6 +584,17 @@ def test_stacked_oriented_assoc_equals_the_per_point_loop():
                                   oriented_assoc_defect_per_point(phi, xs, int(x)))
     assert _outcome(discrete_oriented_assoc_residual, *_random_gauge_samples(rng, 4)) == (
         InvalidInputError, "interval too short: no point has both double shifts")
+
+
+def test_oriented_assoc_norms_are_np_linalg_norm_per_point_bit_for_bit():
+    rng = np.random.default_rng(99)
+    for draw in range(300):   # random cubic potentials on 5 to 16 points
+        xs = np.arange(5 + draw % 12) + int(rng.integers(-20, 20))
+        phi = _phi_samples([rng.uniform(-1.0, 1.0, 4) for _ in range(3)], xs)
+        defects = _gauge_defects(phi, xs, xs[2:-2])
+        want = [float(np.linalg.norm(d)) for d in defects]
+        got = discrete_oriented_assoc_residual(phi, xs).norms
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("singular_at", [(0,), (3,), (3, 6)])

@@ -155,6 +155,66 @@ def test_stacks_are_read_only_and_pairs_a_view_built_when_read():
     assert fld.pairs is fld.pairs
 
 
+def _pinned_value_errors():
+    n2 = len(DOC2["values"][0]["C1"])
+    return [
+        (_with(DOC2, (2,) + BAD_SHARED_2), "sampled field values[2]: shared P1P2 column "
+                                           "disagrees between C1 and C2: "),
+        (_with(DOC3, (4,) + BAD_UNIT_3), "sampled field values[4]: column 0 of C1 must be the "
+                                         "unital column [0. 1. 0.]"),
+        (_with(DOC2, (2, "C1", [[1.0]]), (2, "C2", [[1.0]])),
+         "sampled field values[2]: matrix size must be 2 or 3, got 1"),
+        (_with(DOC2, (2, "C1", [[1.0, 2.0, 3.0]] * n2)),
+         "sampled field values[2]: expected a 2x2 matrix, got shape (2, 3)"),
+        (_with(DOC3, (1, "C2", np.eye(2).tolist())),
+         "sampled field values[1]: expected a 3x3 matrix, got shape (2, 2)"),
+    ]
+
+
+@pytest.mark.parametrize("doc, text", _pinned_value_errors())
+def test_a_value_size_shape_or_layout_error_names_its_index(doc, text):
+    with pytest.raises(InvalidInputError) as got:
+        SampledField.from_json(doc)
+    assert str(got.value).startswith(text)
+
+
+@pytest.mark.parametrize("n, name, bad, at", [
+    (2, "B", math.inf, 0), (2, "M", -math.inf, 1), (2, "N", math.nan, 2),
+    (3, "A", math.nan, 1), (3, "L", math.inf, 2), (3, "C", math.nan, 0)])
+def test_a_pairs_built_field_with_a_non_finite_value_fails_as_from_json_does(n, name, bad, at):
+    # a MatrixPair takes an infinite or NaN entry off the shared and unital columns
+    good = MatrixPair.from_entries(n, dict(zip(NAMES[n], np.linspace(0.5, 2.0, len(NAMES[n])))))
+    pairs = [good] * 3
+    pairs[at] = MatrixPair.from_entries(n, {**good.entries(), name: bad})
+    key = "C1" if name in "ABCDEG" else "C2"
+    doc = sampled_field_json_per_value("L2a", [1, 2, 3], pairs)
+    with pytest.raises(InvalidInputError) as want:
+        SampledField.from_json(doc)
+    with pytest.raises(InvalidInputError) as got:
+        SampledField(dda="L2a", grid=[1, 2, 3], pairs=pairs)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"sampled field values[{at}].{key} has a non-finite entry"
+
+
+@pytest.mark.parametrize("dda, grid, text", [
+    ("L2a", ["a", 1.0, 2.0], "sampled field 'grid' must be a list of numbers"),
+    ("L2a", {}, "sampled field 'grid' must be a list of numbers"),
+    ("L2a", [[1.0], [2.0, 3.0], [4.0]], "sampled field 'grid' must be a list of numbers"),
+    ("L2a", [10 ** 400, 1, 2], "sampled field 'grid' must be a list of numbers"),
+    (3, [1.0, 2.0, 3.0], "sampled field 'dda' must be a string"),
+    (["L2a"], [1.0, 2.0, 3.0], "sampled field 'dda' must be a string"),
+])
+def test_a_pairs_built_field_judges_its_dda_and_grid_as_from_json_does(dda, grid, text):
+    pairs = [MatrixPair.from_entries(2, {})] * 3
+    doc = {"dda": dda, "grid": grid, "values": [{"C1": p.C1.tolist(), "C2": p.C2.tolist()}
+                                                for p in pairs]}
+    with pytest.raises(InvalidInputError) as want:
+        SampledField.from_json(doc)
+    with pytest.raises(InvalidInputError) as got:
+        SampledField(dda=dda, grid=grid, pairs=pairs)
+    assert str(got.value) == str(want.value) == text
+
+
 @st.composite
 def _fields(draw):
     dda = draw(st.sampled_from(("L1",) + SCAN_DDAS))

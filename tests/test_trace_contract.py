@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from deformcs.algebra_core import MatrixPair
-from deformcs.cli import EXIT_OK, main
+from deformcs.cli import EXIT_INVALID, EXIT_OK, main
 from deformcs.dda_registry import SampledField
 from deformcs.discrete_flows import init_map_state, orbit
 
@@ -133,3 +133,18 @@ def test_scan_loads_its_field_in_one_traced_span_without_matrix_pairs(tmp_path):
     names = [span[0] for span in tracer.spans]
     assert names.count("dda_registry.field_load") == 1
     assert "algebra_core.pair" not in names
+
+
+def test_family_check_of_a_bad_point_builds_no_pair_and_runs_no_field_residual(tmp_path):
+    # 1e13 collapses its stencil, so the points are redone one at a time
+    doc = {"kind": "validate_family", "family": "Nilpotent2x2", "points": [2.0, 1e13],
+           "params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0}}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    tracer = _tracer()
+    with tracer.installed():
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == EXIT_INVALID
+    names = [span[0] for span in tracer.spans]
+    assert names.count("closed_forms.validate_family") == 1
+    assert "algebra_core.pair" not in names and "dda_registry.cs_residual" not in names
