@@ -47,7 +47,7 @@ def degeneracy_flags(entries: np.ndarray) -> np.ndarray:
     """One row of FLAG_NAMES booleans per row of entries: |BG - CE|, |E - G|
     and |det C2| below tolerance."""
     B, C, E, G = entries[:, :4].T
-    with np.errstate(invalid="ignore", over="ignore"):   # a NaN from inf entries sets no flag
+    with np.errstate(all="ignore"):   # comparisons: an inf or NaN on the way sets no flag
         return np.column_stack([np.abs(B * G - C * E) < DEGENERACY_TOL,
                                 np.abs(E - G) < DEGENERACY_TOL,
                                 np.abs(np.linalg.det(_matrices(entries)[1])) < DEGENERACY_TOL])
@@ -199,18 +199,19 @@ def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None):
     """
     C1, C2 = _matrices(entries)
     rows = np.arange(len(entries))
-    if dda == "L2b":
-        return {**trace_integrals(C2), "det_C2": np.linalg.det(C2)}, rows
-    if dda == "L4":
-        B, C, E, G = entries[:, :4].T
-        rows = rows[np.abs(B * G - C * E) >= DEGENERACY_TOL]
-        try:
-            inverse = np.linalg.inv(C1[rows])
-        except np.linalg.LinAlgError:   # some C1 is singular to LAPACK: find them one by one
-            rows = rows[[_inverts(C1[i]) for i in rows]]
-            inverse = np.linalg.inv(C1[rows])
-        return (trace_integrals(C2[rows] @ inverse) if rows.size else {}), rows
-    return trace_integrals(np.concatenate([prev_C1[None], C1[:-1]]) @ C2), rows
+    with np.errstate(all="ignore"):   # an overflow shows as inf in the values
+        if dda == "L2b":
+            return {**trace_integrals(C2), "det_C2": np.linalg.det(C2)}, rows
+        if dda == "L4":
+            B, C, E, G = entries[:, :4].T
+            rows = rows[np.abs(B * G - C * E) >= DEGENERACY_TOL]
+            try:
+                inverse = np.linalg.inv(C1[rows])
+            except np.linalg.LinAlgError:   # some C1 is singular to LAPACK: find them one by one
+                rows = rows[[_inverts(C1[i]) for i in rows]]
+                inverse = np.linalg.inv(C1[rows])
+            return (trace_integrals(C2[rows] @ inverse) if rows.size else {}), rows
+        return trace_integrals(np.concatenate([prev_C1[None], C1[:-1]]) @ C2), rows
 
 
 def _inverts(C1: np.ndarray) -> bool:
@@ -296,9 +297,8 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
                 break
             rows.append(values)
     entries = np.array(rows)
-    with np.errstate(over="ignore", invalid="ignore"):   # an overflow shows as inf in the arrays
-        flags = degeneracy_flags(entries)
-        invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1)
+    flags = degeneracy_flags(entries)
+    invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1)
     entries.setflags(write=False)
     flags.setflags(write=False)
     return Orbit(dda, state0.n, entries, flags, invariants, invariant_rows,

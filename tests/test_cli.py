@@ -183,6 +183,21 @@ def test_quiet_map_whose_solve_overflows_prints_nothing(tmp_path, dda):
     assert _read_report(tmp_path / "out")["diagnostic"] == "state exceeded overflow guard at n=1"
 
 
+def test_map_with_a_subnormal_pivot_reports_its_truncation_without_a_numpy_warning(tmp_path):
+    # det C2 of the subnormal second row divides by zero inside LAPACK; the flags
+    # are comparisons, so no numpy warning may reach stderr
+    scenario = _write(tmp_path, "subnormal.json", {
+        "kind": "map", "dda": "L4", "steps": 3,
+        "initial": {"B": 1e-310, "C": 0, "E": 0.5, "G": 1e300, "M": 0.3, "N": 0.2}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "deformcs.cli", "run", str(scenario), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(deformcs.__file__).parents[1])})
+    assert (proc.returncode, proc.stderr) == (EXIT_SINGULAR, "")
+    assert proc.stdout.startswith("[deform-cs] map: truncated (singular step at n=1: BG - CE = "
+                                  "0.000e+00 below tolerance)\n")
+
+
 @pytest.mark.parametrize("dda", ["L4", "L5"])
 def test_map_whose_c1_lapack_finds_singular_exits_three_with_artifacts(tmp_path, capsys, dda):
     # |BG - CE| = 2.9e-11 passes the tolerance check, but LAPACK finds a zero pivot

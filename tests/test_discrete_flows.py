@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -371,6 +373,43 @@ def test_l4_rows_have_invariants_exactly_when_unflagged_and_invertible():
     for i in np.flatnonzero(by_lu != unflagged)[:5]:
         run = orbit("L4", init_map_state("L4", dict(zip("BCEGMN", entries[i]))), 0)
         assert run.invariant_rows.tolist() == ([0] if unflagged[i] else [])
+
+
+_SINGULAR_AT_1 = "singular step at n=1: BG - CE = 0.000e+00 below tolerance"
+_SUBNORMAL_SPLIT = (9.668289053e-315, 7.946522091602706e-283, 1.5931878552741254e+272,
+                    8.899718325116895, 1.6933535183333693e-228, -5.5800262669351224e-301)
+
+# Solve-branch starts at the edges of exact scalar arithmetic: each must keep the
+# status, diagnostic and entry bits (-0.0 apart from 0.0) the LAPACK step gave them.
+SOLVE_EDGES = {
+    # C2 . prev C1 overflows inside the first product: the guard stops the orbit
+    "l5_overflowing_start": ("L5", dict(B=2.0, C=0.5, E=1e308, G=-1e308, M=1e308, N=1.0),
+                             "state exceeded overflow guard at n=1",
+                             [[2.0, 0.5, 1e308, -1e308, 1e308, 1.0]]),
+    # a subnormal first pivot, which LAPACK divides by instead of scaling with its inverse
+    "l4_subnormal_pivot": ("L4", dict(B=1e-310, C=0.0, E=0.5, G=1e300, M=0.3, N=0.2),
+                           _SINGULAR_AT_1,
+                           [[1e-310, 0.0, 0.5, 1e300, 0.3, 0.2],
+                            [1e-310, 0.0, 0.0, 1e-310, 0.29999999999998517, 0.0]]),
+    # products below the normal range; row 1 keeps M = +0.0 and E = -0.0
+    "l4_subnormal_products": ("L4", dict(zip("BCEGMN", _SUBNORMAL_SPLIT)), _SINGULAR_AT_1,
+                              [_SUBNORMAL_SPLIT, [9.668289053e-315, 7.946522091602706e-283,
+                                                  -0.0, 9.668289053e-315, 0.0, 0.0]]),
+    "l4_lu_singular": ("L4", LU_SINGULAR, f"singular step at n=0: {LU_SINGULAR_DIAGNOSTIC}",
+                       [list(LU_SINGULAR.values())]),
+    "l5_lu_singular": ("L5", LU_SINGULAR, f"singular step at n=0: {LU_SINGULAR_DIAGNOSTIC}",
+                       [list(LU_SINGULAR.values())]),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_EDGES)
+def test_solve_edge_keeps_its_outcome_bits_and_warns_nothing(name):
+    dda, entries, diagnostic, rows = SOLVE_EDGES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = orbit(dda, init_map_state(dda, entries), 3)
+    assert (run.status, run.diagnostic) == ("truncated", diagnostic)
+    assert run.entries.view(np.int64).tolist() == np.array(rows).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("dda", ["L4", "L5"])
