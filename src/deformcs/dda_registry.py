@@ -107,6 +107,8 @@ def read_json(path: str | Path, what: str):
     field files; InvalidInputError naming the ``what`` file if it cannot be read or parsed."""
     p = Path(path)
     try:
+        if "\0" in str(path):   # Path.stat raises ValueError on it, read as bad JSON below
+            raise OSError(0, "embedded null byte")
         if not stat.S_ISREG(p.stat().st_mode):   # opening a FIFO or a device may block
             raise OSError(0, "not a regular file")
         return json.loads(p.read_text())

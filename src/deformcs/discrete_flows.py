@@ -10,22 +10,23 @@ structure constants (B, C held fixed along an orbit):
   previous C1, and the transition matrix V = T^-1C1 . C2 is conjugated by
   C2 at each step.
 
-One scalar kernel advances the entries (B, C, E, G, M, N); off the closed
-forms it solves with C1 through numpy's LAPACK gufuncs directly.  ``orbit``
-iterates it under one numpy error scope and keeps the orbit as arrays, with
-the degeneracy flags and the exact trace invariants (of C2, of C2 C1^-1, of V
-respectively) computed once over the whole orbit.  The module also evaluates the discrete oriented
+One scalar kernel advances the entries (B, C, E, G, M, N) as floats.  Off the
+closed forms it takes LAPACK's 2x2 LU with exactly emulated fused multiply-adds,
+giving the bits of np.linalg.solve, which it calls outside that exact range.
+``orbit`` iterates it and keeps the orbit as arrays, with the degeneracy flags
+and the exact trace invariants (of C2, of C2 C1^-1, of V respectively) computed
+once over the whole orbit.  The module also evaluates the discrete oriented
 associativity residual of gauge fields built from three sampled potentials.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from math import fsum
+from sys import float_info
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
                            entry_stacks, finite_numbers, trace_integrals)
@@ -113,45 +114,72 @@ def init_map_state(dda: str, entries: dict[str, float],
     return _state(0, values, prev_C1)
 
 
-# The LAPACK gufuncs that np.linalg.solve wraps (private numpy API), called with no
-# per-call wrapper: solve1 takes a vector right-hand side (L4), solve a matrix one (L5).
-_SOLVE_VECTOR, _SOLVE_MATRIX = _umath_linalg.solve1, _umath_linalg.solve
+class _Inexact(ArithmeticError):
+    """A solve step left the range where float arithmetic gives LAPACK's bits exactly."""
 
 
-@contextmanager
-def _solve_scope():
-    """One numpy error scope for a run of steps; yields the list of LAPACK failures.
-
-    A gufunc reports a zero pivot by raising the invalid flag, which lands in the
-    list; overflow is left to the overflow guard.  A matmul can raise the flag too,
-    so ``_solve`` clears the list before each solve.
-    """
-    failures = []
-    with np.errstate(call=lambda err, flag: failures.append(flag), invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        yield failures
+_SPLIT, _TINY, _HUGE = 134217729.0, 2.0 ** -900, 2.0 ** 990   # 2^27 + 1; the exact range
 
 
-def _solve(gufunc, C1: np.ndarray, rhs: np.ndarray, failures: list) -> np.ndarray:
-    """C1^-1 rhs inside ``_solve_scope``; SingularOrbitError if LAPACK finds C1 singular."""
-    failures.clear()
-    x = gufunc(C1, rhs)
-    if failures:
-        (B, E), (C, G) = C1.tolist()
-        den = B * G - C * E
-        raise SingularOrbitError(f"C1 is singular to working precision (BG - CE = {den:.3e})",
-                                 quantity="BG-CE", value=den)
-    return x
+def _fma(a: float, b: float, c: float) -> float:
+    """a*b + c rounded once, as the BLAS kernel's fused multiply-add: p + e = a*b exactly
+    by Dekker's TwoProduct with Veltkamp's split, and ``fsum`` rounds p + e + c correctly.
+    _Inexact unless _TINY < |a*b| < _HUGE, and on a NaN; OverflowError from ``fsum`` on
+    an intermediate overflow."""
+    p = a * b
+    if not _TINY < abs(p) < _HUGE:
+        raise _Inexact
+    t, s = _SPLIT * a, _SPLIT * b
+    a1, b1 = t - (t - a), s - (s - b)
+    a2, b2 = a - a1, b - b1
+    r = fsum((p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2, c))
+    if r != r:
+        raise _Inexact
+    return r
 
 
-def _advance(dda: str, values: tuple[float, ...], prev_C1: np.ndarray | None,
-             bc: np.ndarray, failures: list):
-    """The step kernel: the entries one site on and, for L5, the C1 they leave behind.
+def _lu_solve(lu: tuple, r1: float, r2: float, matrix: bool = False) -> tuple[float, float]:
+    """C1^-1 (r1, r2) by the LU (swap, a, b, l, u): dgetrs divides a vector by the pivots
+    and scales each column of a matrix right-hand side by their inverses."""
+    swap, a, b, l, u = lu
+    if swap:
+        r1, r2 = r2, r1
+    if matrix:
+        x2 = _fma(-l, r1, r2) * (1.0 / u)
+        return _fma(-b, x2, r1) * (1.0 / a), x2
+    x2 = _fma(-l, r1, r2) / u
+    return _fma(-b, x2, r1) / a, x2
 
-    ``bc`` is the orbit's fixed [B, C] vector and ``failures`` the list of a
-    ``_solve_scope``.  Raises SingularOrbitError when the step's denominator is
-    below tolerance or LAPACK finds C1 singular.
-    """
+
+def _solve_step(dda: str, values: tuple[float, ...], prev_C1):
+    """The L4 or L5 step as LAPACK and the BLAS kernel compute it, in floats.  C1's LU
+    swaps the rows when |C| > |B|, then l = c (1/a), u = e - l b unfused; a pivot below
+    DBL_MIN (LAPACK divides there), zero or from _HUGE up raises _Inexact.  Matmul fuses
+    as BLAS: C2 @ v is (fma(E, v1, M v2), fma(G, v1, N v2)), and (C2 @ P)[i, j] is
+    fma(C2[i, 1], P[1, j], C2[i, 0] P[0, j])."""
+    B, C, E, G, M, N = values
+    swap = abs(C) > abs(B)
+    a, b, c, e = (C, G, B, E) if swap else (B, E, C, G)
+    if not float_info.min <= abs(a) < _HUGE:
+        raise _Inexact
+    l = c * (1.0 / a)
+    u = e - l * b
+    if not float_info.min <= abs(u) < _HUGE:
+        raise _Inexact
+    lu = swap, a, b, l, u
+    if dda == "L4":
+        TE, TG = _lu_solve(lu, _fma(E, B, M * C), _fma(G, B, N * C))
+        return (B, C, TE, TG, *_lu_solve(lu, _fma(E, TE, M * TG), _fma(G, TE, N * TG))), None
+    (p, q), (r, s) = prev_C1
+    e, g = _lu_solve(lu, _fma(M, r, E * p), _fma(N, r, G * p), True)
+    m, n = _lu_solve(lu, _fma(M, s, E * q), _fma(N, s, G * q), True)
+    return (B, C, e, g, m, n), ((B, E), (C, G))
+
+
+def _advance(dda: str, values: tuple[float, ...], prev_C1):
+    """The step kernel: the entries one site on and, for L5, the C1 they leave behind
+    (``prev_C1`` and it are nested pairs of floats).  Raises SingularOrbitError when the
+    step's denominator is below tolerance or LAPACK's LU finds C1 singular."""
     B, C, E, G, M, N = values
     if dda == "L4" and B == 1.0 and C == 1.0:
         den = E - G
@@ -169,24 +197,28 @@ def _advance(dda: str, values: tuple[float, ...], prev_C1: np.ndarray | None,
         p = (G * M - E * N) / den
         q = (B * N - C * M) / den
         return (B, C, C * p, B + C * q, G * p, E + G * q), None
-    C1 = np.array([[B, E], [C, G]])
-    C2 = np.array([[E, M], [G, N]])
-    if dda == "L4":
-        t = _solve(_SOLVE_VECTOR, C1, C2 @ bc, failures)       # (TE, TG)
-        tt = _solve(_SOLVE_VECTOR, C1, C2 @ t, failures)       # (TM, TN)
-        return (B, C, *t.tolist(), *tt.tolist()), None
-    # L5: TC2 = C1^-1 C2 (T^-1 C1); the new V = C1 . TC2 equals C2 V C2^-1.
-    (e, m), (g, n) = _solve(_SOLVE_MATRIX, C1, C2 @ prev_C1, failures).tolist()
-    return (B, C, e, g, m, n), C1
+    try:
+        return _solve_step(dda, values, prev_C1)
+    except (_Inexact, OverflowError):   # outside the exact range: through np.linalg.solve
+        C1, C2 = np.array([[B, E], [C, G]]), np.array([[E, M], [G, N]])
+    try:
+        with np.errstate(all="ignore"):   # an overflow shows as inf in the entries
+            if dda == "L4":
+                t = np.linalg.solve(C1, C2 @ np.array([B, C]))
+                return (B, C, *t.tolist(), *np.linalg.solve(C1, C2 @ t).tolist()), None
+            (e, m), (g, n) = np.linalg.solve(C1, C2 @ np.array(prev_C1)).tolist()
+    except np.linalg.LinAlgError:
+        raise SingularOrbitError(f"C1 is singular to working precision (BG - CE = {den:.3e})",
+                                 quantity="BG-CE", value=den) from None
+    return (B, C, e, g, m, n), ((B, E), (C, G))
 
 
 def step(dda: str, state: MapState) -> MapState:
     """Advance the orbit one lattice site."""
     check_map(dda, state)
-    with _solve_scope() as failures:
-        values, prev_C1 = _advance(dda, state.values, state.prev_C1,
-                                   np.array(state.values[:2]), failures)
-    return _state(state.n + 1, values, prev_C1)
+    prev = None if state.prev_C1 is None else state.prev_C1.tolist()
+    values, prev_C1 = _advance(dda, state.values, prev)
+    return _state(state.n + 1, values, None if prev_C1 is None else np.array(prev_C1))
 
 
 def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None):
@@ -279,23 +311,22 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     non-finite entry or overflow truncates the orbit."""
     check_map(dda, state0)
     check_steps(steps)
-    values, prev_C1 = state0.values, state0.prev_C1
+    values, guard = state0.values, OVERFLOW_GUARD
+    prev_C1 = None if state0.prev_C1 is None else state0.prev_C1.tolist()
     rows = [values]
     status, diagnostic = STATUS_COMPLETED, None
-    bc, guard = np.array(values[:2]), OVERFLOW_GUARD
-    with _solve_scope() as failures:
-        for n in range(state0.n, state0.n + steps):
-            try:
-                values, prev_C1 = _advance(dda, values, prev_C1, bc, failures)
-            except SingularOrbitError as exc:
-                status, diagnostic = STATUS_TRUNCATED, f"singular step at n={n}: {exc}"
-                break
-            _, _, E, G, M, N = values
-            if not (abs(E) <= guard and abs(G) <= guard and abs(M) <= guard and abs(N) <= guard):
-                status = STATUS_TRUNCATED
-                diagnostic = f"state exceeded overflow guard at n={n + 1}"
-                break
-            rows.append(values)
+    for n in range(state0.n, state0.n + steps):
+        try:
+            values, prev_C1 = _advance(dda, values, prev_C1)
+        except SingularOrbitError as exc:
+            status, diagnostic = STATUS_TRUNCATED, f"singular step at n={n}: {exc}"
+            break
+        _, _, E, G, M, N = values
+        if not (abs(E) <= guard and abs(G) <= guard and abs(M) <= guard and abs(N) <= guard):
+            status = STATUS_TRUNCATED
+            diagnostic = f"state exceeded overflow guard at n={n + 1}"
+            break
+        rows.append(values)
     entries = np.array(rows)
     flags = degeneracy_flags(entries)
     invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1)

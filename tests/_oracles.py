@@ -20,7 +20,8 @@ from deformcs.algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport,
 from deformcs.closed_forms import LOG_DOMAIN_TOL
 from deformcs.dda_registry import SampledField
 from deformcs.discrete_flows import FLAG_NAMES
-from deformcs.errors import InvalidInputError, SingularFlowError, SingularGaugeError
+from deformcs.errors import (InvalidInputError, SingularFlowError, SingularGaugeError,
+                             SingularOrbitError)
 from deformcs.integrators import (OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED,
                                   step_count)
 
@@ -229,6 +230,50 @@ def map_orbit_loops(dda: str, entries: dict, steps: int, prev: dict | None = Non
             back = C1
         v = [B, C, T[0][0], T[1][0], T[0][1], T[1][1]]
     return np.array(rows), invariants
+
+
+def map_solve_step(dda: str, values, prev_C1=None):
+    """One L4 (B, C != 1) or L5 step as the package took it through LAPACK: the
+    next (B, C, E, G, M, N) and, for L5, the C1 left behind as nested lists.
+
+    C2 times the vector (B, C), or times ``prev_C1``, by matmul, then
+    np.linalg.solve with C1: a vector right-hand side for each L4 column, one
+    matrix right-hand side for L5.  Raises SingularOrbitError with the package's
+    text when |BG - CE| is below tolerance or LAPACK finds C1 singular.
+    """
+    B, C, E, G, M, N = values
+    den = B * G - C * E
+    if abs(den) < DEGENERACY_TOL:
+        raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance",
+                                 quantity="BG-CE", value=den)
+    C1, C2 = np.array([[B, E], [C, G]]), np.array([[E, M], [G, N]])
+    try:
+        with np.errstate(all="ignore"):
+            if dda == "L4":
+                first = np.linalg.solve(C1, C2 @ np.array([B, C]))
+                return [B, C, *first.tolist(), *np.linalg.solve(C1, C2 @ first).tolist()], None
+            (e, m), (g, n) = np.linalg.solve(C1, C2 @ np.array(prev_C1)).tolist()
+    except np.linalg.LinAlgError:
+        raise SingularOrbitError(f"C1 is singular to working precision (BG - CE = {den:.3e})",
+                                 quantity="BG-CE", value=den) from None
+    return [B, C, e, g, m, n], C1.tolist()
+
+
+def map_solve_steps(dda: str, rows: np.ndarray, prev_C1: np.ndarray | None = None):
+    """``map_solve_step`` over a stack of rows (k, 6), with no tolerance check: the
+    next rows.  Each L4 right-hand side is a (2, 1) column, the dgesv call with one
+    right-hand side that a vector gets.  LinAlgError if LAPACK finds any C1 singular.
+    """
+    B, C, E, G, M, N = rows.T
+    C1 = np.stack([np.column_stack([B, E]), np.column_stack([C, G])], axis=1)
+    C2 = np.stack([np.column_stack([E, M]), np.column_stack([G, N])], axis=1)
+    with np.errstate(all="ignore"):
+        if dda == "L4":
+            first = np.linalg.solve(C1, C2 @ rows[:, :2, None])
+            T = np.concatenate([first, np.linalg.solve(C1, C2 @ first)], axis=2)
+        else:
+            T = np.linalg.solve(C1, C2 @ prev_C1)
+    return np.column_stack([B, C, T[:, 0, 0], T[:, 1, 0], T[:, 0, 1], T[:, 1, 1]])
 
 
 # ---------------------------------------------------------------------------

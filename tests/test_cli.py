@@ -397,6 +397,17 @@ def test_a_fifo_as_scenario_or_field_is_refused_without_blocking(tmp_path):
         assert proc.stderr == f"deform-cs: error: {message}\n"
 
 
+def test_a_nul_byte_in_a_scenario_or_field_path_cannot_be_read(tmp_path, capsys):
+    scan = _write(tmp_path, "scan.json", {"kind": "residual_scan", "dda": "L2a",
+                                          "field_path": "a\0b"})
+    for scenario, message in (
+            (str(scan), "field 'field_path': sampled field file 'a\\x00b' cannot be read: "
+                        "embedded null byte"),
+            ("a\0b", "scenario file 'a\\x00b' cannot be read: embedded null byte")):
+        assert main(["validate", scenario]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"deform-cs: error: {message}\n"
+
+
 def test_an_io_error_while_reading_exits_two_naming_the_file(tmp_path, capsys, monkeypatch):
     field = _write(tmp_path, "field.json", _FIELD)
     scan = _write(tmp_path, "scan.json", {"kind": "residual_scan", "dda": "L2a",

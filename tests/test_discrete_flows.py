@@ -6,8 +6,9 @@ import pytest
 from deformcs.algebra_core import assoc_residual, trace_integrals
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
-from deformcs.discrete_flows import (_SOLVE_MATRIX, _SOLVE_VECTOR, MapState, _gauge_defects,
-                                     _invariants, _matrices, _solve, _solve_scope, check_map,
+from deformcs import discrete_flows
+from deformcs.discrete_flows import (MapState, _advance, _gauge_defects, _invariants, _matrices,
+                                     check_map,
                                      degeneracy_flags, discrete_oriented_assoc_residual,
                                      init_map_state, lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
@@ -15,8 +16,8 @@ from deformcs.integrators import MAX_STEPS
 from deformcs.errors import (DeformError, InvalidInputError, SingularGaugeError,
                              SingularOrbitError)
 
-from _oracles import (map_orbit_loops, oriented_assoc_defect_per_point,
-                      oriented_assoc_residual_loop)
+from _oracles import (map_orbit_loops, map_solve_step, map_solve_steps,
+                      oriented_assoc_defect_per_point, oriented_assoc_residual_loop)
 
 GAUGE_CUBIC = ([1.0, 0.3], [0.0, 1.0, 0.1], [0.2, 0.0, 1.0, 0.05])
 
@@ -427,53 +428,113 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-def test_kernel_solve_is_bit_equal_to_numpy_solve_on_random_systems():
-    rng = np.random.default_rng(20081)
+def _count_inexact(monkeypatch) -> list:
+    """Log each step that the float kernel leaves to np.linalg.solve."""
+    calls, real = [], discrete_flows._solve_step
+
+    def counted(*args):
+        try:
+            return real(*args)
+        except (discrete_flows._Inexact, OverflowError):
+            calls.append(args)
+            raise
+
+    monkeypatch.setattr(discrete_flows, "_solve_step", counted)
+    return calls
+
+
+def _random_solve_rows(rng: np.random.Generator, count: int):
+    """Rows and previous C1s on the solve branch.  C1's columns are scaled by s and
+    1/s, C2's second column and the previous C1 by their own powers of ten, all up
+    to 1e+-100; about half the rows have |C| > |B| (a pivot swap), and a quarter a
+    C1 with |BG - CE| from 3e-12 to 1e-8."""
+    s, t, p = 10.0 ** rng.uniform(-100.0, 100.0, (3, count))
+    B, C, E, G = rng.standard_normal((4, count))
+    det = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-11.5, -8.0, count)
+    G = np.where(rng.random(count) < 0.25, (C * E + det) / B, G)
+    rows = np.column_stack([B * s, C * s, E / s, G / s, *rng.standard_normal((2, count)) * t])
+    return rows, rng.standard_normal((count, 2, 2)) * np.column_stack([p, 1.0 / p])[:, None, :]
+
+
+@pytest.mark.parametrize("dda", ["L4", "L5"])
+def test_kernel_step_is_bit_equal_to_the_lapack_step_on_random_steps(dda, monkeypatch):
+    """10^5 random solve-branch steps give the bits of np.linalg.solve and matmul.
+
+    The kernel emulates the BLAS kernel's fused multiply-adds exactly, so the map
+    goldens no longer depend on the host's BLAS; this test is what ties the
+    emulation to the host's numpy.  On a host whose OpenBLAS does not fuse, this
+    test fails while the goldens still pass.
+    """
     count = 100_000
-    a = rng.standard_normal((count, 2, 2)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
-    vec, mat = rng.standard_normal((count, 2)), rng.standard_normal((count, 2, 2))
-    with _solve_scope() as failures:
-        got_vec = _solve(_SOLVE_VECTOR, a, vec, failures)
-        got_mat = _solve(_SOLVE_MATRIX, a, mat, failures)
-    # the L4 step solves with a vector right-hand side, which np.linalg.solve takes one at a time
-    assert np.array_equal(_bits(got_vec), _bits([np.linalg.solve(x, y) for x, y in zip(a, vec)]))
-    assert np.array_equal(_bits(got_mat), _bits(np.linalg.solve(a, mat)))
+    rows, prev = _random_solve_rows(np.random.default_rng(20081), count)
+    fallbacks = _count_inexact(monkeypatch)
+    steps = [_advance(dda, r, q) for r, q in zip(rows.tolist(), prev.tolist())]
+    want = map_solve_steps(dda, rows, prev)
+    assert np.array_equal(_bits([nxt for nxt, _ in steps]), _bits(want))
+    if dda == "L5":   # the C1 left behind
+        assert np.array_equal(_bits([left for _, left in steps]), _bits(_matrices(rows)[0]))
+    # the batched oracle is the per-step one
+    for i in range(0, count, 1000):
+        assert _bits(map_solve_step(dda, rows[i].tolist(), prev[i].tolist())[0]).tolist() == (
+            _bits(want[i]).tolist())
+    B, C, E, G = rows[:, :4].T
+    assert np.mean(np.abs(C) > np.abs(B)) > 0.45
+    assert np.mean(np.abs(B * G - C * E) < 1e-8) > 0.2
+    assert len(fallbacks) < 0.1 * count   # the float kernel took nearly every step
 
 
-def test_kernel_solve_is_bit_equal_to_numpy_solve_near_singular():
-    # rank one plus a perturbation from 1e-17 to 1e-8: some pivots vanish in
-    # working precision, and those systems must fail in both solves
-    rng = np.random.default_rng(20082)
-    count = 10_000
-    u, v = rng.standard_normal((2, count, 2))
-    a = u[:, :, None] * v[:, None, :] + (10.0 ** rng.uniform(-17, -8, (count, 1, 1))
-                                         * rng.standard_normal((count, 2, 2)))
-    vec, mat = rng.standard_normal((count, 2)), rng.standard_normal((count, 2, 2))
-    outcomes = {"equal": 0, "singular": 0}
-    with _solve_scope() as failures:
-        for x, y, z in zip(a, vec, mat):
-            for gufunc, rhs in ((_SOLVE_VECTOR, y), (_SOLVE_MATRIX, z)):
-                try:
-                    want = np.linalg.solve(x, rhs)
-                except np.linalg.LinAlgError:
-                    with pytest.raises(SingularOrbitError, match="singular to working precision"):
-                        _solve(gufunc, x, rhs, failures)
-                    outcomes["singular"] += 1
-                    continue
-                assert np.array_equal(_bits(_solve(gufunc, x, rhs, failures)), _bits(want))
-                outcomes["equal"] += 1
-    assert outcomes["singular"] > 0 and outcomes["equal"] > 0.9 * 2 * count
+def _extreme_solve_rows(rng: np.random.Generator, count: int):
+    """Rows and previous C1s across the whole double range, in four equal parts:
+    signed powers of ten up to 1e+-308; subnormal B and C beside huge E, G; rank-one
+    C1s plus a perturbation from 1e-17 to 1e-8; and entries drawn from signed zeros,
+    subnormals, 1e+-308, inf and NaN.  Each previous C1 is another row's C1."""
+    part = count // 4
+
+    def signed(exponents):
+        return rng.choice([-1.0, 1.0], exponents.shape) * 10.0 ** exponents
+
+    wide = signed(rng.uniform(-308.0, 308.0, (part, 6)))
+    subnormal = signed(np.column_stack([rng.uniform(-323.0, -308.0, (part, 2)),
+                                        rng.uniform(250.0, 308.0, (part, 2)),
+                                        rng.uniform(-308.0, 308.0, (part, 2))]))
+    u, v = rng.standard_normal((2, part, 2))
+    rank_one = (u[:, :, None] * v[:, None, :]
+                + signed(rng.uniform(-17.0, -8.0, (part, 1, 1))) * rng.standard_normal((part, 2, 2)))
+    near = np.column_stack([rank_one[:, 0, 0], rank_one[:, 1, 0], rank_one[:, 0, 1],
+                            rank_one[:, 1, 1], rng.standard_normal((part, 2))])
+    special = rng.choice([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 0.5, -3.0,
+                          1e300, -1e308, np.inf, -np.inf, np.nan], (part, 6))
+    rows = np.vstack([wide, subnormal, near, special])
+    return rows, _matrices(rows[rng.permutation(len(rows))])[0]
 
 
-def test_kernel_solve_rejects_an_exactly_singular_matrix():
-    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with _solve_scope() as failures:
-        for gufunc, rhs in ((_SOLVE_VECTOR, np.ones(2)), (_SOLVE_MATRIX, np.eye(2))):
-            with pytest.raises(SingularOrbitError) as err:
-                _solve(gufunc, singular, rhs, failures)
-            assert (err.value.quantity, err.value.value) == ("BG-CE", 0.0)
-            # a NaN right-hand side is no failed factorisation
-            assert np.isnan(_solve(gufunc, np.eye(2), rhs * np.nan, failures)).all()
+def _step_outcome(kernel, dda, values, prev):
+    """The entry and C1 bits of one step, or its SingularOrbitError text."""
+    try:
+        nxt, left = kernel(dda, values, prev)
+    except SingularOrbitError as exc:
+        return str(exc)
+    return _bits(nxt).tolist(), None if left is None else _bits(left).tolist()
+
+
+@pytest.mark.parametrize("dda", ["L4", "L5"])
+def test_kernel_step_outcome_equals_the_lapack_step_on_extreme_starts(dda, monkeypatch):
+    # every step ends as the LAPACK step does, with the same bits or the same
+    # error text, and with no other exception and no warning
+    rows, prev = _extreme_solve_rows(np.random.default_rng(20082), 10_000)
+    fallbacks = _count_inexact(monkeypatch)
+    outcomes = {"exact": 0, "lapack": 0, "below tolerance": 0, "singular to working": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values, p in zip(rows.tolist(), prev.tolist()):
+            before = len(fallbacks)
+            got = _step_outcome(_advance, dda, values, p)
+            assert got == _step_outcome(map_solve_step, dda, values, p), (values, p)
+            if isinstance(got, str):
+                outcomes[next(kind for kind in outcomes if kind in got)] += 1
+            else:
+                outcomes["lapack" if len(fallbacks) > before else "exact"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 @pytest.mark.parametrize("steps", [MAX_STEPS + 1, -1, True, 2.0, "3", None])

@@ -26,9 +26,8 @@ def _pair(b, c, e, g, m, n):
 def symbolic_kernel(monkeypatch):
     # With the tolerance at 0 the guard |den| < tol is decidable for real
     # symbols (always false), so the kernel runs on expressions unchanged.
-    # The closed forms read neither the [B, C] vector nor the LAPACK failure list.
     monkeypatch.setattr(discrete_flows, "DEGENERACY_TOL", 0)
-    return lambda dda, values, prev_C1: discrete_flows._advance(dda, values, prev_C1, None, None)
+    return discrete_flows._advance
 
 
 def test_l2b_closed_form_solves_central_system(symbolic_kernel):
