@@ -189,10 +189,10 @@ def test_map_with_a_subnormal_pivot_reports_its_truncation_without_a_numpy_warni
     scenario = _write(tmp_path, "subnormal.json", {
         "kind": "map", "dda": "L4", "steps": 3,
         "initial": {"B": 1e-310, "C": 0, "E": 0.5, "G": 1e300, "M": 0.3, "N": 0.2}})
-    proc = subprocess.run(
-        [sys.executable, "-m", "deformcs.cli", "run", str(scenario), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(deformcs.__file__).parents[1])})
+    src, out = str(Path(deformcs.__file__).parents[1]), str(tmp_path / "out")
+    proc = subprocess.run([sys.executable, "-m", "deformcs.cli", "run", str(scenario),
+                           "--out", out], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stderr) == (EXIT_SINGULAR, "")
     assert proc.stdout.startswith("[deform-cs] map: truncated (singular step at n=1: BG - CE = "
                                   "0.000e+00 below tolerance)\n")

@@ -445,10 +445,12 @@ def _count_inexact(monkeypatch) -> list:
 
 def _random_solve_rows(rng: np.random.Generator, count: int):
     """Rows and previous C1s on the solve branch.  C1's columns are scaled by s and
-    1/s, C2's second column and the previous C1 by their own powers of ten, all up
-    to 1e+-100; about half the rows have |C| > |B| (a pivot swap), and a quarter a
-    C1 with |BG - CE| from 3e-12 to 1e-8."""
-    s, t, p = 10.0 ** rng.uniform(-100.0, 100.0, (3, count))
+    1/s and the previous C1's by p and 1/p, with s and p up to 1e+-100, and C2's
+    second column by t up to 1e+-30, which keeps most steps in the exact range and
+    their results finite.  About half the rows have |C| > |B| (a pivot swap), and a
+    quarter a C1 with |BG - CE| from 3e-12 to 1e-8."""
+    s, p = 10.0 ** rng.uniform(-100.0, 100.0, (2, count))
+    t = 10.0 ** rng.uniform(-30.0, 30.0, count)
     B, C, E, G = rng.standard_normal((4, count))
     det = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-11.5, -8.0, count)
     G = np.where(rng.random(count) < 0.25, (C * E + det) / B, G)
@@ -468,7 +470,8 @@ def test_kernel_step_is_bit_equal_to_the_lapack_step_on_random_steps(dda, monkey
     count = 100_000
     rows, prev = _random_solve_rows(np.random.default_rng(20081), count)
     fallbacks = _count_inexact(monkeypatch)
-    steps = [_advance(dda, r, q) for r, q in zip(rows.tolist(), prev.tolist())]
+    back = prev.tolist() if dda == "L5" else [None] * count
+    steps = [_advance(dda, r, q) for r, q in zip(rows.tolist(), back)]
     want = map_solve_steps(dda, rows, prev)
     assert np.array_equal(_bits([nxt for nxt, _ in steps]), _bits(want))
     if dda == "L5":   # the C1 left behind
@@ -480,7 +483,7 @@ def test_kernel_step_is_bit_equal_to_the_lapack_step_on_random_steps(dda, monkey
     B, C, E, G = rows[:, :4].T
     assert np.mean(np.abs(C) > np.abs(B)) > 0.45
     assert np.mean(np.abs(B * G - C * E) < 1e-8) > 0.2
-    assert len(fallbacks) < 0.1 * count   # the float kernel took nearly every step
+    assert len(fallbacks) < 0.05 * count   # the float kernel took nearly every step
 
 
 def _extreme_solve_rows(rng: np.random.Generator, count: int):
@@ -498,8 +501,8 @@ def _extreme_solve_rows(rng: np.random.Generator, count: int):
                                         rng.uniform(250.0, 308.0, (part, 2)),
                                         rng.uniform(-308.0, 308.0, (part, 2))]))
     u, v = rng.standard_normal((2, part, 2))
-    rank_one = (u[:, :, None] * v[:, None, :]
-                + signed(rng.uniform(-17.0, -8.0, (part, 1, 1))) * rng.standard_normal((part, 2, 2)))
+    noise = signed(rng.uniform(-17.0, -8.0, (part, 1, 1))) * rng.standard_normal((part, 2, 2))
+    rank_one = u[:, :, None] * v[:, None, :] + noise
     near = np.column_stack([rank_one[:, 0, 0], rank_one[:, 1, 0], rank_one[:, 0, 1],
                             rank_one[:, 1, 1], rng.standard_normal((part, 2))])
     special = rng.choice([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 0.5, -3.0,
