@@ -13,10 +13,12 @@ The induced central system on the multiplication matrices is
     L5   [p1,x] = p1, [p2,x] = -p2   C1 TC2 = C2 T^-1 C1
 
 (all other brackets vanish), and L1 (the abelian algebra) drives no
-deformation at all.  This module
-evaluates those residuals on sampled fields, plus the three multi-parameter
-residual operators for quantum, discrete and coisotropic deformations on
-full structure-constant grids.
+deformation at all.  This module evaluates those residuals on sampled fields,
+and the quantum, discrete and coisotropic residual operators on structure-constant
+grids.  Those contract point-innermost; the coisotropic bracket takes three
+contractions, its other three terms being index relabellings of them, and the quantum
+and coisotropic max-norms run over blocks of points, equal bit for bit to the
+max-norms of the full-array forms.
 
 A ``SampledField`` holds its values as two read-only ``(N, n, n)`` stacks, C1
 and C2.  Both constructors go through one load, which checks the stacks whole
@@ -310,14 +312,14 @@ class TensorGrid:
         a = np.array(self.c, dtype=float)
         if a.ndim < 4:
             raise InvalidInputError("tensor grid needs at least one grid axis")
-        n = a.shape[-1]
+        n, m = a.shape[-1], a.ndim - 3
         if a.shape[-3:] != (n, n, n):
             raise InvalidInputError("trailing axes must be (n, n, n)")
-        m = a.ndim - 3
         if n - m not in (0, 1):
-            raise InvalidInputError(
-                f"{m} grid axes cannot drive an algebra with {n} indices"
-            )
+            raise InvalidInputError(f"{m} grid axes cannot drive an algebra with {n} indices")
+        if not np.isfinite(a).all():   # named like a sampled field's bad value
+            first = np.argwhere(~np.isfinite(a))[0].tolist()
+            raise InvalidInputError(f"tensor grid entry c{first} is not finite")
         if not 0.0 < self.spacing < np.inf:
             raise InvalidInputError(f"spacing must be positive and finite, got {self.spacing}")
         a.setflags(write=False)
@@ -352,17 +354,14 @@ def _interior_points(tg: TensorGrid) -> tuple[np.ndarray, np.ndarray, tuple[int,
     """c[j, k, n, z] and d[a, j, k, n, z] = dC_jk^n/dx^a (central differences; 0 where
     index a has no grid axis) at the interior points z, and the interior grid shape."""
     dims, n = tg.grid_dims, tg.n
-    c = _grid_last(tg.c, dims)
-    inner = tuple(s - 2 for s in tg.c.shape[:dims])
-    d = np.zeros((n, n, n, n) + inner)
-    for j in range(tg.index_offset, n):
-        plus = [slice(1, -1)] * dims
-        minus = [slice(1, -1)] * dims
-        plus[j - tg.index_offset] = slice(2, None)
-        minus[j - tg.index_offset] = slice(0, -2)
-        d[j] = (c[(...,) + tuple(plus)] - c[(...,) + tuple(minus)]) / (2.0 * tg.spacing)
-    here = np.ascontiguousarray(c[(...,) + (slice(1, -1),) * dims])
-    return here.reshape(n, n, n, -1), d.reshape(n, n, n, n, -1), inner
+    c, mid = _grid_last(tg.c, dims), (slice(1, -1),) * dims
+    here = np.ascontiguousarray(c[(...,) + mid])
+    d = np.zeros((n,) + here.shape)
+    for a in range(dims):
+        ahead, behind = (c[(...,) + mid[:a] + (s,) + mid[a + 1:]]
+                         for s in (slice(2, None), slice(0, -2)))
+        d[tg.index_offset + a] = (ahead - behind) / (2.0 * tg.spacing)
+    return here.reshape(n, n, n, -1), d.reshape(n, n, n, n, -1), here.shape[3:]
 
 
 def _assoc_defect(c: np.ndarray) -> np.ndarray:
@@ -372,47 +371,56 @@ def _assoc_defect(c: np.ndarray) -> np.ndarray:
     return out
 
 
+_BLOCK_DOUBLES = 1 << 15   # about the size of a point block's bracket, n**5 doubles a point
+
+
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite norm is rejected by name
+def _max_norms(tg: TensorGrid, terms: dict) -> ResidualReport:
+    """The report of max |f(c, d)| over the interior points for each ``label: f`` of ``terms``,
+    taken block by block along the point axis z; a NaN propagates, no points give 0.0."""
+    c, d, _ = _interior_points(tg)
+    step = max(1, _BLOCK_DOUBLES // tg.n ** 5)
+    maxima = [[np.max(np.abs(f(c[..., i:i + step], d[..., i:i + step]))) for f in terms.values()]
+              for i in range(0, c.shape[-1], step)]
+    return ResidualReport(labels=tuple(terms),
+                          norms=np.max(maxima, axis=0) if maxima else [0.0] * len(terms))
+
+
 def assoc_defect_grid(tg: TensorGrid) -> np.ndarray:
     """Pointwise associativity defect sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n)."""
-    dims, n = tg.grid_dims, tg.n
-    c = _grid_last(tg.c, dims).reshape(n, n, n, -1)
-    return _points_first(_assoc_defect(c), tg.c.shape[:dims])
+    c = _grid_last(tg.c, tg.grid_dims).reshape(tg.n, tg.n, tg.n, -1)
+    return _points_first(_assoc_defect(c), tg.c.shape[:tg.grid_dims])
+
+
+def _quantum_terms(c: np.ndarray, d: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """hbar dC_jk^n/dx^l - hbar dC_kl^n/dx^j and sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n),
+    both indexed [j, k, l, n, z], of c[j, k, m, z] and d[l, j, k, n, z] = dC_jk^n/dx^l."""
+    return hbar * (d.transpose(1, 2, 0, 3, 4) - d), _assoc_defect(c)
 
 
 def quantum_cs_parts(tg: TensorGrid, hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative and quadratic parts of the quantum central system.
-
-    Returns arrays indexed [interior grid..., k, l, j, n]; their sum is the
-    defect hbar dC_jk^n/dx^l - hbar dC_kl^n/dx^j
-    + sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n).
-    """
-    c, diffs, inner = _interior_points(tg)   # diffs [l, j, k, n, z]
-    deriv = hbar * (np.einsum("ljknz->kljnz", diffs) - np.einsum("jklnz->kljnz", diffs))
-    quad = np.einsum("jklnz->kljnz", _assoc_defect(c))
-    return _points_first(deriv, inner), _points_first(quad, inner)
+    """Derivative and quadratic parts of the quantum central system, indexed [interior
+    grid..., k, l, j, n]; their sum is the defect hbar dC_jk^n/dx^l - hbar dC_kl^n/dx^j
+    + sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n)."""
+    c, d, inner = _interior_points(tg)
+    return tuple(_points_first(np.moveaxis(a, 0, 2), inner) for a in _quantum_terms(c, d, hbar))
 
 
 def quantum_cs_residual(tg: TensorGrid, hbar: float) -> ResidualReport:
     """Max-norm residual of the quantum central system over interior points."""
-    deriv, quad = quantum_cs_parts(tg, hbar)
-    value = float(np.max(np.abs(deriv + quad))) if deriv.size else 0.0
-    return ResidualReport(labels=("quantum_cs_max",), norms=(value,))
+    return _max_norms(tg, {"quantum_cs_max": lambda c, d: np.add(*_quantum_terms(c, d, hbar))})
 
 
 def _bracket(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The six-term bracket [C,C]_jklr^m, indexed [j, k, l, r, m, z], summed in place."""
-    out = np.einsum("sjmz,klrsz->jklrmz", c, d)  # C_sj^m dC_lr^s/dx^k
-    term = np.empty_like(out)
-    for sign, spec in ((1, "skmz,jlrsz->jklrmz"),
-                       (-1, "srmz,ljksz->jklrmz"),   # C_sr^m dC_jk^s/dx^l
-                       (-1, "slmz,rjksz->jklrmz"),
-                       (1, "lrsz,sjkmz->jklrmz"),    # C_lr^s dC_jk^m/dx^s
-                       (-1, "jksz,slrmz->jklrmz")):
-        np.einsum(spec, c, d, out=term)
-        if sign > 0:
-            out += term
-        else:
-            out -= term
+    """The six-term bracket [C,C]_jklr^m, indexed [j, k, l, r, m, z], in three contractions."""
+    t1 = np.einsum("sjmz,klrsz->jklrmz", c, d)  # C_sj^m dC_lr^s/dx^k
+    t3 = np.einsum("srmz,ljksz->jklrmz", c, d)  # C_sr^m dC_jk^s/dx^l
+    t5 = np.einsum("lrsz,sjkmz->jklrmz", c, d)  # C_lr^s dC_jk^m/dx^s
+    out = t1 + t1.swapaxes(0, 1)            # term 2 is term 1 with j<->k,
+    out -= t3
+    out -= t3.swapaxes(2, 3)                # term 4 is term 3 with l<->r
+    out += t5
+    out -= t5.transpose(2, 3, 0, 1, 4, 5)   # and term 6 is term 5 with (j, k)<->(l, r)
     return out
 
 
@@ -424,20 +432,15 @@ def coisotropic_bracket_defect(tg: TensorGrid) -> np.ndarray:
 
 def coisotropic_cs_residual(tg: TensorGrid) -> ResidualReport:
     """Max-norm residuals of the coisotropic central system (bracket + algebraic part)."""
-    c, d, _ = _interior_points(tg)
-    bracket, assoc = _bracket(c, d), _assoc_defect(c)
-    b = float(np.max(np.abs(bracket))) if bracket.size else 0.0
-    a = float(np.max(np.abs(assoc))) if assoc.size else 0.0
-    return ResidualReport(labels=("coisotropic_bracket_max", "assoc_defect_max"), norms=(b, a))
+    return _max_norms(tg, {"coisotropic_bracket_max": _bracket,
+                           "assoc_defect_max": lambda c, d: _assoc_defect(c)})
 
 
 def _discrete_defects(tg: TensorGrid, lo: tuple[int, ...],
                       hi: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
-    """C_l T_lC_j - C_j T_jC_l for j > l at every lattice point p with lo <= p < hi.
-
-    Each value is indexed [point..., row, column]; the matrix C_j has row l,
-    column k holding c[j][k][l], and an index without a grid axis is not shifted.
-    """
+    """C_l T_lC_j - C_j T_jC_l for j > l at every lattice point p with lo <= p < hi, each
+    indexed [point..., row, column]; the matrix C_j has row l, column k holding c[j][k][l],
+    and an index without a grid axis is not shifted."""
     mats = np.swapaxes(tg.c, -1, -2)
 
     def window(axis: int) -> np.ndarray:
@@ -463,15 +466,12 @@ def discrete_cs_defect(tg: TensorGrid, point: tuple[int, ...]) -> dict[tuple[int
     return {pair: mat[(0,) * dims] for pair, mat in defects.items()}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def discrete_cs_residual(tg: TensorGrid) -> ResidualReport:
     """Max residual of the discrete central system per index pair (j, l)."""
-    dims = tg.grid_dims
-    interior_shape = tuple(s - 1 for s in tg.c.shape[:dims])
-    if any(s < 1 for s in interior_shape):
+    hi = tuple(s - 1 for s in tg.c.shape[:tg.grid_dims])
+    if min(hi) < 1:
         raise StencilRangeError("lattice too small for the forward-shift stencil")
-    defects = _discrete_defects(tg, (0,) * dims, interior_shape)
-    pairs = sorted(defects)
-    return ResidualReport(
-        labels=tuple(f"discrete_cs[{j},{l}]" for j, l in pairs),
-        norms=tuple(float(np.max(np.linalg.norm(defects[p], axis=(-2, -1)))) for p in pairs),
-    )
+    norms = {f"discrete_cs[{j},{l}]": np.max(np.linalg.norm(m, axis=(-2, -1)))
+             for (j, l), m in sorted(_discrete_defects(tg, (0,) * len(hi), hi).items())}
+    return ResidualReport(labels=tuple(norms), norms=tuple(norms.values()))

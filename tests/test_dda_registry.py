@@ -6,7 +6,7 @@ import pytest
 
 from deformcs.algebra_core import MatrixPair, tensor_from_pair
 from deformcs.closed_forms import SolutionFamily, eval_family
-from deformcs.dda_registry import (TensorGrid, SampledField, assoc_defect_grid,
+from deformcs.dda_registry import (_BLOCK_DOUBLES, TensorGrid, SampledField, assoc_defect_grid,
                                    coisotropic_bracket_defect, coisotropic_cs_residual,
                                    cs_residual, cs_residual_scan, discrete_cs_defect,
                                    discrete_cs_residual,
@@ -404,21 +404,77 @@ def test_l3_trajectory_satisfies_its_central_system():
 @pytest.mark.parametrize("shape, n", [
     ((7,), 1), ((7,), 2),            # one grid axis, index offset 0 and 1
     ((6, 5), 2), ((6, 5), 3),        # two axes
-    ((40, 36), 3),                   # long enough for the vectorised einsum loops
+    ((40, 36), 3),                   # 1292 points: ten point blocks, the last one ragged
     ((4, 5, 3), 3), ((4, 3, 5), 4),  # three axes
-    ((2, 6), 3), ((2, 2, 2), 4),     # no interior points
+    ((2, 6), 3), ((2, 2, 2), 4),     # no interior points: every norm is 0.0
+    ((1, 5), 3),
 ])
 def test_grid_contractions_equal_the_grid_first_forms(shape, n):
     rng = np.random.default_rng(sum(shape) * n)
     c = rng.normal(size=shape + (n, n, n))
-    tg = TensorGrid(c=0.5 * (c + np.swapaxes(c, -3, -2)), spacing=0.3)
-    assert np.array_equal(assoc_defect_grid(tg), assoc_defect_grid_first(tg.c))
-    for got, want in zip(quantum_cs_parts(tg, hbar=0.7), quantum_cs_parts_grid_first(tg, 0.7)):
+    # symmetrised and not, so that no regrouping may rely on C_jk = C_kj
+    for tg in (TensorGrid(c=0.5 * (c + np.swapaxes(c, -3, -2)), spacing=0.3),
+               TensorGrid(c=c, spacing=0.3)):
+        assert np.array_equal(assoc_defect_grid(tg), assoc_defect_grid_first(tg.c))
+        deriv, quad = quantum_cs_parts_grid_first(tg, 0.7)
+        for got, want in zip(quantum_cs_parts(tg, hbar=0.7), (deriv, quad)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        got, want = coisotropic_bracket_defect(tg), coisotropic_bracket_grid_first(tg)
         assert got.shape == want.shape and np.array_equal(got, want)
-    got, want = coisotropic_bracket_defect(tg), coisotropic_bracket_grid_first(tg)
-    assert got.shape == want.shape and np.array_equal(got, want)
-    rep = coisotropic_cs_residual(tg)
-    interior = (slice(1, -1),) * len(shape)
-    want_norms = [float(np.max(np.abs(a))) if a.size else 0.0
-                  for a in (want, assoc_defect_grid_first(tg.c)[interior])]
-    assert rep.norms == tuple(want_norms)
+        rep = coisotropic_cs_residual(tg)
+        interior = (slice(1, -1),) * len(shape)
+        want_norms = [float(np.max(np.abs(a))) if a.size else 0.0
+                      for a in (want, assoc_defect_grid_first(tg.c)[interior])]
+        assert rep.norms == tuple(want_norms)
+        want_quantum = float(np.max(np.abs(deriv + quad))) if deriv.size else 0.0
+        assert quantum_cs_residual(tg, 0.7).norms == (want_quantum,)
+
+
+@pytest.mark.parametrize("points", [38 * 34, 14 * 14])   # the (40, 36) and (16, 16) grids
+def test_the_n3_cases_span_point_blocks_with_a_ragged_last_one(points):
+    step = _BLOCK_DOUBLES // 3 ** 5
+    assert points > step and points % step
+
+
+def _spike(npts, where):
+    """A smooth n = 3 grid with one 1e200 entry at c[where, 0, 0, 0]: its square overflows
+    the associativity defect at that point, while the bracket stays finite."""
+    rng = np.random.default_rng(23)
+    c = random_smooth_tensor_grid(rng, npts=npts, h=0.1, n=3, unital=False)
+    c[where + (0, 0, 0)] = 1e200
+    return c
+
+
+# 16 x 16 has 196 interior points, two blocks of the bracket for n = 3: the first
+# interior point is in the first block, the last one in the last, ragged block.
+@pytest.mark.parametrize("where", [(1, 1), (14, 14)])
+def test_a_non_finite_block_maximum_is_not_hidden_by_the_other_blocks(where):
+    tg = TensorGrid(c=_spike(16, where), spacing=0.1)
+    with pytest.raises(InvalidInputError, match="'quantum_cs_max' is not a finite"):
+        quantum_cs_residual(tg, 0.5)
+    with pytest.raises(InvalidInputError, match="'assoc_defect_max' is not a finite"):
+        coisotropic_cs_residual(tg)
+    c = tg.c.copy()   # the same spike at the neighbour ahead overflows the bracket too
+    c[(where[0] + 1, where[1]) + (0, 0, 0)] = 1e200
+    with pytest.raises(InvalidInputError, match="'coisotropic_bracket_max' is not a finite"):
+        coisotropic_cs_residual(TensorGrid(c=c, spacing=0.1))
+
+
+def test_grid_operators_name_an_overflow_instead_of_warning():
+    # RuntimeWarnings are errors in this suite, so a warning would fail here first
+    tg = TensorGrid(c=_spike(6, (2, 3)), spacing=0.1)
+    with pytest.raises(InvalidInputError, match="^residual 'quantum_cs_max' is not a finite"):
+        quantum_cs_residual(tg, 0.5)
+    with pytest.raises(InvalidInputError, match="^residual 'assoc_defect_max' is not a finite"):
+        coisotropic_cs_residual(tg)
+    with pytest.raises(InvalidInputError, match=r"^residual 'discrete_cs\[1,0\]' is not a finite"):
+        discrete_cs_residual(tg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tensor_grid_names_its_first_non_finite_entry(bad):
+    c = np.zeros((4, 4, 3, 3, 3))
+    c[2, 2, 1, 1, 1] = c[3, 0, 0, 0, 0] = bad
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("tensor grid entry c[2, 2, 1, 1, 1] is not finite")):
+        TensorGrid(c=c, spacing=0.1)
