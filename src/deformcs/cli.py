@@ -201,14 +201,16 @@ def _write_csv(path: Path, header: list[str], *columns) -> None:
 
 
 def _drift_stats(history: dict[str, np.ndarray]) -> dict | None:
-    """Worst deviation of each invariant from its first value (row), absolute and
-    relative to max(1, largest |first value|); None with fewer than two values."""
+    """Worst deviation of each invariant from its first value, absolute and relative to
+    max(1, largest |first value|), or both None where not finite; None with < 2 values."""
     out = {}
     for name, vals in history.items():
         if len(vals) < 2:
             return None
-        dev = float(np.max(np.abs(vals - vals[0])))
-        out[name] = {"max_abs": dev, "max_rel": dev / max(1.0, float(np.max(np.abs(vals[0]))))}
+        with np.errstate(all="ignore"):   # inf - inf, and finite rows past float range
+            dev = float(np.max(np.abs(vals - vals[0])))
+        out[name] = ({"max_abs": dev, "max_rel": dev / max(1.0, float(np.max(np.abs(vals[0]))))}
+                     if np.isfinite(dev) else {"max_abs": None, "max_rel": None})
     return out or None
 
 

@@ -8,14 +8,15 @@ takes more than MAX_STEPS steps; a longer one is rejected before it starts, and
 so is a reversed or non-finite span or a step that is not a positive finite number.
 
 A state is a tuple of k floats, on which RK4 does the IEEE operations of its
-float64 array form in the same order; the (steps + 1, k) array of states is made
-up front.  The step itself is straight-line code, one function per state size k,
-generated from ``_STEP_TEMPLATE`` on the first run with that k and cached: it
-unpacks the state and each stage into k locals, so a right-hand side that
-returns a tuple of the wrong length raises ValueError instead of being cut to
-size.  Each stage is ``y + half*k1`` (``h*k3`` for the last) per entry and the
-update ``y + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4)``, so a run is bit for bit what
-the same loop over ``zip``s of tuples gives.
+float64 array form in the same order.  The whole run is one loop of straight-line
+code per state size k, generated from ``_RUN_TEMPLATE`` on the first run with that k
+and cached: it calls f four times per step, unpacks the state and each stage into k
+locals (so a right-hand side that returns a tuple of the wrong length raises
+ValueError instead of being cut to size) and writes each accepted state into the
+(steps + 1, k) array made before the run.  Each stage is ``y + half*k1`` (``h*k3``
+for the last) per entry and the update ``y + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4)``, so
+a run is bit for bit what the same loop over ``zip``s of tuples gives; the guard
+``-guard <= y_j <= guard`` is false for NaN and infinities, as ``abs(y_j) <= guard`` is.
 """
 
 from __future__ import annotations
@@ -85,57 +86,53 @@ def integrate_fixed(f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
     ys = np.empty((n + 1, len(y)))
     ys[0] = y
     h = (t1 - t0) / n if n else 0.0
-    rk4_step = _step_factory(len(y))(f, h, OVERFLOW_GUARD)
-    t, rows, diagnostic = t0, n + 1, None
-    for i in range(n):
-        try:
-            y_next = rk4_step(t, y)
-        except (SingularFlowError, ZeroDivisionError, FloatingPointError) as exc:
-            rows, diagnostic = i + 1, f"{type(exc).__name__}: {exc}"
-            break
-        t = t0 + (i + 1) * h
-        if y_next is None:   # an entry was NaN or above the guard in size
-            rows = i + 1
-            diagnostic = f"state exceeded overflow guard {OVERFLOW_GUARD:g} at t={t:.6g}"
-            break
-        ys[i + 1] = y = y_next
+    with memoryview(ys.reshape(-1)) as out:
+        rows, diagnostic = _run_factory(len(y))(f, t0, y, n, h, out, OVERFLOW_GUARD)
     ts = np.concatenate(([t0], t0 + np.arange(1, rows) * h))   # keeps a t0 of -0.0
     status = STATUS_COMPLETED if diagnostic is None else STATUS_TRUNCATED
     return ts, ys[:rows], status, diagnostic
 
 
-# {y} is "y0, y1, ..., " with one local per entry, and so are {a}, ..., {z}; {stage_a}
-# is "y0 + half * a0, ...", {new} the RK4 update and {bounded} the guard test per entry.
-_STEP_TEMPLATE = """
-def make_step(f, h, guard):
+# {y} is "y0, y1, ..., " with one local per entry, and so are {a}, ..., {d}; {stage_a}
+# is "y0 + half * a0, ...", {new} the RK4 update, {bounded} the guard test per entry
+# and {store} the writes of row i + 1 into the flat view ``out`` of the states.
+_RUN_TEMPLATE = """
+def run(f, t0, y, n, h, out, guard):
     half, sixth = 0.5 * h, h / 6.0
-
-    def rk4_step(t, y):
-        ({y}) = y
-        ({a}) = f(t, y)
-        ({b}) = f(t + half, ({stage_a}))
-        ({c}) = f(t + half, ({stage_b}))
-        ({d}) = f(t + h, ({stage_c}))
-        z = ({z}) = ({new})
-        return z if {bounded} else None
-
-    return rk4_step
+    ({y}) = y
+    t, i, o = t0, 0, len(y)
+    try:
+        for i in range(n):
+            ({a}) = f(t, y)
+            ({b}) = f(t + half, ({stage_a}))
+            ({c}) = f(t + half, ({stage_b}))
+            ({d}) = f(t + h, ({stage_c}))
+            y = ({y}) = ({new})
+            t = t0 + (i + 1) * h
+            if not ({bounded}):
+                return i + 1, f"state exceeded overflow guard {{guard:g}} at t={{t:.6g}}"
+            {store}
+    except (SingularFlowError, ZeroDivisionError, FloatingPointError) as exc:
+        return i + 1, f"{{type(exc).__name__}}: {{exc}}"
+    return n + 1, None
 """
 
 
 @cache
-def _step_factory(k: int):
-    """``make_step(f, h, guard)`` for states of k entries: it returns ``rk4_step(t, y)``,
-    one RK4 step from (t, y), or None when an entry of the result is NaN or above guard."""
+def _run_factory(k: int):
+    """``run(f, t0, y, n, h, out, guard)`` for states of k entries: n RK4 steps from
+    (t0, y), the state after step i written to ``out[k * (i + 1):]``.  It returns the
+    number of rows kept and the diagnostic of a truncation, or None."""
     def each(form):   # "form(0), form(1), ..., " with form(j) = form.format(j=j)
         return "".join(form.format(j=j) + ", " for j in range(k))
 
-    source = _STEP_TEMPLATE.format(
-        **{v: each(v + "{j}") for v in "yabcdz"},
+    source = _RUN_TEMPLATE.format(
+        **{v: each(v + "{j}") for v in "yabcd"},
         stage_a=each("y{j} + half * a{j}"), stage_b=each("y{j} + half * b{j}"),
         stage_c=each("y{j} + h * c{j}"),
         new=each("y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})"),
-        bounded=" and ".join(f"abs(z{j}) <= guard" for j in range(k)) or "True")
-    namespace = {}
-    exec(compile(source, f"<rk4 step, k={k}>", "exec"), namespace)
-    return namespace["make_step"]
+        bounded=" and ".join(f"-guard <= y{j} <= guard" for j in range(k)) or "True",
+        store="".join(f"out[o + {j}] = y{j}; " for j in range(k)) + f"o += {k}")
+    namespace = {"SingularFlowError": SingularFlowError}
+    exec(compile(source, f"<rk4 run, k={k}>", "exec"), namespace)
+    return namespace["run"]

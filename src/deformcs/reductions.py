@@ -18,7 +18,10 @@ Three named reductions of the 2x2 and 3x3 Lax flows are implemented:
 Each reduction carries its conserved quantity and a reconstruction map
 back to full structure constants, so trajectories can be cross-checked
 against the matrix central systems they came from.  Each right-hand side maps
-a tuple of floats to a tuple, with no ** and no unguarded division.
+a tuple of floats to a tuple, with no ** and no unguarded division; a Chazy
+variant's is compiled from the text of its formulas, so G''' and B' are inline.
+Invariants are evaluated on the state columns as arrays, each power per entry
+on Python floats, and the public per-point helpers run the same code on floats.
 
 Each reduction is one row of ``REDUCTIONS``: its initial entries, params, state
 columns and the builder of its right-hand side and invariants.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Mapping, Sequence
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -43,7 +46,13 @@ CHAZY_VARIANTS = ("ChazyV", "ChazyV_shifted", "Generic", "ChazyVII", "ChazyVIII"
 
 
 def _pow(x, k: int):
-    """x ** k, or the infinity numpy's float64 power gives where Python's raises OverflowError."""
+    """x ** k, or the infinity numpy's float64 power gives where Python's raises OverflowError;
+    on an array, per entry on Python floats, since ``array ** k`` may round differently."""
+    if isinstance(x, np.ndarray):
+        try:
+            return np.array([v ** k for v in x.tolist()])
+        except OverflowError:
+            return np.array([_pow(v, k) for v in x.tolist()])
     try:
         return x ** k
     except OverflowError:
@@ -55,24 +64,24 @@ def _check_variant(variant: str) -> None:
         raise InvalidInputError(f"unknown Chazy variant {variant!r}")
 
 
-# G''' of each variant from (G, G1, G2, Phi, Phi'); only Generic reads Phi.
+# G''' of each variant as text over (G, G1, G2, phi, dphi), which chazy_rhs and
+# each variant's right-hand side compile; only Generic reads phi = Phi and dphi = Phi'.
 _CHAZY_G3 = {
-    "ChazyV": lambda G, G1, G2, *_: -2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2,
-    "ChazyV_shifted": lambda G, G1, G2, *_: (-2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2
-                                            + G1),
-    "Generic": lambda G, G1, G2, phi, dphi: (-2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2
-                                             + 2.0 * G1 * phi + G * dphi),
-    "ChazyVII": lambda G, G1, G2, *_: -2.0 * G * G * G1 - 2.0 * G1 * G1 - G * G2,
-    "ChazyVIII": lambda G, G1, G2, *_: 6.0 * G * G * G1,
-    "ChazyIII": lambda G, G1, G2, *_: 2.0 * G * G2 - 3.0 * G1 * G1,
+    "ChazyV": "-2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2",
+    "ChazyV_shifted": "-2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2 + G1",
+    "Generic": "-2.0 * G * G * G1 - 4.0 * G1 * G1 - 2.0 * G * G2 + 2.0 * G1 * phi + G * dphi",
+    "ChazyVII": "-2.0 * G * G * G1 - 2.0 * G1 * G1 - G * G2",
+    "ChazyVIII": "6.0 * G * G * G1",
+    "ChazyIII": "2.0 * G * G2 - 3.0 * G1 * G1",
 }
+_CHAZY_G3_FN = {v: eval(f"lambda G, G1, G2, phi, dphi: {g3}") for v, g3 in _CHAZY_G3.items()}
 
 
 def chazy_rhs(variant: str, G: float, G1: float, G2: float,
               phi: float = 0.0, dphi: float = 0.0) -> float:
     """Third derivative G''' for the requested variant (Generic needs phi, dphi)."""
     _check_variant(variant)
-    return _CHAZY_G3[variant](G, G1, G2, phi, dphi)
+    return _CHAZY_G3_FN[variant](G, G1, G2, phi, dphi)
 
 
 def _second_integral(G: float, G1: float, G2: float, closing: float) -> float:
@@ -119,9 +128,10 @@ def chazy_pair(G: float, G1: float, G2: float, B: float = 0.0, B1: float = 0.0) 
     return MatrixPair.from_entries(2, reconstruct_from_G(G, G1, G2, B, B1))
 
 
-def _riccati(phi: float, B: float) -> float:
-    """B' = Phi - B^2/2, the Riccati equation by which ChazyVII and ChazyIII carry B."""
-    return phi - 0.5 * B * B
+# B' = Phi - B^2/2, the Riccati equation by which ChazyVII and ChazyIII carry B, as text
+# over B and {phi}, the variant's Phi, which their right-hand sides compile inline.
+_RICCATI = "{phi} - 0.5 * B * B"
+_riccati = eval(f"lambda phi, B: {_RICCATI.format(phi='phi')}")
 
 
 # (Phi, B, B') from one trajectory row (the state columns) of each variant
@@ -141,36 +151,35 @@ def chazy_state_phi_B(variant: str, row: np.ndarray) -> tuple[float, float, floa
     return _CHAZY_PHI_B[variant](*row)
 
 
+# The body of f(_t, y) for the variants with columns beyond G, G1, G2, and {g3} for G''':
+# ChazyVII and ChazyIII carry B so the reconstruction map stays available, and ChazyIII
+# also carries Phi, integrated from the quadrature relation.
+_CHAZY_RHS = {
+    "ChazyVII": "G, G1, G2, B = y\n    return G1, G2, {g3}, " + _RICCATI.format(phi="G1"),
+    "ChazyIII": ("G, G1, G2, phi, B = y\n    if abs(G) < 1e-9:\n        raise SingularFlowError("
+                 "'ChazyIII quadrature needs G bounded away from 0')\n    return G1, G2, {g3}, "
+                 "(2.0 * G * G * G1 + G1 * G1 + 4.0 * G * G2 - 2.0 * G1 * phi) / G, "
+                 + _RICCATI.format(phi="phi")),
+}
+
+
+@cache
 def _chazy(variant: str):
     """The right-hand side and invariants of one Chazy variant; neither reads a param.
 
-    ChazyVII and ChazyIII carry B so the reconstruction map stays available;
-    ChazyIII also carries Phi, integrated from the quadrature relation.
-    """
-    g3, phi_B = _CHAZY_G3[variant], _CHAZY_PHI_B[variant]
-    if variant == "ChazyVII":
-        def f(_t, y):
-            G, G1, G2, B = y
-            return (G1, G2, g3(G, G1, G2), _riccati(G1, B))
-    elif variant == "ChazyIII":
-        def f(_t, y):
-            G, G1, G2, phi, B = y
-            if abs(G) < 1e-9:
-                raise SingularFlowError("ChazyIII quadrature needs G bounded away from 0")
-            dphi = (2.0 * G * G * G1 + G1 * G1 + 4.0 * G * G2 - 2.0 * G1 * phi) / G
-            return (G1, G2, g3(G, G1, G2), dphi, _riccati(phi, B))
-    else:   # B is 0, 1 or 2G: no column carries it
-        def f(_t, y):
-            G, G1, G2 = y
-            return (G1, G2, g3(G, G1, G2))
+    The right-hand side is compiled from the text of its formulas, so it makes no call."""
+    body = _CHAZY_RHS.get(variant, "G, G1, G2 = y\n    return G1, G2, {g3}")
+    namespace = {"SingularFlowError": SingularFlowError}
+    source = f"def f(_t, y):\n    {body.format(g3=_CHAZY_G3[variant])}\n"
+    exec(compile(source, f"<{variant}>", "exec"), namespace)
+    phi_B = _CHAZY_PHI_B[variant]
 
     # Phi = B^2 / 2 is exactly B / 2 for the constant B (0 or 1) of ChazyV and
     # ChazyV_shifted, so Phi is the closing coefficient of I2 for every variant.
-    def invariants(rows):
-        return {"I2_chazy": [_second_integral(row[0], row[1], row[2], phi_B(*row)[0])
-                             for row in rows]}
+    def invariants(columns):
+        return {"I2_chazy": _second_integral(*columns[:3], phi_B(*columns)[0])}
 
-    return f, invariants
+    return namespace["f"], invariants
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +192,10 @@ def _boussinesq(alpha: float, beta: float, gamma: float):
         E, E1 = y
         return (E1, 6.0 * E * E - 4.0 * alpha * E - beta)
 
-    def invariants(rows):
-        return {"I3": [_pow(alpha, 3) / 3.0 + gamma * gamma + 0.5 * alpha * beta
-                       - 0.25 * E1 * E1 + _pow(E, 3) - alpha * E * E - 0.5 * beta * E
-                       for E, E1 in rows]}
+    def invariants(columns):
+        E, E1 = columns
+        return {"I3": (_pow(alpha, 3) / 3.0 + gamma * gamma + 0.5 * alpha * beta
+                       - 0.25 * E1 * E1 + _pow(E, 3) - alpha * E * E - 0.5 * beta * E)}
 
     return f, invariants
 
@@ -208,7 +217,7 @@ def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float
     integrals = {
         "I1": alpha,
         "I2": 0.5 * (beta + alpha * alpha),
-        "I3": invariants([(E, E1)])["I3"][0],
+        "I3": invariants((E, E1))["I3"],
     }
     return f(0.0, (E, E1))[1], entries, integrals
 
@@ -228,10 +237,10 @@ def _elliptic(alpha: float):
         B, E, C = y
         return ((1.0 + C) * E, -B * E, -(2.0 + C) * B)
 
-    def invariants(rows):   # r1 with (E')^2 = (-B E)^2
-        return {"r1": [(-B * E) * (-B * E) + alpha * _pow(E, 4) - 2.0 * _pow(E, 3) + E * E
-                       for B, E, _ in rows],
-                "r2": [B * B + C * E + 1.0 for B, E, C in rows]}
+    def invariants(columns):   # r1 with (E')^2 = (-B E)^2
+        B, E, C = columns
+        return {"r1": (-B * E) * (-B * E) + alpha * _pow(E, 4) - 2.0 * _pow(E, 3) + E * E,
+                "r2": B * B + C * E + 1.0}
 
     return f, invariants
 
@@ -244,7 +253,7 @@ def elliptic_system(B: float, E: float, C: float, alpha: float):
     second integral of the flow equals -1 on this reduction).
     """
     f, invariants = _elliptic(alpha)
-    return f(0.0, (B, E, C)), tuple(v[0] for v in invariants([(B, E, C)]).values())
+    return f(0.0, (B, E, C)), tuple(invariants((B, E, C)).values())
 
 
 def elliptic_point(E: float, alpha: float, branch: float = 1.0) -> tuple[float, float, float]:
@@ -264,7 +273,8 @@ _G = ("G", "G1", "G2")
 # name -> (initial entries, params, state columns, build).  A state column beyond
 # the initial entries starts at the param in the same place (b0 starts B, phi0 phi).
 # build takes the other params and returns the right-hand side f(t, y) and
-# invariants(rows), which maps each invariant's name to its value at every row.
+# invariants(columns), which maps each invariant's name to its value at every row:
+# an array from the state columns as arrays, a float from floats.
 REDUCTIONS = {
     "ChazyV": (_G, (), _G, partial(_chazy, "ChazyV")),
     "ChazyV_shifted": (_G, (), _G, partial(_chazy, "ChazyV_shifted")),
@@ -300,9 +310,9 @@ def integrate_reduction(name: str, initial: Sequence[float], params: Mapping[str
     f, invariants = build(*values[carried:])
     ts, ys, status, diagnostic = integrate_fixed(f, span[0], (*y0.values(), *values[:carried]),
                                                  span[1], step)
-    histories = invariants(ys.tolist())   # float arithmetic per row, not numpy scalars
-    return Trajectory(kind=name, ts=ts, states=ys, columns=columns,
-                      invariants={k: np.array(v) for k, v in histories.items()},
+    with np.errstate(all="ignore"):   # inf and NaN, as float arithmetic gives them
+        histories = invariants(tuple(ys.T))
+    return Trajectory(kind=name, ts=ts, states=ys, columns=columns, invariants=histories,
                       status=status, diagnostic=diagnostic)
 
 

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -309,6 +310,29 @@ def test_empty_trajectory_has_null_drift(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out), "--quiet"]) == EXIT_OK
     assert _read_report(out)["invariant_drift"] is None
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error")
+def test_drift_of_an_invariant_that_is_not_finite_is_null_json(tmp_path, capsys):
+    # gamma^2 overflows, so I3 is inf on every row and its deviation inf - inf
+    doc = {"kind": "reduction", "reduction": "Boussinesq", "initial": {"E": 0.1, "E1": 0},
+           "params": {"alpha": 0.2, "beta": 0.1, "gamma": 1e200},
+           "span": [0, 0.01], "step": 0.001}
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "s.json", doc)), "--out", str(out)]) == EXIT_OK
+    assert "Warning" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text(), parse_constant=_no_constant)
+    assert report["invariant_drift"] == {"I3": {"max_abs": None, "max_rel": None}}
+    # a NaN or infinite row, or finite rows further apart than the largest float
+    null = {"x": {"max_abs": None, "max_rel": None}}
+    for vals in ([1.0, math.inf], [math.nan, 1.0], [1.7e308, -1.7e308]):
+        assert cli._drift_stats({"x": np.array(vals)}) == null
+    assert cli._drift_stats({"x": np.array([1e308, -2.0])}) == {
+        "x": {"max_abs": 1e308, "max_rel": 1.0}}
 
 
 def test_step_override(tmp_path):

@@ -25,8 +25,6 @@ from _oracles import rk4_loop
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = {case.name: json.loads((case / "scenario.json").read_text())
              for case in sorted(GOLDEN.iterdir()) if case.name.startswith(("flow_", "reduction_"))}
-SCENARIOS.update({f"reduction_{v}": {**SCENARIOS["reduction_chazy_v"], "reduction": v}
-                  for v in ("ChazyV_shifted", "ChazyVIII")})
 
 
 def _runs_agree(make_f, *args, **kwargs):

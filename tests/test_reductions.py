@@ -289,6 +289,35 @@ def test_table_rows_every_integrable_variant_and_its_own_params():
         assert all(v.shape == (11,) for v in traj.invariants.values())
 
 
+def _point_invariants(name, row, params):
+    """The invariants of one state row, from the public per-point helpers."""
+    if name == "Boussinesq":
+        return {"I3": boussinesq_rhs_and_companions(*row, **params)[2]["I3"]}
+    if name == "Elliptic":
+        return dict(zip(("r1", "r2"), elliptic_system(*row, **params)[1]))
+    phi, B, _ = chazy_state_phi_B(name, row)
+    closing = B if name in ("ChazyV", "ChazyV_shifted") else phi
+    return {"I2_chazy": chazy_second_integral(*row[:3], closing, name)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("huge", [False, True], ids=["completed", "huge-start"])
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_trajectory_invariants_are_the_per_point_helpers_bit_for_bit(name, huge):
+    # a start of 1e200 in G or E overflows G^4, E^3 or E^4 to inf in its one row
+    entries, names, _, _ = REDUCTIONS[name]
+    params = dict(zip(names, (0.2, 0.1, 0.3)))
+    initial = [1e200 if huge and e in ("G", "E") else v
+               for e, v in zip(entries, (0.9, 0.3, -0.2))]
+    traj = integrate_reduction(name, initial, params, (0.0, 0.05), 1e-3)
+    assert (traj.status, len(traj.ts)) == (("truncated", 1) if huge else ("completed", 51))
+    rows = [_point_invariants(name, row, params) for row in traj.states.tolist()]
+    assert list(traj.invariants) == list(rows[0])
+    for key, got in traj.invariants.items():
+        assert got.tobytes() == np.array([row[key] for row in rows]).tobytes(), key
+    assert np.isfinite(next(iter(traj.invariants.values()))).all() != huge   # I2, I3 or r1
+
+
 @pytest.mark.parametrize("variant, params", [("ChazyV", {"b0": 0.1}),
                                              ("ChazyV_shifted", {"phi0": 0.0}),
                                              ("ChazyVIII", {"b0": 0.0, "phi0": 0.0}),

@@ -113,7 +113,7 @@ def _system(name, *params):
     _, _, columns, build = REDUCTIONS[name]
     f, invariants = build(*params)
     return sp.symbols(columns, real=True), f, lambda *state: [
-        v for v, in invariants([state]).values()]
+        *invariants(state).values()]
 
 
 @pytest.mark.parametrize("variant", [v for v in REDUCTIONS if v.startswith("Chazy")])

@@ -8,7 +8,9 @@ traced ``reductions.integrate_*`` views, a map run must iterate inside one
 traced ``discrete_flows.orbit``, and a residual scan must load its field through
 one traced ``SampledField.load``;
 if a change bypasses or renames them, the per-layer metrics read 0 (or land on
-the CLI) without any benchmark failing, so these tests fail instead.
+the CLI) without any benchmark failing, so these tests fail instead.  Every flow
+system and every reduction is checked: each must call its right-hand side four
+times per step through the ``f`` it hands to ``integrate_fixed``.
 """
 
 import hashlib
@@ -17,14 +19,19 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from deformcs.algebra_core import MatrixPair
 from deformcs.cli import EXIT_INVALID, EXIT_OK, main
+from deformcs.continuous_flows import SYSTEMS
 from deformcs.dda_registry import SampledField
 from deformcs.discrete_flows import init_map_state, orbit
+from deformcs.integrators import step_count
+from deformcs.reductions import REDUCTIONS
 
 from _oracles import sampled_field_json_per_value
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -37,17 +44,28 @@ def _tracer():
     return tracing.Tracer()
 
 
-def test_flow_rhs_calls_are_traced_to_the_continuous_flows_layer(tmp_path):
-    steps = 10
-    doc = {"kind": "flow", "system": "L2a_2x2", "initial": {"E": 1.0, "G": 1.0, "M": -1.0,
-                                                           "N": -1.0},
-           "free": {"B": 0.5, "C": 0.25}, "span": [0.0, steps * 1e-2], "step": 1e-2}
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(doc))
+def _short_run(key, value, tmp_path):
+    """The scenario file of the first completed golden whose ``key`` is ``value``, cut
+    to ten steps, and its step count."""
+    for case in sorted(GOLDEN.iterdir()):
+        doc = json.loads((case / "scenario.json").read_text())
+        report = (case / "expected" / "report.json").read_text()
+        if doc.get(key) == value and '"status": "completed"' in report:
+            t0 = doc["span"][0]
+            doc["span"] = [t0, t0 + 10 * doc["step"]]
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(doc))
+            return scenario, step_count(*doc["span"], doc["step"])
+    raise LookupError(f"no completed golden with {key} {value}")
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_flow_rhs_calls_are_traced_to_the_continuous_flows_layer(system, tmp_path):
+    scenario, steps = _short_run("system", system, tmp_path)
     tracer = _tracer()
     with tracer.installed():
         code = main(["run", str(scenario), "--out", str(tmp_path / "out"), "--quiet"])
-    assert code == EXIT_OK
+    assert code == EXIT_OK and steps > 0
     names = [span[0] for span in tracer.spans]
     for name in ("continuous_flows.integrate", "continuous_flows.integrals",
                  "continuous_flows.eig", "integrators.integrate_fixed"):
@@ -56,17 +74,13 @@ def test_flow_rhs_calls_are_traced_to_the_continuous_flows_layer(tmp_path):
     assert "cli.rhs" not in names
 
 
-def test_reduction_rhs_calls_are_traced_to_the_reductions_layer(tmp_path):
-    steps = 20
-    doc = {"kind": "reduction", "reduction": "ChazyVII", "params": {"b0": 0.1},
-           "initial": {"G": 0.9, "G1": 0.3, "G2": -0.2},
-           "span": [0.0, steps * 1e-3], "step": 1e-3}
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(doc))
+@pytest.mark.parametrize("reduction", sorted(REDUCTIONS))
+def test_reduction_rhs_calls_are_traced_to_the_reductions_layer(reduction, tmp_path):
+    scenario, steps = _short_run("reduction", reduction, tmp_path)
     tracer = _tracer()
     with tracer.installed():
         code = main(["run", str(scenario), "--out", str(tmp_path / "out"), "--quiet"])
-    assert code == EXIT_OK
+    assert code == EXIT_OK and steps > 0
     names = [span[0] for span in tracer.spans]
     assert names.count("reductions.integrate") == 1
     assert names.count("integrators.integrate_fixed") == 1
