@@ -23,7 +23,7 @@ E, G); constructors reject pairs where the shared entries disagree.
 place that turns named entries into C1 and C2, at one point or stacked;
 ``MatrixPair.from_entries(n, entries)`` is the one constructor from names.
 ``finite_numbers`` is the one rule for every {name: number} input, entries or parameters,
-and its ``check_names`` the one rule for their names.
+its ``check_names`` the one rule for their names, and ``_pow`` the one per-entry power.
 """
 
 from __future__ import annotations
@@ -218,6 +218,20 @@ class ResidualReport:
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.labels, self.norms))
+
+
+def _pow(x, k: int):
+    """x ** k, or the infinity numpy's float64 power gives where Python's raises OverflowError;
+    on an array, per entry on Python floats, since ``array ** k`` may round differently."""
+    if isinstance(x, np.ndarray):
+        try:
+            return np.array([v ** k for v in x.tolist()])
+        except OverflowError:
+            return np.array([_pow(v, k) for v in x.tolist()])
+    try:
+        return x ** k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
 def trace_integrals(mat: np.ndarray) -> dict:

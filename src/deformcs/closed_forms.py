@@ -15,8 +15,8 @@ Five families are catalogued:
 
 ``validate_family`` feeds every family back into its governing system:
 finite differences for the log/rational families, analytic derivatives
-for PolyL3, and exact shifts for GaugeL5, through one stencil kernel for good
-and bad points alike.
+against the L3_simple right-hand side for PolyL3, and exact shifts for GaugeL5,
+through one stencil kernel for good and bad points alike.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, check_names,
                            entry_stacks, finite_numbers, is_finite_number, layout_defect)
+from .continuous_flows import get_system
 from .dda_registry import DDASpec, _cs_norms, grid_defect, lookup
 from .discrete_flows import _first, gauge_pairs
 from .errors import DeformError, InvalidInputError, SingularGaugeError
@@ -204,24 +205,23 @@ def validate_family(fam: SolutionFamily, sample_points, h: float = FD_STEP) -> R
 
     The log/rational families are checked through the L2a stencil on the
     points (p - h, p, p + h), GaugeL5 through the L5 stencil on the exact unit
-    shifts (p - 1, p, p + 1), and PolyL3 with its analytic derivatives (h is
-    ignored for the latter two).  The stencils of all points are evaluated as
-    one stack; if any point fails a check, the same stencil runs on each point
-    alone, so the first bad point is reported by name.
+    shifts (p - 1, p, p + 1), and PolyL3 by its analytic derivatives minus the
+    L3_simple right-hand side (h is ignored for the latter two), all points at
+    once.  If a stencil point fails a check, each point is redone alone, so the
+    first bad point is named; a non-finite norm fails by its label.
     """
     sample_points = list(sample_points)
     labels = tuple(f"x={p:g}" for p in sample_points)
-    if fam.id == "PolyL3":
-        norms = []
-        for p in sample_points:
-            e, de = _poly_l3_entries(fam, float(p))
-            r = (de["B"] - e["E"], de["E"], de["C"] - (e["G"] - e["B"]), de["G"] + e["E"])
-            norms.append(max(abs(v) for v in r))
-        return ResidualReport(labels=labels, norms=norms)
-    spec, step = (lookup("L5"), 1.0) if fam.id == "GaugeL5" else (lookup("L2a"), h)
-    with np.errstate(all="ignore"):   # a bad point is redone, and reported, one at a time
+    points = np.array(sample_points, dtype=float)
+    with np.errstate(all="ignore"):   # a bad stencil point is redone, and reported, alone
+        if fam.id == "PolyL3":   # np.max keeps a NaN part, and ResidualReport rejects it
+            (e, de), sy = _poly_l3_entries(fam, points), get_system("L3_simple")
+            rhs = sy.rhs(tuple(e[k] for k in sy.evolved), ())
+            parts = np.broadcast_arrays(*(de[k] - f for k, f in zip(sy.evolved, rhs)))
+            return ResidualReport(labels=labels, norms=np.max(np.abs(parts), axis=0))
+        spec, step = (lookup("L5"), 1.0) if fam.id == "GaugeL5" else (lookup("L2a"), h)
         try:
-            norms = _stencil_norms(fam, spec, np.array(sample_points, dtype=float), step)
+            norms = _stencil_norms(fam, spec, points, step)
         except (DeformError, np.linalg.LinAlgError):
             norms = None
         if norms is None or not all(map(math.isfinite, norms)):

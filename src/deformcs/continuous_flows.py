@@ -12,18 +12,18 @@ affine variable y with x = y det C1.  Five concrete systems are exposed:
 
 Free entries are held constant along a trajectory; trace first integrals
 and eigenvalues of the designated Lax matrix (C2 for L2a, C1 for L3) are
-computed for every step, once over the whole run.
+computed for every step, once over the whole run, under np.errstate(all="ignore")
+and with ``algebra_core._pow``: a state past float range gives inf or NaN, not an error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra_core import DEGENERACY_TOL, entry_stacks, finite_numbers, trace_integrals
+from .algebra_core import DEGENERACY_TOL, _pow, entry_stacks, finite_numbers, trace_integrals
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
@@ -150,6 +150,7 @@ def _lax_matrices(sy: FlowSystem, values: Mapping) -> np.ndarray:
     return entry_stacks(sy.n, {k: values[k] for k in sy.all_entries()})[sy.lax]
 
 
+@np.errstate(all="ignore")   # inf and NaN, as float arithmetic gives them
 def first_integrals(system_id: str, values: Mapping) -> dict:
     """Trace first integrals of the system's Lax matrix, evaluated algebraically."""
     sy = get_system(system_id)
@@ -160,6 +161,7 @@ def first_integrals(system_id: str, values: Mapping) -> dict:
     return {"I1": a + d, "I2": 0.5 * (a * a + d * d + 2.0 * b * c)}
 
 
+@np.errstate(all="ignore")
 def spectral_invariants(system_id: str, values: Mapping) -> np.ndarray:
     """Eigenvalues of the Lax matrix (C2 for L2a, C1 for L3), sorted by (Re, Im).
 
@@ -171,9 +173,7 @@ def spectral_invariants(system_id: str, values: Mapping) -> np.ndarray:
         lam = np.linalg.eigvals(lax)
     else:
         a, b, c, d = (lax[..., i, j] for i in (0, 1) for j in (0, 1))
-        # math.pow per state: an array ** 2 rounds differently from the scalar pow
-        sq = np.reshape([math.pow(v, 2) for v in np.ravel(a - d).tolist()], np.shape(a))
-        disc = sq + 4.0 * b * c
+        disc = _pow(np.ravel(a - d), 2).reshape(np.shape(a)) + 4.0 * b * c
         root = np.where(disc >= 0.0, 1.0 + 0j, 1j) * np.sqrt(np.abs(disc))
         t = a + d
         lam = np.stack([0.5 * (t - root), 0.5 * (t + root)], axis=-1)
@@ -181,6 +181,7 @@ def spectral_invariants(system_id: str, values: Mapping) -> np.ndarray:
     return np.take_along_axis(lam, order, axis=-1)
 
 
+@np.errstate(all="ignore")   # x = e^s or s det C1, which may leave float range
 def integrate(system_id: str, initial: Mapping[str, float], span: tuple[float, float],
               step: float) -> Trajectory:
     """Run the flow from the entries ``initial`` over ``span`` with fixed-step RK4.

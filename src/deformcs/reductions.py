@@ -20,8 +20,8 @@ back to full structure constants, so trajectories can be cross-checked
 against the matrix central systems they came from.  Each right-hand side maps
 a tuple of floats to a tuple, with no ** and no unguarded division; a Chazy
 variant's is compiled from the text of its formulas, so G''' and B' are inline.
-Invariants are evaluated on the state columns as arrays, each power per entry
-on Python floats, and the public per-point helpers run the same code on floats.
+Invariants are evaluated on the state columns as arrays, each power by the one
+per-entry power ``algebra_core._pow``; the public per-point helpers run the same code.
 
 Each reduction is one row of ``REDUCTIONS``: its initial entries, params, state
 columns and the builder of its right-hand side and invariants.
@@ -32,31 +32,16 @@ columns and the builder of its right-hand side and invariants.
 from __future__ import annotations
 
 import cmath
-import math
 from collections.abc import Mapping, Sequence
 from functools import cache, partial
 
 import numpy as np
 
-from .algebra_core import MatrixPair, finite_numbers
+from .algebra_core import MatrixPair, _pow, finite_numbers
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
 CHAZY_VARIANTS = ("ChazyV", "ChazyV_shifted", "Generic", "ChazyVII", "ChazyVIII", "ChazyIII")
-
-
-def _pow(x, k: int):
-    """x ** k, or the infinity numpy's float64 power gives where Python's raises OverflowError;
-    on an array, per entry on Python floats, since ``array ** k`` may round differently."""
-    if isinstance(x, np.ndarray):
-        try:
-            return np.array([v ** k for v in x.tolist()])
-        except OverflowError:
-            return np.array([_pow(v, k) for v in x.tolist()])
-    try:
-        return x ** k
-    except OverflowError:
-        return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
 def _check_variant(variant: str) -> None:

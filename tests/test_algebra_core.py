@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deformcs.algebra_core import (MatrixPair, ResidualReport, StructTensor,
+from deformcs.algebra_core import (MatrixPair, ResidualReport, StructTensor, _pow,
                                    assoc_residual, pair_from_tensor, tensor_from_pair)
 from deformcs.errors import InvalidInputError
 
@@ -172,3 +172,19 @@ def test_residual_report_invariants():
         ResidualReport(labels=("a", "b", "c"), norms=(1.0, np.nan, np.inf))
     with pytest.raises(InvalidInputError, match="'b' occurs more than once"):
         ResidualReport(labels=("a", "b", "b"), norms=(1.0, 2.0, 3.0))
+
+
+def test_pow_squares_as_math_pow_bit_for_bit_and_gives_inf_past_float_range():
+    rng = np.random.default_rng(20)
+    drawn = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-320.0, 150.0, 20000)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e150, -1e150]
+    v = np.concatenate([edges, drawn])
+    want = np.array([math.pow(x, 2) for x in v.tolist()])
+    assert _pow(v, 2).tobytes() == want.tobytes()
+    assert [_pow(x, 2) for x in edges] == [math.pow(x, 2) for x in edges]
+    huge = [1.5e154, -1e200, 1.7976931348623157e308, -1.7976931348623157e308]
+    with pytest.raises(OverflowError):
+        math.pow(huge[0], 2)
+    assert _pow(np.array(huge), 2).tolist() == [math.inf] * 4
+    assert _pow(np.array(huge), 3).tolist() == [math.inf, -math.inf, math.inf, -math.inf]
+    assert [_pow(x, 3) for x in huge] == [math.inf, -math.inf, math.inf, -math.inf]

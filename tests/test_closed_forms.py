@@ -360,3 +360,13 @@ def test_eval_family_errors_name_the_point_as_given():
         with pytest.raises(type(want.value)) as got:
             eval_family(fam, point)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_poly_l3_residual_with_a_nan_part_fails_naming_its_point():
+    # at y = 1e308, dC - (G - B) is inf - inf: the NaN part must not read as an exact point
+    fam = SolutionFamily("PolyL3", {"alpha": 1, "beta": 1, "gamma": 1, "delta": 0})
+    with pytest.raises(InvalidInputError) as got:
+        validate_family(fam, [0.5, 1e308])
+    assert str(got.value) == "residual 'x=1e+308' is not a finite nonnegative norm"
+    assert validate_family(fam, [0.5]).norms == validate_family_per_point(fam, [0.5]).norms

@@ -1,11 +1,13 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+from deformcs import cli
 from deformcs.algebra_core import MatrixPair
-from deformcs.continuous_flows import (first_integrals, get_system, integrate,
+from deformcs.continuous_flows import (SYSTEMS, first_integrals, get_system, integrate,
                                        spectral_invariants, state_from_entries)
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.errors import InvalidInputError
@@ -288,3 +290,41 @@ def test_free_entries_stay_constant():
     traj = integrate("L2a_2x2", st, (0.0, 0.5), 1e-2)
     assert traj.columns == ("x", "E", "G", "M", "N", "B", "C")
     assert np.all(traj.states[:, 5:] == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# One start entry past the range of the 2x2 square and of the 3x3 matmul.
+# ---------------------------------------------------------------------------
+
+_HUGE_STARTS = [(system, entry, huge) for system, sy in SYSTEMS.items()
+                for entry in sy.evolved for huge in (1e200, 1e300)]
+
+
+def _huge_start(system, entry, huge):
+    """Entries 0.1, 0.2, ... in the system's order (det C1 != 0 for L3), one of them huge."""
+    entries = {k: 0.1 * (i + 1) for i, k in enumerate(get_system(system).all_entries())}
+    return {**entries, entry: huge}
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("system, entry, huge", _HUGE_STARTS)
+def test_huge_start_entry_truncates_quietly(system, entry, huge, tmp_path, capsys):
+    initial = _huge_start(system, entry, huge)
+    state = state_from_entries(system, initial)
+    integrals, eigenvalues = first_integrals(system, state), spectral_invariants(system, state)
+    assert set(integrals) >= {"I1", "I2"} and eigenvalues.shape == (get_system(system).n,)
+    traj = integrate(system, initial, (0.0, 0.01), 0.001)
+    assert traj.status == "truncated" and len(traj.ts) == 1
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps({"kind": "flow", "system": system, "initial": initial,
+                                    "span": [0.0, 0.01], "step": 0.001}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out", str(out), "--quiet"]) == cli.EXIT_SINGULAR
+    assert capsys.readouterr() == ("", "")
+    assert _strict_json((out / "report.json").read_text())["status"] == "truncated"
