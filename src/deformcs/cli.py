@@ -6,7 +6,7 @@ trajectories plus a JSON report; ``deform-cs validate scenario.json`` only
 parses and validates.  Exit codes: 0 success, 2 invalid scenario, 3 run
 truncated at a singularity (artifacts are still written).
 
-Scenario kinds and their required fields:
+Scenario kinds and their required [optional] fields; any other field exits 2:
 
     flow            system, initial, span, step            [free, stride]
     map             dda, initial, steps                    [prev, stride]
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra_core import finite_numbers, is_finite_number
+from .algebra_core import check_names, finite_numbers, is_finite_number
 from .closed_forms import FD_STEP, SolutionFamily, check_family, validate_family
 from .continuous_flows import get_system, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual_scan, lookup, read_json
@@ -75,6 +75,7 @@ class ScenarioConfig:
         self.kind = self._require(str, "kind")
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown kind {self.kind!r} (expected one of {tuple(KINDS)})")
+        check_names("scenario", doc, ("kind", *KINDS[self.kind][2]))
         KINDS[self.kind][0](self)
 
     def _require(self, typ, key):
@@ -152,6 +153,8 @@ class ScenarioConfig:
         if spec.id == "L1":
             raise InvalidInputError("dda 'L1' drives no deformation; nothing to scan")
         self.dda = dda
+        if "field" in self.doc and "field_path" in self.doc:
+            raise InvalidInputError("give field 'field' or field 'field_path', not both")
         if "field" in self.doc:
             self.field = SampledField.from_json(self._require(dict, "field"))
         elif "field_path" in self.doc:
@@ -277,13 +280,18 @@ def _scan_artifacts(cfg: ScenarioConfig, out: Path):
     return STATUS_COMPLETED, None, {"residuals_csv": "residuals.csv"}, rep.as_dict(), None
 
 
-# kind -> (validator, runner)
+# kind -> (validator, runner, the fields it reads besides "kind": the docstring's table)
 KINDS = {
-    "flow": (ScenarioConfig._validate_flow, _flow_artifacts),
-    "map": (ScenarioConfig._validate_map, _map_artifacts),
-    "validate_family": (ScenarioConfig._validate_validate_family, _family_artifacts),
-    "residual_scan": (ScenarioConfig._validate_residual_scan, _scan_artifacts),
-    "reduction": (ScenarioConfig._validate_reduction, _reduction_artifacts),
+    "flow": (ScenarioConfig._validate_flow, _flow_artifacts,
+             ("system", "initial", "span", "step", "free", "stride")),
+    "map": (ScenarioConfig._validate_map, _map_artifacts,
+            ("dda", "initial", "steps", "prev", "stride")),
+    "validate_family": (ScenarioConfig._validate_validate_family, _family_artifacts,
+                        ("family", "params", "points", "h")),
+    "residual_scan": (ScenarioConfig._validate_residual_scan, _scan_artifacts,
+                      ("dda", "field", "field_path")),
+    "reduction": (ScenarioConfig._validate_reduction, _reduction_artifacts,
+                  ("reduction", "initial", "span", "step", "params", "stride")),
 }
 
 

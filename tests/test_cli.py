@@ -568,6 +568,11 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({"kind": "residual_scan", "dda": "L2a", "field_path": "no/such/field.json"},
      "field 'field_path': sampled field file 'no/such/field.json' cannot be read: "
      "No such file or directory"),
+    ({**FLOW_SCENARIO, "strid": 5, "bogus": 1}, "scenario has unknown entries ['bogus', 'strid']"),
+    ({**_MAP, "h": 1e-3}, "scenario has unknown entries ['h']"),
+    ({**_CHAZY, "free": {}}, "scenario has unknown entries ['free']"),
+    ({**_SCAN, "field_path": "no/such/field.json"},
+     "give field 'field' or field 'field_path', not both"),
 ])
 def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, named):
     scenario = _write(tmp_path, "bad.json", doc)
@@ -605,6 +610,37 @@ def test_docstring_lists_each_reductions_initial_entries_and_params():
                       for name, (entries, params, *_) in REDUCTIONS.items()}
 
 
+def test_docstring_lists_the_fields_each_kind_reads():
+    table = cli.__doc__.split("fields; any other field exits 2:")[1].split("\n\n")[1]
+    listed = {line.split()[0]: set(re.findall(r"\w+", line)[1:]) for line in table.splitlines()}
+    assert listed == {kind: set(row[2]) for kind, row in cli.KINDS.items()}
+
+
+def test_unknown_field_fails_validate_too(tmp_path, capsys):
+    scenario = _write(tmp_path, "typo.json", {**FLOW_SCENARIO, "strid": 5})
+    assert main(["validate", str(scenario)]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "", "deform-cs: error: scenario has unknown entries ['strid']\n")
+
+
+_HUGE_REPROS = [
+    ({"kind": "flow", "system": "L2a_2x2", "span": [0, 0.01], "step": 0.001,
+      "initial": {"E": 1e200, "G": 1, "M": -1, "N": -1, "B": 0, "C": 0}}, EXIT_SINGULAR, ""),
+    ({"kind": "flow", "system": "L2a_3x3", "span": [0, 0.01], "step": 0.001,
+      "initial": {"A": 0, "B": 0, "C": 0, "D": 1e300, "E": 1e300, "G": 1, "L": 1, "M": 1,
+                  "N": 1}}, EXIT_SINGULAR, ""),
+    ({"kind": "validate_family", "family": "PolyL3", "points": [0.5, 1e308],
+      "params": {"alpha": 1, "beta": 1, "gamma": 1, "delta": 0}}, EXIT_INVALID,
+     "deform-cs: error: residual 'x=1e+308' is not a finite nonnegative norm\n"),
+]
+
+
+@pytest.mark.parametrize("doc, code, err", _HUGE_REPROS, ids=["L2a_2x2", "L2a_3x3", "PolyL3"])
+def test_huge_inputs_neither_crash_warn_nor_read_as_exact(tmp_path, doc, code, err):
+    # the 2x2 square of a - d and the 3x3 matmul overflow; PolyL3 meets inf - inf
+    assert _run_quiet(tmp_path / "out", _write(tmp_path, "huge.json", doc)) == (code, "", err)
+
+
 def test_map_run_builds_its_state_once(tmp_path, monkeypatch):
     built = []
 
@@ -624,7 +660,8 @@ def test_map_run_builds_its_state_once(tmp_path, monkeypatch):
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=5)
-    | st.floats(allow_nan=False, allow_infinity=False),
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([1e200, -1e300, 1.7976931348623157e308]),   # past a square's range
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=6)
