@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, check_names,
+from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, _pow, check_names,
                            entry_stacks, finite_numbers, is_finite_number, layout_defect)
 from .continuous_flows import get_system
 from .dda_registry import DDASpec, _cs_norms, grid_defect, lookup
@@ -236,7 +236,7 @@ def family_integrals(fam: SolutionFamily) -> dict[str, float]:
         return {
             "I1": a,
             "I2": 0.5 * a * a + 3.0 * b * b + 2.0 * a * b + mu,
-            "I3": ((a + b) ** 3 - b ** 3) / 3.0 + (a + b) * (mu + b * (a + 2.0 * b)) - g * d,
+            "I3": (_pow(a + b, 3) - _pow(b, 3)) / 3.0 + (a + b) * (mu + b * (a + 2.0 * b)) - g * d,
         }
     if fam.id == "Nilpotent2x2":
         a, g = fam.p("alpha"), fam.p("gamma")

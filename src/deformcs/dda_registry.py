@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra_core import MatrixPair, ResidualReport, layout_defect
+from .algebra_core import MatrixPair, ResidualReport, _pow, layout_defect
 from .errors import InvalidInputError, StencilRangeError, UnsupportedDDAError
 
 OP_NONE = "none"
@@ -379,7 +379,7 @@ def _max_norms(tg: TensorGrid, terms: dict) -> ResidualReport:
     """The report of max |f(c, d)| over the interior points for each ``label: f`` of ``terms``,
     taken block by block along the point axis z; a NaN propagates, no points give 0.0."""
     c, d, _ = _interior_points(tg)
-    step = max(1, _BLOCK_DOUBLES // tg.n ** 5)
+    step = max(1, _BLOCK_DOUBLES // _pow(tg.n, 5))
     maxima = [[np.max(np.abs(f(c[..., i:i + step], d[..., i:i + step]))) for f in terms.values()]
               for i in range(0, c.shape[-1], step)]
     return ResidualReport(labels=tuple(terms),

@@ -12,7 +12,7 @@ structure constants (B, C held fixed along an orbit):
 
 One scalar kernel advances the entries (B, C, E, G, M, N) as floats.  Off the
 closed forms it takes LAPACK's 2x2 LU with exactly emulated fused multiply-adds,
-giving the bits of np.linalg.solve, which it calls outside that exact range.
+giving the bits of np.linalg.solve, which it calls at ``_solve_step``'s exits.
 ``orbit`` iterates it and keeps the orbit as arrays, with the degeneracy flags
 and the exact trace invariants (of C2, of C2 C1^-1, of V respectively) computed
 once over the whole orbit.  The module also evaluates the discrete oriented
@@ -115,17 +115,15 @@ def init_map_state(dda: str, entries: dict[str, float],
 
 
 class _Inexact(ArithmeticError):
-    """A solve step left the range where float arithmetic gives LAPACK's bits exactly."""
+    """A solve step reached one of the exits ``_solve_step`` names."""
 
 
-_SPLIT, _TINY, _HUGE = 134217729.0, 2.0 ** -900, 2.0 ** 990   # 2^27 + 1; the exact range
+_SPLIT, _TINY, _HUGE = 134217729.0, 2.0 ** -900, 2.0 ** 990   # 2^27 + 1; _fma's exact range
 
 
 def _fma(a: float, b: float, c: float) -> float:
-    """a*b + c rounded once, as the BLAS kernel's fused multiply-add: p + e = a*b exactly
-    by Dekker's TwoProduct with Veltkamp's split, and ``fsum`` rounds p + e + c correctly.
-    _Inexact unless _TINY < |a*b| < _HUGE, and on a NaN; OverflowError from ``fsum`` on
-    an intermediate overflow."""
+    """a*b + c rounded once, as the BLAS kernel's fused multiply-add: p + e = a*b exactly by
+    Dekker's TwoProduct and Veltkamp's split, and ``fsum`` rounds p + e + c (see _solve_step)."""
     p = a * b
     if not _TINY < abs(p) < _HUGE:
         raise _Inexact
@@ -142,8 +140,7 @@ def _lu_solve(lu: tuple, r1: float, r2: float, matrix: bool = False) -> tuple[fl
     """C1^-1 (r1, r2) by the LU (swap, a, b, l, u): dgetrs divides a vector by the pivots
     and scales each column of a matrix right-hand side by their inverses."""
     swap, a, b, l, u = lu
-    if swap:
-        r1, r2 = r2, r1
+    r1, r2 = (r2, r1) if swap else (r1, r2)
     if matrix:
         x2 = _fma(-l, r1, r2) * (1.0 / u)
         return _fma(-b, x2, r1) * (1.0 / a), x2
@@ -153,18 +150,21 @@ def _lu_solve(lu: tuple, r1: float, r2: float, matrix: bool = False) -> tuple[fl
 
 def _solve_step(dda: str, values: tuple[float, ...], prev_C1):
     """The L4 or L5 step as LAPACK and the BLAS kernel compute it, in floats.  C1's LU
-    swaps the rows when |C| > |B|, then l = c (1/a), u = e - l b unfused; a pivot below
-    DBL_MIN (LAPACK divides there), zero or from _HUGE up raises _Inexact.  Matmul fuses
+    swaps the rows when |C| > |B|, then l = c (1/a), u = e - l b unfused.  Matmul fuses
     as BLAS: C2 @ v is (fma(E, v1, M v2), fma(G, v1, N v2)), and (C2 @ P)[i, j] is
-    fma(C2[i, 1], P[1, j], C2[i, 0] P[0, j])."""
+    fma(C2[i, 1], P[1, j], C2[i, 0] P[0, j]).  All else is IEEE x, / and -, which floats
+    give bit for bit at any magnitude, so the step leaves for np.linalg.solve at three exits:
+    ``_fma``'s, at a product outside (_TINY, _HUGE), NaN or 0 (BLAS sums from +0, unlike the
+    matmul model), or a sum that overflows; a first pivot below DBL_MIN or NaN, whose column
+    OpenBLAS's getf2 neither swaps nor scales; u == 0, LAPACK's singular verdict and message."""
     B, C, E, G, M, N = values
     swap = abs(C) > abs(B)
     a, b, c, e = (C, G, B, E) if swap else (B, E, C, G)
-    if not float_info.min <= abs(a) < _HUGE:
+    if not abs(a) >= float_info.min:
         raise _Inexact
     l = c * (1.0 / a)
     u = e - l * b
-    if not float_info.min <= abs(u) < _HUGE:
+    if u == 0.0:
         raise _Inexact
     lu = swap, a, b, l, u
     if dda == "L4":
@@ -177,9 +177,9 @@ def _solve_step(dda: str, values: tuple[float, ...], prev_C1):
 
 
 def _advance(dda: str, values: tuple[float, ...], prev_C1):
-    """The step kernel: the entries one site on and, for L5, the C1 they leave behind
-    (``prev_C1`` and it are nested pairs of floats).  Raises SingularOrbitError when the
-    step's denominator is below tolerance or LAPACK's LU finds C1 singular."""
+    """The step kernel: the entries one site on and, for L5, the C1 they leave behind (nested
+    pairs of floats, as ``prev_C1``); np.linalg.solve only at ``_solve_step``'s exits.
+    SingularOrbitError when the denominator is below tolerance or LAPACK finds C1 singular."""
     B, C, E, G, M, N = values
     if dda == "L4" and B == 1.0 and C == 1.0:
         den = E - G
@@ -199,7 +199,7 @@ def _advance(dda: str, values: tuple[float, ...], prev_C1):
         return (B, C, C * p, B + C * q, G * p, E + G * q), None
     try:
         return _solve_step(dda, values, prev_C1)
-    except (_Inexact, OverflowError):   # outside the exact range: through np.linalg.solve
+    except (_Inexact, OverflowError):   # at an exit of _solve_step: through np.linalg.solve
         C1, C2 = np.array([[B, E], [C, G]]), np.array([[E, M], [G, N]])
     try:
         with np.errstate(all="ignore"):   # an overflow shows as inf in the entries

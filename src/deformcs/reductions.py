@@ -105,7 +105,7 @@ def reconstruct_from_G(G: float, G1: float, G2: float,
     where (G B)' = G' B + G B'.
     """
     E = -0.5 * (G1 + G * G - G * B)
-    M = -0.5 * (G2 + 3.0 * G * G1 + G ** 3 - G * G * B - (G1 * B + G * B1))
+    M = -0.5 * (G2 + 3.0 * G * G1 + _pow(G, 3) - G * G * B - (G1 * B + G * B1))
     return {"B": B, "C": 1.0, "E": E, "G": G, "M": M, "N": -E}
 
 

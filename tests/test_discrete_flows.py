@@ -387,7 +387,8 @@ SOLVE_EDGES = {
     "l5_overflowing_start": ("L5", dict(B=2.0, C=0.5, E=1e308, G=-1e308, M=1e308, N=1.0),
                              "state exceeded overflow guard at n=1",
                              [[2.0, 0.5, 1e308, -1e308, 1e308, 1.0]]),
-    # a subnormal first pivot, which LAPACK divides by instead of scaling with its inverse
+    # a subnormal first pivot, left to LAPACK; below it the column holds C = 0, which
+    # stays zero whether getf2 divides it or, as OpenBLAS does, leaves it unscaled
     "l4_subnormal_pivot": ("L4", dict(B=1e-310, C=0.0, E=0.5, G=1e300, M=0.3, N=0.2),
                            _SINGULAR_AT_1,
                            [[1e-310, 0.0, 0.5, 1e300, 0.3, 0.2],
@@ -538,6 +539,39 @@ def test_kernel_step_outcome_equals_the_lapack_step_on_extreme_starts(dda, monke
             else:
                 outcomes["lapack" if len(fallbacks) > before else "exact"] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+# One solve step on each side of the exits that _solve_step names, with the path it
+# takes: the float kernel, or np.linalg.solve after _Inexact or OverflowError.
+EXIT_STEPS = {
+    # a second pivot u = -2.4e299, above 2^990: plain IEEE arithmetic, exact at any size
+    "l4_huge_second_pivot": ("L4", [-5.188024396611186e-206, 1.123493287691657e+110,
+                                    -2.4290191010534154e+299, -1.9213702693371365e+101,
+                                    7.90042248164392e+116, 3.229162633348116e-13],
+                             None, "kernel"),
+    # a first pivot a = 8.1e298, above 2^990 too
+    "l5_huge_first_pivot": ("L5", [8.077347906558601e+298, -7.603428482597271e+247,
+                                   -1.7801444506325298e+268, 1.256620940886207e+69,
+                                   -1.789038544102112e-133, 8.00563944693081e+228],
+                            [[0.4617497123417413, -0.1872266787572185],
+                             [0.828024792487643, -0.3357410468971988]], "kernel"),
+    # a first pivot column below DBL_MIN, which OpenBLAS neither swaps nor scales
+    "l4_pivot_column_below_dbl_min": ("L4", [1e-310, 2e-310, 1e300, 3e300, 1.0, 1.0],
+                                      None, "lapack"),
+    # products of exactly zero: LAPACK gives G' = +0.0, where returning c gives -0.0
+    "l4_zero_products": ("L4", [-0.0, 0.5, 0.5, -0.0, -0.0, -3.0], None, "lapack"),
+    # u == 0: LAPACK's singular verdict
+    "l4_zero_second_pivot": ("L4", list(LU_SINGULAR.values()), None, "lapack"),
+}
+
+
+@pytest.mark.parametrize("name", EXIT_STEPS)
+def test_solve_step_leaves_for_lapack_only_at_its_exits(name, monkeypatch):
+    dda, values, prev, path = EXIT_STEPS[name]
+    fallbacks = _count_inexact(monkeypatch)
+    got = _step_outcome(_advance, dda, values, prev)
+    assert ("lapack" if fallbacks else "kernel") == path
+    assert got == _step_outcome(map_solve_step, dda, values, prev)
 
 
 @pytest.mark.parametrize("steps", [MAX_STEPS + 1, -1, True, 2.0, "3", None])
