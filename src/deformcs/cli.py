@@ -1,10 +1,10 @@
 """Scenario-driven batch front-end.
 
-``deform-cs run scenario.json [--out DIR] [--step H] [--quiet]`` reads one
-JSON scenario, dispatches to the flows / maps / validators, and writes CSV
-trajectories plus a JSON report; ``deform-cs validate scenario.json`` only
-parses and validates.  Exit codes: 0 success, 2 invalid scenario, 3 run
-truncated at a singularity (artifacts are still written).
+``deform-cs run scenario.json [--out DIR] [--quiet]`` reads one JSON scenario,
+dispatches to the flows / maps / validators, and writes CSV trajectories plus a
+JSON report; ``deform-cs validate scenario.json`` only parses and validates.
+Exit codes: 0 success, 2 invalid scenario, 3 run truncated at a singularity
+(artifacts are still written).
 
 Scenario kinds and their required [optional] fields; any other field exits 2:
 
@@ -98,10 +98,9 @@ class ScenarioConfig:
             raise InvalidInputError("field 'span' must be finite with end >= start")
         return float(span[0]), float(span[1])
 
-    def _step(self, step=None):
-        """The scenario's step, or ``step`` from --step, checked by ``step_count`` on the span."""
-        if step is None:
-            step = self._require(float, "step")
+    def _step(self):
+        """The scenario's step, checked by ``step_count`` on the span."""
+        step = self._require(float, "step")
         _judged("step", step_count, *self.span, step)
         return step
 
@@ -296,7 +295,11 @@ KINDS = {
 
 
 def run(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a regular file on the path, or no permission
+        raise InvalidInputError(
+            f"--out {str(out_dir)!r} cannot be made a directory: {exc.strerror}") from None
     status, diagnostic, artifacts, residuals, drift = KINDS[cfg.kind][1](cfg, out_dir)
     report = {"tool": "deform-cs", "version": __version__,
               "timestamp": datetime.now(timezone.utc).isoformat(), "config": cfg.doc,
@@ -321,7 +324,6 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario and write artifacts")
     p_run.add_argument("scenario", help="path to scenario JSON")
     p_run.add_argument("--out", default=".", help="output directory (default: cwd)")
-    p_run.add_argument("--step", type=float, default=None, help="override the step size")
     p_run.add_argument("--quiet", action="store_true", help="suppress progress output")
     p_val = sub.add_parser("validate", help="parse and validate a scenario only")
     p_val.add_argument("scenario", help="path to scenario JSON")
@@ -335,10 +337,6 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print(f"[deform-cs] scenario ok: kind={cfg.kind}")
             return EXIT_OK
-        if args.step is not None:
-            if not hasattr(cfg, "step"):
-                raise InvalidInputError(f"--step does not apply to kind {cfg.kind!r}")
-            cfg.step = cfg._step(args.step)
         return run(cfg, Path(args.out), quiet=args.quiet)
     except DeformError as exc:
         print(f"deform-cs: error: {exc}", file=sys.stderr)

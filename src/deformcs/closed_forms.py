@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, _pow, check_names,
                            entry_stacks, finite_numbers, is_finite_number, layout_defect)
@@ -91,8 +90,8 @@ class SolutionFamily:
                     f"PolyL3 requires beta*gamma - alpha*delta = 1 (defect {defect:.3e})"
                 )
 
-    def p(self, name: str, default: float = 0.0) -> float:
-        return float(self.params.get(name, default))
+    def p(self, name: str) -> float:
+        return float(self.params.get(name, 0.0))
 
 
 def _log_var(x):
@@ -144,7 +143,8 @@ def _family_stack(fam: SolutionFamily, x: np.ndarray) -> tuple[np.ndarray, np.nd
     point x; raises at the first bad point."""
     if fam.id == "GaugeL5":   # the potentials Phi^m are polynomials
         coeffs = [np.asarray(fam.params[k], dtype=float) for k in _FAMILY_PARAMS["GaugeL5"]]
-        return gauge_pairs(lambda p: np.array([npoly.polyval(p, c) for c in coeffs]), x)[3:]
+        # np.polyval reads the coefficients highest degree first
+        return gauge_pairs(lambda p: np.array([np.polyval(c[::-1], p) for c in coeffs]), x)[3:]
     return entry_stacks(_FAMILY_N[fam.id], _family_entries(fam, x))
 
 

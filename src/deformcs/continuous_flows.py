@@ -104,18 +104,13 @@ class FlowSystem:
         return tuple(state[k] for k in self.evolved), tuple(state[k] for k in self.free)
 
 
-SYSTEMS = {
-    "L2a_3x3": FlowSystem("L2a_3x3", 3, ("D", "E", "G", "L", "M", "N"),
-                          ("A", "B", "C"), 1, _rhs_l2a_3x3),
-    "L2a_2x2": FlowSystem("L2a_2x2", 2, ("E", "G", "M", "N"),
-                          ("B", "C"), 1, _rhs_l2a_2x2),
-    "L3_detnorm": FlowSystem("L3_detnorm", 2, ("B", "E", "C", "G"),
-                             ("M", "N"), 0, _rhs_l3_detnorm),
-    "L3_unimodular": FlowSystem("L3_unimodular", 2, ("B", "E", "C", "G"),
-                                ("M", "N"), 0, _rhs_l3_unimodular),
-    "L3_simple": FlowSystem("L3_simple", 2, ("B", "E", "C", "G"),
-                            (), 0, _rhs_l3_simple),
-}
+SYSTEMS = {sy.id: sy for sy in (
+    FlowSystem("L2a_3x3", 3, ("D", "E", "G", "L", "M", "N"), ("A", "B", "C"), 1, _rhs_l2a_3x3),
+    FlowSystem("L2a_2x2", 2, ("E", "G", "M", "N"), ("B", "C"), 1, _rhs_l2a_2x2),
+    FlowSystem("L3_detnorm", 2, ("B", "E", "C", "G"), ("M", "N"), 0, _rhs_l3_detnorm),
+    FlowSystem("L3_unimodular", 2, ("B", "E", "C", "G"), ("M", "N"), 0, _rhs_l3_unimodular),
+    FlowSystem("L3_simple", 2, ("B", "E", "C", "G"), (), 0, _rhs_l3_simple),
+)}
 
 
 def get_system(system_id: str) -> FlowSystem:

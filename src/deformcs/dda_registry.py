@@ -72,14 +72,14 @@ class DDASpec:
         return int(not _READS_BEHIND.isdisjoint((self.p1_action, self.p2_action))), 1
 
 
-_REGISTRY = {
-    "L1": DDASpec("L1", OP_NONE, OP_NONE),
-    "L2a": DDASpec("L2a", OP_SCALING_DERIVATIVE, OP_NONE),
-    "L2b": DDASpec("L2b", OP_SHIFT, OP_NONE),
-    "L3": DDASpec("L3", OP_NONE, OP_DERIVATIVE_TIMES_P1),
-    "L4": DDASpec("L4", OP_SHIFT, OP_SHIFT),
-    "L5": DDASpec("L5", OP_SHIFT, OP_INVERSE_SHIFT),
-}
+_REGISTRY = {spec.id: spec for spec in (
+    DDASpec("L1", OP_NONE, OP_NONE),
+    DDASpec("L2a", OP_SCALING_DERIVATIVE, OP_NONE),
+    DDASpec("L2b", OP_SHIFT, OP_NONE),
+    DDASpec("L3", OP_NONE, OP_DERIVATIVE_TIMES_P1),
+    DDASpec("L4", OP_SHIFT, OP_SHIFT),
+    DDASpec("L5", OP_SHIFT, OP_INVERSE_SHIFT),
+)}
 
 
 def lookup(dda_id: str) -> DDASpec:

@@ -184,15 +184,13 @@ def _advance(dda: str, values: tuple[float, ...], prev_C1):
     if dda == "L4" and B == 1.0 and C == 1.0:
         den = E - G
         if abs(den) < DEGENERACY_TOL:
-            raise SingularOrbitError(f"E - G = {den:.3e} below tolerance",
-                                     quantity="E-G", value=den)
+            raise SingularOrbitError(f"E - G = {den:.3e} below tolerance")
         r = (M - N) / den
         return (B, C, M - E * r, 1.0 + r,
                 N + (N - G) * r - G * r * r, M + (1.0 - E) * r + r * r), None
     den = B * G - C * E
     if abs(den) < DEGENERACY_TOL:
-        raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance",
-                                 quantity="BG-CE", value=den)
+        raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance")
     if dda == "L2b":
         p = (G * M - E * N) / den
         q = (B * N - C * M) / den
@@ -208,8 +206,8 @@ def _advance(dda: str, values: tuple[float, ...], prev_C1):
                 return (B, C, *t.tolist(), *np.linalg.solve(C1, C2 @ t).tolist()), None
             (e, m), (g, n) = np.linalg.solve(C1, C2 @ np.array(prev_C1)).tolist()
     except np.linalg.LinAlgError:
-        raise SingularOrbitError(f"C1 is singular to working precision (BG - CE = {den:.3e})",
-                                 quantity="BG-CE", value=den) from None
+        raise SingularOrbitError(
+            f"C1 is singular to working precision (BG - CE = {den:.3e})") from None
     return (B, C, e, g, m, n), ((B, E), (C, G))
 
 
@@ -262,8 +260,7 @@ def map_invariants(dda: str, state: MapState) -> dict[str, float]:
     if not rows.size:
         B, C, E, G = state.values[:4]
         den = B * G - C * E
-        raise SingularOrbitError(f"C1 has no inverse (BG - CE = {den:.3e}): invariants need C1^-1",
-                                 quantity="BG-CE", value=den)
+        raise SingularOrbitError(f"C1 has no inverse (BG - CE = {den:.3e}): invariants need C1^-1")
     return {name: float(v[0]) for name, v in invariants.items()}
 
 

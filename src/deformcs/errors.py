@@ -24,11 +24,6 @@ class SingularFlowError(DeformError):
 class SingularOrbitError(DeformError):
     """A discrete map step hit a vanishing denominator."""
 
-    def __init__(self, message: str, quantity: str | None = None, value: float | None = None):
-        super().__init__(message)
-        self.quantity = quantity
-        self.value = value
-
 
 class SingularGaugeError(DeformError):
     """The gauge matrix is not invertible at the requested point."""

@@ -41,14 +41,6 @@ from .algebra_core import MatrixPair, _pow, finite_numbers
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
-CHAZY_VARIANTS = ("ChazyV", "ChazyV_shifted", "Generic", "ChazyVII", "ChazyVIII", "ChazyIII")
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in CHAZY_VARIANTS:
-        raise InvalidInputError(f"unknown Chazy variant {variant!r}")
-
-
 # G''' of each variant as text over (G, G1, G2, phi, dphi), which chazy_rhs and
 # each variant's right-hand side compile; only Generic reads phi = Phi and dphi = Phi'.
 _CHAZY_G3 = {
@@ -60,6 +52,12 @@ _CHAZY_G3 = {
     "ChazyIII": "2.0 * G * G2 - 3.0 * G1 * G1",
 }
 _CHAZY_G3_FN = {v: eval(f"lambda G, G1, G2, phi, dphi: {g3}") for v, g3 in _CHAZY_G3.items()}
+CHAZY_VARIANTS = tuple(_CHAZY_G3)
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in CHAZY_VARIANTS:
+        raise InvalidInputError(f"unknown Chazy variant {variant!r}")
 
 
 def chazy_rhs(variant: str, G: float, G1: float, G2: float,

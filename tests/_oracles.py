@@ -244,8 +244,7 @@ def map_solve_step(dda: str, values, prev_C1=None):
     B, C, E, G, M, N = values
     den = B * G - C * E
     if abs(den) < DEGENERACY_TOL:
-        raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance",
-                                 quantity="BG-CE", value=den)
+        raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance")
     C1, C2 = np.array([[B, E], [C, G]]), np.array([[E, M], [G, N]])
     try:
         with np.errstate(all="ignore"):
@@ -254,8 +253,8 @@ def map_solve_step(dda: str, values, prev_C1=None):
                 return [B, C, *first.tolist(), *np.linalg.solve(C1, C2 @ first).tolist()], None
             (e, m), (g, n) = np.linalg.solve(C1, C2 @ np.array(prev_C1)).tolist()
     except np.linalg.LinAlgError:
-        raise SingularOrbitError(f"C1 is singular to working precision (BG - CE = {den:.3e})",
-                                 quantity="BG-CE", value=den) from None
+        raise SingularOrbitError(
+            f"C1 is singular to working precision (BG - CE = {den:.3e})") from None
     return [B, C, e, g, m, n], C1.tolist()
 
 

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import errno
@@ -335,31 +336,15 @@ def test_drift_of_an_invariant_that_is_not_finite_is_null_json(tmp_path, capsys)
         "x": {"max_abs": 1e308, "max_rel": 1.0}}
 
 
-def test_step_override(tmp_path):
-    scenario = _write(tmp_path, "flow.json", FLOW_SCENARIO)
-    out = tmp_path / "out"
-    assert main(["run", str(scenario), "--out", str(out), "--step", "0.01",
-                 "--quiet"]) == EXIT_OK
-    with (out / "trajectory.csv").open() as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 3  # header + states 0 and 100 of a 100-step run
-
-
-def test_nonpositive_step_rejected(tmp_path, capsys):
-    doc = dict(FLOW_SCENARIO)
-    doc["step"] = -1.0
-    scenario = _write(tmp_path, "flow.json", doc)
-    assert main(["run", str(scenario)]) == EXIT_INVALID
-    assert "step" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("step, named", [
-    ("1e-300", "exceeds MAX_STEPS"), ("nan", "finite"), ("inf", "finite"), ("0", "positive")])
-def test_step_override_is_checked_like_the_scenario_step(tmp_path, capsys, step, named):
-    scenario = _write(tmp_path, "flow.json", FLOW_SCENARIO)
+    (-1.0, "positive"), (1e-300, "exceeds MAX_STEPS"), (math.nan, "finite"), (math.inf, "finite"),
+    (0, "positive")])
+def test_nonpositive_step_rejected(tmp_path, capsys, step, named):
+    scenario = _write(tmp_path, "flow.json", {**FLOW_SCENARIO, "step": step})
     out = tmp_path / "out"
-    assert main(["run", str(scenario), "--out", str(out), "--step", step]) == EXIT_INVALID
-    assert named in capsys.readouterr().err
+    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("deform-cs: error: field 'step'") and named in err
     assert not out.exists()
 
 
@@ -580,14 +565,6 @@ def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, na
     assert named in capsys.readouterr().err
 
 
-def test_step_override_on_a_kind_without_a_step_exits_two(tmp_path, capsys):
-    scenario = _write(tmp_path, "map.json", _MAP)
-    out = tmp_path / "o"
-    assert main(["run", str(scenario), "--out", str(out), "--step", "0.1"]) == EXIT_INVALID
-    assert "deform-cs: error: --step does not apply to kind 'map'" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_run_prints_each_residual_it_reports(tmp_path, capsys):
     scenario = _write(tmp_path, "scan.json", _SCAN)
     out = tmp_path / "o"
@@ -614,6 +591,53 @@ def test_docstring_lists_the_fields_each_kind_reads():
     table = cli.__doc__.split("fields; any other field exits 2:")[1].split("\n\n")[1]
     listed = {line.split()[0]: set(re.findall(r"\w+", line)[1:]) for line in table.splitlines()}
     assert listed == {kind: set(row[2]) for kind, row in cli.KINDS.items()}
+
+
+def _synopses(text):
+    """{command: (positionals, {option: takes a value})} of each ``deform-cs <command>``
+    synopsis in text, the options bracketed as optional."""
+    found = {}
+    for command, rest in re.findall(r"deform-cs (run|validate)([^`#\n]*)", text):
+        options = dict(re.findall(r"\[(--[\w-]+)( [A-Z]+)?\]", rest))
+        positionals = re.sub(r"\[[^]]*\]", "", rest).split()
+        found[command] = ([w.removesuffix(".json") for w in positionals],
+                          {option: bool(value) for option, value in options.items()})
+    return found
+
+
+def test_readme_and_docstring_synopses_match_the_parser():
+    commands = next(a for a in cli._parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {name: ([a.dest for a in sub._actions if not a.option_strings],
+                     {a.option_strings[-1]: a.nargs != 0 for a in sub._actions
+                      if a.option_strings and not a.required and a.dest != "help"})
+              for name, sub in commands.items()}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = readme.split("\n## CLI\n")[1].split("```sh\n")[1].split("```")[0]
+    assert _synopses(usage) == parsed
+    assert _synopses(cli.__doc__.split("\n\n")[1]) == parsed
+    assert parsed["run"] == (["scenario"], {"--out": True, "--quiet": False})
+
+
+def test_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys):
+    scenario = Path(__file__).parent / "golden" / "map_l2b" / "scenario.json"
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out, code in ((blocker, errno.EEXIST), (blocker / "sub", errno.ENOTDIR)):
+        assert main(["run", str(scenario), "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"deform-cs: error: --out {str(out)!r} cannot be made "
+                                           f"a directory: {os.strerror(code)}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "kept"
+
+
+def test_importing_the_cli_loads_no_numpy_polynomial():
+    src = str(Path(deformcs.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, deformcs.cli; "
+         "print([m for m in sys.modules if m.startswith('numpy.polynomial')])"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_unknown_field_fails_validate_too(tmp_path, capsys):

@@ -3,7 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from deformcs import closed_forms
 from deformcs.algebra_core import assoc_residual, tensor_from_pair
 from deformcs.closed_forms import (_FAMILY_PARAMS, SolutionFamily, eval_family,
                                    family_integrals, validate_family)
@@ -49,6 +51,28 @@ def test_gauge_vandermonde_at_zero():
     # unital columns come out of the linear solve
     assert np.allclose(pair.C1[:, 0], [0, 1, 0], atol=1e-12)
     assert np.allclose(pair.C2[:, 0], [0, 0, 1], atol=1e-12)
+
+
+def test_gauge_potentials_are_numpy_polynomial_values_bit_for_bit(monkeypatch):
+    # GaugeL5's potentials run np.polyval on the reversed coefficients: numpy.polynomial's
+    # Horner recursion with its operands commuted, so the same bits, NaN and -0.0 included
+    seen = []
+    monkeypatch.setattr(closed_forms, "gauge_pairs",
+                        lambda potentials, x: seen.append(potentials) or (None,) * 5)
+    rng = np.random.default_rng(3)
+    points = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e300],
+                             rng.normal(size=40) * 10.0 ** rng.integers(-60, 60, size=40)])
+    for _ in range(300):
+        coeffs = {}
+        for k in _FAMILY_PARAMS["GaugeL5"]:
+            c = rng.normal(size=rng.integers(1, 7)) * 10.0 ** rng.integers(-8, 8)
+            c[rng.random(c.size) < 0.2] = rng.choice([0.0, -0.0])
+            coeffs[k] = c.tolist()
+        closed_forms._family_stack(SolutionFamily("GaugeL5", coeffs), points)
+        with np.errstate(all="ignore"):
+            got = seen.pop()(points)
+            want = np.array([npoly.polyval(points, np.array(c)) for c in coeffs.values()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_gauge_symmetry_of_structure_constants():
