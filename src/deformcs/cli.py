@@ -14,6 +14,9 @@ Scenario kinds and their required [optional] fields; any other field exits 2:
     residual_scan   dda, field | field_path
     reduction       reduction, initial, span, step         [params, stride]
 
+Each kind is one ``ScenarioConfig`` method, listed in ``KINDS`` with the fields it
+reads: it judges them and returns the runner that writes the kind's artifacts.
+
 A reduction's initial entries and params (each one left out is 0) are those of
 its row in ``reductions.REDUCTIONS``:
 
@@ -40,7 +43,8 @@ import numpy as np
 
 from . import __version__
 from .algebra_core import check_names, finite_numbers, is_finite_number
-from .closed_forms import FD_STEP, SolutionFamily, check_family, validate_family
+from .closed_forms import (FD_STEP, SolutionFamily, check_family, check_h, check_points,
+                           validate_family)
 from .continuous_flows import get_system, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual_scan, lookup, read_json
 from .discrete_flows import (ENTRY_NAMES, check_map, check_steps, flag_labels, init_map_state,
@@ -66,7 +70,8 @@ def _judged(key: str, check, *args):
 
 
 class ScenarioConfig:
-    """Validated scenario; construction raises InvalidInputError naming the field."""
+    """Validated scenario; construction raises InvalidInputError naming the field, and
+    ``runner(out)``, from its kind's method, runs it and writes its CSV under ``out``."""
 
     def __init__(self, doc: dict):
         if not isinstance(doc, dict):
@@ -75,8 +80,8 @@ class ScenarioConfig:
         self.kind = self._require(str, "kind")
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown kind {self.kind!r} (expected one of {tuple(KINDS)})")
-        check_names("scenario", doc, ("kind", *KINDS[self.kind][2]))
-        KINDS[self.kind][0](self)
+        check_names("scenario", doc, ("kind", *KINDS[self.kind][1]))
+        self.runner = KINDS[self.kind][0](self)
 
     def _require(self, typ, key):
         if key not in self.doc:
@@ -90,19 +95,17 @@ class ScenarioConfig:
             raise InvalidInputError(f"field {key!r} must be of type {typ.__name__}")
         return value
 
-    def _span(self):
+    def _span_step_stride(self):
+        """The scenario's span, its step (checked by ``step_count`` on the span) and stride."""
         span = self._require(list, "span")
         if len(span) != 2 or not all(isinstance(v, (int, float)) for v in span):
             raise InvalidInputError("field 'span' must be a [start, end] pair")
         if not all(is_finite_number(v) for v in span) or span[1] < span[0]:
             raise InvalidInputError("field 'span' must be finite with end >= start")
-        return float(span[0]), float(span[1])
-
-    def _step(self):
-        """The scenario's step, checked by ``step_count`` on the span."""
+        span = float(span[0]), float(span[1])
         step = self._require(float, "step")
-        _judged("step", step_count, *self.span, step)
-        return step
+        _judged("step", step_count, *span, step)
+        return span, step, self._stride()
 
     def _stride(self):
         stride = self.doc.get("stride", 1)
@@ -114,64 +117,69 @@ class ScenarioConfig:
         """A {name: finite number} field with names in ``allowed``, by the package's rule."""
         return finite_numbers(f"field {key!r}", self._require(dict, key), allowed)
 
-    def _validate_flow(self):
+    def _flow(self):
         sy = get_system(self._require(str, "system"))
-        self.system = sy.id
-        self.initial = self._numbers("initial", sy.all_entries())
-        self.free = self._numbers("free", sy.free) if "free" in self.doc else {}
-        self.span = self._span()
-        self.step = self._step()
-        self.stride = self._stride()
+        values = self._numbers("initial", sy.all_entries())
+        if "free" in self.doc:
+            values.update(self._numbers("free", sy.free))
+        span, step, stride = self._span_step_stride()
         # surfaces missing-entry errors at validation time
-        state_from_entries(sy.id, {**self.initial, **self.free})
+        state_from_entries(sy.id, values)
+        return lambda out: _trajectory_artifacts(integrate(sy.id, values, span, step), "s",
+                                                 stride, out)
 
-    def _validate_map(self):
-        self.dda = self._require(str, "dda")
-        check_map(self.dda)
+    def _map(self):
+        dda = self._require(str, "dda")
+        check_map(dda)
         initial = self._numbers("initial", ENTRY_NAMES)
         prev = self._numbers("prev", ENTRY_NAMES) if "prev" in self.doc else None
-        self.steps = _judged("steps", check_steps, self._require(int, "steps"))
-        self.stride = self._stride()
-        self.state = init_map_state(self.dda, initial, prev)
+        steps, stride = _judged("steps", check_steps, self._require(int, "steps")), self._stride()
+        return partial(_map_artifacts, dda, init_map_state(dda, initial, prev), steps, stride)
 
-    def _validate_validate_family(self):
+    def _validate_family(self):
         family = _judged("family", check_family, self._require(str, "family"))
-        self.family = _judged("params", SolutionFamily, family, self._require(dict, "params"))
-        points = self._require(list, "points")
-        if not points or not all(is_finite_number(v) for v in points):
-            raise InvalidInputError("field 'points' must be a nonempty list of numbers")
-        h = self.doc.get("h", FD_STEP)
-        if not is_finite_number(h) or h <= 0:
-            raise InvalidInputError("field 'h' must be a positive number")
-        self.points = [float(v) for v in points]
-        self.h = float(h)
+        family = _judged("params", SolutionFamily, family, self._require(dict, "params"))
+        points = [float(v) for v in _judged("points", check_points, self._require(list, "points"))]
+        h = float(_judged("h", check_h, self.doc.get("h", FD_STEP)))
+        return lambda out: (STATUS_COMPLETED, None, {},
+                            validate_family(family, points, h).as_dict(), None)
 
-    def _validate_residual_scan(self):
+    def _residual_scan(self):
         dda = self._require(str, "dda")
-        spec = lookup(dda)
-        if spec.id == "L1":
+        if lookup(dda).id == "L1":
             raise InvalidInputError("dda 'L1' drives no deformation; nothing to scan")
-        self.dda = dda
         if "field" in self.doc and "field_path" in self.doc:
             raise InvalidInputError("give field 'field' or field 'field_path', not both")
         if "field" in self.doc:
-            self.field = SampledField.from_json(self._require(dict, "field"))
+            field = SampledField.from_json(self._require(dict, "field"))
         elif "field_path" in self.doc:
-            self.field = _judged("field_path", SampledField.load, self._require(str, "field_path"))
+            field = _judged("field_path", SampledField.load, self._require(str, "field_path"))
         else:
             raise InvalidInputError("missing required field 'field' (or 'field_path')")
-        if self.field.dda != dda:
+        if field.dda != dda:
             raise InvalidInputError(
-                f"field 'dda' mismatch: scenario says {dda!r}, field says {self.field.dda!r}")
+                f"field 'dda' mismatch: scenario says {dda!r}, field says {field.dda!r}")
+        return partial(_scan_artifacts, dda, field)
 
-    def _validate_reduction(self):
-        self.reduction = self._require(str, "reduction")
-        initial, params = reduction_row(self.reduction)[:2]
-        self.initial = self._numbers("initial", initial)
-        self.params = self._numbers("params", params) if "params" in self.doc else {}
-        self.span = self._span()
-        self.step = self._step()
-        self.stride = self._stride()
+    def _reduction(self):
+        name = self._require(str, "reduction")
+        initial_keys, param_keys = reduction_row(name)[:2]
+        initial = self._numbers("initial", initial_keys)
+        params = self._numbers("params", param_keys) if "params" in self.doc else {}
+        span, step, stride = self._span_step_stride()
+        return partial(_reduction_artifacts, name, tuple(initial.get(k, 0.0) for k in initial_keys),
+                       {k: params.get(k, 0.0) for k in param_keys}, span, step, stride)
+
+
+# kind -> (its method, the fields it reads besides "kind": the docstring's table)
+KINDS = {
+    "flow": (ScenarioConfig._flow, ("system", "initial", "span", "step", "free", "stride")),
+    "map": (ScenarioConfig._map, ("dda", "initial", "steps", "prev", "stride")),
+    "validate_family": (ScenarioConfig._validate_family, ("family", "params", "points", "h")),
+    "residual_scan": (ScenarioConfig._residual_scan, ("dda", "field", "field_path")),
+    "reduction": (ScenarioConfig._reduction,
+                  ("reduction", "initial", "span", "step", "params", "stride")),
+}
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -234,15 +242,10 @@ def _trajectory_artifacts(traj: Trajectory, time_name: str, stride: int, out: Pa
             _drift_stats(traj.invariants))
 
 
-def _flow_artifacts(cfg: ScenarioConfig, out: Path):
-    traj = integrate(cfg.system, {**cfg.initial, **cfg.free}, cfg.span, cfg.step)
-    return _trajectory_artifacts(traj, "s", cfg.stride, out)
-
-
-def _map_artifacts(cfg: ScenarioConfig, out: Path):
+def _map_artifacts(dda: str, state, steps: int, stride: int, out: Path):
     """orbit.csv: n, the entries, the invariants ("" in rows without them), the flags."""
-    run = orbit(cfg.dda, cfg.state, cfg.steps)
-    names, rows = sorted(run.invariants), np.arange(0, len(run.entries), cfg.stride)
+    run = orbit(dda, state, steps)
+    names, rows = sorted(run.invariants), np.arange(0, len(run.entries), stride)
     table = np.zeros((len(run.entries), 6 + len(names)))
     table[:, :6] = run.entries
     table[run.invariant_rows, 6:] = np.transpose([run.invariants[name] for name in names])
@@ -254,44 +257,20 @@ def _map_artifacts(cfg: ScenarioConfig, out: Path):
     return run.status, run.diagnostic, {"orbit_csv": "orbit.csv"}, {}, drift
 
 
-def _reduction_artifacts(cfg: ScenarioConfig, out: Path):
-    r = cfg.reduction
-    initial_keys, param_keys = reduction_row(r)[:2]
-    initial = tuple(cfg.initial.get(k, 0.0) for k in initial_keys)
-    params = {k: cfg.params.get(k, 0.0) for k in param_keys}
+def _reduction_artifacts(name: str, initial, params, span, step: float, stride: int, out: Path):
     # the views, looked up at each call, are what perfbench traces as the reductions layer
     integrator = {"Boussinesq": integrate_boussinesq,
-                  "Elliptic": integrate_elliptic}.get(r, partial(integrate_chazy, r))
-    traj = integrator(initial, span=cfg.span, step=cfg.step, **params)
-    return _trajectory_artifacts(traj, "t", cfg.stride, out)
+                  "Elliptic": integrate_elliptic}.get(name, partial(integrate_chazy, name))
+    traj = integrator(initial, span=span, step=step, **params)
+    return _trajectory_artifacts(traj, "t", stride, out)
 
 
-def _family_artifacts(cfg: ScenarioConfig, out: Path):
-    rep = validate_family(cfg.family, cfg.points, cfg.h)
-    return STATUS_COMPLETED, None, {}, rep.as_dict(), None
-
-
-def _scan_artifacts(cfg: ScenarioConfig, out: Path):
-    rep = cs_residual_scan(cfg.dda, cfg.field)
-    i = np.arange(len(rep.norms)) + lookup(cfg.dda).stencil_reach[0]
+def _scan_artifacts(dda: str, field: SampledField, out: Path):
+    rep = cs_residual_scan(dda, field)
+    i = np.arange(len(rep.norms)) + lookup(dda).stencil_reach[0]
     _write_csv(out / "residuals.csv", ["i", "x", "residual"], i.astype(str),
-               _float_cells(np.column_stack([cfg.field.grid[i], rep.norms])))
+               _float_cells(np.column_stack([field.grid[i], rep.norms])))
     return STATUS_COMPLETED, None, {"residuals_csv": "residuals.csv"}, rep.as_dict(), None
-
-
-# kind -> (validator, runner, the fields it reads besides "kind": the docstring's table)
-KINDS = {
-    "flow": (ScenarioConfig._validate_flow, _flow_artifacts,
-             ("system", "initial", "span", "step", "free", "stride")),
-    "map": (ScenarioConfig._validate_map, _map_artifacts,
-            ("dda", "initial", "steps", "prev", "stride")),
-    "validate_family": (ScenarioConfig._validate_validate_family, _family_artifacts,
-                        ("family", "params", "points", "h")),
-    "residual_scan": (ScenarioConfig._validate_residual_scan, _scan_artifacts,
-                      ("dda", "field", "field_path")),
-    "reduction": (ScenarioConfig._validate_reduction, _reduction_artifacts,
-                  ("reduction", "initial", "span", "step", "params", "stride")),
-}
 
 
 def run(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> int:
@@ -300,7 +279,7 @@ def run(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> int:
     except OSError as exc:   # a regular file on the path, or no permission
         raise InvalidInputError(
             f"--out {str(out_dir)!r} cannot be made a directory: {exc.strerror}") from None
-    status, diagnostic, artifacts, residuals, drift = KINDS[cfg.kind][1](cfg, out_dir)
+    status, diagnostic, artifacts, residuals, drift = cfg.runner(out_dir)
     report = {"tool": "deform-cs", "version": __version__,
               "timestamp": datetime.now(timezone.utc).isoformat(), "config": cfg.doc,
               "status": status, "diagnostic": diagnostic, "artifacts": artifacts,

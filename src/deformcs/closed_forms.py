@@ -55,6 +55,24 @@ def check_family(family_id: str) -> str:
     return family_id
 
 
+def check_points(points) -> list:
+    """``points`` as a list, each kept as given, if a nonempty sequence of finite numbers."""
+    values = points.tolist() if isinstance(points, np.ndarray) else points
+    if not isinstance(values, (list, tuple)) or not values:
+        raise InvalidInputError(f"points must be a nonempty sequence of numbers, got {points!r}")
+    for v in values:
+        if not is_finite_number(v):
+            raise InvalidInputError(f"points must be finite numbers, got {v!r}")
+    return list(values)
+
+
+def check_h(h):
+    """``h`` if it is a positive finite number (``is_finite_number``)."""
+    if not is_finite_number(h) or h <= 0:
+        raise InvalidInputError(f"h must be a positive finite number, got {h!r}")
+    return h
+
+
 @dataclass(frozen=True)
 class SolutionFamily:
     """One catalogued closed-form solution with its parameter values."""
@@ -210,7 +228,7 @@ def validate_family(fam: SolutionFamily, sample_points, h: float = FD_STEP) -> R
     once.  If a stencil point fails a check, each point is redone alone, so the
     first bad point is named; a non-finite norm fails by its label.
     """
-    sample_points = list(sample_points)
+    sample_points, h = check_points(sample_points), check_h(h)
     labels = tuple(f"x={p:g}" for p in sample_points)
     points = np.array(sample_points, dtype=float)
     with np.errstate(all="ignore"):   # a bad stencil point is redone, and reported, alone

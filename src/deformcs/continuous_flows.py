@@ -199,5 +199,5 @@ def integrate(system_id: str, initial: Mapping[str, float], span: tuple[float, f
     invariants = first_integrals(sy.id, values)
     invariants["eigenvalues"] = spectral_invariants(sy.id, values)
     states = np.column_stack([x] + [values[k] for k in sy.all_entries()])
-    return Trajectory(kind=sy.id, ts=ts, states=states, columns=("x",) + sy.all_entries(),
+    return Trajectory(ts=ts, states=states, columns=("x",) + sy.all_entries(),
                       invariants=invariants, status=status, diagnostic=diagnostic)

@@ -435,6 +435,9 @@ def lattice_field_from_l5_orbit(run: Orbit, shape: tuple[int, int]):
     realising the constraint T1 T2 C = C.  Returns a TensorGrid whose
     discrete central-system residual vanishes on exact orbits.
     """
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in shape)):
+        raise InvalidInputError(f"lattice shape must be two positive ints, got {shape!r}")
     n1, n2 = shape
     need = n1 + n2 - 1
     if len(run.entries) < need:

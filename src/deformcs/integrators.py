@@ -43,10 +43,9 @@ class Trajectory:
 
     Row i of ``states`` is the recorded state at ``ts[i]``, one column per
     name in ``columns``; every array in ``invariants`` has one entry (or row)
-    per time.  ``kind`` names the flow system or reduction that was run.
+    per time.
     """
 
-    kind: str
     ts: np.ndarray
     states: np.ndarray
     columns: tuple[str, ...]

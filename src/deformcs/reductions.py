@@ -295,7 +295,7 @@ def integrate_reduction(name: str, initial: Sequence[float], params: Mapping[str
                                                  span[1], step)
     with np.errstate(all="ignore"):   # inf and NaN, as float arithmetic gives them
         histories = invariants(tuple(ys.T))
-    return Trajectory(kind=name, ts=ts, states=ys, columns=columns, invariants=histories,
+    return Trajectory(ts=ts, states=ys, columns=columns, invariants=histories,
                       status=status, diagnostic=diagnostic)
 
 

@@ -590,7 +590,7 @@ def test_docstring_lists_each_reductions_initial_entries_and_params():
 def test_docstring_lists_the_fields_each_kind_reads():
     table = cli.__doc__.split("fields; any other field exits 2:")[1].split("\n\n")[1]
     listed = {line.split()[0]: set(re.findall(r"\w+", line)[1:]) for line in table.splitlines()}
-    assert listed == {kind: set(row[2]) for kind, row in cli.KINDS.items()}
+    assert listed == {kind: set(row[1]) for kind, row in cli.KINDS.items()}
 
 
 def _synopses(text):
@@ -732,9 +732,9 @@ def test_validate_exits_zero_or_two_on_any_replaced_node(node, value):
 def _validated_steps(cfg) -> int:
     """Map iterations or RK4 steps the scenario asks for; 0 for the other kinds."""
     if cfg.kind == "map":
-        return cfg.steps
+        return cfg.doc["steps"]
     if cfg.kind in ("flow", "reduction"):
-        return step_count(*cfg.span, cfg.step)
+        return step_count(*map(float, cfg.doc["span"]), float(cfg.doc["step"]))
     return 0
 
 

@@ -368,6 +368,35 @@ def test_validate_family_errors_where_the_stencil_kernel_differs_from_the_per_po
     assert str(got.value) == text
 
 
+@pytest.mark.parametrize("points, h, text", [
+    (["a"], 1e-4, "points must be finite numbers, got 'a'"),
+    ([2.0, 10 ** 400], 1e-4, f"points must be finite numbers, got {10 ** 400}"),
+    ([2.0, math.nan], 1e-4, "points must be finite numbers, got nan"),
+    ([True], 1e-4, "points must be finite numbers, got True"),
+    ([], 1e-4, "points must be a nonempty sequence of numbers, got []"),
+    (2.0, 1e-4, "points must be a nonempty sequence of numbers, got 2.0"),
+    ([2.0], math.nan, "h must be a positive finite number, got nan"),
+    ([2.0], math.inf, "h must be a positive finite number, got inf"),
+    ([2.0], "1", "h must be a positive finite number, got '1'"),
+    ([2.0], 0.0, "h must be a positive finite number, got 0.0"),
+    # points are judged before h
+    (["a"], -1.0, "points must be finite numbers, got 'a'"),
+], ids=["str_point", "huge_int_point", "nan_point", "bool_point", "no_points", "not_a_sequence",
+        "nan_h", "inf_h", "str_h", "zero_h", "points_before_h"])
+def test_validate_family_judges_its_points_and_h_first(points, h, text):
+    for fam in (_NIL2, _GAUGE):   # h is judged even where the stencil ignores it
+        with pytest.raises(InvalidInputError) as got:
+            validate_family(fam, points, h)
+        assert str(got.value) == text
+
+
+def test_validate_family_takes_points_of_any_sequence_as_given():
+    want = validate_family(_NIL2, [2, 3.5])
+    for points in ((2, 3.5), np.array([2, 3.5])):
+        got = validate_family(_NIL2, points)
+        assert (got.labels, got.norms) == (want.labels, want.norms)
+
+
 @pytest.mark.filterwarnings("error")
 def test_validate_family_is_silent_past_the_first_bad_point():
     # the stack meets inf - inf at every point after the collapsed first one

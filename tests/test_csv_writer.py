@@ -10,7 +10,6 @@ points, subnormals, constant columns and repeated rows, each whole and strided.
 import math
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,7 +104,7 @@ def _hand_orbit(invariant_rows) -> Orbit:
 def test_orbit_csv_matches_csv_writer(invariant_rows, stride, monkeypatch, tmp_path):
     run = _hand_orbit(invariant_rows)
     monkeypatch.setattr(cli, "orbit", lambda *args: run)
-    cli._map_artifacts(SimpleNamespace(dda="L4", state=None, steps=0, stride=stride), tmp_path)
+    cli._map_artifacts("L4", None, 0, stride, tmp_path)
     header = ["n", *ENTRY_NAMES, *sorted(run.invariants), "flags"]
     write_csv_writer(tmp_path / "old.csv", header, orbit_rows(run, stride))
     assert (tmp_path / "orbit.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -131,7 +130,7 @@ def test_trajectory_csv_matches_csv_writer(stride, tmp_path):
     states = np.column_stack([np.full(30, 2.0), np.sin(ts), np.full(30, -0.0)])
     eig = np.empty((30, 3), dtype=complex)   # imaginary parts of both signs of zero
     eig.real, eig.imag = np.cos(ts)[:, None] * [1, 1, 0], np.sin(ts)[:, None] * [1, -1, -0.0]
-    traj = Trajectory("test", ts, states, ("A", "B", "C"), {"I1": ts ** 2, "eigenvalues": eig})
+    traj = Trajectory(ts, states, ("A", "B", "C"), {"I1": ts ** 2, "eigenvalues": eig})
     cli._trajectory_artifacts(traj, "s", stride, tmp_path)
     header = ["s", "A", "B", "C", "I1",
               *(f"{part}_lambda_{i}" for part in ("Re", "Im") for i in (1, 2, 3))]

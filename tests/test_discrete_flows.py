@@ -624,6 +624,14 @@ def test_lattice_needs_enough_states():
         lattice_field_from_l5_orbit(run, (5, 5))
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (-1, 3), (3, 0), (True, 3), (2.0, 3), (3,), (2, 2, 2),
+                                   "33", None])
+def test_lattice_shape_must_be_two_positive_ints(shape):
+    st = init_map_state("L5", dict(B=1.0, C=0.2, E=0.7, G=1.3, M=0.5, N=1.1))
+    with pytest.raises(InvalidInputError, match="lattice shape must be two positive ints"):
+        lattice_field_from_l5_orbit(orbit("L5", st, 12), shape)
+
+
 # ---------------------------------------------------------------------------
 # Discrete oriented associativity.
 # ---------------------------------------------------------------------------
