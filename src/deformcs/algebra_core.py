@@ -24,6 +24,9 @@ place that turns named entries into C1 and C2, at one point or stacked;
 ``MatrixPair.from_entries(n, entries)`` is the one constructor from names.
 ``finite_numbers`` is the one rule for every {name: number} input, entries or parameters,
 its ``check_names`` the one rule for their names, and ``_pow`` the one per-entry power.
+``positive_number`` (a step, h or spacing), ``whole_number`` (a count of steps or a
+stride) and ``number_sequence`` (points or coefficients) are the one rule for each
+other kind of numeric input.
 """
 
 from __future__ import annotations
@@ -83,6 +86,32 @@ def finite_numbers(what: str, values: Mapping, allowed) -> dict[str, float]:
         if not is_finite_number(v):
             raise InvalidInputError(f"{what}[{name!r}] must be a finite number, got {v!r}")
     return {name: float(v) for name, v in values.items()}
+
+
+def positive_number(what: str, v):
+    """``v`` if it is a positive ``is_finite_number``; InvalidInputError naming ``what`` if not."""
+    if not is_finite_number(v) or v <= 0:
+        raise InvalidInputError(f"{what} must be a positive finite number, got {v!r}")
+    return v
+
+
+def whole_number(what: str, v, lo: int, hi: int) -> int:
+    """``v`` if it is an int (no bool) from lo to hi; InvalidInputError naming ``what`` if not."""
+    if not isinstance(v, int) or isinstance(v, bool) or not lo <= v <= hi:
+        raise InvalidInputError(f"{what} must be an integer from {lo} to {hi}, got {v!r}")
+    return v
+
+
+def number_sequence(what: str, values) -> list:
+    """``values`` as a list, each kept as given, if it is a nonempty list, tuple or 1-D
+    array of ``is_finite_number`` values; otherwise InvalidInputError naming ``what``."""
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(items, (list, tuple)) or not items:
+        raise InvalidInputError(f"{what} must be a nonempty sequence of numbers, got {values!r}")
+    for v in items:
+        if not is_finite_number(v):
+            raise InvalidInputError(f"{what} must be finite numbers, got {v!r}")
+    return list(items)
 
 
 def layout_close(a: np.ndarray, b: np.ndarray) -> bool:

@@ -42,15 +42,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra_core import check_names, finite_numbers, is_finite_number
-from .closed_forms import (FD_STEP, SolutionFamily, check_family, check_h, check_points,
-                           validate_family)
+from .algebra_core import (check_names, finite_numbers, is_finite_number, number_sequence,
+                           positive_number, whole_number)
+from .closed_forms import FD_STEP, SolutionFamily, check_family, validate_family
 from .continuous_flows import get_system, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual_scan, lookup, read_json
-from .discrete_flows import (ENTRY_NAMES, check_map, check_steps, flag_labels, init_map_state,
-                             orbit)
+from .discrete_flows import ENTRY_NAMES, check_map, flag_labels, init_map_state, orbit
 from .errors import DeformError, InvalidInputError
-from .integrators import STATUS_COMPLETED, Trajectory, step_count
+from .integrators import MAX_STEPS, STATUS_COMPLETED, Trajectory, step_count
 from .reductions import (integrate_boussinesq, integrate_chazy, integrate_elliptic,
                          reduction_row)
 
@@ -84,13 +83,10 @@ class ScenarioConfig:
         self.runner = KINDS[self.kind][0](self)
 
     def _require(self, typ, key):
+        """Field ``key``, which must be present and of type ``typ`` (any, for ``object``)."""
         if key not in self.doc:
             raise InvalidInputError(f"missing required field {key!r}")
         value = self.doc[key]
-        if typ is float:
-            if not is_finite_number(value):
-                raise InvalidInputError(f"field {key!r} must be a finite number")
-            return float(value)
         if not isinstance(value, typ):
             raise InvalidInputError(f"field {key!r} must be of type {typ.__name__}")
         return value
@@ -103,55 +99,55 @@ class ScenarioConfig:
         if not all(is_finite_number(v) for v in span) or span[1] < span[0]:
             raise InvalidInputError("field 'span' must be finite with end >= start")
         span = float(span[0]), float(span[1])
-        step = self._require(float, "step")
+        step = self._require(object, "step")
         _judged("step", step_count, *span, step)
-        return span, step, self._stride()
+        return span, float(step), self._stride()
 
     def _stride(self):
-        stride = self.doc.get("stride", 1)
-        if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
-            raise InvalidInputError("field 'stride' must be a positive integer")
-        return stride
+        return _judged("stride", whole_number, "stride", self.doc.get("stride", 1), 1, MAX_STEPS)
 
     def _numbers(self, key, allowed):
         """A {name: finite number} field with names in ``allowed``, by the package's rule."""
         return finite_numbers(f"field {key!r}", self._require(dict, key), allowed)
 
     def _flow(self):
-        sy = get_system(self._require(str, "system"))
+        sy = _judged("system", get_system, self._require(str, "system"))
         values = self._numbers("initial", sy.all_entries())
         if "free" in self.doc:
             values.update(self._numbers("free", sy.free))
         span, step, stride = self._span_step_stride()
         # surfaces missing-entry errors at validation time
-        state_from_entries(sy.id, values)
+        _judged("initial", state_from_entries, sy.id, values)
         return lambda out: _trajectory_artifacts(integrate(sy.id, values, span, step), "s",
                                                  stride, out)
 
     def _map(self):
         dda = self._require(str, "dda")
-        check_map(dda)
+        _judged("dda", check_map, dda)
         initial = self._numbers("initial", ENTRY_NAMES)
         prev = self._numbers("prev", ENTRY_NAMES) if "prev" in self.doc else None
-        steps, stride = _judged("steps", check_steps, self._require(int, "steps")), self._stride()
-        return partial(_map_artifacts, dda, init_map_state(dda, initial, prev), steps, stride)
+        steps = self._require(object, "steps")
+        steps = _judged("steps", whole_number, "steps", steps, 0, MAX_STEPS)
+        stride, state = self._stride(), _judged("prev", init_map_state, dda, initial, prev)
+        return partial(_map_artifacts, dda, state, steps, stride)
 
     def _validate_family(self):
         family = _judged("family", check_family, self._require(str, "family"))
         family = _judged("params", SolutionFamily, family, self._require(dict, "params"))
-        points = [float(v) for v in _judged("points", check_points, self._require(list, "points"))]
-        h = float(_judged("h", check_h, self.doc.get("h", FD_STEP)))
+        points = [float(v) for v in _judged("points", number_sequence, "points",
+                                            self._require(list, "points"))]
+        h = float(_judged("h", positive_number, "h", self.doc.get("h", FD_STEP)))
         return lambda out: (STATUS_COMPLETED, None, {},
                             validate_family(family, points, h).as_dict(), None)
 
     def _residual_scan(self):
         dda = self._require(str, "dda")
-        if lookup(dda).id == "L1":
+        if _judged("dda", lookup, dda).id == "L1":
             raise InvalidInputError("dda 'L1' drives no deformation; nothing to scan")
         if "field" in self.doc and "field_path" in self.doc:
             raise InvalidInputError("give field 'field' or field 'field_path', not both")
         if "field" in self.doc:
-            field = SampledField.from_json(self._require(dict, "field"))
+            field = _judged("field", SampledField.from_json, self._require(dict, "field"))
         elif "field_path" in self.doc:
             field = _judged("field_path", SampledField.load, self._require(str, "field_path"))
         else:
@@ -163,7 +159,7 @@ class ScenarioConfig:
 
     def _reduction(self):
         name = self._require(str, "reduction")
-        initial_keys, param_keys = reduction_row(name)[:2]
+        initial_keys, param_keys = _judged("reduction", reduction_row, name)[:2]
         initial = self._numbers("initial", initial_keys)
         params = self._numbers("params", param_keys) if "params" in self.doc else {}
         span, step, stride = self._span_step_stride()

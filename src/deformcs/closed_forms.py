@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, _pow, check_names,
-                           entry_stacks, finite_numbers, is_finite_number, layout_defect)
+                           entry_stacks, finite_numbers, layout_defect, number_sequence,
+                           positive_number)
 from .continuous_flows import get_system
 from .dda_registry import DDASpec, _cs_norms, grid_defect, lookup
 from .discrete_flows import _first, gauge_pairs
@@ -55,24 +56,6 @@ def check_family(family_id: str) -> str:
     return family_id
 
 
-def check_points(points) -> list:
-    """``points`` as a list, each kept as given, if a nonempty sequence of finite numbers."""
-    values = points.tolist() if isinstance(points, np.ndarray) else points
-    if not isinstance(values, (list, tuple)) or not values:
-        raise InvalidInputError(f"points must be a nonempty sequence of numbers, got {points!r}")
-    for v in values:
-        if not is_finite_number(v):
-            raise InvalidInputError(f"points must be finite numbers, got {v!r}")
-    return list(values)
-
-
-def check_h(h):
-    """``h`` if it is a positive finite number (``is_finite_number``)."""
-    if not is_finite_number(h) or h <= 0:
-        raise InvalidInputError(f"h must be a positive finite number, got {h!r}")
-    return h
-
-
 @dataclass(frozen=True)
 class SolutionFamily:
     """One catalogued closed-form solution with its parameter values."""
@@ -85,19 +68,13 @@ class SolutionFamily:
         missing = [key for key in _FAMILY_PARAMS[self.id] if key not in self.params]
         if self.id == "GaugeL5" and missing:   # the other families read a missing one as 0
             raise InvalidInputError(f"GaugeL5 needs polynomial coefficients {missing[0]!r}")
-        numbers = dict(self.params)
-        for name, v in self.params.items():   # the params of other kinds
-            if name == "printed_form":   # PolyL3 only
-                kind, ok = "true or false", isinstance(v, bool)
-            elif self.id == "GaugeL5":
-                c = v.tolist() if isinstance(v, np.ndarray) else v
-                kind = "a nonempty list of finite numbers"
-                ok = isinstance(c, (list, tuple)) and c and all(map(is_finite_number, c))
-            else:
-                continue
-            if not ok:
-                raise InvalidInputError(f"{self.id} parameter {name!r} must be {kind}, got {v!r}")
-            del numbers[name]
+        numbers = dict(self.params)   # less the params of other kinds
+        if self.id == "GaugeL5":
+            for name in self.params:
+                number_sequence(f"GaugeL5 parameter {name!r}", numbers.pop(name))
+        elif not isinstance(numbers.pop("printed_form", False), bool):   # PolyL3 only
+            raise InvalidInputError("PolyL3 parameter 'printed_form' must be true or false, "
+                                    f"got {self.params['printed_form']!r}")
         finite_numbers(f"{self.id} params", numbers, _FAMILY_PARAMS[self.id])
         if self.id == "UpperTri2x2" and self.p("beta") == 0.0:
             raise InvalidInputError("UpperTri2x2 requires beta != 0")
@@ -228,7 +205,7 @@ def validate_family(fam: SolutionFamily, sample_points, h: float = FD_STEP) -> R
     once.  If a stencil point fails a check, each point is redone alone, so the
     first bad point is named; a non-finite norm fails by its label.
     """
-    sample_points, h = check_points(sample_points), check_h(h)
+    sample_points, h = number_sequence("points", sample_points), positive_number("h", h)
     labels = tuple(f"x={p:g}" for p in sample_points)
     points = np.array(sample_points, dtype=float)
     with np.errstate(all="ignore"):   # a bad stencil point is redone, and reported, alone

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra_core import MatrixPair, ResidualReport, _pow, layout_defect
+from .algebra_core import MatrixPair, ResidualReport, _pow, layout_defect, positive_number
 from .errors import InvalidInputError, StencilRangeError, UnsupportedDDAError
 
 OP_NONE = "none"
@@ -320,8 +320,7 @@ class TensorGrid:
         if not np.isfinite(a).all():   # named like a sampled field's bad value
             first = np.argwhere(~np.isfinite(a))[0].tolist()
             raise InvalidInputError(f"tensor grid entry c{first} is not finite")
-        if not 0.0 < self.spacing < np.inf:
-            raise InvalidInputError(f"spacing must be positive and finite, got {self.spacing}")
+        positive_number("spacing", self.spacing)
         a.setflags(write=False)
         object.__setattr__(self, "c", a)
 

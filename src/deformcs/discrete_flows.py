@@ -29,7 +29,7 @@ from sys import float_info
 import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
-                           entry_stacks, finite_numbers, trace_integrals)
+                           entry_stacks, finite_numbers, trace_integrals, whole_number)
 from .dda_registry import _REGISTRY, TensorGrid, _frobenius, lookup
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import MAX_STEPS, OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
@@ -296,18 +296,11 @@ class Orbit:
                      in enumerate(zip(self.entries.tolist(), prev, self.flags.tolist())))
 
 
-def check_steps(steps) -> int:
-    """``steps`` if it is an integer from 0 to MAX_STEPS; InvalidInputError otherwise."""
-    if not isinstance(steps, int) or isinstance(steps, bool) or not 0 <= steps <= MAX_STEPS:
-        raise InvalidInputError(f"steps must be an integer from 0 to {MAX_STEPS}, got {steps!r}")
-    return steps
-
-
 def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     """Iterate the map for at most MAX_STEPS steps; a singular denominator, a
     non-finite entry or overflow truncates the orbit."""
     check_map(dda, state0)
-    check_steps(steps)
+    whole_number("steps", steps, 0, MAX_STEPS)
     values, guard = state0.values, OVERFLOW_GUARD
     prev_C1 = None if state0.prev_C1 is None else state0.prev_C1.tolist()
     rows = [values]
@@ -435,6 +428,8 @@ def lattice_field_from_l5_orbit(run: Orbit, shape: tuple[int, int]):
     realising the constraint T1 T2 C = C.  Returns a TensorGrid whose
     discrete central-system residual vanishes on exact orbits.
     """
+    if run.dda != "L5":
+        raise InvalidInputError(f"a lattice field needs an L5 orbit, got dda {run.dda!r}")
     if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(
             isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in shape)):
         raise InvalidInputError(f"lattice shape must be two positive ints, got {shape!r}")

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .algebra_core import is_finite_number, positive_number
 from .errors import InvalidInputError, SingularFlowError
 
 OVERFLOW_GUARD = 1e12
@@ -57,13 +57,11 @@ class Trajectory:
 def step_count(t0: float, t1: float, step: float) -> int:
     """Number of equal steps of about ``step`` from t0 to t1, at most MAX_STEPS.
 
-    Raises InvalidInputError unless the span is finite with t1 >= t0 and the step
-    is a positive finite number."""
-    if not -float_info.max <= t0 <= t1 <= float_info.max:   # False for NaN
+    Raises InvalidInputError unless the span is two finite numbers with t1 >= t0 and the
+    step passes ``positive_number``."""
+    if not (is_finite_number(t0) and is_finite_number(t1) and t0 <= t1):
         raise InvalidInputError(f"span ({t0}, {t1}) must be finite with end >= start")
-    if not 0.0 < step <= float_info.max:
-        raise InvalidInputError(f"step must be a positive finite number, got {step}")
-    n = (t1 - t0) / step
+    n = (float(t1) - float(t0)) / positive_number("step", step)   # inf past float range
     if not n <= MAX_STEPS:
         raise InvalidInputError(f"span / step = {n:.3g} exceeds MAX_STEPS = {MAX_STEPS}")
     return max(1, round(n)) if t1 != t0 else 0

@@ -459,7 +459,7 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
      "field 'params': Nilpotent2x2 params['alpha'] must be a finite number, got 'x'"),
     ({"kind": "validate_family", "family": "GaugeL5", "points": [0.5],
       "params": {"phi0": "abc", "phi1": [0.0, 1.0], "phi2": [0.0, 0.0, 1.0]}},
-     "field 'params': GaugeL5 parameter 'phi0' must be a nonempty list of finite numbers, "
+     "field 'params': GaugeL5 parameter 'phi0' must be a nonempty sequence of numbers, "
      "got 'abc'"),
     ({"kind": "residual_scan", "dda": "L2a",
       "field": {**_FIELD, "values": _FIELD["values"][:2] + [{"C1": [[0.5, 0.2], [0.1, 0.4]]}]}},
@@ -544,6 +544,11 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({**_CHAZY, "span": [0.5, 0.0]}, "field 'span' must be finite with end >= start"),
     ({**_MAP, "steps": True},
      "field 'steps': steps must be an integer from 0 to 1000000, got True"),
+    ({**_MAP, "stride": 0}, "field 'stride': stride must be an integer from 1 to 1000000, got 0"),
+    ({**_MAP, "stride": True},
+     "field 'stride': stride must be an integer from 1 to 1000000, got True"),
+    ({**_CHAZY, "stride": "2"},
+     "field 'stride': stride must be an integer from 1 to 1000000, got '2'"),
     ({**FLOW_SCENARIO, "system": "L9_2x2"}, "unknown flow system 'L9_2x2'"),
     ({"kind": "frob"}, "unknown kind 'frob' (expected one of ('flow', 'map', 'validate_family', "
                        "'residual_scan', 'reduction'))"),
@@ -563,6 +568,22 @@ def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, na
     scenario = _write(tmp_path, "bad.json", doc)
     assert main(["run", str(scenario), "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_INVALID
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key, text", [
+    ({**_SCAN, "field": {**_FIELD, "dda": 3}}, "field", "sampled field 'dda' must be a string"),
+    ({**FLOW_SCENARIO, "system": "X"}, "system", "unknown flow system 'X'"),
+    ({**_CHAZY, "reduction": "X"}, "reduction", "unknown reduction 'X' (expected one of ("),
+    ({**_SCAN, "dda": "Q"}, "dda", "unknown dda 'Q'"),
+    ({**_MAP, "dda": "L2a"}, "dda", "dda 'L2a' is not a discrete map (use one of ("),
+    ({**FLOW_SCENARIO, "free": {"B": 0.0}}, "initial", "L2a_2x2 state is missing entries ['C']"),
+    ({**_MAP, "dda": "L4", "prev": {"B": 7}}, "prev",
+     "L4 is a first-order map: prev entries apply to L5 only"),
+], ids=["field", "system", "reduction", "dda_scan", "dda_map", "initial", "prev"])
+def test_lookup_and_state_errors_name_their_field(tmp_path, capsys, doc, key, text):
+    scenario = _write(tmp_path, "bad.json", doc)
+    assert main(["validate", str(scenario)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"deform-cs: error: field {key!r}: {text}")
 
 
 def test_run_prints_each_residual_it_reports(tmp_path, capsys):

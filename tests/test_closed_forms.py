@@ -138,15 +138,15 @@ def test_unknown_family():
     ("PolyL3", {"alpha": 1.0, "beta": 2.0, "gamma": [1.0], "delta": 1.0},
      "PolyL3 params['gamma'] must be a finite number"),
     ("GaugeL5", {**GAUGE_CUBIC, "phi0": "abc"},
-     "GaugeL5 parameter 'phi0' must be a nonempty list of finite numbers"),
+     "GaugeL5 parameter 'phi0' must be a nonempty sequence of numbers, got 'abc'"),
     ("GaugeL5", {**GAUGE_CUBIC, "phi1": [0.0, math.nan]},
-     "GaugeL5 parameter 'phi1' must be a nonempty list of finite numbers"),
+     "GaugeL5 parameter 'phi1' must be finite numbers, got nan"),
     ("GaugeL5", {**GAUGE_CUBIC, "phi2": []},
-     "GaugeL5 parameter 'phi2' must be a nonempty list of finite numbers"),
+     "GaugeL5 parameter 'phi2' must be a nonempty sequence of numbers, got []"),
     ("GaugeL5", {**GAUGE_CUBIC, "phi2": [1.0, None]},
-     "GaugeL5 parameter 'phi2' must be a nonempty list of finite numbers"),
+     "GaugeL5 parameter 'phi2' must be finite numbers, got None"),
     ("GaugeL5", {**GAUGE_CUBIC, "phi0": 1.0},
-     "GaugeL5 parameter 'phi0' must be a nonempty list of finite numbers"),
+     "GaugeL5 parameter 'phi0' must be a nonempty sequence of numbers, got 1.0"),
 ])
 def test_family_rejects_parameters_it_would_ignore_or_misread(family, params, named):
     with pytest.raises(InvalidInputError, match=re.escape(named)):
@@ -379,10 +379,15 @@ def test_validate_family_errors_where_the_stencil_kernel_differs_from_the_per_po
     ([2.0], math.inf, "h must be a positive finite number, got inf"),
     ([2.0], "1", "h must be a positive finite number, got '1'"),
     ([2.0], 0.0, "h must be a positive finite number, got 0.0"),
+    ([2.0], None, "h must be a positive finite number, got None"),
+    ([2.0], True, "h must be a positive finite number, got True"),
+    ([2.0], 10 ** 400, f"h must be a positive finite number, got {10 ** 400}"),
+    ([2.0], np.float32(0.1), "h must be a positive finite number, got np.float32(0.1)"),
     # points are judged before h
     (["a"], -1.0, "points must be finite numbers, got 'a'"),
 ], ids=["str_point", "huge_int_point", "nan_point", "bool_point", "no_points", "not_a_sequence",
-        "nan_h", "inf_h", "str_h", "zero_h", "points_before_h"])
+        "nan_h", "inf_h", "str_h", "zero_h", "none_h", "bool_h", "huge_int_h", "float32_h",
+        "points_before_h"])
 def test_validate_family_judges_its_points_and_h_first(points, h, text):
     for fam in (_NIL2, _GAUGE):   # h is judged even where the stencil ignores it
         with pytest.raises(InvalidInputError) as got:

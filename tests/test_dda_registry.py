@@ -230,11 +230,14 @@ def test_load_names_a_path_it_cannot_read(tmp_path):
 # Quantum / coisotropic / discrete evaluators.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+@pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf, 0.0, -0.1, "1", None, True,
+                                     pytest.param(10 ** 400, id="int-beyond-float"),
+                                     np.float32(0.1)])
 def test_tensor_grid_rejects_a_spacing_that_is_not_positive_and_finite(spacing):
     c = np.zeros((4, 4, 3, 3, 3))
-    with pytest.raises(InvalidInputError, match="spacing must be positive and finite"):
+    with pytest.raises(InvalidInputError) as got:
         TensorGrid(c=c, spacing=spacing)
+    assert str(got.value) == f"spacing must be a positive finite number, got {spacing!r}"
 
 
 def _constant_grid(pair, npts=4, h=0.1):

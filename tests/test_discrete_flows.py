@@ -617,6 +617,14 @@ def test_first_order_maps_take_no_previous_entries(dda):
         init_map_state(dda, entries, {"B": 7.0})
 
 
+@pytest.mark.parametrize("dda", ["L2b", "L4"])
+def test_lattice_field_needs_an_l5_orbit(dda):
+    st = init_map_state(dda, dict(B=1.0, C=1.0, E=0.4, G=1.3, M=0.8, N=-0.2))
+    with pytest.raises(InvalidInputError) as got:
+        lattice_field_from_l5_orbit(orbit(dda, st, 12), (5, 5))
+    assert str(got.value) == f"a lattice field needs an L5 orbit, got dda {dda!r}"
+
+
 def test_lattice_needs_enough_states():
     st = init_map_state("L5", dict(B=1.0, C=0.2, E=0.7, G=1.3, M=0.5, N=1.1))
     run = orbit("L5", st, 3)

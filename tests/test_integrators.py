@@ -170,7 +170,14 @@ def test_rhs_of_the_wrong_length_at_any_stage_raises(call, value):
     (0.0, 1.0, math.nan, "step must be a positive finite number, got nan"),
     (0.0, 1.0, math.inf, "step must be a positive finite number, got inf"),
     pytest.param(0, 10 ** 400, 1.0, "span .* must be finite", id="int-end-beyond-float"),
-    pytest.param(0.0, 1.0, 10 ** 400, "step must be a positive", id="int-step-beyond-float")])
+    pytest.param(0.0, 1.0, 10 ** 400, "step must be a positive", id="int-step-beyond-float"),
+    (0.0, 1.0, "1", "step must be a positive finite number, got '1'"),
+    (0.0, 1.0, None, "step must be a positive finite number, got None"),
+    (0.0, 1.0, True, "step must be a positive finite number, got True"),
+    (0.0, 1.0, np.float32(0.1), r"step must be a positive finite number, got np.float32\(0.1\)"),
+    ("a", 1.0, 0.1, r"span \(a, 1.0\) must be finite with end >= start"),
+    pytest.param(-10 ** 308, 10 ** 308, 1.0, "span / step = inf exceeds MAX_STEPS",
+                 id="int-span-beyond-float")])
 def test_step_count_is_the_one_span_and_step_rule(t0, t1, step, named):
     for call in (step_count, lambda *a: integrate_fixed(_grow, a[0], [1.0], *a[1:])):
         with pytest.raises(InvalidInputError, match=named):
@@ -183,6 +190,8 @@ def test_every_run_takes_the_span_and_step_rule_from_step_count():
         continuous_flows.integrate("L2a_2x2", entries, (1.0, 2.0), 0.0)
     with pytest.raises(InvalidInputError, match="must be finite with end >= start"):
         continuous_flows.integrate("L2a_2x2", entries, (2.0, 1.0), 1e-3)
+    with pytest.raises(InvalidInputError, match=r"span \(a, 1.0\) must be finite"):
+        continuous_flows.integrate("L2a_2x2", entries, ("a", 1.0), 0.1)
     with pytest.raises(InvalidInputError, match="must be finite with end >= start"):
         reductions.integrate_elliptic((0.5, 0.5, -2.5), -1.0, (0.5, 0.0), 1e-3)
     with pytest.raises(InvalidInputError, match="step must be a positive finite number"):
