@@ -24,9 +24,10 @@ place that turns named entries into C1 and C2, at one point or stacked;
 ``MatrixPair.from_entries(n, entries)`` is the one constructor from names.
 ``finite_numbers`` is the one rule for every {name: number} input, entries or parameters,
 its ``check_names`` the one rule for their names, and ``_pow`` the one per-entry power.
-``positive_number`` (a step, h or spacing), ``whole_number`` (a count of steps or a
-stride) and ``number_sequence`` (points or coefficients) are the one rule for each
-other kind of numeric input.
+``finite_number`` (hbar), ``positive_number`` (a step, h or spacing), ``whole_number``
+(a count of steps, a stride or a matrix size) and ``number_sequence`` (points or
+coefficients) are the one rule for each other kind of numeric input, ``finite_span`` the
+one for a span, and ``one_of`` the one for a name looked up in a catalogue.
 """
 
 from __future__ import annotations
@@ -82,10 +83,14 @@ def finite_numbers(what: str, values: Mapping, allowed) -> dict[str, float]:
     value passes ``is_finite_number``; otherwise InvalidInputError naming ``what`` and
     the entry."""
     check_names(what, values, allowed)
-    for name, v in values.items():
-        if not is_finite_number(v):
-            raise InvalidInputError(f"{what}[{name!r}] must be a finite number, got {v!r}")
-    return {name: float(v) for name, v in values.items()}
+    return {name: float(finite_number(f"{what}[{name!r}]", v)) for name, v in values.items()}
+
+
+def finite_number(what: str, v):
+    """``v`` if it is an ``is_finite_number``; InvalidInputError naming ``what`` if not."""
+    if not is_finite_number(v):
+        raise InvalidInputError(f"{what} must be a finite number, got {v!r}")
+    return v
 
 
 def positive_number(what: str, v):
@@ -112,6 +117,26 @@ def number_sequence(what: str, values) -> list:
         if not is_finite_number(v):
             raise InvalidInputError(f"{what} must be finite numbers, got {v!r}")
     return list(items)
+
+
+def finite_span(what: str, span) -> tuple[float, float]:
+    """``span`` as two floats if it is a list, tuple or 1-D array of two ``is_finite_number``
+    values with end >= start; otherwise InvalidInputError naming ``what``."""
+    ends = span.tolist() if isinstance(span, np.ndarray) else span
+    if not (isinstance(ends, (list, tuple)) and len(ends) == 2
+            and all(map(is_finite_number, ends)) and ends[0] <= ends[1]):
+        raise InvalidInputError(
+            f"{what} must be two finite numbers (start, end) with end >= start, got {span!r}")
+    return float(ends[0]), float(ends[1])
+
+
+def one_of(what: str, table: Mapping, key):
+    """``table[key]``; InvalidInputError naming ``what`` and the keys if ``key`` is not one."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):   # TypeError: an unhashable key
+        raise InvalidInputError(
+            f"unknown {what} {key!r} (expected one of {tuple(table)})") from None
 
 
 def layout_close(a: np.ndarray, b: np.ndarray) -> bool:
@@ -146,9 +171,7 @@ def entry_stacks(n: int, entries: Mapping[str, np.ndarray]) -> tuple[np.ndarray,
     outside the layout raises InvalidInputError.
     """
     positions = ENTRY_POSITIONS_3 if n == 3 else ENTRY_POSITIONS_2
-    unknown = [name for name in entries if name not in positions]
-    if unknown:
-        raise InvalidInputError(f"unknown {n}x{n} entries {unknown}")
+    check_names(f"{n}x{n} layout", entries, positions)
     shape = np.broadcast(*entries.values()).shape
     C = np.zeros((2,) + shape + (n, n))
     if n == 3:
@@ -178,8 +201,7 @@ class MatrixPair:
     C2: np.ndarray
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise InvalidInputError(f"matrix size must be 2 or 3, got {self.n}")
+        whole_number("matrix size", self.n, 2, 3)
         object.__setattr__(self, "C1", _as_matrix(self.C1, self.n))
         object.__setattr__(self, "C2", _as_matrix(self.C2, self.n))
         defect = layout_defect(self.n, self.C1, self.C2)
@@ -210,8 +232,7 @@ class StructTensor:
     c: np.ndarray
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise InvalidInputError(f"dim must be 2 or 3, got {self.dim}")
+        whole_number("dim", self.dim, 2, 3)
         a = np.array(self.c, dtype=float)
         if a.shape != (self.dim,) * 3:
             raise InvalidInputError(f"tensor shape must be {(self.dim,) * 3}, got {a.shape}")

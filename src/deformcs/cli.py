@@ -42,9 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra_core import (check_names, finite_numbers, is_finite_number, number_sequence,
+from .algebra_core import (check_names, finite_numbers, finite_span, number_sequence, one_of,
                            positive_number, whole_number)
-from .closed_forms import FD_STEP, SolutionFamily, check_family, validate_family
+from .closed_forms import FAMILY_PARAMS, FD_STEP, SolutionFamily, validate_family
 from .continuous_flows import get_system, integrate, state_from_entries
 from .dda_registry import SampledField, cs_residual_scan, lookup, read_json
 from .discrete_flows import ENTRY_NAMES, check_map, flag_labels, init_map_state, orbit
@@ -76,11 +76,10 @@ class ScenarioConfig:
         if not isinstance(doc, dict):
             raise InvalidInputError("scenario must be a JSON object")
         self.doc = doc
-        self.kind = self._require(str, "kind")
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown kind {self.kind!r} (expected one of {tuple(KINDS)})")
-        check_names("scenario", doc, ("kind", *KINDS[self.kind][1]))
-        self.runner = KINDS[self.kind][0](self)
+        self.kind = self._require(object, "kind")
+        method, fields = one_of("kind", KINDS, self.kind)
+        check_names("scenario", doc, ("kind", *fields))
+        self.runner = method(self)
 
     def _require(self, typ, key):
         """Field ``key``, which must be present and of type ``typ`` (any, for ``object``)."""
@@ -93,12 +92,7 @@ class ScenarioConfig:
 
     def _span_step_stride(self):
         """The scenario's span, its step (checked by ``step_count`` on the span) and stride."""
-        span = self._require(list, "span")
-        if len(span) != 2 or not all(isinstance(v, (int, float)) for v in span):
-            raise InvalidInputError("field 'span' must be a [start, end] pair")
-        if not all(is_finite_number(v) for v in span) or span[1] < span[0]:
-            raise InvalidInputError("field 'span' must be finite with end >= start")
-        span = float(span[0]), float(span[1])
+        span = _judged("span", finite_span, "span", self._require(object, "span"))
         step = self._require(object, "step")
         _judged("step", step_count, *span, step)
         return span, float(step), self._stride()
@@ -111,7 +105,7 @@ class ScenarioConfig:
         return finite_numbers(f"field {key!r}", self._require(dict, key), allowed)
 
     def _flow(self):
-        sy = _judged("system", get_system, self._require(str, "system"))
+        sy = _judged("system", get_system, self._require(object, "system"))
         values = self._numbers("initial", sy.all_entries())
         if "free" in self.doc:
             values.update(self._numbers("free", sy.free))
@@ -122,7 +116,7 @@ class ScenarioConfig:
                                                  stride, out)
 
     def _map(self):
-        dda = self._require(str, "dda")
+        dda = self._require(object, "dda")
         _judged("dda", check_map, dda)
         initial = self._numbers("initial", ENTRY_NAMES)
         prev = self._numbers("prev", ENTRY_NAMES) if "prev" in self.doc else None
@@ -132,7 +126,8 @@ class ScenarioConfig:
         return partial(_map_artifacts, dda, state, steps, stride)
 
     def _validate_family(self):
-        family = _judged("family", check_family, self._require(str, "family"))
+        family = self._require(object, "family")
+        _judged("family", one_of, "solution family", FAMILY_PARAMS, family)
         family = _judged("params", SolutionFamily, family, self._require(dict, "params"))
         points = [float(v) for v in _judged("points", number_sequence, "points",
                                             self._require(list, "points"))]
@@ -141,7 +136,7 @@ class ScenarioConfig:
                             validate_family(family, points, h).as_dict(), None)
 
     def _residual_scan(self):
-        dda = self._require(str, "dda")
+        dda = self._require(object, "dda")
         if _judged("dda", lookup, dda).id == "L1":
             raise InvalidInputError("dda 'L1' drives no deformation; nothing to scan")
         if "field" in self.doc and "field_path" in self.doc:
@@ -158,7 +153,7 @@ class ScenarioConfig:
         return partial(_scan_artifacts, dda, field)
 
     def _reduction(self):
-        name = self._require(str, "reduction")
+        name = self._require(object, "reduction")
         initial_keys, param_keys = _judged("reduction", reduction_row, name)[:2]
         initial = self._numbers("initial", initial_keys)
         params = self._numbers("params", param_keys) if "params" in self.doc else {}

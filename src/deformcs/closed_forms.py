@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, _pow, check_names,
                            entry_stacks, finite_numbers, layout_defect, number_sequence,
-                           positive_number)
+                           one_of, positive_number)
 from .continuous_flows import get_system
 from .dda_registry import DDASpec, _cs_norms, grid_defect, lookup
 from .discrete_flows import _first, gauge_pairs
@@ -38,22 +38,14 @@ LOG_DOMAIN_TOL = 1e-9       # |ln x| must exceed this for the log families
 CONSTRAINT_TOL = 1e-12      # PolyL3 unimodularity at construction
 FD_STEP = 1e-4              # validate_family's default finite-difference step h
 
-_FAMILY_PARAMS = {
+FAMILY_PARAMS = {
     "Nilpotent3x3": ("alpha", "beta", "gamma", "delta", "mu"),
     "Nilpotent2x2": ("alpha", "beta", "gamma"),
     "UpperTri2x2": ("alpha", "beta", "gamma", "delta"),
     "PolyL3": ("alpha", "beta", "gamma", "delta", "printed_form"),   # the last a bool
     "GaugeL5": ("phi0", "phi1", "phi2"),   # each a list of polynomial coefficients
 }
-FAMILY_IDS = tuple(_FAMILY_PARAMS)
 _FAMILY_N = {"Nilpotent3x3": 3, "Nilpotent2x2": 2, "UpperTri2x2": 2, "PolyL3": 2, "GaugeL5": 3}
-
-
-def check_family(family_id: str) -> str:
-    """``family_id`` if it names a catalogued family; InvalidInputError otherwise."""
-    if family_id not in FAMILY_IDS:
-        raise InvalidInputError(f"unknown solution family {family_id!r}")
-    return family_id
 
 
 @dataclass(frozen=True)
@@ -64,8 +56,9 @@ class SolutionFamily:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        check_names(f"{check_family(self.id)} params", self.params, _FAMILY_PARAMS[self.id])
-        missing = [key for key in _FAMILY_PARAMS[self.id] if key not in self.params]
+        names = one_of("solution family", FAMILY_PARAMS, self.id)
+        check_names(f"{self.id} params", self.params, names)
+        missing = [key for key in names if key not in self.params]
         if self.id == "GaugeL5" and missing:   # the other families read a missing one as 0
             raise InvalidInputError(f"GaugeL5 needs polynomial coefficients {missing[0]!r}")
         numbers = dict(self.params)   # less the params of other kinds
@@ -75,7 +68,7 @@ class SolutionFamily:
         elif not isinstance(numbers.pop("printed_form", False), bool):   # PolyL3 only
             raise InvalidInputError("PolyL3 parameter 'printed_form' must be true or false, "
                                     f"got {self.params['printed_form']!r}")
-        finite_numbers(f"{self.id} params", numbers, _FAMILY_PARAMS[self.id])
+        finite_numbers(f"{self.id} params", numbers, names)
         if self.id == "UpperTri2x2" and self.p("beta") == 0.0:
             raise InvalidInputError("UpperTri2x2 requires beta != 0")
         if self.id == "PolyL3":
@@ -137,7 +130,7 @@ def _family_stack(fam: SolutionFamily, x: np.ndarray) -> tuple[np.ndarray, np.nd
     """(P, n, n) stacks of C1 and C2 at the P points of an array x, or C1 and C2 at one
     point x; raises at the first bad point."""
     if fam.id == "GaugeL5":   # the potentials Phi^m are polynomials
-        coeffs = [np.asarray(fam.params[k], dtype=float) for k in _FAMILY_PARAMS["GaugeL5"]]
+        coeffs = [np.asarray(fam.params[k], dtype=float) for k in FAMILY_PARAMS["GaugeL5"]]
         # np.polyval reads the coefficients highest degree first
         return gauge_pairs(lambda p: np.array([np.polyval(c[::-1], p) for c in coeffs]), x)[3:]
     return entry_stacks(_FAMILY_N[fam.id], _family_entries(fam, x))

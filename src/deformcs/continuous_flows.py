@@ -23,7 +23,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra_core import DEGENERACY_TOL, _pow, entry_stacks, finite_numbers, trace_integrals
+from .algebra_core import (DEGENERACY_TOL, _pow, entry_stacks, finite_numbers, finite_span,
+                           one_of, trace_integrals)
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
@@ -114,10 +115,7 @@ SYSTEMS = {sy.id: sy for sy in (
 
 
 def get_system(system_id: str) -> FlowSystem:
-    try:
-        return SYSTEMS[system_id]
-    except KeyError:
-        raise InvalidInputError(f"unknown flow system {system_id!r}") from None
+    return one_of("flow system", SYSTEMS, system_id)
 
 
 def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str, float]:
@@ -179,7 +177,8 @@ def spectral_invariants(system_id: str, values: Mapping) -> np.ndarray:
 @np.errstate(all="ignore")   # x = e^s or s det C1, which may leave float range
 def integrate(system_id: str, initial: Mapping[str, float], span: tuple[float, float],
               step: float) -> Trajectory:
-    """Run the flow from the entries ``initial`` over ``span`` with fixed-step RK4.
+    """Run the flow from the entries ``initial`` over ``span`` (judged by ``finite_span``)
+    with fixed-step RK4.
 
     The free entries of ``initial`` stay constant.  Singular
     configurations and the 1e12 overflow guard truncate the trajectory and
@@ -190,8 +189,8 @@ def integrate(system_id: str, initial: Mapping[str, float], span: tuple[float, f
     """
     sy = get_system(system_id)
     y0, p = sy.split(state_from_entries(system_id, initial))
-    ts, ys, status, diagnostic = integrate_fixed(
-        lambda _t, y: sy.rhs(y, p), span[0], y0, span[1], step)
+    t0, t1 = finite_span("span", span)
+    ts, ys, status, diagnostic = integrate_fixed(lambda _t, y: sy.rhs(y, p), t0, y0, t1, step)
 
     values = dict(zip(sy.evolved, ys.T))
     values.update((k, np.full(len(ts), v)) for k, v in zip(sy.free, p))

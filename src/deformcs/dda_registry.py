@@ -38,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra_core import MatrixPair, ResidualReport, _pow, layout_defect, positive_number
+from .algebra_core import (MatrixPair, ResidualReport, _pow, finite_number, layout_defect,
+                           one_of, positive_number)
 from .errors import InvalidInputError, StencilRangeError, UnsupportedDDAError
 
 OP_NONE = "none"
@@ -84,10 +85,7 @@ _REGISTRY = {spec.id: spec for spec in (
 
 def lookup(dda_id: str) -> DDASpec:
     """Return the registry entry for one of L1, L2a, L2b, L3, L4, L5."""
-    try:
-        return _REGISTRY[dda_id]
-    except KeyError:
-        raise InvalidInputError(f"unknown dda {dda_id!r}") from None
+    return one_of("dda", _REGISTRY, dda_id)
 
 
 def grid_defect(spec: DDASpec, grid: np.ndarray) -> str | None:
@@ -400,13 +398,15 @@ def _quantum_terms(c: np.ndarray, d: np.ndarray, hbar: float) -> tuple[np.ndarra
 def quantum_cs_parts(tg: TensorGrid, hbar: float) -> tuple[np.ndarray, np.ndarray]:
     """Derivative and quadratic parts of the quantum central system, indexed [interior
     grid..., k, l, j, n]; their sum is the defect hbar dC_jk^n/dx^l - hbar dC_kl^n/dx^j
-    + sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n)."""
+    + sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n). hbar must be a ``finite_number`` (0 is one)."""
+    finite_number("hbar", hbar)
     c, d, inner = _interior_points(tg)
     return tuple(_points_first(np.moveaxis(a, 0, 2), inner) for a in _quantum_terms(c, d, hbar))
 
 
 def quantum_cs_residual(tg: TensorGrid, hbar: float) -> ResidualReport:
     """Max-norm residual of the quantum central system over interior points."""
+    finite_number("hbar", hbar)
     return _max_norms(tg, {"quantum_cs_max": lambda c, d: np.add(*_quantum_terms(c, d, hbar))})
 
 

@@ -29,12 +29,12 @@ from sys import float_info
 import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
-                           entry_stacks, finite_numbers, trace_integrals, whole_number)
-from .dda_registry import _REGISTRY, TensorGrid, _frobenius, lookup
+                           entry_stacks, finite_numbers, one_of, trace_integrals, whole_number)
+from .dda_registry import _REGISTRY, TensorGrid, _frobenius
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import MAX_STEPS, OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
 
-MAP_DDAS = tuple(dda for dda, spec in _REGISTRY.items() if spec.discrete)
+MAP_DDAS = {dda: spec for dda, spec in _REGISTRY.items() if spec.discrete}   # L2b, L4, L5
 ENTRY_NAMES = tuple(ENTRY_POSITIONS_2)   # B, C, E, G, M, N: one orbit row
 FLAG_NAMES = ("det_C1_degenerate", "E_minus_G_degenerate", "det_C2_degenerate")
 
@@ -89,8 +89,7 @@ def _state(n: int, values: tuple[float, ...], prev_C1: np.ndarray | None) -> Map
 
 def check_map(dda: str, state: MapState | None = None) -> None:
     """Raise InvalidInputError unless dda has a discrete map (and an L5 state its previous C1)."""
-    if not lookup(dda).discrete:
-        raise InvalidInputError(f"dda {dda!r} is not a discrete map (use one of {MAP_DDAS})")
+    one_of("map dda", MAP_DDAS, dda)
     if dda == "L5" and state is not None and state.prev_C1 is None:
         raise InvalidInputError("L5 state lacks the previous C1 (use init_map_state)")
 

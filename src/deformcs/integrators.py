@@ -5,7 +5,8 @@ deterministic fourth-order error law of RK4, so no adaptive stepping is used.
 The requested span is divided into round(span/step) equal steps, which lands
 on the endpoint exactly and keeps step-halving comparisons clean.  No run
 takes more than MAX_STEPS steps; a longer one is rejected before it starts, and
-so is a reversed or non-finite span or a step that is not a positive finite number.
+so is a span that fails ``algebra_core.finite_span`` (two finite numbers, end >= start)
+or a step that fails ``positive_number``.
 
 A state is a tuple of k floats, on which RK4 does the IEEE operations of its
 float64 array form in the same order.  The whole run is one loop of straight-line
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra_core import is_finite_number, positive_number
+from .algebra_core import finite_span, positive_number
 from .errors import InvalidInputError, SingularFlowError
 
 OVERFLOW_GUARD = 1e12
@@ -57,11 +58,10 @@ class Trajectory:
 def step_count(t0: float, t1: float, step: float) -> int:
     """Number of equal steps of about ``step`` from t0 to t1, at most MAX_STEPS.
 
-    Raises InvalidInputError unless the span is two finite numbers with t1 >= t0 and the
-    step passes ``positive_number``."""
-    if not (is_finite_number(t0) and is_finite_number(t1) and t0 <= t1):
-        raise InvalidInputError(f"span ({t0}, {t1}) must be finite with end >= start")
-    n = (float(t1) - float(t0)) / positive_number("step", step)   # inf past float range
+    Raises InvalidInputError unless (t0, t1) passes ``finite_span`` and the step passes
+    ``positive_number``."""
+    t0, t1 = finite_span("span", (t0, t1))
+    n = (t1 - t0) / positive_number("step", step)   # inf past float range
     if not n <= MAX_STEPS:
         raise InvalidInputError(f"span / step = {n:.3g} exceeds MAX_STEPS = {MAX_STEPS}")
     return max(1, round(n)) if t1 != t0 else 0

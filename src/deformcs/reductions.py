@@ -37,7 +37,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .algebra_core import MatrixPair, _pow, finite_numbers
+from .algebra_core import MatrixPair, _pow, finite_numbers, finite_span, one_of
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
@@ -55,16 +55,10 @@ _CHAZY_G3_FN = {v: eval(f"lambda G, G1, G2, phi, dphi: {g3}") for v, g3 in _CHAZ
 CHAZY_VARIANTS = tuple(_CHAZY_G3)
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in CHAZY_VARIANTS:
-        raise InvalidInputError(f"unknown Chazy variant {variant!r}")
-
-
 def chazy_rhs(variant: str, G: float, G1: float, G2: float,
               phi: float = 0.0, dphi: float = 0.0) -> float:
     """Third derivative G''' for the requested variant (Generic needs phi, dphi)."""
-    _check_variant(variant)
-    return _CHAZY_G3_FN[variant](G, G1, G2, phi, dphi)
+    return one_of("Chazy variant", _CHAZY_G3_FN, variant)(G, G1, G2, phi, dphi)
 
 
 def _second_integral(G: float, G1: float, G2: float, closing: float) -> float:
@@ -79,7 +73,7 @@ def chazy_second_integral(G: float, G1: float, G2: float,
     closing term is B G^2 / 2; for the Phi-based variants it is Phi itself
     and the closing term is Phi G^2.
     """
-    _check_variant(variant)
+    one_of("Chazy variant", _CHAZY_G3, variant)
     if variant in ("ChazyV", "ChazyV_shifted"):
         B_or_phi = 0.5 * B_or_phi
     return _second_integral(G, G1, G2, B_or_phi)
@@ -129,9 +123,7 @@ _CHAZY_PHI_B = {
 
 def chazy_state_phi_B(variant: str, row: np.ndarray) -> tuple[float, float, float]:
     """(Phi, B, B') at one trajectory row, as the variant determines Phi."""
-    if variant not in _CHAZY_PHI_B:
-        raise InvalidInputError(f"variant {variant!r} carries no reconstruction data")
-    return _CHAZY_PHI_B[variant](*row)
+    return one_of("reconstruction variant", _CHAZY_PHI_B, variant)(*row)
 
 
 # The body of f(_t, y) for the variants with columns beyond G, G1, G2, and {g3} for G''':
@@ -271,9 +263,7 @@ REDUCTIONS = {
 
 def reduction_row(name: str) -> tuple:
     """The row of REDUCTIONS named ``name``."""
-    if name not in REDUCTIONS:
-        raise InvalidInputError(f"unknown reduction {name!r} (expected one of {tuple(REDUCTIONS)})")
-    return REDUCTIONS[name]
+    return one_of("reduction", REDUCTIONS, name)
 
 
 def integrate_reduction(name: str, initial: Sequence[float], params: Mapping[str, float],
@@ -281,7 +271,8 @@ def integrate_reduction(name: str, initial: Sequence[float], params: Mapping[str
     """Integrate one reduction of REDUCTIONS, recording its invariants at every step.
 
     ``initial`` holds its initial entries in order, and ``params`` maps its param
-    names to values; a param left out is 0.  Both are judged by ``finite_numbers``.
+    names to values; a param left out is 0.  Both are judged by ``finite_numbers``,
+    and ``span`` by ``finite_span``.
     """
     entries, names, columns, build = reduction_row(name)
     if len(initial) != len(entries):
@@ -291,8 +282,8 @@ def integrate_reduction(name: str, initial: Sequence[float], params: Mapping[str
     values = tuple(params.get(k, 0.0) for k in names)
     carried = len(columns) - len(entries)
     f, invariants = build(*values[carried:])
-    ts, ys, status, diagnostic = integrate_fixed(f, span[0], (*y0.values(), *values[:carried]),
-                                                 span[1], step)
+    t0, t1 = finite_span("span", span)
+    ts, ys, status, diagnostic = integrate_fixed(f, t0, (*y0.values(), *values[:carried]), t1, step)
     with np.errstate(all="ignore"):   # inf and NaN, as float arithmetic gives them
         histories = invariants(tuple(ys.T))
     return Trajectory(ts=ts, states=ys, columns=columns, invariants=histories,

@@ -41,6 +41,10 @@ def test_pair_layout_validation():
         MatrixPair(2, [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])  # shared col
     with pytest.raises(InvalidInputError):
         MatrixPair(4, np.eye(4), np.eye(4))
+    for n in (2.0, True, "2", 4):   # a size is an int, not a bool, from 2 to 3
+        with pytest.raises(InvalidInputError) as got:
+            MatrixPair(n, [[1, 0], [0, 1]], [[0, 1], [1, 0]])
+        assert str(got.value) == f"matrix size must be an integer from 2 to 3, got {n!r}"
 
 
 @pytest.mark.filterwarnings("error")
@@ -94,7 +98,10 @@ def test_pair_from_tensor_single_entry():
 
 
 @pytest.mark.parametrize("dim, c, named", [
-    (4, np.zeros((4, 4, 4)), "dim must be 2 or 3, got 4"),
+    (4, np.zeros((4, 4, 4)), "dim must be an integer from 2 to 3, got 4"),
+    (2.0, np.zeros((2, 2, 2)), "dim must be an integer from 2 to 3, got 2.0"),
+    (True, np.zeros((2, 2, 2)), "dim must be an integer from 2 to 3, got True"),
+    ("2", np.zeros((2, 2, 2)), "dim must be an integer from 2 to 3, got '2'"),
     (2, np.zeros((3, 3, 3)), "tensor shape must be (2, 2, 2), got (3, 3, 3)"),
     (3, np.zeros((3, 3, 3)), "unital tensor must satisfy c[j][0][l] = delta_j^l"),
 ])

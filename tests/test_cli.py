@@ -98,7 +98,8 @@ def test_unknown_dda_is_validation_error(tmp_path, capsys):
         "steps": 5,
     })
     assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == EXIT_INVALID
-    assert "unknown dda" in capsys.readouterr().err
+    assert ("field 'dda': unknown map dda 'L9' (expected one of ('L2b', 'L4', 'L5'))"
+            in capsys.readouterr().err)
 
 
 def test_missing_field_named_in_error(tmp_path, capsys):
@@ -446,6 +447,8 @@ _FIELD = {"dda": "L2a", "grid": [1.0, 1.001, 1.002],
 _CHAZY = {"kind": "reduction", "reduction": "ChazyV", "span": [0.0, 0.5], "step": 1e-3,
           "initial": {"G": 1.0, "G1": 0.5, "G2": -0.3}}
 _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
+_SPAN_RULE = "span must be two finite numbers (start, end) with end >= start, got "
+_FAMILIES = "(expected one of ('Nilpotent3x3', 'Nilpotent2x2', 'UpperTri2x2', 'PolyL3', 'GaugeL5'))"
 
 
 @pytest.mark.parametrize("doc, named", [
@@ -487,7 +490,7 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
     ({**_SCAN, "field": {**_FIELD, "values": 5}}, "sampled field 'values' must be a list"),
     ({"kind": "residual_scan", "dda": "L2a", "field_path": ""},
      "field 'field_path': sampled field file '' cannot be read: not a regular file"),
-    ({**FLOW_SCENARIO, "span": [0.0, 10 ** 400]}, "field 'span' must be finite"),
+    ({**FLOW_SCENARIO, "span": [0.0, 10 ** 400]}, f"field 'span': {_SPAN_RULE}[0.0, {10 ** 400}]"),
     ({**FLOW_SCENARIO, "initial": {**FLOW_SCENARIO["initial"], "E": 10 ** 400}},
      "field 'initial'['E'] must be a finite number"),
     ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [10 ** 400],
@@ -530,18 +533,19 @@ _SCAN = {"kind": "residual_scan", "dda": "L2a", "field": _FIELD}
       "params": {"phi0": [1.0, 0.2], "phi1": [0.0, 1.0], "phi2": [0.5, 0.0, 1.0], "phi3": [5]}},
      "field 'params': GaugeL5 params has unknown entries ['phi3']"),
     ({"kind": "validate_family", "family": "Quartic", "points": [2.0], "params": {}},
-     "deform-cs: error: field 'family': unknown solution family 'Quartic'\n"),
+     f"deform-cs: error: field 'family': unknown solution family 'Quartic' {_FAMILIES}\n"),
     ({"kind": "validate_family", "family": "Quartic", "points": [2.0], "params": {"a": 1}},
-     "deform-cs: error: field 'family': unknown solution family 'Quartic'\n"),
+     f"deform-cs: error: field 'family': unknown solution family 'Quartic' {_FAMILIES}\n"),
     ({**_MAP, "dda": "L2b", "prev": {"B": 7}}, "L2b is a first-order map: prev entries"),
     ({**_MAP, "dda": "L4", "prev": {"B": 7}}, "L4 is a first-order map: prev entries"),
-    ({**_MAP, "dda": "L3"}, "dda 'L3' is not a discrete map (use one of ('L2b', 'L4', 'L5'))"),
+    ({**_MAP, "dda": "L3"},
+     "field 'dda': unknown map dda 'L3' (expected one of ('L2b', 'L4', 'L5'))"),
     ({**_CHAZY, "params": {"b0": 0.1}}, "field 'params' has unknown entries ['b0']"),
     ({**_CHAZY, "reduction": "ChazyVIII", "params": {"phi0": 0.5}},
      "field 'params' has unknown entries ['phi0']"),
     ({**_CHAZY, "reduction": "ChazyVII", "params": {"phi0": 0.5, "b0": 0.1}},
      "field 'params' has unknown entries ['phi0']"),
-    ({**_CHAZY, "span": [0.5, 0.0]}, "field 'span' must be finite with end >= start"),
+    ({**_CHAZY, "span": [0.5, 0.0]}, f"field 'span': {_SPAN_RULE}[0.5, 0.0]"),
     ({**_MAP, "steps": True},
      "field 'steps': steps must be an integer from 0 to 1000000, got True"),
     ({**_MAP, "stride": 0}, "field 'stride': stride must be an integer from 1 to 1000000, got 0"),
@@ -572,10 +576,11 @@ def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, na
 
 @pytest.mark.parametrize("doc, key, text", [
     ({**_SCAN, "field": {**_FIELD, "dda": 3}}, "field", "sampled field 'dda' must be a string"),
-    ({**FLOW_SCENARIO, "system": "X"}, "system", "unknown flow system 'X'"),
+    ({**FLOW_SCENARIO, "system": "X"}, "system", "unknown flow system 'X' (expected one of ("),
     ({**_CHAZY, "reduction": "X"}, "reduction", "unknown reduction 'X' (expected one of ("),
-    ({**_SCAN, "dda": "Q"}, "dda", "unknown dda 'Q'"),
-    ({**_MAP, "dda": "L2a"}, "dda", "dda 'L2a' is not a discrete map (use one of ("),
+    ({**_SCAN, "dda": "Q"}, "dda",
+     "unknown dda 'Q' (expected one of ('L1', 'L2a', 'L2b', 'L3', 'L4', 'L5'))"),
+    ({**_MAP, "dda": "L2a"}, "dda", "unknown map dda 'L2a' (expected one of ('L2b', 'L4', 'L5'))"),
     ({**FLOW_SCENARIO, "free": {"B": 0.0}}, "initial", "L2a_2x2 state is missing entries ['C']"),
     ({**_MAP, "dda": "L4", "prev": {"B": 7}}, "prev",
      "L4 is a first-order map: prev entries apply to L5 only"),

@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as npoly
 
 from deformcs import closed_forms
 from deformcs.algebra_core import assoc_residual, tensor_from_pair
-from deformcs.closed_forms import (_FAMILY_PARAMS, SolutionFamily, eval_family,
+from deformcs.closed_forms import (FAMILY_PARAMS, SolutionFamily, eval_family,
                                    family_integrals, validate_family)
 from deformcs.continuous_flows import first_integrals, state_from_entries
 from deformcs.errors import InvalidInputError, SingularGaugeError
@@ -64,7 +64,7 @@ def test_gauge_potentials_are_numpy_polynomial_values_bit_for_bit(monkeypatch):
                              rng.normal(size=40) * 10.0 ** rng.integers(-60, 60, size=40)])
     for _ in range(300):
         coeffs = {}
-        for k in _FAMILY_PARAMS["GaugeL5"]:
+        for k in FAMILY_PARAMS["GaugeL5"]:
             c = rng.normal(size=rng.integers(1, 7)) * 10.0 ** rng.integers(-8, 8)
             c[rng.random(c.size) < 0.2] = rng.choice([0.0, -0.0])
             coeffs[k] = c.tolist()
@@ -115,7 +115,9 @@ def test_poly_l3_constraint_enforced():
 
 def test_unknown_family():
     for params in ({}, {"alpha": 1.0}):
-        with pytest.raises(InvalidInputError, match=r"^unknown solution family 'Quartic'$"):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                f"unknown solution family 'Quartic' (expected one of {tuple(FAMILY_PARAMS)})")
+                + "$"):
             SolutionFamily("Quartic", params)
 
 
@@ -287,7 +289,7 @@ def _random_family(rng, family):
         return _poly_l3(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0),
                         rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
                         printed_form=bool(rng.integers(2)))
-    params = {k: rng.uniform(-1.0, 1.0) for k in _FAMILY_PARAMS[family]}
+    params = {k: rng.uniform(-1.0, 1.0) for k in FAMILY_PARAMS[family]}
     if family == "UpperTri2x2":
         params["beta"] = rng.uniform(0.5, 1.5)
     return SolutionFamily(family, params)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -259,6 +260,17 @@ def test_quantum_hbar_zero_is_assoc_defect():
     expected = float(np.max(np.abs(assoc_defect_grid(tg)[0, 0])))
     assert expected > 1e-3
     assert quantum_cs_residual(tg, hbar=0.0).norms[0] == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("hbar", ["x", None, 10 ** 400, True, math.nan, math.inf,
+                                  np.float32(0.5)],
+                         ids=["str", "None", "int-beyond-float", "True", "nan", "inf", "float32"])
+def test_quantum_refuses_an_hbar_that_is_not_a_finite_number(hbar):
+    tg = _constant_grid(polynomial_algebra_pair(0.4, -0.3, 0.7))
+    for call in (quantum_cs_residual, quantum_cs_parts):
+        with pytest.raises(InvalidInputError) as got:
+            call(tg, hbar)
+        assert str(got.value) == f"hbar must be a finite number, got {hbar!r}"
 
 
 def test_quantum_matches_loop_oracle():

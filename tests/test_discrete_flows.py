@@ -587,8 +587,9 @@ def test_step_rejects_unknown_or_3x3():
 
 
 @pytest.mark.parametrize("dda, named", [
-    ("L3", "dda 'L3' is not a discrete map (use one of ('L2b', 'L4', 'L5'))"),
-    ("L1", "dda 'L1' is not a discrete map"), ("L9", "unknown dda 'L9'")])
+    ("L3", "unknown map dda 'L3' (expected one of ('L2b', 'L4', 'L5'))"),
+    ("L1", "unknown map dda 'L1' (expected one of ('L2b', 'L4', 'L5'))"),
+    ("L9", "unknown map dda 'L9' (expected one of ('L2b', 'L4', 'L5'))")])
 def test_map_ddas_are_judged_by_check_map(dda, named):
     st = init_map_state("L2b", dict(B=1.0, C=0.5, E=0.3, G=1.2, M=0.2, N=0.4))
     for call in (check_map, lambda d: init_map_state(d, {}), lambda d: orbit(d, st, 1),

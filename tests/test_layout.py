@@ -48,11 +48,11 @@ def test_from_entries_and_entry_stacks_match_the_literal_layout(n, names, litera
 
 @pytest.mark.parametrize("n, entries, unknown", [
     (2, {"A": 1.0}, "['A']"),
-    (2, {"B": 1.0, "L": 2.0, "D": 0.0}, "['L', 'D']"),
+    (2, {"B": 1.0, "L": 2.0, "D": 0.0}, "['D', 'L']"),
     (3, {"Q": 1.0, "N": 0.5}, "['Q']"),
 ])
 def test_unknown_entry_names_are_rejected_by_name(n, entries, unknown):
-    message = re.escape(f"unknown {n}x{n} entries {unknown}")
+    message = re.escape(f"{n}x{n} layout has unknown entries {unknown}")
     with pytest.raises(InvalidInputError, match=message):
         MatrixPair.from_entries(n, entries)
     with pytest.raises(InvalidInputError, match=message):

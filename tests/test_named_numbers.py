@@ -5,21 +5,28 @@ structure constants or deformation parameters, in the package and in the CLI,
 refuses a value that is not a finite int or float with an InvalidInputError that
 names the entry, instead of converting a string, reading True as 1.0, letting NaN
 through, or failing later with a bare ValueError, TypeError or OverflowError.
+
+Two more rules of ``algebra_core`` are tested here the same way: ``one_of``, the one
+lookup of a name in a catalogue, whose error lists the catalogue's names, and
+``finite_span``, the one rule for a span.
 """
 
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from deformcs.algebra_core import finite_numbers
-from deformcs.cli import EXIT_INVALID, main
+from deformcs.cli import EXIT_INVALID, ScenarioConfig, main
 from deformcs.closed_forms import SolutionFamily
-from deformcs.continuous_flows import integrate, state_from_entries
-from deformcs.discrete_flows import init_map_state
+from deformcs.continuous_flows import get_system, integrate, state_from_entries
+from deformcs.dda_registry import lookup
+from deformcs.discrete_flows import check_map, init_map_state, orbit
 from deformcs.errors import InvalidInputError
-from deformcs.reductions import integrate_chazy, integrate_reduction
+from deformcs.reductions import (chazy_rhs, chazy_second_integral, chazy_state_phi_B,
+                                 integrate_chazy, integrate_reduction, reduction_row)
 
 BAD_VALUES = ["1.5", "abc", None, True, math.nan, math.inf, 10 ** 400]
 _MAP_START = {"B": 2.0, "C": 0.5, "E": 0.3, "G": 0.8, "M": 0.2, "N": 0.6}
@@ -113,3 +120,61 @@ def test_package_entry_points_name_unknown_entries(call, named):
 def test_a_flow_state_ignores_names_outside_its_system():
     entries = {**_FLOW_START, "A": "not read", "Q": math.nan}
     assert state_from_entries("L2a_2x2", entries) == {k: float(v) for k, v in _FLOW_START.items()}
+
+
+_G_ROW = (1.0, 0.5, -0.3)
+_CHAZY_KEYS = ("ChazyV", "ChazyV_shifted", "Generic", "ChazyVII", "ChazyVIII", "ChazyIII")
+_MAP_KEYS = ("L2b", "L4", "L5")
+
+# (catalogue, its lookups with the name replaced, the names its error must list)
+CATALOGUES = [
+    ("dda", [lookup], ("L1", "L2a", "L2b", "L3", "L4", "L5")),
+    ("flow system", [get_system, lambda v: integrate(v, _FLOW_START, _SPAN, 1e-3)],
+     ("L2a_3x3", "L2a_2x2", "L3_detnorm", "L3_unimodular", "L3_simple")),
+    ("reduction", [reduction_row, lambda v: integrate_reduction(v, _G_ROW, {}, _SPAN, 1e-3)],
+     ("ChazyV", "ChazyV_shifted", "ChazyVII", "ChazyVIII", "ChazyIII", "Boussinesq",
+      "Elliptic")),
+    ("Chazy variant", [lambda v: chazy_rhs(v, *_G_ROW),
+                       lambda v: chazy_second_integral(*_G_ROW, 0.0, v)], _CHAZY_KEYS),
+    ("reconstruction variant", [lambda v: chazy_state_phi_B(v, np.array(_G_ROW))],
+     ("ChazyV", "ChazyV_shifted", "ChazyVIII", "ChazyVII", "ChazyIII")),
+    ("solution family", [lambda v: SolutionFamily(v, {})],
+     ("Nilpotent3x3", "Nilpotent2x2", "UpperTri2x2", "PolyL3", "GaugeL5")),
+    ("map dda", [check_map, lambda v: init_map_state(v, {}),
+                 lambda v: orbit(v, init_map_state("L4", _MAP_START), 1)], _MAP_KEYS),
+    ("kind", [lambda v: ScenarioConfig({"kind": v})],
+     ("flow", "map", "validate_family", "residual_scan", "reduction")),
+]
+
+
+@pytest.mark.parametrize("name", ["Q", ["L2a"], None], ids=repr)
+@pytest.mark.parametrize("what, calls, keys", CATALOGUES, ids=[c[0] for c in CATALOGUES])
+def test_every_catalogue_lookup_names_the_catalogue_and_its_keys(what, calls, keys, name):
+    for call in calls:
+        with pytest.raises(InvalidInputError) as got:
+            call(name)
+        assert str(got.value) == f"unknown {what} {name!r} (expected one of {keys})"
+
+
+_SPAN_RULE = "span must be two finite numbers (start, end) with end >= start, got "
+_BAD_SPANS = [(0.0, 1.0, 99.0), 5.0, (0.0,), "01", (1.0, 0.5), (0.0, math.inf),
+              np.array([0.0, 1.0, 99.0]), np.array([[0.0, 1.0]])]
+_RUNS = [
+    lambda span: integrate("L2a_2x2", _FLOW_START, span, 1e-3),
+    lambda span: integrate_reduction("ChazyV", _G_ROW, {}, span, 1e-3),
+]
+
+
+@pytest.mark.parametrize("span", _BAD_SPANS, ids=repr)
+@pytest.mark.parametrize("call", _RUNS, ids=["integrate", "integrate_reduction"])
+def test_every_run_refuses_a_span_that_is_not_two_ordered_finite_numbers(call, span):
+    with pytest.raises(InvalidInputError) as got:
+        call(span)
+    assert str(got.value) == _SPAN_RULE + repr(span)
+
+
+
+@pytest.mark.parametrize("call", _RUNS, ids=["integrate", "integrate_reduction"])
+def test_a_span_may_be_a_1d_array_of_its_two_ends(call):
+    want, got = call((0.0, 0.01)), call(np.array([0.0, 0.01]))
+    assert np.array_equal(got.ts, want.ts) and np.array_equal(got.states, want.states)

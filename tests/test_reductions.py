@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,7 +150,9 @@ def test_reconstruction_satisfies_lax_flow(variant, init, kw):
 
 def test_a_variant_without_a_reconstruction_is_named():
     with pytest.raises(InvalidInputError,
-                       match="^variant 'Generic' carries no reconstruction data$"):
+                       match="^" + re.escape("unknown reconstruction variant 'Generic' "
+                                             "(expected one of ('ChazyV', 'ChazyV_shifted', "
+                                             "'ChazyVIII', 'ChazyVII', 'ChazyIII'))") + "$"):
         chazy_state_phi_B("Generic", np.array([1.0, 0.5, -0.3]))
 
 

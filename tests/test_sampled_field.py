@@ -163,7 +163,7 @@ def _pinned_value_errors():
         (_with(DOC3, (4,) + BAD_UNIT_3), "sampled field values[4]: column 0 of C1 must be the "
                                          "unital column [0. 1. 0.]"),
         (_with(DOC2, (2, "C1", [[1.0]]), (2, "C2", [[1.0]])),
-         "sampled field values[2]: matrix size must be 2 or 3, got 1"),
+         "sampled field values[2]: matrix size must be an integer from 2 to 3, got 1"),
         (_with(DOC2, (2, "C1", [[1.0, 2.0, 3.0]] * n2)),
          "sampled field values[2]: expected a 2x2 matrix, got shape (2, 3)"),
         (_with(DOC3, (1, "C2", np.eye(2).tolist())),
