@@ -71,9 +71,17 @@ def is_finite_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
+def mapping(what: str, values) -> Mapping:
+    """``values`` if it is a mapping; InvalidInputError naming ``what`` if not."""
+    if not isinstance(values, Mapping):
+        raise InvalidInputError(f"{what} must be a mapping of names to numbers, got {values!r}")
+    return values
+
+
 def check_names(what: str, values: Mapping, allowed) -> None:
-    """Raise InvalidInputError naming ``what`` and the names in ``values`` not in ``allowed``."""
-    unknown = sorted(set(values) - set(allowed))
+    """Raise InvalidInputError naming ``what`` unless ``values`` is a ``mapping`` whose names
+    are all in ``allowed``, naming those that are not."""
+    unknown = sorted(set(mapping(what, values)) - set(allowed))
     if unknown:
         raise InvalidInputError(f"{what} has unknown entries {unknown}")
 

@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra_core import (DEGENERACY_TOL, _pow, entry_stacks, finite_numbers, finite_span,
+from .algebra_core import (DEGENERACY_TOL, _pow, entry_stacks, finite_numbers, finite_span, mapping,
                            one_of, trace_integrals)
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
@@ -125,6 +125,7 @@ def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str
     L3_simple is the M = N = 0 reduction, so its state carries M = N = 0.
     """
     sy = get_system(system_id)
+    entries = mapping(f"{system_id} state", entries)
     missing = [k for k in sy.all_entries() if k not in entries]
     if missing:
         raise InvalidInputError(f"{system_id} state is missing entries {missing}")

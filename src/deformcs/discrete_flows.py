@@ -5,30 +5,28 @@ structure constants (B, C held fixed along an orbit):
 
 * L2b: C1 TC2 = C2 C1, resolved explicitly when det C1 = BG - CE != 0;
 * L4:  C1 TC2 = C2 TC1, the four-dimensional mapping at B = C = 1, or the
-  general linear solve for other constant B, C;
+  general step for other constant B, C;
 * L5:  C1 TC2 = C2 T^-1 C1, a second-order recursion: the state carries the
   previous C1, and the transition matrix V = T^-1C1 . C2 is conjugated by
   C2 at each step.
 
-One scalar kernel advances the entries (B, C, E, G, M, N) as floats.  Off the
-closed forms it takes LAPACK's 2x2 LU with exactly emulated fused multiply-adds,
-giving the bits of np.linalg.solve, which it calls at ``_solve_step``'s exits.
-``orbit`` iterates it and keeps the orbit as arrays, with the degeneracy flags
-and the exact trace invariants (of C2, of C2 C1^-1, of V respectively) computed
-once over the whole orbit.  The module also evaluates the discrete oriented
-associativity residual of gauge fields built from three sampled potentials.
+One scalar kernel advances the entries (B, C, E, G, M, N) as floats: C1's second
+column is C2's first, so C1^-1 C2 is a companion matrix K, and each map applies K
+to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it and keeps the orbit
+as arrays, with the degeneracy flags and the exact trace invariants (of C2, of
+C2 C1^-1 ~ K, of V respectively) computed once over the whole orbit.  The module
+also evaluates the discrete oriented associativity residual of gauge fields built
+from three sampled potentials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import fsum
-from sys import float_info
 
 import numpy as np
 
-from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport,
+from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport, _pow,
                            entry_stacks, finite_numbers, one_of, trace_integrals, whole_number)
 from .dda_registry import _REGISTRY, TensorGrid, _frobenius
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
@@ -87,11 +85,15 @@ def _state(n: int, values: tuple[float, ...], prev_C1: np.ndarray | None) -> Map
     return MapState(n, values, prev_C1, flag_labels(degeneracy_flags(np.array([values]))[0]))
 
 
-def check_map(dda: str, state: MapState | None = None) -> None:
-    """Raise InvalidInputError unless dda has a discrete map (and an L5 state its previous C1)."""
+def check_map(dda: str, *states: MapState) -> None:
+    """Raise InvalidInputError unless dda has a discrete map and each of ``states`` is a
+    MapState, an L5 one with its previous C1."""
     one_of("map dda", MAP_DDAS, dda)
-    if dda == "L5" and state is not None and state.prev_C1 is None:
-        raise InvalidInputError("L5 state lacks the previous C1 (use init_map_state)")
+    for state in states:
+        if not isinstance(state, MapState):
+            raise InvalidInputError(f"{dda} state must be a MapState, got {state!r}")
+        if dda == "L5" and state.prev_C1 is None:
+            raise InvalidInputError("L5 state lacks the previous C1 (use init_map_state)")
 
 
 def init_map_state(dda: str, entries: dict[str, float],
@@ -113,72 +115,31 @@ def init_map_state(dda: str, entries: dict[str, float],
     return _state(0, values, prev_C1)
 
 
-class _Inexact(ArithmeticError):
-    """A solve step reached one of the exits ``_solve_step`` names."""
-
-
-_SPLIT, _TINY, _HUGE = 134217729.0, 2.0 ** -900, 2.0 ** 990   # 2^27 + 1; _fma's exact range
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a*b + c rounded once, as the BLAS kernel's fused multiply-add: p + e = a*b exactly by
-    Dekker's TwoProduct and Veltkamp's split, and ``fsum`` rounds p + e + c (see _solve_step)."""
-    p = a * b
-    if not _TINY < abs(p) < _HUGE:
-        raise _Inexact
-    t, s = _SPLIT * a, _SPLIT * b
-    a1, b1 = t - (t - a), s - (s - b)
-    a2, b2 = a - a1, b - b1
-    r = fsum((p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2, c))
-    if r != r:
-        raise _Inexact
-    return r
-
-
-def _lu_solve(lu: tuple, r1: float, r2: float, matrix: bool = False) -> tuple[float, float]:
-    """C1^-1 (r1, r2) by the LU (swap, a, b, l, u): dgetrs divides a vector by the pivots
-    and scales each column of a matrix right-hand side by their inverses."""
-    swap, a, b, l, u = lu
-    r1, r2 = (r2, r1) if swap else (r1, r2)
-    if matrix:
-        x2 = _fma(-l, r1, r2) * (1.0 / u)
-        return _fma(-b, x2, r1) * (1.0 / a), x2
-    x2 = _fma(-l, r1, r2) / u
-    return _fma(-b, x2, r1) / a, x2
-
-
-def _solve_step(dda: str, values: tuple[float, ...], prev_C1):
-    """The L4 or L5 step as LAPACK and the BLAS kernel compute it, in floats.  C1's LU
-    swaps the rows when |C| > |B|, then l = c (1/a), u = e - l b unfused.  Matmul fuses
-    as BLAS: C2 @ v is (fma(E, v1, M v2), fma(G, v1, N v2)), and (C2 @ P)[i, j] is
-    fma(C2[i, 1], P[1, j], C2[i, 0] P[0, j]).  All else is IEEE x, / and -, which floats
-    give bit for bit at any magnitude, so the step leaves for np.linalg.solve at three exits:
-    ``_fma``'s, at a product outside (_TINY, _HUGE), NaN or 0 (BLAS sums from +0, unlike the
-    matmul model), or a sum that overflows; a first pivot below DBL_MIN or NaN, whose column
-    OpenBLAS's getf2 neither swaps nor scales; u == 0, LAPACK's singular verdict and message."""
+def _companion(values: tuple[float, ...]) -> tuple[float, float]:
+    """(p, q) = C1^-1 (M, N), so that C1^-1 C2 is the companion matrix K = [[0, p], [1, q]]:
+    C1's second column (E, G) is C2's first.  One row-pivoted elimination in floats: swap the
+    rows when |C| > |B|, then l = c (1/a) and u = e - l b.  SingularOrbitError when
+    |BG - CE| is below tolerance, or when u == 0 (C1 singular to working precision)."""
     B, C, E, G, M, N = values
-    swap = abs(C) > abs(B)
-    a, b, c, e = (C, G, B, E) if swap else (B, E, C, G)
-    if not abs(a) >= float_info.min:
-        raise _Inexact
-    l = c * (1.0 / a)
-    u = e - l * b
+    den = B * G - C * E
+    if abs(den) < DEGENERACY_TOL:
+        raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance")
+    a, b, c, e, r1, r2 = (C, G, B, E, N, M) if abs(C) > abs(B) else (B, E, C, G, M, N)
+    u = 0.0   # a == 0 passes the tolerance test only when C1 holds an inf or NaN
+    if a:
+        l = c * (1.0 / a)
+        u = e - l * b
     if u == 0.0:
-        raise _Inexact
-    lu = swap, a, b, l, u
-    if dda == "L4":
-        TE, TG = _lu_solve(lu, _fma(E, B, M * C), _fma(G, B, N * C))
-        return (B, C, TE, TG, *_lu_solve(lu, _fma(E, TE, M * TG), _fma(G, TE, N * TG))), None
-    (p, q), (r, s) = prev_C1
-    e, g = _lu_solve(lu, _fma(M, r, E * p), _fma(N, r, G * p), True)
-    m, n = _lu_solve(lu, _fma(M, s, E * q), _fma(N, s, G * q), True)
-    return (B, C, e, g, m, n), ((B, E), (C, G))
+        raise SingularOrbitError(f"C1 is singular to working precision (BG - CE = {den:.3e})")
+    q = (r2 - l * r1) / u
+    return (r1 - b * q) / a, q
 
 
 def _advance(dda: str, values: tuple[float, ...], prev_C1):
     """The step kernel: the entries one site on and, for L5, the C1 they leave behind (nested
-    pairs of floats, as ``prev_C1``); np.linalg.solve only at ``_solve_step``'s exits.
-    SingularOrbitError when the denominator is below tolerance or LAPACK finds C1 singular."""
+    pairs of floats, as ``prev_C1``).  C1 TC2 = C2 X is TC2 = K X, with X = C1 (L2b), TC1 (L4)
+    or T^-1C1 (L5) and K (x, y) = (p y, x + q y); L4 at B = C = 1 keeps its closed form.
+    SingularOrbitError from ``_companion``, or when the closed form's E - G is below tolerance."""
     B, C, E, G, M, N = values
     if dda == "L4" and B == 1.0 and C == 1.0:
         den = E - G
@@ -187,27 +148,14 @@ def _advance(dda: str, values: tuple[float, ...], prev_C1):
         r = (M - N) / den
         return (B, C, M - E * r, 1.0 + r,
                 N + (N - G) * r - G * r * r, M + (1.0 - E) * r + r * r), None
-    den = B * G - C * E
-    if abs(den) < DEGENERACY_TOL:
-        raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance")
+    p, q = _companion(values)
     if dda == "L2b":
-        p = (G * M - E * N) / den
-        q = (B * N - C * M) / den
-        return (B, C, C * p, B + C * q, G * p, E + G * q), None
-    try:
-        return _solve_step(dda, values, prev_C1)
-    except (_Inexact, OverflowError):   # at an exit of _solve_step: through np.linalg.solve
-        C1, C2 = np.array([[B, E], [C, G]]), np.array([[E, M], [G, N]])
-    try:
-        with np.errstate(all="ignore"):   # an overflow shows as inf in the entries
-            if dda == "L4":
-                t = np.linalg.solve(C1, C2 @ np.array([B, C]))
-                return (B, C, *t.tolist(), *np.linalg.solve(C1, C2 @ t).tolist()), None
-            (e, m), (g, n) = np.linalg.solve(C1, C2 @ np.array(prev_C1)).tolist()
-    except np.linalg.LinAlgError:
-        raise SingularOrbitError(
-            f"C1 is singular to working precision (BG - CE = {den:.3e})") from None
-    return (B, C, e, g, m, n), ((B, E), (C, G))
+        return (B, C, p * C, B + q * C, p * G, E + q * G), None
+    if dda == "L4":   # TC1's second column is TC2's first
+        e, g = p * C, B + q * C
+        return (B, C, e, g, p * g, e + q * g), None
+    (b, e), (c, g) = prev_C1
+    return (B, C, p * c, b + q * c, p * g, e + q * g), ((B, E), (C, G))
 
 
 def step(dda: str, state: MapState) -> MapState:
@@ -221,35 +169,27 @@ def step(dda: str, state: MapState) -> MapState:
 def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None):
     """The exact trace invariants of every row that has them, and those rows.
 
-    L4 leaves out the rows whose C1 has no inverse: |BG - CE| below tolerance,
-    as the det_C1_degenerate flag and the step read it, or a C1 that LAPACK
-    finds singular.  L5 values are those of V = C1[n-1] . C2[n], with
-    ``prev_C1`` before row 0.
+    L4's are those of C2 C1^-1 = C1 K C1^-1, so of K: I1 = q, I2 = q^2/2 + p and
+    I3 = q^3/3 + pq, at the rows whose C1 ``_companion`` inverts, as the step does.  L5
+    values are those of V = C1[n-1] . C2[n], with ``prev_C1`` before row 0.
     """
-    C1, C2 = _matrices(entries)
-    rows = np.arange(len(entries))
     with np.errstate(all="ignore"):   # an overflow shows as inf in the values
+        if dda == "L4":
+            kept, pq = [], []
+            for i, row in enumerate(entries.tolist()):
+                try:
+                    pq.append(_companion(row))
+                except SingularOrbitError:
+                    continue
+                kept.append(i)
+            p, q = np.array(pq).reshape(-1, 2).T
+            invariants = {"I1": q, "I2": (q * q + 2.0 * p) / 2.0, "I3": _pow(q, 3) / 3.0 + p * q}
+            return (invariants if kept else {}), np.array(kept, dtype=int)
+        C1, C2 = _matrices(entries)
+        rows = np.arange(len(entries))
         if dda == "L2b":
             return {**trace_integrals(C2), "det_C2": np.linalg.det(C2)}, rows
-        if dda == "L4":
-            B, C, E, G = entries[:, :4].T
-            rows = rows[np.abs(B * G - C * E) >= DEGENERACY_TOL]
-            try:
-                inverse = np.linalg.inv(C1[rows])
-            except np.linalg.LinAlgError:   # some C1 is singular to LAPACK: find them one by one
-                rows = rows[[_inverts(C1[i]) for i in rows]]
-                inverse = np.linalg.inv(C1[rows])
-            return (trace_integrals(C2[rows] @ inverse) if rows.size else {}), rows
         return trace_integrals(np.concatenate([prev_C1[None], C1[:-1]]) @ C2), rows
-
-
-def _inverts(C1: np.ndarray) -> bool:
-    """Whether LAPACK inverts C1."""
-    try:
-        np.linalg.inv(C1)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def map_invariants(dda: str, state: MapState) -> dict[str, float]:
@@ -270,7 +210,8 @@ class Orbit:
     ``entries`` holds (B, C, E, G, M, N) per row and ``flags`` the FLAG_NAMES
     booleans per row.  ``invariants`` maps each trace invariant to its values
     at the rows ``invariant_rows`` (every row, except that L4 leaves out rows
-    whose C1 has no inverse).  For L5, ``prev_C1`` is C1 one site before
+    whose C1 the step cannot invert: |BG - CE| below tolerance, or a zero
+    second pivot in ``_companion``).  For L5, ``prev_C1`` is C1 one site before
     row 0.  ``states`` views the rows as MapStates.
     """
 

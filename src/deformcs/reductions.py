@@ -275,6 +275,8 @@ def integrate_reduction(name: str, initial: Sequence[float], params: Mapping[str
     and ``span`` by ``finite_span``.
     """
     entries, names, columns, build = reduction_row(name)
+    if not isinstance(initial, (list, tuple, np.ndarray)):
+        raise InvalidInputError(f"{name} initial must be a sequence of numbers, got {initial!r}")
     if len(initial) != len(entries):
         raise InvalidInputError(f"{name} takes the initial entries {entries}, got {len(initial)}")
     y0 = finite_numbers(f"{name} initial", dict(zip(entries, initial)), entries)

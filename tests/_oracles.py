@@ -232,47 +232,41 @@ def map_orbit_loops(dda: str, entries: dict, steps: int, prev: dict | None = Non
     return np.array(rows), invariants
 
 
-def map_solve_step(dda: str, values, prev_C1=None):
-    """One L4 (B, C != 1) or L5 step as the package took it through LAPACK: the
-    next (B, C, E, G, M, N) and, for L5, the C1 left behind as nested lists.
+def map_exact_step(dda: str, values, prev_C1=None):
+    """One L2b, L4 or L5 step solved exactly, in integers: the next (E, G, M, N) as four
+    numerators over one positive denominator, or None when det C1 is exactly 0.
 
-    C2 times the vector (B, C), or times ``prev_C1``, by matmul, then
-    np.linalg.solve with C1: a vector right-hand side for each L4 column, one
-    matrix right-hand side for L5.  Raises SingularOrbitError with the package's
-    text when |BG - CE| is below tolerance or LAPACK finds C1 singular.
+    Each column of TC2 solves C1 . TC2 = C2 . X by C1's adjugate over det C1, with
+    X = C1 (L2b), TC1 (L4, column by column: its first column is (B, C), its second
+    the first column of TC2) or ``prev_C1`` (L5, the rows [[B, E], [C, G]] one site
+    back).  The finite floats in ``values`` and ``prev_C1`` are read as integers over
+    one common power of two, so nothing rounds.
     """
-    B, C, E, G, M, N = values
-    den = B * G - C * E
-    if abs(den) < DEGENERACY_TOL:
-        raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance")
-    C1, C2 = np.array([[B, E], [C, G]]), np.array([[E, M], [G, N]])
-    try:
-        with np.errstate(all="ignore"):
-            if dda == "L4":
-                first = np.linalg.solve(C1, C2 @ np.array([B, C]))
-                return [B, C, *first.tolist(), *np.linalg.solve(C1, C2 @ first).tolist()], None
-            (e, m), (g, n) = np.linalg.solve(C1, C2 @ np.array(prev_C1)).tolist()
-    except np.linalg.LinAlgError:
-        raise SingularOrbitError(
-            f"C1 is singular to working precision (BG - CE = {den:.3e})") from None
-    return [B, C, e, g, m, n], C1.tolist()
+    floats = [*values, *([] if prev_C1 is None else [v for row in prev_C1 for v in row])]
+    ratios = [float(v).as_integer_ratio() for v in floats]
+    scale = max(d for _, d in ratios)   # every denominator is a power of two
+    ints = [n * (scale // d) for n, d in ratios]
+    B, C, E, G, M, N = ints[:6]
+    det = B * G - C * E
+    if det == 0:
+        return None
 
+    def solve(x, y):   # C1^-1 C2 (x, y), times det C1
+        r, s = E * x + M * y, G * x + N * y
+        return G * r - E * s, B * s - C * r
 
-def map_solve_steps(dda: str, rows: np.ndarray, prev_C1: np.ndarray | None = None):
-    """``map_solve_step`` over a stack of rows (k, 6), with no tolerance check: the
-    next rows.  Each L4 right-hand side is a (2, 1) column, the dgesv call with one
-    right-hand side that a vector gets.  LinAlgError if LAPACK finds any C1 singular.
-    """
-    B, C, E, G, M, N = rows.T
-    C1 = np.stack([np.column_stack([B, E]), np.column_stack([C, G])], axis=1)
-    C2 = np.stack([np.column_stack([E, M]), np.column_stack([G, N])], axis=1)
-    with np.errstate(all="ignore"):
-        if dda == "L4":
-            first = np.linalg.solve(C1, C2 @ rows[:, :2, None])
-            T = np.concatenate([first, np.linalg.solve(C1, C2 @ first)], axis=2)
-        else:
-            T = np.linalg.solve(C1, C2 @ prev_C1)
-    return np.column_stack([B, C, T[:, 0, 0], T[:, 1, 0], T[:, 0, 1], T[:, 1, 1]])
+    if dda == "L4":
+        e, g = solve(B, C)
+        m, n = solve(e, g)
+        return [e * det, g * det, m, n], det * det * scale
+    sign = 1 if det > 0 else -1
+    if dda == "L2b":
+        (pb, pe), (pc, pg) = (B, E), (C, G)
+    else:
+        pb, pe, pc, pg = ints[6:]
+    e, g = solve(pb, pc)
+    m, n = solve(pe, pg)
+    return [sign * v for v in (e, g, m, n)], abs(det) * scale
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_quiet_run_prints_nothing_when_invariants_overflow(tmp_path):
 
 @pytest.mark.parametrize("dda", ["L4", "L5"])
 def test_quiet_map_whose_solve_overflows_prints_nothing(tmp_path, dda):
-    # C2 [B, C] overflows in the first step; C1 is regular, so the run stops at
+    # G' = B + qC = 1e300 in the first step; C1 is regular, so the run stops at
     # the overflow guard, silently, and is not reported as singular
     scenario = _write(tmp_path, "huge.json", {
         "kind": "map", "dda": dda, "steps": 3,
@@ -187,8 +187,8 @@ def test_quiet_map_whose_solve_overflows_prints_nothing(tmp_path, dda):
 
 
 def test_map_with_a_subnormal_pivot_reports_its_truncation_without_a_numpy_warning(tmp_path):
-    # det C2 of the subnormal second row divides by zero inside LAPACK; the flags
-    # are comparisons, so no numpy warning may reach stderr
+    # a subnormal first pivot: 1/a and p = 3e309 are beyond the float range, so the
+    # step's entries are NaN and the guard stops the run; no numpy warning may reach stderr
     scenario = _write(tmp_path, "subnormal.json", {
         "kind": "map", "dda": "L4", "steps": 3,
         "initial": {"B": 1e-310, "C": 0, "E": 0.5, "G": 1e300, "M": 0.3, "N": 0.2}})
@@ -197,13 +197,13 @@ def test_map_with_a_subnormal_pivot_reports_its_truncation_without_a_numpy_warni
                            "--out", out], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stderr) == (EXIT_SINGULAR, "")
-    assert proc.stdout.startswith("[deform-cs] map: truncated (singular step at n=1: BG - CE = "
-                                  "0.000e+00 below tolerance)\n")
+    assert proc.stdout.startswith("[deform-cs] map: truncated (state exceeded overflow guard at "
+                                  "n=1)\n")
 
 
 @pytest.mark.parametrize("dda", ["L4", "L5"])
-def test_map_whose_c1_lapack_finds_singular_exits_three_with_artifacts(tmp_path, capsys, dda):
-    # |BG - CE| = 2.9e-11 passes the tolerance check, but LAPACK finds a zero pivot
+def test_map_whose_c1_has_a_zero_second_pivot_exits_three_with_artifacts(tmp_path, capsys, dda):
+    # |BG - CE| = 2.9e-11 passes the tolerance check, but C1's second pivot rounds to 0
     scenario = _write(tmp_path, "lu.json", {
         "kind": "map", "dda": dda, "steps": 5,
         "initial": {"B": 8.768610301148978, "C": 0.4804184990778926, "E": 369740.7014836463,

@@ -254,8 +254,9 @@ def test_shift_invariance_of_autonomous_flow():
     assert np.array_equal(t1.states[:, 1:], t2.states[:, 1:])  # every entry, x aside
 
 
-def test_singular_l3_flow_truncates():
-    e = dict(B=1.0, C=1.0, E=1.0, G=1.0, M=0.5, N=0.5)  # det C1 = 0
+@pytest.mark.parametrize("B, G", [(1.0, 1.0), (2.0, 0.5)], ids=["B=G=1", "B/G=4"])
+def test_singular_l3_flow_truncates(B, G):
+    e = dict(B=B, C=1.0, E=1.0, G=G, M=0.5, N=0.5)  # det C1 = BG - CE = 0, B/G - CE = 0 or 3
     traj = integrate("L3_detnorm", state_from_entries("L3_detnorm", e), (0.0, 1.0), 1e-2)
     assert traj.status == "truncated"
     assert traj.diagnostic == "SingularFlowError: det C1 = 0.000e+00 is below tolerance"

@@ -32,6 +32,7 @@ BAD_VALUES = ["1.5", "abc", None, True, math.nan, math.inf, 10 ** 400]
 _MAP_START = {"B": 2.0, "C": 0.5, "E": 0.3, "G": 0.8, "M": 0.2, "N": 0.6}
 _FLOW_START = {"B": 0.0, "C": 0.0, "E": 1.0, "G": 1.0, "M": -1.0, "N": -1.0}
 _SPAN = (0.0, 0.01)
+_G_ROW = (1.0, 0.5, -0.3)
 
 # (entry point, the call with one value replaced, the entry its error must name)
 PACKAGE = [
@@ -117,12 +118,32 @@ def test_package_entry_points_name_unknown_entries(call, named):
         call()
 
 
+_NOT_A_MAPPING = "must be a mapping of names to numbers, got "
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: integrate("L2a_2x2", None, _SPAN, 1e-3), f"L2a_2x2 state {_NOT_A_MAPPING}None"),
+    (lambda: init_map_state("L4", None), f"L4 initial {_NOT_A_MAPPING}None"),
+    (lambda: SolutionFamily("Nilpotent2x2", ["alpha"]),
+     f"Nilpotent2x2 params {_NOT_A_MAPPING}['alpha']"),
+    (lambda: integrate_reduction("ChazyV", 5.0, {}, _SPAN, 1e-3),
+     "ChazyV initial must be a sequence of numbers, got 5.0"),
+    (lambda: integrate_reduction("ChazyV", _G_ROW, 5.0, _SPAN, 1e-3),
+     f"ChazyV params {_NOT_A_MAPPING}5.0"),
+    (lambda: orbit("L4", None, 3), "L4 state must be a MapState, got None"),
+], ids=["integrate", "init_map_state", "SolutionFamily", "integrate_reduction initial",
+        "integrate_reduction params", "orbit"])
+def test_package_entry_points_refuse_a_container_of_the_wrong_kind(call, named):
+    with pytest.raises(InvalidInputError) as got:
+        call()
+    assert str(got.value) == named
+
+
 def test_a_flow_state_ignores_names_outside_its_system():
     entries = {**_FLOW_START, "A": "not read", "Q": math.nan}
     assert state_from_entries("L2a_2x2", entries) == {k: float(v) for k, v in _FLOW_START.items()}
 
 
-_G_ROW = (1.0, 0.5, -0.3)
 _CHAZY_KEYS = ("ChazyV", "ChazyV_shifted", "Generic", "ChazyVII", "ChazyVIII", "ChazyIII")
 _MAP_KEYS = ("L2b", "L4", "L5")
 

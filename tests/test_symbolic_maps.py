@@ -30,12 +30,27 @@ def symbolic_kernel(monkeypatch):
     return discrete_flows._advance
 
 
-def test_l2b_closed_form_solves_central_system(symbolic_kernel):
-    shifted, _ = symbolic_kernel("L2b", (B, C, E, G, M, N), None)
-    C1, C2 = _pair(B, C, E, G, M, N)
+def _rational(values):
+    """The kernel's float constants (1.0, c * 1.0) as the rationals they are."""
+    return [sp.nsimplify(v) for v in values]
+
+
+PB, PC, PE, PG = sp.symbols("PB PC PE PG", real=True)
+
+
+@pytest.mark.parametrize("dda", ["L2b", "L4", "L5"])
+@pytest.mark.parametrize("b, c", [(1, sp.Rational(1, 2)), (sp.Rational(-1, 3), 1)],
+                         ids=["rows_kept", "rows_swapped"])
+def test_companion_columns_solve_each_central_system(symbolic_kernel, dda, b, c):
+    prev = ((PB, PE), (PC, PG))
+    shifted, left = symbolic_kernel(dda, (b, c, E, G, M, N), prev)
+    shifted = _rational(shifted)
+    C1, C2 = _pair(b, c, E, G, M, N)
     TC1, TC2 = _pair(*shifted)
-    assert shifted[:2] == (B, C)
-    assert sp.simplify(C1 * TC2 - C2 * C1) == sp.zeros(2, 2)
+    X = {"L2b": C1, "L4": TC1, "L5": sp.Matrix(prev)}[dda]
+    assert shifted[:2] == [b, c]
+    assert (C1 * TC2 - C2 * X).applyfunc(sp.cancel) == sp.zeros(2, 2)
+    assert left == (((b, E), (c, G)) if dda == "L5" else None)
 
 
 def test_l4_closed_form_solves_central_system(symbolic_kernel):
@@ -65,10 +80,13 @@ def _exact_step(dda, values, prev):
 
 @pytest.mark.parametrize("dda,values,prev", [
     ("L2b", (1.25, 0.375, 0.75, 1.5, 0.5, -0.875), None),
+    ("L2b", (0.375, 1.25, 0.75, 1.5, 0.5, -0.875), None),
     ("L4", (1.0, 1.0, 0.375, 1.25, 0.75, -0.25), None),
     ("L4", (0.75, -0.5, 0.375, 1.25, 0.875, -0.25), None),
+    ("L4", (-0.5, 0.75, 0.375, 1.25, 0.875, -0.25), None),
     ("L5", (1.0, 0.25, 0.625, 1.25, 0.5, 1.125), (1.0, 0.25, 0.5, 0.875)),
-], ids=["L2b", "L4_closed", "L4_general", "L5"])
+    ("L5", (0.25, -1.5, 0.625, 1.25, 0.5, 1.125), (1.0, 0.25, 0.5, 0.875)),
+], ids=["L2b", "L2b_swapped", "L4_closed", "L4_general", "L4_swapped", "L5", "L5_swapped"])
 def test_step_matches_exact_solution(dda, values, prev):
     # dyadic inputs are exact in binary, so only the step itself rounds
     entries = dict(zip("BCEGMN", values))

@@ -92,7 +92,7 @@ def test_reduction_rhs_calls_are_traced_to_the_reductions_layer(reduction, tmp_p
 
 
 def test_map_orbit_is_one_traced_span_with_its_flag_count(tmp_path):
-    # general B, C: the solve branch; det C2 = 0 is conserved, so every row is flagged
+    # general B, C: the general branch; det C2 = 0 is conserved, so every row is flagged
     initial = {"B": 2.0, "C": 0.5, "E": 1.0, "G": 1.0, "M": 1.0, "N": 1.0}
     doc = {"kind": "map", "dda": "L4", "initial": initial, "steps": 20}
     scenario = tmp_path / "scenario.json"
