@@ -536,10 +536,6 @@ def test_step_on_extreme_starts_ends_in_a_state_or_singular_and_warns_nothing(dd
     assert min(outcomes.values()) >= 50, outcomes
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
-
-
 _SUBNORMAL_SPLIT = (9.668289053e-315, 7.946522091602706e-283, 1.5931878552741254e+272,
                     8.899718325116895, 1.6933535183333693e-228, -5.5800262669351224e-301)
 _SINGULAR_AT_1 = "singular step at n=1: BG - CE = 0.000e+00 below tolerance"
@@ -604,7 +600,9 @@ def test_edge_step_against_the_exact_step(name):
 def test_subnormal_products_give_the_exact_step_bit_for_bit():
     dda, values = EDGE_STEPS["l4_subnormal_products"][:2]
     got, want = _kernel_outcome(dda, values, None), _exact_outcome(dda, values, None)
-    assert _bits(got).tolist() == _bits([n / d for n, d in want]).tolist()
+    got_bits, want_bits = (np.array(v).view(np.int64).tolist()
+                           for v in (got, [n / d for n, d in want]))
+    assert got_bits == want_bits   # -0.0 included
 
 
 @pytest.mark.parametrize("steps", [MAX_STEPS + 1, -1, True, 2.0, "3", None])
