@@ -5,9 +5,11 @@ Each directory under ``tests/golden/`` holds one ``scenario.json`` and, in
 wrote for it; the report's ``timestamp`` line is removed before comparing,
 since it is the only field that differs between identical runs.  A case whose
 report says ``truncated`` must exit 3, every other case 0.  To record
-a case again after an intended output change, run
+cases again after an intended output change, name each one:
 
-    PYTHONPATH=src python tests/test_golden_cli.py --record
+    PYTHONPATH=src python tests/test_golden_cli.py --record CASE [CASE ...]
+
+Only the named cases are written; with no case named, nothing is.
 
 The map goldens' entries must not depend on the host's BLAS: they are run again
 under two other OpenBLAS kernels, one with fused multiply-adds and one without.
@@ -62,6 +64,18 @@ def test_golden_cases_cover_every_kind():
     assert kinds == {"flow", "map", "validate_family", "reduction", "residual_scan"}
 
 
+@pytest.mark.parametrize("args", [["--record"], [], ["--record", "map_l4", "no_such_case"]],
+                         ids=["no_case", "no_flag", "unknown_case"])
+def test_recording_names_its_cases_or_records_nothing(args):
+    before = {p: p.stat().st_mtime_ns for p in GOLDEN.glob("*/expected/*")}
+    done = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(deformcs.__file__).parents[1])})
+    assert done.returncode == 1
+    assert done.stderr.startswith("usage: ") and "--record CASE [CASE ...]" in done.stderr
+    assert done.stdout == ""
+    assert {p: p.stat().st_mtime_ns for p in GOLDEN.glob("*/expected/*")} == before
+
+
 MAP_CASES = [c for c in CASES if c.startswith("map_")]
 _RUN_CASES = ("import sys; from deformcs.cli import main\n"
               "for scenario, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
@@ -94,10 +108,15 @@ def test_map_goldens_hold_under_another_blas_kernel(coretype, tmp_path):
             assert _columns(got, "nBCEGMN") == _columns(want, "nBCEGMN"), case
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+if __name__ == "__main__":
     import tempfile
 
-    for case in CASES:
+    names = sys.argv[2:]
+    if sys.argv[1:2] != ["--record"] or not names or not set(names) <= set(CASES):
+        unknown = sorted(set(names) - set(CASES))
+        sys.exit(f"usage: {sys.argv[0]} --record CASE [CASE ...]"
+                 + (f"\nunknown cases: {unknown}" if unknown else ""))
+    for case in names:
         target = GOLDEN / case / "expected"
         target.mkdir(exist_ok=True)
         with tempfile.TemporaryDirectory() as tmp:
