@@ -4,8 +4,7 @@ The three discrete DDAs turn the central system into mappings of the 2x2
 structure constants (B, C held fixed along an orbit):
 
 * L2b: C1 TC2 = C2 C1, resolved explicitly when det C1 = BG - CE != 0;
-* L4:  C1 TC2 = C2 TC1, the four-dimensional mapping at B = C = 1, or the
-  general step for other constant B, C;
+* L4:  C1 TC2 = C2 TC1, a four-dimensional mapping for each constant B, C;
 * L5:  C1 TC2 = C2 T^-1 C1, a second-order recursion: the state carries the
   previous C1, and the transition matrix V = T^-1C1 . C2 is conjugated by
   C2 at each step.
@@ -14,13 +13,15 @@ One scalar kernel advances the entries (B, C, E, G, M, N) as floats: C1's second
 column is C2's first, so C1^-1 C2 is a companion matrix K, and each map applies K
 to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it and keeps the orbit
 as arrays, with the degeneracy flags and the exact trace invariants (of C2, of
-C2 C1^-1 ~ K, of V respectively) computed once over the whole orbit.  The module
+C2 C1^-1 ~ K, of V respectively) computed once over the whole orbit; L4's come from
+the K that each step found.  The module
 also evaluates the discrete oriented associativity residual of gauge fields built
 from three sampled potentials.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,14 +116,18 @@ def init_map_state(dda: str, entries: dict[str, float],
     return _state(0, values, prev_C1)
 
 
-def _companion(values: tuple[float, ...]) -> tuple[float, float]:
+def _companion(dda: str, values: tuple[float, ...]) -> tuple[float, float]:
     """(p, q) = C1^-1 (M, N), so that C1^-1 C2 is the companion matrix K = [[0, p], [1, q]]:
     C1's second column (E, G) is C2's first.  One row-pivoted elimination in floats: swap the
     rows when |C| > |B|, then l = c (1/a) and u = e - l b.  SingularOrbitError when
-    |BG - CE| is below tolerance, or when u == 0 (C1 singular to working precision)."""
+    |BG - CE| is below tolerance, or when u == 0 (C1 singular to working precision).  For L4
+    at B = C = 1, where BG - CE is exactly G - E, the message names E - G, as the paper's
+    four-dimensional mapping writes its denominator."""
     B, C, E, G, M, N = values
     den = B * G - C * E
     if abs(den) < DEGENERACY_TOL:
+        if dda == "L4" and B == 1.0 and C == 1.0:
+            raise SingularOrbitError(f"E - G = {E - G:.3e} below tolerance")
         raise SingularOrbitError(f"BG - CE = {den:.3e} below tolerance")
     a, b, c, e, r1, r2 = (C, G, B, E, N, M) if abs(C) > abs(B) else (B, E, C, G, M, N)
     u = 0.0   # a == 0 passes the tolerance test only when C1 holds an inf or NaN
@@ -136,71 +141,58 @@ def _companion(values: tuple[float, ...]) -> tuple[float, float]:
 
 
 def _advance(dda: str, values: tuple[float, ...], prev_C1):
-    """The step kernel: the entries one site on and, for L5, the C1 they leave behind (nested
-    pairs of floats, as ``prev_C1``).  C1 TC2 = C2 X is TC2 = K X, with X = C1 (L2b), TC1 (L4)
-    or T^-1C1 (L5) and K (x, y) = (p y, x + q y); L4 at B = C = 1 keeps its closed form.
-    SingularOrbitError from ``_companion``, or when the closed form's E - G is below tolerance."""
+    """The step kernel: the entries one site on, for L5 the C1 they leave behind (nested
+    pairs of floats, as ``prev_C1``), and the (p, q) of the row it left.  C1 TC2 = C2 X is
+    TC2 = K X, with X = C1 (L2b), TC1 (L4) or T^-1C1 (L5) and K (x, y) = (p y, x + q y).
+    SingularOrbitError from ``_companion``."""
     B, C, E, G, M, N = values
-    if dda == "L4" and B == 1.0 and C == 1.0:
-        den = E - G
-        if abs(den) < DEGENERACY_TOL:
-            raise SingularOrbitError(f"E - G = {den:.3e} below tolerance")
-        r = (M - N) / den
-        return (B, C, M - E * r, 1.0 + r,
-                N + (N - G) * r - G * r * r, M + (1.0 - E) * r + r * r), None
-    p, q = _companion(values)
+    p, q = pq = _companion(dda, values)
     if dda == "L2b":
-        return (B, C, p * C, B + q * C, p * G, E + q * G), None
+        return (B, C, p * C, B + q * C, p * G, E + q * G), None, pq
     if dda == "L4":   # TC1's second column is TC2's first
         e, g = p * C, B + q * C
-        return (B, C, e, g, p * g, e + q * g), None
+        return (B, C, e, g, p * g, e + q * g), None, pq
     (b, e), (c, g) = prev_C1
-    return (B, C, p * c, b + q * c, p * g, e + q * g), ((B, E), (C, G))
+    return (B, C, p * c, b + q * c, p * g, e + q * g), ((B, E), (C, G)), pq
 
 
 def step(dda: str, state: MapState) -> MapState:
     """Advance the orbit one lattice site."""
     check_map(dda, state)
     prev = None if state.prev_C1 is None else state.prev_C1.tolist()
-    values, prev_C1 = _advance(dda, state.values, prev)
+    values, prev_C1, _ = _advance(dda, state.values, prev)
     return _state(state.n + 1, values, None if prev_C1 is None else np.array(prev_C1))
 
 
-def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None):
+def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None, pq: list):
     """The exact trace invariants of every row that has them, and those rows.
 
     L4's are those of C2 C1^-1 = C1 K C1^-1, so of K: I1 = q, I2 = q^2/2 + p and
-    I3 = q^3/3 + pq, at the rows whose C1 ``_companion`` inverts, as the step does.  L5
-    values are those of V = C1[n-1] . C2[n], with ``prev_C1`` before row 0.
+    I3 = q^3/3 + pq, from ``pq``, the (p, q) that ``_companion`` found for the first
+    len(pq) rows.  L5 values are those of V = C1[n-1] . C2[n], with ``prev_C1`` before
+    row 0.
     """
+    rows = np.arange(len(pq) if dda == "L4" else len(entries))
     with np.errstate(all="ignore"):   # an overflow shows as inf in the values
         if dda == "L4":
-            kept, pq = [], []
-            for i, row in enumerate(entries.tolist()):
-                try:
-                    pq.append(_companion(row))
-                except SingularOrbitError:
-                    continue
-                kept.append(i)
             p, q = np.array(pq).reshape(-1, 2).T
             invariants = {"I1": q, "I2": (q * q + 2.0 * p) / 2.0, "I3": _pow(q, 3) / 3.0 + p * q}
-            return (invariants if kept else {}), np.array(kept, dtype=int)
+            return (invariants if pq else {}), rows
         C1, C2 = _matrices(entries)
-        rows = np.arange(len(entries))
         if dda == "L2b":
             return {**trace_integrals(C2), "det_C2": np.linalg.det(C2)}, rows
         return trace_integrals(np.concatenate([prev_C1[None], C1[:-1]]) @ C2), rows
 
 
 def map_invariants(dda: str, state: MapState) -> dict[str, float]:
-    """Exact trace invariants at one state (L5 values attach to the transition)."""
-    check_map(dda, state)
-    invariants, rows = _invariants(dda, np.array([state.values]), state.prev_C1)
-    if not rows.size:
+    """Exact trace invariants at one state (L5 values attach to the transition): the
+    row of ``orbit(dda, state, 0)``."""
+    run = orbit(dda, state, 0)
+    if not run.invariant_rows.size:
         B, C, E, G = state.values[:4]
         den = B * G - C * E
         raise SingularOrbitError(f"C1 has no inverse (BG - CE = {den:.3e}): invariants need C1^-1")
-    return {name: float(v[0]) for name, v in invariants.items()}
+    return {name: float(v[0]) for name, v in run.invariants.items()}
 
 
 @dataclass(frozen=True)
@@ -209,10 +201,10 @@ class Orbit:
 
     ``entries`` holds (B, C, E, G, M, N) per row and ``flags`` the FLAG_NAMES
     booleans per row.  ``invariants`` maps each trace invariant to its values
-    at the rows ``invariant_rows`` (every row, except that L4 leaves out rows
-    whose C1 the step cannot invert: |BG - CE| below tolerance, or a zero
-    second pivot in ``_companion``).  For L5, ``prev_C1`` is C1 one site before
-    row 0.  ``states`` views the rows as MapStates.
+    at the rows ``invariant_rows``: every row, except that L4 leaves out a last
+    row whose K ``_companion`` cannot find (|BG - CE| below tolerance, or a zero
+    second pivot); every earlier row stepped through its K.  For L5, ``prev_C1``
+    is C1 one site before row 0.  ``states`` views the rows as MapStates.
     """
 
     dda: str
@@ -238,28 +230,34 @@ class Orbit:
 
 def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     """Iterate the map for at most MAX_STEPS steps; a singular denominator, a
-    non-finite entry or overflow truncates the orbit."""
+    non-finite entry or overflow truncates the orbit.  Each row's (p, q) is found
+    once: by the step that leaves it, or, for a last row no step left, by one more
+    ``_companion`` call when L4's invariants need it."""
     check_map(dda, state0)
     whole_number("steps", steps, 0, MAX_STEPS)
     values, guard = state0.values, OVERFLOW_GUARD
     prev_C1 = None if state0.prev_C1 is None else state0.prev_C1.tolist()
-    rows = [values]
+    rows, pq = [values], []
     status, diagnostic = STATUS_COMPLETED, None
     for n in range(state0.n, state0.n + steps):
         try:
-            values, prev_C1 = _advance(dda, values, prev_C1)
+            values, prev_C1, k = _advance(dda, values, prev_C1)
         except SingularOrbitError as exc:
             status, diagnostic = STATUS_TRUNCATED, f"singular step at n={n}: {exc}"
             break
+        pq.append(k)
         _, _, E, G, M, N = values
         if not (abs(E) <= guard and abs(G) <= guard and abs(M) <= guard and abs(N) <= guard):
             status = STATUS_TRUNCATED
             diagnostic = f"state exceeded overflow guard at n={n + 1}"
             break
         rows.append(values)
+    if dda == "L4" and status == STATUS_COMPLETED:   # no step left the last row
+        with suppress(SingularOrbitError):
+            pq.append(_companion(dda, values))
     entries = np.array(rows)
     flags = degeneracy_flags(entries)
-    invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1)
+    invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1, pq)
     entries.setflags(write=False)
     flags.setflags(write=False)
     return Orbit(dda, state0.n, entries, flags, invariants, invariant_rows,

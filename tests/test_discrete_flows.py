@@ -1,5 +1,6 @@
 import math
 import warnings
+from contextlib import suppress
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from deformcs.algebra_core import DEGENERACY_TOL, assoc_residual
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
-from deformcs.discrete_flows import (MapState, _advance, _gauge_defects, _invariants, _matrices,
-                                     check_map,
+from deformcs import discrete_flows
+from deformcs.discrete_flows import (MapState, _advance, _companion, _gauge_defects, _invariants,
+                                     _matrices, check_map,
                                      degeneracy_flags, discrete_oriented_assoc_residual,
                                      init_map_state, lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
@@ -101,31 +103,58 @@ def test_l4_general_free_constants_match_matrix_form():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-class _UnrecognisedOne(float):
-    """The float 1.0 that the exact test B == 1.0 does not recognise."""
+def _exact_l4_step(B, C, E, G, M, N):
+    """One L4 step in rationals: each column of TC2 is C1^-1 C2 applied to a column of
+    TC1, by C1's adjugate over det C1."""
+    det = B * G - C * E
 
-    def __eq__(self, other):
-        return False
+    def solve(x, y):
+        r, s = E * x + M * y, G * x + N * y
+        return (G * r - E * s) / det, (B * s - C * r) / det
 
-    __hash__ = float.__hash__
+    e, g = solve(B, C)
+    return (B, C, e, g, *solve(e, g))
 
 
-@pytest.mark.parametrize("entries", [dict(E=0.3, G=0.8, M=0.2, N=0.6),
-                                     dict(E=0.5, G=-0.4, M=0.1, N=0.9),
-                                     dict(E=2.0, G=0.5, M=-0.3, N=0.2)])
-def test_l4_closed_form_and_general_solve_agree_at_b_c_one(entries):
-    # B = C = 1 picks the closed form for the whole orbit; the general
-    # branch is valid there too and must give the same orbit
-    start = init_map_state("L4", dict(B=1.0, C=1.0, **entries))
-    one = _UnrecognisedOne(1.0)
-    closed = orbit("L4", start, 50)
-    general = orbit("L4", MapState(0, (one, one) + start.values[2:]), 50)
-    assert closed.status == general.status == "completed"
-    assert not np.array_equal(general.entries, closed.entries)   # two branches did run
-    np.testing.assert_allclose(general.entries, closed.entries, rtol=1e-12, atol=0.0)
-    assert general.invariant_rows.tolist() == closed.invariant_rows.tolist() == list(range(51))
-    for name, values in closed.invariants.items():
-        np.testing.assert_allclose(general.invariants[name], values, rtol=1e-12, atol=0.0)
+def test_l4_orbits_at_b_c_one_stay_on_the_exact_orbit_of_their_start():
+    # the exact orbit of each start's floats, in rationals; the error of an entry x is
+    # relative to max(1, |x|)
+    worst = 0.0
+    for E, G, M, N in np.random.default_rng(7).uniform(-1.0, 1.0, (100, 4)).tolist():
+        run = orbit("L4", init_map_state("L4", dict(B=1.0, C=1.0, E=E, G=G, M=M, N=N)), 30)
+        assert run.status == "completed"
+        exact = tuple(map(Fraction, run.entries[0].tolist()))
+        for row in run.entries[1:].tolist():
+            exact = _exact_l4_step(*exact)
+            worst = max(worst, *(float(abs(Fraction(v) - x)) / max(1.0, abs(float(x)))
+                                 for v, x in zip(row, exact)))
+    assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("dda, entries, steps, rows, calls, kept", [
+    ("L4", dict(B=1.0, C=1.0, E=0.4, G=1.3, M=0.8, N=-0.2), 6, 7, 7, 7),
+    ("L4", dict(B=0.7, C=-0.4, E=0.4, G=1.3, M=0.8, N=-0.2), 0, 1, 1, 1),
+    ("L4", dict(B=1.0, C=1.0, E=0.0, G=2.0, M=1.0, N=1.0), 10, 2, 2, 1),
+    ("L4", dict(B=1e300, C=0.5, E=1e10, G=2.0, M=0.3, N=0.1), 5, 1, 1, 1),
+    ("L2b", dict(B=1.2, C=0.3, E=0.8, G=1.5, M=0.4, N=0.9), 6, 7, 6, 7),
+    ("L5", dict(B=1.0, C=0.2, E=0.7, G=1.3, M=0.5, N=1.1), 6, 7, 6, 7),
+], ids=["L4_completed", "L4_no_step", "L4_singular", "L4_beyond_guard", "L2b", "L5"])
+def test_orbit_finds_each_rows_k_at_most_once(dda, entries, steps, rows, calls, kept,
+                                              monkeypatch):
+    # L4 finds the K of each row once, by the step that leaves it or, for a last row no
+    # step left, by one more call; its invariants are kept where K was found.  L2b and L5
+    # find only the K their steps use
+    seen = []
+
+    def counted(dda, values):
+        seen.append(values)
+        return _companion(dda, values)
+
+    monkeypatch.setattr(discrete_flows, "_companion", counted)
+    run = orbit(dda, init_map_state(dda, entries), steps)
+    assert len(run.entries) == rows
+    assert seen == [tuple(row) for row in run.entries.tolist()][:calls]
+    assert run.invariant_rows.tolist() == list(range(kept))
 
 
 def test_l5_step_satisfies_central_system_and_conjugation():
@@ -185,7 +214,7 @@ def _close(got, want, what):
     ("L5", dict(B=1.0, C=0.2, E=0.7, G=1.3, M=0.5, N=1.1), None, 15),
     ("L5", dict(B=1.0, C=0.5, E=0.3, G=0.8, M=0.2, N=0.6),
      dict(B=1.0, C=0.5, E=0.2, G=0.9, M=0.1, N=0.5), 12),
-], ids=["L2b", "L4_closed", "L4_general", "L5", "L5_prev"])
+], ids=["L2b", "L4_b_c_one", "L4_general", "L5", "L5_prev"])
 def test_orbit_matches_solve_oracle(dda, entries, prev, steps):
     run = orbit(dda, init_map_state(dda, entries, prev), steps)
     rows, invariants = map_orbit_loops(dda, entries, steps, prev)
@@ -279,7 +308,7 @@ def test_l2b_degenerate_det_raises():
 
 @pytest.mark.parametrize("dda", ["L4", "L5"])
 def test_below_tolerance_c1_is_named_bg_minus_ce_on_the_solve_branch(dda):
-    # B, C != 1 keeps L4 off its closed form; BG - CE = 2 * 0.5 - 1 * 1 = 0
+    # B, C != 1, so L4 names BG - CE too (at B = C = 1 it names E - G); BG - CE = 2 * 0.5 - 1 * 1 = 0
     st = init_map_state(dda, dict(B=2.0, C=1.0, E=1.0, G=0.5, M=0.3, N=0.4))
     with pytest.raises(SingularOrbitError) as err:
         step(dda, st)
@@ -384,9 +413,15 @@ def test_l4_rows_have_invariants_exactly_when_unflagged_and_invertible():
     unflagged = ~degeneracy_flags(entries)[:, 0]
     want = [i for i, row in enumerate(entries.tolist())
             if unflagged[i] and _second_pivot(*row[:4]) != 0.0]
-    invariants, got = _invariants("L4", entries, None)
-    assert got.tolist() == want
+    got, pq = [], []
+    for i, row in enumerate(entries.tolist()):
+        with suppress(SingularOrbitError):
+            pq.append(_companion("L4", row))
+            got.append(i)
+    assert got == want
     assert len(want) < unflagged.sum()   # the LU_SINGULAR row
+    invariants, rows = _invariants("L4", entries[got], None, pq)
+    assert rows.tolist() == list(range(len(want)))
     for name, values in invariants.items():
         assert values.shape == (len(want),), name
     # the rule an LU determinant gives leaves out other rows than the flag

@@ -123,7 +123,7 @@ def _scan_fields():
 
 
 # sha256 of json.dumps(field.to_json()) for the two fields, as the per-value fields wrote them
-SCAN_FIELD_SHA256 = ("f1c7898b3328a596fdf6d11cbb5a5b12dcf6e50a171324bcd7bfa93fb0a4506e",
+SCAN_FIELD_SHA256 = ("2231ab13ec0be50a64c98b644a48b73770ed4110408a32685f318c6d4e998cab",
                      "847bafb7171f82b0c0787bbd7d46e29c7ab0adc3027f0c0045418a54df93f3d1")
 
 
