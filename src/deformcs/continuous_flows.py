@@ -12,8 +12,8 @@ affine variable y with x = y det C1.  Five concrete systems are exposed:
 
 Free entries are held constant along a trajectory; trace first integrals
 and eigenvalues of the designated Lax matrix (C2 for L2a, C1 for L3) are
-computed for every step, once over the whole run, under np.errstate(all="ignore")
-and with ``algebra_core._pow``: a state past float range gives inf or NaN, not an error.
+computed for every step, once over the whole run, under np.errstate(all="ignore"):
+a state past float range gives inf or NaN, not an error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra_core import (DEGENERACY_TOL, _pow, entry_stacks, finite_numbers, finite_span, mapping,
+from .algebra_core import (DEGENERACY_TOL, entry_stacks, finite_numbers, finite_span, mapping,
                            one_of, trace_integrals)
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
@@ -167,7 +167,7 @@ def spectral_invariants(system_id: str, values: Mapping) -> np.ndarray:
         lam = np.linalg.eigvals(lax)
     else:
         a, b, c, d = (lax[..., i, j] for i in (0, 1) for j in (0, 1))
-        disc = _pow(np.ravel(a - d), 2).reshape(np.shape(a)) + 4.0 * b * c
+        disc = (a - d) * (a - d) + 4.0 * b * c   # a correctly rounded square, unlike pow()
         root = np.where(disc >= 0.0, 1.0 + 0j, 1j) * np.sqrt(np.abs(disc))
         t = a + d
         lam = np.stack([0.5 * (t - root), 0.5 * (t + root)], axis=-1)

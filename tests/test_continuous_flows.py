@@ -158,6 +158,17 @@ def test_spectral_invariants_nilpotent_family():
     assert lam[1].real == pytest.approx(0.5 * (a + root), abs=1e-12)
 
 
+def test_spectral_discriminant_squares_a_minus_d_correctly_rounded():
+    # a - d = B = -0.6250000000000194 squares to 0.3906250000000243 when correctly rounded,
+    # one ulp from what pow() gives; the discriminant (a - d)^2 + 4bc is 2.8e-17, so that
+    # ulp moves both roots by ~1.5e-9.  The roots to 50 digits, by mpmath:
+    st = _state("L3_simple", B=-0.6250000000000194, E=1.0, C=-0.09765625000000606, G=0.0)
+    lam = spectral_invariants("L3_simple", st)
+    assert lam.imag.tolist() == [0.0, 0.0]
+    for got, want in zip(lam.real, (-0.31250000263418776, -0.31249999736583167)):
+        assert abs(got - want) <= 1.5e-9
+
+
 def test_spectral_double_eigenvalue():
     st = _state("L2a_2x2", B=0, C=0, E=2, G=0, M=3, N=2)  # E = N, GM = 0
     lam = spectral_invariants("L2a_2x2", st)
