@@ -31,6 +31,7 @@ point's norm comes from one batched dot.
 from __future__ import annotations
 
 import json
+import numbers
 import stat
 from dataclasses import dataclass
 from functools import cached_property
@@ -267,9 +268,16 @@ def _field_norms(spec: DDASpec, fld: SampledField, lo: int, hi: int) -> list[flo
                      fld.grid[lo:hi], fld.spacing)
 
 
+def _is_index(v) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def cs_residual(dda: str, fld: SampledField, i: int) -> ResidualReport:
     """Residual norm of the DDA's central system at interior grid point i."""
     spec = lookup(dda)
+    if not _is_index(i):
+        raise InvalidInputError(f"point must be an integer, got {i!r}")
     behind, ahead = spec.stencil_reach
     if not behind <= i < len(fld.grid) - ahead:
         raise StencilRangeError(
@@ -458,6 +466,8 @@ def discrete_cs_defect(tg: TensorGrid, point: tuple[int, ...]) -> dict[tuple[int
     dims = tg.grid_dims
     if len(point) != dims:
         raise InvalidInputError(f"lattice point must have {dims} coordinates")
+    if not all(map(_is_index, point)):
+        raise InvalidInputError(f"lattice point must be integers, got {point!r}")
     for ax, p in enumerate(point):
         if not 0 <= p < tg.c.shape[ax] - 1:
             raise StencilRangeError(f"point {point} lacks a +1 neighbour on axis {ax}")

@@ -357,6 +357,39 @@ def test_discrete_residual_is_max_of_pointwise_oracle(shape, n, unital):
         assert got == pytest.approx(worst[key], rel=0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("point", [1.5, 2.0, True, np.float64(1.0), "1", None],
+                         ids=["half", "integral_float", "bool", "numpy_float", "text", "none"])
+def test_cs_residual_refuses_a_point_that_is_not_an_integer(point):
+    fld = _constant_commuting_field("L2b")
+    with pytest.raises(InvalidInputError) as err:
+        cs_residual("L2b", fld, point)
+    assert str(err.value) == f"point must be an integer, got {point!r}"
+
+
+@pytest.mark.parametrize("point", [(0.5, 0), (0, True), (np.float64(0.0), 0), (None, 0)],
+                         ids=["half", "bool", "numpy_float", "none"])
+def test_discrete_cs_defect_refuses_a_point_that_is_not_integers(point):
+    tg = _constant_grid(commuting_2x2_pair(np.random.default_rng(18)), npts=3)
+    with pytest.raises(InvalidInputError) as err:
+        discrete_cs_defect(tg, point)
+    assert str(err.value) == f"lattice point must be integers, got {point!r}"
+
+
+def test_point_functions_take_python_and_numpy_integers():
+    fld = _constant_commuting_field("L2b")
+    want = cs_residual("L2b", fld, 1).norms
+    for i in (np.int64(1), np.uint8(1)):
+        assert cs_residual("L2b", fld, i).norms == want
+    with pytest.raises(StencilRangeError):
+        cs_residual("L2b", fld, np.int32(len(fld.pairs) - 1))
+    tg = _constant_grid(commuting_2x2_pair(np.random.default_rng(18)), npts=3)
+    got = discrete_cs_defect(tg, (np.int64(1), 0))
+    assert {k: v.tolist() for k, v in got.items()} == {
+        k: v.tolist() for k, v in discrete_cs_defect(tg, (1, 0)).items()}
+    with pytest.raises(StencilRangeError):
+        discrete_cs_defect(tg, (np.int64(2), 0))
+
+
 def test_discrete_missing_neighbour():
     rng = np.random.default_rng(18)
     tg = _constant_grid(commuting_2x2_pair(rng), npts=3)
