@@ -286,6 +286,14 @@ def test_l4_degenerate_denominator_raises():
     assert str(err.value) == "E - G = 0.000e+00 below tolerance"
 
 
+def test_l4_at_b_c_one_names_e_minus_g_with_its_sign():
+    # BG - CE = G - E exactly here; the message gives E - G, as the closed form wrote it
+    st = init_map_state("L4", dict(B=1, C=1, E=0.5, G=0.5 + 2.0 ** -42, M=0.8, N=-0.2))
+    with pytest.raises(SingularOrbitError) as err:
+        step("L4", st)
+    assert str(err.value) == "E - G = -2.274e-13 below tolerance"
+
+
 def test_orbit_truncates_at_degeneracy_without_crashing():
     st = init_map_state("L4", dict(B=1, C=1, E=0.5, G=0.5, M=0.8, N=-0.2))
     run = orbit("L4", st, 10)
@@ -308,7 +316,8 @@ def test_l2b_degenerate_det_raises():
 
 @pytest.mark.parametrize("dda", ["L4", "L5"])
 def test_below_tolerance_c1_is_named_bg_minus_ce_on_the_solve_branch(dda):
-    # B, C != 1, so L4 names BG - CE too (at B = C = 1 it names E - G); BG - CE = 2 * 0.5 - 1 * 1 = 0
+    # B, C != 1, so L4 names BG - CE too (at B = C = 1 it names E - G);
+    # BG - CE = 2 * 0.5 - 1 * 1 = 0
     st = init_map_state(dda, dict(B=2.0, C=1.0, E=1.0, G=0.5, M=0.3, N=0.4))
     with pytest.raises(SingularOrbitError) as err:
         step(dda, st)
