@@ -13,10 +13,9 @@ One scalar kernel advances the entries (B, C, E, G, M, N) as floats: C1's second
 column is C2's first, so C1^-1 C2 is a companion matrix K, and each map applies K
 to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it and keeps the orbit
 as arrays, with the degeneracy flags and the exact trace invariants (of C2, of
-C2 C1^-1 ~ K, of V respectively) computed once over the whole orbit; L4's come from
-the K that each step found.  The module
-also evaluates the discrete oriented associativity residual of gauge fields built
-from three sampled potentials.
+C2 C1^-1 ~ K from each step's K, of V respectively) computed once over the whole
+orbit.  The module also evaluates the discrete oriented associativity residual of
+gauge fields built from three sampled potentials.
 """
 
 from __future__ import annotations
@@ -120,9 +119,8 @@ def _companion(dda: str, values: tuple[float, ...]) -> tuple[float, float]:
     """(p, q) = C1^-1 (M, N), so that C1^-1 C2 is the companion matrix K = [[0, p], [1, q]]:
     C1's second column (E, G) is C2's first.  One row-pivoted elimination in floats: swap the
     rows when |C| > |B|, then l = c (1/a) and u = e - l b.  SingularOrbitError when
-    |BG - CE| is below tolerance, or when u == 0 (C1 singular to working precision).  For L4
-    at B = C = 1, where BG - CE is exactly G - E, the message names E - G, as the paper's
-    four-dimensional mapping writes its denominator."""
+    |BG - CE| is below tolerance (named E - G for L4 at B = C = 1, where it is exactly G - E),
+    or when u == 0 (C1 singular to working precision)."""
     B, C, E, G, M, N = values
     den = B * G - C * E
     if abs(den) < DEGENERACY_TOL:
@@ -168,9 +166,8 @@ def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None, pq: l
     """The exact trace invariants of every row that has them, and those rows.
 
     L4's are those of C2 C1^-1 = C1 K C1^-1, so of K: I1 = q, I2 = q^2/2 + p and
-    I3 = q^3/3 + pq, from ``pq``, the (p, q) that ``_companion`` found for the first
-    len(pq) rows.  L5 values are those of V = C1[n-1] . C2[n], with ``prev_C1`` before
-    row 0.
+    I3 = q^3/3 + pq, from the (p, q) that ``_companion`` found for the first len(pq)
+    rows.  L5 values are those of V = C1[n-1] . C2[n], with ``prev_C1`` before row 0.
     """
     rows = np.arange(len(pq) if dda == "L4" else len(entries))
     with np.errstate(all="ignore"):   # an overflow shows as inf in the values
@@ -185,8 +182,8 @@ def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None, pq: l
 
 
 def map_invariants(dda: str, state: MapState) -> dict[str, float]:
-    """Exact trace invariants at one state (L5 values attach to the transition): the
-    row of ``orbit(dda, state, 0)``."""
+    """Exact trace invariants at one state, the row of ``orbit(dda, state, 0)`` (L5 values
+    attach to the transition)."""
     run = orbit(dda, state, 0)
     if not run.invariant_rows.size:
         B, C, E, G = state.values[:4]
@@ -230,9 +227,8 @@ class Orbit:
 
 def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     """Iterate the map for at most MAX_STEPS steps; a singular denominator, a
-    non-finite entry or overflow truncates the orbit.  Each row's (p, q) is found
-    once: by the step that leaves it, or, for a last row no step left, by one more
-    ``_companion`` call when L4's invariants need it."""
+    non-finite entry or overflow truncates the orbit.  Each row's (p, q) is found once,
+    by the step that leaves it or, for L4's last row, by one more ``_companion`` call."""
     check_map(dda, state0)
     whole_number("steps", steps, 0, MAX_STEPS)
     values, guard = state0.values, OVERFLOW_GUARD

@@ -279,19 +279,13 @@ def test_orbit_states_build_pairs_only_when_read():
 # Degeneracy handling.
 # ---------------------------------------------------------------------------
 
-def test_l4_degenerate_denominator_raises():
-    st = init_map_state("L4", dict(B=1, C=1, E=0.5, G=0.5, M=0.8, N=-0.2))
+@pytest.mark.parametrize("G, diff", [(0.5, "0.000e+00"), (0.5 + 2.0 ** -42, "-2.274e-13")])
+def test_l4_degenerate_denominator_raises(G, diff):
+    # BG - CE = G - E exactly at B = C = 1; the message gives E - G, as the closed form wrote it
+    st = init_map_state("L4", dict(B=1, C=1, E=0.5, G=G, M=0.8, N=-0.2))
     with pytest.raises(SingularOrbitError) as err:
         step("L4", st)
-    assert str(err.value) == "E - G = 0.000e+00 below tolerance"
-
-
-def test_l4_at_b_c_one_names_e_minus_g_with_its_sign():
-    # BG - CE = G - E exactly here; the message gives E - G, as the closed form wrote it
-    st = init_map_state("L4", dict(B=1, C=1, E=0.5, G=0.5 + 2.0 ** -42, M=0.8, N=-0.2))
-    with pytest.raises(SingularOrbitError) as err:
-        step("L4", st)
-    assert str(err.value) == "E - G = -2.274e-13 below tolerance"
+    assert str(err.value) == f"E - G = {diff} below tolerance"
 
 
 def test_orbit_truncates_at_degeneracy_without_crashing():
