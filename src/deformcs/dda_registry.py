@@ -464,7 +464,7 @@ def _discrete_defects(tg: TensorGrid, lo: tuple[int, ...],
 def discrete_cs_defect(tg: TensorGrid, point: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
     """Residual matrices C_l T_lC_j - C_j T_jC_l at one interior lattice point."""
     dims = tg.grid_dims
-    if len(point) != dims:
+    if not isinstance(point, (tuple, list)) or len(point) != dims:
         raise InvalidInputError(f"lattice point must have {dims} coordinates")
     if not all(map(_is_index, point)):
         raise InvalidInputError(f"lattice point must be integers, got {point!r}")

@@ -395,8 +395,9 @@ def test_discrete_missing_neighbour():
     tg = _constant_grid(commuting_2x2_pair(rng), npts=3)
     with pytest.raises(StencilRangeError):
         discrete_cs_defect(tg, (2, 0))
-    with pytest.raises(InvalidInputError, match="^lattice point must have 2 coordinates$"):
-        discrete_cs_defect(tg, (0,))
+    for point in [(0,), 1, np.array(1), "ab"]:
+        with pytest.raises(InvalidInputError, match="^lattice point must have 2 coordinates$"):
+            discrete_cs_defect(tg, point)
     with pytest.raises(StencilRangeError,
                        match="^lattice too small for the forward-shift stencil$"):
         discrete_cs_residual(TensorGrid(c=np.zeros((1, 2, 2, 2))))
