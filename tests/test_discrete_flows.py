@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from deformcs import discrete_flows
 from deformcs.algebra_core import DEGENERACY_TOL, assoc_residual
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
-from deformcs import discrete_flows
 from deformcs.discrete_flows import (MapState, _advance, _companion, _gauge_defects, _invariants,
                                      _matrices, check_map,
                                      degeneracy_flags, discrete_oriented_assoc_residual,

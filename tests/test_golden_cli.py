@@ -64,8 +64,8 @@ def test_golden_cases_cover_every_kind():
     assert kinds == {"flow", "map", "validate_family", "reduction", "residual_scan"}
 
 
-@pytest.mark.parametrize("args", [["--record"], [], ["--record", "map_l4", "no_such_case"]],
-                         ids=["no_case", "no_flag", "unknown_case"])
+@pytest.mark.parametrize("args", [["--record"], ["--record", "map_l4", "no_such_case"]],
+                         ids=["no_case", "unknown_case"])
 def test_recording_names_its_cases_or_records_nothing(args):
     before = {p: p.stat().st_mtime_ns for p in GOLDEN.glob("*/expected/*")}
     done = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True,
