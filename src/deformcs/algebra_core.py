@@ -24,15 +24,19 @@ place that turns named entries into C1 and C2, at one point or stacked;
 ``MatrixPair.from_entries(n, entries)`` is the one constructor from names.
 ``finite_numbers`` is the one rule for every {name: number} input, entries or parameters,
 its ``check_names`` the one rule for their names, and ``_pow`` the one per-entry power.
-``finite_number`` (hbar), ``positive_number`` (a step, h or spacing), ``whole_number``
-(a count of steps, a stride or a matrix size) and ``number_sequence`` (points or
-coefficients) are the one rule for each other kind of numeric input, ``finite_span`` the
-one for a span, and ``one_of`` the one for a name looked up in a catalogue.
+``finite_number`` (hbar, a family's point), ``positive_number`` (a step, h or spacing),
+``whole_number`` (a count of steps, a stride or a matrix size) and ``number_sequence``
+(points or coefficients) are the one rule for each other kind of numeric input,
+``finite_span`` the one for a span, and ``one_of`` the one for a name looked up in a
+catalogue.  ``is_index`` is the one test of an integer (a lattice point or shape, a grid
+index, a gauge point) and ``float_array`` the one conversion of an array argument
+(matrices, tensors, a grid, gauge samples).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Mapping
@@ -69,6 +73,22 @@ def is_finite_number(v) -> bool:
     """An int or float that is finite as a float: no bool, NaN, infinity or huge integer."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max)
+
+
+def is_index(v) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def float_array(what: str, value) -> np.ndarray:
+    """``value`` as a new read-only float64 array; InvalidInputError naming ``what`` where
+    numpy cannot convert it (a word, a ragged list, an integer past the float range)."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{what} must be a list of numbers") from None
+    a.setflags(write=False)
+    return a
 
 
 def mapping(what: str, values) -> Mapping:
@@ -109,8 +129,8 @@ def positive_number(what: str, v):
 
 
 def whole_number(what: str, v, lo: int, hi: int) -> int:
-    """``v`` if it is an int (no bool) from lo to hi; InvalidInputError naming ``what`` if not."""
-    if not isinstance(v, int) or isinstance(v, bool) or not lo <= v <= hi:
+    """``v`` if it is an ``is_index`` from lo to hi; InvalidInputError naming ``what`` if not."""
+    if not is_index(v) or not lo <= v <= hi:
         raise InvalidInputError(f"{what} must be an integer from {lo} to {hi}, got {v!r}")
     return v
 
@@ -192,14 +212,6 @@ def entry_stacks(n: int, entries: Mapping[str, np.ndarray]) -> tuple[np.ndarray,
     return C[0], C[1]
 
 
-def _as_matrix(m, n: int) -> np.ndarray:
-    a = np.array(m, dtype=float)
-    if a.shape != (n, n):
-        raise InvalidInputError(f"expected a {n}x{n} matrix, got shape {a.shape}")
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class MatrixPair:
     """The pair of multiplication matrices (C1, C2) of a 2- or 3-dim algebra."""
@@ -210,8 +222,11 @@ class MatrixPair:
 
     def __post_init__(self):
         whole_number("matrix size", self.n, 2, 3)
-        object.__setattr__(self, "C1", _as_matrix(self.C1, self.n))
-        object.__setattr__(self, "C2", _as_matrix(self.C2, self.n))
+        for name in ("C1", "C2"):
+            a = float_array(name, getattr(self, name))
+            if a.shape != (self.n, self.n):
+                raise InvalidInputError(f"expected a {self.n}x{self.n} matrix, got shape {a.shape}")
+            object.__setattr__(self, name, a)
         defect = layout_defect(self.n, self.C1, self.C2)
         if defect:
             raise InvalidInputError(defect)
@@ -241,14 +256,13 @@ class StructTensor:
 
     def __post_init__(self):
         whole_number("dim", self.dim, 2, 3)
-        a = np.array(self.c, dtype=float)
+        a = float_array("tensor c", self.c)
         if a.shape != (self.dim,) * 3:
             raise InvalidInputError(f"tensor shape must be {(self.dim,) * 3}, got {a.shape}")
         if not layout_close(a, np.swapaxes(a, 0, 1)):
             raise InvalidInputError("structure constants must satisfy c[j][k][l] = c[k][j][l]")
         if self.dim == 3 and not layout_close(a[:, 0, :], np.eye(3)):
             raise InvalidInputError("unital tensor must satisfy c[j][0][l] = delta_j^l")
-        a.setflags(write=False)
         object.__setattr__(self, "c", a)
 
 
@@ -312,7 +326,7 @@ def assoc_residual(pair) -> float:
     if isinstance(pair, MatrixPair):
         C1, C2 = pair.C1, pair.C2
     else:
-        C1, C2 = (np.asarray(m, dtype=float) for m in pair)
+        C1, C2 = (float_array(f"C{k}", m) for k, m in enumerate(pair, 1))
     if C1.ndim != 2 or C1.shape[0] != C1.shape[1] or C1.shape != C2.shape:
         raise InvalidInputError(
             f"C1 and C2 must be square matrices of equal shape, got {C1.shape} and {C2.shape}"

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport, _pow, check_names,
-                           entry_stacks, finite_numbers, layout_defect, number_sequence,
-                           one_of, positive_number)
+                           entry_stacks, finite_number, finite_numbers, layout_defect,
+                           number_sequence, one_of, positive_number)
 from .continuous_flows import get_system
 from .dda_registry import DDASpec, _cs_norms, grid_defect, lookup
 from .discrete_flows import _first, gauge_pairs
@@ -139,6 +139,7 @@ def _family_stack(fam: SolutionFamily, x: np.ndarray) -> tuple[np.ndarray, np.nd
 def eval_family(fam: SolutionFamily, point: float) -> MatrixPair:
     """Evaluate the family's structure constants at one value of x (or y): the one-point
     ``_family_stack``."""
+    finite_number("point", point)
     # the log and gauge families' errors name the point as given, the others its float
     x = point if fam.id in ("Nilpotent3x3", "Nilpotent2x2", "GaugeL5") else float(point)
     return MatrixPair(_FAMILY_N[fam.id], *_family_stack(fam, x))

@@ -31,7 +31,6 @@ point's norm comes from one batched dot.
 from __future__ import annotations
 
 import json
-import numbers
 import stat
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra_core import (MatrixPair, ResidualReport, _pow, finite_number, layout_defect,
-                           one_of, positive_number)
+from .algebra_core import (MatrixPair, ResidualReport, _pow, finite_number, float_array,
+                           is_index, layout_defect, one_of, positive_number)
 from .errors import InvalidInputError, StencilRangeError, UnsupportedDDAError
 
 OP_NONE = "none"
@@ -89,6 +88,11 @@ def lookup(dda_id: str) -> DDASpec:
     return one_of("dda", _REGISTRY, dda_id)
 
 
+# Tolerance of a grid's spacing: relative to the first step for uniform spacing,
+# absolute for unit spacing.
+GRID_TOL = 1e-9
+
+
 def grid_defect(spec: DDASpec, grid: np.ndarray) -> str | None:
     """The first rule that a grid of two or more points (or each row of a stack of
     them) breaks: strictly increasing, uniform, and unit-spaced for a discrete DDA."""
@@ -96,9 +100,9 @@ def grid_defect(spec: DDASpec, grid: np.ndarray) -> str | None:
     if np.any(steps <= 0.0):
         return "grid must be strictly increasing"
     h = steps[..., :1]
-    if not np.all(np.abs(steps - h) <= 1e-9 * h):   # np.allclose, at a fifth of the cost
+    if not np.all(np.abs(steps - h) <= GRID_TOL * h):   # np.allclose, at a fifth of the cost
         return "grid must be uniformly spaced"
-    if spec.discrete and np.any(np.abs(h - 1.0) > 1e-9):
+    if spec.discrete and np.any(np.abs(h - 1.0) > GRID_TOL):
         return f"{spec.id} fields live on a unit-spaced grid"
     return None
 
@@ -165,13 +169,10 @@ class SampledField:
             raise InvalidInputError("sampled field 'dda' must be a string")
         if not isinstance(values, list):
             raise InvalidInputError("sampled field 'values' must be a list")
+        g = float_array("sampled field 'grid'", grid)
         try:
-            g = np.array(grid, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInputError("sampled field 'grid' must be a list of numbers") from None
-        try:
-            C1, C2 = (np.array([v[key] for v in values], dtype=float) for key in ("C1", "C2"))
-        except (KeyError, TypeError, ValueError, OverflowError):
+            C1, C2 = (float_array(key, [v[key] for v in values]) for key in ("C1", "C2"))
+        except (KeyError, TypeError, InvalidInputError):
             C1 = C2 = None
         if not (C1 is not None and C1.ndim == 3 and C1.shape[1:] in ((2, 2), (3, 3))
                 and C2.shape == C1.shape and np.isfinite(C1).all() and np.isfinite(C2).all()
@@ -187,8 +188,6 @@ class SampledField:
         defect = grid_defect(spec, g) if g.size >= 2 else None
         if defect:
             raise InvalidInputError(defect)
-        for a in (g, C1, C2):
-            a.setflags(write=False)
         for name, value in zip(("dda", "grid", "C1", "C2"), (dda, g, C1, C2)):
             object.__setattr__(self, name, value)
 
@@ -268,15 +267,10 @@ def _field_norms(spec: DDASpec, fld: SampledField, lo: int, hi: int) -> list[flo
                      fld.grid[lo:hi], fld.spacing)
 
 
-def _is_index(v) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def cs_residual(dda: str, fld: SampledField, i: int) -> ResidualReport:
     """Residual norm of the DDA's central system at interior grid point i."""
     spec = lookup(dda)
-    if not _is_index(i):
+    if not is_index(i):
         raise InvalidInputError(f"point must be an integer, got {i!r}")
     behind, ahead = spec.stencil_reach
     if not behind <= i < len(fld.grid) - ahead:
@@ -315,7 +309,7 @@ class TensorGrid:
     spacing: float = 1.0
 
     def __post_init__(self):
-        a = np.array(self.c, dtype=float)
+        a = float_array("tensor grid c", self.c)
         if a.ndim < 4:
             raise InvalidInputError("tensor grid needs at least one grid axis")
         n, m = a.shape[-1], a.ndim - 3
@@ -327,7 +321,6 @@ class TensorGrid:
             first = np.argwhere(~np.isfinite(a))[0].tolist()
             raise InvalidInputError(f"tensor grid entry c{first} is not finite")
         positive_number("spacing", self.spacing)
-        a.setflags(write=False)
         object.__setattr__(self, "c", a)
 
     @property
@@ -466,7 +459,7 @@ def discrete_cs_defect(tg: TensorGrid, point: tuple[int, ...]) -> dict[tuple[int
     dims = tg.grid_dims
     if not isinstance(point, (tuple, list)) or len(point) != dims:
         raise InvalidInputError(f"lattice point must have {dims} coordinates")
-    if not all(map(_is_index, point)):
+    if not all(map(is_index, point)):
         raise InvalidInputError(f"lattice point must be integers, got {point!r}")
     for ax, p in enumerate(point):
         if not 0 <= p < tg.c.shape[ax] - 1:

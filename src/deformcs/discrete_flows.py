@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport, _pow,
-                           entry_stacks, finite_numbers, one_of, trace_integrals, whole_number)
+                           entry_stacks, finite_numbers, float_array, is_index, one_of,
+                           trace_integrals, whole_number)
 from .dda_registry import _REGISTRY, TensorGrid, _frobenius
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import MAX_STEPS, OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
@@ -155,7 +156,8 @@ def _advance(dda: str, values: tuple[float, ...], prev_C1):
 
 
 def step(dda: str, state: MapState) -> MapState:
-    """Advance the orbit one lattice site."""
+    """Advance the orbit one lattice site.  No overflow guard: the entries may be inf or
+    NaN, unflagged, where ``orbit`` would truncate."""
     check_map(dda, state)
     prev = None if state.prev_C1 is None else state.prev_C1.tolist()
     values, prev_C1, _ = _advance(dda, state.values, prev)
@@ -300,7 +302,7 @@ def gauge_pairs(potentials, x):
 def _gauge_samples(phi, xs) -> tuple[np.ndarray, np.ndarray]:
     """phi as floats and xs as integers, once phi[m, i] = Phi^m(xs[i]) is checked to
     sample three potentials on consecutive integers."""
-    phi, xs = np.asarray(phi, dtype=float), np.asarray(xs, dtype=float)
+    phi, xs = float_array("phi", phi), float_array("xs", xs)
     if not np.array_equal(xs, np.round(xs.ravel()[:1]) + np.arange(xs.size)):
         raise InvalidInputError("xs must be consecutive integers, as np.arange(a, b) gives")
     if phi.shape != (3, xs.size):
@@ -333,7 +335,7 @@ def _gauge_defects(phi: np.ndarray, xs: np.ndarray, x) -> np.ndarray:
 def oriented_assoc_defect(phi, xs, x: int) -> np.ndarray:
     """The commutator C1 C2 - C2 C1 at the integer x, via the gauge sums: one point
     of the stack that ``discrete_oriented_assoc_residual`` evaluates."""
-    if not float(x).is_integer():
+    if not is_index(x):
         raise InvalidInputError(f"x must be an integer, got {x}")
     return _gauge_defects(*_gauge_samples(phi, xs), x)
 
@@ -364,8 +366,8 @@ def lattice_field_from_l5_orbit(run: Orbit, shape: tuple[int, int]):
     """
     if run.dda != "L5":
         raise InvalidInputError(f"a lattice field needs an L5 orbit, got dda {run.dda!r}")
-    if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in shape)):
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 2
+            and all(is_index(s) and s >= 1 for s in shape)):
         raise InvalidInputError(f"lattice shape must be two positive ints, got {shape!r}")
     n1, n2 = shape
     need = n1 + n2 - 1

@@ -6,9 +6,11 @@ refuses a value that is not a finite int or float with an InvalidInputError that
 names the entry, instead of converting a string, reading True as 1.0, letting NaN
 through, or failing later with a bare ValueError, TypeError or OverflowError.
 
-Two more rules of ``algebra_core`` are tested here the same way: ``one_of``, the one
-lookup of a name in a catalogue, whose error lists the catalogue's names, and
-``finite_span``, the one rule for a span.
+Four more rules of ``algebra_core`` are tested here the same way: ``one_of``, the one
+lookup of a name in a catalogue, whose error lists the catalogue's names,
+``finite_span``, the one rule for a span, ``float_array``, the one conversion of an
+array argument, and ``is_index``, the one test of an integer, which takes numpy
+integers wherever it takes Python ones.
 """
 
 import json
@@ -18,12 +20,14 @@ import re
 import numpy as np
 import pytest
 
-from deformcs.algebra_core import finite_numbers
+from deformcs.algebra_core import MatrixPair, StructTensor, assoc_residual, finite_numbers
 from deformcs.cli import EXIT_INVALID, ScenarioConfig, main
-from deformcs.closed_forms import SolutionFamily
+from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.continuous_flows import get_system, integrate, state_from_entries
-from deformcs.dda_registry import lookup
-from deformcs.discrete_flows import check_map, init_map_state, orbit
+from deformcs.dda_registry import TensorGrid, lookup
+from deformcs.discrete_flows import (check_map, discrete_oriented_assoc_residual,
+                                     init_map_state, lattice_field_from_l5_orbit, orbit,
+                                     oriented_assoc_defect)
 from deformcs.errors import InvalidInputError
 from deformcs.reductions import (chazy_rhs, chazy_second_integral, chazy_state_phi_B,
                                  integrate_chazy, integrate_reduction, reduction_row)
@@ -199,3 +203,67 @@ def test_every_run_refuses_a_span_that_is_not_two_ordered_finite_numbers(call, s
 def test_a_span_may_be_a_1d_array_of_its_two_ends(call):
     want, got = call((0.0, 0.01)), call(np.array([0.0, 0.01]))
     assert np.array_equal(got.ts, want.ts) and np.array_equal(got.states, want.states)
+
+
+_XS = np.arange(-4, 6)
+_PHI = np.array([1.0 + _XS * _XS, 2.0 - _XS, 0.5 + _XS * _XS * _XS])
+_X_RULE = "x must be an integer, got "
+
+
+# (a call whose array or integer argument is not one, the error that names the argument)
+@pytest.mark.parametrize("call, message", [
+    (lambda: MatrixPair(2, [[1, "a"], [0, 1]], np.eye(2)), "C1 must be a list of numbers"),
+    (lambda: MatrixPair(2, [[10 ** 400, 0], [0, 1]], np.eye(2)), "C1 must be a list of numbers"),
+    (lambda: MatrixPair(2, np.eye(2), [[1], [0, 1]]), "C2 must be a list of numbers"),
+    (lambda: StructTensor(2, "abc"), "tensor c must be a list of numbers"),
+    (lambda: TensorGrid(c=[[1], [1, 2]]), "tensor grid c must be a list of numbers"),
+    (lambda: assoc_residual(([["a"]], [["b"]])), "C1 must be a list of numbers"),
+    (lambda: discrete_oriented_assoc_residual("a", _XS), "phi must be a list of numbers"),
+    (lambda: discrete_oriented_assoc_residual(_PHI, [0, "a"]), "xs must be a list of numbers"),
+    (lambda: oriented_assoc_defect(_PHI, _XS, "a"), _X_RULE + "a"),
+    (lambda: oriented_assoc_defect(_PHI, _XS, None), _X_RULE + "None"),
+    (lambda: oriented_assoc_defect(_PHI, _XS, True), _X_RULE + "True"),
+    (lambda: oriented_assoc_defect(_PHI, _XS, 1.0), _X_RULE + "1.0"),
+], ids=["MatrixPair string", "MatrixPair huge int", "MatrixPair ragged", "StructTensor",
+        "TensorGrid", "assoc_residual", "gauge phi", "gauge xs", "gauge x string",
+        "gauge x None", "gauge x bool", "gauge x float"])
+def test_array_and_integer_arguments_fail_closed_naming_the_argument(call, message):
+    with pytest.raises(InvalidInputError) as got:
+        call()
+    assert str(got.value) == message
+
+
+_PAIR = (np.eye(2), [[0.0, 0.0], [1.0, 0.0]])
+
+
+# (a call with numpy integers, the same call with Python ones); cs_residual's and
+# discrete_cs_defect's points are tested in test_dda_registry.py
+@pytest.mark.parametrize("call", [
+    lambda i: orbit("L4", init_map_state("L4", _MAP_START), i(3)).entries,
+    lambda i: MatrixPair(i(2), *_PAIR).entries(),
+    lambda i: lattice_field_from_l5_orbit(
+        orbit("L5", init_map_state("L5", _MAP_START, {"B": 1.0}), 5), (i(2), i(3))).c,
+    lambda i: oriented_assoc_defect(_PHI, _XS, i(1)),
+], ids=["orbit steps", "MatrixPair size", "lattice shape", "oriented_assoc_defect x"])
+def test_numpy_integers_count_as_integers(call):
+    want, got = call(int), call(np.int64)
+    if isinstance(want, dict):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+_NIL2 = SolutionFamily("Nilpotent2x2", {"alpha": 1.0})
+
+
+@pytest.mark.parametrize("point", ["x", None, True, math.nan], ids=repr)
+def test_eval_family_refuses_a_point_that_is_not_a_finite_number(point):
+    with pytest.raises(InvalidInputError) as got:
+        eval_family(_NIL2, point)
+    assert str(got.value) == f"point must be a finite number, got {point!r}"
+
+
+def test_eval_family_names_a_valid_int_point_as_given():
+    with pytest.raises(InvalidInputError) as got:
+        eval_family(_NIL2, 1)
+    assert str(got.value) == "x = 1 is too close to the ln x = 0 pole"
