@@ -15,10 +15,12 @@ The induced central system on the multiplication matrices is
 (all other brackets vanish), and L1 (the abelian algebra) drives no
 deformation at all.  This module evaluates those residuals on sampled fields,
 and the quantum, discrete and coisotropic residual operators on structure-constant
-grids.  Those contract point-innermost; the coisotropic bracket takes three
-contractions, its other three terms being index relabellings of them, and the quantum
-and coisotropic max-norms run over blocks of points, equal bit for bit to the
-max-norms of the full-array forms.
+grids.  Each grid operator's defect view covers every point its stencil reaches (the
+whole grid, the interior, or every lattice point with a +1 neighbour on each axis),
+and its residual is the max-norm of that view.  The quantum and coisotropic ones
+contract point-innermost; the coisotropic bracket takes three contractions, its other
+three terms being index relabellings of them, and their max-norms run over blocks of
+points, equal bit for bit to the max-norms of the full-array forms.
 
 A ``SampledField`` holds its values as two read-only ``(N, n, n)`` stacks, C1
 and C2.  Both constructors go through one load, which checks the stacks whole
@@ -134,8 +136,8 @@ def _raise_first_bad_value(values: list) -> None:
     well-laid-out pair of 2x2 or 3x3 matrices, checked in this order."""
     for i, v in enumerate(values):
         try:
-            C1, C2 = (np.array(v[key], dtype=float) for key in ("C1", "C2"))
-        except (KeyError, TypeError, ValueError, OverflowError):
+            C1, C2 = (float_array(key, v[key]) for key in ("C1", "C2"))
+        except (KeyError, TypeError, InvalidInputError):
             raise InvalidInputError(
                 f"sampled field value {i} needs numeric matrices 'C1' and 'C2'") from None
         for key, mat in (("C1", C1), ("C2", C2)):
@@ -436,16 +438,17 @@ def coisotropic_cs_residual(tg: TensorGrid) -> ResidualReport:
                            "assoc_defect_max": lambda c, d: _assoc_defect(c)})
 
 
-def _discrete_defects(tg: TensorGrid, lo: tuple[int, ...],
-                      hi: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
-    """C_l T_lC_j - C_j T_jC_l for j > l at every lattice point p with lo <= p < hi, each
-    indexed [point..., row, column]; the matrix C_j has row l, column k holding c[j][k][l],
-    and an index without a grid axis is not shifted."""
+def discrete_cs_defect(tg: TensorGrid) -> dict[tuple[int, int], np.ndarray]:
+    """C_l T_lC_j - C_j T_jC_l for j > l at every lattice point that has a +1 neighbour on
+    each axis, each indexed [point..., row, column]; the matrix C_j has row l, column k
+    holding c[j][k][l], and an index without a grid axis is not shifted."""
+    hi = tuple(s - 1 for s in tg.c.shape[:tg.grid_dims])
+    if min(hi) < 1:
+        raise StencilRangeError("lattice too small for the forward-shift stencil")
     mats = np.swapaxes(tg.c, -1, -2)
 
     def window(axis: int) -> np.ndarray:
-        return mats[tuple(slice(a + (ax == axis), b + (ax == axis))
-                          for ax, (a, b) in enumerate(zip(lo, hi)))]
+        return mats[tuple(slice(int(ax == axis), b + (ax == axis)) for ax, b in enumerate(hi))]
 
     here = window(-1)
     shifted = [window(j - tg.index_offset) for j in range(tg.n)]
@@ -454,26 +457,10 @@ def _discrete_defects(tg: TensorGrid, lo: tuple[int, ...],
             for l in range(tg.n) for j in range(l + 1, tg.n)}
 
 
-def discrete_cs_defect(tg: TensorGrid, point: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
-    """Residual matrices C_l T_lC_j - C_j T_jC_l at one interior lattice point."""
-    dims = tg.grid_dims
-    if not isinstance(point, (tuple, list)) or len(point) != dims:
-        raise InvalidInputError(f"lattice point must have {dims} coordinates")
-    if not all(map(is_index, point)):
-        raise InvalidInputError(f"lattice point must be integers, got {point!r}")
-    for ax, p in enumerate(point):
-        if not 0 <= p < tg.c.shape[ax] - 1:
-            raise StencilRangeError(f"point {point} lacks a +1 neighbour on axis {ax}")
-    defects = _discrete_defects(tg, tuple(point), tuple(p + 1 for p in point))
-    return {pair: mat[(0,) * dims] for pair, mat in defects.items()}
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def discrete_cs_residual(tg: TensorGrid) -> ResidualReport:
-    """Max residual of the discrete central system per index pair (j, l)."""
-    hi = tuple(s - 1 for s in tg.c.shape[:tg.grid_dims])
-    if min(hi) < 1:
-        raise StencilRangeError("lattice too small for the forward-shift stencil")
+    """Max residual of the discrete central system per index pair (j, l): the largest
+    Frobenius norm of each matrix stack of ``discrete_cs_defect``."""
     norms = {f"discrete_cs[{j},{l}]": np.max(np.linalg.norm(m, axis=(-2, -1)))
-             for (j, l), m in sorted(_discrete_defects(tg, (0,) * len(hi), hi).items())}
+             for (j, l), m in sorted(discrete_cs_defect(tg).items())}
     return ResidualReport(labels=tuple(norms), norms=tuple(norms.values()))

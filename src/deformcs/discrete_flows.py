@@ -14,8 +14,9 @@ column is C2's first, so C1^-1 C2 is a companion matrix K, and each map applies 
 to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it and keeps the orbit
 as arrays, with the degeneracy flags and the exact trace invariants (of C2, of
 C2 C1^-1 ~ K from each step's K, of V respectively) computed once over the whole
-orbit.  The module also evaluates the discrete oriented associativity residual of
-gauge fields built from three sampled potentials.
+orbit.  The module also evaluates the discrete oriented associativity defect of
+gauge fields built from three sampled potentials, at every point with two samples on
+each side, and its residual, the Frobenius norm of each point's defect.
 """
 
 from __future__ import annotations
@@ -310,50 +311,31 @@ def _gauge_samples(phi, xs) -> tuple[np.ndarray, np.ndarray]:
     return phi, xs.astype(int)
 
 
-def _gauge_defects(phi: np.ndarray, xs: np.ndarray, x) -> np.ndarray:
-    """C1 C2 - C2 C1 at x (a point or an array of points), with Phi^m(p) = phi[m, p - xs[0]].
+def oriented_assoc_defect(phi, xs) -> np.ndarray:
+    """C1 C2 - C2 C1 at each interior point xs[2:-2], stacked (len(xs) - 4, 3, 3), where
+    ``phi`` holds the three potentials sampled on ``xs``, consecutive integers
+    (shape (3, len(xs))): Phi^m(p) = phi[m, p - xs[0]].
 
     Each side of the oriented associativity identity is the matrix
     S_jk = (T_j g) g^-1 (T_k g) = g (C_j C_k); the defect S_12 - S_21 is
     normalised by g^-1 so that a nonzero residual is exactly the
     associativity defect of the gauge structure constants.
     """
-    start = xs[0] if xs.size else 0
-
-    def potentials(points: np.ndarray) -> np.ndarray:
-        i = points.astype(int) - start
-        outside = (i < 0) | (i >= xs.size)
-        if outside.any():
-            missing = i.flat[np.argmax(outside)] + start
-            raise InvalidInputError(f"potential samples do not cover x = {missing}")
-        return phi[:, i]
-
-    g, t1, t2, C1, C2 = gauge_pairs(potentials, x)
-    return np.linalg.solve(g, t1 @ C2) - np.linalg.solve(g, t2 @ C1)
-
-
-def oriented_assoc_defect(phi, xs, x: int) -> np.ndarray:
-    """The commutator C1 C2 - C2 C1 at the integer x, via the gauge sums: one point
-    of the stack that ``discrete_oriented_assoc_residual`` evaluates."""
-    if not is_index(x):
-        raise InvalidInputError(f"x must be an integer, got {x}")
-    return _gauge_defects(*_gauge_samples(phi, xs), x)
-
-
-def discrete_oriented_assoc_residual(phi, xs) -> ResidualReport:
-    """Oriented-associativity residual of a gauge field, per interior point.
-
-    ``phi`` holds the three potentials sampled on ``xs``, consecutive integers
-    (shape (3, len(xs))); the points with x-2 .. x+2 available are evaluated as
-    one stack.  The reported norm per point is the Frobenius norm of C1 C2 - C2 C1
-    reconstructed through the gauge sums (zero iff iso-associative there).
-    """
     phi, xs = _gauge_samples(phi, xs)
     interior = xs[2:-2]
     if not interior.size:
         raise InvalidInputError("interval too short: no point has both double shifts")
-    defects = _gauge_defects(phi, xs, interior)
-    return ResidualReport(labels=tuple(f"x={x}" for x in interior.tolist()),
+    g, t1, t2, C1, C2 = gauge_pairs(lambda points: phi[:, points.astype(int) - xs[0]], interior)
+    return np.linalg.solve(g, t1 @ C2) - np.linalg.solve(g, t2 @ C1)
+
+
+def discrete_oriented_assoc_residual(phi, xs) -> ResidualReport:
+    """Oriented-associativity residual of a gauge field, per interior point: the
+    Frobenius norm of each matrix of ``oriented_assoc_defect``, labelled x=<p>
+    (zero iff iso-associative there)."""
+    defects = oriented_assoc_defect(phi, xs)
+    first = int(np.ravel(xs)[0]) + 2   # xs holds consecutive integers, as the view checked
+    return ResidualReport(labels=tuple(f"x={x}" for x in range(first, first + len(defects))),
                           norms=_frobenius(defects))
 
 

@@ -37,7 +37,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .algebra_core import MatrixPair, _pow, finite_numbers, finite_span, one_of
+from .algebra_core import (_pow, finite_number, finite_numbers, finite_span, is_finite_number,
+                           one_of)
 from .errors import InvalidInputError, SingularFlowError
 from .integrators import Trajectory, integrate_fixed
 
@@ -101,10 +102,6 @@ def reconstruct_from_G(G: float, G1: float, G2: float,
     return {"B": B, "C": 1.0, "E": E, "G": G, "M": M, "N": -E}
 
 
-def chazy_pair(G: float, G1: float, G2: float, B: float = 0.0, B1: float = 0.0) -> MatrixPair:
-    return MatrixPair.from_entries(2, reconstruct_from_G(G, G1, G2, B, B1))
-
-
 # B' = Phi - B^2/2, the Riccati equation by which ChazyVII and ChazyIII carry B, as text
 # over B and {phi}, the variant's Phi, which their right-hand sides compile inline.
 _RICCATI = "{phi} - 0.5 * B * B"
@@ -126,12 +123,16 @@ def chazy_state_phi_B(variant: str, row: np.ndarray) -> tuple[float, float, floa
     return one_of("reconstruction variant", _CHAZY_PHI_B, variant)(*row)
 
 
+# |G| below which ChazyIII's quadrature, which divides by G, raises SingularFlowError.
+CHAZY_III_TOL = 1e-9
+
 # The body of f(_t, y) for the variants with columns beyond G, G1, G2, and {g3} for G''':
 # ChazyVII and ChazyIII carry B so the reconstruction map stays available, and ChazyIII
 # also carries Phi, integrated from the quadrature relation.
 _CHAZY_RHS = {
     "ChazyVII": "G, G1, G2, B = y\n    return G1, G2, {g3}, " + _RICCATI.format(phi="G1"),
-    "ChazyIII": ("G, G1, G2, phi, B = y\n    if abs(G) < 1e-9:\n        raise SingularFlowError("
+    "ChazyIII": (f"G, G1, G2, phi, B = y\n    if abs(G) < {CHAZY_III_TOL!r}:\n"
+                 "        raise SingularFlowError("
                  "'ChazyIII quadrature needs G bounded away from 0')\n    return G1, G2, {g3}, "
                  "(2.0 * G * G * G1 + G1 * G1 + 4.0 * G * G2 - 2.0 * G1 * phi) / G, "
                  + _RICCATI.format(phi="phi")),
@@ -197,11 +198,6 @@ def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float
     return f(0.0, (E, E1))[1], entries, integrals
 
 
-def boussinesq_pair(E: float, E1: float, alpha: float, beta: float, gamma: float) -> MatrixPair:
-    _, entries, _ = boussinesq_rhs_and_companions(E, E1, alpha, beta, gamma)
-    return MatrixPair.from_entries(3, entries)
-
-
 # ---------------------------------------------------------------------------
 # Elliptic reduction of the unimodular L3 flow (M = 0, N = 1, B + G = 0).
 # ---------------------------------------------------------------------------
@@ -232,10 +228,18 @@ def elliptic_system(B: float, E: float, C: float, alpha: float):
 
 
 def elliptic_point(E: float, alpha: float, branch: float = 1.0) -> tuple[float, float, float]:
-    """A point (B, E, C) on the constraint manifold with the given E and alpha."""
+    """A point (B, E, C) on the constraint manifold with the given E and alpha, B taking the
+    sign of ``branch``.  InvalidInputError unless E and alpha are each a ``finite_number``,
+    branch is 1 or -1, and B^2 = -1 - alpha E^2 + 2 E is finite and not negative."""
+    finite_number("E", E)
+    finite_number("alpha", alpha)
+    if not is_finite_number(branch) or abs(branch) != 1:
+        raise InvalidInputError(f"branch must be 1 or -1, got {branch!r}")
     b2 = -1.0 - alpha * E * E + 2.0 * E
     if b2 < 0.0:
         raise InvalidInputError(f"B^2 = {b2:.3g} < 0: no real point at E={E}, alpha={alpha}")
+    if not np.isfinite(b2):   # alpha E^2 or 2 E overflowed
+        raise InvalidInputError(f"B^2 = {b2} is not finite at E={E}, alpha={alpha}")
     return (branch * float(np.sqrt(b2)), E, alpha * E - 2.0)
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from deformcs.algebra_core import assoc_residual, pair_from_tensor, tensor_from_pair
+from deformcs.algebra_core import MatrixPair, assoc_residual, pair_from_tensor, tensor_from_pair
 from deformcs.closed_forms import SolutionFamily, eval_family, family_integrals, validate_family
 from deformcs.continuous_flows import first_integrals, integrate, state_from_entries
 from deformcs.dda_registry import (TensorGrid, SampledField, coisotropic_bracket_defect,
@@ -17,9 +17,9 @@ from deformcs.dda_registry import (TensorGrid, SampledField, coisotropic_bracket
                                    discrete_cs_residual, quantum_cs_parts, quantum_cs_residual)
 from deformcs.discrete_flows import (discrete_oriented_assoc_residual, init_map_state,
                                      orbit, step)
-from deformcs.reductions import (boussinesq_pair, chazy_pair, chazy_state_phi_B,
+from deformcs.reductions import (boussinesq_rhs_and_companions, chazy_state_phi_B,
                                  elliptic_point, integrate_boussinesq, integrate_chazy,
-                                 integrate_elliptic)
+                                 integrate_elliptic, reconstruct_from_G)
 from _oracles import (assoc_defect_loops, coisotropic_bracket_loops, discrete_defect_loops,
                       polynomial_algebra_pair, quantum_defect_loops,
                       random_smooth_tensor_grid, random_symmetric_tensor)
@@ -130,7 +130,7 @@ def test_criterion_04_chazy_suite():
             t = integrate_chazy(variant, init, (0.0, math.log(x)), 1e-3, **kw)
             row = t.states[-1]
             _, B, B1 = chazy_state_phi_B(variant, row)
-            pairs.append(chazy_pair(row[0], row[1], row[2], B, B1))
+            pairs.append(MatrixPair.from_entries(2, reconstruct_from_G(*row[:3], B, B1)))
         fld = SampledField(dda="L2a", grid=np.array([x0 - h, x0, x0 + h]), pairs=tuple(pairs))
         assert cs_residual("L2a", fld, 1).norms[0] < 1e-5, variant
     _report(4, "Chazy V/VII/VIII/III conserve the second integral and reconstruct")
@@ -146,7 +146,8 @@ def test_criterion_05_boussinesq_reduction():
     for x in (x0 - h, x0, x0 + h):
         t = integrate_boussinesq((1.0, 0.0), alpha, beta, gamma, (0.0, math.log(x)), 1e-3)
         E, E1 = t.states[-1]
-        pairs.append(boussinesq_pair(E, E1, alpha, beta, gamma))
+        _, entries, _ = boussinesq_rhs_and_companions(E, E1, alpha, beta, gamma)
+        pairs.append(MatrixPair.from_entries(3, entries))
     fld = SampledField(dda="L2a", grid=np.array([x0 - h, x0, x0 + h]), pairs=tuple(pairs))
     assert cs_residual("L2a", fld, 1).norms[0] < 1e-5
     _report(5, "Boussinesq reduction conserves I3 and its companions solve the 3x3 flow")
@@ -259,10 +260,10 @@ def test_criterion_09_section3_residual_evaluators():
                              - quantum_defect_loops(c, h, 0.3, pt))) <= 1e-12
         assert np.max(np.abs(bracket[pt[0] - 1, pt[1] - 1]
                              - coisotropic_bracket_loops(c, h, pt))) <= 1e-12
-        got = discrete_cs_defect(tg, (pt[0] - 1, pt[1] - 1))
+        got = discrete_cs_defect(tg)
         want = discrete_defect_loops(c, (pt[0] - 1, pt[1] - 1))
         for key in want:
-            assert np.max(np.abs(got[key] - want[key])) <= 1e-12
+            assert np.max(np.abs(got[key][pt[0] - 1, pt[1] - 1] - want[key])) <= 1e-12
     _report(9, "quantum/coisotropic/discrete evaluators vanish on associative constants "
                "and match their loop oracles on 50 random fields")
 

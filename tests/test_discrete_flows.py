@@ -10,7 +10,7 @@ from deformcs import discrete_flows
 from deformcs.algebra_core import DEGENERACY_TOL, assoc_residual
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
-from deformcs.discrete_flows import (MapState, _advance, _companion, _gauge_defects, _invariants,
+from deformcs.discrete_flows import (MapState, _advance, _companion, _invariants,
                                      _matrices, check_map,
                                      degeneracy_flags, discrete_oriented_assoc_residual,
                                      init_map_state, lattice_field_from_l5_orbit, map_invariants,
@@ -723,12 +723,11 @@ def test_oriented_assoc_equals_commutator_checked_independently():
                                      "phi1": list(GAUGE_CUBIC[1]),
                                      "phi2": list(GAUGE_CUBIC[2])})
     assert len(rep.labels) > 0
-    for label, norm in zip(rep.labels, rep.norms):
+    for label, norm, defect in zip(rep.labels, rep.norms, oriented_assoc_defect(phi, xs)):
         x = float(label.split("=")[1])
         pair = eval_family(fam, x)
         assert norm == pytest.approx(assoc_residual(pair), abs=1e-12)
-        assert np.allclose(oriented_assoc_defect(phi, xs, int(x)),
-                           pair.C1 @ pair.C2 - pair.C2 @ pair.C1, rtol=0.0, atol=1e-12)
+        assert np.allclose(defect, pair.C1 @ pair.C2 - pair.C2 @ pair.C1, rtol=0.0, atol=1e-12)
         assert norm > 1e-3  # the cubic gauge field is genuinely non-iso-associative
 
 
@@ -743,8 +742,10 @@ def test_oriented_assoc_singular_gauge():
 def test_oriented_assoc_interval_too_short():
     xs = np.arange(0, 3)
     phi = _phi_samples(GAUGE_CUBIC, xs)
-    with pytest.raises(InvalidInputError):
-        discrete_oriented_assoc_residual(phi, xs)
+    for call in (discrete_oriented_assoc_residual, oriented_assoc_defect):
+        with pytest.raises(InvalidInputError,
+                           match="^interval too short: no point has both double shifts$"):
+            call(phi, xs)
 
 
 @pytest.mark.parametrize("xs", [
@@ -757,15 +758,9 @@ def test_oriented_assoc_interval_too_short():
 def test_oriented_assoc_rejects_xs_other_than_consecutive_integers(xs):
     phi = _phi_samples(GAUGE_CUBIC, np.ravel(xs))
     for call in (lambda: discrete_oriented_assoc_residual(phi, xs),
-                 lambda: oriented_assoc_defect(phi, xs, 3)):
+                 lambda: oriented_assoc_defect(phi, xs)):
         with pytest.raises(InvalidInputError, match="^xs must be consecutive integers"):
             call()
-
-
-def test_oriented_assoc_defect_rejects_a_non_integer_point():
-    xs = np.arange(-4, 6)
-    with pytest.raises(InvalidInputError, match="x must be an integer, got 0.5"):
-        oriented_assoc_defect(_phi_samples(GAUGE_CUBIC, xs), xs, 0.5)
 
 
 def test_gauge_residual_needs_three_potentials_on_the_whole_interval():
@@ -802,9 +797,10 @@ def test_stacked_oriented_assoc_equals_the_per_point_loop():
             assert got == want
             continue
         assert got.labels == want.labels and got.norms == want.norms
-        for x in xs[2:-2]:
-            assert np.array_equal(oriented_assoc_defect(phi, xs, int(x)),
-                                  oriented_assoc_defect_per_point(phi, xs, int(x)))
+        defects = oriented_assoc_defect(phi, xs)
+        assert defects.shape == (len(xs) - 4, 3, 3)
+        for x, defect in zip(xs[2:-2], defects):
+            assert np.array_equal(defect, oriented_assoc_defect_per_point(phi, xs, int(x)))
     assert _outcome(discrete_oriented_assoc_residual, *_random_gauge_samples(rng, 4)) == (
         InvalidInputError, "interval too short: no point has both double shifts")
 
@@ -814,7 +810,7 @@ def test_oriented_assoc_norms_are_np_linalg_norm_per_point_bit_for_bit():
     for draw in range(300):   # random cubic potentials on 5 to 16 points
         xs = np.arange(5 + draw % 12) + int(rng.integers(-20, 20))
         phi = _phi_samples([rng.uniform(-1.0, 1.0, 4) for _ in range(3)], xs)
-        defects = _gauge_defects(phi, xs, xs[2:-2])
+        defects = oriented_assoc_defect(phi, xs)
         want = [float(np.linalg.norm(d)) for d in defects]
         got = discrete_oriented_assoc_residual(phi, xs).norms
         assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -832,16 +828,3 @@ def test_singular_gauge_error_equals_the_per_point_loop(singular_at):
     assert got == _outcome(oriented_assoc_residual_loop, phi, xs)
     assert got == (SingularGaugeError,
                    f"gauge matrix is singular at x = {interior[singular_at[0]]}")
-
-
-@pytest.mark.parametrize("offset", [-9, -1, 0, 1, 2, 7, 8, 9, 30])
-def test_oriented_assoc_defect_off_the_interior_fails_as_the_per_point_path(offset):
-    xs = np.arange(-4, 6)   # interior -2 .. 3
-    phi = _phi_samples(GAUGE_CUBIC, xs)
-    x = int(xs[0]) + offset
-    got = _outcome(oriented_assoc_defect, phi, xs, x)
-    want = _outcome(oriented_assoc_defect_per_point, phi, xs, x)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert np.array_equal(got, want)

@@ -26,8 +26,7 @@ from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.continuous_flows import get_system, integrate, state_from_entries
 from deformcs.dda_registry import TensorGrid, lookup
 from deformcs.discrete_flows import (check_map, discrete_oriented_assoc_residual,
-                                     init_map_state, lattice_field_from_l5_orbit, orbit,
-                                     oriented_assoc_defect)
+                                     init_map_state, lattice_field_from_l5_orbit, orbit)
 from deformcs.errors import InvalidInputError
 from deformcs.reductions import (chazy_rhs, chazy_second_integral, chazy_state_phi_B,
                                  integrate_chazy, integrate_reduction, reduction_row)
@@ -207,10 +206,9 @@ def test_a_span_may_be_a_1d_array_of_its_two_ends(call):
 
 _XS = np.arange(-4, 6)
 _PHI = np.array([1.0 + _XS * _XS, 2.0 - _XS, 0.5 + _XS * _XS * _XS])
-_X_RULE = "x must be an integer, got "
 
 
-# (a call whose array or integer argument is not one, the error that names the argument)
+# (a call whose array argument is not one, the error that names the argument)
 @pytest.mark.parametrize("call, message", [
     (lambda: MatrixPair(2, [[1, "a"], [0, 1]], np.eye(2)), "C1 must be a list of numbers"),
     (lambda: MatrixPair(2, [[10 ** 400, 0], [0, 1]], np.eye(2)), "C1 must be a list of numbers"),
@@ -220,13 +218,8 @@ _X_RULE = "x must be an integer, got "
     (lambda: assoc_residual(([["a"]], [["b"]])), "C1 must be a list of numbers"),
     (lambda: discrete_oriented_assoc_residual("a", _XS), "phi must be a list of numbers"),
     (lambda: discrete_oriented_assoc_residual(_PHI, [0, "a"]), "xs must be a list of numbers"),
-    (lambda: oriented_assoc_defect(_PHI, _XS, "a"), _X_RULE + "a"),
-    (lambda: oriented_assoc_defect(_PHI, _XS, None), _X_RULE + "None"),
-    (lambda: oriented_assoc_defect(_PHI, _XS, True), _X_RULE + "True"),
-    (lambda: oriented_assoc_defect(_PHI, _XS, 1.0), _X_RULE + "1.0"),
 ], ids=["MatrixPair string", "MatrixPair huge int", "MatrixPair ragged", "StructTensor",
-        "TensorGrid", "assoc_residual", "gauge phi", "gauge xs", "gauge x string",
-        "gauge x None", "gauge x bool", "gauge x float"])
+        "TensorGrid", "assoc_residual", "gauge phi", "gauge xs"])
 def test_array_and_integer_arguments_fail_closed_naming_the_argument(call, message):
     with pytest.raises(InvalidInputError) as got:
         call()
@@ -236,15 +229,14 @@ def test_array_and_integer_arguments_fail_closed_naming_the_argument(call, messa
 _PAIR = (np.eye(2), [[0.0, 0.0], [1.0, 0.0]])
 
 
-# (a call with numpy integers, the same call with Python ones); cs_residual's and
-# discrete_cs_defect's points are tested in test_dda_registry.py
+# (a call with numpy integers, the same call with Python ones); cs_residual's point is
+# tested in test_dda_registry.py
 @pytest.mark.parametrize("call", [
     lambda i: orbit("L4", init_map_state("L4", _MAP_START), i(3)).entries,
     lambda i: MatrixPair(i(2), *_PAIR).entries(),
     lambda i: lattice_field_from_l5_orbit(
         orbit("L5", init_map_state("L5", _MAP_START, {"B": 1.0}), 5), (i(2), i(3))).c,
-    lambda i: oriented_assoc_defect(_PHI, _XS, i(1)),
-], ids=["orbit steps", "MatrixPair size", "lattice shape", "oriented_assoc_defect x"])
+], ids=["orbit steps", "MatrixPair size", "lattice shape"])
 def test_numpy_integers_count_as_integers(call):
     want, got = call(int), call(np.int64)
     if isinstance(want, dict):

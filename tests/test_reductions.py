@@ -7,13 +7,13 @@ import pytest
 from deformcs.algebra_core import MatrixPair
 from deformcs.continuous_flows import first_integrals, spectral_invariants, state_from_entries
 from deformcs.dda_registry import SampledField, cs_residual
-from deformcs.errors import InvalidInputError
-from deformcs.reductions import (CHAZY_VARIANTS, REDUCTIONS, boussinesq_pair,
-                                 boussinesq_rhs_and_companions, chazy_eigenvalues, chazy_pair,
-                                 chazy_rhs, chazy_second_integral, chazy_state_phi_B,
-                                 elliptic_point, elliptic_system, integrate_boussinesq,
-                                 integrate_chazy, integrate_elliptic, integrate_reduction,
-                                 reconstruct_from_G)
+from deformcs.errors import InvalidInputError, SingularFlowError
+from deformcs.reductions import (CHAZY_III_TOL, CHAZY_VARIANTS, REDUCTIONS,
+                                 boussinesq_rhs_and_companions, chazy_eigenvalues, chazy_rhs,
+                                 chazy_second_integral, chazy_state_phi_B, elliptic_point,
+                                 elliptic_system, integrate_boussinesq, integrate_chazy,
+                                 integrate_elliptic, integrate_reduction, reconstruct_from_G,
+                                 reduction_row)
 
 CHAZY_RUNS = [
     ("ChazyV", (1.0, 0.5, -0.3), {}),
@@ -138,7 +138,7 @@ def _sampled_residual(variant, init, x0, kw, h=1e-4):
         traj = integrate_chazy(variant, init, (0.0, math.log(x)), 1e-3, **kw)
         row = traj.states[-1]
         phi, B, B1 = chazy_state_phi_B(variant, row)
-        pairs.append(chazy_pair(row[0], row[1], row[2], B, B1))
+        pairs.append(MatrixPair.from_entries(2, reconstruct_from_G(*row[:3], B, B1)))
     fld = SampledField(dda="L2a", grid=np.array([x0 - h, x0, x0 + h]), pairs=tuple(pairs))
     return cs_residual("L2a", fld, 1).norms[0]
 
@@ -199,7 +199,8 @@ def test_boussinesq_companions_satisfy_3x3_flow():
         traj = integrate_boussinesq((1.0, 0.0), alpha, beta, gamma,
                                     (0.0, math.log(x)), 1e-3)
         E, E1 = traj.states[-1]
-        pairs.append(boussinesq_pair(E, E1, alpha, beta, gamma))
+        _, entries, _ = boussinesq_rhs_and_companions(E, E1, alpha, beta, gamma)
+        pairs.append(MatrixPair.from_entries(3, entries))
     fld = SampledField(dda="L2a", grid=np.array([x0 - h, x0, x0 + h]), pairs=tuple(pairs))
     assert cs_residual("L2a", fld, 1).norms[0] < 1e-5
 
@@ -218,11 +219,12 @@ def test_boussinesq_i1_i2_exact_constants():
 # ---------------------------------------------------------------------------
 
 def test_elliptic_consistent_point():
-    B, E, C = elliptic_point(1.0, 0.5)
-    assert B == pytest.approx(math.sqrt(0.5))
-    assert C == pytest.approx(-1.5)
-    _, (r1, r2) = elliptic_system(B, E, C, 0.5)
-    assert abs(r1) < 1e-14 and abs(r2) < 1e-14
+    for branch in (1.0, -1.0, 1, -1):   # B takes the branch's sign
+        B, E, C = elliptic_point(1.0, 0.5, branch)
+        assert B == pytest.approx(branch * math.sqrt(0.5))
+        assert C == pytest.approx(-1.5)
+        _, (r1, r2) = elliptic_system(B, E, C, 0.5)
+        assert abs(r1) < 1e-14 and abs(r2) < 1e-14
 
 
 def test_elliptic_zero_equilibrium():
@@ -233,6 +235,33 @@ def test_elliptic_zero_equilibrium():
 def test_elliptic_point_needs_real_branch():
     with pytest.raises(InvalidInputError):
         elliptic_point(-1.0, 1.0)  # B^2 = -1 - 1 - 2 < 0
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.5), "E must be a finite number, got nan"),
+    ((1.0, math.inf), "alpha must be a finite number, got inf"),
+    ((1.0, "0.5"), "alpha must be a finite number, got '0.5'"),
+    ((1.0, 0.5, 2.0), "branch must be 1 or -1, got 2.0"),
+    ((1.0, 0.5, 0.0), "branch must be 1 or -1, got 0.0"),
+    ((1.0, 0.5, True), "branch must be 1 or -1, got True"),
+    ((1.0, 0.5, "x"), "branch must be 1 or -1, got 'x'"),
+    ((1e200, -1.0), "B^2 = inf is not finite at E=1e+200, alpha=-1.0"),
+    ((1e308, 1.0), "B^2 = nan is not finite at E=1e+308, alpha=1.0"),
+], ids=["nan E", "inf alpha", "text alpha", "branch 2", "branch 0", "bool branch",
+        "text branch", "inf B^2", "nan B^2"])
+def test_elliptic_point_fails_closed_naming_the_argument(args, message):
+    with pytest.raises(InvalidInputError) as got:
+        elliptic_point(*args)
+    assert str(got.value) == message
+
+
+def test_chazy_iii_guard_is_its_named_tolerance():
+    f, _ = reduction_row("ChazyIII")[3]()
+    y = (CHAZY_III_TOL, 0.5, -0.3, 0.5, 0.2)
+    assert len(f(0.0, y)) == 5   # |G| at the tolerance passes
+    with pytest.raises(SingularFlowError,
+                       match="^ChazyIII quadrature needs G bounded away from 0$"):
+        f(0.0, (math.nextafter(CHAZY_III_TOL, 0.0),) + y[1:])
 
 
 def test_elliptic_invariants_conserved():
