@@ -340,6 +340,21 @@ def test_discrete_matches_loop_oracle():
             assert np.max(np.abs(got[pt] - oracle[key])) < 1e-12
 
 
+# (lattice shape, algebra size): index 0 is the unit direction when n exceeds the axes
+@pytest.mark.parametrize("shape, n", [((6,), 2), ((4, 3), 2), ((4, 3), 3), ((3, 4, 2), 3),
+                                      ((3, 4, 2), 4), ((2, 2, 2), 3)],
+                         ids=["1d_unit", "2d", "2d_unit", "3d", "3d_unit", "3d_one_point"])
+def test_discrete_cs_defect_covers_every_point_with_a_forward_neighbour(shape, n):
+    rng = np.random.default_rng(21)
+    c = rng.uniform(-1.0, 1.0, size=shape + (n, n, n))
+    defects, inner = discrete_cs_defect(TensorGrid(c=c)), tuple(s - 1 for s in shape)
+    assert sorted(defects) == sorted((j, l) for l in range(n) for j in range(l + 1, n))
+    assert all(m.shape == inner + (n, n) for m in defects.values())
+    for pt in np.ndindex(*inner):
+        for key, mat in discrete_defect_loops(c, pt).items():
+            assert np.max(np.abs(defects[key][pt] - mat)) < 1e-12
+
+
 @pytest.mark.parametrize("shape, n, unital", [((4, 3, 5), 4, True), ((5, 4), 2, False)])
 def test_discrete_residual_is_max_of_pointwise_oracle(shape, n, unital):
     rng = np.random.default_rng(19)

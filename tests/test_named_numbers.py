@@ -26,7 +26,8 @@ from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.continuous_flows import get_system, integrate, state_from_entries
 from deformcs.dda_registry import TensorGrid, lookup
 from deformcs.discrete_flows import (check_map, discrete_oriented_assoc_residual,
-                                     init_map_state, lattice_field_from_l5_orbit, orbit)
+                                     init_map_state, lattice_field_from_l5_orbit, orbit,
+                                     oriented_assoc_defect)
 from deformcs.errors import InvalidInputError
 from deformcs.reductions import (chazy_rhs, chazy_second_integral, chazy_state_phi_B,
                                  integrate_chazy, integrate_reduction, reduction_row)
@@ -218,8 +219,11 @@ _PHI = np.array([1.0 + _XS * _XS, 2.0 - _XS, 0.5 + _XS * _XS * _XS])
     (lambda: assoc_residual(([["a"]], [["b"]])), "C1 must be a list of numbers"),
     (lambda: discrete_oriented_assoc_residual("a", _XS), "phi must be a list of numbers"),
     (lambda: discrete_oriented_assoc_residual(_PHI, [0, "a"]), "xs must be a list of numbers"),
+    (lambda: oriented_assoc_defect("a", _XS), "phi must be a list of numbers"),
+    (lambda: oriented_assoc_defect(_PHI, [0, "a"]), "xs must be a list of numbers"),
 ], ids=["MatrixPair string", "MatrixPair huge int", "MatrixPair ragged", "StructTensor",
-        "TensorGrid", "assoc_residual", "gauge phi", "gauge xs"])
+        "TensorGrid", "assoc_residual", "gauge phi", "gauge xs", "gauge view phi",
+        "gauge view xs"])
 def test_array_and_integer_arguments_fail_closed_naming_the_argument(call, message):
     with pytest.raises(InvalidInputError) as got:
         call()
@@ -236,7 +240,8 @@ _PAIR = (np.eye(2), [[0.0, 0.0], [1.0, 0.0]])
     lambda i: MatrixPair(i(2), *_PAIR).entries(),
     lambda i: lattice_field_from_l5_orbit(
         orbit("L5", init_map_state("L5", _MAP_START, {"B": 1.0}), 5), (i(2), i(3))).c,
-], ids=["orbit steps", "MatrixPair size", "lattice shape"])
+    lambda i: oriented_assoc_defect(_PHI, [i(x) for x in _XS]),
+], ids=["orbit steps", "MatrixPair size", "lattice shape", "oriented_assoc_defect xs"])
 def test_numpy_integers_count_as_integers(call):
     want, got = call(int), call(np.int64)
     if isinstance(want, dict):
