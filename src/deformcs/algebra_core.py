@@ -29,8 +29,9 @@ its ``check_names`` the one rule for their names, and ``_pow`` the one per-entry
 (points or coefficients) are the one rule for each other kind of numeric input,
 ``finite_span`` the one for a span, and ``one_of`` the one for a name looked up in a
 catalogue.  ``is_index`` is the one test of an integer (a lattice point or shape, a grid
-index, a gauge point) and ``float_array`` the one conversion of an array argument
-(matrices, tensors, a grid, gauge samples).
+index, a gauge point), ``is_real_number`` the test of a hand-built map state's entries,
+and ``float_array`` the one conversion of an array argument (matrices, tensors, a grid,
+gauge samples).
 """
 
 from __future__ import annotations
@@ -75,18 +76,27 @@ def is_finite_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
+def is_real_number(v) -> bool:
+    """A float, inf and NaN included, or an ``is_finite_number`` int."""
+    return isinstance(v, float) or is_finite_number(v)
+
+
 def is_index(v) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def float_array(what: str, value) -> np.ndarray:
-    """``value`` as a new read-only float64 array; InvalidInputError naming ``what`` where
-    numpy cannot convert it (a word, a ragged list, an integer past the float range)."""
+    """``value`` as a new read-only float64 array; InvalidInputError naming ``what`` unless
+    numpy reads it as integers or floats: not a word, a numeric string, None, a bool, a
+    complex number, a ragged list or an integer too large for a 64-bit integer array."""
     try:
-        a = np.array(value, dtype=float)
+        a = np.array(value)
+        if a.dtype.kind not in "iuf":
+            raise TypeError(a.dtype)
     except (TypeError, ValueError, OverflowError):
         raise InvalidInputError(f"{what} must be a list of numbers") from None
+    a = a.astype(float, copy=False)
     a.setflags(write=False)
     return a
 

@@ -11,10 +11,11 @@ structure constants (B, C held fixed along an orbit):
 
 One scalar kernel advances the entries (B, C, E, G, M, N) as floats: C1's second
 column is C2's first, so C1^-1 C2 is a companion matrix K, and each map applies K
-to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it and keeps the orbit
-as arrays, with the degeneracy flags and the exact trace invariants (of C2, of
-C2 C1^-1 ~ K from each step's K, of V respectively) computed once over the whole
-orbit.  The module also evaluates the discrete oriented associativity defect of
+to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it, stops stepping once a
+step repeats its input bit for bit (the rest of the orbit is then copies of that row),
+and keeps the orbit as arrays, with the degeneracy flags and the exact trace invariants
+(of C2, of C2 C1^-1 ~ K from each step's K, of V respectively) computed once over the
+whole orbit.  The module also evaluates the discrete oriented associativity defect of
 gauge fields built from three sampled potentials, at every point with two samples on
 each side, and its residual, the Frobenius norm of each point's defect.
 """
@@ -28,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport, _pow,
-                           entry_stacks, finite_numbers, float_array, is_index, one_of,
-                           trace_integrals, whole_number)
+                           entry_stacks, finite_numbers, float_array, is_index, is_real_number,
+                           one_of, trace_integrals, whole_number)
 from .dda_registry import _REGISTRY, TensorGrid, _frobenius
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import MAX_STEPS, OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
@@ -89,13 +90,25 @@ def _state(n: int, values: tuple[float, ...], prev_C1: np.ndarray | None) -> Map
 
 def check_map(dda: str, *states: MapState) -> None:
     """Raise InvalidInputError unless dda has a discrete map and each of ``states`` is a
-    MapState, an L5 one with its previous C1."""
+    MapState whose values are six ``is_real_number`` entries in a tuple, list or 1-D array
+    (inf and NaN, which ``step`` may return, included) and whose previous C1, which L5
+    needs, is a 2x2 array of integers or floats."""
     one_of("map dda", MAP_DDAS, dda)
     for state in states:
         if not isinstance(state, MapState):
             raise InvalidInputError(f"{dda} state must be a MapState, got {state!r}")
-        if dda == "L5" and state.prev_C1 is None:
+        values, prev_C1 = state.values, state.prev_C1
+        items = values.tolist() if isinstance(values, np.ndarray) else values
+        if not (isinstance(items, (tuple, list)) and len(items) == 6
+                and all(map(is_real_number, items))):
+            raise InvalidInputError(f"{dda} state values must be six numbers, got {values!r}")
+        if dda == "L5" and prev_C1 is None:
             raise InvalidInputError("L5 state lacks the previous C1 (use init_map_state)")
+        if prev_C1 is not None and not (isinstance(prev_C1, np.ndarray)
+                                        and prev_C1.shape == (2, 2)
+                                        and prev_C1.dtype.kind in "iuf"):
+            raise InvalidInputError(
+                f"{dda} state prev_C1 must be a 2x2 array of numbers, got {prev_C1!r}")
 
 
 def init_map_state(dda: str, entries: dict[str, float],
@@ -231,27 +244,38 @@ class Orbit:
 def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     """Iterate the map for at most MAX_STEPS steps; a singular denominator, a
     non-finite entry or overflow truncates the orbit.  Each row's (p, q) is found once,
-    by the step that leaves it or, for L4's last row, by one more ``_companion`` call."""
+    by the step that leaves it or, for L4's last row, by one more ``_companion`` call.
+
+    ``_advance`` is a pure function of the row and, for L5, the C1 it carries, so once a
+    step returns the row it was given, carries the C1 it was given and no entry of that
+    row is +-0.0 (``==`` does not tell their signs apart), every later step would repeat
+    it bit for bit: the orbit stops stepping and copies that row and its (p, q) to the
+    rest."""
     check_map(dda, state0)
     whole_number("steps", steps, 0, MAX_STEPS)
-    values, guard = state0.values, OVERFLOW_GUARD
+    values, guard = tuple(state0.values), OVERFLOW_GUARD   # a row compares as a tuple
     prev_C1 = None if state0.prev_C1 is None else state0.prev_C1.tolist()
     rows, pq = [values], []
     status, diagnostic = STATUS_COMPLETED, None
     for n in range(state0.n, state0.n + steps):
         try:
-            values, prev_C1, k = _advance(dda, values, prev_C1)
+            row, C1, k = _advance(dda, values, prev_C1)
         except SingularOrbitError as exc:
             status, diagnostic = STATUS_TRUNCATED, f"singular step at n={n}: {exc}"
             break
         pq.append(k)
-        _, _, E, G, M, N = values
+        _, _, E, G, M, N = row
         if not (abs(E) <= guard and abs(G) <= guard and abs(M) <= guard and abs(N) <= guard):
             status = STATUS_TRUNCATED
             diagnostic = f"state exceeded overflow guard at n={n + 1}"
             break
-        rows.append(values)
-    if dda == "L4" and status == STATUS_COMPLETED:   # no step left the last row
+        rows.append(row)
+        if row == values and C1 == prev_C1 and 0.0 not in row:   # every later step repeats
+            rows += [row] * (state0.n + steps - n - 1)
+            pq += [k] * (len(rows) - len(pq))   # the last row's (p, q) included
+            break
+        values, prev_C1 = row, C1
+    if dda == "L4" and status == STATUS_COMPLETED and len(pq) < len(rows):   # no step left it
         with suppress(SingularOrbitError):
             pq.append(_companion(dda, values))
     entries = np.array(rows)

@@ -479,6 +479,15 @@ def validate_family_per_point(fam, sample_points, h: float = 1e-4) -> ResidualRe
     return ResidualReport(labels=tuple(labels), norms=tuple(norms))
 
 
+def _numbers(value) -> np.ndarray:
+    """value as floats where numpy reads it as integers or floats, without a dtype: no
+    string, None or bool-only array; TypeError otherwise."""
+    a = np.array(value)
+    if a.dtype.kind not in "iuf":
+        raise TypeError(f"not numbers: {a.dtype}")
+    return a.astype(float)
+
+
 def sampled_field_per_value(doc: dict) -> SampledField:
     """SampledField.from_json one value at a time: each value's numeric, finiteness,
     size, shape and layout checks (through a MatrixPair) before the next value's,
@@ -493,13 +502,13 @@ def sampled_field_per_value(doc: dict) -> SampledField:
     if not isinstance(doc["values"], list):
         raise InvalidInputError("sampled field 'values' must be a list")
     try:
-        grid = np.array(doc["grid"], dtype=float)
+        grid = _numbers(doc["grid"])
     except (TypeError, ValueError, OverflowError):
         raise InvalidInputError("sampled field 'grid' must be a list of numbers") from None
     pairs = []
     for i, v in enumerate(doc["values"]):
         try:
-            C1, C2 = (np.array(v[key], dtype=float) for key in ("C1", "C2"))
+            C1, C2 = (_numbers(v[key]) for key in ("C1", "C2"))
         except (KeyError, TypeError, ValueError, OverflowError):
             raise InvalidInputError(
                 f"sampled field value {i} needs numeric matrices 'C1' and 'C2'") from None

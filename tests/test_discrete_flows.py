@@ -11,9 +11,9 @@ from deformcs.algebra_core import DEGENERACY_TOL, assoc_residual
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
 from deformcs.discrete_flows import (MapState, _advance, _companion, _invariants,
-                                     _matrices, check_map,
-                                     degeneracy_flags, discrete_oriented_assoc_residual,
-                                     init_map_state, lattice_field_from_l5_orbit, map_invariants,
+                                     _matrices, check_map, degeneracy_flags,
+                                     discrete_oriented_assoc_residual, init_map_state,
+                                     lattice_field_from_l5_orbit, map_invariants,
                                      oriented_assoc_defect, orbit, step)
 from deformcs.integrators import MAX_STEPS, OVERFLOW_GUARD
 from deformcs.errors import (DeformError, InvalidInputError, SingularGaugeError,
@@ -132,7 +132,7 @@ def test_l4_orbits_at_b_c_one_stay_on_the_exact_orbit_of_their_start():
 
 
 @pytest.mark.parametrize("dda, entries, steps, rows, calls, kept", [
-    ("L4", dict(B=1.0, C=1.0, E=0.4, G=1.3, M=0.8, N=-0.2), 6, 7, 7, 7),
+    ("L4", dict(B=1.0, C=1.0, E=0.4, G=1.3, M=0.8, N=-0.2), 6, 7, 2, 7),
     ("L4", dict(B=0.7, C=-0.4, E=0.4, G=1.3, M=0.8, N=-0.2), 0, 1, 1, 1),
     ("L4", dict(B=1.0, C=1.0, E=0.0, G=2.0, M=1.0, N=1.0), 10, 2, 2, 1),
     ("L4", dict(B=1e300, C=0.5, E=1e10, G=2.0, M=0.3, N=0.1), 5, 1, 1, 1),
@@ -143,7 +143,8 @@ def test_orbit_finds_each_rows_k_at_most_once(dda, entries, steps, rows, calls, 
                                               monkeypatch):
     # L4 finds the K of each row once, by the step that leaves it or, for a last row no
     # step left, by one more call; its invariants are kept where K was found.  L2b and L5
-    # find only the K their steps use
+    # find only the K their steps use.  The first start repeats row 1 from row 2 on, so
+    # its orbit stops stepping there and copies row 1's K to the later rows
     seen = []
 
     def counted(dda, values):
@@ -155,6 +156,113 @@ def test_orbit_finds_each_rows_k_at_most_once(dda, entries, steps, rows, calls, 
     assert len(run.entries) == rows
     assert seen == [tuple(row) for row in run.entries.tolist()][:calls]
     assert run.invariant_rows.tolist() == list(range(kept))
+
+
+def _stepped_orbit(dda, state0, steps):
+    """``orbit`` as a plain loop over ``_advance`` that steps every row: the entries,
+    flags, invariants, invariant rows, status and diagnostic."""
+    values = state0.values
+    prev_C1 = None if state0.prev_C1 is None else state0.prev_C1.tolist()
+    rows, pq, status, diagnostic = [values], [], "completed", None
+    for n in range(state0.n, state0.n + steps):
+        try:
+            values, prev_C1, k = _advance(dda, values, prev_C1)
+        except SingularOrbitError as exc:
+            status, diagnostic = "truncated", f"singular step at n={n}: {exc}"
+            break
+        pq.append(k)
+        if not all(abs(v) <= OVERFLOW_GUARD for v in values[2:]):
+            status, diagnostic = "truncated", f"state exceeded overflow guard at n={n + 1}"
+            break
+        rows.append(values)
+    if dda == "L4" and status == "completed":
+        with suppress(SingularOrbitError):
+            pq.append(_companion(dda, values))
+    entries = np.array(rows)
+    invariants, kept = _invariants(dda, entries, state0.prev_C1, pq)
+    return entries, degeneracy_flags(entries), invariants, kept, status, diagnostic
+
+
+def _orbit_bits(entries, flags, invariants, kept, status, diagnostic):
+    return (entries.shape, entries.tobytes(), flags.tobytes(),
+            {name: v.tobytes() for name, v in invariants.items()}, kept.tolist(),
+            status, diagnostic)
+
+
+def _sweep_entry(rng):
+    """One start entry: a signed zero, +-1, a small integer, a value in [-1, 1] or one
+    of magnitude 1e-300 to 1e300."""
+    kind = rng.integers(5)
+    if kind == 0:
+        return float(rng.choice([0.0, -0.0]))
+    if kind == 1:
+        return float(rng.choice([1.0, -1.0]))
+    if kind == 2:
+        return float(rng.integers(-3, 4))
+    if kind == 3:
+        return float(rng.uniform(-1.0, 1.0))
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
+
+
+def test_orbit_equals_the_loop_that_steps_every_row_bit_for_bit():
+    # a row that repeats stops the stepping: the seeded starts below reach that shortcut,
+    # with and without a zero in the repeated row, and every other way an orbit ends
+    rng = np.random.default_rng(30)
+    repeats = {False: 0, True: 0}   # orbits ending on a repeated row, by a zero in it
+    for i in range(1500):
+        dda = ("L2b", "L4", "L5")[i % 3]
+        start = {name: _sweep_entry(rng) for name in "BCEGMN"}
+        if rng.random() < 0.3:
+            start.update(B=1.0, C=1.0)
+        prev = None
+        if dda == "L5" and rng.random() < 0.5:
+            prev = {name: _sweep_entry(rng) for name in "BCEG"}
+        state0 = init_map_state(dda, start, prev)
+        steps = int(rng.choice([0, 1, 2, 5, 50, 400]))
+        run = orbit(dda, state0, steps)
+        want = _orbit_bits(*_stepped_orbit(dda, state0, steps))
+        assert _orbit_bits(run.entries, run.flags, run.invariants, run.invariant_rows,
+                           run.status, run.diagnostic) == want, (dda, start, prev, steps)
+        rows = run.entries.tolist()
+        if len(rows) >= 3 and rows[-1] == rows[-2] == rows[-3]:
+            repeats[0.0 in rows[-1]] += 1
+    assert min(repeats.values()) >= 50, repeats
+
+
+def test_a_repeated_row_with_a_signed_zero_is_stepped_on():
+    # rows 1 and 2 compare equal, but row 1's E is -0.0 and row 2's is 0.0: stepping
+    # row 2 gives -0.0 again, which a copy of row 2 would lose
+    start = dict(B=-0.5938925467411018, C=0.0, E=0.5, G=0.12606925196262142, M=-0.0, N=-0.0)
+    run = orbit("L2b", init_map_state("L2b", start), 5)
+    assert run.entries[1].tolist() == run.entries[2].tolist()
+    assert np.signbit(run.entries[1:, 2]).tolist() == [True, False, True, True, True]
+
+
+def test_an_l5_row_repeats_only_with_the_c1_it_carries():
+    # row 1 equals row 0, but the C1 it leaves behind is row 0's, not the start's
+    # previous C1, so row 2 differs
+    run = orbit("L5", init_map_state("L5", dict(B=2, C=1, E=1, G=3, M=4, N=7),
+                                     dict(B=1, C=1, E=-1, G=4)), 4)
+    assert run.entries[1].tolist() == run.entries[0].tolist()
+    assert run.entries[2].tolist() == [2.0, 1.0, 1.0, 4.0, 3.0, 7.0]
+
+
+def test_a_stationary_orbit_stops_calling_the_companion(monkeypatch):
+    # README's L4 example repeats row 1 from row 2 on: two calls find every row's K
+    calls = []
+
+    def counted(dda, values):
+        calls.append(values)
+        return _companion(dda, values)
+
+    monkeypatch.setattr(discrete_flows, "_companion", counted)
+    start = dict(B=1, C=1, E=0.4, G=1.3, M=0.8, N=-0.2)
+    run = orbit("L4", init_map_state("L4", start), 50)
+    assert calls == [tuple(row) for row in run.entries[:2].tolist()]
+    assert run.entries.shape == (51, 6)
+    assert (run.entries[2:] == run.entries[1]).all()
+    assert run.invariant_rows.tolist() == list(range(51))
+    assert (run.invariants["I1"][1:] == run.invariants["I1"][1]).all()
 
 
 def test_l5_step_satisfies_central_system_and_conjugation():
@@ -324,6 +432,25 @@ def test_l5_orbit_from_a_state_without_the_previous_c1_is_refused():
     with pytest.raises(InvalidInputError,
                        match=r"^L5 state lacks the previous C1 \(use init_map_state\)$"):
         orbit("L5", MapState(0, (1.0, 0.5, 0.3, 0.8, 0.2, 0.6)), 3)
+
+
+@pytest.mark.parametrize("dda", ["L2b", "L4", "L5"])
+def test_a_hand_built_state_of_six_numbers_steps_as_its_tuple_of_floats(dda):
+    # check_map takes any six ints or floats, inf and NaN included (step returns them
+    # unguarded), in a tuple, list or 1-D array
+    prev = np.array([[1, 0], [2, 3]]) if dda == "L5" else None
+    floats = (2.0, 1.0, 0.5, 3.0, math.inf, math.nan)
+    want = step(dda, MapState(0, floats, prev))
+    for values in ([2, 1, 0.5, 3, math.inf, math.nan], np.array(floats),
+                   (2, np.float64(1.0), 0.5, 3, math.inf, math.nan)):
+        got = step(dda, MapState(0, values, prev))
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+    bounded = (2, 1, 0.5, 3, 4, 7)
+    want = orbit(dda, MapState(0, tuple(map(float, bounded)), prev), 5)
+    for values in (list(bounded), np.array(bounded, dtype=float)):
+        got = orbit(dda, MapState(0, values, prev), 5)
+        assert got.entries.tobytes() == want.entries.tobytes()
+        assert (got.status, got.diagnostic) == (want.status, want.diagnostic)
 
 
 # |BG - CE| = 2.9e-11 is above DEGENERACY_TOL, yet C1's second pivot u rounds to 0

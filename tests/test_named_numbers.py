@@ -20,14 +20,15 @@ import re
 import numpy as np
 import pytest
 
-from deformcs.algebra_core import MatrixPair, StructTensor, assoc_residual, finite_numbers
+from deformcs.algebra_core import (MatrixPair, StructTensor, assoc_residual, finite_numbers,
+                                   float_array)
 from deformcs.cli import EXIT_INVALID, ScenarioConfig, main
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.continuous_flows import get_system, integrate, state_from_entries
 from deformcs.dda_registry import TensorGrid, lookup
-from deformcs.discrete_flows import (check_map, discrete_oriented_assoc_residual,
+from deformcs.discrete_flows import (MapState, check_map, discrete_oriented_assoc_residual,
                                      init_map_state, lattice_field_from_l5_orbit, orbit,
-                                     oriented_assoc_defect)
+                                     oriented_assoc_defect, step)
 from deformcs.errors import InvalidInputError
 from deformcs.reductions import (chazy_rhs, chazy_second_integral, chazy_state_phi_B,
                                  integrate_chazy, integrate_reduction, reduction_row)
@@ -221,13 +222,56 @@ _PHI = np.array([1.0 + _XS * _XS, 2.0 - _XS, 0.5 + _XS * _XS * _XS])
     (lambda: discrete_oriented_assoc_residual(_PHI, [0, "a"]), "xs must be a list of numbers"),
     (lambda: oriented_assoc_defect("a", _XS), "phi must be a list of numbers"),
     (lambda: oriented_assoc_defect(_PHI, [0, "a"]), "xs must be a list of numbers"),
+    # numpy converts these with dtype=float, but none of them is a list of numbers
+    (lambda: MatrixPair(2, [["1", "0"], ["0.5", "1"]], [["0", "2"], ["1", "3"]]),
+     "C1 must be a list of numbers"),
+    (lambda: MatrixPair(2, [[None, 0], [0, 1]], [[0, 2], [1, 3]]), "C1 must be a list of numbers"),
+    (lambda: MatrixPair(2, np.eye(2), np.eye(2) * (1 + 1j)), "C2 must be a list of numbers"),
+    (lambda: StructTensor(2, np.ones((2, 2, 2), dtype=bool)), "tensor c must be a list of numbers"),
+    (lambda: float_array("x", ["1.5", None]), "x must be a list of numbers"),
+    (lambda: float_array("x", [True, False]), "x must be a list of numbers"),
+    (lambda: float_array("x", None), "x must be a list of numbers"),
 ], ids=["MatrixPair string", "MatrixPair huge int", "MatrixPair ragged", "StructTensor",
         "TensorGrid", "assoc_residual", "gauge phi", "gauge xs", "gauge view phi",
-        "gauge view xs"])
+        "gauge view xs", "MatrixPair numeric strings", "MatrixPair None", "MatrixPair complex",
+        "StructTensor bools", "float_array string and None", "float_array bools",
+        "float_array None"])
 def test_array_and_integer_arguments_fail_closed_naming_the_argument(call, message):
     with pytest.raises(InvalidInputError) as got:
         call()
     assert str(got.value) == message
+
+
+_SIX = (2.0, 0.5, 0.3, 0.8, 0.2, 0.6)
+
+
+# (a call on a hand-built MapState that is not one, the start of the error that names it)
+@pytest.mark.parametrize("call, message", [
+    (lambda: orbit("L4", MapState(0, (1.0, 2.0)), 3),
+     "L4 state values must be six numbers, got (1.0, 2.0)"),
+    (lambda: step("L2b", MapState(0, (1.0, 2.0))),
+     "L2b state values must be six numbers, got (1.0, 2.0)"),
+    (lambda: orbit("L4", MapState(0, tuple("123456")), 3),
+     "L4 state values must be six numbers, got ('1', '2', '3', '4', '5', '6')"),
+    (lambda: step("L4", MapState(0, None)), "L4 state values must be six numbers, got None"),
+    (lambda: orbit("L2b", MapState(0, (True,) * 6), 3),
+     "L2b state values must be six numbers, got (True, True, True, True, True, True)"),
+    (lambda: step("L2b", MapState(0, _SIX[:5] + (10 ** 400,))),
+     "L2b state values must be six numbers, got (2.0, 0.5, 0.3, 0.8, 0.2, 1000"),
+    (lambda: orbit("L5", MapState(0, _SIX, np.eye(3)), 3),
+     "L5 state prev_C1 must be a 2x2 array of numbers, got array([[1., 0., 0.],"),
+    (lambda: step("L5", MapState(0, _SIX, [[1.0, 0.0], [0.0, 1.0]])),
+     "L5 state prev_C1 must be a 2x2 array of numbers, got [[1.0, 0.0], [0.0, 1.0]]"),
+    (lambda: orbit("L5", MapState(0, _SIX, np.array([["1", "0"], ["0", "1"]])), 3),
+     "L5 state prev_C1 must be a 2x2 array of numbers, got array([['1', '0'],"),
+    (lambda: orbit("L4", MapState(0, _SIX, "C1"), 3),
+     "L4 state prev_C1 must be a 2x2 array of numbers, got 'C1'"),
+], ids=["orbit two values", "step two values", "strings", "None", "bools", "huge int",
+        "3x3 prev_C1", "list prev_C1", "string prev_C1", "L4 string prev_C1"])
+def test_a_malformed_hand_built_map_state_is_refused_naming_it(call, message):
+    with pytest.raises(InvalidInputError) as got:
+        call()
+    assert str(got.value).startswith(message)
 
 
 _PAIR = (np.eye(2), [[0.0, 0.0], [1.0, 0.0]])

@@ -81,7 +81,7 @@ def _malformed():
         n = len(doc["values"][0]["C1"])
         for i in (0, 2, 4):
             for key in ("C1", "C2"):
-                for bad in (None, "x", 10 ** 400, math.nan, math.inf, -math.inf):
+                for bad in (None, "x", "0.5", 10 ** 400, math.nan, math.inf, -math.inf):
                     cases.append(_with(doc, (i, key, (n - 1, n - 1, bad))))
         cases += [
             _with(doc, (1, "C1", [[1.0, 2.0], [3.0]])),              # ragged rows
@@ -134,7 +134,7 @@ def test_stacked_load_names_the_first_bad_value_as_the_per_value_load_does(doc):
 
 @pytest.mark.parametrize("doc", [DOC2, DOC3, _doc("L2a", 2, 7, 2), _doc("L3", 3, 3, 3),
                                  _doc("L4", 2, 1, 4), {"dda": "L2a", "grid": [], "values": []},
-                                 _with(DOC2, (2, "C1", (0, 0, "0.5")), (2, "C1", (1, 0, True)),
+                                 _with(DOC2, (2, "C1", (0, 0, 0.5)), (2, "C1", (1, 0, True)),
                                        (2, "C2", (1, 1, 1e-320)), (3, "C2", (0, 1, -0.0)))])
 def test_stacked_load_gives_the_per_value_stacks(doc):
     got = _outcome(SampledField.from_json, doc)
