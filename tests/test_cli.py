@@ -504,9 +504,6 @@ _FAMILIES = "(expected one of ('Nilpotent3x3', 'Nilpotent2x2', 'UpperTri2x2', 'P
     ({**_SCAN, "field": {**_FIELD, "values": _FIELD["values"][:1] + [
         {"C1": [[0.5, 0.2], [0.1, 0.4]], "C2": [[0.2, math.nan], [0.4, 0.1]]}] * 2}},
      "values[1].C2 has a non-finite entry"),
-    ({**_SCAN, "field": {**_FIELD, "values": _FIELD["values"][:1] + [
-        {"C1": [[0.5, 0.2], [0.1, 0.4]], "C2": [[0.2, None], [0.4, 0.1]]}] * 2}},
-     "value 1 needs numeric matrices 'C1' and 'C2'"),
     ({"kind": "validate_family", "family": "Nilpotent2x2", "points": [1e13], "h": 1e-4,
       "params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0}},
      "points: x=10000000000000.0 with h=0.0001: "),
@@ -570,6 +567,10 @@ _FAMILIES = "(expected one of ('Nilpotent3x3', 'Nilpotent2x2', 'UpperTri2x2', 'P
     ({**_CHAZY, "free": {}}, "scenario has unknown entries ['free']"),
     ({**_SCAN, "field_path": "no/such/field.json"},
      "give field 'field' or field 'field_path', not both"),
+    # a JSON null is not a number, as a numeric string is not
+    ({**_SCAN, "field": {**_FIELD, "values": _FIELD["values"][:1] + [
+        {"C1": [[0.5, 0.2], [0.1, 0.4]], "C2": [[0.2, None], [0.4, 0.1]]}] * 2}},
+     "value 1 needs numeric matrices 'C1' and 'C2'"),
 ])
 def test_malformed_scenario_exits_two_naming_the_field(tmp_path, capsys, doc, named):
     scenario = _write(tmp_path, "bad.json", doc)
