@@ -295,9 +295,6 @@ class ResidualReport:
             dup = next(lab for i, lab in enumerate(self.labels) if lab in self.labels[:i])
             raise InvalidInputError(f"residual label {dup!r} occurs more than once")
 
-    def max_norm(self) -> float:
-        return max(self.norms) if self.norms else 0.0
-
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.labels, self.norms))
 

@@ -118,6 +118,16 @@ def get_system(system_id: str) -> FlowSystem:
     return one_of("flow system", SYSTEMS, system_id)
 
 
+def _system_entries(sy: FlowSystem, values) -> dict:
+    """The system's entries of ``values``; InvalidInputError unless ``values`` is a mapping
+    that holds them all."""
+    values = mapping(f"{sy.id} state", values)
+    missing = [k for k in sy.all_entries() if k not in values]
+    if missing:
+        raise InvalidInputError(f"{sy.id} state is missing entries {missing}")
+    return {k: values[k] for k in sy.all_entries()}
+
+
 def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str, float]:
     """A flow state: the system's entries as floats, none missing, all finite; other
     keys (an ``.entries()`` dict carries them) are ignored.
@@ -125,12 +135,7 @@ def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str
     L3_simple is the M = N = 0 reduction, so its state carries M = N = 0.
     """
     sy = get_system(system_id)
-    entries = mapping(f"{system_id} state", entries)
-    missing = [k for k in sy.all_entries() if k not in entries]
-    if missing:
-        raise InvalidInputError(f"{system_id} state is missing entries {missing}")
-    state = finite_numbers(f"{system_id} entry", {k: entries[k] for k in sy.all_entries()},
-                           sy.all_entries())
+    state = finite_numbers(f"{system_id} entry", _system_entries(sy, entries), sy.all_entries())
     if sy.id == "L3_simple":
         state["M"] = state["N"] = 0.0
     return state
@@ -141,7 +146,7 @@ def state_from_entries(system_id: str, entries: Mapping[str, float]) -> dict[str
 
 def _lax_matrices(sy: FlowSystem, values: Mapping) -> np.ndarray:
     """The Lax matrix at each state, shape (..., n, n), from the system's entries only."""
-    return entry_stacks(sy.n, {k: values[k] for k in sy.all_entries()})[sy.lax]
+    return entry_stacks(sy.n, _system_entries(sy, values))[sy.lax]
 
 
 @np.errstate(all="ignore")   # inf and NaN, as float arithmetic gives them

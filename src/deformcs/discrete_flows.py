@@ -254,7 +254,7 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     check_map(dda, state0)
     whole_number("steps", steps, 0, MAX_STEPS)
     values, guard = tuple(state0.values), OVERFLOW_GUARD   # a row compares as a tuple
-    prev_C1 = None if state0.prev_C1 is None else state0.prev_C1.tolist()
+    prev_C1 = None if state0.prev_C1 is None else tuple(map(tuple, state0.prev_C1.tolist()))
     rows, pq = [values], []
     status, diagnostic = STATUS_COMPLETED, None
     for n in range(state0.n, state0.n + steps):

@@ -31,7 +31,6 @@ columns and the builder of its right-hand side and invariants.
 
 from __future__ import annotations
 
-import cmath
 from collections.abc import Mapping, Sequence
 from functools import cache, partial
 
@@ -78,12 +77,6 @@ def chazy_second_integral(G: float, G1: float, G2: float,
     if variant in ("ChazyV", "ChazyV_shifted"):
         B_or_phi = 0.5 * B_or_phi
     return _second_integral(G, G1, G2, B_or_phi)
-
-
-def chazy_eigenvalues(second_integral: float) -> tuple[complex, complex]:
-    """Lax eigenvalues +/- sqrt(I2 / 2) exposed by the reduction."""
-    root = cmath.sqrt(second_integral / 2.0)
-    return (-root, root)
 
 
 def reconstruct_from_G(G: float, G1: float, G2: float,

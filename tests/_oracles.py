@@ -1,16 +1,17 @@
 """Independent brute-force oracles used by the test suite.
 
-Most of this is written as plain index loops, deliberately sharing no code
-with the package implementations it checks.  The last sections keep the
-one-point-at-a-time and grid-first forms of the stacked code paths, RK4 as a
-loop over tuples, which the package must match bit for bit, and the CLI's CSV
-writer as ``csv.writer`` over row lists, which it must match byte for byte.
+Most of this is written as plain index loops, deliberately sharing no code with the
+package implementations it checks; the discrete maps are solved exactly, in integers and
+Fractions.  The last sections keep the one-point-at-a-time and grid-first forms of the
+stacked code paths, RK4 as a loop over tuples, which the package must match bit for bit,
+and the CLI's CSV writer as ``csv.writer`` over row lists, which it must match byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -20,8 +21,7 @@ from deformcs.algebra_core import (DEGENERACY_TOL, MatrixPair, ResidualReport,
 from deformcs.closed_forms import LOG_DOMAIN_TOL
 from deformcs.dda_registry import SampledField
 from deformcs.discrete_flows import FLAG_NAMES
-from deformcs.errors import (InvalidInputError, SingularFlowError, SingularGaugeError,
-                             SingularOrbitError)
+from deformcs.errors import InvalidInputError, SingularFlowError, SingularGaugeError
 from deformcs.integrators import (OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED,
                                   step_count)
 
@@ -181,56 +181,9 @@ def discrete_defect_loops(c: np.ndarray, pt: tuple[int, ...]) -> dict:
     return res
 
 
-def _power_sums_2x2(m: np.ndarray) -> dict[str, float]:
-    """I_k = tr(M^k)/k of a 2x2 matrix from its trace t and determinant d
-    (Newton's identities: p2 = t^2 - 2d, p3 = t^3 - 3td)."""
-    t = m[0][0] + m[1][1]
-    d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return {"I1": t, "I2": (t * t - 2.0 * d) / 2.0, "I3": (t * t * t - 3.0 * t * d) / 3.0}
-
-
-def map_orbit_loops(dda: str, entries: dict, steps: int, prev: dict | None = None,
-                    tol: float = 1e-12):
-    """Rows (B, C, E, G, M, N) of a discrete orbit and the invariants of each row.
-
-    Every map solves C1 . TC2 = C2 . X for TC2 with np.linalg.solve: X = C1
-    (L2b), X = TC1 column by column (L4: its first column is (B, C), its
-    second the first column of TC2) or X = T^-1 C1 (L5, ``prev`` one site
-    back, by default the initial C1).  The orbit stops at a row whose
-    |det C1| is below ``tol``.  The invariants of a row are the power sums
-    of C2 and det C2 (L2b), of C2 C1^-1 (L4; None where |det C1| < tol) or of
-    V = T^-1 C1 . C2 (L5).
-    """
-    v = [float(entries.get(k, 0.0)) for k in ("B", "C", "E", "G", "M", "N")]
-    p = v if prev is None else [float(prev.get(k, 0.0)) for k in ("B", "C", "E", "G")]
-    back = np.array([[p[0], p[2]], [p[1], p[3]]])
-    rows, invariants = [], []
-    for n in range(steps + 1):
-        B, C, E, G, M, N = v
-        C1 = np.array([[B, E], [C, G]])
-        C2 = np.array([[E, M], [G, N]])
-        det1 = B * G - C * E
-        rows.append(list(v))
-        if dda == "L2b":
-            invariants.append({**_power_sums_2x2(C2), "det_C2": E * N - M * G})
-        elif dda == "L4":
-            invariants.append(None if abs(det1) < tol
-                              else _power_sums_2x2(C2 @ np.linalg.inv(C1)))
-        else:
-            invariants.append(_power_sums_2x2(back @ C2))
-        if n == steps or abs(det1) < tol:
-            break
-        if dda == "L2b":
-            T = np.linalg.solve(C1, C2 @ C1)
-        elif dda == "L4":
-            first = np.linalg.solve(C1, C2 @ np.array([B, C]))
-            T = np.column_stack([first, np.linalg.solve(C1, C2 @ first)])
-        else:
-            T = np.linalg.solve(C1, C2 @ back)
-            back = C1
-        v = [B, C, T[0][0], T[1][0], T[0][1], T[1][1]]
-    return np.array(rows), invariants
-
+# ---------------------------------------------------------------------------
+# The L2b, L4 and L5 maps solved exactly: the one reference for their steps and invariants.
+# ---------------------------------------------------------------------------
 
 def map_exact_step(dda: str, values, prev_C1=None):
     """One L2b, L4 or L5 step solved exactly, in integers: the next (E, G, M, N) as four
@@ -239,12 +192,12 @@ def map_exact_step(dda: str, values, prev_C1=None):
     Each column of TC2 solves C1 . TC2 = C2 . X by C1's adjugate over det C1, with
     X = C1 (L2b), TC1 (L4, column by column: its first column is (B, C), its second
     the first column of TC2) or ``prev_C1`` (L5, the rows [[B, E], [C, G]] one site
-    back).  The finite floats in ``values`` and ``prev_C1`` are read as integers over
-    one common power of two, so nothing rounds.
+    back).  The ints, finite floats and Fractions in ``values`` and ``prev_C1`` are read
+    as integers over the lcm of their denominators, so nothing rounds.
     """
-    floats = [*values, *([] if prev_C1 is None else [v for row in prev_C1 for v in row])]
-    ratios = [float(v).as_integer_ratio() for v in floats]
-    scale = max(d for _, d in ratios)   # every denominator is a power of two
+    numbers = [*values, *([] if prev_C1 is None else [v for row in prev_C1 for v in row])]
+    ratios = [v.as_integer_ratio() for v in numbers]
+    scale = math.lcm(*(d for _, d in ratios))
     ints = [n * (scale // d) for n, d in ratios]
     B, C, E, G, M, N = ints[:6]
     det = B * G - C * E
@@ -260,13 +213,29 @@ def map_exact_step(dda: str, values, prev_C1=None):
         m, n = solve(e, g)
         return [e * det, g * det, m, n], det * det * scale
     sign = 1 if det > 0 else -1
-    if dda == "L2b":
-        (pb, pe), (pc, pg) = (B, E), (C, G)
-    else:
-        pb, pe, pc, pg = ints[6:]
+    pb, pe, pc, pg = (B, E, C, G) if dda == "L2b" else ints[6:]
     e, g = solve(pb, pc)
     m, n = solve(pe, pg)
     return [sign * v for v in (e, g, m, n)], abs(det) * scale
+
+
+def map_exact_invariants(dda: str, values, prev_C1=None) -> dict[str, Fraction] | None:
+    """I_k = tr(X^k)/k, k = 1..3, of one orbit row as Fractions, from X's trace and determinant,
+    with X = C2 (and det C2 too, for L2b), C2 C1^-1 (L4; None where det C1 is exactly 0) or
+    V = T^-1C1 . C2 (L5, ``prev_C1`` as for ``map_exact_step``)."""
+    B, C, E, G, M, N = map(Fraction, values)
+    det1, det2 = B * G - C * E, E * N - M * G
+    if dda == "L2b":
+        t, d = E + N, det2
+    elif dda == "L4":   # C2 C1^-1 ~ C1^-1 C2 = adj(C1) C2 / det C1
+        if det1 == 0:
+            return None
+        t, d = (B * N - C * M) / det1, det2 / det1
+    else:
+        (pb, pe), (pc, pg) = ((Fraction(x), Fraction(y)) for x, y in prev_C1)
+        t, d = pb * E + pe * G + pc * M + pg * N, (pb * pg - pe * pc) * det2
+    invariants = {"I1": t, "I2": (t * t - 2 * d) / 2, "I3": (t * t * t - 3 * t * d) / 3}
+    return {**invariants, "det_C2": det2} if dda == "L2b" else invariants
 
 
 # ---------------------------------------------------------------------------

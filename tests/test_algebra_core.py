@@ -169,7 +169,6 @@ def test_assoc_residual_matches_quadruple_oracle():
 
 def test_residual_report_invariants():
     rep = ResidualReport(labels=("a", "b"), norms=(1.0, 0.0))
-    assert rep.max_norm() == 1.0
     assert rep.as_dict() == {"a": 1.0, "b": 0.0}
     with pytest.raises(InvalidInputError):
         ResidualReport(labels=("a",), norms=(1.0, 2.0))

@@ -19,10 +19,11 @@ from deformcs.integrators import MAX_STEPS, OVERFLOW_GUARD
 from deformcs.errors import (DeformError, InvalidInputError, SingularGaugeError,
                              SingularOrbitError)
 
-from _oracles import (map_exact_step, map_orbit_loops, oriented_assoc_defect_per_point,
-                      oriented_assoc_residual_loop)
+from _oracles import (map_exact_invariants, map_exact_step, orbit_matrices,
+                      oriented_assoc_defect_per_point, oriented_assoc_residual_loop)
 
 GAUGE_CUBIC = ([1.0, 0.3], [0.0, 1.0, 0.1], [0.2, 0.0, 1.0, 0.05])
+ROW_ULPS = 8.0   # bound on _ulps_off_exact: one step, or one row's invariants
 
 
 def _phi_samples(coeffs, xs):
@@ -103,32 +104,39 @@ def test_l4_general_free_constants_match_matrix_form():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def _exact_l4_step(B, C, E, G, M, N):
-    """One L4 step in rationals: each column of TC2 is C1^-1 C2 applied to a column of
-    TC1, by C1's adjugate over det C1."""
-    det = B * G - C * E
+def _exact_row(dda, values, prev_C1=None) -> list[Fraction]:
+    """The row after ``values``, solved exactly by ``map_exact_step``."""
+    nums, den = map_exact_step(dda, values, prev_C1)
+    return [*map(Fraction, values[:2]), *(Fraction(n, den) for n in nums)]
 
-    def solve(x, y):
-        r, s = E * x + M * y, G * x + N * y
-        return (G * r - E * s) / det, (B * s - C * r) / det
 
-    e, g = solve(B, C)
-    return (B, C, e, g, *solve(e, g))
+def _ulps_off(got, exact) -> float:
+    """The worst |g - x| over the floats g and exact values x, in ulps of max(1, |x|)."""
+    return max(float(abs(Fraction(g) - x)) / math.ulp(max(1.0, abs(float(x))))
+               for g, x in zip(got, exact, strict=True))
+
+
+def _ulps_off_exact(run) -> float:
+    """The worst ``_ulps_off`` of an orbit's rows against the exact step of the row before, and
+    of its kept invariants against their rows' exact ones; L5 reads C1 one row further back."""
+    rows = run.entries.tolist()
+    backs = [run.prev_C1, *orbit_matrices(run.entries)[0][:-1].tolist()]
+    steps = [_ulps_off(b, _exact_row(run.dda, a, p)) for a, b, p in zip(rows, rows[1:], backs)]
+    exact = [map_exact_invariants(run.dda, rows[i], backs[i]) for i in run.invariant_rows]
+    return max(steps + [_ulps_off(v, [x[k] for x in exact]) for k, v in run.invariants.items()])
 
 
 def test_l4_orbits_at_b_c_one_stay_on_the_exact_orbit_of_their_start():
-    # the exact orbit of each start's floats, in rationals; the error of an entry x is
-    # relative to max(1, |x|)
+    # the exact orbit of each start's floats, in rationals
     worst = 0.0
     for E, G, M, N in np.random.default_rng(7).uniform(-1.0, 1.0, (100, 4)).tolist():
         run = orbit("L4", init_map_state("L4", dict(B=1.0, C=1.0, E=E, G=G, M=M, N=N)), 30)
         assert run.status == "completed"
-        exact = tuple(map(Fraction, run.entries[0].tolist()))
+        exact = run.entries[0].tolist()
         for row in run.entries[1:].tolist():
-            exact = _exact_l4_step(*exact)
-            worst = max(worst, *(float(abs(Fraction(v) - x)) / max(1.0, abs(float(x)))
-                                 for v, x in zip(row, exact)))
-    assert worst <= 1e-12, worst
+            exact = _exact_row("L4", exact)
+            worst = max(worst, _ulps_off(row, exact))
+    assert worst <= 1000.0, worst
 
 
 @pytest.mark.parametrize("dda, entries, steps, rows, calls, kept", [
@@ -138,13 +146,15 @@ def test_l4_orbits_at_b_c_one_stay_on_the_exact_orbit_of_their_start():
     ("L4", dict(B=1e300, C=0.5, E=1e10, G=2.0, M=0.3, N=0.1), 5, 1, 1, 1),
     ("L2b", dict(B=1.2, C=0.3, E=0.8, G=1.5, M=0.4, N=0.9), 6, 7, 6, 7),
     ("L5", dict(B=1.0, C=0.2, E=0.7, G=1.3, M=0.5, N=1.1), 6, 7, 6, 7),
-], ids=["L4_completed", "L4_no_step", "L4_singular", "L4_beyond_guard", "L2b", "L5"])
+    ("L5", dict(B=2.0, C=1.0, E=3.0, G=0.5, M=1.5, N=2.25), 4, 5, 1, 5),
+], ids=["L4_completed", "L4_no_step", "L4_singular", "L4_beyond_guard", "L2b", "L5", "L5_fixed"])
 def test_orbit_finds_each_rows_k_at_most_once(dda, entries, steps, rows, calls, kept,
                                               monkeypatch):
     # L4 finds the K of each row once, by the step that leaves it or, for a last row no
     # step left, by one more call; its invariants are kept where K was found.  L2b and L5
     # find only the K their steps use.  The first start repeats row 1 from row 2 on, so
-    # its orbit stops stepping there and copies row 1's K to the later rows
+    # its orbit stops stepping there and copies row 1's K to the later rows.  The last
+    # has C2 = 2I + C1/2, so its first step repeats the start and the C1 the start carries
     seen = []
 
     def counted(dda, values):
@@ -307,13 +317,8 @@ def test_l4_eigenvalues_of_u_are_step_invariant():
 
 
 # ---------------------------------------------------------------------------
-# Orbits against the independent solve oracle.
+# Orbits against the exact steps and invariants of their rows.
 # ---------------------------------------------------------------------------
-
-def _close(got, want, what):
-    scale = np.maximum(1.0, np.abs(want))
-    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * scale), what
-
 
 @pytest.mark.parametrize("dda,entries,prev,steps", [
     ("L2b", dict(B=1.2, C=0.3, E=0.8, G=1.5, M=0.4, N=0.9), None, 25),
@@ -325,14 +330,12 @@ def _close(got, want, what):
 ], ids=["L2b", "L4_b_c_one", "L4_general", "L5", "L5_prev"])
 def test_orbit_matches_solve_oracle(dda, entries, prev, steps):
     run = orbit(dda, init_map_state(dda, entries, prev), steps)
-    rows, invariants = map_orbit_loops(dda, entries, steps, prev)
+    start = run.entries[0].tolist()
     assert run.status == "completed"
-    assert run.entries.shape == rows.shape == (steps + 1, 6)
-    _close(run.entries, rows, "entries")
+    assert run.entries.shape == (steps + 1, 6) and start == [entries[k] for k in "BCEGMN"]
     assert run.invariant_rows.tolist() == list(range(steps + 1))
-    assert sorted(run.invariants) == sorted(invariants[0])
-    for name, values in run.invariants.items():
-        _close(values, np.array([inv[name] for inv in invariants]), name)
+    assert sorted(run.invariants) == sorted(map_exact_invariants(dda, start, run.prev_C1))
+    assert _ulps_off_exact(run) <= ROW_ULPS
     # the lazy view agrees with the arrays
     assert [s.n for s in run.states] == list(range(steps + 1))
     assert run.states[-1].entries() == dict(zip("BCEGMN", run.entries[-1].tolist()))
@@ -342,16 +345,14 @@ def test_orbit_truncates_at_singular_step_like_oracle():
     # (E, G, M, N) = (0, 2, 1, 1) steps to E = G = 1, where det C1 = G - E = 0
     entries = dict(B=1.0, C=1.0, E=0.0, G=2.0, M=1.0, N=1.0)
     run = orbit("L4", init_map_state("L4", entries), 10)
-    rows, invariants = map_orbit_loops("L4", entries, 10)
     assert run.status == "truncated"
     assert run.diagnostic == "singular step at n=1: E - G = 0.000e+00 below tolerance"
-    _close(run.entries, rows, "entries")
-    assert len(rows) == 2
-    # the row with det C1 = 0 has no invariants, in the orbit and in the oracle
-    assert invariants[1] is None
+    assert run.entries[0].tolist() == list(entries.values()) and len(run.entries) == 2
+    # the row with det C1 = 0 has no step and no invariants, in the orbit and exactly
+    last = run.entries[1].tolist()
+    assert map_exact_step("L4", last) is None and map_exact_invariants("L4", last) is None
     assert run.invariant_rows.tolist() == [0]
-    for name, values in run.invariants.items():
-        _close(values, [invariants[0][name]], name)
+    assert _ulps_off_exact(run) == 0.0
     assert run.flags.tolist() == [[False, False, False], [True, True, True]]
     assert run.states[1].flags == ("det_C1_degenerate", "E_minus_G_degenerate",
                                    "det_C2_degenerate")
@@ -479,16 +480,6 @@ DET_C1_EDGE = dict(B=7.708318289072918, C=0.2314628579958361, E=4.14603215140323
                    G=0.12449569609337394)
 
 
-def _exact_l4_invariants(values) -> dict[str, Fraction]:
-    """I1..I3 of C2 C1^-1 in exact rationals, by C1's adjugate."""
-    B, C, E, G, M, N = map(Fraction, values)
-    det = B * G - C * E
-    U = [[(E * G - M * C) / det, (M * B - E * E) / det],
-         [(G * G - N * C) / det, (N * B - G * E) / det]]
-    tr, d = U[0][0] + U[1][1], U[0][0] * U[1][1] - U[0][1] * U[1][0]
-    return {"I1": tr, "I2": (tr * tr - 2 * d) / 2, "I3": (tr * tr * tr - 3 * tr * d) / 3}
-
-
 def test_l4_row_reads_c1_as_its_flag_does():
     B, C, E, G = DET_C1_EDGE.values()
     assert abs(B * G - C * E) >= 1e-12 > abs(np.linalg.det([[B, E], [C, G]]))
@@ -496,7 +487,7 @@ def test_l4_row_reads_c1_as_its_flag_does():
     assert not run.flags[0, 0]
     assert run.invariant_rows.tolist() == [0]
     # M = N = 0, so K = [[0, 0], [1, 0]]: the invariants are exactly 0
-    exact = _exact_l4_invariants(run.entries[0].tolist())
+    exact = map_exact_invariants("L4", run.entries[0].tolist())
     assert run.invariants == {k: [float(v)] for k, v in exact.items()} == {
         k: [0.0] for k in ("I1", "I2", "I3")}
     assert map_invariants("L4", run.states[0]) == {k: v[0] for k, v in run.invariants.items()}
@@ -509,9 +500,7 @@ def test_l4_row_at_exactly_the_tolerance_steps_and_keeps_its_invariants():
     assert run.status == "completed" and len(run.entries) == 2
     assert run.flags[0].tolist() == [False, False, False]
     assert run.invariant_rows.tolist() == [0, 1]
-    exact = _exact_l4_invariants(run.entries[0].tolist())
-    for name, values in run.invariants.items():
-        assert values[0] == pytest.approx(float(exact[name]), rel=1e-12), name
+    assert _ulps_off_exact(run) <= ROW_ULPS
 
 
 def test_l4_row_whose_c1_has_a_zero_second_pivot_has_no_invariants():

@@ -24,7 +24,8 @@ from deformcs.algebra_core import (MatrixPair, StructTensor, assoc_residual, fin
                                    float_array)
 from deformcs.cli import EXIT_INVALID, ScenarioConfig, main
 from deformcs.closed_forms import SolutionFamily, eval_family
-from deformcs.continuous_flows import get_system, integrate, state_from_entries
+from deformcs.continuous_flows import (first_integrals, get_system, integrate,
+                                      spectral_invariants, state_from_entries)
 from deformcs.dda_registry import TensorGrid, lookup
 from deformcs.discrete_flows import (MapState, check_map, discrete_oriented_assoc_residual,
                                      init_map_state, lattice_field_from_l5_orbit, orbit,
@@ -124,6 +125,7 @@ def test_package_entry_points_name_unknown_entries(call, named):
 
 
 _NOT_A_MAPPING = "must be a mapping of names to numbers, got "
+_L2A_MISSING = "L2a_2x2 state is missing entries ['E', 'G', 'M', 'N', 'C']"
 
 
 @pytest.mark.parametrize("call, named", [
@@ -136,8 +138,13 @@ _NOT_A_MAPPING = "must be a mapping of names to numbers, got "
     (lambda: integrate_reduction("ChazyV", _G_ROW, 5.0, _SPAN, 1e-3),
      f"ChazyV params {_NOT_A_MAPPING}5.0"),
     (lambda: orbit("L4", None, 3), "L4 state must be a MapState, got None"),
+    (lambda: first_integrals("L2a_2x2", None), f"L2a_2x2 state {_NOT_A_MAPPING}None"),
+    (lambda: first_integrals("L2a_2x2", {"B": 0.0}), _L2A_MISSING),
+    (lambda: spectral_invariants("L2a_2x2", None), f"L2a_2x2 state {_NOT_A_MAPPING}None"),
+    (lambda: spectral_invariants("L2a_2x2", {"B": 0.0}), _L2A_MISSING),
 ], ids=["integrate", "init_map_state", "SolutionFamily", "integrate_reduction initial",
-        "integrate_reduction params", "orbit"])
+        "integrate_reduction params", "orbit", "first_integrals", "first_integrals entries",
+        "spectral_invariants", "spectral_invariants entries"])
 def test_package_entry_points_refuse_a_container_of_the_wrong_kind(call, named):
     with pytest.raises(InvalidInputError) as got:
         call()

@@ -9,7 +9,7 @@ from deformcs.continuous_flows import first_integrals, spectral_invariants, stat
 from deformcs.dda_registry import SampledField, cs_residual
 from deformcs.errors import InvalidInputError, SingularFlowError
 from deformcs.reductions import (CHAZY_III_TOL, CHAZY_VARIANTS, REDUCTIONS,
-                                 boussinesq_rhs_and_companions, chazy_eigenvalues, chazy_rhs,
+                                 boussinesq_rhs_and_companions, chazy_rhs,
                                  chazy_second_integral, chazy_state_phi_B, elliptic_point,
                                  elliptic_system, integrate_boussinesq, integrate_chazy,
                                  integrate_elliptic, integrate_reduction, reconstruct_from_G,
@@ -58,13 +58,6 @@ def test_variants_agree_with_generic():
 def test_second_integral_examples():
     assert chazy_second_integral(0.0, 1.0, 0.0, 0.0, "ChazyV") == 0.5
     assert chazy_second_integral(0.0, 0.0, 0.0, 1.0, "ChazyV_shifted") == 0.0
-
-
-def test_chazy_eigenvalues_from_integral():
-    lam = chazy_eigenvalues(2.0)
-    assert lam[0] == -1.0 and lam[1] == 1.0
-    lam = chazy_eigenvalues(-2.0)
-    assert lam[1] == pytest.approx(1j, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +119,10 @@ def test_second_integral_equals_twice_matrix_integral():
         assert i2 == pytest.approx(2.0 * matrix_i2, rel=1e-10, abs=1e-12)
         st = state_from_entries("L2a_2x2", e)
         lam = sorted(z.real for z in spectral_invariants("L2a_2x2", st))
-        want = sorted(z.real for z in chazy_eigenvalues(i2))
-        if i2 >= 0:
-            assert lam[0] == pytest.approx(want[0], abs=1e-10)
-            assert lam[1] == pytest.approx(want[1], abs=1e-10)
+        if i2 >= 0:   # the reduction's Lax eigenvalues are +-sqrt(I2 / 2)
+            root = math.sqrt(i2 / 2.0)
+            assert lam[0] == pytest.approx(-root, abs=1e-10)
+            assert lam[1] == pytest.approx(root, abs=1e-10)
 
 
 def _sampled_residual(variant, init, x0, kw, h=1e-4):

@@ -5,13 +5,16 @@ C1 = [[B, E], [C, G]], C2 = [[E, M], [G, N]] and TC1, TC2 built the same way
 from the shifted entries (B, C fixed).  The step kernel, which applies the
 companion matrix K = C1^-1 C2 to columns, is run on symbols and must satisfy
 each system identically; on dyadic rational points every step must match the
-exact solution of the linear system to rounding.
+exact solution of the linear system to rounding, and ``_oracles.map_exact_step``
+must equal that solution exactly.
 """
 
 import pytest
 
 from deformcs import discrete_flows
 from deformcs.discrete_flows import init_map_state, step
+
+from _oracles import map_exact_invariants, map_exact_step
 
 sp = pytest.importorskip("sympy")
 
@@ -61,8 +64,7 @@ def _exact_step(dda, values, prev):
     TC1, TC2 = _pair(b, c, te, tg, tm, tn)
     X = {"L2b": C1, "L4": TC1}.get(dda)
     if X is None:
-        pb, pc, pe, pg = (sp.Rational(v) for v in prev)
-        X = sp.Matrix([[pb, pe], [pc, pg]])
+        X = sp.Matrix(prev).applyfunc(sp.Rational)
     sol = sp.solve(list(C1 * TC2 - C2 * X), [te, tg, tm, tn], dict=True)
     assert len(sol) == 1
     return [b, c] + [sol[0][s] for s in (te, tg, tm, tn)]
@@ -81,7 +83,17 @@ def test_step_matches_exact_solution(dda, values, prev):
     # dyadic inputs are exact in binary, so only the step itself rounds
     entries = dict(zip("BCEGMN", values))
     prev_entries = None if prev is None else dict(zip("BCEG", prev))
+    back = None if prev is None else (prev[::2], prev[1::2])   # C1 one site back
     got = step(dda, init_map_state(dda, entries, prev_entries)).values
-    want = _exact_step(dda, values, prev if dda == "L5" else None)
+    want = _exact_step(dda, values, back)
     for g, w in zip(got, want):
         assert abs(g - float(w)) <= 1e-14 * max(1.0, abs(float(w)))
+    # the tests' exact reference is sympy's solution, and the trace of sympy's powers
+    nums, den = map_exact_step(dda, values, back)
+    assert [sp.Rational(n, den) for n in nums] == want[2:]
+    C1, C2 = _pair(*map(sp.Rational, values))
+    V = sp.Matrix(back or C1).applyfunc(sp.Rational) * C2
+    X = {"L2b": C2, "L4": C2 * C1.inv(), "L5": V}[dda]
+    exact = {f"I{k}": (X ** k).trace() / k for k in (1, 2, 3)}
+    assert map_exact_invariants(dda, values, back) == (
+        {**exact, "det_C2": C2.det()} if dda == "L2b" else exact)
