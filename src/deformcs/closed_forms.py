@@ -132,7 +132,7 @@ def _family_stack(fam: SolutionFamily, x: np.ndarray) -> tuple[np.ndarray, np.nd
     if fam.id == "GaugeL5":   # the potentials Phi^m are polynomials
         coeffs = [np.asarray(fam.params[k], dtype=float) for k in FAMILY_PARAMS["GaugeL5"]]
         # np.polyval reads the coefficients highest degree first
-        return gauge_pairs(lambda p: np.array([np.polyval(c[::-1], p) for c in coeffs]), x)[3:]
+        return gauge_pairs(lambda p: np.array([np.polyval(c[::-1], p) for c in coeffs]), x)
     return entry_stacks(_FAMILY_N[fam.id], _family_entries(fam, x))
 
 

@@ -160,7 +160,9 @@ class SampledField:
     C2: np.ndarray
 
     def __init__(self, dda: str, grid, pairs):
-        """The field of the MatrixPairs ``pairs`` at the points of ``grid``."""
+        """The field of the MatrixPairs ``pairs`` (a tuple or list) at the points of ``grid``."""
+        if not (isinstance(pairs, (tuple, list)) and all(isinstance(p, MatrixPair) for p in pairs)):
+            raise InvalidInputError(f"sampled field pairs must be MatrixPairs, got {pairs!r}")
         self._load(dda, grid, [{"C1": p.C1, "C2": p.C2} for p in pairs])
 
     def _load(self, dda: str, grid, values: list) -> None:

@@ -13,11 +13,11 @@ One scalar kernel advances the entries (B, C, E, G, M, N) as floats: C1's second
 column is C2's first, so C1^-1 C2 is a companion matrix K, and each map applies K
 to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it, stops stepping once a
 step repeats its input bit for bit (the rest of the orbit is then copies of that row),
-and keeps the orbit as arrays, with the degeneracy flags and the exact trace invariants
-(of C2, of C2 C1^-1 ~ K from each step's K, of V respectively) computed once over the
-whole orbit.  The module also evaluates the discrete oriented associativity defect of
-gauge fields built from three sampled potentials, at every point with two samples on
-each side, and its residual, the Frobenius norm of each point's defect.
+and keeps the orbit as arrays, with the degeneracy flags (read off the entries) and the
+exact trace invariants (of C2, of C2 C1^-1 ~ K from each step's K, of V respectively)
+computed once over the whole orbit.  The module also evaluates the discrete oriented
+associativity defect of gauge fields from three sampled potentials, the commutator of their
+C1 and C2, at every point with two samples on each side, and its residual (Frobenius norms).
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ def _matrices(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def degeneracy_flags(entries: np.ndarray) -> np.ndarray:
-    """One row of FLAG_NAMES booleans per row of entries: |BG - CE|, |E - G|
-    and |det C2| below tolerance."""
-    B, C, E, G = entries[:, :4].T
+    """One row of FLAG_NAMES booleans per row of entries: |BG - CE| (det C1), |E - G|
+    and |EN - GM| (det C2) below tolerance, each read off the entry columns."""
+    B, C, E, G, M, N = entries.T
     with np.errstate(all="ignore"):   # comparisons: an inf or NaN on the way sets no flag
         return np.column_stack([np.abs(B * G - C * E) < DEGENERACY_TOL,
                                 np.abs(E - G) < DEGENERACY_TOL,
-                                np.abs(np.linalg.det(_matrices(entries)[1])) < DEGENERACY_TOL])
+                                np.abs(E * N - G * M) < DEGENERACY_TOL])
 
 
 def flag_labels(row) -> tuple[str, ...]:
@@ -303,7 +303,7 @@ def _first(bad, x):
 
 
 def gauge_pairs(potentials, x):
-    """g, T_1 g, T_2 g and C_k = g^-1 T_k g at a point x, or stacked over an array of points.
+    """C_k = g^-1 T_k g (k = 1, 2) at a point x, or stacked over an array of points.
 
     ``potentials`` maps an array of points to the (3, points...) array of Phi^m
     values.  Row m, column k of g holds Phi^m(x + s_k) for the shifts s_k in
@@ -321,7 +321,7 @@ def gauge_pairs(potentials, x):
     if first is not None:
         raise SingularGaugeError(f"gauge matrix is singular at x = {first}")
     t1, t2 = at(GAUGE_SHIFTS[1]), at(GAUGE_SHIFTS[2])
-    return g, t1, t2, np.linalg.solve(g, t1), np.linalg.solve(g, t2)
+    return np.linalg.solve(g, t1), np.linalg.solve(g, t2)
 
 
 def _gauge_samples(phi, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -340,17 +340,15 @@ def oriented_assoc_defect(phi, xs) -> np.ndarray:
     ``phi`` holds the three potentials sampled on ``xs``, consecutive integers
     (shape (3, len(xs))): Phi^m(p) = phi[m, p - xs[0]].
 
-    Each side of the oriented associativity identity is the matrix
-    S_jk = (T_j g) g^-1 (T_k g) = g (C_j C_k); the defect S_12 - S_21 is
-    normalised by g^-1 so that a nonzero residual is exactly the
-    associativity defect of the gauge structure constants.
+    Each side of the oriented associativity identity is S_jk = (T_j g) g^-1 (T_k g) =
+    g C_j C_k, so the defect g^-1 (S_12 - S_21) is the commutator of ``gauge_pairs``' C's.
     """
     phi, xs = _gauge_samples(phi, xs)
     interior = xs[2:-2]
     if not interior.size:
         raise InvalidInputError("interval too short: no point has both double shifts")
-    g, t1, t2, C1, C2 = gauge_pairs(lambda points: phi[:, points.astype(int) - xs[0]], interior)
-    return np.linalg.solve(g, t1 @ C2) - np.linalg.solve(g, t2 @ C1)
+    C1, C2 = gauge_pairs(lambda points: phi[:, points.astype(int) - xs[0]], interior)
+    return C1 @ C2 - C2 @ C1
 
 
 def discrete_oriented_assoc_residual(phi, xs) -> ResidualReport:

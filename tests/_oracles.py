@@ -566,7 +566,9 @@ def coisotropic_bracket_grid_first(tg) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The discrete oriented-associativity residual one point at a time, reading the
-# samples through a dict; the stacked gauge kernel must reproduce it bit for bit.
+# samples through a dict: the commutator C1 C2 - C2 C1 of C_k = g^-1 T_k g, since
+# S_jk = (T_j g) g^-1 (T_k g) = g C_j C_k.  The stacked gauge kernel must reproduce
+# it bit for bit.
 # ---------------------------------------------------------------------------
 
 _GAUGE_SHIFTS = (0, 1, -1)   # T_0 = 1, T_1 = T, T_2 = T^-1
@@ -593,7 +595,7 @@ def _sampled_potentials(phi: np.ndarray, xs: np.ndarray):
 
 
 def oriented_assoc_defect_per_point(phi: np.ndarray, xs: np.ndarray, x: int) -> np.ndarray:
-    """C1 C2 - C2 C1 at x via the gauge sums S_jk = (T_j g) g^-1 (T_k g), normalised by g^-1."""
+    """C1 C2 - C2 C1 at x, from this point's own g and solves."""
     potentials = _sampled_potentials(phi, xs)
     g = _gauge_matrix(potentials, x)
     if abs(np.linalg.det(g)) < DEGENERACY_TOL:
@@ -601,7 +603,7 @@ def oriented_assoc_defect_per_point(phi: np.ndarray, xs: np.ndarray, x: int) -> 
     # (T_j g)[m][t] = Phi^m(x + s_j + s_t): shift the whole gauge matrix.
     t1, t2 = (_gauge_matrix(potentials, x + s) for s in _GAUGE_SHIFTS[1:])
     C1, C2 = np.linalg.solve(g, t1), np.linalg.solve(g, t2)   # C_k = g^-1 T_k g
-    return np.linalg.solve(g, t1 @ C2) - np.linalg.solve(g, t2 @ C1)
+    return C1 @ C2 - C2 @ C1
 
 
 def oriented_assoc_residual_loop(phi, xs) -> ResidualReport:

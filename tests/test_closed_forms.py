@@ -58,7 +58,7 @@ def test_gauge_potentials_are_numpy_polynomial_values_bit_for_bit(monkeypatch):
     # Horner recursion with its operands commuted, so the same bits, NaN and -0.0 included
     seen = []
     monkeypatch.setattr(closed_forms, "gauge_pairs",
-                        lambda potentials, x: seen.append(potentials) or (None,) * 5)
+                        lambda potentials, x: seen.append(potentials) or (None,) * 2)
     rng = np.random.default_rng(3)
     points = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e300],
                              rng.normal(size=40) * 10.0 ** rng.integers(-60, 60, size=40)])

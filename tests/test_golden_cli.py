@@ -11,8 +11,9 @@ cases again after an intended output change, name each one:
 
 Only the named cases are written; with no case named, nothing is.
 
-The map goldens' entries must not depend on the host's BLAS: they are run again
-under two other OpenBLAS kernels, one with fused multiply-adds and one without.
+The map goldens' entries and flags, and the L4 goldens whole, must not depend on
+the host's BLAS: they are run again under two other OpenBLAS kernels, one with
+fused multiply-adds and one without.
 """
 
 import csv
@@ -92,8 +93,9 @@ def _columns(data: bytes, names) -> list[tuple[str, ...]]:
 def test_map_goldens_hold_under_another_blas_kernel(coretype, tmp_path):
     # OPENBLAS_CORETYPE picks the kernel numpy's OpenBLAS runs, read when it loads.
     # Haswell fuses multiply-adds like the recording host's kernel, so every byte must
-    # match; Sandybridge does not, so the entries B..N must, while the invariants of
-    # L2b and L5 still go through matmul
+    # match.  Sandybridge does not, but L4 orbits call no BLAS or LAPACK and no row's
+    # flags do, so the L4 files must match whole and every other map file in n, B..N and
+    # the flags; only L2b's I3 and L5's invariants go through matmul
     args = [a for case in MAP_CASES for a in (GOLDEN / case / "scenario.json", tmp_path / case)]
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
            "PYTHONPATH": str(Path(deformcs.__file__).parents[1])}
@@ -102,10 +104,11 @@ def test_map_goldens_hold_under_another_blas_kernel(coretype, tmp_path):
     for case in MAP_CASES:
         got = (tmp_path / case / "orbit.csv").read_bytes()
         want = (GOLDEN / case / "expected" / "orbit.csv").read_bytes()
-        if coretype == "Haswell":
+        if coretype == "Haswell" or case.startswith("map_l4"):
             assert got == want, case
         else:
-            assert _columns(got, "nBCEGMN") == _columns(want, "nBCEGMN"), case
+            names = [*"nBCEGMN", "flags"]
+            assert _columns(got, names) == _columns(want, names), case
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from deformcs.cli import EXIT_INVALID, ScenarioConfig, main
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.continuous_flows import (first_integrals, get_system, integrate,
                                       spectral_invariants, state_from_entries)
-from deformcs.dda_registry import TensorGrid, lookup
+from deformcs.dda_registry import SampledField, TensorGrid, lookup
 from deformcs.discrete_flows import (MapState, check_map, discrete_oriented_assoc_residual,
                                      init_map_state, lattice_field_from_l5_orbit, orbit,
                                      oriented_assoc_defect, step)
@@ -126,6 +126,8 @@ def test_package_entry_points_name_unknown_entries(call, named):
 
 _NOT_A_MAPPING = "must be a mapping of names to numbers, got "
 _L2A_MISSING = "L2a_2x2 state is missing entries ['E', 'G', 'M', 'N', 'C']"
+_NOT_PAIRS = "sampled field pairs must be MatrixPairs, got "
+_VALUE = {"C1": [[1.0, 0.0], [0.0, 1.0]], "C2": [[0.0, 0.0], [1.0, 0.0]]}
 
 
 @pytest.mark.parametrize("call, named", [
@@ -142,9 +144,13 @@ _L2A_MISSING = "L2a_2x2 state is missing entries ['E', 'G', 'M', 'N', 'C']"
     (lambda: first_integrals("L2a_2x2", {"B": 0.0}), _L2A_MISSING),
     (lambda: spectral_invariants("L2a_2x2", None), f"L2a_2x2 state {_NOT_A_MAPPING}None"),
     (lambda: spectral_invariants("L2a_2x2", {"B": 0.0}), _L2A_MISSING),
+    (lambda: SampledField("L2b", [0.0, 1.0], [1, 2]), f"{_NOT_PAIRS}[1, 2]"),
+    (lambda: SampledField("L2b", [0.0], [_VALUE]), f"{_NOT_PAIRS}[{_VALUE!r}]"),
+    (lambda: SampledField("L2b", [0.0], None), f"{_NOT_PAIRS}None"),
 ], ids=["integrate", "init_map_state", "SolutionFamily", "integrate_reduction initial",
         "integrate_reduction params", "orbit", "first_integrals", "first_integrals entries",
-        "spectral_invariants", "spectral_invariants entries"])
+        "spectral_invariants", "spectral_invariants entries", "SampledField ints",
+        "SampledField value dicts", "SampledField None"])
 def test_package_entry_points_refuse_a_container_of_the_wrong_kind(call, named):
     with pytest.raises(InvalidInputError) as got:
         call()

@@ -1,6 +1,7 @@
 """The package uses only public numpy API: no module imports or reads a private
 numpy module or attribute (a dotted numpy name with a part ``_name``), so a numpy
-release cannot change or remove a kernel underneath it unannounced."""
+release cannot change or remove a kernel underneath it unannounced.  Its
+``np.linalg`` calls are an inventory kept here, function by function."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,37 @@ def kernel():
         "numpy._core", "numpy.lib._index_tricks_impl", "numpy.linalg._linalg",
         "numpy.linalg._umath_linalg", "numpy.linalg._umath_linalg.solve",
         "numpy.linalg._umath_linalg.solve1"]
+
+
+def linalg_calls(source: str) -> dict[str, list[str]]:
+    """The ``np.linalg.<name>(...)`` calls of ``source``, as names in source order, under
+    the innermost function each is in (``<module>`` outside any)."""
+    calls = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            func = ast.unparse(child.func) if isinstance(child, ast.Call) else ""
+            if func.startswith("np.linalg."):
+                calls.setdefault(where, []).append(func.removeprefix("np.linalg."))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return calls
+
+
+# The package's LAPACK calls, by module and function: each is a site whose bits come
+# from the host's OpenBLAS kernel.  Adding a call, or retiring one, updates this table.
+LINALG_CALLS = {
+    ("algebra_core.py", "assoc_residual"): ["norm"],
+    ("continuous_flows.py", "spectral_invariants"): ["eigvals"],
+    ("continuous_flows.py", "integrate"): ["det"],
+    ("dda_registry.py", "discrete_cs_residual"): ["norm"],
+    ("discrete_flows.py", "_invariants"): ["det"],
+    ("discrete_flows.py", "gauge_pairs"): ["det", "solve", "solve"],
+}
+
+
+def test_the_package_calls_np_linalg_only_where_its_inventory_says():
+    found = {(module.name, where): names for module in MODULES
+             for where, names in linalg_calls(module.read_text()).items()}
+    assert found == LINALG_CALLS
