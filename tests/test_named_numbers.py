@@ -128,6 +128,7 @@ _NOT_A_MAPPING = "must be a mapping of names to numbers, got "
 _L2A_MISSING = "L2a_2x2 state is missing entries ['E', 'G', 'M', 'N', 'C']"
 _NOT_PAIRS = "sampled field pairs must be MatrixPairs, got "
 _VALUE = {"C1": [[1.0, 0.0], [0.0, 1.0]], "C2": [[0.0, 0.0], [1.0, 0.0]]}
+_FIELD_PAIR = MatrixPair.from_entries(2, _FLOW_START)
 
 
 @pytest.mark.parametrize("call, named", [
@@ -147,10 +148,14 @@ _VALUE = {"C1": [[1.0, 0.0], [0.0, 1.0]], "C2": [[0.0, 0.0], [1.0, 0.0]]}
     (lambda: SampledField("L2b", [0.0, 1.0], [1, 2]), f"{_NOT_PAIRS}[1, 2]"),
     (lambda: SampledField("L2b", [0.0], [_VALUE]), f"{_NOT_PAIRS}[{_VALUE!r}]"),
     (lambda: SampledField("L2b", [0.0], None), f"{_NOT_PAIRS}None"),
+    (lambda: SampledField("L2b", [0.0], _FIELD_PAIR), f"{_NOT_PAIRS}{_FIELD_PAIR!r}"),
+    (lambda: SampledField("L2b", [0.0, 1.0], [_FIELD_PAIR, _VALUE]),
+     f"{_NOT_PAIRS}{[_FIELD_PAIR, _VALUE]!r}"),
 ], ids=["integrate", "init_map_state", "SolutionFamily", "integrate_reduction initial",
         "integrate_reduction params", "orbit", "first_integrals", "first_integrals entries",
         "spectral_invariants", "spectral_invariants entries", "SampledField ints",
-        "SampledField value dicts", "SampledField None"])
+        "SampledField value dicts", "SampledField None", "SampledField one pair",
+        "SampledField pair then value dict"])
 def test_package_entry_points_refuse_a_container_of_the_wrong_kind(call, named):
     with pytest.raises(InvalidInputError) as got:
         call()
