@@ -19,84 +19,28 @@ a state past float range gives inf or NaN, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, entry_stacks, finite_numbers, finite_span, mapping,
                            one_of, trace_integrals)
-from .errors import InvalidInputError, SingularFlowError
-from .integrators import Trajectory, integrate_fixed
+from .errors import InvalidInputError
+from .integrators import Rhs, Trajectory, integrate_fixed
 
 Floats = tuple[float, ...]
-
-# Each right-hand side maps the evolved and the free entries, tuples of floats in the
-# declared order, to dy/ds; it uses no ** and no division, so an overflow gives inf.
-
-
-def _rhs_l2a_3x3(y: Floats, p: Floats) -> Floats:
-    D, E, G, L, M, N = y
-    A, B, C = p
-    return (
-        D * B + L * C - A * E - D * G,
-        M * C - E * G - D,
-        G * B + N * C - C * E - G * G + A,
-        D * E + L * G - A * M - D * N,
-        E * E + M * G - B * M - E * N - L,
-        G * E - C * M + D,
-    )
-
-
-def _rhs_l2a_2x2(y: Floats, p: Floats) -> Floats:
-    E, G, M, N = y
-    B, C = p
-    return (
-        M * C - E * G,
-        G * B + N * C - C * E - G * G,
-        E * E + M * G - B * M - E * N,
-        G * E - C * M,
-    )
-
-
-def _rhs_l3_detnorm(y: Floats, p: Floats) -> Floats:
-    B, E, C, G = y
-    M, N = p
-    det = B * G - C * E
-    if abs(det) < DEGENERACY_TOL:
-        raise SingularFlowError(f"det C1 = {det:.3e} is below tolerance")
-    return (
-        E * B * G + E * N * C - G * M * C - C * E * E,
-        G * B * M + G * E * N - E * C * M - M * G * G,
-        B * C * E + B * G * G + M * C * C - C * E * G - B * N * C - G * B * B,
-        C * M * G + C * E * E - C * E * N - B * G * E,
-    )
-
-
-def _rhs_l3_unimodular(y: Floats, p: Floats) -> Floats:
-    B, E, C, G = y
-    M, N = p
-    w = E * N - G * M
-    return (
-        E + C * w,
-        M + G * w,
-        G - B + C * (M * C - B * N),
-        -E - C * w,
-    )
-
-
-def _rhs_l3_simple(y: Floats, p: Floats) -> Floats:
-    B, E, C, G = y
-    return (E, 0.0, G - B, -E)
 
 
 @dataclass(frozen=True)
 class FlowSystem:
     id: str
     n: int
-    evolved: tuple[str, ...]
-    free: tuple[str, ...]
     lax: int   # the Lax matrix: 1 for C2 (L2a), 0 for C1 (L3)
-    rhs: Callable[[Floats, Floats], Floats]
+    text: Rhs   # dy/ds over the evolved entries, with the free ones as its params
+    evolved = property(lambda self: self.text.entries)
+    free = property(lambda self: self.text.params)
+    # dy/ds on one state's evolved and free entries, tuples of floats in the declared order
+    rhs = property(lambda self: self.text.point)
 
     def all_entries(self) -> tuple[str, ...]:
         return self.evolved + self.free
@@ -105,12 +49,36 @@ class FlowSystem:
         return tuple(state[k] for k in self.evolved), tuple(state[k] for k in self.free)
 
 
+# Each right-hand side is stated once, as text that RK4 writes into its loop and
+# FlowSystem.rhs compiles; it uses no ** and no division, so an overflow gives inf.
+# L3_detnorm's guard raises SingularFlowError where |det C1| is below DEGENERACY_TOL.
+_BECG = ("B", "E", "C", "G")
 SYSTEMS = {sy.id: sy for sy in (
-    FlowSystem("L2a_3x3", 3, ("D", "E", "G", "L", "M", "N"), ("A", "B", "C"), 1, _rhs_l2a_3x3),
-    FlowSystem("L2a_2x2", 2, ("E", "G", "M", "N"), ("B", "C"), 1, _rhs_l2a_2x2),
-    FlowSystem("L3_detnorm", 2, ("B", "E", "C", "G"), ("M", "N"), 0, _rhs_l3_detnorm),
-    FlowSystem("L3_unimodular", 2, ("B", "E", "C", "G"), ("M", "N"), 0, _rhs_l3_unimodular),
-    FlowSystem("L3_simple", 2, ("B", "E", "C", "G"), (), 0, _rhs_l3_simple),
+    FlowSystem("L2a_3x3", 3, 1, Rhs(("D", "E", "G", "L", "M", "N"), ("A", "B", "C"), (
+        "D * B + L * C - A * E - D * G",
+        "M * C - E * G - D",
+        "G * B + N * C - C * E - G * G + A",
+        "D * E + L * G - A * M - D * N",
+        "E * E + M * G - B * M - E * N - L",
+        "G * E - C * M + D"))),
+    FlowSystem("L2a_2x2", 2, 1, Rhs(("E", "G", "M", "N"), ("B", "C"), (
+        "M * C - E * G",
+        "G * B + N * C - C * E - G * G",
+        "E * E + M * G - B * M - E * N",
+        "G * E - C * M"))),
+    FlowSystem("L3_detnorm", 2, 0, Rhs(_BECG, ("M", "N"), (
+        "E * B * G + E * N * C - G * M * C - C * E * E",
+        "G * B * M + G * E * N - E * C * M - M * G * G",
+        "B * C * E + B * G * G + M * C * C - C * E * G - B * N * C - G * B * B",
+        "C * M * G + C * E * E - C * E * N - B * G * E"),
+        f"if abs(B * G - C * E) < {DEGENERACY_TOL!r}:\n"
+        "    raise SingularFlowError(f'det C1 = {B * G - C * E:.3e} is below tolerance')")),
+    FlowSystem("L3_unimodular", 2, 0, Rhs(_BECG, ("M", "N"), (
+        "E + C * (E * N - G * M)",
+        "M + G * (E * N - G * M)",
+        "G - B + C * (M * C - B * N)",
+        "-E - C * (E * N - G * M)"))),
+    FlowSystem("L3_simple", 2, 0, Rhs(_BECG, (), ("E", "0.0", "G - B", "-E"))),
 )}
 
 
@@ -196,7 +164,7 @@ def integrate(system_id: str, initial: Mapping[str, float], span: tuple[float, f
     sy = get_system(system_id)
     y0, p = sy.split(state_from_entries(system_id, initial))
     t0, t1 = finite_span("span", span)
-    ts, ys, status, diagnostic = integrate_fixed(lambda _t, y: sy.rhs(y, p), t0, y0, t1, step)
+    ts, ys, status, diagnostic = integrate_fixed(sy.text.bind(p), t0, y0, t1, step)
 
     values = dict(zip(sy.evolved, ys.T))
     values.update((k, np.full(len(ts), v)) for k, v in zip(sy.free, p))

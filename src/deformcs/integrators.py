@@ -10,10 +10,13 @@ or a step that fails ``positive_number``.
 
 A state is a tuple of k floats, on which RK4 does the IEEE operations of its
 float64 array form in the same order.  The whole run is one loop of straight-line
-code per state size k, generated from ``_RUN_TEMPLATE`` on the first run with that k
-and cached: it calls f four times per step, unpacks the state and each stage into k
-locals (so a right-hand side that returns a tuple of the wrong length raises
-ValueError instead of being cut to size) and writes each accepted state into the
+code, generated from ``_RUN_TEMPLATE`` on the first run with that state size k (for
+a plain callable f) or that ``Rhs`` text, and cached.  A plain callable is called
+exactly four times per step, and each stage it returns is unpacked into k locals (so
+one that returns a tuple of the wrong length raises ValueError instead of being cut
+to size).  An ``Rhs`` is not called: its text is written into the loop, where each
+stage sets the entry names, runs the guards and assigns one local per expression,
+with the params bound to locals once.  Each accepted state is written into the
 (steps + 1, k) array made before the run.  Each stage is ``y + half*k1`` (``h*k3``
 for the last) per entry and the update ``y + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4)``, so
 a run is bit for bit what the same loop over ``zip``s of tuples gives; the guard
@@ -23,7 +26,7 @@ a run is bit for bit what the same loop over ``zip``s of tuples gives; the guard
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,6 +58,34 @@ class Trajectory:
     diagnostic: str | None = None
 
 
+class Rhs:
+    """A right-hand side y' = f(y) stated once, as text, with its params bound to ``values``.
+
+    ``entries`` and ``params`` name the state entries and the params; ``guards`` holds
+    statements run first, which may raise SingularFlowError, and ``exprs`` one expression
+    per entry, in order.  They read those names, ``abs`` and SingularFlowError only.
+    ``point`` is the function f(y, p) compiled from the text, which a call f(t, y) runs on
+    ``values``; ``integrate_fixed`` writes the same text into its loop instead.  Texts are
+    compiled on first use and cached by ``key``, so every binding of one text shares its code.
+    """
+
+    def __init__(self, entries: tuple[str, ...], params: tuple[str, ...],
+                 exprs: tuple[str, ...], guards: str = "", values: Sequence[float] = ()):
+        self.key = (entries, params, exprs, guards)
+        self.entries, self.params, self.exprs, self.guards = self.key
+        self.values = tuple(values)
+
+    def bind(self, values: Sequence[float]) -> Rhs:
+        return Rhs(*self.key, values)
+
+    @cached_property
+    def point(self):
+        return _point(self.key)
+
+    def __call__(self, _t, y):
+        return self.point(y, self.values)
+
+
 def step_count(t0: float, t1: float, step: float) -> int:
     """Number of equal steps of about ``step`` from t0 to t1, at most MAX_STEPS.
 
@@ -67,7 +98,7 @@ def step_count(t0: float, t1: float, step: float) -> int:
     return max(1, round(n)) if t1 != t0 else 0
 
 
-def integrate_fixed(f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
+def integrate_fixed(f: Rhs | Callable[[float, tuple[float, ...]], tuple[float, ...]],
                     t0: float, y0: Sequence[float], t1: float, step: float):
     """Integrate y' = f(t, y) from t0 to t1; f takes and returns tuples of floats.
 
@@ -76,7 +107,9 @@ def integrate_fixed(f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
     ZeroDivisionError, FloatingPointError) or an entry is NaN or above
     OVERFLOW_GUARD in size; ``ys`` then holds the states up to the last good point.
     Any other error in the right-hand side is a bug and propagates, and so
-    does the ValueError of a result with other than len(y0) entries.
+    does the ValueError of a result with other than len(y0) entries.  An Rhs is
+    run from its text, written into the loop (a y0 with other than its number of
+    entries raises ValueError); any other f is called.
     """
     n = step_count(t0, t1, step)
     y = tuple(float(v) for v in y0)
@@ -84,52 +117,92 @@ def integrate_fixed(f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
     ys[0] = y
     h = (t1 - t0) / n if n else 0.0
     with memoryview(ys.reshape(-1)) as out:
-        rows, diagnostic = _run_factory(len(y))(f, t0, y, n, h, out, OVERFLOW_GUARD)
+        run = _run_factory(f.key if isinstance(f, Rhs) else len(y))
+        rows, diagnostic = run(f, t0, y, n, h, out, OVERFLOW_GUARD)
     ts = np.concatenate(([t0], t0 + np.arange(1, rows) * h))   # keeps a t0 of -0.0
     status = STATUS_COMPLETED if diagnostic is None else STATUS_TRUNCATED
     return ts, ys[:rows], status, diagnostic
 
 
-# {y} is "y0, y1, ..., " with one local per entry, and so are {a}, ..., {d}; {stage_a}
-# is "y0 + half * a0, ...", {new} the RK4 update, {bounded} the guard test per entry
-# and {store} the writes of row i + 1 into the flat view ``out`` of the states.
+def _compile(source: str, name: str, where: str):
+    namespace = {"SingularFlowError": SingularFlowError}
+    exec(compile(source, where, "exec"), namespace)
+    return namespace[name]
+
+
+def _tuple(items) -> str:   # "a, b, ": a tuple target or display of any length
+    return "".join(v + ", " for v in items)
+
+
+@cache
+def _point(key: tuple):
+    """The per-point function f(y, p) of the Rhs text ``key``."""
+    entries, params, exprs, guards = key
+    guards = guards.replace("\n", "\n    ")
+    return _compile(f"def f(_y, _p):\n    ({_tuple(entries)}) = _y\n"
+                    f"    ({_tuple(params)}) = _p\n    {guards}\n"
+                    f"    return ({_tuple(exprs)})\n", "f", f"<rhs {entries}>")
+
+
+# Every local of the loop starts with "_", which no entry or param name does.  {y} is
+# "_y0, _y1, ..., " with one local per entry; {a}, ..., {d} are the four stages, each
+# leaving its derivative in "_a0, ...", ..., "_d0, ..." by a call of _f or by the text
+# of an Rhs, whose params {bind} makes locals; {new} is the RK4 update, {tick} the time
+# a called _f reads, {bounded} the guard test per entry and {store} the writes of row
+# _i + 1 into the flat view ``_out`` of the states.
 _RUN_TEMPLATE = """
-def run(f, t0, y, n, h, out, guard):
-    half, sixth = 0.5 * h, h / 6.0
-    ({y}) = y
-    t, i, o = t0, 0, len(y)
+def run(_f, _t0, _y, _n, _h, _out, _guard):
+    _half, _sixth = 0.5 * _h, _h / 6.0
+    ({y}) = _y
+    {bind}
+    _t, _i, _o = _t0, 0, len(_y)
     try:
-        for i in range(n):
-            ({a}) = f(t, y)
-            ({b}) = f(t + half, ({stage_a}))
-            ({c}) = f(t + half, ({stage_b}))
-            ({d}) = f(t + h, ({stage_c}))
-            y = ({y}) = ({new})
-            t = t0 + (i + 1) * h
+        for _i in range(_n):
+            {a}
+            {b}
+            {c}
+            {d}
+            {new}
+            {tick}
             if not ({bounded}):
-                return i + 1, f"state exceeded overflow guard {{guard:g}} at t={{t:.6g}}"
+                _t = _t0 + (_i + 1) * _h
+                return _i + 1, f"state exceeded overflow guard {{_guard:g}} at t={{_t:.6g}}"
             {store}
-    except (SingularFlowError, ZeroDivisionError, FloatingPointError) as exc:
-        return i + 1, f"{{type(exc).__name__}}: {{exc}}"
-    return n + 1, None
+    except (SingularFlowError, ZeroDivisionError, FloatingPointError) as _exc:
+        return _i + 1, f"{{type(_exc).__name__}}: {{_exc}}"
+    return _n + 1, None
 """
 
 
 @cache
-def _run_factory(k: int):
-    """``run(f, t0, y, n, h, out, guard)`` for states of k entries: n RK4 steps from
-    (t0, y), the state after step i written to ``out[k * (i + 1):]``.  It returns the
-    number of rows kept and the diagnostic of a truncation, or None."""
-    def each(form):   # "form(0), form(1), ..., " with form(j) = form.format(j=j)
-        return "".join(form.format(j=j) + ", " for j in range(k))
+def _run_factory(form: int | tuple):
+    """``run(f, t0, y, n, h, out, guard)``: n RK4 steps from (t0, y), the state after
+    step i written to ``out[k * (i + 1):]``, for states of k = ``form`` entries and a
+    plain callable f, or for an Rhs f whose ``key`` is ``form``, running its text.  It
+    returns the number of rows kept and the diagnostic of a truncation, or None."""
+    rhs = Rhs(*form) if isinstance(form, tuple) else None
+    k = len(rhs.entries) if rhs else form
 
+    def each(form):   # form.format(j=j) for each entry j
+        return [form.format(j=j) for j in range(k)]
+
+    # each stage: the prefix of its derivative's locals, its state and the time _f reads
+    stages = (("_a", "_y{j}", "_t"), ("_b", "_y{j} + _half * _a{j}", "_t + _half"),
+              ("_c", "_y{j} + _half * _b{j}", "_t + _half"),
+              ("_d", "_y{j} + _h * _c{j}", "_t + _h"))
+    if rhs:   # set the entries to the stage's state, run the guards, then the expressions
+        code = ["; ".join(f"{e} = {v}" for e, v in zip(rhs.entries, each(state)))
+                + f"\n{rhs.guards}\n"
+                + "; ".join(f"{d}{j} = {x}" for j, x in enumerate(rhs.exprs))
+                for d, state, _ in stages]
+    else:
+        code = [f"({_tuple(each(d + '{j}'))}) = _f({t}, ({_tuple(each(state))}))"
+                for d, state, t in stages]
     source = _RUN_TEMPLATE.format(
-        **{v: each(v + "{j}") for v in "yabcd"},
-        stage_a=each("y{j} + half * a{j}"), stage_b=each("y{j} + half * b{j}"),
-        stage_c=each("y{j} + h * c{j}"),
-        new=each("y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})"),
-        bounded=" and ".join(f"-guard <= y{j} <= guard" for j in range(k)) or "True",
-        store="".join(f"out[o + {j}] = y{j}; " for j in range(k)) + f"o += {k}")
-    namespace = {"SingularFlowError": SingularFlowError}
-    exec(compile(source, f"<rk4 run, k={k}>", "exec"), namespace)
-    return namespace["run"]
+        **{v: c.replace("\n", "\n" + " " * 12) for v, c in zip("abcd", code)},
+        y=_tuple(each("_y{j}")), bind=f"({_tuple(rhs.params)}) = _f.values" if rhs else "",
+        tick="" if rhs else "_t = _t0 + (_i + 1) * _h",
+        new="; ".join(each("_y{j} = _y{j} + _sixth * (_a{j} + 2.0 * _b{j} + 2.0 * _c{j} + _d{j})")),
+        bounded=" and ".join(each("-_guard <= _y{j} <= _guard")) or "True",
+        store="".join(each("_out[_o + {j}] = _y{j}; ")) + f"_o += {k}")
+    return _compile(source, "run", f"<rk4 run, {rhs.entries if rhs else k}>")

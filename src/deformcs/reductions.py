@@ -17,9 +17,11 @@ Three named reductions of the 2x2 and 3x3 Lax flows are implemented:
 
 Each reduction carries its conserved quantity and a reconstruction map
 back to full structure constants, so trajectories can be cross-checked
-against the matrix central systems they came from.  Each right-hand side maps
-a tuple of floats to a tuple, with no ** and no unguarded division; a Chazy
-variant's is compiled from the text of its formulas, so G''' and B' are inline.
+against the matrix central systems they came from.  Each right-hand side is an
+``integrators.Rhs``, stated once as text with no ** and no unguarded division: RK4
+writes that text into its loop, and the per-point callable that ``chazy_rhs``,
+``boussinesq_rhs_and_companions`` and ``elliptic_system`` call is compiled from it.
+A Chazy variant's text is built from the texts of its G''' and B', so both are inline.
 Invariants are evaluated on the state columns as arrays, each power by the one
 per-entry power ``algebra_core._pow``; the public per-point helpers run the same code.
 
@@ -38,8 +40,8 @@ import numpy as np
 
 from .algebra_core import (_pow, finite_number, finite_numbers, finite_span, is_finite_number,
                            one_of)
-from .errors import InvalidInputError, SingularFlowError
-from .integrators import Trajectory, integrate_fixed
+from .errors import InvalidInputError
+from .integrators import Rhs, Trajectory, integrate_fixed
 
 # G''' of each variant as text over (G, G1, G2, phi, dphi), which chazy_rhs and
 # each variant's right-hand side compile; only Generic reads phi = Phi and dphi = Phi'.
@@ -51,14 +53,15 @@ _CHAZY_G3 = {
     "ChazyVIII": "6.0 * G * G * G1",
     "ChazyIII": "2.0 * G * G2 - 3.0 * G1 * G1",
 }
-_CHAZY_G3_FN = {v: eval(f"lambda G, G1, G2, phi, dphi: {g3}") for v, g3 in _CHAZY_G3.items()}
 CHAZY_VARIANTS = tuple(_CHAZY_G3)
+_G = ("G", "G1", "G2")
 
 
 def chazy_rhs(variant: str, G: float, G1: float, G2: float,
               phi: float = 0.0, dphi: float = 0.0) -> float:
     """Third derivative G''' for the requested variant (Generic needs phi, dphi)."""
-    return one_of("Chazy variant", _CHAZY_G3_FN, variant)(G, G1, G2, phi, dphi)
+    g3 = one_of("Chazy variant", _CHAZY_G3, variant)
+    return Rhs(_G, ("phi", "dphi"), ("G1", "G2", g3)).point((G, G1, G2), (phi, dphi))[2]
 
 
 def _second_integral(G: float, G1: float, G2: float, closing: float) -> float:
@@ -119,28 +122,24 @@ def chazy_state_phi_B(variant: str, row: np.ndarray) -> tuple[float, float, floa
 # |G| below which ChazyIII's quadrature, which divides by G, raises SingularFlowError.
 CHAZY_III_TOL = 1e-9
 
-# The body of f(_t, y) for the variants with columns beyond G, G1, G2, and {g3} for G''':
-# ChazyVII and ChazyIII carry B so the reconstruction map stays available, and ChazyIII
-# also carries Phi, integrated from the quadrature relation.
-_CHAZY_RHS = {
-    "ChazyVII": "G, G1, G2, B = y\n    return G1, G2, {g3}, " + _RICCATI.format(phi="G1"),
-    "ChazyIII": (f"G, G1, G2, phi, B = y\n    if abs(G) < {CHAZY_III_TOL!r}:\n"
-                 "        raise SingularFlowError("
-                 "'ChazyIII quadrature needs G bounded away from 0')\n    return G1, G2, {g3}, "
-                 "(2.0 * G * G * G1 + G1 * G1 + 4.0 * G * G2 - 2.0 * G1 * phi) / G, "
-                 + _RICCATI.format(phi="phi")),
+# The state columns that ChazyVII and ChazyIII carry beyond G, G1, G2, with their
+# expressions and guard: both carry B so the reconstruction map stays available, and
+# ChazyIII also carries Phi, integrated from the quadrature relation, which divides by G.
+_CHAZY_CARRIED = {
+    "ChazyVII": (("B",), (_RICCATI.format(phi="G1"),), ""),
+    "ChazyIII": (("phi", "B"),
+                 ("(2.0 * G * G * G1 + G1 * G1 + 4.0 * G * G2 - 2.0 * G1 * phi) / G",
+                  _RICCATI.format(phi="phi")),
+                 f"if abs(G) < {CHAZY_III_TOL!r}:\n"
+                 "    raise SingularFlowError('ChazyIII quadrature needs G bounded away from 0')"),
 }
 
 
 @cache
 def _chazy(variant: str):
-    """The right-hand side and invariants of one Chazy variant; neither reads a param.
-
-    The right-hand side is compiled from the text of its formulas, so it makes no call."""
-    body = _CHAZY_RHS.get(variant, "G, G1, G2 = y\n    return G1, G2, {g3}")
-    namespace = {"SingularFlowError": SingularFlowError}
-    source = f"def f(_t, y):\n    {body.format(g3=_CHAZY_G3[variant])}\n"
-    exec(compile(source, f"<{variant}>", "exec"), namespace)
+    """The right-hand side and invariants of one Chazy variant; neither reads a param."""
+    carried, exprs, guards = _CHAZY_CARRIED.get(variant, ((), (), ""))
+    rhs = Rhs(_G + carried, (), ("G1", "G2", _CHAZY_G3[variant]) + exprs, guards)
     phi_B = _CHAZY_PHI_B[variant]
 
     # Phi = B^2 / 2 is exactly B / 2 for the constant B (0 or 1) of ChazyV and
@@ -148,25 +147,24 @@ def _chazy(variant: str):
     def invariants(columns):
         return {"I2_chazy": _second_integral(*columns[:3], phi_B(*columns)[0])}
 
-    return namespace["f"], invariants
+    return rhs, invariants
 
 
 # ---------------------------------------------------------------------------
 # Boussinesq-type reduction of the 3x3 flow (B = 0, C = 1, G = 0).
 # ---------------------------------------------------------------------------
 
+_BOUSSINESQ = Rhs(("E", "E1"), ("alpha", "beta"), ("E1", "6.0 * E * E - 4.0 * alpha * E - beta"))
+
+
 def _boussinesq(alpha: float, beta: float, gamma: float):
     """The right-hand side E'' = 6 E^2 - 4 alpha E - beta and the invariant I3."""
-    def f(_t, y):
-        E, E1 = y
-        return (E1, 6.0 * E * E - 4.0 * alpha * E - beta)
-
     def invariants(columns):
         E, E1 = columns
         return {"I3": (_pow(alpha, 3) / 3.0 + gamma * gamma + 0.5 * alpha * beta
                        - 0.25 * E1 * E1 + _pow(E, 3) - alpha * E * E - 0.5 * beta * E)}
 
-    return f, invariants
+    return _BOUSSINESQ.bind((alpha, beta)), invariants
 
 
 def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float,
@@ -195,18 +193,17 @@ def boussinesq_rhs_and_companions(E: float, E1: float, alpha: float, beta: float
 # Elliptic reduction of the unimodular L3 flow (M = 0, N = 1, B + G = 0).
 # ---------------------------------------------------------------------------
 
+_ELLIPTIC = Rhs(("B", "E", "C"), (), ("(1.0 + C) * E", "-B * E", "-(2.0 + C) * B"))
+
+
 def _elliptic(alpha: float):
     """The right-hand side (B', E', C'), which does not read alpha, and the residuals r1, r2."""
-    def f(_t, y):
-        B, E, C = y
-        return ((1.0 + C) * E, -B * E, -(2.0 + C) * B)
-
     def invariants(columns):   # r1 with (E')^2 = (-B E)^2
         B, E, C = columns
         return {"r1": (-B * E) * (-B * E) + alpha * _pow(E, 4) - 2.0 * _pow(E, 3) + E * E,
                 "r2": B * B + C * E + 1.0}
 
-    return f, invariants
+    return _ELLIPTIC, invariants
 
 
 def elliptic_system(B: float, E: float, C: float, alpha: float):
@@ -240,11 +237,9 @@ def elliptic_point(E: float, alpha: float, branch: float = 1.0) -> tuple[float, 
 # One table row per reduction, and the one run that reads it.
 # ---------------------------------------------------------------------------
 
-_G = ("G", "G1", "G2")
-
 # name -> (initial entries, params, state columns, build).  A state column beyond
 # the initial entries starts at the param in the same place (b0 starts B, phi0 phi).
-# build takes the other params and returns the right-hand side f(t, y) and
+# build takes the other params and returns the right-hand side, an Rhs with them bound, and
 # invariants(columns), which maps each invariant's name to its value at every row:
 # an array from the state columns as arrays, a float from floats.
 REDUCTIONS = {

@@ -193,11 +193,13 @@ def map_exact_step(dda: str, values, prev_C1=None):
     X = C1 (L2b), TC1 (L4, column by column: its first column is (B, C), its second
     the first column of TC2) or ``prev_C1`` (L5, the rows [[B, E], [C, G]] one site
     back).  The ints, finite floats and Fractions in ``values`` and ``prev_C1`` are read
-    as integers over the lcm of their denominators, so nothing rounds.
+    as integers over the lcm of their denominators (the largest, when all are powers of
+    two), so nothing rounds.
     """
     numbers = [*values, *([] if prev_C1 is None else [v for row in prev_C1 for v in row])]
     ratios = [v.as_integer_ratio() for v in numbers]
-    scale = math.lcm(*(d for _, d in ratios))
+    dens = [d for _, d in ratios]   # a float's is a power of two, and so is their lcm then
+    scale = max(dens) if all(d & (d - 1) == 0 for d in dens) else math.lcm(*dens)
     ints = [n * (scale // d) for n, d in ratios]
     B, C, E, G, M, N = ints[:6]
     det = B * G - C * E

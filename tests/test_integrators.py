@@ -3,9 +3,12 @@
 Every run must agree bit for bit: times, states, status, diagnostic, and the
 (t, y) of every right-hand-side call.  The right-hand sides are those every
 flow and reduction hands to the integrator in the recorded CLI scenarios, and
-small synthetic ones that stop the run at each place it can stop.
+small synthetic ones that stop the run at each place it can stop.  Each Rhs a
+flow or reduction hands over is run both as it was handed over, its text written
+into the loop, and wrapped in a plain callable, which the loop calls.
 """
 
+import ast
 import json
 import math
 import re
@@ -14,12 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deformcs import continuous_flows, reductions
+from deformcs import continuous_flows, integrators, reductions
 from deformcs.cli import main
 from deformcs.continuous_flows import SYSTEMS
 from deformcs.errors import InvalidInputError, SingularFlowError
-from deformcs.integrators import integrate_fixed, step_count
-from deformcs.reductions import REDUCTIONS
+from deformcs.integrators import Rhs, integrate_fixed, step_count
+from deformcs.reductions import REDUCTIONS, reduction_row
 
 from _oracles import rk4_loop
 
@@ -54,6 +57,37 @@ def _runs_agree(make_f, *args, **kwargs):
     return ts, ys, status, diagnostic, count
 
 
+def _inlined_agrees(f, *args, **kwargs):
+    """Run the Rhs f as it was handed over, its text written into the loop, and rk4_loop,
+    which calls it; return the result, which must be the loop's bit for bit."""
+    assert isinstance(f, Rhs)
+    (ts, ys, status, diagnostic), (rts, rys, *rest) = (integrate_fixed(f, *args, **kwargs),
+                                                       rk4_loop(f, *args, **kwargs))
+    assert ts.shape == rts.shape and ts.tobytes() == rts.tobytes()   # -0.0 and NaN too
+    assert ys.shape == rys.shape and ys.tobytes() == rys.tobytes()
+    assert [status, diagnostic] == rest
+    return ts, ys, status, diagnostic
+
+
+def _rhs_of(name, *params):
+    """The Rhs that the flow system or reduction ``name`` hands integrate_fixed."""
+    if name in SYSTEMS:
+        return SYSTEMS[name].text.bind(params)
+    return reduction_row(name)[3](*params)[0]
+
+
+# the Rhs of every flow system and reduction, its params bound to zeros
+EVERY_RHS = {**{sy.id: _rhs_of(sy.id, *(0.0 for _ in sy.free)) for sy in SYSTEMS.values()},
+             **{name: _rhs_of(name, *(0.0 for _ in names[len(columns) - len(entries):]))
+                for name, (entries, names, columns, _) in REDUCTIONS.items()}}
+
+
+def _run_scenario(name, tmp_path, out="out"):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIOS[name]))
+    assert main(["run", str(scenario), "--out", str(tmp_path / out), "--quiet"]) in (0, 3)
+
+
 def test_scenarios_cover_every_flow_and_reduction():
     assert {d["system"] for d in SCENARIOS.values() if "system" in d} == set(SYSTEMS)
     assert {d["reduction"] for d in SCENARIOS.values() if "reduction" in d} == set(REDUCTIONS)
@@ -69,11 +103,76 @@ def test_every_flow_and_reduction_matches_the_loop(name, tmp_path, monkeypatch):
 
     for module in (continuous_flows, reductions):
         monkeypatch.setattr(module, "integrate_fixed", record)
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(SCENARIOS[name]))
-    assert main(["run", str(scenario), "--out", str(tmp_path / "out"), "--quiet"]) in (0, 3)
+    _run_scenario(name, tmp_path)
     (f, args, kwargs), = seen
     _runs_agree(lambda: f, *args, **kwargs)
+    _inlined_agrees(f, *args, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_cli_runs_write_the_rhs_text_into_the_loop_without_calling_it(name, tmp_path, monkeypatch):
+    # every per-point evaluation of an Rhs (sy.rhs, a call f(t, y), chazy_rhs) reads .point
+    calls, point = [], vars(Rhs)["point"].func
+    monkeypatch.setattr(Rhs, "point", property(lambda rhs: calls.append(rhs) or point(rhs)))
+    _run_scenario(name, tmp_path)
+    assert calls == []
+    # a plain callable in its place, as perfbench's tracer hands over, is called instead
+
+    def called(f, *args):
+        return integrate_fixed(lambda t, y: f(t, y), *args)
+
+    for module in (continuous_flows, reductions):
+        monkeypatch.setattr(module, "integrate_fixed", called)
+    _run_scenario(name, tmp_path, "again")
+    assert calls and all(isinstance(rhs, Rhs) for rhs in calls)
+
+
+def _stray_names(rhs):
+    """The names rhs's text reads beyond its entries, params, abs and SingularFlowError."""
+    trees = [ast.parse(rhs.guards)] + [ast.parse(x, mode="eval") for x in rhs.exprs]
+    read = {node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return read - set(rhs.entries) - set(rhs.params) - {"abs", "SingularFlowError"}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_RHS))
+def test_every_rhs_text_reads_only_its_own_names(name):
+    # in the loop's exec namespace a mistyped name would read a global instead of failing
+    rhs = EVERY_RHS[name]
+    assert len(rhs.exprs) == len(rhs.entries)
+    assert _stray_names(rhs) == set()
+    names = rhs.entries + rhs.params
+    assert len(set(names)) == len(names) and not any(v.startswith("_") for v in names)
+    # every other local of the loop the text is written into has the reserved prefix
+    local = set(integrators._run_factory(rhs.key).__code__.co_varnames) - set(names)
+    assert all(v.startswith("_") for v in local), sorted(local)
+
+
+def test_a_mistyped_name_in_an_rhs_text_is_found():
+    rhs = Rhs(("E", "E1"), ("alpha",), ("E1", "E * alhpa"),
+              "if abs(E) < 1.0:\n    raise SingularFlowError(f'{E1 + y:g}')")
+    assert _stray_names(rhs) == {"alhpa", "y"}
+
+
+@pytest.mark.parametrize("f, args, rows, diagnostic", [
+    pytest.param(_rhs_of("L3_detnorm", 0.5, 0.5), (0.0, (1.0, 1.0, 1.0, 1.0), 1.0, 0.01), 1,
+                 "SingularFlowError: det C1 = 0.000e+00 is below tolerance",
+                 id="L3_detnorm-singular-start"),
+    pytest.param(_rhs_of("ChazyIII"), (0.0, (1e-3, -1.0, 0.0, 0.5, 0.2), 0.01, 1e-4), 10,
+                 "SingularFlowError: ChazyIII quadrature needs G bounded away from 0",
+                 id="ChazyIII-G-crosses-its-tolerance"),
+    pytest.param(_rhs_of("ChazyV"), (0.0, (1e200, 0.0, 0.0), 1.0, 0.01), 1,
+                 "state exceeded overflow guard 1e+12 at t=0.01", id="overflow-at-step-1"),
+    pytest.param(_rhs_of("Boussinesq", 0.0, 0.0, 0.0), (0.0, (1e3, 0.0), 1.0, 1e-3), 39,
+                 "state exceeded overflow guard 1e+12 at t=0.039", id="overflow-at-step-39"),
+    pytest.param(_rhs_of("Elliptic", 0.5), (0.5, (0.5, 0.5, -2.5), 0.5, 0.1), 1, None,
+                 id="zero-steps"),
+    pytest.param(_rhs_of("L2a_2x2", 1.0, 0.5), (-0.0, (0.3, 0.2, 0.1, -0.2), 0.3, 0.1), 4, None,
+                 id="negative-zero-start")])
+def test_inlined_run_stops_like_the_loop(f, args, rows, diagnostic):
+    ts, ys, status, got = _inlined_agrees(f, *args)
+    assert (len(ts), len(ys), got) == (rows, rows, diagnostic)
+    assert status == ("completed" if diagnostic is None else "truncated")
+    assert math.copysign(1.0, ts[0]) == math.copysign(1.0, args[0])
 
 
 def _grow(_t, y):   # y' = y

@@ -13,8 +13,9 @@ rationals and each difference must expand to 0.
 
 import pytest
 
-from deformcs import continuous_flows, reductions
+from deformcs import reductions
 from deformcs.continuous_flows import SYSTEMS
+from deformcs.integrators import Rhs
 from deformcs.reductions import REDUCTIONS, chazy_second_integral, chazy_state_phi_B
 
 sp = pytest.importorskip("sympy")
@@ -30,8 +31,11 @@ def _exact(expr):
 
 
 def _rhs(system_id, values):
+    """The flow's right-hand side on symbols: the expressions of its text, compiled without
+    its guard, since L3_detnorm's |det C1| < tol cannot be decided for symbols."""
     sy = SYSTEMS[system_id]
-    return list(sy.rhs(tuple(values[k] for k in sy.evolved), tuple(values[k] for k in sy.free)))
+    point = Rhs(sy.text.entries, sy.text.params, sy.text.exprs).point
+    return list(point(tuple(values[k] for k in sy.evolved), tuple(values[k] for k in sy.free)))
 
 
 def _ddt(integral, state, rhs):
@@ -62,10 +66,7 @@ def test_l2a_2x2_rhs_is_the_lax_bracket():
     assert [_exact(r - w) for r, w in zip(rhs, want)] == [0] * 4
 
 
-def test_l3_detnorm_rhs_is_adjugate_times_bracket(monkeypatch):
-    # With the tolerance at 0 the singular guard |det| < tol is decidable for
-    # real symbols (always false), so the RHS runs on expressions unchanged.
-    monkeypatch.setattr(continuous_flows, "DEGENERACY_TOL", 0)
+def test_l3_detnorm_rhs_is_adjugate_times_bracket():
     C1 = sp.Matrix([[B, E], [C, G]])
     C2 = sp.Matrix([[E, M], [G, N]])
     want = C1.adjugate() * (C1 * C2 - C2 * C1)
@@ -73,8 +74,7 @@ def test_l3_detnorm_rhs_is_adjugate_times_bracket(monkeypatch):
     assert [_exact(r - w) for r, w in zip(rhs, want)] == [0] * 4  # row-major B, E, C, G
 
 
-def test_l3_unimodular_agrees_with_detnorm_on_det_one(monkeypatch):
-    monkeypatch.setattr(continuous_flows, "DEGENERACY_TOL", 0)
+def test_l3_unimodular_agrees_with_detnorm_on_det_one():
     values = dict(B=B, C=C, E=E, G=G, M=M, N=N)
     constraint = B * G - C * E - 1
     for u, d in zip(_rhs("L3_unimodular", values), _rhs("L3_detnorm", values)):

@@ -10,7 +10,10 @@ one traced ``SampledField.load``;
 if a change bypasses or renames them, the per-layer metrics read 0 (or land on
 the CLI) without any benchmark failing, so these tests fail instead.  Every flow
 system and every reduction is checked: each must call its right-hand side four
-times per step through the ``f`` it hands to ``integrate_fixed``.
+times per step through the ``f`` it hands to ``integrate_fixed``.  Those four
+``*.rhs`` calls per step come from perfbench's wrapper: the plain callable it hands
+``integrate_fixed`` in place of the ``Rhs`` selects the loop's call form.  An untraced
+run writes the ``Rhs`` text into the loop and makes no call.
 """
 
 import hashlib
