@@ -18,9 +18,10 @@ and the quantum, discrete and coisotropic residual operators on structure-consta
 grids.  Each grid operator's defect view covers every point its stencil reaches (the
 whole grid, the interior, or every lattice point with a +1 neighbour on each axis),
 and its residual is the max-norm of that view.  The quantum and coisotropic ones
-contract point-innermost; the coisotropic bracket takes three contractions, its other
-three terms being index relabellings of them, and their max-norms run over blocks of
-points, equal bit for bit to the max-norms of the full-array forms.
+contract point-innermost; the coisotropic bracket takes two contractions, its other
+four terms being index relabellings of them, and their max-norms run over blocks of whole
+interior rows, read straight from one grid-last copy of c into arrays made once per call,
+equal bit for bit to the max-norms of the full-array forms.
 
 A ``SampledField`` holds its values as two read-only ``(N, n, n)`` stacks, C1
 and C2.  Both constructors go through one load, which checks the stacks whole
@@ -33,6 +34,7 @@ point's norm comes from one batched dot.
 from __future__ import annotations
 
 import json
+import math
 import stat
 from dataclasses import dataclass
 from functools import cached_property
@@ -352,40 +354,63 @@ def _points_first(a: np.ndarray, grid_shape: tuple[int, ...]) -> np.ndarray:
     return np.moveaxis(a, -1, 0).reshape(grid_shape + a.shape[:-1])
 
 
-def _interior_points(tg: TensorGrid) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """c[j, k, n, z] and d[a, j, k, n, z] = dC_jk^n/dx^a (central differences; 0 where
-    index a has no grid axis) at the interior points z, and the interior grid shape."""
+def _interior_shape(tg: TensorGrid) -> tuple[int, ...]:
+    """The shape of the grid's interior: each axis less its two end points."""
+    return tuple(max(g - 2, 0) for g in tg.c.shape[:tg.grid_dims])
+
+
+_BLOCK_DOUBLES = 1 << 15   # about the size of a row block's largest term
+
+
+def _row_blocks(tg: TensorGrid, power: int = 0, spare: int = 0):
+    """Yield (c[j, k, n, z], d[a, j, k, n, z] = dC_jk^n/dx^a, take) at the interior points z of
+    blocks of whole interior rows of the first grid axis: as many rows as keep a term of
+    n**power doubles a point within about _BLOCK_DOUBLES doubles (at least one row), or every
+    row for power 0.  A row's central differences read c's neighbouring rows, and d is 0
+    where index a has no grid axis.  take(i, k) is the [idx... (k axes), z] view of the i-th
+    of ``spare`` scratch arrays; c, d and the scratch are made once per call and rewritten
+    by every block."""
     dims, n = tg.grid_dims, tg.n
-    c, mid = _grid_last(tg.c, dims), (slice(1, -1),) * dims
-    here = np.ascontiguousarray(c[(...,) + mid])
-    d = np.zeros((n,) + here.shape)
-    for a in range(dims):
-        ahead, behind = (c[(...,) + mid[:a] + (s,) + mid[a + 1:]]
-                         for s in (slice(2, None), slice(0, -2)))
-        d[tg.index_offset + a] = (ahead - behind) / (2.0 * tg.spacing)
-    return here.reshape(n, n, n, -1), d.reshape(n, n, n, n, -1), here.shape[3:]
+    c, inner = _grid_last(tg.c, dims), _interior_shape(tg)
+    row = math.prod(inner[1:])
+    step = max(1, _BLOCK_DOUBLES // (_pow(n, power) * row) if power and row else inner[0])
+    c_buf, d_buf = np.empty(_pow(n, 3) * step * row), np.zeros(_pow(n, 4) * step * row)
+    bufs = [np.empty(_pow(n, power) * step * row) for _ in range(spare)]
+    for lo in range(0, max(inner[0], 1), step):
+        span = [(1 + lo, min(step, inner[0] - lo))] + [(1, m) for m in inner[1:]]
+
+        def at(axis=-1, shift=0):
+            return (...,) + tuple(slice(s + shift * (a == axis), s + m + shift * (a == axis))
+                                  for a, (s, m) in enumerate(span))
+
+        block = c[at()]
+        here = c_buf[:block.size].reshape(block.shape)
+        here[...] = block
+        d = d_buf[:n * block.size].reshape((n,) + block.shape)
+        for a in range(dims):
+            np.subtract(c[at(a, 1)], c[at(a, -1)], out=d[tg.index_offset + a])
+            d[tg.index_offset + a] /= 2.0 * tg.spacing
+        z = block.size // _pow(n, 3)
+        yield (here.reshape(n, n, n, z), d.reshape(n, n, n, n, z),
+               lambda i, k: bufs[i][:_pow(n, k) * z].reshape((n,) * k + (z,)))
 
 
-def _assoc_defect(c: np.ndarray) -> np.ndarray:
-    """sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n), indexed [j, k, l, n, z], of c[j, k, m, z]."""
-    out = np.einsum("jkmz,mlnz->jklnz", c, c)
-    out -= np.einsum("klmz,jmnz->jklnz", c, c)
+def _assoc_defect(c: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n), indexed [j, k, l, n, z], of c[j, k, m, z];
+    written into ``out``, with ``tmp`` as scratch, when they are given."""
+    out = np.einsum("jkmz,mlnz->jklnz", c, c, out=out)
+    out -= np.einsum("klmz,jmnz->jklnz", c, c, out=tmp)
     return out
 
 
-_BLOCK_DOUBLES = 1 << 15   # about the size of a point block's bracket, n**5 doubles a point
-
-
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite norm is rejected by name
-def _max_norms(tg: TensorGrid, terms: dict) -> ResidualReport:
-    """The report of max |f(c, d)| over the interior points for each ``label: f`` of ``terms``,
-    taken block by block along the point axis z; a NaN propagates, no points give 0.0."""
-    c, d, _ = _interior_points(tg)
-    step = max(1, _BLOCK_DOUBLES // _pow(tg.n, 5))
-    maxima = [[np.max(np.abs(f(c[..., i:i + step], d[..., i:i + step]))) for f in terms.values()]
-              for i in range(0, c.shape[-1], step)]
-    return ResidualReport(labels=tuple(terms),
-                          norms=np.max(maxima, axis=0) if maxima else [0.0] * len(terms))
+def _max_norms(tg: TensorGrid, power: int, spare: int, terms: dict) -> ResidualReport:
+    """The report of max |f(c, d, take)| over the interior points for each ``label: f`` of
+    ``terms``, over the blocks of ``_row_blocks(tg, power, spare)``; f may return scratch,
+    whose absolute value is taken in place.  A NaN propagates, and no points give 0.0."""
+    maxima = [[np.max(np.abs(t, out=t), initial=0.0) for t in (f(*block) for f in terms.values())]
+              for block in _row_blocks(tg, power, spare)]
+    return ResidualReport(labels=tuple(terms), norms=np.max(maxima, axis=0))
 
 
 def assoc_defect_grid(tg: TensorGrid) -> np.ndarray:
@@ -394,10 +419,14 @@ def assoc_defect_grid(tg: TensorGrid) -> np.ndarray:
     return _points_first(_assoc_defect(c), tg.c.shape[:tg.grid_dims])
 
 
-def _quantum_terms(c: np.ndarray, d: np.ndarray, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+def _quantum_terms(c: np.ndarray, d: np.ndarray, hbar: float, deriv=None, quad=None):
     """hbar dC_jk^n/dx^l - hbar dC_kl^n/dx^j and sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n),
-    both indexed [j, k, l, n, z], of c[j, k, m, z] and d[l, j, k, n, z] = dC_jk^n/dx^l."""
-    return hbar * (d.transpose(1, 2, 0, 3, 4) - d), _assoc_defect(c)
+    both indexed [j, k, l, n, z], of c[j, k, m, z] and d[l, j, k, n, z] = dC_jk^n/dx^l;
+    written into ``deriv`` and ``quad`` when they are given."""
+    quad = _assoc_defect(c, quad, deriv)   # deriv is scratch until its own turn
+    deriv = np.subtract(d.transpose(1, 2, 0, 3, 4), d, out=deriv)
+    deriv *= hbar
+    return deriv, quad
 
 
 def quantum_cs_parts(tg: TensorGrid, hbar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -405,24 +434,27 @@ def quantum_cs_parts(tg: TensorGrid, hbar: float) -> tuple[np.ndarray, np.ndarra
     grid..., k, l, j, n]; their sum is the defect hbar dC_jk^n/dx^l - hbar dC_kl^n/dx^j
     + sum_m (C_jk^m C_ml^n - C_kl^m C_jm^n). hbar must be a ``finite_number`` (0 is one)."""
     finite_number("hbar", hbar)
-    c, d, inner = _interior_points(tg)
-    return tuple(_points_first(np.moveaxis(a, 0, 2), inner) for a in _quantum_terms(c, d, hbar))
+    c, d, _ = next(_row_blocks(tg))
+    return tuple(_points_first(np.moveaxis(a, 0, 2), _interior_shape(tg))
+                 for a in _quantum_terms(c, d, hbar))
 
 
 def quantum_cs_residual(tg: TensorGrid, hbar: float) -> ResidualReport:
-    """Max-norm residual of the quantum central system over interior points."""
+    """Max-norm residual of the quantum central system over interior points, in row blocks
+    sized by its n**4 doubles a point."""
     finite_number("hbar", hbar)
-    return _max_norms(tg, {"quantum_cs_max": lambda c, d: np.add(*_quantum_terms(c, d, hbar))})
+    return _max_norms(tg, 4, 2, {"quantum_cs_max": lambda c, d, take: np.add(
+        *_quantum_terms(c, d, hbar, take(0, 4), take(1, 4)), out=take(1, 4))})
 
 
-def _bracket(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The six-term bracket [C,C]_jklr^m, indexed [j, k, l, r, m, z], in three contractions."""
-    t1 = np.einsum("sjmz,klrsz->jklrmz", c, d)  # C_sj^m dC_lr^s/dx^k
-    t3 = np.einsum("srmz,ljksz->jklrmz", c, d)  # C_sr^m dC_jk^s/dx^l
-    t5 = np.einsum("lrsz,sjkmz->jklrmz", c, d)  # C_lr^s dC_jk^m/dx^s
-    out = t1 + t1.swapaxes(0, 1)            # term 2 is term 1 with j<->k,
-    out -= t3
-    out -= t3.swapaxes(2, 3)                # term 4 is term 3 with l<->r
+def _bracket(c: np.ndarray, d: np.ndarray, out=None, t1=None, t5=None) -> np.ndarray:
+    """The six-term bracket [C,C]_jklr^m, indexed [j, k, l, r, m, z], in two contractions;
+    written into ``out``, with ``t1`` and ``t5`` as scratch, when they are given."""
+    t1 = np.einsum("sjmz,klrsz->jklrmz", c, d, out=t1)  # C_sj^m dC_lr^s/dx^k
+    t5 = np.einsum("lrsz,sjkmz->jklrmz", c, d, out=t5)  # C_lr^s dC_jk^m/dx^s
+    out = np.add(t1, t1.swapaxes(0, 1), out=out)    # term 2 is term 1 with j<->k,
+    out -= t1.transpose(2, 3, 1, 0, 4, 5)   # term 3, C_sr^m dC_jk^s/dx^l, is t1[r, l, j, k, m],
+    out -= t1.transpose(2, 3, 0, 1, 4, 5)   # term 4 is term 3 with l<->r,
     out += t5
     out -= t5.transpose(2, 3, 0, 1, 4, 5)   # and term 6 is term 5 with (j, k)<->(l, r)
     return out
@@ -430,14 +462,16 @@ def _bracket(c: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def coisotropic_bracket_defect(tg: TensorGrid) -> np.ndarray:
     """The six-term bracket [C,C]_jklr^m on the interior, indexed [..., j, k, l, r, m]."""
-    c, d, inner = _interior_points(tg)
-    return _points_first(_bracket(c, d), inner)
+    c, d, _ = next(_row_blocks(tg))
+    return _points_first(_bracket(c, d), _interior_shape(tg))
 
 
 def coisotropic_cs_residual(tg: TensorGrid) -> ResidualReport:
-    """Max-norm residuals of the coisotropic central system (bracket + algebraic part)."""
-    return _max_norms(tg, {"coisotropic_bracket_max": _bracket,
-                           "assoc_defect_max": lambda c, d: _assoc_defect(c)})
+    """Max-norm residuals of the coisotropic central system (bracket + algebraic part), in
+    row blocks sized by the bracket's n**5 doubles a point."""
+    return _max_norms(tg, 5, 3, {
+        "coisotropic_bracket_max": lambda c, d, t: _bracket(c, d, *(t(i, 5) for i in range(3))),
+        "assoc_defect_max": lambda c, d, t: _assoc_defect(c, t(0, 4), t(1, 4))})
 
 
 def discrete_cs_defect(tg: TensorGrid) -> dict[tuple[int, int], np.ndarray]:

@@ -1,14 +1,16 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from deformcs.algebra_core import MatrixPair, tensor_from_pair
 from deformcs.closed_forms import SolutionFamily, eval_family
-from deformcs.dda_registry import (_BLOCK_DOUBLES, TensorGrid, SampledField, assoc_defect_grid,
-                                   coisotropic_bracket_defect, coisotropic_cs_residual,
+from deformcs.dda_registry import (_BLOCK_DOUBLES, TensorGrid, SampledField, _row_blocks,
+                                   assoc_defect_grid, coisotropic_bracket_defect,
+                                   coisotropic_cs_residual,
                                    cs_residual, cs_residual_scan, discrete_cs_defect,
                                    discrete_cs_residual,
                                    lookup, quantum_cs_parts, quantum_cs_residual)
@@ -460,10 +462,13 @@ def test_l3_trajectory_satisfies_its_central_system():
 @pytest.mark.parametrize("shape, n", [
     ((7,), 1), ((7,), 2),            # one grid axis, index offset 0 and 1
     ((6, 5), 2), ((6, 5), 3),        # two axes
-    ((40, 36), 3),                   # 1292 points: ten point blocks, the last one ragged
+    ((40, 36), 3),                   # 38 rows: several row blocks, the last one ragged
     ((4, 5, 3), 3), ((4, 3, 5), 4),  # three axes
+    ((13, 10, 9), 3),                # 11 rows of 56 points: several row blocks
+    ((4, 12, 13), 4),                # one row of 110 points is a bracket block beyond 2**15
+    ((2100,), 2),                    # one axis: rows are points, several blocks
     ((2, 6), 3), ((2, 2, 2), 4),     # no interior points: every norm is 0.0
-    ((1, 5), 3),
+    ((1, 5), 3), ((6, 2), 3), ((5, 2, 4), 3),   # interior rows with no interior points
 ])
 def test_grid_contractions_equal_the_grid_first_forms(shape, n):
     rng = np.random.default_rng(sum(shape) * n)
@@ -486,10 +491,20 @@ def test_grid_contractions_equal_the_grid_first_forms(shape, n):
         assert quantum_cs_residual(tg, 0.7).norms == (want_quantum,)
 
 
-@pytest.mark.parametrize("points", [38 * 34, 14 * 14])   # the (40, 36) and (16, 16) grids
-def test_the_n3_cases_span_point_blocks_with_a_ragged_last_one(points):
-    step = _BLOCK_DOUBLES // 3 ** 5
-    assert points > step and points % step
+# These grids span several row blocks, the last one ragged: quantum's (sized by a term of
+# n**4 doubles a point) and the bracket's (n**5) on (40, 36) and (24, 24), and the
+# bracket's on (16, 16), whose 14 rows quantum takes in one block.
+@pytest.mark.parametrize("shape, power", [((40, 36), 4), ((40, 36), 5), ((24, 24), 4),
+                                          ((24, 24), 5), ((16, 16), 5)],
+                         ids=["40x36-quantum", "40x36-bracket", "24x24-quantum",
+                              "24x24-bracket", "16x16-bracket"])
+def test_the_n3_cases_span_row_blocks_with_a_ragged_last_one(shape, power):
+    tg = TensorGrid(c=np.zeros(shape + (3, 3, 3)))
+    rows, row = shape[0] - 2, shape[1] - 2
+    sizes = [c.shape[-1] for c, _, _ in _row_blocks(tg, power)]
+    step = _BLOCK_DOUBLES // (3 ** power * row)
+    assert sizes == [step * row] * (rows // step) + [rows % step * row]
+    assert rows > step and rows % step
 
 
 def _spike(npts, where):
@@ -501,11 +516,11 @@ def _spike(npts, where):
     return c
 
 
-# 16 x 16 has 196 interior points, two blocks of the bracket for n = 3: the first
-# interior point is in the first block, the last one in the last, ragged block.
-@pytest.mark.parametrize("where", [(1, 1), (14, 14)])
+# 24 x 24 has 22 interior rows, two blocks of quantum and four of the bracket for n = 3:
+# the first interior point is in the first block, the last one in the last, ragged block.
+@pytest.mark.parametrize("where", [(1, 1), (22, 22)])
 def test_a_non_finite_block_maximum_is_not_hidden_by_the_other_blocks(where):
-    tg = TensorGrid(c=_spike(16, where), spacing=0.1)
+    tg = TensorGrid(c=_spike(24, where), spacing=0.1)
     with pytest.raises(InvalidInputError, match="'quantum_cs_max' is not a finite"):
         quantum_cs_residual(tg, 0.5)
     with pytest.raises(InvalidInputError, match="'assoc_defect_max' is not a finite"):
@@ -514,6 +529,20 @@ def test_a_non_finite_block_maximum_is_not_hidden_by_the_other_blocks(where):
     c[(where[0] + 1, where[1]) + (0, 0, 0)] = 1e200
     with pytest.raises(InvalidInputError, match="'coisotropic_bracket_max' is not a finite"):
         coisotropic_cs_residual(TensorGrid(c=c, spacing=0.1))
+
+
+# Beyond the grid-last copy of c, a residual holds only one block's c, d and terms.
+@pytest.mark.parametrize("npts", [64, 128])
+def test_grid_residuals_hold_one_copy_of_c_and_one_row_block(npts):
+    tg = TensorGrid(c=np.random.default_rng(npts).normal(size=(npts, npts, 3, 3, 3)))
+    for call in (lambda: quantum_cs_residual(tg, 0.5), lambda: coisotropic_cs_residual(tg)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tg.c.nbytes + 1.5 * 2 ** 20
 
 
 def test_grid_operators_name_an_overflow_instead_of_warning():
