@@ -31,7 +31,7 @@ its ``check_names`` the one rule for their names, and ``_pow`` the one per-entry
 catalogue.  ``is_index`` is the one test of an integer (a lattice point or shape, a grid
 index, a gauge point), ``is_real_number`` the test of a hand-built map state's entries,
 and ``float_array`` the one conversion of an array argument (matrices, tensors, a grid,
-gauge samples).
+gauge samples).  ``frobenius`` is the one Frobenius norm, of a matrix or a stack of them.
 """
 
 from __future__ import annotations
@@ -325,6 +325,13 @@ def trace_integrals(mat: np.ndarray) -> dict:
     return {"I1": t1, "I2": t2 / 2.0, "I3": t3 / 3.0}
 
 
+def frobenius(R: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix of the (..., n, n) stack R, bit for bit, shaped (...):
+    sqrt(r . r) as one batched dot, the dot np.linalg.norm takes on each flattened matrix."""
+    flat = R.reshape(-1, 1, R.shape[-2] * R.shape[-1])
+    return np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(R.shape[:-2])
+
+
 def assoc_residual(pair) -> float:
     """Frobenius norm of C1 C2 - C2 C1 (zero iff the product table is associative).
 
@@ -338,7 +345,7 @@ def assoc_residual(pair) -> float:
         raise InvalidInputError(
             f"C1 and C2 must be square matrices of equal shape, got {C1.shape} and {C2.shape}"
         )
-    return float(np.linalg.norm(C1 @ C2 - C2 @ C1))
+    return float(frobenius(C1 @ C2 - C2 @ C1))
 
 
 def tensor_from_pair(pair: MatrixPair) -> StructTensor:

@@ -28,7 +28,7 @@ and C2.  Both constructors go through one load, which checks the stacks whole
 and walks the values only to name the first bad one, so a field's values are
 finite and well laid out whichever constructor built it.  ``pairs`` is a view
 built on first read.  The residual stencils slice the stacks, and every
-point's norm comes from one batched dot.
+point's norm, like each discrete defect's, comes from ``algebra_core.frobenius``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra_core import (MatrixPair, ResidualReport, _pow, finite_number, float_array,
-                           is_index, layout_defect, one_of, positive_number)
+                           frobenius, is_index, layout_defect, one_of, positive_number)
 from .errors import InvalidInputError, StencilRangeError, UnsupportedDDAError
 
 OP_NONE = "none"
@@ -256,14 +256,7 @@ def _cs_norms(spec: DDASpec, C1, C2, x: np.ndarray, spacing) -> list[float]:
         else:  # L3
             dC1 = (C1[1] - C1[-1]) / (2.0 * spacing)
             R = here1 @ dC1 - (here1 @ here2 - here2 @ here1)
-        return _frobenius(R)
-
-
-def _frobenius(R: np.ndarray) -> list[float]:
-    """np.linalg.norm of each matrix of the (P, n, n) stack R, bit for bit: sqrt(r . r)
-    as one batched dot, the dot np.linalg.norm takes on each flattened matrix."""
-    flat = R.reshape(len(R), 1, R.shape[-2] * R.shape[-1])
-    return np.sqrt(flat @ flat.swapaxes(1, 2)).ravel().tolist()
+        return frobenius(R).tolist()
 
 
 def _field_norms(spec: DDASpec, fld: SampledField, lo: int, hi: int) -> list[float]:
@@ -497,6 +490,6 @@ def discrete_cs_defect(tg: TensorGrid) -> dict[tuple[int, int], np.ndarray]:
 def discrete_cs_residual(tg: TensorGrid) -> ResidualReport:
     """Max residual of the discrete central system per index pair (j, l): the largest
     Frobenius norm of each matrix stack of ``discrete_cs_defect``."""
-    norms = {f"discrete_cs[{j},{l}]": np.max(np.linalg.norm(m, axis=(-2, -1)))
+    norms = {f"discrete_cs[{j},{l}]": np.max(frobenius(m))
              for (j, l), m in sorted(discrete_cs_defect(tg).items())}
     return ResidualReport(labels=tuple(norms), norms=tuple(norms.values()))

@@ -13,11 +13,11 @@ One scalar kernel advances the entries (B, C, E, G, M, N) as floats: C1's second
 column is C2's first, so C1^-1 C2 is a companion matrix K, and each map applies K
 to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it, stops stepping once a
 step repeats its input bit for bit (the rest of the orbit is then copies of that row),
-and keeps the orbit as arrays, with the degeneracy flags (read off the entries) and the
-exact trace invariants (of C2, of C2 C1^-1 ~ K from each step's K, of V respectively)
-computed once over the whole orbit.  The module also evaluates the discrete oriented
-associativity defect of gauge fields from three sampled potentials, the commutator of their
-C1 and C2, at every point with two samples on each side, and its residual (Frobenius norms).
+and keeps the orbit as arrays, with the degeneracy flags and L2b's det C2 (read off the
+entries) and the exact trace invariants (of C2, of C2 C1^-1 ~ K from each step's K, of V
+respectively) computed once over the whole orbit.  The module also evaluates the discrete
+oriented associativity defect of gauge fields from three sampled potentials, the commutator
+of their C1 and C2, at every point with two samples on each side, and its residual.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from functools import cached_property
 import numpy as np
 
 from .algebra_core import (DEGENERACY_TOL, ENTRY_POSITIONS_2, MatrixPair, ResidualReport, _pow,
-                           entry_stacks, finite_numbers, float_array, is_index, is_real_number,
-                           one_of, trace_integrals, whole_number)
-from .dda_registry import _REGISTRY, TensorGrid, _frobenius
+                           entry_stacks, finite_numbers, float_array, frobenius, is_index,
+                           is_real_number, one_of, trace_integrals, whole_number)
+from .dda_registry import _REGISTRY, TensorGrid
 from .errors import InvalidInputError, SingularGaugeError, SingularOrbitError
 from .integrators import MAX_STEPS, OVERFLOW_GUARD, STATUS_COMPLETED, STATUS_TRUNCATED
 
@@ -45,14 +45,17 @@ def _matrices(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return entry_stacks(2, dict(zip(ENTRY_NAMES, entries.T)))
 
 
-def degeneracy_flags(entries: np.ndarray) -> np.ndarray:
-    """One row of FLAG_NAMES booleans per row of entries: |BG - CE| (det C1), |E - G|
-    and |EN - GM| (det C2) below tolerance, each read off the entry columns."""
+def _flagged(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What FLAG_NAMES compare with the tolerance, each read off the entry columns:
+    BG - CE (det C1), E - G and EN - GM (det C2, also L2b's invariant)."""
     B, C, E, G, M, N = entries.T
+    return B * G - C * E, E - G, E * N - G * M
+
+
+def degeneracy_flags(entries: np.ndarray) -> np.ndarray:
+    """One row of FLAG_NAMES booleans per row of entries: |``_flagged``| below tolerance."""
     with np.errstate(all="ignore"):   # comparisons: an inf or NaN on the way sets no flag
-        return np.column_stack([np.abs(B * G - C * E) < DEGENERACY_TOL,
-                                np.abs(E - G) < DEGENERACY_TOL,
-                                np.abs(E * N - G * M) < DEGENERACY_TOL])
+        return np.column_stack([np.abs(v) < DEGENERACY_TOL for v in _flagged(entries)])
 
 
 def flag_labels(row) -> tuple[str, ...]:
@@ -193,7 +196,7 @@ def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None, pq: l
             return (invariants if pq else {}), rows
         C1, C2 = _matrices(entries)
         if dda == "L2b":
-            return {**trace_integrals(C2), "det_C2": np.linalg.det(C2)}, rows
+            return {**trace_integrals(C2), "det_C2": _flagged(entries)[2]}, rows
         return trace_integrals(np.concatenate([prev_C1[None], C1[:-1]]) @ C2), rows
 
 
@@ -305,9 +308,10 @@ def _first(bad, x):
 def gauge_pairs(potentials, x):
     """C_k = g^-1 T_k g (k = 1, 2) at a point x, or stacked over an array of points.
 
-    ``potentials`` maps an array of points to the (3, points...) array of Phi^m
-    values.  Row m, column k of g holds Phi^m(x + s_k) for the shifts s_k in
-    GAUGE_SHIFTS, and T_j g is g at x + s_j; stacks are indexed [point..., m, k].
+    ``potentials`` maps an array of points to the (3, points...) array of Phi^m values.
+    Row m, column k of g holds Phi^m(x + s_k) for the shifts s_k in GAUGE_SHIFTS, T_j g
+    is g at x + s_j, and one solve of g against [T_1 g | T_2 g] gives both C's; stacks
+    are indexed [point..., m, k].
     Raises SingularGaugeError at the first point where |det g| is below tolerance,
     naming that point as x gives it; the shifted potentials are read after that check.
     """
@@ -320,8 +324,8 @@ def gauge_pairs(potentials, x):
     first = _first(np.abs(np.linalg.det(g)) < DEGENERACY_TOL, x)
     if first is not None:
         raise SingularGaugeError(f"gauge matrix is singular at x = {first}")
-    t1, t2 = at(GAUGE_SHIFTS[1]), at(GAUGE_SHIFTS[2])
-    return np.linalg.solve(g, t1), np.linalg.solve(g, t2)
+    C = np.linalg.solve(g, np.concatenate([at(GAUGE_SHIFTS[1]), at(GAUGE_SHIFTS[2])], axis=-1))
+    return C[..., :3], C[..., 3:]
 
 
 def _gauge_samples(phi, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +362,7 @@ def discrete_oriented_assoc_residual(phi, xs) -> ResidualReport:
     defects = oriented_assoc_defect(phi, xs)
     first = int(np.ravel(xs)[0]) + 2   # xs holds consecutive integers, as the view checked
     return ResidualReport(labels=tuple(f"x={x}" for x in range(first, first + len(defects))),
-                          norms=_frobenius(defects))
+                          norms=frobenius(defects).tolist())
 
 
 def lattice_field_from_l5_orbit(run: Orbit, shape: tuple[int, int]):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deformcs.algebra_core import MatrixPair, tensor_from_pair
+from deformcs.algebra_core import MatrixPair, frobenius, tensor_from_pair
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import (_BLOCK_DOUBLES, TensorGrid, SampledField, _row_blocks,
                                    assoc_defect_grid, coisotropic_bracket_defect,
@@ -376,14 +376,31 @@ def test_discrete_residual_is_max_of_pointwise_oracle(shape, n, unital):
 
 
 def test_discrete_residual_is_the_norm_of_its_view_bit_for_bit():
+    # the largest np.linalg.norm of each flattened matrix, which frobenius equals bit for bit
     rng = np.random.default_rng(20)
     for draw in range(60):
         dims = 1 + draw % 3
         n = max(2, dims + draw // 3 % 2)   # index 0 is the unit direction when n > dims
         tg = TensorGrid(c=rng.uniform(-1.0, 1.0, tuple(rng.integers(2, 5, dims)) + (n,) * 3))
-        want = [np.max(np.linalg.norm(m, axis=(-2, -1)))
+        want = [max(float(np.linalg.norm(mat)) for mat in m.reshape(-1, n, n))
                 for _, m in sorted(discrete_cs_defect(tg).items())]
         assert np.array(discrete_cs_residual(tg).norms).tobytes() == np.array(want).tobytes()
+
+
+def test_discrete_residual_names_a_nan_norm_after_finite_ones():
+    # on a 1-D lattice the [1,0] defect is C_0 C_1 - C_1 TC_0.  Points 3 and 4 hold 1e200,
+    # so at point 3 it is inf - inf, and C_1 = 0 at point 2 keeps it finite there: the last
+    # norm is a NaN that Python's max would drop for the finite ones before it
+    c = np.random.default_rng(24).uniform(0.5, 1.0, (5, 2, 2, 2))
+    c[3:] = 1e200
+    c[2, 1] = 0.0
+    tg = TensorGrid(c=c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = frobenius(discrete_cs_defect(tg)[1, 0]).tolist()
+    assert all(map(math.isfinite, norms[:-1])) and math.isnan(norms[-1])
+    assert math.isfinite(max(norms))
+    with pytest.raises(InvalidInputError, match=r"^residual 'discrete_cs\[1,0\]' is not a finite"):
+        discrete_cs_residual(tg)
 
 
 @pytest.mark.parametrize("point", [1.5, 2.0, True, np.float64(1.0), "1", None],

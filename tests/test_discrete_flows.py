@@ -496,6 +496,25 @@ def test_l4_rows_have_invariants_exactly_when_unflagged_and_invertible():
         assert run.invariant_rows.tolist() == ([0] if unflagged[i] else [])
 
 
+def test_l2b_det_c2_is_read_off_the_entries_as_its_flag_is():
+    # det C2 = EN - GM is conserved by L2b, so starts placed with it within a factor 2 of
+    # DEGENERACY_TOL keep their rows' det C2 on both sides of the tolerance
+    rng = np.random.default_rng(25)
+    near = {False: 0, True: 0}
+    for _ in range(40):
+        B, C, E, G, M = rng.uniform(-1.0, 1.0, 5)
+        N = (G * M + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * DEGENERACY_TOL) / E
+        run = orbit("L2b", init_map_state("L2b", dict(B=B, C=C, E=E, G=G, M=M, N=N)), 30)
+        assert run.invariant_rows.tolist() == list(range(len(run.entries)))
+        want = [e * n - g * m for _, _, e, g, m, n in run.entries.tolist()]
+        assert run.invariants["det_C2"].tobytes() == np.array(want).tobytes()
+        assert run.flags[:, 2].tolist() == [abs(d) < DEGENERACY_TOL for d in want]
+        for d in want:
+            if 0.5 * DEGENERACY_TOL < abs(d) < 2.0 * DEGENERACY_TOL:
+                near[abs(d) < DEGENERACY_TOL] += 1
+    assert min(near.values()) >= 100
+
+
 # ---------------------------------------------------------------------------
 # Steps against the exact step.
 # ---------------------------------------------------------------------------

@@ -94,8 +94,9 @@ def test_map_goldens_hold_under_another_blas_kernel(coretype, tmp_path):
     # OPENBLAS_CORETYPE picks the kernel numpy's OpenBLAS runs, read when it loads.
     # Haswell fuses multiply-adds like the recording host's kernel, so every byte must
     # match.  Sandybridge does not, but L4 orbits call no BLAS or LAPACK and no row's
-    # flags do, so the L4 files must match whole and every other map file in n, B..N and
-    # the flags; only L2b's I3 and L5's invariants go through matmul
+    # flags or L2b det_C2 do, so the L4 files must match whole and every other map file in
+    # n, B..N, the flags and L2b's det_C2; only the L2b and L5 trace invariants go through
+    # matmul
     args = [a for case in MAP_CASES for a in (GOLDEN / case / "scenario.json", tmp_path / case)]
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
            "PYTHONPATH": str(Path(deformcs.__file__).parents[1])}
@@ -107,7 +108,7 @@ def test_map_goldens_hold_under_another_blas_kernel(coretype, tmp_path):
         if coretype == "Haswell" or case.startswith("map_l4"):
             assert got == want, case
         else:
-            names = [*"nBCEGMN", "flags"]
+            names = [*"nBCEGMN", "flags"] + (["det_C2"] if case == "map_l2b" else [])
             assert _columns(got, names) == _columns(want, names), case
 
 

@@ -4,7 +4,7 @@
 each value before the next.  The stacked ``from_json`` must give the same stacks
 on every valid document and the same InvalidInputError text on every malformed
 one, and the scan norms must equal the per-point ``np.linalg.norm`` path bit for
-bit.
+bit, as must ``frobenius``, the package's one Frobenius norm, and so ``assoc_residual``.
 """
 
 import copy
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deformcs.algebra_core import MatrixPair, entry_stacks
-from deformcs.dda_registry import SampledField, _frobenius, cs_residual_scan, lookup
+from deformcs.algebra_core import MatrixPair, assoc_residual, entry_stacks, frobenius
+from deformcs.dda_registry import SampledField, cs_residual_scan, lookup
 from deformcs.errors import InvalidInputError
 
 from _oracles import (cs_scan_norms_per_point, sampled_field_json_per_value,
@@ -278,8 +278,20 @@ def test_batched_norm_is_np_linalg_norm_bit_for_bit():
                 R[rng.random(R.shape) < 0.2] = 0.0
                 R[::97] = 0.0
                 with np.errstate(all="ignore"):   # squares beyond the float range
-                    got = _frobenius(R)
+                    got = frobenius(R)
                     want = [float(np.linalg.norm(r)) for r in R]
                 assert np.array(got).tobytes() == np.array(want).tobytes()
                 total += P
     assert total >= 200_000
+
+
+def test_assoc_residual_is_np_linalg_norm_of_the_commutator_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for n in (2, 3):
+        for scale in (1e-150, 1e-75, 1.0, 1e75, 1e150):
+            for _ in range(200):
+                C1, C2 = scale * rng.normal(size=(2, n, n)) * 10.0 ** rng.integers(-5, 6, (2, 1, 1))
+                with np.errstate(all="ignore"):   # squares beyond the float range
+                    want = float(np.linalg.norm(C1 @ C2 - C2 @ C1))
+                    got = assoc_residual((C1, C2))
+                assert np.array(got).tobytes() == np.array(want).tobytes()
