@@ -354,16 +354,10 @@ def tensor_from_pair(pair: MatrixPair) -> StructTensor:
     c = np.zeros((n, n, n))
     if pair.unital:
         c[0] = np.eye(n)
-        c[1] = pair.C1.T
-        c[2] = pair.C2.T
-    else:
-        c[0] = pair.C1.T
-        c[1] = pair.C2.T
+    c[-2], c[-1] = pair.C1.T, pair.C2.T   # after the unit's slice, if there is one
     return StructTensor(dim=n, c=c)
 
 
 def pair_from_tensor(t: StructTensor) -> MatrixPair:
     """Read the multiplication matrices back off a structure-constant tensor."""
-    if t.dim == 3:
-        return MatrixPair(3, t.c[1].T, t.c[2].T)
-    return MatrixPair(2, t.c[0].T, t.c[1].T)
+    return MatrixPair(t.dim, t.c[-2].T, t.c[-1].T)

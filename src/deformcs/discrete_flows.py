@@ -23,6 +23,7 @@ of their C1 and C2, at every point with two samples on each side, and its residu
 from __future__ import annotations
 
 from contextlib import suppress
+from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,17 +46,24 @@ def _matrices(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return entry_stacks(2, dict(zip(ENTRY_NAMES, entries.T)))
 
 
+@np.errstate(all="ignore")   # an inf or NaN on the way sets no flag
 def _flagged(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What FLAG_NAMES compare with the tolerance, each read off the entry columns:
-    BG - CE (det C1), E - G and EN - GM (det C2, also L2b's invariant)."""
+    """What FLAG_NAMES compare with the tolerance: BG - CE (det C1), E - G and EN - GM (det C2,
+    L2b's invariant, rounded to nearest but in rare near-ties: Dekker's products, a two-sum)."""
     B, C, E, G, M, N = entries.T
-    return B * G - C * E, E - G, E * N - G * M
+    w = entries.T[[2, 3, 5, 4]]   # (E, G) times (N, M)
+    h = w * 134217729.0 - (w * 134217729.0 - w)
+    l = w - h
+    p, q = prod = w[:2] * w[2:]
+    e, f = (((h[:2] * h[2:] - prod) + h[:2] * l[2:]) + l[:2] * h[2:]) + l[:2] * l[2:]
+    s, z = p - q, (p - q) - p
+    r = s + ((p - (s - z)) - (q + z) + (e - f))
+    return B * G - C * E, E - G, np.where(np.isfinite(r), r, s)   # else the plain difference
 
 
 def degeneracy_flags(entries: np.ndarray) -> np.ndarray:
     """One row of FLAG_NAMES booleans per row of entries: |``_flagged``| below tolerance."""
-    with np.errstate(all="ignore"):   # comparisons: an inf or NaN on the way sets no flag
-        return np.column_stack([np.abs(v) < DEGENERACY_TOL for v in _flagged(entries)])
+    return (np.abs(np.array(_flagged(entries))) < DEGENERACY_TOL).T
 
 
 def flag_labels(row) -> tuple[str, ...]:
@@ -281,7 +289,7 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     if dda == "L4" and status == STATUS_COMPLETED and len(pq) < len(rows):   # no step left it
         with suppress(SingularOrbitError):
             pq.append(_companion(dda, values))
-    entries = np.array(rows)
+    entries = np.array(list(chain.from_iterable(rows))).reshape(-1, 6)   # flat converts faster
     flags = degeneracy_flags(entries)
     invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1, pq)
     entries.setflags(write=False)
@@ -308,10 +316,9 @@ def _first(bad, x):
 def gauge_pairs(potentials, x):
     """C_k = g^-1 T_k g (k = 1, 2) at a point x, or stacked over an array of points.
 
-    ``potentials`` maps an array of points to the (3, points...) array of Phi^m values.
-    Row m, column k of g holds Phi^m(x + s_k) for the shifts s_k in GAUGE_SHIFTS, T_j g
-    is g at x + s_j, and one solve of g against [T_1 g | T_2 g] gives both C's; stacks
-    are indexed [point..., m, k].
+    ``potentials`` maps an array of points to the (3, points...) array of Phi^m values.  Row
+    m, column k of g holds Phi^m(x + s_k) for the shifts s_k in GAUGE_SHIFTS, T_j g is g at
+    x + s_j, one solve of g against [T_1 g | T_2 g] gives both C's, indexed [point..., m, k].
     Raises SingularGaugeError at the first point where |det g| is below tolerance,
     naming that point as x gives it; the shifted potentials are read after that check.
     """

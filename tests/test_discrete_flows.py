@@ -496,6 +496,12 @@ def test_l4_rows_have_invariants_exactly_when_unflagged_and_invertible():
         assert run.invariant_rows.tolist() == ([0] if unflagged[i] else [])
 
 
+def _nearest_det_c2(row) -> float:
+    """EN - GM of one orbit row, exactly in Fractions, rounded once to the nearest float."""
+    _, _, E, G, M, N = map(Fraction, row)
+    return float(E * N - G * M)
+
+
 def test_l2b_det_c2_is_read_off_the_entries_as_its_flag_is():
     # det C2 = EN - GM is conserved by L2b, so starts placed with it within a factor 2 of
     # DEGENERACY_TOL keep their rows' det C2 on both sides of the tolerance
@@ -506,13 +512,42 @@ def test_l2b_det_c2_is_read_off_the_entries_as_its_flag_is():
         N = (G * M + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * DEGENERACY_TOL) / E
         run = orbit("L2b", init_map_state("L2b", dict(B=B, C=C, E=E, G=G, M=M, N=N)), 30)
         assert run.invariant_rows.tolist() == list(range(len(run.entries)))
-        want = [e * n - g * m for _, _, e, g, m, n in run.entries.tolist()]
+        want = [_nearest_det_c2(row) for row in run.entries.tolist()]
         assert run.invariants["det_C2"].tobytes() == np.array(want).tobytes()
         assert run.flags[:, 2].tolist() == [abs(d) < DEGENERACY_TOL for d in want]
         for d in want:
             if 0.5 * DEGENERACY_TOL < abs(d) < 2.0 * DEGENERACY_TOL:
                 near[abs(d) < DEGENERACY_TOL] += 1
     assert min(near.values()) >= 100
+
+
+def test_det_c2_is_the_float_nearest_the_exact_en_minus_gm():
+    # magnitudes from 1e-100 to 1e100, with GM within 1e-9 of EN on every other row, where
+    # the plain E * N - G * M is off in most rows
+    rng = np.random.default_rng(26)
+    entries = rng.standard_normal((4000, 6)) * 10.0 ** rng.integers(-100, 101, (4000, 1))
+    entries[::2, 4] = entries[::2, 2] * entries[::2, 5] / entries[::2, 3] * (
+        1.0 + 1e-9 * rng.standard_normal(2000))
+    want = np.array([_nearest_det_c2(row) for row in entries.tolist()])
+    assert discrete_flows._flagged(entries)[2].tobytes() == want.tobytes()
+    _, _, E, G, M, N = entries.T
+    assert np.count_nonzero(E * N - G * M != want) > 1000
+
+
+def test_det_c2_falls_back_to_the_plain_difference_where_it_is_not_finite():
+    # inf and NaN entries, products that overflow, and entries whose halves overflow
+    rows = [[1, 0, np.inf, 1, 1, 1], [1, 0, np.nan, 1, 1, 1], [1, 0, 1e200, 1, 1e200, 1e200],
+            [1, 0, 1e300, 1, 0, 1e-10], [1, 0, 1e305, 1, 1.0, 2e-305], [1, 0, -0.0, 1, 0, 0]]
+    entries = np.array(rows, dtype=float)
+    _, _, E, G, M, N = entries.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy warning escapes
+        got = discrete_flows._flagged(entries)[2]
+        flags = degeneracy_flags(entries)
+    with np.errstate(all="ignore"):
+        plain = E * N - G * M
+    assert np.array_equal(got[:5], plain[:5], equal_nan=True) and got[5] == 0.0
+    assert flags[:, 2].tolist() == [False] * 5 + [True]
 
 
 # ---------------------------------------------------------------------------
