@@ -216,7 +216,7 @@ def _drift_stats(history: dict[str, np.ndarray]) -> dict | None:
 
 
 # Each runner writes its CSV and returns (status, diagnostic, artifacts,
-# residuals, invariant drift) for the report.
+# residuals, invariant drift) for the report, and a map run its ("orbit", block) too.
 
 def _trajectory_artifacts(traj: Trajectory, time_name: str, stride: int, out: Path):
     """trajectory.csv: time, state columns, scalar invariants, then the real and
@@ -240,12 +240,14 @@ def _map_artifacts(dda: str, state, steps: int, stride: int, out: Path):
     table = np.zeros((len(run.entries), 6 + len(names)))
     table[:, :6] = run.entries
     table[run.invariant_rows, 6:] = np.transpose([run.invariants[name] for name in names])
+    blank = np.bincount(run.invariant_rows, minlength=len(run.entries)) == 0   # no invariants
     cells = _float_cells(table[rows])
-    cells[np.isin(rows, run.invariant_rows, invert=True), 6:] = ""
+    cells[blank[rows], 6:] = ""
     _write_csv(out / "orbit.csv", ["n", *ENTRY_NAMES, *names, "flags"], (rows + run.n0).astype(str),
                cells, _FLAG_CELLS[run.flags[rows] @ [4, 2, 1]])
     drift = _drift_stats({name: run.invariants[name] for name in names})
-    return run.status, run.diagnostic, {"orbit_csv": "orbit.csv"}, {}, drift
+    return (run.status, run.diagnostic, {"orbit_csv": "orbit.csv"}, {}, drift,
+            ("orbit", {"cycle": run.cycle, "steps_computed": run.steps_computed}))
 
 
 def _reduction_artifacts(name: str, initial, params, span, step: float, stride: int, out: Path):
@@ -270,11 +272,11 @@ def run(cfg: ScenarioConfig, out_dir: Path, quiet: bool = False) -> int:
     except OSError as exc:   # a regular file on the path, or no permission
         raise InvalidInputError(
             f"--out {str(out_dir)!r} cannot be made a directory: {exc.strerror}") from None
-    status, diagnostic, artifacts, residuals, drift = cfg.runner(out_dir)
+    status, diagnostic, artifacts, residuals, drift, *blocks = cfg.runner(out_dir)
     report = {"tool": "deform-cs", "version": __version__,
               "timestamp": datetime.now(timezone.utc).isoformat(), "config": cfg.doc,
               "status": status, "diagnostic": diagnostic, "artifacts": artifacts,
-              "residuals": residuals, "invariant_drift": drift}
+              "residuals": residuals, "invariant_drift": drift, **dict(blocks)}
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     if not quiet:
         print(f"[deform-cs] {cfg.kind}: {status}" +

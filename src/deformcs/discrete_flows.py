@@ -11,13 +11,13 @@ structure constants (B, C held fixed along an orbit):
 
 One scalar kernel advances the entries (B, C, E, G, M, N) as floats: C1's second
 column is C2's first, so C1^-1 C2 is a companion matrix K, and each map applies K
-to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it, stops stepping once a
-step repeats its input bit for bit (the rest of the orbit is then copies of that row),
-and keeps the orbit as arrays, with the degeneracy flags and L2b's det C2 (read off the
-entries) and the exact trace invariants (of C2, of C2 C1^-1 ~ K from each step's K, of V
-respectively) computed once over the whole orbit.  The module also evaluates the discrete
-oriented associativity defect of gauge fields from three sampled potentials, the commutator
-of their C1 and C2, at every point with two samples on each side, and its residual.
+to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it until its state (the row
+and L5's carried C1) repeats bit for bit, by a period-1 test and Brent's method, and keeps
+the orbit as arrays: flags and L2b's det C2 (read off the entries) and exact trace invariants
+(of C2, of K, of V) of the rows up to the end of the first cycle, tiled over the rest.  It
+also gives the discrete oriented associativity defect of gauge fields from three sampled
+potentials, the commutator of their C1 and C2, at each point with two samples a side, and
+its residual.
 """
 
 from __future__ import annotations
@@ -46,24 +46,25 @@ def _matrices(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return entry_stacks(2, dict(zip(ENTRY_NAMES, entries.T)))
 
 
+def _product_error(a, b, ab):
+    """a b - ab exactly, where ab is a b rounded: Dekker's product of Veltkamp's halves."""
+    ah, bh = (w * 134217729.0 - (w * 134217729.0 - w) for w in (a, b))
+    return (((ah * bh - ab) + ah * (b - bh)) + (a - ah) * bh) + (a - ah) * (b - bh)
+
+
 @np.errstate(all="ignore")   # an inf or NaN on the way sets no flag
-def _flagged(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What FLAG_NAMES compare with the tolerance: BG - CE (det C1), E - G and EN - GM (det C2,
-    L2b's invariant, rounded to nearest but in rare near-ties: Dekker's products, a two-sum)."""
-    B, C, E, G, M, N = entries.T
-    w = entries.T[[2, 3, 5, 4]]   # (E, G) times (N, M)
-    h = w * 134217729.0 - (w * 134217729.0 - w)
-    l = w - h
-    p, q = prod = w[:2] * w[2:]
-    e, f = (((h[:2] * h[2:] - prod) + h[:2] * l[2:]) + l[:2] * h[2:]) + l[:2] * l[2:]
+def _flagged(B, C, E, G, M, N):
+    """BG - CE, E - G and EN - GM (det C2, L2b's invariant: exact products and a two-sum round
+    it to nearest, but in rare near-ties) of a row of floats or of entry columns, as flagged."""
+    p, q = E * N, G * M
     s, z = p - q, (p - q) - p
-    r = s + ((p - (s - z)) - (q + z) + (e - f))
+    r = s + ((p - (s - z)) - (q + z) + (_product_error(E, N, p) - _product_error(G, M, q)))
     return B * G - C * E, E - G, np.where(np.isfinite(r), r, s)   # else the plain difference
 
 
 def degeneracy_flags(entries: np.ndarray) -> np.ndarray:
     """One row of FLAG_NAMES booleans per row of entries: |``_flagged``| below tolerance."""
-    return (np.abs(np.array(_flagged(entries))) < DEGENERACY_TOL).T
+    return (np.abs(np.array(_flagged(*entries.T))) < DEGENERACY_TOL).T
 
 
 def flag_labels(row) -> tuple[str, ...]:
@@ -96,7 +97,8 @@ def _values(what: str, entries: dict[str, float]) -> tuple[float, ...]:
 
 
 def _state(n: int, values: tuple[float, ...], prev_C1: np.ndarray | None) -> MapState:
-    return MapState(n, values, prev_C1, flag_labels(degeneracy_flags(np.array([values]))[0]))
+    return MapState(n, values, prev_C1,
+                    flag_labels([abs(x) < DEGENERACY_TOL for x in _flagged(*values)]))
 
 
 def check_map(dda: str, *states: MapState) -> None:
@@ -190,7 +192,7 @@ def step(dda: str, state: MapState) -> MapState:
 
 
 def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None, pq: list):
-    """The exact trace invariants of every row that has them, and those rows.
+    """The rows' flags, the exact trace invariants of every row that has them, and those rows.
 
     L4's are those of C2 C1^-1 = C1 K C1^-1, so of K: I1 = q, I2 = q^2/2 + p and
     I3 = q^3/3 + pq, from the (p, q) that ``_companion`` found for the first len(pq)
@@ -198,14 +200,16 @@ def _invariants(dda: str, entries: np.ndarray, prev_C1: np.ndarray | None, pq: l
     """
     rows = np.arange(len(pq) if dda == "L4" else len(entries))
     with np.errstate(all="ignore"):   # an overflow shows as inf in the values
+        flagged = _flagged(*entries.T)
+        flags = (np.abs(np.array(flagged)) < DEGENERACY_TOL).T
         if dda == "L4":
-            p, q = np.array(pq).reshape(-1, 2).T
+            p, q = np.fromiter(chain.from_iterable(pq), float, 2 * len(pq)).reshape(-1, 2).T
             invariants = {"I1": q, "I2": (q * q + 2.0 * p) / 2.0, "I3": _pow(q, 3) / 3.0 + p * q}
-            return (invariants if pq else {}), rows
+            return flags, (invariants if pq else {}), rows
         C1, C2 = _matrices(entries)
         if dda == "L2b":
-            return {**trace_integrals(C2), "det_C2": _flagged(entries)[2]}, rows
-        return trace_integrals(np.concatenate([prev_C1[None], C1[:-1]]) @ C2), rows
+            return flags, {**trace_integrals(C2), "det_C2": flagged[2]}, rows
+        return flags, trace_integrals(np.concatenate([prev_C1[None], C1[:-1]]) @ C2), rows
 
 
 def map_invariants(dda: str, state: MapState) -> dict[str, float]:
@@ -228,7 +232,8 @@ class Orbit:
     at the rows ``invariant_rows``: every row, except that L4 leaves out a last
     row whose K ``_companion`` cannot find (|BG - CE| below tolerance, or a zero
     second pivot); every earlier row stepped through its K.  For L5, ``prev_C1``
-    is C1 one site before row 0.  ``states`` views the rows as MapStates.
+    is C1 one site before row 0.  ``cycle`` is (first row, period) of the cycle found, or
+    None, ``steps_computed`` the steps taken, and ``states`` views the rows as MapStates.
     """
 
     dda: str
@@ -240,6 +245,8 @@ class Orbit:
     prev_C1: np.ndarray | None = None
     status: str = STATUS_COMPLETED
     diagnostic: str | None = None
+    cycle: tuple[int, int] | None = None
+    steps_computed: int = 0
 
     @cached_property
     def states(self) -> tuple[MapState, ...]:
@@ -257,45 +264,56 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     non-finite entry or overflow truncates the orbit.  Each row's (p, q) is found once,
     by the step that leaves it or, for L4's last row, by one more ``_companion`` call.
 
-    ``_advance`` is a pure function of the row and, for L5, the C1 it carries, so once a
-    step returns the row it was given, carries the C1 it was given and no entry of that
-    row is +-0.0 (``==`` does not tell their signs apart), every later step would repeat
-    it bit for bit: the orbit stops stepping and copies that row and its (p, q) to the
-    rest."""
+    ``_advance`` is a pure function of the row and, for L5, the C1 it carries: once that
+    state equals, bit for bit, the one of the row before or of the row Brent's method saved
+    (at each power of two), every later step repeats the cycle between them; ``==`` does not
+    tell +-0.0 apart, so a state holding one is stepped on.  Flags, (p, q) and invariants are
+    then found for the rows up to the end of the first cycle, and one index tiles the rest."""
     check_map(dda, state0)
     whole_number("steps", steps, 0, MAX_STEPS)
     values, guard = tuple(state0.values), OVERFLOW_GUARD   # a row compares as a tuple
     prev_C1 = None if state0.prev_C1 is None else tuple(map(tuple, state0.prev_C1.tolist()))
-    rows, pq = [values], []
-    status, diagnostic = STATUS_COMPLETED, None
-    for n in range(state0.n, state0.n + steps):
+    rows, pq, period, status, diagnostic = [values], [], 0, STATUS_COMPLETED, None
+    saved, saved_C1, s, save_at = values, prev_C1, state0.n, state0.n + 1   # Brent's, at site s
+    for n in range(state0.n + 1, state0.n + steps + 1):   # the site of the row to be found
         try:
             row, C1, k = _advance(dda, values, prev_C1)
         except SingularOrbitError as exc:
-            status, diagnostic = STATUS_TRUNCATED, f"singular step at n={n}: {exc}"
+            status, diagnostic = STATUS_TRUNCATED, f"singular step at n={n - 1}: {exc}"
             break
         pq.append(k)
         _, _, E, G, M, N = row
         if not (abs(E) <= guard and abs(G) <= guard and abs(M) <= guard and abs(N) <= guard):
-            status = STATUS_TRUNCATED
-            diagnostic = f"state exceeded overflow guard at n={n + 1}"
+            status, diagnostic = STATUS_TRUNCATED, f"state exceeded overflow guard at n={n}"
             break
         rows.append(row)
-        if row == values and C1 == prev_C1 and 0.0 not in row:   # every later step repeats
-            rows += [row] * (state0.n + steps - n - 1)
-            pq += [k] * (len(rows) - len(pq))   # the last row's (p, q) included
-            break
+        if row == values or row == saved:   # then the state must be equal, and zero-free
+            lam, ref = (1, prev_C1) if row == values else (n - s, saved_C1)
+            if C1 == ref and 0.0 not in (row if C1 is None else row + C1[0] + C1[1]):
+                period = lam
+                break
+        if n == save_at:   # at site state0.n + 2^k
+            saved, saved_C1, s, save_at = row, C1, n, 2 * n - state0.n
         values, prev_C1 = row, C1
-    if dda == "L4" and status == STATUS_COMPLETED and len(pq) < len(rows):   # no step left it
+    computed = len(pq)
+    entries = np.fromiter(chain.from_iterable(rows), float, 6 * len(rows)).reshape(-1, 6)
+    if period:   # the first row whose state the row `period` on repeats, bit for bit
+        bits = entries.view(np.int64) if dda != "L5" else np.hstack([entries, np.vstack(
+            [state0.prev_C1.reshape(1, 4), entries[:-1, [0, 2, 1, 3]]])]).view(np.int64)
+        first = int(np.argmin((bits[period:] != bits[:-period]).any(axis=1)))
+        entries, pq = entries[:first + period], pq[:first + period]
+    elif dda == "L4" and status == STATUS_COMPLETED:   # no step left the last row
         with suppress(SingularOrbitError):
             pq.append(_companion(dda, values))
-    entries = np.array(list(chain.from_iterable(rows))).reshape(-1, 6)   # flat converts faster
-    flags = degeneracy_flags(entries)
-    invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1, pq)
+    flags, invariants, invariant_rows = _invariants(dda, entries, state0.prev_C1, pq)
+    if period:
+        index = np.concatenate([np.arange(first), first + np.arange(steps + 1 - first) % period])
+        entries, flags, invariant_rows = entries[index], flags[index], np.arange(steps + 1)
+        invariants = {name: v[index] for name, v in invariants.items()}
     entries.setflags(write=False)
     flags.setflags(write=False)
-    return Orbit(dda, state0.n, entries, flags, invariants, invariant_rows,
-                 state0.prev_C1, status, diagnostic)
+    return Orbit(dda, state0.n, entries, flags, invariants, invariant_rows, state0.prev_C1,
+                 status, diagnostic, (first, period) if period else None, computed)
 
 
 # ---------------------------------------------------------------------------

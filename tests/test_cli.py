@@ -77,6 +77,20 @@ def test_map_scenario_reaches_fixed_point(tmp_path):
     assert [rows[10][k] for k in ("E", "G", "M", "N")] == ["1.0", "0.0", "0.0", "1.0"]
     report = _read_report(out)
     assert report["invariant_drift"]["I1"]["max_abs"] == 0.0
+    # its repeated row holds zeros, whose signs == cannot tell apart: every row is stepped
+    assert report["orbit"] == {"cycle": None, "steps_computed": 10}
+
+
+def test_map_report_names_the_cycle_and_the_steps_it_took(tmp_path):
+    # README's L4 start repeats row 1 from row 2 on, whatever the stride of the CSV
+    scenario = _write(tmp_path, "map.json", {
+        "kind": "map", "dda": "L4", "steps": 50, "stride": 7,
+        "initial": {"B": 1, "C": 1, "E": 0.4, "G": 1.3, "M": 0.8, "N": -0.2}})
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out), "--quiet"]) == EXIT_OK
+    report = _read_report(out)
+    assert report["orbit"] == {"cycle": [1, 1], "steps_computed": 2}   # first row, period
+    assert list(report)[-1] == "orbit"
 
 
 def test_validate_family_scenario(tmp_path):
@@ -146,6 +160,7 @@ def test_map_step_to_non_finite_entries_exits_three_with_artifacts(tmp_path):
     report = _read_report(out)
     assert report["status"] == "truncated"
     assert report["diagnostic"] == "state exceeded overflow guard at n=1"
+    assert report["orbit"] == {"cycle": None, "steps_computed": 1}
     rows = list(csv.DictReader((out / "orbit.csv").read_text().splitlines()))
     assert [r["n"] for r in rows] == ["0"]
 

@@ -160,7 +160,7 @@ def _stepped_orbit(dda, state0, steps):
         with suppress(SingularOrbitError):
             pq.append(_companion(dda, values))
     entries = np.array(rows)
-    invariants, kept = _invariants(dda, entries, state0.prev_C1, pq)
+    _, invariants, kept = _invariants(dda, entries, state0.prev_C1, pq)
     return entries, degeneracy_flags(entries), invariants, kept, status, diagnostic
 
 
@@ -185,9 +185,40 @@ def _sweep_entry(rng):
     return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
 
 
+def _first_repeat(dda, state0, entries):
+    """(first row, period) of the first state of ``entries`` that a later row repeats bit for
+    bit, a state being the row and, for L5, the C1 it carries; None if none repeats."""
+    carried = [b""] * len(entries)
+    if dda == "L5":
+        C1 = np.vstack([np.reshape(state0.prev_C1, (1, 4)), entries[:-1, [0, 2, 1, 3]]])
+        carried = [row.tobytes() for row in C1.astype(float)]
+    seen = {}
+    for i, row in enumerate(entries):
+        first = seen.setdefault((row.tobytes(), carried[i]), i)
+        if first != i:
+            return first, i - first
+    return None
+
+
+def _stepped_alike(dda, state0, steps):
+    """``orbit`` from ``state0``, once it is checked to equal ``_stepped_orbit`` bit for bit,
+    to give as its cycle the first repeated state of that loop, and to take every step unless
+    it found one."""
+    run = orbit(dda, state0, steps)
+    want = _stepped_orbit(dda, state0, steps)
+    assert _orbit_bits(run.entries, run.flags, run.invariants, run.invariant_rows,
+                       run.status, run.diagnostic) == _orbit_bits(*want), (dda, state0, steps)
+    if run.cycle is not None:
+        assert run.cycle == _first_repeat(dda, state0, want[0]), (dda, state0, steps)
+    elif run.status == "completed":
+        assert run.steps_computed == steps, (dda, state0, steps)
+    return run
+
+
 def test_orbit_equals_the_loop_that_steps_every_row_bit_for_bit():
-    # a row that repeats stops the stepping: the seeded starts below reach that shortcut,
-    # with and without a zero in the repeated row, and every other way an orbit ends
+    # a repeated state stops the stepping: the seeded starts below reach that shortcut,
+    # with and without a zero in the repeated row, on cycles of period 1, 2 and more,
+    # and every other way an orbit ends
     rng = np.random.default_rng(30)
     repeats = {False: 0, True: 0}   # orbits ending on a repeated row, by a zero in it
     for i in range(1500):
@@ -198,16 +229,19 @@ def test_orbit_equals_the_loop_that_steps_every_row_bit_for_bit():
         prev = None
         if dda == "L5" and rng.random() < 0.5:
             prev = {name: _sweep_entry(rng) for name in "BCEG"}
-        state0 = init_map_state(dda, start, prev)
         steps = int(rng.choice([0, 1, 2, 5, 50, 400]))
-        run = orbit(dda, state0, steps)
-        want = _orbit_bits(*_stepped_orbit(dda, state0, steps))
-        assert _orbit_bits(run.entries, run.flags, run.invariants, run.invariant_rows,
-                           run.status, run.diagnostic) == want, (dda, start, prev, steps)
-        rows = run.entries.tolist()
+        rows = _stepped_alike(dda, init_map_state(dda, start, prev), steps).entries.tolist()
         if len(rows) >= 3 and rows[-1] == rows[-2] == rows[-3]:
             repeats[0.0 in rows[-1]] += 1
     assert min(repeats.values()) >= 50, repeats
+    periods = {2: 0, 3: 0}   # orbits ending on a cycle of period 2, and of 3 or more
+    for i in range(300):
+        dda = ("L2b", "L4", "L5")[i % 3]
+        start = dict(zip("BCEGMN", rng.uniform(-1.5, 1.5, 6).tolist()))
+        run = _stepped_alike(dda, init_map_state(dda, start), 400)
+        if run.cycle is not None and run.cycle[1] > 1:
+            periods[min(run.cycle[1], 3)] += 1
+    assert min(periods.values()) >= 10, periods
 
 
 def test_a_repeated_row_with_a_signed_zero_is_stepped_on():
@@ -244,6 +278,69 @@ def test_a_stationary_orbit_stops_calling_the_companion(monkeypatch):
     assert (run.entries[2:] == run.entries[1]).all()
     assert run.invariant_rows.tolist() == list(range(51))
     assert (run.invariants["I1"][1:] == run.invariants["I1"][1]).all()
+
+
+def test_an_l5_state_whose_carried_c1_holds_a_zero_is_stepped_on():
+    # rows 31 to 34 repeat from row 35 on, but the zero-free rows 32 and 33 that Brent's
+    # method saves carry the C1 of a row with E = 0.0, so no state is taken as repeated
+    start = dict(B=2.0, C=-3.0, E=-1.0, G=-0.5, M=-0.5, N=-0.25)
+    run = _stepped_alike("L5", init_map_state("L5", start), 64)
+    rows = run.entries.tolist()
+    assert rows[31:35] == rows[35:39] and 0.0 not in rows[32] + rows[36]
+    assert rows[31][2] == rows[35][2] == 0.0
+    assert run.cycle is None and run.steps_computed == 64
+
+
+CYCLES = {   # start -> (first row, period) of its cycle, found within 400 steps
+    "L2b_period2": ("L2b", dict(B=0.4, C=0.6, E=0.1, G=-0.6, M=-0.3, N=1.3), (95, 2)),
+    "L2b_period3": ("L2b", dict(B=0.7, C=-0.2, E=-0.9, G=1.2, M=-1.4, N=-0.6), (35, 3)),
+    "L4_period2": ("L4", dict(B=-0.9, C=0.8, E=-0.7, G=1.2, M=0.0, N=-0.6), (3, 2)),
+    "L4_period4": ("L4", dict(B=-0.1, C=1.3, E=-1.3, G=-1.0, M=1.4, N=1.2), (158, 4)),
+    "L5_period2": ("L5", dict(B=-0.7, C=0.7, E=-0.8, G=1.0, M=0.6, N=-1.1), (98, 2)),
+    "L5_period3": ("L5", dict(B=1.0, C=-1.3, E=-1.2, G=1.4, M=0.8, N=-0.5), (119, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CYCLES))
+def test_the_tile_starts_at_the_first_row_of_the_cycle(case):
+    # the state before the cycle differs from the state one period on, and the tiled
+    # rows, flags and invariants repeat from the first row of the cycle on
+    dda, start, (first, period) = CYCLES[case]
+    run = _stepped_alike(dda, init_map_state(dda, start), 400)
+    assert run.cycle == (first, period)
+    bits = run.entries.view(np.int64)
+    assert (bits[first + period:] == bits[first:-period]).all()
+    before = bits[first - 1] != bits[first - 1 + period]
+    if dda == "L5":   # or in the C1 it carries, the row before's
+        before = np.append(before, bits[first - 2, 2:4] != bits[first - 2 + period, 2:4])
+    assert before.any()
+    assert (run.flags[first + period:] == run.flags[first:-period]).all()
+    for values in run.invariants.values():
+        assert values[first + period:].tobytes() == values[first:-period].tobytes()
+
+
+@pytest.mark.parametrize("dda, start, calls, cycle", [
+    ("L4", dict(B=1, C=1, E=0.4, G=1.3, M=0.8, N=-0.2), 2, (1, 1)),
+    ("L4", CYCLES["L4_period2"][1], 6, (3, 2)),
+    ("L2b", CYCLES["L2b_period3"][1], 67, (35, 3)),
+    ("L5", CYCLES["L5_period3"][1], 131, (119, 3)),
+    ("L2b", dict(B=-0.3, C=1.4, E=0.3, G=0.8, M=-0.3, N=-0.9), 400, None),
+    ("L4", dict(B=-0.1, C=0.1, E=1.4, G=-1.2, M=1.2, N=-0.2), 400, None),
+    ("L5", dict(B=-0.2, C=0.5, E=-0.2, G=0.4, M=1.4, N=0.5), 400, None),
+], ids=["period1", "period2", "L2b_period3", "L5_period3", "L2b_never", "L4_never", "L5_never"])
+def test_orbit_steps_until_its_state_repeats(dda, start, calls, cycle, monkeypatch):
+    # a period-1 cycle is found on its first repeat, a longer one when it comes back to the
+    # state saved at the last power of two; an orbit that never repeats steps every row
+    made = []
+
+    def counted(*args):
+        made.append(args[1])
+        return _advance(*args)
+
+    monkeypatch.setattr(discrete_flows, "_advance", counted)
+    run = orbit(dda, init_map_state(dda, start), 400)
+    assert (len(made), run.steps_computed, run.cycle) == (calls, calls, cycle)
+    assert made == [tuple(row) for row in run.entries[:calls].tolist()]
 
 
 @pytest.mark.parametrize("dda,entries", [
@@ -484,7 +581,7 @@ def test_l4_rows_have_invariants_exactly_when_unflagged_and_invertible():
             got.append(i)
     assert got == want
     assert len(want) < unflagged.sum()   # the LU_SINGULAR row
-    invariants, rows = _invariants("L4", entries[got], None, pq)
+    _, invariants, rows = _invariants("L4", entries[got], None, pq)
     assert rows.tolist() == list(range(len(want)))
     for name, values in invariants.items():
         assert values.shape == (len(want),), name
@@ -529,7 +626,7 @@ def test_det_c2_is_the_float_nearest_the_exact_en_minus_gm():
     entries[::2, 4] = entries[::2, 2] * entries[::2, 5] / entries[::2, 3] * (
         1.0 + 1e-9 * rng.standard_normal(2000))
     want = np.array([_nearest_det_c2(row) for row in entries.tolist()])
-    assert discrete_flows._flagged(entries)[2].tobytes() == want.tobytes()
+    assert discrete_flows._flagged(*entries.T)[2].tobytes() == want.tobytes()
     _, _, E, G, M, N = entries.T
     assert np.count_nonzero(E * N - G * M != want) > 1000
 
@@ -542,7 +639,7 @@ def test_det_c2_falls_back_to_the_plain_difference_where_it_is_not_finite():
     _, _, E, G, M, N = entries.T
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # no numpy warning escapes
-        got = discrete_flows._flagged(entries)[2]
+        got = discrete_flows._flagged(*entries.T)[2]
         flags = degeneracy_flags(entries)
     with np.errstate(all="ignore"):
         plain = E * N - G * M
