@@ -9,15 +9,14 @@ structure constants (B, C held fixed along an orbit):
   previous C1, and the transition matrix V = T^-1C1 . C2 is conjugated by
   C2 at each step.
 
-One scalar kernel advances the entries (B, C, E, G, M, N) as floats: C1's second
-column is C2's first, so C1^-1 C2 is a companion matrix K, and each map applies K
-to columns, with no BLAS or LAPACK call.  ``orbit`` iterates it until its state (the row
-and L5's carried C1) repeats bit for bit, by a period-1 test and Brent's method, and keeps
-the orbit as arrays: flags and L2b's det C2 (read off the entries) and exact trace invariants
-(of C2, of K, of V) of the rows up to the end of the first cycle, tiled over the rest.  It
-also gives the discrete oriented associativity defect of gauge fields from three sampled
-potentials, the commutator of their C1 and C2, at each point with two samples a side, and
-its residual.
+One scalar kernel advances the entries (B, C, E, G, M, N) as floats: C1's second column is
+C2's first, so C1^-1 C2 is a companion matrix K, and each map applies K to columns, with no
+BLAS or LAPACK call.  ``orbit`` iterates it until its state (the row and L5's carried C1, as
+doubles) repeats bit for bit, found by a period-1 test and Brent's method, and keeps the orbit
+as arrays: flags and L2b's det C2 (read off the entries) and exact trace invariants (of C2, of
+K, of V) of the rows up to the end of the first cycle, tiled over the rest.  It also gives the
+discrete oriented associativity defect of gauge fields from three sampled potentials, the
+commutator of their C1 and C2, at each point with two samples a side, and its residual.
 """
 
 from __future__ import annotations
@@ -264,15 +263,15 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
     non-finite entry or overflow truncates the orbit.  Each row's (p, q) is found once,
     by the step that leaves it or, for L4's last row, by one more ``_companion`` call.
 
-    ``_advance`` is a pure function of the row and, for L5, the C1 it carries: once that
-    state equals, bit for bit, the one of the row before or of the row Brent's method saved
-    (at each power of two), every later step repeats the cycle between them; ``==`` does not
-    tell +-0.0 apart, so a state holding one is stepped on.  Flags, (p, q) and invariants are
-    then found for the rows up to the end of the first cycle, and one index tiles the rest."""
+    ``_advance`` is a pure function of the row and, for L5, the C1 it carries, read as doubles:
+    once a row ``==`` the row before or the one Brent's method saved (at each power of two) and
+    the ``repr`` of the two states, which tells -0.0 from 0.0, is the same, every later step
+    repeats the cycle between them.  Flags, (p, q) and invariants are then found for the rows
+    up to the end of the first cycle, and one index tiles the rest."""
     check_map(dda, state0)
     whole_number("steps", steps, 0, MAX_STEPS)
-    values, guard = tuple(state0.values), OVERFLOW_GUARD   # a row compares as a tuple
-    prev_C1 = None if state0.prev_C1 is None else tuple(map(tuple, state0.prev_C1.tolist()))
+    values, guard = tuple(map(float, state0.values)), OVERFLOW_GUARD   # a tuple of doubles
+    prev_C1 = None if dda != "L5" else tuple(map(tuple, state0.prev_C1.astype(float).tolist()))
     rows, pq, period, status, diagnostic = [values], [], 0, STATUS_COMPLETED, None
     saved, saved_C1, s, save_at = values, prev_C1, state0.n, state0.n + 1   # Brent's, at site s
     for n in range(state0.n + 1, state0.n + steps + 1):   # the site of the row to be found
@@ -287,9 +286,10 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
             status, diagnostic = STATUS_TRUNCATED, f"state exceeded overflow guard at n={n}"
             break
         rows.append(row)
-        if row == values or row == saved:   # then the state must be equal, and zero-free
-            lam, ref = (1, prev_C1) if row == values else (n - s, saved_C1)
-            if C1 == ref and 0.0 not in (row if C1 is None else row + C1[0] + C1[1]):
+        # row == values too: an L2b start fixed from row 117 takes Brent's alone 129 steps
+        if row == values or row == saved:
+            lam, ref = (1, (values, prev_C1)) if row == values else (n - s, (saved, saved_C1))
+            if repr((row, C1)) == repr(ref):   # the same bits: repr tells -0.0 from 0.0
                 period = lam
                 break
         if n == save_at:   # at site state0.n + 2^k

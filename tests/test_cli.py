@@ -77,8 +77,8 @@ def test_map_scenario_reaches_fixed_point(tmp_path):
     assert [rows[10][k] for k in ("E", "G", "M", "N")] == ["1.0", "0.0", "0.0", "1.0"]
     report = _read_report(out)
     assert report["invariant_drift"]["I1"]["max_abs"] == 0.0
-    # its repeated row holds zeros, whose signs == cannot tell apart: every row is stepped
-    assert report["orbit"] == {"cycle": None, "steps_computed": 10}
+    # row 2 repeats row 1, zeros and all, bit for bit: two steps find every row
+    assert report["orbit"] == {"cycle": [1, 1], "steps_computed": 2}
 
 
 def test_map_report_names_the_cycle_and_the_steps_it_took(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from deformcs import discrete_flows
 from deformcs.algebra_core import DEGENERACY_TOL, assoc_residual
+from deformcs.cli import _map_artifacts
 from deformcs.closed_forms import SolutionFamily, eval_family
 from deformcs.dda_registry import discrete_cs_residual
 from deformcs.discrete_flows import (MapState, _advance, _companion, _invariants,
@@ -220,7 +221,7 @@ def test_orbit_equals_the_loop_that_steps_every_row_bit_for_bit():
     # with and without a zero in the repeated row, on cycles of period 1, 2 and more,
     # and every other way an orbit ends
     rng = np.random.default_rng(30)
-    repeats = {False: 0, True: 0}   # orbits ending on a repeated row, by a zero in it
+    repeats = {False: 0, True: 0}   # orbits ending on a repeated row and its cycle, by a zero
     for i in range(1500):
         dda = ("L2b", "L4", "L5")[i % 3]
         start = {name: _sweep_entry(rng) for name in "BCEGMN"}
@@ -230,8 +231,9 @@ def test_orbit_equals_the_loop_that_steps_every_row_bit_for_bit():
         if dda == "L5" and rng.random() < 0.5:
             prev = {name: _sweep_entry(rng) for name in "BCEG"}
         steps = int(rng.choice([0, 1, 2, 5, 50, 400]))
-        rows = _stepped_alike(dda, init_map_state(dda, start, prev), steps).entries.tolist()
-        if len(rows) >= 3 and rows[-1] == rows[-2] == rows[-3]:
+        run = _stepped_alike(dda, init_map_state(dda, start, prev), steps)
+        rows = run.entries.tolist()
+        if len(rows) >= 3 and rows[-1] == rows[-2] == rows[-3] and run.cycle is not None:
             repeats[0.0 in rows[-1]] += 1
     assert min(repeats.values()) >= 50, repeats
     periods = {2: 0, 3: 0}   # orbits ending on a cycle of period 2, and of 3 or more
@@ -244,22 +246,36 @@ def test_orbit_equals_the_loop_that_steps_every_row_bit_for_bit():
     assert min(periods.values()) >= 10, periods
 
 
-def test_a_repeated_row_with_a_signed_zero_is_stepped_on():
-    # rows 1 and 2 compare equal, but row 1's E is -0.0 and row 2's is 0.0: stepping
-    # row 2 gives -0.0 again, which a copy of row 2 would lose
-    start = dict(B=-0.5938925467411018, C=0.0, E=0.5, G=0.12606925196262142, M=-0.0, N=-0.0)
-    run = orbit("L2b", init_map_state("L2b", start), 5)
-    assert run.entries[1].tolist() == run.entries[2].tolist()
-    assert np.signbit(run.entries[1:, 2]).tolist() == [True, False, True, True, True]
-
-
-def test_an_l5_row_repeats_only_with_the_c1_it_carries():
+EXACT_REPEATS = {   # start, previous C1, steps -> (cycle, steps computed)
+    # rows 1 and 2 compare equal, but row 1's E is -0.0 and row 2's is 0.0, and row 3's M
+    # is 0.0 where row 2's is -0.0: the state first repeats at row 4
+    "L2b_signed_zero_in_the_row": ("L2b", dict(B=-0.5938925467411018, C=0.0, E=0.5,
+                                               G=0.12606925196262142, M=-0.0, N=-0.0),
+                                   None, 5, (3, 1), 4),
     # row 1 equals row 0, but the C1 it leaves behind is row 0's, not the start's
     # previous C1, so row 2 differs
-    run = orbit("L5", init_map_state("L5", dict(B=2, C=1, E=1, G=3, M=4, N=7),
-                                     dict(B=1, C=1, E=-1, G=4)), 4)
-    assert run.entries[1].tolist() == run.entries[0].tolist()
-    assert run.entries[2].tolist() == [2.0, 1.0, 1.0, 4.0, 3.0, 7.0]
+    "L5_other_carried_c1": ("L5", dict(B=2, C=1, E=1, G=3, M=4, N=7),
+                            dict(B=1, C=1, E=-1, G=4), 4, None, 4),
+    # rows 2 and 3 are the same bits, but they carry E = -0.0 and 0.0 in their C1,
+    # so row 4's N is 0.0 where row 3's is -0.0
+    "L5_signed_zero_in_the_carried_c1": ("L5", dict(B=0.5, C=0.0, E=-0.0, G=2.0, M=-1.0, N=-0.0),
+                                         dict(B=0.5, C=0.0, E=-0.0, G=-2.0), 8, (4, 1), 5),
+    # rows 31 to 34 repeat from row 35 on, and row 31 holds E = 0.0
+    "L5_zero_in_the_cycle": ("L5", dict(B=2.0, C=-3.0, E=-1.0, G=-0.5, M=-0.5, N=-0.25),
+                             None, 400, (31, 4), 36),
+    # the map_l4 golden: every row from row 1 on is (1, 1, 1.0, 0.0, 0.0, 1.0)
+    "L4_zero_in_the_fixed_point": ("L4", dict(B=1, C=1, E=0, G=1, M=1, N=0), None, 50,
+                                   (1, 1), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_REPEATS))
+def test_a_state_repeats_exactly_when_its_bits_do(case):
+    # == cannot tell -0.0 from 0.0 and a row from the C1 it carries; the bits can, and a
+    # zero in a state that repeats bit for bit does not keep its cycle from being found
+    dda, start, prev, steps, cycle, computed = EXACT_REPEATS[case]
+    run = _stepped_alike(dda, init_map_state(dda, start, prev), steps)
+    assert (run.cycle, run.steps_computed) == (cycle, computed)
 
 
 def test_a_stationary_orbit_stops_calling_the_companion(monkeypatch):
@@ -278,17 +294,6 @@ def test_a_stationary_orbit_stops_calling_the_companion(monkeypatch):
     assert (run.entries[2:] == run.entries[1]).all()
     assert run.invariant_rows.tolist() == list(range(51))
     assert (run.invariants["I1"][1:] == run.invariants["I1"][1]).all()
-
-
-def test_an_l5_state_whose_carried_c1_holds_a_zero_is_stepped_on():
-    # rows 31 to 34 repeat from row 35 on, but the zero-free rows 32 and 33 that Brent's
-    # method saves carry the C1 of a row with E = 0.0, so no state is taken as repeated
-    start = dict(B=2.0, C=-3.0, E=-1.0, G=-0.5, M=-0.5, N=-0.25)
-    run = _stepped_alike("L5", init_map_state("L5", start), 64)
-    rows = run.entries.tolist()
-    assert rows[31:35] == rows[35:39] and 0.0 not in rows[32] + rows[36]
-    assert rows[31][2] == rows[35][2] == 0.0
-    assert run.cycle is None and run.steps_computed == 64
 
 
 CYCLES = {   # start -> (first row, period) of its cycle, found within 400 steps
@@ -324,13 +329,20 @@ def test_the_tile_starts_at_the_first_row_of_the_cycle(case):
     ("L4", CYCLES["L4_period2"][1], 6, (3, 2)),
     ("L2b", CYCLES["L2b_period3"][1], 67, (35, 3)),
     ("L5", CYCLES["L5_period3"][1], 131, (119, 3)),
+    ("L2b", dict(B=-0.33625521626379906, C=0.22379194729131746, E=0.015265319784833142,
+                 G=-0.6874036474552168, M=0.6080634449110325, N=-0.9622722140187119),
+     118, (117, 1)),
     ("L2b", dict(B=-0.3, C=1.4, E=0.3, G=0.8, M=-0.3, N=-0.9), 400, None),
     ("L4", dict(B=-0.1, C=0.1, E=1.4, G=-1.2, M=1.2, N=-0.2), 400, None),
     ("L5", dict(B=-0.2, C=0.5, E=-0.2, G=0.4, M=1.4, N=0.5), 400, None),
-], ids=["period1", "period2", "L2b_period3", "L5_period3", "L2b_never", "L4_never", "L5_never"])
+], ids=["period1", "period2", "L2b_period3", "L5_period3", "L2b_late_period1", "L2b_never",
+        "L4_never", "L5_never"])
 def test_orbit_steps_until_its_state_repeats(dda, start, calls, cycle, monkeypatch):
     # a period-1 cycle is found on its first repeat, a longer one when it comes back to the
-    # state saved at the last power of two; an orbit that never repeats steps every row
+    # state saved at the last power of two; an orbit that never repeats steps every row.
+    # L2b_late_period1 is why the period-1 test stays beside Brent's method: its fixed point,
+    # entered at row 117, is found after 118 steps; Brent's method alone would wait for the
+    # state it saves at row 128 and take 129
     made = []
 
     def counted(*args):
@@ -494,6 +506,32 @@ def test_a_hand_built_state_of_six_numbers_steps_as_its_tuple_of_floats(dda):
         got = orbit(dda, MapState(0, values, prev), 5)
         assert got.entries.tobytes() == want.entries.tobytes()
         assert (got.status, got.diagnostic) == (want.status, want.diagnostic)
+
+
+HAND_BUILT = {   # six ints and, for L5, C1 one site back: orbits that repeat from row 0 or 1
+    "L2b": ((-1, -1, 0, 1, 0, 1), None),
+    "L4": ((1, 1, 1, 0, 0, 1), None),
+    "L5": ((-1, -1, 1, 0, 0, 1), [[-1, 1], [-1, 0]]),
+}
+
+
+@pytest.mark.parametrize("dda", sorted(HAND_BUILT))
+def test_a_hand_built_start_repeats_where_its_floats_do(dda, tmp_path):
+    # a start of ints, or a numpy array of ints or floats, is read as the doubles a float
+    # start holds: its state repeats at the same row, and it writes the same CSV rows
+    values, prev = HAND_BUILT[dda]
+    floats, prev_floats = tuple(map(float, values)), prev and np.array(prev, dtype=float)
+    starts = {"floats": MapState(0, floats, prev_floats),
+              "ints": MapState(0, values, prev and np.array(prev)),
+              "int_array": MapState(0, np.array(values), prev and np.array(prev)),
+              "float_array": MapState(0, np.array(floats), prev_floats)}
+    found = {}
+    for name, state in starts.items():
+        run = orbit(dda, state, 50)
+        _map_artifacts(dda, state, 50, 1, tmp_path)
+        found[name] = run.cycle, run.steps_computed, (tmp_path / "orbit.csv").read_bytes()
+    assert found["floats"][0] is not None
+    assert all(got == found["floats"] for got in found.values()), found
 
 
 # |BG - CE| = 2.9e-11 is above DEGENERACY_TOL, yet C1's second pivot u rounds to 0
