@@ -286,7 +286,7 @@ def orbit(dda: str, state0: MapState, steps: int) -> Orbit:
             status, diagnostic = STATUS_TRUNCATED, f"state exceeded overflow guard at n={n}"
             break
         rows.append(row)
-        # row == values too: an L2b start fixed from row 117 takes Brent's alone 129 steps
+        # row == values too: an L2b start fixed from row 117 takes Brent's alone 129 steps, not 118
         if row == values or row == saved:
             lam, ref = (1, (values, prev_C1)) if row == values else (n - s, (saved, saved_C1))
             if repr((row, C1)) == repr(ref):   # the same bits: repr tells -0.0 from 0.0
